@@ -5,12 +5,14 @@ Two scenarios, one per dispatch pathology the async core fixes:
 * **Throughput vs concurrent clients** — threaded clients hammer a grid
   of containers hosting I/O-modeled services (each call sleeps a fixed
   service time, the in-process stand-in for a store/disk round trip).
-  Under the legacy whole-container lock (``serialize_dispatch=True``)
-  throughput flatlines at ``containers / service_time`` no matter how
-  many clients arrive; per-service gates scale until every deployed
-  service is busy.  The shape assertion mirrors the MDS2 measurements
-  the grid-monitoring literature reports: concurrency scales with the
-  number of independently dispatchable endpoints, not with lock count.
+  With one service per container — one dispatch gate per container,
+  which is what a whole-container lock amounts to — throughput
+  flatlines at ``containers / service_time`` no matter how many clients
+  arrive; with four services per container the per-service gates scale
+  until every deployed service is busy.  The shape assertion mirrors
+  the MDS2 measurements the grid-monitoring literature reports:
+  concurrency scales with the number of independently dispatchable
+  endpoints, not with lock count.
 
 * **Overload with and without admission control** — far more clients
   than one slow service can carry.  Without admission every request
@@ -77,14 +79,12 @@ class SlowStoreService(GridServiceBase):
         return f"value-for-{key}"
 
 
-def _build_grid(serialize_dispatch: bool):
+def _build_grid(services_per_container: int):
     env = GridEnvironment()
     endpoints = []
     for c in range(CONTAINERS):
-        container = env.create_container(
-            f"bench-{c}:1", serialize_dispatch=serialize_dispatch
-        )
-        for s in range(SERVICES_PER_CONTAINER):
+        container = env.create_container(f"bench-{c}:1")
+        for s in range(services_per_container):
             gsh = container.deploy(
                 f"services/store-{s}", SlowStoreService(SERVICE_TIME_S)
             )
@@ -158,8 +158,11 @@ def _run_clients(env, endpoints, clients: int, requests: int) -> dict:
 
 def test_throughput_scales_with_concurrent_clients():
     arms = {}
-    for label, serialize in (("legacy-container-lock", True), ("per-service", False)):
-        env, endpoints = _build_grid(serialize_dispatch=serialize)
+    for label, services in (
+        ("legacy-container-lock", 1),
+        ("per-service", SERVICES_PER_CONTAINER),
+    ):
+        env, endpoints = _build_grid(services)
         arms[label] = [
             _run_clients(env, endpoints, clients, REQUESTS_PER_CLIENT)
             for clients in CLIENT_SWEEP
@@ -183,7 +186,7 @@ def test_throughput_scales_with_concurrent_clients():
     solo_fine = arms["per-service"][0]["throughput"]
     assert solo_fine > 0.5 * solo_legacy
     # ...and at the top of the sweep per-service dispatch must scale past
-    # the container-lock ceiling (8 gates vs 2 locks: >= 2x is lenient)
+    # the one-gate-per-container ceiling (8 gates vs 2: >= 2x is lenient)
     max_legacy = arms["legacy-container-lock"][-1]["throughput"]
     max_fine = arms["per-service"][-1]["throughput"]
     assert max_fine >= 2.0 * max_legacy, (

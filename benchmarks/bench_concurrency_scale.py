@@ -2,22 +2,25 @@
 
 The grid information-service studies (MDS2 and kin) measured the same
 collapse this benchmark reproduces: per-request resource churn — thread
-create/join per query in our legacy executor — dominates long before
-the member stores saturate, and one flooding client starves everyone
-else unless the scheduler is tenant-aware.  Three scenarios:
+create/join per query — dominates long before the member stores
+saturate, and one flooding client starves everyone else unless the
+scheduler is tenant-aware.  The baseline arms are built from the public
+API, not from switches in the scheduler: a per-query pool is a stdlib
+``ThreadPoolExecutor`` inside the bench, and a global FIFO is every
+submitter sharing one tenant key.  Three scenarios:
 
 * **Fan-out latency vs concurrent drivers** (the gate) — drives the
   fan-out layer directly, the way MDS2's scalability study drove the
   GRIS: each simulated query fans a fixed-width burst of fast member
-  calls through one of three arms: the legacy per-query
-  ``ThreadPoolExecutor`` (exactly what ``FederationEngine``'s legacy
-  branch builds and tears down per query), the engine-lifetime pooled
-  scheduler in FIFO mode, and the pooled scheduler with per-tenant
-  fair queueing.  The gate: at the top of the sweep the pooled arms
-  answer with a p50 at least **2x** better than legacy — warm workers
-  vs per-query thread create/join churn.
+  calls through one of three arms: a per-query ``ThreadPoolExecutor``
+  built and torn down inside the request, the engine-lifetime pooled
+  scheduler with every driver on one tenant key (a global FIFO), and
+  the pooled scheduler with one tenant key per driver (fair queueing).
+  The gate: at the top of the sweep the pooled arms answer with a p50
+  at least **2x** better than the per-query pool — warm workers vs
+  per-query thread create/join churn.
 
-* **End-to-end engine curve** (informational) — the same three arms
+* **End-to-end engine curve** (informational) — the two pooled arms
   behind the full engine stack (parse, plan, member SOAP dispatch,
   FIRST_COMPLETED merge) over a wide synthetic federation, every query
   text unique so the plan cache never answers.  On a small host the
@@ -27,9 +30,10 @@ else unless the scheduler is tenant-aware.  Three scenarios:
 
 * **Minority-tenant p99 under a flooding tenant** — one tenant keeps
   hundreds of tasks queued; a minority tenant submits one task at a
-  time.  With fair queueing its p99 stays within **3x** of the
-  uncontended baseline (round-robin admits it every rotation); with one
-  global FIFO its p99 grows with the flood backlog — starvation.
+  time.  Under its own tenant key its p99 stays within **3x** of the
+  uncontended baseline (round-robin admits it every rotation);
+  submitting under the flood's key — one global FIFO — its p99 grows
+  with the flood backlog: starvation.
 
 ``FEDQUERY_BENCH_QUICK=1`` (the CI mode) shrinks the federation and the
 sweeps so the file runs in seconds while asserting the same shape.
@@ -59,7 +63,7 @@ FANOUT = 8
 #: gate scenario: concurrent driver threads (simulated clients)
 GATE_DRIVER_SWEEP = (8, 32) if QUICK else (8, 32, 64)
 GATE_QUERIES_PER_DRIVER = 8 if QUICK else 16
-#: pool width for the pooled arms (legacy sizes a pool per query)
+#: pool width for the pooled arms (the legacy arm sizes a pool per query)
 POOL_WORKERS = 16 if QUICK else 32
 
 #: end-to-end curve: federation width — the "hundreds of hosts" axis
@@ -146,19 +150,20 @@ def _curve_line(drivers: int, label: str, point: dict) -> str:
 
 def test_pooled_fanout_beats_per_query_pool_at_scale():
     def legacy_query(driver: int, q: int) -> None:
-        # the legacy FederationEngine branch: one pool per query, sized
-        # to the fan-out, created and joined inside the request
+        # one pool per query, sized to the fan-out, created and joined
+        # inside the request
         with ThreadPoolExecutor(max_workers=FANOUT) as pool:
             wait([pool.submit(_member_call) for _ in range(FANOUT)])
 
     def pooled_arm(fair: bool):
-        sched = FanoutScheduler(max_workers=POOL_WORKERS, fair=fair, name="bench")
+        sched = FanoutScheduler(max_workers=POOL_WORKERS, name="bench")
         wait([sched.submit(_member_call, tenant="warm") for _ in range(FANOUT)])
 
         def query(driver: int, q: int) -> None:
+            # one shared tenant key is a global FIFO
+            tenant = f"client-{driver}" if fair else "everyone"
             futures = [
-                sched.submit(_member_call, tenant=f"client-{driver}")
-                for _ in range(FANOUT)
+                sched.submit(_member_call, tenant=tenant) for _ in range(FANOUT)
             ]
             for future in futures:
                 future.result(timeout=120.0)
@@ -229,7 +234,7 @@ def test_pooled_fanout_beats_per_query_pool_at_scale():
 
 
 # --------------------------------------------------------------------------
-# scenario 2 (informational): the same arms behind the full engine stack
+# scenario 2 (informational): the pooled arms behind the full engine stack
 # --------------------------------------------------------------------------
 
 
@@ -246,46 +251,37 @@ def _build_federation():
     return grid, sorted(wrappers)
 
 
-def _make_engine(grid, use_shared_pool: bool, fair: bool) -> FederationEngine:
+def _make_engine(grid) -> FederationEngine:
     """One engine per arm, driven directly (the federated SOAP endpoint
     serializes on its per-service gate, which would measure the gate,
     not the fan-out; member calls still cross the Services Layer)."""
     client = PPerfGridClient(grid.environment, grid.uddi_gsh)
-    scheduler = (
-        FanoutScheduler(max_workers=POOL_WORKERS, fair=fair, name="bench")
-        if use_shared_pool
-        else None
-    )
     engine = FederationEngine(
         client,
         managers={name: site.manager for name, site in grid.sites.items()},
+        max_workers=POOL_WORKERS,
         cost_based=False,
-        scheduler=scheduler,
-        use_shared_pool=use_shared_pool,
     )
-    engine.max_workers = POOL_WORKERS
     engine.execute("SELECT m")  # warm discovery + member bindings
     return engine
 
 
 def test_end_to_end_engine_scale_curve():
     grid, members = _build_federation()
-    arms = {
-        "legacy": (False, True),
-        "pooled": (True, False),
-        "pooled+fair": (True, True),
-    }
+    #: arm -> fair? (False: every query under one tenant key, a global FIFO)
+    arms = {"pooled": False, "pooled+fair": True}
     curves: dict[str, list[dict]] = {}
     engines = {}
     try:
-        for label, (use_pool, fair) in arms.items():
-            engine = engines[label] = _make_engine(grid, use_pool, fair)
+        for label, fair in arms.items():
+            engine = engines[label] = _make_engine(grid)
 
-            def query(driver: int, q: int, eng=engine) -> None:
+            def query(driver: int, q: int, eng=engine, fair=fair) -> None:
                 app = members[(driver + q) % len(members)]
                 n = next(_unique)
                 text = f"SELECT m WHERE app = '{app}' AND value >= -{n}.5"
-                result = eng.execute(text, tenant=f"client-{driver}-{q}")
+                tenant = f"client-{driver}-{q}" if fair else "everyone"
+                result = eng.execute(text, tenant=tenant)
                 assert not result.cached  # unique text: the fan-out ran
 
             curves[label] = [
@@ -305,14 +301,12 @@ def test_end_to_end_engine_scale_curve():
         # invariants, not a latency gate (engine CPU dominates on small
         # hosts): every query really fanned out, and the pooled arms
         # kept one engine-lifetime worker set with no per-query growth
-        for label in ("pooled", "pooled+fair"):
-            stats = engines[label].scheduler_stats()
-            assert stats["enabled"] == 1
+        for label, engine in engines.items():
+            stats = engine.scheduler_stats()
             assert stats["workersCreated"] <= POOL_WORKERS, label
             assert stats["submitted"] >= sum(
                 d * E2E_QUERIES_PER_DRIVER for d in E2E_DRIVER_SWEEP
             )
-        assert engines["legacy"].scheduler_stats()["enabled"] == 0
 
         write_result("concurrency_scale_e2e.txt", "\n".join(lines))
         write_json(
@@ -337,13 +331,15 @@ def test_end_to_end_engine_scale_curve():
 
 def _minority_latency(fair: bool) -> tuple[float, float]:
     """(uncontended p99 ms, contended p99 ms) for the minority tenant."""
-    sched = FanoutScheduler(max_workers=FAIR_WORKERS, fair=fair, name="fairness")
+    sched = FanoutScheduler(max_workers=FAIR_WORKERS, name="fairness")
     work = lambda: time.sleep(TASK_S)  # noqa: E731 - tiny modeled member call
+    # sharing the flood's tenant key puts the minority in one global FIFO
+    minority = "minority" if fair else "flood"
     try:
         baseline: list[float] = []
         for _ in range(MINORITY_PROBES):
             t0 = time.perf_counter()
-            sched.submit(work, tenant="minority").result(timeout=60.0)
+            sched.submit(work, tenant=minority).result(timeout=60.0)
             baseline.append(time.perf_counter() - t0)
 
         stop = threading.Event()
@@ -362,7 +358,7 @@ def _minority_latency(fair: bool) -> tuple[float, float]:
         contended: list[float] = []
         for _ in range(MINORITY_PROBES):
             t0 = time.perf_counter()
-            sched.submit(work, tenant="minority").result(timeout=120.0)
+            sched.submit(work, tenant=minority).result(timeout=120.0)
             contended.append(time.perf_counter() - t0)
         stop.set()
         flooder.join(timeout=60.0)
@@ -399,7 +395,7 @@ def test_fair_queueing_bounds_minority_tenant_p99():
         f"fair minority p99 {fair_contended:.1f} ms "
         f"(ratio {fair_ratio:.1f}x, bound {fair_bound_ms:.1f} ms)"
     )
-    # fairness off: the minority convoys behind the whole flood backlog
+    # one shared key: the minority convoys behind the whole flood backlog
     assert fifo_ratio > 3.0, f"fifo minority p99 ratio {fifo_ratio:.1f}x"
     # and the starvation is backlog-shaped, not a scheduling hiccup: the
     # FIFO wait covers a meaningful slice of the queued flood work

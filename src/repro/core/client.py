@@ -887,6 +887,11 @@ class PPerfGridClient:
             handle, FEDERATED_QUERY_PORTTYPE
         )
 
+    def _require_federation(self):
+        if self._fed_stub is None:
+            raise RuntimeError("no federation configured; call use_federation() first")
+        return self._fed_stub
+
     def query(self, text: str, approx: bool = False, tolerance: float | None = None, **options):
         """Run a federated query; returns a list of ResultRow objects.
 
@@ -911,15 +916,14 @@ class PPerfGridClient:
             )
         if tolerance is not None and not approx:
             raise QueryError("tolerance requires approx=True")
-        if self._fed_stub is None:
-            raise RuntimeError("no federation configured; call use_federation() first")
+        fed = self._require_federation()
         with self.environment.recorder.time("virtualization.fedquery"):
             if approx:
-                packed = self._fed_stub.queryApprox(
+                packed = fed.queryApprox(
                     text, "" if tolerance is None else repr(float(tolerance))
                 )
             else:
-                packed = self._fed_stub.query(text)
+                packed = fed.query(text)
         if not approx:
             return [ResultRow.unpack(p) for p in packed]
         packed_rows, bounds = split_bounds(packed)
@@ -945,12 +949,11 @@ class PPerfGridClient:
         the same order :meth:`query` would return them.  Close the
         iterator early to release the cursor and its member streams.
         """
-        if self._fed_stub is None:
-            raise RuntimeError("no federation configured; call use_federation() first")
+        fed = self._require_federation()
         from repro.fedquery.merge import ResultRow
 
         with self.environment.recorder.time("virtualization.fedquery.stream"):
-            handle = self._fed_stub.queryChunked(text)
+            handle = fed.queryChunked(text)
         return ChunkedResultIterator(
             self.environment, handle, max_rows=max_rows, decoder=ResultRow.unpack,
             accept_encodings=accept_encodings,
@@ -958,9 +961,7 @@ class PPerfGridClient:
 
     def explain_query(self, text: str) -> str:
         """The FederatedQuery service's plan description for *text*."""
-        if self._fed_stub is None:
-            raise RuntimeError("no federation configured; call use_federation() first")
-        return "\n".join(self._fed_stub.explainQuery(text))
+        return "\n".join(self._require_federation().explainQuery(text))
 
     def explain(self, text: str) -> str:
         """The cost-annotated plan for *text* (explainPlan operation).
@@ -969,9 +970,7 @@ class PPerfGridClient:
         model's per-member decisions: chosen mode, estimated rows and
         transfer bytes, and any stats-proven skips.
         """
-        if self._fed_stub is None:
-            raise RuntimeError("no federation configured; call use_federation() first")
-        return "\n".join(self._fed_stub.explainPlan(text))
+        return "\n".join(self._require_federation().explainPlan(text))
 
     def subscribe_updates(self) -> int:
         """Ask the federation to subscribe to member data-update topics.
@@ -981,15 +980,11 @@ class PPerfGridClient:
         notifications & cache coherence").  Returns the number of new
         subscriptions made.
         """
-        if self._fed_stub is None:
-            raise RuntimeError("no federation configured; call use_federation() first")
-        return int(self._fed_stub.subscribeUpdates())
+        return int(self._require_federation().subscribeUpdates())
 
     def coherence_stats(self) -> dict[str, int]:
         """The federation's cache-coherence counters."""
-        if self._fed_stub is None:
-            raise RuntimeError("no federation configured; call use_federation() first")
-        records = _parse_pairs(self._fed_stub.coherenceStats())
+        records = _parse_pairs(self._require_federation().coherenceStats())
         return {name: int(value) for name, value in records.items()}
 
     # ----------------------------------------------------- materialized views

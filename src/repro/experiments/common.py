@@ -143,8 +143,7 @@ def _deploy_federation(grid, authority: str, coherence: bool, cost_based: bool):
     # the engine never has to create one lazily mid-query
     scheduler = FanoutScheduler(
         max_workers=choose_fanout(
-            [manager.stats() for manager in managers.values()],
-            slots_per_replica=4,
+            [manager.stats() for manager in managers.values()]
         ),
         reactor=grid.environment.reactor,
         name=f"fed-{authority.split(':')[0]}",

@@ -6,11 +6,12 @@
    (every published Application) and bound lazily; their query-param
    vocabularies feed the planner.
 2. **Fan-out** — each selected execution becomes one task; tasks run on
-   a thread pool whose width follows the Managers' replica topology.
-   Container dispatch serializes *per service* (not per container), so
-   several tasks per replica container make real progress at once;
-   ``fanout_slots_per_replica`` sizes the pool accordingly.  The merge
-   itself happens on the calling thread as futures complete.  Per-task
+   the engine-lifetime :class:`~repro.fedquery.scheduler.FanoutScheduler`,
+   whose width follows the Managers' replica topology.  Container
+   dispatch serializes *per service* (not per container), so several
+   tasks per replica container make real progress at once;
+   ``SLOTS_PER_REPLICA`` sizes the pool accordingly.  The merge itself
+   happens on the calling thread as futures complete.  Per-task
    failures degrade the result (surviving members' rows are returned,
    the failures are counted) instead of aborting the whole query.
 3. **Plan cache** — whole query results are memoized on the query's
@@ -56,8 +57,9 @@
 from __future__ import annotations
 
 import threading
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.core.prcache import ByteBudgetLruCache, PrCache
 from repro.core.semantic import AggregateRecord, StoreStats, ordering_key, pr_sort_key
@@ -73,9 +75,13 @@ from repro.fedquery.merge import (
     split_bounds,
 )
 from repro.fedquery.parser import parse_query
-from repro.fedquery.planner import MemberPlan, Plan, plan_query
+from repro.fedquery.planner import MemberPlan, Plan, SubQuery, plan_query
 from repro.fedquery.pushdown import filter_foci, matches_value
-from repro.fedquery.scheduler import DEFAULT_TENANT, FanoutScheduler
+from repro.fedquery.scheduler import (
+    DEFAULT_TENANT,
+    FanoutScheduler,
+    empty_scheduler_stats,
+)
 from repro.fedquery.stream import (
     DEFAULT_CHUNK_DEPTH,
     DEFAULT_CHUNK_ROWS,
@@ -92,6 +98,10 @@ from repro.xmlkit import parse as parse_xml
 DEFAULT_FANOUT = 8
 FANOUT_CAP = 32
 
+#: fan-out slots per replica container (dispatch serializes per service,
+#: so one container progresses several execution instances at once)
+SLOTS_PER_REPLICA = 4
+
 #: default byte budget for the plan cache — streamed queries can memoize
 #: large row sets, so the default cache is bounded by bytes, not entries
 DEFAULT_PLAN_CACHE_BYTES = 4 * 1024 * 1024
@@ -102,22 +112,27 @@ def choose_fanout(
     manager_stats: list[dict[str, object]],
     default: int = DEFAULT_FANOUT,
     cap: int = FANOUT_CAP,
-    slots_per_replica: int = 2,
 ) -> int:
-    """Pool width from the Managers' replica topology.
-
-    Historically two slots per replica container: with whole-container
-    dispatch serialization, a second thread only kept the container's
-    lock warm.  The dispatch core now serializes per *service*, so each
-    replica container can make progress on several execution instances
-    at once — the engine passes a larger ``slots_per_replica`` (see
-    ``FederationEngine.fanout_slots_per_replica``); the default stays 2
-    for callers sizing against legacy serialized containers.
-    """
+    """Pool width from the Managers' replica topology (*default* when
+    none is known): ``SLOTS_PER_REPLICA`` per replica, at most *cap*."""
     replicas = sum(int(stats.get("replicas", 0)) for stats in manager_stats)
     if replicas <= 0:
         return default
-    return max(2, min(cap, slots_per_replica * replicas))
+    return min(cap, SLOTS_PER_REPLICA * replicas)
+
+
+def fetch_aggregates(execution, sub: SubQuery, foci: list[str]) -> list:
+    """One push-down ``getPRAgg`` call for *sub* over *foci*."""
+    return execution.get_pr_agg(
+        sub.metric,
+        foci,
+        sub.start,
+        sub.end,
+        sub.result_type,
+        min_value=sub.min_value,
+        max_value=sub.max_value,
+        group_by="focus" if sub.group_by_focus else "",
+    )
 
 
 def _sde_values(xml: str) -> list[str]:
@@ -150,6 +165,17 @@ class QueryResult:
     error_bounds: list = field(default_factory=list)
 
 
+class _Snapshot(NamedTuple):
+    """Coherence state read *before* planning: member stats read while
+    planning, and member data read during the fan-out, are superseded by
+    any data-update delivered later — ``_finish_uncached`` compares this
+    against the live state and discards instead of caching."""
+
+    generations: dict[tuple[str, str], int]
+    app_generations: dict[str, int]
+    epoch: int
+
+
 class FederationEngine:
     """Plans and executes federated queries over published Applications.
 
@@ -170,11 +196,9 @@ class FederationEngine:
         stream_chunk_depth: int = DEFAULT_CHUNK_DEPTH,
         stream_threshold_rows: int = DEFAULT_STREAM_THRESHOLD_ROWS,
         stream_memoize_max_bytes: int = DEFAULT_MEMOIZE_MAX_BYTES,
-        stats_deltas: bool = True,
         accept_encodings: tuple[str, ...] | None = None,
         tier0: bool = True,
         scheduler: FanoutScheduler | None = None,
-        use_shared_pool: bool = True,
     ) -> None:
         self.client = client
         self.managers = dict(managers or {})
@@ -187,10 +211,6 @@ class FederationEngine:
             )
         )
         self.max_workers = max_workers
-        #: fan-out slots per replica container: per-service dispatch
-        #: lets several execution instances in one container progress
-        #: concurrently, so the pool sizes wider than the legacy 2
-        self.fanout_slots_per_replica = 4
         #: False reverts to the pre-cost-model global planner (the
         #: benchmark's baseline arm); no getStats calls are made
         self.cost_based = cost_based
@@ -204,9 +224,6 @@ class FederationEngine:
         #: leaves the client default (PPG_ACCEPT_ENCODINGS-aware), and
         #: ``("xml",)`` pins the fan-out to per-row transfers
         self.accept_encodings = accept_encodings
-        #: False reverts data-updates to whole-member stats drops instead
-        #: of per-execution delta refreshes
-        self.stats_deltas = stats_deltas
         #: False disables the tier-0 metadata answer path entirely (the
         #: benchmark's baseline arm); queries then always fan out
         self.tier0 = tier0
@@ -264,11 +281,8 @@ class FederationEngine:
         }
         #: lazily created ViewMaintainer (see :meth:`views`)
         self._view_maintainer = None
-        #: False reverts the fan-out to a fresh per-query
-        #: ThreadPoolExecutor (the concurrency benchmark's baseline arm)
-        self.use_shared_pool = use_shared_pool
         #: the engine-lifetime fan-out pool; injected (the deployer owns
-        #: its lifecycle) or created lazily on first pooled fan-out
+        #: its lifecycle) or created lazily on first fan-out
         self._scheduler = scheduler
         self._owns_scheduler = scheduler is None
         self._scheduler_lock = threading.Lock()
@@ -292,9 +306,8 @@ class FederationEngine:
                 if self.max_workers is not None:
                     width = self.max_workers
                 else:
-                    stats = [m.stats() for m in self.managers.values()]
                     width = choose_fanout(
-                        stats, slots_per_replica=self.fanout_slots_per_replica
+                        [m.stats() for m in self.managers.values()]
                     )
                 reactor = getattr(
                     getattr(self.client, "environment", None), "_reactor", None
@@ -308,26 +321,14 @@ class FederationEngine:
     def scheduler_stats(self) -> dict:
         """Pool/queue/tenant counters for SDE publication and stats().
 
-        Safe before the first pooled query: reports the pool as absent
-        (``enabled`` reflects ``use_shared_pool``) with zeroed counters
-        rather than forcing pool creation as a side effect of monitoring.
+        Safe before the first fan-out: an absent pool reports the same
+        keys zeroed rather than forcing pool creation as a side effect
+        of monitoring.
         """
         sched = self._scheduler
         if sched is None or sched.is_shutdown:
-            return {
-                "enabled": int(self.use_shared_pool),
-                "maxWorkers": 0,
-                "workers": 0,
-                "busy": 0,
-                "queueDepth": 0,
-                "submitted": 0,
-                "completed": 0,
-                "shed": 0,
-                "poolUtilization": 0.0,
-            }
-        out = {"enabled": int(self.use_shared_pool)}
-        out.update(sched.stats())
-        return out
+            return empty_scheduler_stats()
+        return sched.stats()
 
     def set_rate_limit(
         self, tenant: str | None, rate: float, burst: int | None = None
@@ -491,44 +492,14 @@ class FederationEngine:
                 approx=approx,
                 error_bounds=cached_bounds if approx else [],
             )
-        # generation snapshot *before* planning: member stats read during
-        # planning, and member data read during the fan-out, are both
-        # superseded by any data-update delivered after this point — the
-        # final snapshot comparison then discards instead of caching
-        with self._coherence_lock:
-            gen_snapshot = dict(self._generations)
-            app_gen_snapshot = dict(self._app_generations)
-            epoch_snapshot = self._epoch
-        plan = self._plan(query, approx=approx, tolerance=tolerance)
-        self.plan_modes[plan.effective_mode] += 1
-        merger = StreamingMerger(query)
-        fanout_members = [m for m in plan.members if not m.is_tier0]
+        snapshot, plan, stats, deps = self._begin_uncached(
+            query, tenant, approx=approx, tolerance=tolerance
+        )
         tier0_members = [m for m in plan.members if m.is_tier0]
-        stats = {
-            "executions": 0,
-            "calls": 0,
-            "records": 0,
-            "skipped_metrics": 0,
-            "errors": 0,
-            "skippedMembers": len(plan.skipped),
-            "estimatedBytes": plan.estimated_bytes,
-            "payloadBytes": 0,
-            "tier0Members": len(tier0_members),
-            "estimatedRoundTrips": plan.estimated_round_trips,
-        }
-        # metrics the planner already proved away (skipped members count
-        # all their metrics; surviving fan-out members count omitted
-        # sub-queries — tier-0 members answered theirs, nothing skipped)
-        stats["skipped_metrics"] = len(query.metrics) * (
-            len(fanout_members) + len(plan.skipped)
-        ) - sum(len(member.subqueries) for member in fanout_members)
+        stats["tier0Members"] = len(tier0_members)
+        stats["estimatedRoundTrips"] = plan.estimated_round_trips
+        merger = StreamingMerger(query)
         errors: list[str] = []
-        deps: set[tuple[str, str]] = set()
-        # a stats-proven skip is a read of the member's *statistics*: the
-        # wildcard dep makes any later update to that member invalidate
-        # (or stale-discard) this result, so the skip gets re-evaluated
-        for skipped in plan.skipped:
-            deps.add((skipped.app, "*"))
         # a tier-0 answer is likewise a read of the member's cached
         # stats/sketches: the wildcard dep plus the generation-snapshot
         # comparison in _finish_uncached guarantee an update racing this
@@ -556,43 +527,19 @@ class FederationEngine:
                     merger.absorb_aggregates(ctx, metric, [record])
         tasks = self._collect_tasks(plan, stats)
         if tasks:
-            if self.use_shared_pool:
-                # engine-lifetime pool: no per-query thread create/join
-                # churn; one rate-limit token is charged per query, and
-                # BusyFault (ServerBusy) propagates to the caller un-
-                # degraded — a shed is not a member failure
-                pool = self._pool()
-                pool.acquire_rate(tenant)
-                pending = {pool.submit(task, tenant=tenant) for task in tasks}
-                try:
-                    # merge on this thread as completions stream in —
-                    # unchanged from the per-query pool, byte-identical
-                    while pending:
-                        done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                        for future in done:
-                            self._merge_payloads(merger, future, stats, errors, deps)
-                except BaseException:
-                    # hard failure: queued member tasks must not run
-                    for future in pending:
-                        future.cancel()
-                    raise
-            else:
-                width = self._fanout_width(tasks)
-                with ThreadPoolExecutor(max_workers=width) as legacy_pool:
-                    pending = {legacy_pool.submit(task) for task in tasks}
-                    try:
-                        while pending:
-                            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                            for future in done:
-                                self._merge_payloads(
-                                    merger, future, stats, errors, deps
-                                )
-                    except BaseException:
-                        # hard failure: don't let queued member tasks run
-                        # to completion during pool shutdown
-                        for future in pending:
-                            future.cancel()
-                        raise
+            pool = self._pool()
+            pending = {pool.submit(task, tenant=tenant) for task in tasks}
+            try:
+                # merge on this thread as completions stream in
+                while pending:
+                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        self._merge_payloads(merger, future, stats, errors, deps)
+            except BaseException:
+                # hard failure: queued member tasks must not run
+                for future in pending:
+                    future.cancel()
+                raise
             if errors and len(errors) == len(tasks):
                 raise QueryError(
                     f"all {len(tasks)} member task(s) failed: {'; '.join(errors[:3])}"
@@ -616,8 +563,8 @@ class FederationEngine:
                 # capable: the exact pipeline answered, every cell exact
                 error_bounds = [{} for _ in rows]
         self._finish_uncached(
-            fingerprint, deps, gen_snapshot, app_gen_snapshot, epoch_snapshot,
-            rows, errors, degraded=plan.stats_degraded,
+            fingerprint, deps, snapshot, rows, errors,
+            degraded=plan.stats_degraded,
             bounds_records=pack_bounds(error_bounds) if approx else None,
         )
         return QueryResult(
@@ -655,38 +602,15 @@ class FederationEngine:
                 stats=result.stats,
                 errors=result.errors,
             )
-        with self._coherence_lock:
-            gen_snapshot = dict(self._generations)
-            app_gen_snapshot = dict(self._app_generations)
-            epoch_snapshot = self._epoch
-        plan = self._plan(query)
-        self.plan_modes[plan.effective_mode] += 1
-        stats = {
-            "executions": 0,
-            "calls": 0,
-            "records": 0,
-            "skipped_metrics": 0,
-            "errors": 0,
-            "skippedMembers": len(plan.skipped),
-            "estimatedBytes": plan.estimated_bytes,
-            "payloadBytes": 0,
-            "chunkedCalls": 0,
-            "bulkCalls": 0,
-        }
-        stats["skipped_metrics"] = len(query.metrics) * (
-            len(plan.members) + len(plan.skipped)
-        ) - sum(len(member.subqueries) for member in plan.members)
+        snapshot, plan, stats, deps = self._begin_uncached(query, tenant)
+        stats["chunkedCalls"] = 0
+        stats["bulkCalls"] = 0
         errors: list[str] = []
-        deps: set[tuple[str, str]] = set()
-        for skipped in plan.skipped:
-            deps.add((skipped.app, "*"))
-        stats_lock = threading.Lock()
-        streams = self._stream_tasks(plan, query, stats, stats_lock, deps, tenant)
-        if streams and self.use_shared_pool:
-            self._pool().acquire_rate(tenant)
+        streams = self._stream_tasks(
+            plan, query, stats, threading.Lock(), deps, tenant
+        )
         source = self._stream_rows(
-            query, plan, fingerprint, streams, stats, errors, deps,
-            gen_snapshot, app_gen_snapshot, epoch_snapshot,
+            query, plan, fingerprint, streams, stats, errors, deps, snapshot
         )
         return StreamedResult(
             columns=query.output_columns,
@@ -696,37 +620,70 @@ class FederationEngine:
             errors=errors,
         )
 
+    def _begin_uncached(
+        self,
+        query: Query,
+        tenant: str,
+        approx: bool = False,
+        tolerance: float | None = None,
+    ) -> tuple[_Snapshot, Plan, dict[str, int], set[tuple[str, str]]]:
+        """The shared head of both result paths after a plan-cache miss:
+        coherence snapshot, plan, rate charge, stats counters, plan-time
+        dependencies.
+
+        This is the one place a query is rate-limited — after the cache
+        probe and planning (cached and tier-0 answers cost the members
+        nothing, so they are free) and before any execution selection,
+        so a shed query has made no member round trip.  ``BusyFault``
+        propagates undegraded: a shed is not a member failure.
+        """
+        with self._coherence_lock:
+            snapshot = _Snapshot(
+                dict(self._generations), dict(self._app_generations), self._epoch
+            )
+        plan = self._plan(query, approx=approx, tolerance=tolerance)
+        fanout_members = [m for m in plan.members if not m.is_tier0]
+        if fanout_members:
+            self._pool().acquire_rate(tenant)
+        self.plan_modes[plan.effective_mode] += 1
+        # metrics the planner already proved away (skipped members count
+        # all their metrics; surviving fan-out members count omitted
+        # sub-queries — tier-0 members answered theirs, nothing skipped)
+        proven_away = len(query.metrics) * (
+            len(fanout_members) + len(plan.skipped)
+        ) - sum(len(member.subqueries) for member in fanout_members)
+        stats = {
+            "executions": 0,
+            "calls": 0,
+            "records": 0,
+            "skipped_metrics": proven_away,
+            "errors": 0,
+            "skippedMembers": len(plan.skipped),
+            "estimatedBytes": plan.estimated_bytes,
+            "payloadBytes": 0,
+        }
+        # a stats-proven skip is a read of the member's *statistics*: the
+        # wildcard dep makes any later update to that member invalidate
+        # (or stale-discard) this result, so the skip gets re-evaluated
+        deps = {(skipped.app, "*") for skipped in plan.skipped}
+        return snapshot, plan, stats, deps
+
     def _stream_tasks(
         self, plan: Plan, query: Query, stats, stats_lock, deps,
         tenant: str = DEFAULT_TENANT,
     ) -> list[MemberStream]:
         """One :class:`MemberStream` per selected execution (not started)."""
-        runner = None
-        if self.use_shared_pool:
-            # producers run on the scheduler's elastic stream lane (slots
-            # accounted to the tenant), never on the bounded sub-query
-            # pool: a backpressure-blocked producer must not eat a slot
-            # another tenant's bulk tasks need
-            pool = self._pool()
+        # producers run on the scheduler's elastic stream lane (slots
+        # accounted to the tenant), never on the bounded sub-query pool:
+        # a backpressure-blocked producer must not eat a slot another
+        # tenant's bulk tasks need
+        pool = self._pool()
 
-            def runner(fn, _tenant=tenant):
-                pool.spawn(fn, tenant=_tenant)
+        def runner(fn):
+            pool.spawn(fn, tenant=tenant)
 
         streams: list[MemberStream] = []
-        for member in plan.members:
-            binding = self.members()[member.app]
-            executions = self._select_executions(member, binding, stats)
-            if not executions:
-                continue
-            if member.cost is not None and not member.cost.stats_missing:
-                subqueries = list(member.subqueries)
-            else:
-                metrics = self._member_metrics(member.app, executions[0])
-                subqueries = [sq for sq in member.subqueries if sq.metric in metrics]
-                stats["skipped_metrics"] += len(member.subqueries) - len(subqueries)
-            if not subqueries:
-                continue
-            stats["executions"] += len(executions)
+        for member, executions, subqueries in self.member_work(plan.members, stats):
             # sub-queries concatenate in canonical metric order so each
             # member stream is wholly sorted by the row key (app and exec
             # are constant within a stream)
@@ -744,8 +701,8 @@ class FederationEngine:
                     MemberStream(
                         f"{member.app}:{len(streams)}",
                         produce,
+                        runner,
                         chunk_depth=self.stream_chunk_depth,
-                        runner=runner,
                     )
                 )
         return streams
@@ -838,7 +795,7 @@ class FederationEngine:
     def _stream_rows(
         self, query: Query, plan: Plan, fingerprint: str,
         streams: list[MemberStream], stats, errors: list[str], deps,
-        gen_snapshot, app_gen_snapshot, epoch_snapshot,
+        snapshot: _Snapshot,
     ):
         """The consumer generator behind a raw-path StreamedResult.
 
@@ -886,17 +843,15 @@ class FederationEngine:
             )
         if acc is not None:
             self._finish_uncached(
-                fingerprint, deps, gen_snapshot, app_gen_snapshot,
-                epoch_snapshot, acc, errors, degraded=plan.stats_degraded,
+                fingerprint, deps, snapshot, acc, errors,
+                degraded=plan.stats_degraded,
             )
 
     def _finish_uncached(
         self,
         fingerprint: str,
         deps: set[tuple[str, str]],
-        gen_snapshot: dict[tuple[str, str], int],
-        app_gen_snapshot: dict[str, int],
-        epoch_snapshot: int,
+        snapshot: _Snapshot,
         rows: list[ResultRow],
         errors: list[str],
         degraded: bool = False,
@@ -916,10 +871,11 @@ class FederationEngine:
         if errors or degraded:
             return
         with self._coherence_lock:
-            stale = self._epoch != epoch_snapshot or any(
-                self._app_generations.get(dep[0], 0) != app_gen_snapshot.get(dep[0], 0)
+            stale = self._epoch != snapshot.epoch or any(
+                self._app_generations.get(dep[0], 0)
+                != snapshot.app_generations.get(dep[0], 0)
                 if dep[1] == "*"
-                else self._generations.get(dep, 0) != gen_snapshot.get(dep, 0)
+                else self._generations.get(dep, 0) != snapshot.generations.get(dep, 0)
                 for dep in deps
             )
             if stale:
@@ -1051,14 +1007,10 @@ class FederationEngine:
         # the member's cached statistics describe the pre-update
         # store: mark just the updated execution's share stale so
         # the next plan re-merges a delta instead of refetching
-        # the whole member (whole-drop when deltas are disabled)
+        # the whole member
         if app in self._member_stats:
             self.coherence["statsInvalidations"] += 1
-            if self.stats_deltas:
-                self._stats_dirty.setdefault(app, set()).add(dep[1])
-            else:
-                self._member_stats.pop(app, None)
-                self._exec_stats.pop(app, None)
+            self._stats_dirty.setdefault(app, set()).add(dep[1])
         wildcard = (app, "*")
         for fingerprint, dep_set in list(self._plan_deps.items()):
             if dep in dep_set or wildcard in dep_set:
@@ -1276,12 +1228,21 @@ class FederationEngine:
                 return []
         return list(selected.values()) if selected else []
 
-    def _collect_tasks(self, plan: Plan, stats) -> list:
-        tasks = []
-        for member in plan.members:
+    def member_work(
+        self, members: Iterable[MemberPlan], stats
+    ) -> Iterator[tuple[MemberPlan, list, list[SubQuery]]]:
+        """The one enumeration of member work behind a plan, consumed by
+        the bulk task builder, the stream producers and view maintenance.
+
+        Yields ``(member, executions, subqueries)`` per member that really
+        fans out: its selected executions and the sub-queries surviving
+        the metric filter.  Tier-0 members (answered at plan time) and
+        members with nothing selected or nothing left to ask yield
+        nothing.  ``stats`` takes the ``calls``, ``executions`` and
+        ``skipped_metrics`` counts.
+        """
+        for member in members:
             if member.is_tier0:
-                # answered at plan time from cached stats/sketches — no
-                # execution selection, no calls, nothing to fan out
                 continue
             binding = self.members()[member.app]
             executions = self._select_executions(member, binding, stats)
@@ -1300,39 +1261,14 @@ class FederationEngine:
             if not subqueries:
                 continue
             stats["executions"] += len(executions)
-            for execution in executions:
-                tasks.append(self._make_task(member, execution, subqueries))
-        return tasks
+            yield member, executions, subqueries
 
-    def _fanout_width(self, tasks: list) -> int:
-        """Pool width for one query's fan-out.
-
-        Only the Managers of members that actually contribute tasks
-        count toward the width — a member the cost model skipped (or
-        that matched no executions) gets no threads sized for it — and
-        the width never exceeds the task count, so a small query on a
-        wide federation doesn't spawn idle workers.
-        """
-        if self.max_workers is not None:
-            width = self.max_workers
-        else:
-            apps = {getattr(task, "app", None) for task in tasks}
-            if None in apps:
-                # tasks of unknown provenance (e.g. wrapped in tests):
-                # fall back to the whole topology
-                stats = [m.stats() for m in self.managers.values()]
-            else:
-                stats = [
-                    manager.stats()
-                    for name, manager in self.managers.items()
-                    if name in apps
-                ]
-            width = choose_fanout(
-                stats, slots_per_replica=self.fanout_slots_per_replica
-            )
-        if tasks:
-            width = max(1, min(width, len(tasks)))
-        return width
+    def _collect_tasks(self, plan: Plan, stats) -> list:
+        return [
+            self._make_task(member, execution, subqueries)
+            for member, executions, subqueries in self.member_work(plan.members, stats)
+            for execution in executions
+        ]
 
     def _make_task(self, member: MemberPlan, execution, subqueries):
         def run():
@@ -1347,16 +1283,7 @@ class FederationEngine:
                 return ctx, payloads
             for sub in subqueries:
                 if sub.mode == "aggregate":
-                    records = execution.get_pr_agg(
-                        sub.metric,
-                        foci,
-                        sub.start,
-                        sub.end,
-                        sub.result_type,
-                        min_value=sub.min_value,
-                        max_value=sub.max_value,
-                        group_by="focus" if sub.group_by_focus else "",
-                    )
+                    records = fetch_aggregates(execution, sub, foci)
                     payloads.append((sub.metric, "aggregate", records))
                 else:
                     results = execution.get_pr(
@@ -1365,7 +1292,6 @@ class FederationEngine:
                     payloads.append((sub.metric, "raw", results))
             return ctx, payloads
 
-        run.app = member.app  # provenance for fan-out sizing
         return run
 
     def _merge_payloads(

@@ -1,21 +1,20 @@
 """Engine-lifetime fan-out scheduling: pooled workers, tenant fairness.
 
-The bulk executor used to build a fresh :class:`ThreadPoolExecutor` per
-query — at MDS2-style concurrency the per-request thread create/join
-churn dominates long before the stores saturate (the same collapse the
-grid information-service studies measured).  :class:`FanoutScheduler`
-replaces it with one engine-lifetime pool:
+A thread pool built per query pays thread create/join on every request —
+at MDS2-style concurrency that churn dominates long before the stores
+saturate (the same collapse the grid information-service studies
+measured).  :class:`FanoutScheduler` is one engine-lifetime pool:
 
 * **Pooled workers** — a bounded set of daemon threads, spawned lazily
   up to ``max_workers`` and reaped after ``worker_idle_s`` of idleness,
   pull member sub-query tasks from the scheduler's queues.  ``submit``
-  returns a plain :class:`concurrent.futures.Future`, so the engine's
-  ``FIRST_COMPLETED`` merge loop is byte-for-byte unchanged.
-* **Per-tenant fair queueing** — with ``fair=True`` (the default) each
-  tenant (the container ingress's ``clientId``) gets its own FIFO and
-  runnable tasks are admitted round-robin across tenants, so a flooding
-  tenant lengthens only its own queue.  ``fair=False`` degrades to one
-  global FIFO (the benchmark's unfair arm).
+  returns a plain :class:`concurrent.futures.Future`, so the engine
+  merges with an ordinary ``FIRST_COMPLETED`` wait loop.
+* **Per-tenant fair queueing** — each tenant (the container ingress's
+  ``clientId``) gets its own FIFO in a shared
+  :class:`~repro.ogsi.dispatch.FairQueue` and runnable tasks are
+  admitted round-robin across tenants, so a flooding tenant lengthens
+  only its own queue.
 * **Token-bucket rate limiting** — :meth:`acquire_rate` charges one
   token per query against the tenant's bucket and sheds excess with the
   established ``ServerBusy`` :class:`~repro.ogsi.dispatch.BusyFault`.
@@ -39,11 +38,10 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from collections import deque
 from concurrent.futures import Future
 from typing import Callable
 
-from repro.ogsi.dispatch import BusyFault
+from repro.ogsi.dispatch import BusyFault, FairQueue
 
 #: pool width when no Manager topology is known
 DEFAULT_POOL_WORKERS = 8
@@ -150,7 +148,6 @@ class FanoutScheduler:
     def __init__(
         self,
         max_workers: int = DEFAULT_POOL_WORKERS,
-        fair: bool = True,
         reactor=None,
         name: str = "fanout",
         rate: float | None = None,
@@ -164,14 +161,10 @@ class FanoutScheduler:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = max_workers
-        self.fair = fair
         self.name = name
         self._cond = threading.Condition()
-        #: fair mode: tenant -> FIFO of tasks, rotated round-robin
-        self._queues: dict[str, deque[_Task]] = {}
-        self._rotation: deque[str] = deque()
-        #: unfair mode: one global FIFO
-        self._fifo: deque[_Task] = deque()
+        #: queued tasks, keyed by tenant (guarded by _cond)
+        self._queue = FairQueue()
         self._tenants: dict[str, _TenantState] = {}
         self._buckets: dict[str, TokenBucket] = {}
         self._default_rate = rate
@@ -184,7 +177,6 @@ class FanoutScheduler:
         self._workers: set[threading.Thread] = set()
         self._idle = 0
         self._busy = 0
-        self._queued = 0
         self._shutdown = False
         # counters (guarded by _cond)
         self.workers_created = 0
@@ -220,17 +212,9 @@ class FanoutScheduler:
         with self._cond:
             if self._shutdown:
                 raise RuntimeError(f"scheduler {self.name!r} is shut down")
-            if self.fair:
-                fifo = self._queues.get(tenant)
-                if fifo is None:
-                    fifo = self._queues[tenant] = deque()
-                    self._rotation.append(tenant)
-                fifo.append(task)
-            else:
-                self._fifo.append(task)
-            self._queued += 1
+            self._queue.push(tenant, task)
             self.submitted += 1
-            self.peak_queued = max(self.peak_queued, self._queued)
+            self.peak_queued = max(self.peak_queued, len(self._queue))
             self._tenant_locked(tenant).submitted += 1
             if self._idle == 0 and len(self._workers) < self.max_workers:
                 # damped growth: always keep at least one worker, then
@@ -404,21 +388,9 @@ class FanoutScheduler:
                     state.cancelled += 1
 
     def _pop_locked(self) -> _Task | None:
-        if self.fair:
-            if not self._rotation:
-                return None
-            tenant = self._rotation.popleft()
-            fifo = self._queues[tenant]
-            task = fifo.popleft()
-            if fifo:
-                self._rotation.append(tenant)  # round-robin re-queue
-            else:
-                del self._queues[tenant]
-        else:
-            if not self._fifo:
-                return None
-            task = self._fifo.popleft()
-        self._queued -= 1
+        task = self._queue.pop()
+        if task is None:
+            return None
         state = self._tenant_locked(task.tenant)
         wait_s = time.monotonic() - task.enqueued
         state.wait_total_s += wait_s
@@ -441,23 +413,13 @@ class FanoutScheduler:
             self._util_samples += 1
             if self._max_queue_wait_s is not None:
                 cutoff = time.monotonic() - self._max_queue_wait_s
-                fifos = list(self._queues.values()) if self.fair else [self._fifo]
-                for fifo in fifos:
-                    while fifo and fifo[0].enqueued < cutoff:
-                        task = fifo.popleft()
-                        overdue.append(task)
-                        self._queued -= 1
-                        self.shed += 1
-                        self.shed_timeouts += 1
-                        self._tenant_locked(task.tenant).shed += 1
-                if self.fair:
-                    drained = [t for t, fifo in self._queues.items() if not fifo]
-                    for tenant in drained:
-                        del self._queues[tenant]
-                        try:
-                            self._rotation.remove(tenant)
-                        except ValueError:
-                            pass
+                overdue = self._queue.pop_heads_while(
+                    lambda task: task.enqueued < cutoff
+                )
+                self.shed += len(overdue)
+                self.shed_timeouts += len(overdue)
+                for task in overdue:
+                    self._tenant_locked(task.tenant).shed += 1
         for task in overdue:
             # the reactor completes shed futures: the merge loop sees a
             # BusyFault exactly as if admission had refused the work
@@ -483,13 +445,7 @@ class FanoutScheduler:
         """Stop workers and cancel queued tasks.  Idempotent."""
         with self._cond:
             self._shutdown = True
-            pending: list[_Task] = list(self._fifo)
-            self._fifo.clear()
-            for fifo in self._queues.values():
-                pending.extend(fifo)
-            self._queues.clear()
-            self._rotation.clear()
-            self._queued = 0
+            pending: list[_Task] = self._queue.drain()
             workers = list(self._workers)
             self._cond.notify_all()
         for task in pending:
@@ -510,20 +466,18 @@ class FanoutScheduler:
     def stats(self) -> dict[str, object]:
         """Counter snapshot, with per-tenant sub-records under ``tenants``."""
         with self._cond:
-            queued_by_tenant = {t: len(f) for t, f in self._queues.items()}
             tenants = {
-                name: state.snapshot(queued_by_tenant.get(name, 0))
+                name: state.snapshot(self._queue.depth(name))
                 for name, state in sorted(self._tenants.items())
             }
             avg_util = (
                 self._util_sum / self._util_samples if self._util_samples else 0.0
             )
             return {
-                "fair": int(self.fair),
                 "maxWorkers": self.max_workers,
                 "workers": len(self._workers),
                 "busy": self._busy,
-                "queueDepth": self._queued,
+                "queueDepth": len(self._queue),
                 "peakQueueDepth": self.peak_queued,
                 "submitted": self.submitted,
                 "completed": self.completed,
@@ -540,6 +494,15 @@ class FanoutScheduler:
                 "streamFailures": self.stream_failures,
                 "tenants": tenants,
             }
+
+
+def empty_scheduler_stats() -> dict[str, object]:
+    """:meth:`FanoutScheduler.stats` for a pool that does not exist yet,
+    read off a scheduler that never ran (it spawns no thread before the
+    first submit) so monitors see one key set before and after first use."""
+    stats = FanoutScheduler(max_workers=1).stats()
+    stats["maxWorkers"] = 0
+    return stats
 
 
 # ---------------------------------------------------------- shared client pool

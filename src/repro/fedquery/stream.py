@@ -21,7 +21,6 @@ query.  The streaming path keeps memory bounded end to end:
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from heapq import heappop, heappush
 from typing import Callable, Iterable, Iterator
@@ -48,9 +47,9 @@ class MemberStream:
     """One member execution's sorted row stream, with backpressure.
 
     ``produce`` is a generator function ``produce(stop_event)`` yielding
-    row chunks (lists of :class:`ResultRow`); it runs on this stream's
-    worker thread and blocks whenever ``chunk_depth`` chunks are already
-    queued.  The consumer pulls rows one at a time with
+    row chunks (lists of :class:`ResultRow`); it runs on a thread
+    *runner* provides and blocks whenever ``chunk_depth`` chunks are
+    already queued.  The consumer pulls rows one at a time with
     :meth:`next_row`; ``None`` means the stream is finished — check
     :attr:`failure` to distinguish exhaustion from a mid-stream error.
 
@@ -59,19 +58,18 @@ class MemberStream:
     other (and :meth:`close`) immediately — no polling loop, no CPU burn
     while blocked, no latency tax on early close.
 
-    ``runner`` (optional) hands the producer body to an external
-    executor — the engine passes the fan-out scheduler's elastic stream
-    lane, so producers reuse lane threads instead of costing one fresh
-    thread per member stream.  Without it the stream owns a dedicated
-    thread, exactly as before.
+    ``runner`` hands the producer body to an executor — the engine
+    passes the fan-out scheduler's elastic stream lane, so producers
+    reuse lane threads instead of costing one fresh thread per member
+    stream.  The stream itself never creates a thread.
     """
 
     def __init__(
         self,
         label: str,
         produce: Callable[[threading.Event], Iterable[list[ResultRow]]],
+        runner: Callable[[Callable[[], None]], None],
         chunk_depth: int = DEFAULT_CHUNK_DEPTH,
-        runner: Callable[[Callable[[], None]], None] | None = None,
     ) -> None:
         if chunk_depth < 1:
             raise ValueError(f"chunk_depth must be >= 1, got {chunk_depth}")
@@ -90,18 +88,10 @@ class MemberStream:
         self.failure: BaseException | None = None
         self._runner = runner
         self._producer_ident: int | None = None
-        self._thread: threading.Thread | None = None
-        if runner is None:
-            self._thread = threading.Thread(
-                target=self._run, name=f"fedstream-{label}", daemon=True
-            )
 
     def start(self) -> None:
         self._started = True
-        if self._thread is not None:
-            self._thread.start()
-        else:
-            self._runner(self._run)
+        self._runner(self._run)
 
     # ------------------------------------------------------ producer side
     def _run(self) -> None:
@@ -152,8 +142,7 @@ class MemberStream:
         """Stop the producer and drop whatever is still queued.
 
         Prompt: a producer blocked on a full window is woken by the
-        condition immediately (it used to sleep out a 50 ms poll tick per
-        member before noticing).
+        condition immediately.
         """
         self._stop.set()
         with self._cond:
@@ -162,19 +151,11 @@ class MemberStream:
             self._buffer = []
             self._index = 0
             self._cond.notify_all()
-        if self._thread is not None:
-            if self._thread.is_alive() and self._thread is not threading.current_thread():
-                self._thread.join(timeout=2.0)
-        elif self._started and self._producer_ident != threading.get_ident():
-            # pooled producer: no thread to join — wait (bounded) for it
-            # to notice the stop flag and drain out of its lane
-            deadline = time.monotonic() + 2.0
+        if self._started and self._producer_ident != threading.get_ident():
+            # the runner owns the thread, so there is nothing to join:
+            # wait (bounded) for the producer to notice the stop flag
             with self._cond:
-                while not self._producer_done:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(timeout=min(remaining, 0.05))
+                self._cond.wait_for(lambda: self._producer_done, timeout=2.0)
 
 
 def merge_streams(

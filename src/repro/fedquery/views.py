@@ -36,6 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.fedquery.ast import Query, QueryError
+from repro.fedquery.executor import fetch_aggregates
 from repro.fedquery.merge import ResultRow, StreamingMerger, TaskContext, order_rows
 from repro.fedquery.parser import parse_query
 from repro.fedquery.planner import MemberPlan, ViewShape, view_shape
@@ -261,22 +262,10 @@ class ViewMaintainer:
             for key in [k for k in view.partitions if k[0] == app]:
                 del view.partitions[key]
         else:
-            binding = self.engine.members()[app]
-            executions = self.engine._select_executions(
-                member, binding, self._scratch_stats()
-            )
-            target = None
-            for execution in executions:
-                if self.engine._execution_id(execution) == exec_id:
-                    target = execution
-                    break
-            if target is None:
-                # the execution no longer matches the view's selector
-                view.partitions.pop((app, exec_id), None)
-            else:
-                view.partitions[(app, exec_id)] = self._fetch_partition(
-                    view, member, target
-                )
+            # absent from the fetch: the execution no longer matches the
+            # view's selector
+            view.partitions.pop((app, exec_id), None)
+            self._fetch_members(view, [member], only_exec=exec_id)
         self.counters["deltasApplied"] += 1
         self._publish(view, self._fold(view))
 
@@ -286,9 +275,7 @@ class ViewMaintainer:
         view.deps = self._plan_deps(plan)
         for key in [k for k in view.partitions if k[0] == app]:
             del view.partitions[key]
-        member = next((m for m in plan.members if m.app == app), None)
-        if member is not None:
-            self._fetch_member(view, member)
+        self._fetch_members(view, [m for m in plan.members if m.app == app])
         self.counters["scopedRecomputes"] += 1
         self._publish(view, self._fold(view))
 
@@ -326,38 +313,32 @@ class ViewMaintainer:
         plan = self.engine._plan(view.query, allow_tier0=False)
         view.partitions = {}
         view.deps = self._plan_deps(plan)
-        for member in plan.members:
-            self._fetch_member(view, member)
+        self._fetch_members(view, plan.members)
         return self._fold(view)
 
     def _plan_deps(self, plan) -> set[str]:
         return {m.app for m in plan.members} | {s.app for s in plan.skipped}
 
-    def _scratch_stats(self) -> dict[str, int]:
-        return {"calls": 0, "executions": 0, "skipped_metrics": 0}
-
-    def _fetch_member(self, view: MaterializedView, member: MemberPlan) -> None:
-        binding = self.engine.members()[member.app]
-        executions = self.engine._select_executions(
-            member, binding, self._scratch_stats()
-        )
-        for execution in executions:
-            exec_id = self.engine._execution_id(execution)
-            view.partitions[(member.app, exec_id)] = self._fetch_partition(
-                view, member, execution
-            )
-
-    def _member_subqueries(self, member: MemberPlan, execution) -> list:
-        """The engine's per-execution metric filter (see _collect_tasks),
-        probing the *target* execution — a delta fetch is per-execution,
-        so the heterogeneous-member caveat does not apply."""
-        if member.cost is not None and not member.cost.stats_missing:
-            return list(member.subqueries)
-        metrics = self.engine._member_metrics(member.app, execution)
-        return [sq for sq in member.subqueries if sq.metric in metrics]
+    def _fetch_members(
+        self, view: MaterializedView, members, only_exec: str | None = None
+    ) -> None:
+        """(Re)fetch the partitions of *members*' selected executions —
+        all of them, or just execution *only_exec*."""
+        scratch = {"calls": 0, "executions": 0, "skipped_metrics": 0}
+        for member, executions, subqueries in self.engine.member_work(
+            members, scratch
+        ):
+            for execution in executions:
+                exec_id = self.engine._execution_id(execution)
+                if only_exec in (None, exec_id):
+                    view.partitions[(member.app, exec_id)] = self._fetch_partition(
+                        view, member, execution, subqueries
+                    )
+                    if only_exec is not None:
+                        return
 
     def _fetch_partition(
-        self, view: MaterializedView, member: MemberPlan, execution
+        self, view: MaterializedView, member: MemberPlan, execution, subqueries
     ) -> _Partition:
         """One execution's contribution, through a private merger.
 
@@ -373,18 +354,9 @@ class ViewMaintainer:
         foci = filter_foci(execution.foci(), member.foci)
         fetched_rows = fetched_bytes = 0
         if foci:
-            for sub in self._member_subqueries(member, execution):
+            for sub in subqueries:
                 if sub.mode == "aggregate":
-                    records = execution.get_pr_agg(
-                        sub.metric,
-                        foci,
-                        sub.start,
-                        sub.end,
-                        sub.result_type,
-                        min_value=sub.min_value,
-                        max_value=sub.max_value,
-                        group_by="focus" if sub.group_by_focus else "",
-                    )
+                    records = fetch_aggregates(execution, sub, foci)
                     fetched_rows += len(records)
                     fetched_bytes += sum(len(r.pack()) for r in records)
                     merger.absorb_aggregates(ctx, sub.metric, records)

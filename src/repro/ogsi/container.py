@@ -62,11 +62,7 @@ class ServiceContainer:
     """Hosts Grid services under one authority (one "host:port").
 
     ``max_inflight``/``max_queue_depth`` configure admission control
-    (both default to unbounded: no queueing, no shedding — existing
-    single-tenant deployments behave as before, minus the container-wide
-    serialization).  ``serialize_dispatch=True`` restores the legacy
-    whole-container lock; it exists as the benchmark baseline and as an
-    escape hatch, not as a recommended mode.
+    (both default to unbounded: no queueing, no shedding).
     """
 
     def __init__(
@@ -76,7 +72,6 @@ class ServiceContainer:
         host: SimHost | None = None,
         max_inflight: int | None = None,
         max_queue_depth: int | None = None,
-        serialize_dispatch: bool = False,
     ) -> None:
         self.authority = authority
         self.environment = environment
@@ -86,7 +81,7 @@ class ServiceContainer:
         #: guards the service/counter maps only — never held across a
         #: service method call or any SOAP work
         self._services_lock = threading.Lock()
-        self._core = DispatchCore(serialize_all=serialize_dispatch)
+        self._core = DispatchCore()
         self.admission = AdmissionController(max_inflight, max_queue_depth)
         self.verifier: SecurityVerifier | None = None
         # Ingress accounting: *handled* requests reached a service method;
@@ -414,7 +409,6 @@ class GridEnvironment:
         host: SimHost | None = None,
         max_inflight: int | None = None,
         max_queue_depth: int | None = None,
-        serialize_dispatch: bool = False,
     ) -> ServiceContainer:
         if authority in self._containers:
             raise ContainerError(f"a container is already bound at {authority!r}")
@@ -424,7 +418,6 @@ class GridEnvironment:
             host=host,
             max_inflight=max_inflight,
             max_queue_depth=max_queue_depth,
-            serialize_dispatch=serialize_dispatch,
         )
         self._containers[authority] = container
         # The loopback transport routes by authority to the container ingress.

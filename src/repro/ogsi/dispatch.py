@@ -17,19 +17,19 @@ lock).  This module replaces that lock with three cooperating pieces:
   delivery), restoring them afterwards.  No SOAP round trip is ever made
   while holding dispatch state, which is the deadlock fix.
 * :class:`AdmissionController` — a bounded request queue at the
-  container ingress with per-client fair (round-robin) queueing and
-  load-shedding: when the queue is at its configured bound, the request
-  is refused with a ``Server``-role busy :class:`BusyFault` instead of
-  piling onto the convoy.  Nested dispatches (a service calling another
-  service mid-request) bypass admission — admitted work must be able to
-  run to completion, or a saturated queue deadlocks against itself.
+  container ingress with per-client fair (round-robin) queueing (the
+  shared :class:`FairQueue`) and load-shedding: when the queue is at
+  its configured bound, the request is refused with a ``Server``-role
+  busy :class:`BusyFault` instead of piling onto the convoy.  Nested
+  dispatches (a service calling another service mid-request) bypass
+  admission — admitted work must be able to run to completion, or a
+  saturated queue deadlocks against itself.
 """
 
 from __future__ import annotations
 
 import re
 import threading
-import time
 from collections import deque
 from contextlib import contextmanager
 from typing import Callable, Iterator
@@ -165,6 +165,80 @@ def suspend_dispatch() -> Iterator[None]:
             gate.acquire_restore(depth)
 
 
+# ---------------------------------------------------------------- fair queue
+class FairQueue:
+    """Per-key FIFOs served round-robin across keys.
+
+    The one fair-queueing primitive: ingress admission keys it by client,
+    the fan-out scheduler by tenant.  A key that floods lengthens only
+    its own FIFO — every :meth:`pop` serves the next key in rotation —
+    and a single key degenerates to a plain global FIFO.
+
+    Lock-free by contract: every method must be called under the
+    owner's own lock or condition.  A key is in the rotation exactly
+    while its FIFO is non-empty.
+    """
+
+    __slots__ = ("_queues", "_rotation", "_size")
+
+    def __init__(self) -> None:
+        self._queues: dict[str, deque] = {}
+        self._rotation: deque[str] = deque()
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def depth(self, key: str) -> int:
+        """Items queued under *key*."""
+        return len(self._queues.get(key, ()))
+
+    def push(self, key: str, item) -> None:
+        fifo = self._queues.get(key)
+        if fifo is None:
+            fifo = self._queues[key] = deque()
+            self._rotation.append(key)
+        fifo.append(item)
+        self._size += 1
+
+    def pop(self):
+        """The head of the next key in rotation; ``None`` when empty."""
+        if not self._rotation:
+            return None
+        key = self._rotation.popleft()
+        fifo = self._queues[key]
+        item = fifo.popleft()
+        if fifo:
+            self._rotation.append(key)  # round-robin re-queue
+        else:
+            del self._queues[key]
+        self._size -= 1
+        return item
+
+    def pop_heads_while(self, predicate: Callable[[object], bool]) -> list:
+        """Pop, from the head of every key's FIFO, the items *predicate*
+        accepts (stopping at each key's first refusal); the surviving
+        keys keep their rotation order."""
+        popped: list = []
+        for key in list(self._queues):
+            fifo = self._queues[key]
+            while fifo and predicate(fifo[0]):
+                popped.append(fifo.popleft())
+            if not fifo:
+                del self._queues[key]
+                self._rotation.remove(key)
+        self._size -= len(popped)
+        return popped
+
+    def drain(self) -> list:
+        """Remove and return everything queued."""
+        items = [item for fifo in self._queues.values() for item in fifo]
+        self._queues.clear()
+        self._rotation.clear()
+        self._size = 0
+        return items
+
+
 # ----------------------------------------------------------------- admission
 class AdmissionController:
     """Bounded ingress queue with per-client fair (round-robin) admission.
@@ -172,9 +246,9 @@ class AdmissionController:
     ``max_inflight`` is the number of requests dispatched concurrently
     (``None`` = unbounded: no queueing ever happens); ``max_queue_depth``
     bounds how many requests may wait (``None`` = unbounded queue; ``0``
-    = shed immediately when saturated).  Waiters are kept in one FIFO per
-    client and admitted round-robin across clients, so one aggressive
-    client cannot starve the rest.
+    = shed immediately when saturated).  Waiters queue in a
+    :class:`FairQueue` keyed by client, so one aggressive client cannot
+    starve the rest.
     """
 
     def __init__(
@@ -189,17 +263,18 @@ class AdmissionController:
         self.max_inflight = max_inflight
         self.max_queue_depth = max_queue_depth
         self._cond = threading.Condition()
-        #: client key -> FIFO of waiting tickets (single-element lists)
-        self._waiters: dict[str, deque[list[bool]]] = {}
-        #: round-robin order over clients that currently have waiters
-        self._rotation: deque[str] = deque()
+        #: waiting tickets (single-element lists), keyed by client
+        self._waiters = FairQueue()
         self.inflight = 0
-        self.queued = 0
         self.admitted = 0
         self.shed = 0
         self.queue_waits = 0
         self.peak_inflight = 0
         self.peak_queued = 0
+
+    @property
+    def queued(self) -> int:
+        return len(self._waiters)
 
     def acquire(self, client: str) -> None:
         """Admit one request for *client*, queueing or shedding as needed.
@@ -208,7 +283,7 @@ class AdmissionController:
         """
         with self._cond:
             if self.max_inflight is None or (
-                self.inflight < self.max_inflight and not self._rotation
+                self.inflight < self.max_inflight and not self._waiters
             ):
                 self._admit_locked()
                 return
@@ -222,13 +297,7 @@ class AdmissionController:
                     f"(bound {self.max_queue_depth}), try again later"
                 )
             ticket: list[bool] = [False]
-            fifo = self._waiters.get(client)
-            if fifo is None:
-                fifo = self._waiters[client] = deque()
-            if not fifo:
-                self._rotation.append(client)
-            fifo.append(ticket)
-            self.queued += 1
+            self._waiters.push(client, ticket)
             self.queue_waits += 1
             self.peak_queued = max(self.peak_queued, self.queued)
             while not ticket[0]:
@@ -250,14 +319,10 @@ class AdmissionController:
         reactor, so a service mid-request never sees its infrastructure
         vanish under it.
         """
-        deadline = time.monotonic() + timeout
         with self._cond:
-            while self.inflight > 0 or self.queued > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(timeout=min(remaining, 0.05))
-            return True
+            return self._cond.wait_for(
+                lambda: self.inflight == 0 and self.queued == 0, timeout=timeout
+            )
 
     def _admit_locked(self) -> None:
         self.inflight += 1
@@ -266,18 +331,11 @@ class AdmissionController:
 
     def _grant_locked(self) -> None:
         granted = False
-        while self._rotation and (
+        while self._waiters and (
             self.max_inflight is None or self.inflight < self.max_inflight
         ):
-            client = self._rotation.popleft()
-            fifo = self._waiters[client]
-            ticket = fifo.popleft()
-            if fifo:
-                self._rotation.append(client)  # round-robin re-queue
-            else:
-                del self._waiters[client]
+            ticket = self._waiters.pop()
             ticket[0] = True
-            self.queued -= 1
             self._admit_locked()
             granted = True
         if granted:
@@ -298,23 +356,13 @@ class AdmissionController:
 
 # -------------------------------------------------------------- dispatch core
 class DispatchCore:
-    """One container's gate table (plus the legacy single-gate ablation).
+    """One container's gate table: one :class:`ServiceGate` per path."""
 
-    ``serialize_all=True`` restores the old whole-container serialization
-    (every path shares one gate) — kept as the baseline arm for the
-    concurrency benchmark and as an escape hatch for services that share
-    mutable state across paths without their own locking.
-    """
-
-    def __init__(self, serialize_all: bool = False) -> None:
-        self.serialize_all = serialize_all
+    def __init__(self) -> None:
         self._gates: dict[str, ServiceGate] = {}
         self._lock = threading.Lock()
-        self._global_gate = ServiceGate() if serialize_all else None
 
     def gate_for(self, path: str) -> ServiceGate:
-        if self._global_gate is not None:
-            return self._global_gate
         with self._lock:
             gate = self._gates.get(path)
             if gate is None:
@@ -323,13 +371,8 @@ class DispatchCore:
 
     def discard(self, path: str) -> None:
         """Forget a removed service's gate (holders keep their reference)."""
-        if self._global_gate is None:
-            with self._lock:
-                self._gates.pop(path, None)
-
-    def gate_count(self) -> int:
         with self._lock:
-            return len(self._gates)
+            self._gates.pop(path, None)
 
 
 # ------------------------------------------------------------ client identity

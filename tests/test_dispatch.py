@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.fedquery.scheduler import FanoutScheduler
 from repro.ogsi import (
     GRID_SERVICE_PORTTYPE,
     GridEnvironment,
@@ -14,6 +15,7 @@ from repro.ogsi import (
 )
 from repro.ogsi.dispatch import (
     AdmissionController,
+    FairQueue,
     ServiceGate,
     extract_client_id,
     suspend_dispatch,
@@ -106,6 +108,113 @@ class TestServiceGate:
         thread.join(timeout=2.0)
 
 
+class TestFairQueue:
+    def test_round_robin_across_keys_fifo_within_a_key(self):
+        queue = FairQueue()
+        for key, item in [("a", "a1"), ("a", "a2"), ("a", "a3"), ("b", "b1"), ("c", "c1")]:
+            queue.push(key, item)
+        assert len(queue) == 5
+        assert queue.depth("a") == 3 and queue.depth("nobody") == 0
+        assert [queue.pop() for _ in range(5)] == ["a1", "b1", "c1", "a2", "a3"]
+        assert len(queue) == 0
+        assert queue.pop() is None
+
+    def test_drained_key_leaves_the_rotation(self):
+        queue = FairQueue()
+        queue.push("a", "a1")
+        queue.push("b", "b1")
+        assert queue.pop() == "a1"
+        assert queue.depth("a") == 0
+        # "a" re-enters at the back: it does not keep its old turn
+        queue.push("a", "a2")
+        assert [queue.pop(), queue.pop(), queue.pop()] == ["b1", "a2", None]
+
+    def test_pop_heads_while_leaves_rotation_consistent(self):
+        queue = FairQueue()
+        for key, item in [("a", 1), ("a", 2), ("b", 10), ("c", 3), ("c", 20), ("c", 4)]:
+            queue.push(key, item)
+        # heads only: c's 4 sits behind the refused 20 and stays
+        assert sorted(queue.pop_heads_while(lambda item: item < 5)) == [1, 2, 3]
+        assert len(queue) == 3
+        assert queue.depth("a") == 0 and queue.depth("c") == 2
+        queue.push("a", 5)  # a drained key re-enters behind the survivors
+        assert [queue.pop() for _ in range(5)] == [10, 20, 5, 4, None]
+
+    def test_drain_returns_everything(self):
+        queue = FairQueue()
+        for key, item in [("a", 1), ("b", 2), ("a", 3)]:
+            queue.push(key, item)
+        assert sorted(queue.drain()) == [1, 2, 3]
+        assert len(queue) == 0 and queue.pop() is None
+        queue.push("a", 4)  # still usable
+        assert queue.pop() == 4
+
+
+def _admission_grant_order(arrivals):
+    """Serve *arrivals* (queued in order behind one held slot) through an
+    AdmissionController; returns the order they were admitted in."""
+    admission = AdmissionController(max_inflight=1)
+    admission.acquire("holder")
+    order: list[str] = []
+
+    def request(client):
+        admission.acquire(client)
+        order.append(client)  # under the single slot: no race
+        admission.release()
+
+    threads = []
+    for position, client in enumerate(arrivals, start=1):
+        thread = threading.Thread(target=request, args=(client,), daemon=True)
+        thread.start()
+        threads.append(thread)
+        deadline = time.monotonic() + 5.0
+        while admission.queued < position and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert admission.queued == position
+    admission.release()  # free the held slot; grants cascade
+    for thread in threads:
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+    return order
+
+
+def _scheduler_grant_order(arrivals):
+    """The same scenario through a one-worker FanoutScheduler."""
+    sched = FanoutScheduler(max_workers=1)
+    try:
+        started, release = threading.Event(), threading.Event()
+
+        def block():
+            started.set()
+            release.wait(timeout=10.0)
+
+        sched.submit(block)
+        assert started.wait(timeout=5.0)
+        order: list[str] = []
+        futures = [
+            sched.submit(lambda c=client: order.append(c), tenant=client)
+            for client in arrivals
+        ]
+        release.set()
+        for future in futures:
+            future.result(timeout=5.0)
+        return order
+    finally:
+        sched.shutdown()
+
+
+@pytest.mark.parametrize(
+    "grant_order",
+    [_admission_grant_order, _scheduler_grant_order],
+    ids=["admission", "scheduler"],
+)
+def test_flooding_key_cannot_starve_a_minority(grant_order):
+    """Both consumers of FairQueue serve the same arrival pattern the
+    same way: strict FIFO would leave meek last."""
+    served = grant_order(["hog", "hog", "hog", "hog", "meek"])
+    assert served == ["hog", "meek", "hog", "hog", "hog"]
+
+
 class TestPerServiceDispatch:
     def test_two_services_dispatch_concurrently(self):
         """The old container lock made this sequence deadlock-by-wait:
@@ -146,28 +255,6 @@ class TestPerServiceDispatch:
         t1.join(timeout=5.0)
         t2.join(timeout=5.0)
         assert sorted(done) == ["unblocked", "x"]
-
-    def test_serialize_dispatch_restores_container_lock(self):
-        env = GridEnvironment()
-        container = env.create_container("c:1", serialize_dispatch=True)
-        blocker, blocker_gsh = deploy_echo(container, "services/blocker")
-        _, echo_gsh = deploy_echo(container, "services/echo")
-        block_stub = env.stub_for_handle(blocker_gsh, ECHO_PORTTYPE)
-        echo_stub = env.stub_for_handle(echo_gsh, ECHO_PORTTYPE)
-        t1 = threading.Thread(target=block_stub.block, daemon=True)
-        t1.start()
-        assert blocker.entered.wait(timeout=5.0)
-        answered: list[str] = []
-        t2 = threading.Thread(
-            target=lambda: answered.append(echo_stub.ping("hi")), daemon=True
-        )
-        t2.start()
-        time.sleep(0.05)
-        assert answered == []  # legacy mode: whole container serialized
-        blocker.resume.set()
-        t1.join(timeout=5.0)
-        t2.join(timeout=5.0)
-        assert answered == ["hi"]
 
     def test_nested_dispatch_bypasses_admission(self):
         """A service calling a sibling mid-request must not deadlock a

@@ -1,8 +1,8 @@
 """FanoutScheduler: pooled fan-out workers, tenant fairness, rate limits.
 
-The contract under test: one engine-lifetime pool replaces the per-query
-``ThreadPoolExecutor`` without changing a single merged byte (the oracle
-suites cover the bytes; here we cover the pool mechanics) — fair
+The contract under test: one engine-lifetime pool carries every fan-out
+(the oracle suites cover the merged bytes; here we cover the pool
+mechanics) — fair
 round-robin across tenants, token-bucket shedding with the established
 ``ServerBusy`` fault, reactor-driven queue-wait shedding, lazy worker
 growth with idle reaping, the elastic stream lane, and the process-wide
@@ -55,7 +55,7 @@ def blocked_worker(sched: FanoutScheduler, tenant: str = DEFAULT_TENANT):
 
 class TestFairQueueing:
     def test_round_robin_interleaves_minority_tenant(self):
-        sched = FanoutScheduler(max_workers=1, fair=True)
+        sched = FanoutScheduler(max_workers=1)
         try:
             release, blocker = blocked_worker(sched)
             order: list[str] = []
@@ -72,24 +72,8 @@ class TestFairQueueing:
         finally:
             sched.shutdown()
 
-    def test_unfair_mode_is_submission_order(self):
-        sched = FanoutScheduler(max_workers=1, fair=False)
-        try:
-            release, blocker = blocked_worker(sched)
-            order: list[str] = []
-            futures = [
-                sched.submit(lambda t=t: order.append(t), tenant=t)
-                for t in ["hog", "hog", "hog", "meek"]
-            ]
-            release.set()
-            for future in futures:
-                future.result(timeout=5.0)
-            assert order == ["hog", "hog", "hog", "meek"]
-        finally:
-            sched.shutdown()
-
     def test_queue_wait_stats_recorded_per_tenant(self):
-        sched = FanoutScheduler(max_workers=1, fair=True)
+        sched = FanoutScheduler(max_workers=1)
         try:
             release, _ = blocked_worker(sched, tenant="a")
             future = sched.submit(lambda: None, tenant="a")
@@ -395,9 +379,29 @@ class TestEngineIntegration:
 
         engine = FederationEngine(client=None, managers={})
         stats = engine.scheduler_stats()
-        assert stats["enabled"] == 1
+        assert stats["maxWorkers"] == 0
         assert stats["workers"] == 0
         assert stats["submitted"] == 0
+        assert stats["tenants"] == {}
+
+    def test_scheduler_stats_keep_one_shape_across_first_use(self, fedgrid):
+        """Monitors flatten these keys into SDEs: the absent pool must
+        report exactly the key set the live pool does."""
+        from repro.core.client import PPerfGridClient
+        from repro.fedquery.executor import FederationEngine
+
+        grid, _ = fedgrid
+        engine = FederationEngine(PPerfGridClient(grid.environment, grid.uddi_gsh))
+        try:
+            before = engine.scheduler_stats()
+            assert engine._scheduler is None  # reading stats built no pool
+            engine.execute("SELECT m WHERE numprocs = 2")
+            after = engine.scheduler_stats()
+            assert after["submitted"] >= 1
+            assert set(before) == set(after)
+            assert {"enabled", "fair"}.isdisjoint(after)
+        finally:
+            engine.close()
 
     def test_engine_rate_limit_sheds_queries(self, fedgrid):
         grid, engine = fedgrid
@@ -405,19 +409,36 @@ class TestEngineIntegration:
         engine.execute("SELECT m WHERE numprocs = 2", tenant="flooder")
         with pytest.raises(BusyFault):
             engine.execute("SELECT m WHERE numprocs = 4", tenant="flooder")
-        # the plan cache answers without charging the bucket? no: the
-        # shed happens before fan-out, so even a cached query is shed
         tenants = engine.scheduler_stats()["tenants"]
         assert tenants["flooder"]["shed"] >= 1
+        # the charge sits after the plan-cache probe: an answer that is
+        # already memoized costs the members nothing and is not charged
+        assert engine.execute("SELECT m WHERE numprocs = 2", tenant="flooder").cached
 
-    def test_legacy_arm_still_answers_identically(self, fedgrid):
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_shed_query_makes_no_member_round_trip(self, fedgrid, stream):
+        """The rate charge precedes execution selection: with stats warm,
+        a shed query never reaches a member container."""
         grid, engine = fedgrid
-        pooled = engine.execute("SELECT m")
-        legacy_engine = grid.fed_engine
-        legacy_engine.use_shared_pool = False
-        legacy_engine.plan_cache.clear()
-        legacy = legacy_engine.execute("SELECT m")
-        assert [r.pack() for r in pooled.rows] == [r.pack() for r in legacy.rows]
+        engine.execute("SELECT m WHERE numprocs = 2")  # warms catalog + stats
+        engine.set_rate_limit("flooder", rate=0.0001, burst=1)
+        engine.execute("SELECT m WHERE numprocs = 4", tenant="flooder")
+        members = [
+            container
+            for container in grid.environment.containers()
+            if container.authority != "fed.pdx.edu:9090"
+        ]
+
+        def member_requests() -> int:
+            return sum(c.stats()["requestsHandled"] for c in members)
+
+        before = member_requests()
+        assert before > 0
+        with pytest.raises(BusyFault):
+            engine.execute(
+                "SELECT m WHERE numprocs = 8", tenant="flooder", stream=stream
+            )
+        assert member_requests() == before
 
     def test_monitor_publishes_scheduler_sdes(self, fedgrid):
         grid, engine = fedgrid
@@ -436,5 +457,4 @@ class TestEngineIntegration:
         engine.execute("SELECT m WHERE numprocs = 2")
         site = next(iter(grid.sites.values()))
         nested = site.manager.stats()["fanoutScheduler"]
-        assert nested["enabled"] == 1
         assert nested["submitted"] >= 1

@@ -380,11 +380,11 @@ class TestChooseFanout:
         assert choose_fanout([]) == 8
         assert choose_fanout([{"replicas": 0}]) == 8
 
-    def test_two_slots_per_replica(self):
-        assert choose_fanout([{"replicas": 2}, {"replicas": 1}]) == 6
+    def test_slots_per_replica(self):
+        assert choose_fanout([{"replicas": 2}, {"replicas": 1}]) == 12
 
     def test_floor_and_cap(self):
-        assert choose_fanout([{"replicas": 1}]) == 2
+        assert choose_fanout([{"replicas": 1}]) == 4
         assert choose_fanout([{"replicas": 100}]) == 32
 
 

@@ -6,12 +6,13 @@ operators (aggregates, ORDER BY) transparently fall back to the bulk
 pipeline; member failures degrade the stream the way they degrade bulk
 fan-outs; and only a fully drained, error-free stream is memoized in the
 plan cache.  Satellite coverage rides along: per-execution stats deltas
-on ``data_updated`` and the skipped-member-aware fan-out width.
+on ``data_updated``.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
+import threading
+import time
 
 import pytest
 
@@ -209,9 +210,19 @@ class TestMemberStreamClose:
     producer noticed.  The condition-signalled buffer wakes it at once.
     """
 
-    def _blocked_stream(self):
-        import threading
+    def _thread_runner(self):
+        """A plain daemon-thread runner (the engine passes the
+        scheduler's stream lane); returns (runner, started threads)."""
+        threads: list[threading.Thread] = []
 
+        def runner(fn):
+            thread = threading.Thread(target=fn, daemon=True)
+            threads.append(thread)
+            thread.start()
+
+        return runner, threads
+
+    def _blocked_stream(self):
         from repro.fedquery.stream import MemberStream
 
         producing = threading.Event()
@@ -221,31 +232,28 @@ class TestMemberStreamClose:
                 producing.set()
                 yield [f"row-{i}"]
 
-        stream = MemberStream("m", produce, chunk_depth=1)
+        runner, threads = self._thread_runner()
+        stream = MemberStream("m", produce, runner, chunk_depth=1)
         stream.start()
         assert producing.wait(timeout=5.0)
-        return stream
+        return stream, threads[0]
 
     def test_close_wakes_blocked_producer_promptly(self):
-        import time
-
-        stream = self._blocked_stream()
+        stream, producer = self._blocked_stream()
         time.sleep(0.05)  # let the producer block on the full window
         start = time.monotonic()
         stream.close()
         elapsed = time.monotonic() - start
-        assert not stream._thread.is_alive()  # producer exited, joined
+        producer.join(timeout=2.0)
+        assert not producer.is_alive()  # close waited the producer out
         assert elapsed < 0.5, f"close took {elapsed * 1e3:.0f} ms"
 
     def test_next_row_after_close_returns_none(self):
-        stream = self._blocked_stream()
+        stream, _ = self._blocked_stream()
         stream.close()
         assert stream.next_row() is None
 
     def test_consumer_blocked_on_empty_stream_woken_by_close(self):
-        import threading
-        import time
-
         from repro.fedquery.stream import MemberStream
 
         release = threading.Event()
@@ -254,7 +262,8 @@ class TestMemberStreamClose:
             release.wait(timeout=10.0)
             yield []
 
-        stream = MemberStream("m", produce, chunk_depth=1)
+        runner, _ = self._thread_runner()
+        stream = MemberStream("m", produce, runner, chunk_depth=1)
         stream.start()
         got: list = []
         consumer = threading.Thread(
@@ -267,40 +276,6 @@ class TestMemberStreamClose:
         assert not consumer.is_alive()
         assert got == [None]
         stream.close()
-
-
-class TestFanoutWidth:
-    """Satellite: members the cost model skipped must not size the pool."""
-
-    def _engine_with_fake_managers(self, fedgrid):
-        _, engine = fedgrid
-        engine.managers = {
-            "A": SimpleNamespace(stats=lambda: {"replicas": 4}),
-            "B": SimpleNamespace(stats=lambda: {"replicas": 16}),
-        }
-        return engine
-
-    def test_only_participating_members_count(self, fedgrid):
-        engine = self._engine_with_fake_managers(fedgrid)
-        a_tasks = [SimpleNamespace(app="A") for _ in range(50)]
-        # fanout_slots_per_replica (4, per-service dispatch) * A's 4 replicas
-        assert engine._fanout_width(a_tasks) == 16
-        mixed = a_tasks + [SimpleNamespace(app="B") for _ in range(50)]
-        assert engine._fanout_width(mixed) == 32  # capped at FANOUT_CAP
-
-    def test_unknown_provenance_falls_back_to_topology(self, fedgrid):
-        engine = self._engine_with_fake_managers(fedgrid)
-        bare = [SimpleNamespace() for _ in range(50)]  # no .app tag
-        assert engine._fanout_width(bare) == 32
-
-    def test_width_never_exceeds_task_count(self, fedgrid):
-        engine = self._engine_with_fake_managers(fedgrid)
-        assert engine._fanout_width([SimpleNamespace(app="A")]) == 1
-
-    def test_max_workers_still_wins(self, fedgrid):
-        engine = self._engine_with_fake_managers(fedgrid)
-        engine.max_workers = 3
-        assert engine._fanout_width([SimpleNamespace(app="A")] * 10) == 3
 
 
 class TestStatsDeltas:
@@ -363,13 +338,3 @@ class TestStatsDeltas:
         result = engine.execute(RAW_QUERY)  # whole-member refetch fallback
         assert any(row["value"] == 4242.0 for row in result.rows)
         assert engine.coherence_stats()["statsDeltas"] == before
-
-    def test_deltas_disabled_reverts_to_drop(self, fedgrid):
-        grid, engine = fedgrid
-        engine.stats_deltas = False
-        engine.execute(RAW_QUERY)
-        self._update_a0(grid, 777.0)
-        fresh = engine.execute(RAW_QUERY)
-        assert any(row["value"] == 777.0 for row in fresh.rows)
-        assert engine.coherence_stats()["statsDeltas"] == 0
-        assert engine.coherence_stats()["statsInvalidations"] >= 1

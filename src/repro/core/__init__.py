@@ -28,9 +28,9 @@ from repro.core.semantic import (
     pr_agg_cache_key,
     pr_cache_key,
 )
+from repro.simnet.lru import CacheStats
 from repro.core.prcache import (
     AdaptiveCache,
-    CacheStats,
     LruCache,
     NullCache,
     PrCache,

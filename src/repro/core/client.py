@@ -69,6 +69,18 @@ def _parse_pairs(records: list[str]) -> dict[str, str]:
     return out
 
 
+def _window(
+    execution, start: float | None, end: float | None
+) -> tuple[float, float]:
+    """Default an open query window to *execution*'s full time range
+    (fetched only when a bound is actually missing)."""
+    if start is None or end is None:
+        t0, t1 = execution.time_range()
+        start = t0 if start is None else start
+        end = t1 if end is None else end
+    return start, end
+
+
 def _parse_params(records: list[str]) -> dict[str, list[str]]:
     """Parse ``"name|v1|v2|..."`` records into attribute -> values."""
     out: dict[str, list[str]] = {}
@@ -247,10 +259,7 @@ class ExecutionBinding:
         result_type: str = UNDEFINED_TYPE,
     ) -> list[PerformanceResult]:
         """Query Performance Results (the Table 4 "total query time" path)."""
-        if start is None or end is None:
-            t0, t1 = self.time_range()
-            start = t0 if start is None else start
-            end = t1 if end is None else end
+        start, end = _window(self, start, end)
         with self.environment.recorder.time("virtualization.getPR"):
             packed = self.stub.getPR(metric, list(foci), repr(start), repr(end), result_type)
         return [PerformanceResult.unpack(p) for p in packed]
@@ -274,10 +283,7 @@ class ExecutionBinding:
         ``accept_encodings`` is the wire-encoding advertisement for the
         cursor handshake (None: the client default).
         """
-        if start is None or end is None:
-            t0, t1 = self.time_range()
-            start = t0 if start is None else start
-            end = t1 if end is None else end
+        start, end = _window(self, start, end)
         with self.environment.recorder.time("virtualization.getPRChunked"):
             handle = self.stub.getPRChunked(
                 metric, list(foci), repr(start), repr(end), result_type, bool(ordered)
@@ -348,10 +354,7 @@ class ExecutionBinding:
         """
         from repro.core.semantic import AggregateRecord
 
-        if start is None or end is None:
-            t0, t1 = self.time_range()
-            start = t0 if start is None else start
-            end = t1 if end is None else end
+        start, end = _window(self, start, end)
         with self.environment.recorder.time("virtualization.getPRAgg"):
             packed = self.stub.getPRAgg(
                 metric,
@@ -384,10 +387,7 @@ class ExecutionBinding:
         result_type: str = UNDEFINED_TYPE,
     ) -> str:
         """Submit a registry-callback query (§7); returns the query id."""
-        if start is None or end is None:
-            t0, t1 = self.time_range()
-            start = t0 if start is None else start
-            end = t1 if end is None else end
+        start, end = _window(self, start, end)
         return self.stub.getPRAsync(
             metric, list(foci), repr(start), repr(end), result_type, sink_handle
         )
@@ -438,10 +438,7 @@ class LocalExecutionBinding:
         end: float | None = None,
         result_type: str = UNDEFINED_TYPE,
     ) -> list[PerformanceResult]:
-        if start is None or end is None:
-            t0, t1 = self.time_range()
-            start = t0 if start is None else start
-            end = t1 if end is None else end
+        start, end = _window(self, start, end)
         with self.environment.recorder.time("virtualization.getPR.local"):
             return self.wrapper.get_pr(metric, list(foci), start, end, result_type)
 
@@ -466,10 +463,7 @@ class LocalExecutionBinding:
         wire).  ``ordered`` still sorts (materializing), matching the
         remote contract.
         """
-        if start is None or end is None:
-            t0, t1 = self.time_range()
-            start = t0 if start is None else start
-            end = t1 if end is None else end
+        start, end = _window(self, start, end)
         if ordered:
             results = self.wrapper.get_pr(metric, list(foci), start, end, result_type)
             results.sort(key=pr_sort_key)
@@ -488,10 +482,7 @@ class LocalExecutionBinding:
         group_by: str = "",
     ):
         """Server-side aggregation via the wrapper directly (local bypass)."""
-        if start is None or end is None:
-            t0, t1 = self.time_range()
-            start = t0 if start is None else start
-            end = t1 if end is None else end
+        start, end = _window(self, start, end)
         with self.environment.recorder.time("virtualization.getPRAgg.local"):
             return self.wrapper.get_pr_aggregate(
                 metric, list(foci), start, end, result_type,
@@ -720,7 +711,7 @@ class ViewSubscription:
         from repro.fedquery.parser import parse_query
 
         records = list(self._stub.getView(self.view_id))
-        header = _parse_view_header(records[:6])
+        header = _parse_pairs(records[:6])
         self.epoch = int(header["epoch"])
         self.version = int(header["version"])
         self.query = parse_query(header["query"])
@@ -794,16 +785,6 @@ class QueryRows(list):
         super().__init__(rows)
         self.approx = approx
         self.error_bounds = list(error_bounds or [])
-
-
-def _parse_view_header(records: list[str]) -> dict[str, str]:
-    """Parse getView's ``name|value`` header records (query text may
-    itself contain ``|``-free SQL, but split on the first bar only)."""
-    header: dict[str, str] = {}
-    for record in records:
-        name, _, value = record.partition("|")
-        header[name] = value
-    return header
 
 
 class PPerfGridClient:
@@ -1013,7 +994,7 @@ class PPerfGridClient:
         from repro.fedquery.merge import ResultRow
 
         records = list(self._require_views().getView(view_id))
-        header = _parse_view_header(records[:6])
+        header = _parse_pairs(records[:6])
         rows = [ResultRow.unpack(packed) for packed in records[6:]]
         return header, rows
 

@@ -267,12 +267,7 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
     # ---------------------------------------------------- cache stats SDE
     def _publish_cache_stats(self) -> None:
         """Publish the PR cache's counters as the ``cacheStats`` SDE."""
-        records = self.cache.stats.as_records()
-        records.append(f"entries|{len(self.cache)}")
-        if hasattr(self.cache, "approx_bytes"):
-            records.append(f"bytesUsed|{self.cache.approx_bytes}")
-            records.append(f"maxBytes|{self.cache.max_bytes}")
-        self.service_data.set("cacheStats", records)
+        self.service_data.set("cacheStats", self.cache.stat_records())
 
     def FindServiceData(self, queryExpression: str) -> str:
         """GridService query, with cache counters refreshed lazily.

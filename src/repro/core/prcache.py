@@ -5,184 +5,72 @@ table indexed by a string value representing the parameters involved in
 the query".  The thesis's prototype uses an unbounded table; its
 future-work section proposes a replacement policy that "adjusts
 dynamically depending on the host's available system resources" — both
-are implemented, plus a plain LRU for the ablation bench.
+are here, plus a plain LRU for the ablation bench and a byte-budgeted
+one for the federation's plan cache.  Every policy is the one
+:class:`~repro.simnet.lru.LruStore` constructed with a different bound.
 """
 
 from __future__ import annotations
 
-import threading
-from abc import ABC, abstractmethod
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
+from repro.simnet.lru import LruStore
 
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction accounting.
 
-    ``invalidations`` counts entries dropped through targeted
-    :meth:`PrCache.remove` calls (coherence-driven), as opposed to
-    capacity ``evictions``.
+class PrCache(LruStore):
+    """string key -> list of packed PR strings.
+
+    Thread-safe (the store's lock): the pooled fan-out scheduler runs
+    queries from many tenants concurrently against one engine.
+    Subclasses only choose the store's bounds.
     """
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    invalidations: int = 0
-
     @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_records(self) -> list[str]:
-        """``name|value`` wire records, for SDE publication."""
-        return [
-            f"hits|{self.hits}",
-            f"misses|{self.misses}",
-            f"evictions|{self.evictions}",
-            f"invalidations|{self.invalidations}",
-            f"lookups|{self.lookups}",
-            f"hitRate|{self.hit_rate:.6f}",
-        ]
-
-
-class PrCache(ABC):
-    """Cache interface: string key -> list of packed PR strings.
-
-    The public methods serialize on an internal lock: the pooled fan-out
-    scheduler runs queries from many tenants concurrently against one
-    engine, and the LRU structures underneath are not safe to mutate
-    from two threads at once.  Subclasses implement the underscore
-    hooks, which always run with the lock held.
-    """
-
-    def __init__(self) -> None:
-        self.stats = CacheStats()
-        self._lock = threading.RLock()
-
-    @abstractmethod
-    def _get(self, key: str) -> list[str] | None: ...
-
-    @abstractmethod
-    def _put(self, key: str, value: list[str]) -> None: ...
-
-    @abstractmethod
-    def _remove(self, key: str) -> bool: ...
-
-    @abstractmethod
-    def __len__(self) -> int: ...
-
-    def get(self, key: str) -> list[str] | None:
-        with self._lock:
-            value = self._get(key)
-            if value is None:
-                self.stats.misses += 1
-            else:
-                self.stats.hits += 1
-            return value
+    def _table(self):
+        """The resident key -> value table, least recently used first."""
+        return self.entries
 
     def put(self, key: str, value: list[str]) -> None:
-        with self._lock:
-            self._put(key, list(value))
+        super().put(key, list(value))
 
-    def remove(self, key: str) -> bool:
-        """Drop one entry (targeted invalidation); True if it existed."""
-        with self._lock:
-            removed = self._remove(key)
-            if removed:
-                self.stats.invalidations += 1
-            return removed
-
-    def contains(self, key: str) -> bool:
-        """Membership probe that does not touch the hit/miss counters."""
-        with self._lock:
-            return self._get(key) is not None
-
-    def clear(self) -> None:  # pragma: no cover - overridden where stateful
-        raise NotImplementedError
+    def stat_records(self) -> list[str]:
+        """``name|value`` wire records, for SDE publication."""
+        stats = self.stats
+        records = [
+            f"hits|{stats.hits}",
+            f"misses|{stats.misses}",
+            f"evictions|{stats.evictions}",
+            f"invalidations|{stats.invalidations}",
+            f"lookups|{stats.lookups}",
+            f"hitRate|{stats.hit_rate:.6f}",
+            f"entries|{len(self)}",
+        ]
+        if self.max_bytes is not None:
+            records.append(f"bytesUsed|{self.bytes}")
+            records.append(f"maxBytes|{self.max_bytes}")
+        return records
 
 
 class NullCache(PrCache):
     """Caching disabled (the Table 5 "caching off" arm)."""
 
-    def _get(self, key: str) -> list[str] | None:
-        return None
-
-    def _put(self, key: str, value: list[str]) -> None:
-        pass
-
-    def _remove(self, key: str) -> bool:
-        return False
-
-    def __len__(self) -> int:
-        return 0
-
-    def clear(self) -> None:
+    def put(self, key: str, value: list[str]) -> None:
         pass
 
 
 class UnboundedCache(PrCache):
     """The thesis's prototype policy: keep everything."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._table: dict[str, list[str]] = {}
-
-    def _get(self, key: str) -> list[str] | None:
-        return self._table.get(key)
-
-    def _put(self, key: str, value: list[str]) -> None:
-        self._table[key] = value
-
-    def _remove(self, key: str) -> bool:
-        return self._table.pop(key, None) is not None
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._table.clear()
-
 
 class LruCache(PrCache):
     """Bounded LRU."""
 
     def __init__(self, capacity: int) -> None:
-        super().__init__()
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
+        super().__init__(max_entries=capacity)
         self.capacity = capacity
-        self._table: OrderedDict[str, list[str]] = OrderedDict()
-
-    def _get(self, key: str) -> list[str] | None:
-        value = self._table.get(key)
-        if value is not None:
-            self._table.move_to_end(key)
-        return value
-
-    def _put(self, key: str, value: list[str]) -> None:
-        if key in self._table:
-            self._table.move_to_end(key)
-        self._table[key] = value
-        while len(self._table) > self.capacity:
-            self._table.popitem(last=False)
-            self.stats.evictions += 1
-
-    def _remove(self, key: str) -> bool:
-        return self._table.pop(key, None) is not None
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._table.clear()
 
 
 #: approximate per-record and per-entry bookkeeping overhead (bytes)
@@ -211,68 +99,21 @@ class ByteBudgetLruCache(PrCache):
     This policy tracks an approximate byte total (:func:`entry_bytes`)
     and evicts in LRU order until both the byte budget and the entry
     capacity (when given) hold.  An entry bigger than the whole budget
-    is not admitted at all — counted as an eviction — so one oversized
-    result can never pin the budget's worth of memory.
+    is not admitted at all — counted as an eviction.
     """
 
     def __init__(self, max_bytes: int, capacity: int | None = None) -> None:
-        super().__init__()
         if max_bytes < 1:
             raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
         if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.max_bytes = max_bytes
+        super().__init__(max_entries=capacity, max_bytes=max_bytes, sizer=entry_bytes)
         self.capacity = capacity
-        self._table: OrderedDict[str, list[str]] = OrderedDict()
-        self._sizes: dict[str, int] = {}
-        self._bytes = 0
 
     @property
     def approx_bytes(self) -> int:
         """Current approximate resident bytes across all entries."""
-        return self._bytes
-
-    def _get(self, key: str) -> list[str] | None:
-        value = self._table.get(key)
-        if value is not None:
-            self._table.move_to_end(key)
-        return value
-
-    def _put(self, key: str, value: list[str]) -> None:
-        size = entry_bytes(key, value)
-        if size > self.max_bytes:
-            self._drop(key)
-            self.stats.evictions += 1
-            return
-        self._drop(key)
-        self._table[key] = value
-        self._sizes[key] = size
-        self._bytes += size
-        while self._table and (
-            self._bytes > self.max_bytes
-            or (self.capacity is not None and len(self._table) > self.capacity)
-        ):
-            evicted, _ = self._table.popitem(last=False)
-            self._bytes -= self._sizes.pop(evicted)
-            self.stats.evictions += 1
-
-    def _drop(self, key: str) -> bool:
-        if self._table.pop(key, None) is None:
-            return False
-        self._bytes -= self._sizes.pop(key)
-        return True
-
-    def _remove(self, key: str) -> bool:
-        return self._drop(key)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._table.clear()
-            self._sizes.clear()
-            self._bytes = 0
+        return self.bytes
 
 
 @dataclass
@@ -289,43 +130,17 @@ class AdaptiveCache(PrCache):
     stats_provider: Callable[[], dict[str, float]] = lambda: {"memory_free_fraction": 1.0}
     max_capacity: int = 1024
     min_capacity: int = 8
-    _table: OrderedDict = field(default_factory=OrderedDict)
 
     def __post_init__(self) -> None:
-        super().__init__()
         if self.min_capacity < 1 or self.max_capacity < self.min_capacity:
             raise ValueError(
                 f"need 1 <= min_capacity <= max_capacity, got "
                 f"{self.min_capacity}, {self.max_capacity}"
             )
+        super().__init__(max_entries=self.effective_capacity)
 
     def effective_capacity(self) -> int:
         snapshot = self.stats_provider()
         free = float(snapshot.get("memory_free_fraction", 1.0))
         free = min(1.0, max(0.0, free))
         return max(self.min_capacity, int(self.max_capacity * free))
-
-    def _get(self, key: str) -> list[str] | None:
-        value = self._table.get(key)
-        if value is not None:
-            self._table.move_to_end(key)
-        return value
-
-    def _put(self, key: str, value: list[str]) -> None:
-        if key in self._table:
-            self._table.move_to_end(key)
-        self._table[key] = value
-        capacity = self.effective_capacity()
-        while len(self._table) > capacity:
-            self._table.popitem(last=False)
-            self.stats.evictions += 1
-
-    def _remove(self, key: str) -> bool:
-        return self._table.pop(key, None) is not None
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._table.clear()

@@ -39,16 +39,6 @@ class SiteConfig:
     #: whether Mapping-Layer getPR calls are timed into the recorder
     timed_mapping: bool = True
     cache_factory: CacheFactory = field(default=UnboundedCache)
-    #: when set, Execution PR caches are byte-budget LRUs of this size
-    #: (overrides cache_factory) so cached results cannot grow unbounded
-    cache_max_bytes: int | None = None
-
-    def build_cache(self) -> PrCache:
-        if self.cache_max_bytes is not None:
-            from repro.core.prcache import ByteBudgetLruCache
-
-            return ByteBudgetLruCache(max_bytes=self.cache_max_bytes)
-        return self.cache_factory()
 
 
 class PPerfGridSite:
@@ -100,7 +90,7 @@ class PPerfGridSite:
             exec_wrapper = wrapper.execution(exec_id)
             if self.config.timed_mapping:
                 exec_wrapper = TimedExecutionWrapper(exec_wrapper, self.environment.recorder)
-            return ExecutionService(exec_wrapper, exec_id, cache=self.config.build_cache())
+            return ExecutionService(exec_wrapper, exec_id, cache=self.config.cache_factory())
 
         return build
 

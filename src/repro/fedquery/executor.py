@@ -17,28 +17,13 @@
 3. **Plan cache** — whole query results are memoized on the query's
    canonical fingerprint (an LRU of packed rows), so repeated dashboards
    cost one cache probe instead of a federation sweep.
-4. **Cache coherence** — every cached fingerprint records the
-   ``(app, exec_id)`` set it read.  :meth:`FederationEngine.enable_coherence`
-   deploys a NotificationSink next to the engine and subscribes it to
-   each member Execution's ``data-update`` topic; a delivery drops only
-   the plans whose dependency set includes the updated execution.  A
-   per-member generation counter closes the insert-after-invalidate
-   race: results computed against a superseded generation are discarded
-   instead of being cached.
-5. **Cost-based planning** — member statistics (``getStats``) are
-   fetched once per member and cached; the planner uses them to pick
-   raw/aggregate/skip per member (see :mod:`repro.fedquery.cost`).
-   Coherence extends to the stats: a data-update drops the member's
-   cached stats exactly as it drops dependent plans, and a plan that
-   *skipped* a member on a stats proof records a wildcard dependency
-   ``(app, "*")`` on it — the skip is re-evaluated after any update to
-   that member, even though the plan read none of its executions.
-   Failed stats fetches degrade gracefully (the member keeps the global
-   mode, is never skipped, and the degraded result is not memoized).
-   A data-update normally refreshes only the *updated execution's*
-   contribution to the member's cached stats (a per-execution baseline
-   is kept and re-merged) instead of refetching the whole member; any
-   trouble falls back to the whole-member drop.
+4. **Cache coherence** and 5. **cached member statistics** — which
+   cached plan or ``getStats`` answer may still be trusted after a
+   ``data-update`` — live in :mod:`repro.fedquery.coherence`; the engine
+   only snapshots before it reads and offers what it computed for
+   admission afterwards.  Failed stats fetches degrade gracefully (the
+   member keeps the global mode, is never skipped, and the degraded
+   result is not memoized).
 6. **Streaming execution** — ``execute(query, stream=True)`` returns a
    :class:`~repro.fedquery.stream.StreamedResult` instead of a
    materialized row list.  Raw queries without ORDER BY take the true
@@ -59,11 +44,12 @@ from __future__ import annotations
 import threading
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from repro.core.prcache import ByteBudgetLruCache, PrCache
-from repro.core.semantic import AggregateRecord, StoreStats, ordering_key, pr_sort_key
+from repro.core.semantic import AggregateRecord, ordering_key, pr_sort_key
 from repro.fedquery.ast import Query, QueryError
+from repro.fedquery.coherence import ANY, CoherenceTracker, Dep
 from repro.fedquery.merge import (
     RAW_COLUMNS,
     BoundsTracker,
@@ -165,17 +151,6 @@ class QueryResult:
     error_bounds: list = field(default_factory=list)
 
 
-class _Snapshot(NamedTuple):
-    """Coherence state read *before* planning: member stats read while
-    planning, and member data read during the fan-out, are superseded by
-    any data-update delivered later — ``_finish_uncached`` compares this
-    against the live state and discards instead of caching."""
-
-    generations: dict[tuple[str, str], int]
-    app_generations: dict[str, int]
-    epoch: int
-
-
 class FederationEngine:
     """Plans and executes federated queries over published Applications.
 
@@ -231,54 +206,10 @@ class FederationEngine:
         self._params: dict[str, dict[str, list[str]]] = {}
         self._metrics: dict[str, list[str]] = {}
         self._exec_ids: dict[str, str] = {}
-        #: member name -> StoreStats; failed fetches are *not* cached,
-        #: so the next query retries and recovers
-        self._member_stats: dict[str, StoreStats] = {}
-        #: member name -> {exec_id -> StoreStats}: the per-execution
-        #: baseline behind delta refreshes (merged stats aren't
-        #: invertible, so updates re-merge from this instead)
-        self._exec_stats: dict[str, dict[str, StoreStats]] = {}
-        #: member name -> exec ids whose stats are stale (data-updated
-        #: since the member's stats were merged)
-        self._stats_dirty: dict[str, set[str]] = {}
         #: how each executed (uncached) plan's effective mode broke down
         self.plan_modes = {"raw": 0, "aggregate": 0, "mixed": 0, "skip": 0, "tier0": 0}
-        # ---- coherence state (guarded by _coherence_lock) ----
-        #: fingerprint -> {(app, exec_id)} read when the entry was cached
-        self._plan_deps: dict[str, frozenset[tuple[str, str]]] = {}
-        #: engine-local data generation per (app, exec_id); bumped on
-        #: every data-update delivery, snapshotted around each execute
-        self._generations: dict[tuple[str, str], int] = {}
-        #: per-app data generation, for wildcard ``(app, "*")`` deps —
-        #: plans that skipped a member on a stats proof depend on the
-        #: *whole* member, not on any execution they read
-        self._app_generations: dict[str, int] = {}
-        #: global epoch: bumped on full-cache clears so in-flight queries
-        #: that started before the clear cannot re-insert stale rows
-        self._epoch = 0
-        #: source handle -> (app, exec_id), learned at subscription time;
-        #: the precise attribution for data-update deliveries
-        self._source_keys: dict[str, tuple[str, str]] = {}
-        #: exec_id -> apps it belongs to — the fallback attribution when
-        #: a delivery carries no (known) source handle; exec ids can
-        #: collide across apps, so this may over-invalidate
-        self._exec_apps: dict[str, set[str]] = {}
-        #: execution GSHs already subscribed (enables re-subscription
-        #: sweeps after new members publish)
-        self._subscribed: set[str] = set()
-        self._sink = None
-        self._sink_gsh = None
-        self._coherence_lock = threading.Lock()
-        self.coherence = {
-            "subscriptions": 0,
-            "notifications": 0,
-            "invalidations": 0,
-            "fullClears": 0,
-            "memberClears": 0,
-            "staleDiscards": 0,
-            "statsInvalidations": 0,
-            "statsDeltas": 0,
-        }
+        #: decides what cached plans and member stats may be trusted
+        self.coherence = CoherenceTracker(self.plan_cache)
         #: lazily created ViewMaintainer (see :meth:`views`)
         self._view_maintainer = None
         #: the engine-lifetime fan-out pool; injected (the deployer owns
@@ -373,10 +304,7 @@ class FederationEngine:
         self._params.clear()
         self._metrics.clear()
         self._exec_ids.clear()
-        with self._coherence_lock:
-            self._member_stats.clear()
-            self._exec_stats.clear()
-            self._stats_dirty.clear()
+        self.coherence.drop_stats()
         stub_pool = getattr(
             getattr(self.client, "environment", None), "stub_pool", None
         )
@@ -462,36 +390,53 @@ class FederationEngine:
             from repro.ogsi.dispatch import current_client_id
 
             tenant = current_client_id() or DEFAULT_TENANT
-        if stream:
-            return self._execute_stream(query, tenant=tenant)
-        return self._execute_bulk(
-            query, approx=approx, tolerance=tolerance, tenant=tenant
-        )
-
-    def _execute_bulk(
-        self,
-        query: Query,
-        approx: bool = False,
-        tolerance: float | None = None,
-        tenant: str = DEFAULT_TENANT,
-    ) -> QueryResult:
         fingerprint = query.fingerprint()
         if approx:
             # approximate results memoize under a disjoint key: an exact
             # caller must never be served bounded estimates (or vice
             # versa), even for the same query text
             fingerprint += f";approx[tol={tolerance!r}]"
+        # the one plan-cache probe of this query, whichever path runs it
         cached = self.plan_cache.get(fingerprint)
         if cached is not None:
             packed_rows, cached_bounds = split_bounds(cached)
+            rows = [ResultRow.unpack(r) for r in packed_rows]
+            if stream:
+                return StreamedResult(
+                    columns=query.output_columns, source=iter(rows), cached=True
+                )
             return QueryResult(
-                rows=[ResultRow.unpack(r) for r in packed_rows],
+                rows=rows,
                 columns=query.output_columns,
                 cached=True,
                 plan=None,
                 approx=approx,
                 error_bounds=cached_bounds if approx else [],
             )
+        if stream and not query.is_aggregate and query.order_by is None:
+            return self._execute_stream(query, fingerprint, tenant)
+        result = self._execute_bulk(query, fingerprint, approx, tolerance, tenant)
+        if not stream:
+            return result
+        # a global reduction or sort needs every row before the first
+        # output row exists; the bulk pipeline ran (and memoized as
+        # usual) and its finished rows are streamed
+        return StreamedResult(
+            columns=result.columns,
+            source=iter(result.rows),
+            plan=result.plan,
+            stats=result.stats,
+            errors=result.errors,
+        )
+
+    def _execute_bulk(
+        self,
+        query: Query,
+        fingerprint: str,
+        approx: bool,
+        tolerance: float | None,
+        tenant: str,
+    ) -> QueryResult:
         snapshot, plan, stats, deps = self._begin_uncached(
             query, tenant, approx=approx, tolerance=tolerance
         )
@@ -502,11 +447,11 @@ class FederationEngine:
         errors: list[str] = []
         # a tier-0 answer is likewise a read of the member's cached
         # stats/sketches: the wildcard dep plus the generation-snapshot
-        # comparison in _finish_uncached guarantee an update racing this
+        # comparison at admission guarantee an update racing this
         # query can never leave a stale tier-0 answer in the cache
         tracker = BoundsTracker(query) if approx and plan.tier0_capable else None
         for member in tier0_members:
-            deps.add((member.app, "*"))
+            deps.add((member.app, ANY))
             if tracker is not None:
                 tracker.add_estimates(member.app, member.tier0)
             else:
@@ -562,11 +507,14 @@ class FederationEngine:
                 # approx requested but the query shape is not tier-0
                 # capable: the exact pipeline answered, every cell exact
                 error_bounds = [{} for _ in rows]
-        self._finish_uncached(
-            fingerprint, deps, snapshot, rows, errors,
-            degraded=plan.stats_degraded,
-            bounds_records=pack_bounds(error_bounds) if approx else None,
-        )
+        if not errors and not plan.stats_degraded:
+            # degraded results (member task errors, or a plan built with
+            # missing member stats) are never offered to the plan cache;
+            # approximate ones keep their bounds records after the rows
+            packed = [row.pack() for row in rows]
+            if approx:
+                packed += pack_bounds(error_bounds)
+            self.coherence.admit(fingerprint, deps, snapshot, packed)
         return QueryResult(
             rows=rows,
             columns=query.output_columns,
@@ -580,28 +528,8 @@ class FederationEngine:
 
     # ----------------------------------------------------------- streaming
     def _execute_stream(
-        self, query: Query, tenant: str = DEFAULT_TENANT
+        self, query: Query, fingerprint: str, tenant: str
     ) -> StreamedResult:
-        fingerprint = query.fingerprint()
-        cached = self.plan_cache.get(fingerprint)
-        if cached is not None:
-            return StreamedResult(
-                columns=query.output_columns,
-                source=iter([ResultRow.unpack(r) for r in cached]),
-                cached=True,
-            )
-        if query.is_aggregate or query.order_by is not None:
-            # a global reduction or sort needs every row before the first
-            # output row exists; run the bulk pipeline (which memoizes as
-            # usual) and stream its finished rows
-            result = self._execute_bulk(query, tenant=tenant)
-            return StreamedResult(
-                columns=result.columns,
-                source=iter(result.rows),
-                plan=result.plan,
-                stats=result.stats,
-                errors=result.errors,
-            )
         snapshot, plan, stats, deps = self._begin_uncached(query, tenant)
         stats["chunkedCalls"] = 0
         stats["bulkCalls"] = 0
@@ -626,7 +554,7 @@ class FederationEngine:
         tenant: str,
         approx: bool = False,
         tolerance: float | None = None,
-    ) -> tuple[_Snapshot, Plan, dict[str, int], set[tuple[str, str]]]:
+    ) -> tuple[dict[Dep, int], Plan, dict[str, int], set[Dep]]:
         """The shared head of both result paths after a plan-cache miss:
         coherence snapshot, plan, rate charge, stats counters, plan-time
         dependencies.
@@ -637,10 +565,7 @@ class FederationEngine:
         so a shed query has made no member round trip.  ``BusyFault``
         propagates undegraded: a shed is not a member failure.
         """
-        with self._coherence_lock:
-            snapshot = _Snapshot(
-                dict(self._generations), dict(self._app_generations), self._epoch
-            )
+        snapshot = self.coherence.snapshot()
         plan = self._plan(query, approx=approx, tolerance=tolerance)
         fanout_members = [m for m in plan.members if not m.is_tier0]
         if fanout_members:
@@ -665,7 +590,7 @@ class FederationEngine:
         # a stats-proven skip is a read of the member's *statistics*: the
         # wildcard dep makes any later update to that member invalidate
         # (or stale-discard) this result, so the skip gets re-evaluated
-        deps = {(skipped.app, "*") for skipped in plan.skipped}
+        deps = {(skipped.app, ANY) for skipped in plan.skipped}
         return snapshot, plan, stats, deps
 
     def _stream_tasks(
@@ -795,7 +720,7 @@ class FederationEngine:
     def _stream_rows(
         self, query: Query, plan: Plan, fingerprint: str,
         streams: list[MemberStream], stats, errors: list[str], deps,
-        snapshot: _Snapshot,
+        snapshot: dict[Dep, int],
     ):
         """The consumer generator behind a raw-path StreamedResult.
 
@@ -841,63 +766,12 @@ class FederationEngine:
             raise QueryError(
                 f"all {len(streams)} member task(s) failed: {'; '.join(errors[:3])}"
             )
-        if acc is not None:
-            self._finish_uncached(
-                fingerprint, deps, snapshot, acc, errors,
-                degraded=plan.stats_degraded,
+        if acc is not None and not errors and not plan.stats_degraded:
+            self.coherence.admit(
+                fingerprint, deps, snapshot, [row.pack() for row in acc]
             )
 
-    def _finish_uncached(
-        self,
-        fingerprint: str,
-        deps: set[tuple[str, str]],
-        snapshot: _Snapshot,
-        rows: list[ResultRow],
-        errors: list[str],
-        degraded: bool = False,
-        bounds_records: list[str] | None = None,
-    ) -> None:
-        """Memoize a freshly computed result, unless it must not be.
-
-        Degraded results (per-task errors, or a plan built with missing
-        member stats) are never cached; results any of whose member
-        generations (or the global epoch) moved since the pre-planning
-        snapshot are the insert-after-invalidate race and are discarded
-        too.  Wildcard deps ``(app, "*")`` — members skipped on a stats
-        proof, or answered at tier 0 from cached stats — compare the
-        *app-level* generation.  ``bounds_records`` (approximate
-        results) are stored after the packed rows.
-        """
-        if errors or degraded:
-            return
-        with self._coherence_lock:
-            stale = self._epoch != snapshot.epoch or any(
-                self._app_generations.get(dep[0], 0)
-                != snapshot.app_generations.get(dep[0], 0)
-                if dep[1] == "*"
-                else self._generations.get(dep, 0) != snapshot.generations.get(dep, 0)
-                for dep in deps
-            )
-            if stale:
-                self.coherence["staleDiscards"] += 1
-                return
-            self.plan_cache.put(
-                fingerprint,
-                [row.pack() for row in rows] + list(bounds_records or ()),
-            )
-            self._plan_deps[fingerprint] = frozenset(deps)
-            self._prune_deps_locked()
-
-    def _prune_deps_locked(self) -> None:
-        """Drop dependency records whose cache entries were LRU-evicted."""
-        if len(self._plan_deps) <= 2 * max(1, len(self.plan_cache)):
-            return
-        self._plan_deps = {
-            fp: dep
-            for fp, dep in self._plan_deps.items()
-            if self.plan_cache.contains(fp)
-        }
-
+    # ----------------------------------------------------------- coherence
     def invalidate_cache(self) -> int:
         """Drop all memoized query results; returns how many were dropped.
 
@@ -905,17 +779,8 @@ class FederationEngine:
         means "the stores changed under us", and stale stats could keep
         proving skips that no longer hold.
         """
-        with self._coherence_lock:
-            dropped = len(self.plan_cache)
-            self.plan_cache.clear()
-            self._plan_deps.clear()
-            self._member_stats.clear()
-            self._exec_stats.clear()
-            self._stats_dirty.clear()
-            self._epoch += 1
-        return dropped
+        return self.coherence.invalidate()
 
-    # ----------------------------------------------------------- coherence
     def enable_coherence(self, container) -> int:
         """Subscribe a sink to every member Execution's data-update topic.
 
@@ -925,165 +790,38 @@ class FederationEngine:
         after :meth:`refresh_members` — already-subscribed executions are
         skipped.  Returns the number of *new* subscriptions made.
         """
-        from repro.ogsi.notification import NotificationSinkBase
-
-        if self._sink is None:
-            self._sink = NotificationSinkBase(callback=self._on_update)
-            self._sink_gsh = container.deploy(
-                "services/FederatedQuery/coherence-sink", self._sink
-            )
-        sink_handle = self._sink_gsh.url()
-        subscribed = 0
-        for app, binding in self.members().items():
-            for execution in binding.all_executions():
-                if not hasattr(execution, "subscribe"):
-                    continue  # local-bypass executions have no Services Layer
-                exec_id = self._execution_id(execution)
-                with self._coherence_lock:
-                    self._source_keys[execution.gsh] = (app, exec_id)
-                    self._exec_apps.setdefault(exec_id, set()).add(app)
-                if execution.gsh in self._subscribed:
-                    continue
-                execution.subscribe("data-update", sink_handle)
-                self._subscribed.add(execution.gsh)
-                subscribed += 1
-        with self._coherence_lock:
-            self.coherence["subscriptions"] += subscribed
-        return subscribed
+        return self.coherence.subscribe(
+            container,
+            self._on_update,
+            (
+                (app, self._execution_id(execution), execution)
+                for app, binding in self.members().items()
+                for execution in binding.all_executions()
+                # local-bypass executions have no Services Layer
+                if hasattr(execution, "subscribe")
+            ),
+        )
 
     def _on_update(self, topic: str, message: str) -> None:
-        """Data-update delivery: drop exactly the plans that read the
-        updated execution.
-
-        The message is ``execId|generation|sourceHandle|description``
-        (see :meth:`repro.core.execution.ExecutionService.data_updated`).
-        Attribution prefers the source handle (exec ids collide across
-        Applications), then the exec-id -> apps map.  An update with no
-        execution-level attribution is scoped to the *member* its source
-        handle names (``ppg://host/services/<app>/...``) when that names
-        a known member; only a source the engine cannot attribute at all
-        falls back to a full cache clear — correctness over precision.
-
-        Invalidation runs under the coherence lock; the view-maintenance
-        hook runs *after* release (it re-plans and refetches member
-        rows, which re-enters :meth:`_collect_stats`).
-        """
-        parts = message.split("|", 3)
-        exec_id = parts[0]
-        source = parts[2] if len(parts) >= 3 else ""
-        member_clear: str | None = None
-        full_clear = False
-        with self._coherence_lock:
-            self.coherence["notifications"] += 1
-            known = self._source_keys.get(source)
-            if known is not None:
-                deps = [known]
-            else:
-                deps = [(app, exec_id) for app in self._exec_apps.get(exec_id, ())]
-            if not deps:
-                member_clear = self._attribute_source_locked(source)
-                if member_clear is not None:
-                    self._member_clear_locked(member_clear)
-                else:
-                    full_clear = True
-                    self._full_clear_locked()
-            for dep in deps:
-                self._invalidate_dep_locked(dep)
+        """Data-update delivery: the tracker drops exactly what read the
+        updated scope, then — after its lock is released, because view
+        maintenance re-plans and refetches member rows — the views
+        depending on that scope are brought up to date."""
+        scopes = self.coherence.on_update(message, self._bindings or ())
         maintainer = self._view_maintainer
         if maintainer is None:
             return
-        if deps:
-            for app, dep_exec in deps:
-                maintainer.on_update(app, dep_exec)
-        elif member_clear is not None:
-            maintainer.on_member_update(member_clear)
-        elif full_clear:
-            maintainer.on_full_refresh()
-
-    def _invalidate_dep_locked(self, dep: tuple[str, str]) -> None:
-        app = dep[0]
-        self._generations[dep] = self._generations.get(dep, 0) + 1
-        self._app_generations[app] = self._app_generations.get(app, 0) + 1
-        # the member's cached statistics describe the pre-update
-        # store: mark just the updated execution's share stale so
-        # the next plan re-merges a delta instead of refetching
-        # the whole member
-        if app in self._member_stats:
-            self.coherence["statsInvalidations"] += 1
-            self._stats_dirty.setdefault(app, set()).add(dep[1])
-        wildcard = (app, "*")
-        for fingerprint, dep_set in list(self._plan_deps.items()):
-            if dep in dep_set or wildcard in dep_set:
-                del self._plan_deps[fingerprint]
-                if self.plan_cache.remove(fingerprint):
-                    self.coherence["invalidations"] += 1
-
-    def _attribute_source_locked(self, source: str) -> str | None:
-        """Last-resort attribution: the member app a source handle's
-        path names.
-
-        Site services deploy under ``services/<app>/...`` (factories,
-        replicas, instances alike), so a parseable handle whose second
-        path segment names a known member scopes the update to that
-        member even when the engine never subscribed to the execution.
-        """
-        from repro.ogsi.gsh import GridServiceHandle
-
-        try:
-            gsh = GridServiceHandle.parse(source)
-        except Exception:
-            return None
-        segments = gsh.path.split("/")
-        if len(segments) < 2 or segments[0] != "services":
-            return None
-        app = segments[1]
-        known = (
-            {a for apps in self._exec_apps.values() for a in apps}
-            | {key[0] for key in self._source_keys.values()}
-            | set(self._member_stats)
-            | set(self._app_generations)
-            | set(self._bindings or ())
-        )
-        return app if app in known else None
-
-    def _member_clear_locked(self, app: str) -> None:
-        """Scope an execution-unattributable update to one member: drop
-        only the plans (and stats) depending on *app*, not the whole
-        federation's.  The epoch still bumps — any in-flight query may
-        have read the member, so its result must not be cached."""
-        self.coherence["memberClears"] += 1
-        self._app_generations[app] = self._app_generations.get(app, 0) + 1
-        self._epoch += 1
-        if app in self._member_stats:
-            self.coherence["statsInvalidations"] += 1
-            self._member_stats.pop(app, None)
-            self._exec_stats.pop(app, None)
-        self._stats_dirty.pop(app, None)
-        for fingerprint, dep_set in list(self._plan_deps.items()):
-            if any(dep[0] == app for dep in dep_set):
-                del self._plan_deps[fingerprint]
-                if self.plan_cache.remove(fingerprint):
-                    self.coherence["invalidations"] += 1
-
-    def _full_clear_locked(self) -> None:
-        """Unattributable update: clear everything, and bump the epoch
-        so any in-flight query discards instead of re-caching stale
-        rows."""
-        self.coherence["fullClears"] += 1
-        self.coherence["statsInvalidations"] += len(self._member_stats)
-        self.plan_cache.clear()
-        self._plan_deps.clear()
-        self._member_stats.clear()
-        self._exec_stats.clear()
-        self._stats_dirty.clear()
-        self._epoch += 1
+        for app, exec_id in scopes:
+            if app is None:
+                maintainer.on_full_refresh()
+            elif exec_id is None:
+                maintainer.on_member_update(app)
+            else:
+                maintainer.on_update(app, exec_id)
 
     def coherence_stats(self) -> dict[str, int]:
         """Snapshot of the coherence counters plus tracked-plan count."""
-        with self._coherence_lock:
-            stats = dict(self.coherence)
-            stats["trackedPlans"] = len(self._plan_deps)
-        return stats
+        return self.coherence.stats()
 
     # --------------------------------------------------------------- views
     def views(self):
@@ -1127,7 +865,11 @@ class FederationEngine:
             name: self._member_params(name, binding)
             for name, binding in members.items()
         }
-        stats = self._collect_stats(members) if self.cost_based else None
+        stats = (
+            self.coherence.member_stats(members, self._execution_id)
+            if self.cost_based
+            else None
+        )
         return plan_query(
             query,
             catalog,
@@ -1136,77 +878,6 @@ class FederationEngine:
             tolerance=tolerance,
             tier0=self.tier0 and allow_tier0,
         )
-
-    def _collect_stats(self, members: dict[str, object]) -> dict[str, StoreStats | None]:
-        """Member stats for the cost model, from the per-member cache.
-
-        A failed ``getStats`` maps the member to ``None`` (the planner
-        falls back to the global mode for it and never skips it) and is
-        *not* cached, so the next plan retries; the resulting degraded
-        plan's result is likewise not memoized (``Plan.stats_degraded``).
-        """
-        collected: dict[str, StoreStats | None] = {}
-        for name, binding in members.items():
-            with self._coherence_lock:
-                stats = self._member_stats.get(name)
-                dirty = self._stats_dirty.pop(name, None)
-            if stats is not None and dirty:
-                stats = self._refresh_stats_delta(name, binding, dirty)
-            if stats is None:
-                try:
-                    stats = binding.get_stats()
-                except Exception:
-                    collected[name] = None
-                    continue
-                with self._coherence_lock:
-                    self._member_stats[name] = stats
-                    # app-level numbers supersede any per-exec baseline
-                    self._exec_stats.pop(name, None)
-            collected[name] = stats
-        return collected
-
-    def _refresh_stats_delta(
-        self, name: str, binding, dirty: set[str]
-    ) -> StoreStats | None:
-        """Re-merge a member's stats after refetching only what changed.
-
-        Merged :class:`StoreStats` are not invertible (a removed
-        execution's min/max cannot be subtracted back out), so the engine
-        keeps a per-execution baseline — established lazily, the first
-        time a delta is needed — refetches just the executions the
-        updates touched, and re-merges locally.  Any trouble (unknown
-        execution id, transport failure) returns ``None`` after dropping
-        the member's cached stats wholesale: exactly the pre-delta
-        fallback, so correctness never depends on the fast path.
-        """
-        with self._coherence_lock:
-            baseline = self._exec_stats.get(name)
-            per_exec = dict(baseline) if baseline is not None else None
-        try:
-            if per_exec is None:
-                per_exec = {}
-                for execution in binding.all_executions():
-                    per_exec[self._execution_id(execution)] = execution.get_stats()
-                applied = len(dirty & set(per_exec))
-            else:
-                applied = 0
-                for exec_id in sorted(dirty):
-                    matches = binding.query_executions("execid", exec_id)
-                    if not matches:
-                        raise QueryError(f"no execution {exec_id!r} in member {name}")
-                    per_exec[exec_id] = matches[0].get_stats()
-                    applied += 1
-            merged = StoreStats.merge(list(per_exec.values()))
-        except Exception:
-            with self._coherence_lock:
-                self._member_stats.pop(name, None)
-                self._exec_stats.pop(name, None)
-            return None
-        with self._coherence_lock:
-            self._exec_stats[name] = per_exec
-            self._member_stats[name] = merged
-            self.coherence["statsDeltas"] += applied
-        return merged
 
     def _select_executions(self, member: MemberPlan, binding, stats) -> list:
         if member.selector is None:
@@ -1300,7 +971,7 @@ class FederationEngine:
         future: Future,
         stats,
         errors: list[str],
-        deps: set[tuple[str, str]],
+        deps: set[Dep],
     ) -> None:
         """Fold one completed member task into the merger.
 

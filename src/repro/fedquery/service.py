@@ -218,7 +218,7 @@ class FederatedQueryService(GridServiceBase):
 
     def getCacheStats(self) -> list[str]:
         self.require_active()
-        return self._cache_records()
+        return self.engine.plan_cache.stat_records()
 
     def invalidateCache(self) -> int:
         self.require_active()
@@ -239,17 +239,8 @@ class FederatedQueryService(GridServiceBase):
         return [f"{k}|{v}" for k, v in sorted(self.engine.view_stats().items())]
 
     # ---------------------------------------------------------------- SDEs
-    def _cache_records(self) -> list[str]:
-        cache = self.engine.plan_cache
-        records = cache.stats.as_records()
-        records.append(f"entries|{len(cache)}")
-        if hasattr(cache, "approx_bytes"):
-            records.append(f"bytesUsed|{cache.approx_bytes}")
-            records.append(f"maxBytes|{cache.max_bytes}")
-        return records
-
     def _publish_cache_stats(self) -> None:
-        self.service_data.set("planCacheStats", self._cache_records())
+        self.service_data.set("planCacheStats", self.engine.plan_cache.stat_records())
         self.service_data.set(
             "coherenceStats",
             [f"{k}|{v}" for k, v in sorted(self.engine.coherence_stats().items())],

@@ -120,7 +120,7 @@ class ViewRegistryService(GridServiceBase, NotificationSourceMixin):
     def createView(self, queryText: str) -> str:
         self.require_active()
         # a view is only live if the coherence sink feeds the maintainer
-        if self.engine._sink is None and self.container is not None:
+        if not self.engine.coherence.listening and self.container is not None:
             self.engine.enable_coherence(self.container)
         return self.maintainer.create_view(queryText).view_id
 

@@ -23,8 +23,6 @@ one PPerfGrid session lives in one environment object.
 from __future__ import annotations
 
 import threading
-import time
-from collections import OrderedDict
 from typing import Callable
 
 from repro.ogsi.dispatch import (
@@ -41,6 +39,7 @@ from repro.ogsi.porttypes import GRID_SERVICE_PORTTYPE
 from repro.ogsi.service import GridServiceBase, ServiceState
 from repro.simnet.clock import Clock, RealClock
 from repro.simnet.host import SimHost
+from repro.simnet.lru import LruStore
 from repro.simnet.metrics import Recorder
 from repro.simnet.reactor import Reactor, RepeatingTask
 from repro.simnet.transport import LoopbackTransport, Transport
@@ -304,90 +303,56 @@ class StubPool:
 
     Binding a stub validates the handle and (on the dynamic path)
     fetches and parses the service's WSDL; repeated calls to the same
-    GSH paid that on every construction.  The pool keys entries by
-    ``(handle, porttype)``, expires them after ``ttl`` seconds (expiry
-    forces a liveness re-validation through the normal bind), and is
-    invalidated wholesale on ``refresh_members()`` and per handle on
-    bind faults.  Stubs are stateless operation tables, safe to share
-    across threads; identity-stamped stubs (a ``headers_provider``) are
-    never pooled.
+    GSH paid that on every construction.  The pool is an
+    :class:`~repro.simnet.lru.LruStore` keyed by ``(handle, porttype)``
+    whose entries expire ``ttl`` seconds — on *clock*, the environment's
+    — after they were bound (expiry forces a liveness re-validation
+    through the normal bind); it is invalidated wholesale on
+    ``refresh_members()`` and per handle on bind faults.  Stubs are
+    stateless operation tables, safe to share across threads;
+    identity-stamped stubs (a ``headers_provider``) are never pooled.
     """
 
     def __init__(
         self,
         ttl: float = DEFAULT_STUB_TTL_S,
         capacity: int = DEFAULT_STUB_POOL_CAPACITY,
+        clock: Clock | None = None,
     ) -> None:
         if ttl <= 0:
             raise ValueError(f"ttl must be > 0, got {ttl}")
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.ttl = ttl
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        #: (handle url, porttype name) -> (stub, expiry monotonic time)
-        self._entries: OrderedDict[tuple[str, str], tuple[ClientStub, float]] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.expirations = 0
-        self.evictions = 0
-        self.invalidations = 0
+        self._store = LruStore(
+            max_entries=capacity, max_age=ttl, clock=clock or RealClock()
+        )
 
     def get(self, key: tuple[str, str]) -> ClientStub | None:
-        now = time.monotonic()
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            stub, expiry = entry
-            if expiry <= now:
-                del self._entries[key]
-                self.expirations += 1
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return stub
+        return self._store.get(key)
 
     def put(self, key: tuple[str, str], stub: ClientStub) -> None:
-        with self._lock:
-            self._entries[key] = (stub, time.monotonic() + self.ttl)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+        self._store.put(key, stub)
 
     def invalidate(self, handle: str) -> int:
         """Drop every pooled stub bound to *handle* (bind-fault path)."""
-        with self._lock:
-            doomed = [key for key in self._entries if key[0] == handle]
-            for key in doomed:
-                del self._entries[key]
-            self.invalidations += len(doomed)
-            return len(doomed)
+        return self._store.remove_where(lambda key: key[0] == handle)
 
     def clear(self) -> int:
-        with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-            self.invalidations += dropped
-            return dropped
+        return self._store.remove_where(lambda key: True)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._store)
 
     def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "expirations": self.expirations,
-                "evictions": self.evictions,
-                "invalidations": self.invalidations,
-            }
+        counters = self._store.stats
+        return {
+            "entries": len(self._store),
+            "hits": counters.hits,
+            "misses": counters.misses,
+            "expirations": counters.expirations,
+            "evictions": counters.evictions,
+            "invalidations": counters.invalidations,
+        }
 
 
 class GridEnvironment:
@@ -401,7 +366,7 @@ class GridEnvironment:
         self._reactor: Reactor | None = None
         self._sweeper: RepeatingTask | None = None
         #: shared TTL'd stub cache for the pooled bind helpers
-        self.stub_pool = StubPool()
+        self.stub_pool = StubPool(clock=self.clock)
 
     def create_container(
         self,
@@ -512,18 +477,9 @@ class GridEnvironment:
         """
         if headers_provider is not None:
             return self.stub_for_handle(handle, porttype, headers_provider)
-        url = handle.url() if isinstance(handle, GridServiceHandle) else str(handle)
-        key = (url, porttype.name)
-        stub = self.stub_pool.get(key)
-        if stub is not None:
-            return stub
-        try:
-            stub = self.stub_for_handle(handle, porttype)
-        except GshError:
-            self.stub_pool.invalidate(url)
-            raise
-        self.stub_pool.put(key, stub)
-        return stub
+        return self._pooled(
+            handle, porttype.name, lambda: self.stub_for_handle(handle, porttype)
+        )
 
     def pooled_stub_from_wsdl(
         self, handle: str | GridServiceHandle, headers_provider=None
@@ -536,17 +492,21 @@ class GridEnvironment:
         """
         if headers_provider is not None:
             return self.stub_from_wsdl(handle, headers_provider)
+        return self._pooled(handle, "@wsdl", lambda: self.stub_from_wsdl(handle))
+
+    def _pooled(
+        self, handle: str | GridServiceHandle, porttype_name: str, bind
+    ) -> ClientStub:
         url = handle.url() if isinstance(handle, GridServiceHandle) else str(handle)
-        key = (url, "@wsdl")
+        key = (url, porttype_name)
         stub = self.stub_pool.get(key)
-        if stub is not None:
-            return stub
-        try:
-            stub = self.stub_from_wsdl(handle)
-        except GshError:
-            self.stub_pool.invalidate(url)
-            raise
-        self.stub_pool.put(key, stub)
+        if stub is None:
+            try:
+                stub = bind()
+            except GshError:
+                self.stub_pool.invalidate(url)
+                raise
+            self.stub_pool.put(key, stub)
         return stub
 
     def stub_from_wsdl(

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.semantic import PerformanceResult
+from repro.core.prcache import LruCache
+from repro.core.semantic import PerformanceResult, StoreStats
 from repro.experiments.common import GridScale, build_grid, build_synthetic_grid
-from repro.fedquery import FEDERATED_QUERY_PORTTYPE, QueryError
+from repro.fedquery import FEDERATED_QUERY_PORTTYPE, QueryError, naive_query
+from repro.fedquery.coherence import CoherenceTracker
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 
 HPL_QUERY = "SELECT count(gflops), max(gflops) FROM HPL GROUP BY app"
@@ -313,3 +315,103 @@ class TestRefreshMembers:
         assert engine._exec_ids == {}
         # re-discovery still answers correctly afterwards
         assert engine.execute("SELECT count(resid) FROM HPL GROUP BY app").rows
+
+
+class TestStatsFetchRace:
+    """Cached member statistics are admitted like cached plans: an
+    update delivered while the ``getStats`` that produced them was in
+    flight supersedes them, so they must not be cached."""
+
+    def test_update_racing_the_first_stats_fetch(self, monkeypatch):
+        def result(metric: str) -> PerformanceResult:
+            return PerformanceResult(metric, "/R", "synthetic", 0.0, 1.0, 1.0)
+
+        a = InMemoryWrapper("A", [InMemoryExecution("0", {}, [result("m")])])
+        grid = build_synthetic_grid({"A": a})
+        engine = grid.deploy_federation()
+        binding = engine.members()["A"]
+        original = binding.get_stats
+        fetched = []
+
+        def racy_get_stats():
+            stats = original()
+            if not fetched:
+                # the store gains metric x after the statistics were
+                # read, while the fetch is still on its way back
+                a.executions_data[0].results.append(result("x"))
+                assert grid.execution_service("A", "0").data_updated("x") == 1
+            fetched.append(stats)
+            return stats
+
+        monkeypatch.setattr(binding, "get_stats", racy_get_stats)
+        # planned on the pre-update statistics: this answer may fall on
+        # either side of the update, but nothing it read may be cached
+        engine.execute("SELECT x")
+        second = engine.execute("SELECT x")
+        expected = naive_query("SELECT x", engine.members())
+        assert len(expected) == 1
+        assert second.cached is False
+        assert [r.pack() for r in second.rows] == [r.pack() for r in expected]
+        third = engine.execute("SELECT x")
+        assert third.cached is True
+        assert [r.pack() for r in third.rows] == [r.pack() for r in expected]
+        assert len(fetched) == 2  # the superseded statistics were refetched
+
+    @pytest.mark.parametrize(
+        "scope", [("A", "1"), ("A", None), (None, None)], ids=["exec", "member", "all"]
+    )
+    def test_stats_superseded_mid_fetch_are_not_cached(self, scope):
+        tracker = CoherenceTracker(LruCache(8))
+
+        class Member:
+            fetches = 0
+
+            def get_stats(self):
+                self.fetches += 1
+                if self.fetches == 1:
+                    tracker.invalidate(*scope)
+                return StoreStats(1, 0.0, 1.0, ("/R",), ("t",), ())
+
+        member = Member()
+        for expected_fetches in (1, 2, 2):
+            stats = tracker.member_stats({"A": member}, exec_id_of=None)
+            assert stats["A"] is not None
+            assert member.fetches == expected_fetches
+
+
+class TestTrackerScopes:
+    """One generation table, one invalidation routine: the scope alone
+    decides which cached plans drop and which in-flight reads go stale."""
+
+    DEPS = {
+        "p1": {("A", "1")},
+        "p2": {("A", "*")},
+        "p3": {("B", "1")},
+    }
+
+    @pytest.mark.parametrize(
+        "scope, dropped",
+        [
+            (("A", "1"), {"p1", "p2"}),
+            (("A", None), {"p1", "p2"}),
+            ((None, None), {"p1", "p2", "p3"}),
+        ],
+        ids=["exec", "member", "all"],
+    )
+    def test_scope_selects_plans_and_stale_snapshots(self, scope, dropped):
+        cache = LruCache(8)
+        tracker = CoherenceTracker(cache)
+        before = tracker.snapshot()
+        for fingerprint, deps in self.DEPS.items():
+            assert tracker.admit(fingerprint, deps, before, ["row"])
+        assert tracker.invalidate(*scope) == len(dropped)
+        assert {fp for fp in self.DEPS if not cache.contains(fp)} == dropped
+        assert tracker.stats()["invalidations"] == len(dropped)
+        # a read that started before the invalidation is stale for
+        # exactly the dependency sets the scope covers; a member or
+        # full clear also supersedes everything in flight
+        in_flight_stale = dropped if scope[1] is not None else set(self.DEPS)
+        for fingerprint, deps in self.DEPS.items():
+            admitted = tracker.admit(fingerprint + "'", deps, before, ["row"])
+            assert admitted is (fingerprint not in in_flight_stale)
+        assert tracker.stats()["staleDiscards"] == len(in_flight_stale)

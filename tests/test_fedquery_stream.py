@@ -110,6 +110,19 @@ class TestGlobalOperatorFallback:
         assert packs(streamed_rows) == packs(bulk.rows)
         assert {row["app"] for row in streamed_rows} == {"A", "B"}
 
+    def test_fallback_probes_the_plan_cache_once(self, fedgrid):
+        """The stream entry point and the bulk pipeline it falls back to
+        are one query: one plan-cache lookup, not one each."""
+        _, engine = fedgrid
+        text = "SELECT count(m) GROUP BY app"
+        rows = list(engine.execute(text, stream=True))
+        assert engine.plan_cache.stats.misses == 1
+        assert engine.plan_cache.stats.hits == 0
+        repeat = engine.execute(text, stream=True)
+        assert repeat.cached is True and packs(list(repeat)) == packs(rows)
+        assert engine.plan_cache.stats.misses == 1
+        assert engine.plan_cache.stats.hits == 1
+
     def test_order_by_streams_bulk_rows(self, fedgrid):
         _, engine = fedgrid
         text = "SELECT m ORDER BY value DESC LIMIT 5"

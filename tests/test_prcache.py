@@ -12,6 +12,8 @@ from repro.core.prcache import (
     UnboundedCache,
     entry_bytes,
 )
+from repro.simnet.clock import VirtualClock
+from repro.simnet.lru import LruStore
 
 
 class TestNullCache:
@@ -99,6 +101,104 @@ class TestLruCache:
             if cache.get(key) is None:
                 cache.put(key, [key])
             assert len(cache) <= capacity
+
+
+class TestOneStoreUnderEveryPolicy:
+    """Every bounded policy is the same LruStore with a different bound,
+    so eviction order and the counters cannot differ between them."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: LruCache(2),
+            lambda: ByteBudgetLruCache(max_bytes=10**9, capacity=2),
+            lambda: AdaptiveCache(max_capacity=2, min_capacity=2),
+        ],
+        ids=["entries", "bytes+entries", "callable-entries"],
+    )
+    def test_evicts_least_recently_used_and_counts(self, make):
+        cache = make()
+        cache.put("a", ["a"])
+        cache.put("b", ["b"])
+        assert cache.get("a") == ["a"]  # a is now the most recent
+        cache.put("c", ["c"])
+        assert not cache.contains("b") and cache.contains("a") and cache.contains("c")
+        assert cache.get("b") is None
+        assert cache.remove("a") is True and cache.remove("a") is False
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.evictions, stats.invalidations) == (
+            1, 1, 1, 1,
+        )
+        records = dict(r.split("|") for r in cache.stat_records())
+        assert records["lookups"] == "2" and records["entries"] == "1"
+        assert ("maxBytes" in records) is isinstance(cache, ByteBudgetLruCache)
+
+    def test_age_bound_follows_the_injected_clock(self):
+        clock = VirtualClock()
+        store = LruStore(max_age=5.0, clock=clock)
+        store.put("k", "v")
+        clock.advance(4.9)
+        assert store.get("k") == "v"
+        clock.advance(0.1)  # age counts from the put, not the last hit
+        assert store.contains("k") is False
+        assert store.get("k") is None and len(store) == 0
+        assert (store.stats.expirations, store.stats.misses) == (1, 1)
+        store.put("k", "v2")  # re-binding starts a fresh lifetime
+        clock.advance(4.9)
+        assert store.get("k") == "v2"
+
+    def test_remove_where_counts_invalidations(self):
+        store = LruStore()
+        for key in (("u", "P"), ("u", "Q"), ("v", "P")):
+            store.put(key, 1)
+        assert store.remove_where(lambda key: key[0] == "u") == 2
+        assert list(store.entries) == [("v", "P")]
+        assert store.stats.invalidations == 2
+
+    def test_unbounded_put_does_no_size_accounting(self):
+        store = LruStore()
+        store.put("k", ["x" * 1000])
+        assert store.bytes == 0 and store.stats.evictions == 0
+
+    def test_concurrent_writers_keep_the_byte_account_exact(self):
+        import sys
+        import threading
+
+        cache = ByteBudgetLruCache(max_bytes=4_000, capacity=16)
+        stop = threading.Event()
+
+        def churn(worker: int) -> None:
+            for i in range(2_000):
+                if stop.is_set():
+                    return
+                key = f"k{(worker * 7 + i) % 40}"
+                cache.put(key, ["x" * (i % 50)])
+                cache.get(key)
+                if i % 17 == 0:
+                    cache.remove(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=churn, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            stop.set()
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(cache) <= 16 and cache.approx_bytes <= cache.max_bytes
+        assert cache.approx_bytes == sum(
+            entry_bytes(k, v) for k, v in cache._table.items()
+        )
+
+    def test_a_bound_needs_its_collaborator(self):
+        with pytest.raises(ValueError):
+            LruStore(max_bytes=100)
+        with pytest.raises(ValueError):
+            LruStore(max_age=1.0)
 
 
 class TestAdaptiveCache:

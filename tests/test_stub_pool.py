@@ -15,9 +15,10 @@ import pytest
 from repro.core.semantic import PerformanceResult
 from repro.experiments.common import build_synthetic_grid
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
-from repro.ogsi.container import GridEnvironment, StubPool
+from repro.ogsi.container import DEFAULT_STUB_TTL_S, GridEnvironment, StubPool
 from repro.ogsi.dispatch import client_id_headers
 from repro.ogsi.gsh import GshError
+from repro.simnet.clock import VirtualClock
 
 from tests.test_dispatch import deploy_echo
 
@@ -38,12 +39,12 @@ class TestStubPoolUnit:
             StubPool(capacity=0)
 
     def test_ttl_expiry_counts_and_misses(self):
-        pool = StubPool(ttl=0.01)
+        clock = VirtualClock()
+        pool = StubPool(ttl=10.0, clock=clock)
         pool.put(("u", "P"), object())
+        clock.advance(9.9)
         assert pool.get(("u", "P")) is not None
-        import time
-
-        time.sleep(0.03)
+        clock.advance(0.1)
         assert pool.get(("u", "P")) is None
         stats = pool.stats()
         assert stats["expirations"] == 1
@@ -98,14 +99,16 @@ class TestPooledBind:
         # the live handle's entry survives an unrelated handle's fault
         assert len(env.stub_pool) == 1
 
-    def test_expired_entry_revalidates_liveness(self, env_echo):
-        env, container, service, gsh = env_echo
-        env.stub_pool.ttl = 0.01
+    def test_expired_entry_revalidates_liveness(self):
+        clock = VirtualClock()
+        env = GridEnvironment(clock=clock)
+        container = env.create_container("c:1")
+        service, gsh = deploy_echo(container)
         stale = env.pooled_stub_for_handle(gsh, service.porttype)
         container.remove_service(gsh)
-        import time
-
-        time.sleep(0.03)
+        # inside the TTL the pooled stub still answers the bind...
+        assert env.pooled_stub_for_handle(gsh, service.porttype) is stale
+        clock.advance(DEFAULT_STUB_TTL_S)
         # a fresh bind now sees the dead service instead of answering
         # from a stale pooled stub
         with pytest.raises(GshError):

@@ -13,6 +13,7 @@ query (request + response over the transport).
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 from repro.analysis.stats import coefficient_of_variation, mean
@@ -108,6 +109,9 @@ def measure_source(
     total_timer = recorder.timer("virtualization.getPR")
     mapping_timer = recorder.timer("mapping.getPR")
 
+    # A full collection over the data stores' heap takes as long as a few
+    # hundred HPL or RMA queries; have it now, not inside one timed query.
+    gc.collect()
     totals: list[float] = []
     mappings: list[float] = []
     byte_counts: list[int] = []

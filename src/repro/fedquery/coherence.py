@@ -68,6 +68,7 @@ class CoherenceTracker:
         self._generations: dict[Dep, int] = {}
         #: fingerprint -> the deps read when the entry was cached
         self._plan_deps: dict[str, frozenset[Dep]] = {}
+        self._dep_sets: dict[frozenset[Dep], frozenset[Dep]] = {}
         #: member -> cached statistics; failed fetches are never cached
         self._stats: dict[str, _CachedStats] = {}
         #: execution GSH -> (app, exec_id), learned at subscription time:
@@ -113,7 +114,8 @@ class CoherenceTracker:
                 self.counters["staleDiscards"] += 1
                 return False
             self.plan_cache.put(fingerprint, packed)
-            self._plan_deps[fingerprint] = deps
+            # plans over the same executions share one dependency set
+            self._plan_deps[fingerprint] = self._dep_sets.setdefault(deps, deps)
             if len(self._plan_deps) > 2 * max(1, len(self.plan_cache)):
                 # drop dependency records whose entries were LRU-evicted
                 self._plan_deps = {
@@ -121,6 +123,7 @@ class CoherenceTracker:
                     for fp, dep in self._plan_deps.items()
                     if self.plan_cache.contains(fp)
                 }
+                self._dep_sets = {dep: dep for dep in self._plan_deps.values()}
             return True
 
     def invalidate(self, app: str | None = None, exec_id: str | None = None) -> int:

@@ -66,9 +66,13 @@ class GridServiceBase:
         # The service's WSDL document, published as an SDE so clients can
         # bind dynamically (the Figure 1 "download WSDL, generate stubs"
         # step) instead of relying on compile-time PortType knowledge.
+        # Rendered when first asked for: a ~3.6 KB serialisation per
+        # deployed instance, transient cursors included, is mostly unread.
         from repro.wsdl.document import generate_wsdl
 
-        self.service_data.set("wsdl", generate_wsdl(self.porttype, gsh.endpoint_url()))
+        self.service_data.set_deferred(
+            "wsdl", lambda: generate_wsdl(self.porttype, gsh.endpoint_url())
+        )
 
     def on_destroyed(self) -> None:
         """Hook for subclasses to release resources; default does nothing."""

@@ -11,6 +11,7 @@ rendering of the set (GT3.2's WS Information Services style).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.xmlkit import Element, XPathError, serialize, xpath_select
 
@@ -37,27 +38,43 @@ class ServiceDataSet:
 
     def __init__(self) -> None:
         self._elements: dict[str, ServiceDataElement] = {}
+        #: name -> producer of an SDE nobody has read yet
+        self._deferred: dict[str, Callable[[], list[str] | str]] = {}
 
     def set(self, name: str, values: list[str] | str) -> ServiceDataElement:
         if isinstance(values, str):
             values = [values]
         sde = ServiceDataElement(name, list(values))
         self._elements[name] = sde
+        self._deferred.pop(name, None)
         return sde
 
+    def set_deferred(self, name: str, produce: Callable[[], list[str] | str]) -> None:
+        """Declare an SDE whose values are computed by the first read of it.
+
+        For values that cost more to render than most instances are ever
+        asked for — every service publishes its WSDL, few are asked for it.
+        """
+        self._elements.pop(name, None)
+        self._deferred[name] = produce
+
     def get(self, name: str) -> ServiceDataElement | None:
+        produce = self._deferred.get(name)
+        if produce is not None:
+            return self.set(name, produce())
         return self._elements.get(name)
 
     def names(self) -> list[str]:
-        return sorted(self._elements)
+        return sorted({*self._elements, *self._deferred})
 
     def remove(self, name: str) -> None:
         self._elements.pop(name, None)
+        self._deferred.pop(name, None)
 
     def to_element(self) -> Element:
         root = Element("serviceData")
-        for name in sorted(self._elements):
-            root.children.append(self._elements[name].to_element())
+        for name in self.names():
+            root.children.append(self.get(name).to_element())  # type: ignore[union-attr]
         return root
 
     def to_xml(self) -> str:
@@ -92,7 +109,7 @@ class ServiceDataSet:
                     result.subelement("value", hit)
             return serialize(result)
         name = expression[len("name:") :] if expression.startswith("name:") else expression
-        sde = self._elements.get(name)
+        sde = self.get(name)
         if sde is not None:
             result.children.append(sde.to_element())
         return serialize(result)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 import threading
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, MutableSequence
 
 from repro.simnet.clock import Clock, RealClock
 
@@ -21,7 +22,9 @@ from repro.simnet.clock import Clock, RealClock
 class TimerStats:
     """Summary statistics over a series of duration samples (seconds)."""
 
-    samples: list[float] = field(default_factory=list)
+    #: packed doubles: a long-lived recorder keeps every sample, and a list
+    #: of float objects costs four times as much per sample
+    samples: MutableSequence[float] = field(default_factory=lambda: array("d"))
 
     def add(self, seconds: float) -> None:
         self.samples.append(seconds)

@@ -51,77 +51,82 @@ class XsdType(str, Enum):
     STRUCT = "tns:struct"
 
 
+# The wire names as plain strings: ``XsdType.X.value`` is a descriptor call
+# and an enum member hashes in Python, too slow for once-per-array-item paths.
+# (Unpacked in the members' declaration order.)
+_STRING, _INT, _LONG, _DOUBLE, _BOOLEAN, _ANY, _ARRAY, _STRUCT = (t.value for t in XsdType)
+_PYTHON_TYPES: dict[str, type | None] = {
+    _STRING: str,
+    _INT: int,
+    _LONG: int,
+    _DOUBLE: float,
+    _BOOLEAN: bool,
+    _ANY: None,
+    _ARRAY: list,
+    _STRUCT: dict,
+}
+
+
+def _wire_name_for(value: object) -> str:
+    if value is None:
+        return _ANY
+    if isinstance(value, bool):  # bool before int: bool is an int subclass
+        return _BOOLEAN
+    if isinstance(value, int):
+        return _INT if -(2**31) <= value < 2**31 else _LONG
+    if isinstance(value, float):
+        return _DOUBLE
+    if isinstance(value, str):
+        return _STRING
+    if isinstance(value, (list, tuple)):
+        return _ARRAY
+    if isinstance(value, dict):
+        return _STRUCT
+    raise SoapEncodingError(f"cannot encode value of type {type(value).__name__}")
+
+
 def xsd_type_for(value: object) -> XsdType:
     """Infer the wire type for a Python value."""
-    if value is None:
-        return XsdType.ANY
-    if isinstance(value, bool):  # bool before int: bool is an int subclass
-        return XsdType.BOOLEAN
-    if isinstance(value, int):
-        return XsdType.INT if -(2**31) <= value < 2**31 else XsdType.LONG
-    if isinstance(value, float):
-        return XsdType.DOUBLE
-    if isinstance(value, str):
-        return XsdType.STRING
-    if isinstance(value, (list, tuple)):
-        return XsdType.ARRAY
-    if isinstance(value, dict):
-        return XsdType.STRUCT
-    raise SoapEncodingError(f"cannot encode value of type {type(value).__name__}")
+    return XsdType(_wire_name_for(value))
 
 
 def python_type_for(wire: str) -> type | None:
     """Python type for a wire type string (``None`` for nil/any)."""
-    mapping: dict[str, type | None] = {
-        XsdType.STRING.value: str,
-        XsdType.INT.value: int,
-        XsdType.LONG.value: int,
-        XsdType.DOUBLE.value: float,
-        XsdType.BOOLEAN.value: bool,
-        XsdType.ANY.value: None,
-        XsdType.ARRAY.value: list,
-        XsdType.STRUCT.value: dict,
-    }
-    if wire not in mapping:
+    if wire not in _PYTHON_TYPES:
         raise SoapEncodingError(f"unknown wire type {wire!r}")
-    return mapping[wire]
+    return _PYTHON_TYPES[wire]
 
 
 def encode_value(name: str, value: object) -> Element:
     """Encode a Python value as an element named *name* with ``xsi:type``."""
     el = Element(QName("", name))
-    wire = xsd_type_for(value)
-    el.attrs[_XSI_TYPE] = wire.value
+    wire = _wire_name_for(value)
+    el.attrs[_XSI_TYPE] = wire
     if value is None:
         el.attrs[_XSI_NIL] = "true"
-        return el
-    if wire is XsdType.BOOLEAN:
+    elif wire == _BOOLEAN:
         el.children.append("true" if value else "false")
-    elif wire in (XsdType.INT, XsdType.LONG):
-        el.children.append(str(value))
-    elif wire is XsdType.DOUBLE:
-        el.children.append(repr(float(value)))
-    elif wire is XsdType.STRING:
-        el.children.append(str(value))
-    elif wire is XsdType.ARRAY:
-        items = list(value)  # type: ignore[arg-type]
+    elif wire == _DOUBLE:
+        el.children.append(repr(float(value)))  # type: ignore[arg-type]
+    elif wire == _ARRAY:
+        items = list(value)  # type: ignore[call-overload]
         el.attrs[_ARRAY_TYPE_ATTR] = f"{_item_wire_type(items)}[{len(items)}]"
         for item in items:
             el.children.append(encode_value("item", item))
-    elif wire is XsdType.STRUCT:
-        for key, item in value.items():  # type: ignore[union-attr]
+    elif wire == _STRUCT:
+        for key, item in value.items():  # type: ignore[attr-defined]
             if not isinstance(key, str) or not key:
                 raise SoapEncodingError("struct keys must be non-empty strings")
             el.children.append(encode_value(key, item))
+    else:  # string, int, long
+        el.children.append(str(value))
     return el
 
 
 def _item_wire_type(items: list[object]) -> str:
     """Element type for an array's ``arrayType`` attribute."""
-    kinds = {xsd_type_for(item) for item in items if item is not None}
-    if len(kinds) == 1:
-        return next(iter(kinds)).value
-    return XsdType.ANY.value
+    kinds = {_wire_name_for(item) for item in items if item is not None}
+    return kinds.pop() if len(kinds) == 1 else _ANY
 
 
 def decode_value(el: Element) -> object:
@@ -134,24 +139,24 @@ def decode_value(el: Element) -> object:
         raise SoapEncodingError(f"element <{el.tag.local}> is missing xsi:type")
     text = el.text()
     try:
-        if wire == XsdType.BOOLEAN.value:
+        if wire == _BOOLEAN:
             if text not in ("true", "false", "1", "0"):
                 raise SoapEncodingError(f"bad boolean literal {text!r}")
             return text in ("true", "1")
-        if wire in (XsdType.INT.value, XsdType.LONG.value):
+        if wire == _INT or wire == _LONG:
             return int(text)
-        if wire == XsdType.DOUBLE.value:
+        if wire == _DOUBLE:
             return float(text)
-        if wire == XsdType.STRING.value:
+        if wire == _STRING:
             return text
-        if wire == XsdType.ARRAY.value:
+        if wire == _ARRAY:
             return [decode_value(c) for c in el.iter_elements()]
-        if wire == XsdType.STRUCT.value:
+        if wire == _STRUCT:
             out: dict[str, object] = {}
             for child in el.iter_elements():
                 out[child.tag.local] = decode_value(child)
             return out
-        if wire == XsdType.ANY.value:
+        if wire == _ANY:
             return None
     except ValueError as exc:
         raise SoapEncodingError(f"bad {wire} literal {text!r}") from exc

@@ -4,7 +4,7 @@ The thesis's Grid-services stack (Globus GT3.2 on Apache Axis) spends its
 "overhead" time marshalling calls to XML, shipping bytes, and parsing them
 back.  To make that overhead *real* in this reproduction rather than a
 constant plugged into a model, this package implements an XML document
-model, a serializing writer, a recursive-descent parser, and an XPath
+model, a serializing writer, a scanning parser, and an XPath
 subset from scratch.
 
 Public API

@@ -1,4 +1,4 @@
-"""Recursive-descent XML parser.
+"""Scanning XML parser.
 
 Supports the subset of XML 1.0 needed by SOAP/WSDL payloads and the XML
 data stores: elements, attributes, character data, the five predefined
@@ -6,9 +6,22 @@ entities plus numeric character references, CDATA sections, comments
 (skipped), and namespace resolution.  DOCTYPE and processing instructions
 other than the XML declaration are rejected — accepting them would widen
 the attack surface for no benefit to the reproduction.
+
+The reader is one loop over an explicit element stack, so nesting depth is
+bounded by memory, not by the interpreter's recursion limit.  It consumes
+one compiled-regex match per start tag (name plus every attribute), one
+``str.find`` per text run and a direct string compare per close tag; only
+a tag the regex refuses is walked piece by piece, to word its error.
+Prefixed names are resolved once per *namespace frame*: an element that
+declares no namespace shares its parent's frame, and a frame memoises
+``raw name -> QName`` for tags and for attributes, so the 5,000 ``<item>``
+rows of a bulk answer cost one resolution and share one ``QName``.  Frames
+and memos live for one :func:`parse` call.
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.xmlkit.model import Document, Element, QName
 
@@ -22,259 +35,277 @@ class XmlParseError(ValueError):
 
 
 _PREDEFINED = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
-_NAME_START_EXTRA = set("_:")
-_NAME_EXTRA = set("_:-.")
+
+# A name starts with ``str.isalpha`` or one of ``_:`` and continues with
+# ``str.isalnum`` or one of ``_:-.``.  ``\w`` is exactly isalnum-or-underscore,
+# but ``[^\W\d]`` still admits the non-decimal numerics (``²``, ``½``, ``Ⅷ``)
+# that isalpha refuses, so non-ASCII documents re-check each first character.
+_NAME = r"(?:[^\W\d]|:)[\w:.\-]*"
+_WS = r"[ \t\r\n]"
+_VALUE = r"""(?:"[^<"]*"|'[^<']*')"""
+_START_TAG = re.compile(rf"<({_NAME})((?:{_WS}+{_NAME}{_WS}*={_WS}*{_VALUE})*){_WS}*(/?)>").match
+_ATTR = re.compile(rf"""{_WS}+({_NAME}){_WS}*={_WS}*(?:"([^<"]*)"|'([^<']*)')""").match
+_NAME_AT = re.compile(_NAME).match
+_SKIP_WS = re.compile(rf"{_WS}*").match
+_XML_DECL = re.compile(rf"<\?xml{_WS}").match
+_CHAR_REF = re.compile(r"#(?:([0-9]+)|[xX]([0-9A-Fa-f]+))").fullmatch
 
 
 def _is_name_start(ch: str) -> bool:
-    return ch.isalpha() or ch in _NAME_START_EXTRA
+    return ch.isalpha() or ch in "_:"
 
 
-def _is_name_char(ch: str) -> bool:
-    return ch.isalnum() or ch in _NAME_EXTRA
+def _is_xml_char(code: int) -> bool:
+    """XML 1.0 production [2] ``Char``."""
+    return (
+        0x20 <= code <= 0xD7FF
+        or code in (0x9, 0xA, 0xD)
+        or 0xE000 <= code <= 0xFFFD
+        or 0x10000 <= code <= 0x10FFFF
+    )
 
 
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-        self.n = len(text)
+def _unescape(text: str, start: int, end: int) -> str:
+    """``text[start:end]`` with entity and character references replaced.
 
-    # ------------------------------------------------------------- helpers
-    def error(self, message: str) -> XmlParseError:
-        return XmlParseError(message, self.pos)
+    The closing ``;`` is looked for in the whole document, not just up to
+    *end*: a reference that runs past the text run or attribute value
+    swallows markup and is reported as the unknown entity it then is.
+    """
+    parts: list[str] = []
+    pos = start
+    while True:
+        amp = text.find("&", pos, end)
+        if amp == -1:
+            parts.append(text[pos:end])
+            return "".join(parts)
+        parts.append(text[pos:amp])
+        semi = text.find(";", amp + 1)
+        if semi == -1 or semi - amp > 11:
+            raise XmlParseError("unterminated entity reference", amp + 1)
+        body = text[amp + 1 : semi]
+        pos = semi + 1
+        char = _PREDEFINED.get(body)
+        if char is None:
+            if not body.startswith("#"):
+                raise XmlParseError(f"unknown entity &{body};", pos)
+            ref = _CHAR_REF(body)
+            code = -1 if ref is None else int(ref[1]) if ref[1] else int(ref[2], 16)
+            if not _is_xml_char(code):
+                raise XmlParseError(f"bad character reference &{body};", amp)
+            char = chr(code)
+        parts.append(char)
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < self.n else ""
 
-    def startswith(self, literal: str) -> bool:
-        return self.text.startswith(literal, self.pos)
+def _name_at(text: str, pos: int) -> str:
+    match = _NAME_AT(text, pos)
+    if match is None or not _is_name_start(text[pos]):
+        raise XmlParseError("expected a name", pos)
+    return match[0]
 
-    def expect(self, literal: str) -> None:
-        if not self.startswith(literal):
-            raise self.error(f"expected {literal!r}")
-        self.pos += len(literal)
 
-    def skip_ws(self) -> None:
-        while self.pos < self.n and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
+def _attribute_error(text: str, pos: int) -> XmlParseError:
+    """Why no further attribute, ``>`` or ``/>`` could be read at *pos*."""
+    after_ws = _SKIP_WS(text, pos).end()
+    if after_ws == pos:
+        return XmlParseError("expected whitespace before attribute", pos)
+    pos = _SKIP_WS(text, after_ws + len(_name_at(text, after_ws))).end()
+    if not text.startswith("=", pos):
+        return XmlParseError("expected '='", pos)
+    pos = _SKIP_WS(text, pos + 1).end()
+    quote = text[pos : pos + 1]
+    if quote not in ('"', "'"):
+        return XmlParseError("expected quoted attribute value", pos)
+    stops = (text.find(quote, pos + 1), text.find("<", pos + 1))
+    stop = min((i for i in stops if i != -1), default=len(text))
+    _unescape(text, pos + 1, stop)  # a bad reference before the stop is met first
+    if stop == len(text):
+        return XmlParseError("unterminated attribute value", stop)
+    return XmlParseError("'<' not allowed in attribute value", stop)
 
-    def read_name(self) -> str:
-        start = self.pos
-        if self.pos >= self.n or not _is_name_start(self.text[self.pos]):
-            raise self.error("expected a name")
-        self.pos += 1
-        while self.pos < self.n and _is_name_char(self.text[self.pos]):
-            self.pos += 1
-        return self.text[start : self.pos]
 
-    def read_reference(self) -> str:
-        """Read an entity/char reference; cursor sits just past '&'."""
-        semi = self.text.find(";", self.pos)
-        if semi == -1 or semi - self.pos > 10:
-            raise self.error("unterminated entity reference")
-        body = self.text[self.pos : semi]
-        self.pos = semi + 1
-        if body.startswith("#x") or body.startswith("#X"):
-            try:
-                return chr(int(body[2:], 16))
-            except ValueError:
-                raise self.error(f"bad character reference &{body};") from None
-        if body.startswith("#"):
-            try:
-                return chr(int(body[1:]))
-            except ValueError:
-                raise self.error(f"bad character reference &{body};") from None
-        if body in _PREDEFINED:
-            return _PREDEFINED[body]
-        raise self.error(f"unknown entity &{body};")
+def _close_tag_end(text: str, pos: int, raw_name: str) -> int:
+    """Offset of the ``>`` of the close tag whose name starts at *pos*."""
+    name = _name_at(text, pos)
+    pos += len(name)
+    if name != raw_name:
+        raise XmlParseError(f"mismatched close tag </{name}> for <{raw_name}>", pos)
+    pos = _SKIP_WS(text, pos).end()
+    if not text.startswith(">", pos):
+        raise XmlParseError("expected '>'", pos)
+    return pos
 
-    # ------------------------------------------------------------- grammar
-    def parse_document(self) -> Document:
-        version, encoding = "1.0", "utf-8"
-        self.skip_ws()
-        if self.startswith("<?xml"):
-            version, encoding = self.parse_declaration()
-        self.skip_misc()
-        if self.pos >= self.n or self.peek() != "<":
-            raise self.error("expected root element")
-        root = self.parse_element(scope=[{"xml": "http://www.w3.org/XML/1998/namespace"}])
-        self.skip_misc()
-        if self.pos != self.n:
-            raise self.error("trailing content after root element")
-        return Document(root, version=version, encoding=encoding)
 
-    def parse_declaration(self) -> tuple[str, str]:
-        self.expect("<?xml")
-        end = self.text.find("?>", self.pos)
-        if end == -1:
-            raise self.error("unterminated XML declaration")
-        body = self.text[self.pos : end]
-        self.pos = end + 2
-        version = _pseudo_attr(body, "version") or "1.0"
-        encoding = _pseudo_attr(body, "encoding") or "utf-8"
-        return version, encoding
+def _comment_end(text: str, pos: int) -> int:
+    """Offset just past the comment that opens at *pos*."""
+    end = text.find("-->", pos + 4)
+    if end == -1:
+        raise XmlParseError("unterminated comment", pos + 4)
+    return end + 3
 
-    def skip_misc(self) -> None:
-        """Skip whitespace and comments between markup at document level."""
-        while True:
-            self.skip_ws()
-            if self.startswith("<!--"):
-                self.skip_comment()
-            elif self.startswith("<!DOCTYPE"):
-                raise self.error("DOCTYPE is not supported")
-            elif self.startswith("<?"):
-                raise self.error("processing instructions are not supported")
-            else:
-                return
 
-    def skip_comment(self) -> None:
-        self.expect("<!--")
-        end = self.text.find("-->", self.pos)
-        if end == -1:
-            raise self.error("unterminated comment")
-        self.pos = end + 3
+def _resolve(raw: str, ns: dict[str, str], pos: int, *, is_attr: bool) -> QName:
+    prefix, sep, local = raw.partition(":")
+    if not sep:
+        # Unprefixed attributes are in no namespace.
+        return QName("" if is_attr else ns.get("", ""), raw)
+    if ":" in local:
+        raise XmlParseError(f"invalid name {raw!r}", pos)
+    uri = ns.get(prefix)
+    if uri is None:
+        raise XmlParseError(f"undeclared namespace prefix {prefix!r}", pos)
+    return QName(uri, local)
 
-    def parse_element(self, scope: list[dict[str, str]]) -> Element:
-        self.expect("<")
-        raw_name = self.read_name()
-        raw_attrs: list[tuple[str, str]] = []
+
+def _parse_element(text: str, pos: int) -> tuple[Element, int]:
+    """Parse the element whose ``<`` is at *pos*; returns it and the offset after it."""
+    n = len(text)
+    find = text.find
+    startswith = text.startswith
+    new_element = Element.__new__
+    check_names = not text.isascii()
+    # The namespace frame: in-scope prefix -> uri, and its raw -> QName memos.
+    ns: dict[str, str] = {"xml": "http://www.w3.org/XML/1998/namespace"}
+    tag_memo: dict[str, QName] = {}
+    attr_memo: dict[str, QName] = {}
+    top: list[Element | str] = []
+    children = top  # of the open element
+    closer = ""  # "</raw-name>" of the open element
+    stack: list[tuple] = []  # (children, closer, frame to restore or None) per open element
+    pending: list[str] = []  # runs of the text node being read
+
+    while True:
+        # ------------------------------------------------------------ the start tag at pos
+        match = _START_TAG(text, pos)
+        if match is not None:
+            raw, blob, empty = match.groups()
+            if check_names and not _is_name_start(raw[0]):
+                raise XmlParseError("expected a name", pos + 1)
+            tag_end = match.end()
+            at_close = tag_end - 1 - len(empty)
+            attrs_end = pos + 1 + len(raw) + len(blob)
+        else:
+            # Read what is well-formed, then say what is not: a duplicate or a
+            # bad reference among the good attributes is reported first.
+            raw = _name_at(text, pos + 1)
+            attrs_end = pos + 1 + len(raw)
+            while (attr := _ATTR(text, attrs_end)) is not None:
+                attrs_end = attr.end()
+            blob = text[pos + 1 + len(raw) : attrs_end]
+        raw_attrs: dict[str, str] = {}
         nsdecls: dict[str, str] = {}
-        while True:
-            before = self.pos
-            self.skip_ws()
-            if self.startswith("/>") or self.startswith(">"):
+        if blob:
+            at = attrs_end - len(blob)
+            while at < attrs_end:
+                attr = _ATTR(text, at)
+                name, value, single_quoted = attr.groups()
+                at = attr.end()
+                if check_names and not _is_name_start(name[0]):
+                    raise XmlParseError("expected a name", attr.start(1))
+                if value is None:
+                    value = single_quoted
+                if "&" in value:
+                    value = _unescape(text, at - 1 - len(value), at - 1)
+                if name == "xmlns":
+                    nsdecls[""] = value
+                elif name.startswith("xmlns:"):
+                    nsdecls[name[6:]] = value
+                elif name in raw_attrs:
+                    raise XmlParseError(f"duplicate attribute {name!r}", at)
+                else:
+                    raw_attrs[name] = value
+        if match is None:
+            raise _attribute_error(text, attrs_end)
+
+        outer = None
+        if nsdecls:
+            outer = (ns, tag_memo, attr_memo)
+            ns = {**ns, **nsdecls}
+            tag_memo = {}
+            attr_memo = {}
+        tag = tag_memo.get(raw)
+        if tag is None:
+            tag = tag_memo[raw] = _resolve(raw, ns, at_close, is_attr=False)
+        attrs: dict[QName, str] = {}
+        for name, value in raw_attrs.items():
+            key = attr_memo.get(name)
+            if key is None:
+                key = attr_memo[name] = _resolve(name, ns, at_close, is_attr=True)
+            held = len(attrs)
+            attrs[key] = value
+            if len(attrs) == held:  # one QName hash, not the two of `in` then store
+                raise XmlParseError(f"duplicate attribute {key}", at_close)
+        # Element() would copy the three containers it is handed.
+        element = new_element(Element)
+        element.tag = tag
+        element.attrs = attrs
+        element.children = []
+        element.nsdecls = nsdecls
+        if pending:
+            children.append("".join(pending))
+            pending.clear()
+        children.append(element)
+        pos = tag_end
+        if not empty:
+            stack.append((children, closer, outer))
+            children = element.children
+            closer = f"</{raw}>"
+        elif outer is not None:
+            ns, tag_memo, attr_memo = outer
+
+        # ------------------------------------- content, up to the next start tag or the end
+        while stack:
+            lt = find("<", pos)
+            if lt != pos:
+                stop = n if lt == -1 else lt
+                chunk = text[pos:stop]
+                pending.append(_unescape(text, pos, stop) if "&" in chunk else chunk)
+                if lt == -1:
+                    local = closer[2:-1].rpartition(":")[2]
+                    raise XmlParseError(f"unterminated element <{local}>", n)
+                pos = lt
+            kind = text[pos + 1 : pos + 2]
+            if kind == "/":
+                if startswith(closer, pos):
+                    pos += len(closer)
+                else:
+                    pos = _close_tag_end(text, pos + 2, closer[2:-1]) + 1
+                if pending:
+                    children.append("".join(pending))
+                    pending.clear()
+                children, closer, outer = stack.pop()
+                if outer is not None:
+                    ns, tag_memo, attr_memo = outer
+            elif kind == "?":
+                raise XmlParseError("processing instructions are not supported", pos)
+            elif kind != "!":
                 break
-            if self.pos == before:
-                raise self.error("expected whitespace before attribute")
-            attr_name = self.read_name()
-            self.skip_ws()
-            self.expect("=")
-            self.skip_ws()
-            value = self.read_attr_value()
-            if attr_name == "xmlns":
-                nsdecls[""] = value
-            elif attr_name.startswith("xmlns:"):
-                nsdecls[attr_name[6:]] = value
+            elif startswith("<!--", pos):
+                pos = _comment_end(text, pos)
+            elif startswith("<![CDATA[", pos):
+                end = find("]]>", pos + 9)
+                if end == -1:
+                    raise XmlParseError("unterminated CDATA section", pos + 9)
+                pending.append(text[pos + 9 : end])
+                pos = end + 3
             else:
-                if any(existing == attr_name for existing, _ in raw_attrs):
-                    raise self.error(f"duplicate attribute {attr_name!r}")
-                raw_attrs.append((attr_name, value))
+                break
+        else:
+            return top[0], pos  # type: ignore[return-value]
 
-        scope.append(nsdecls)
-        try:
-            tag = self.resolve(raw_name, scope, is_attr=False)
-            attrs: dict[QName, str] = {}
-            for name, value in raw_attrs:
-                qn = self.resolve(name, scope, is_attr=True)
-                if qn in attrs:
-                    raise self.error(f"duplicate attribute {qn}")
-                attrs[qn] = value
-            element = Element(tag, attrs=attrs, nsdecls=nsdecls)
 
-            if self.startswith("/>"):
-                self.pos += 2
-                return element
-            self.expect(">")
-            self.parse_content(element, scope)
-            # parse_content consumed up to '</'
-            close_name = self.read_name()
-            if close_name != raw_name:
-                raise self.error(f"mismatched close tag </{close_name}> for <{raw_name}>")
-            self.skip_ws()
-            self.expect(">")
-            return element
-        finally:
-            scope.pop()
-
-    def parse_content(self, parent: Element, scope: list[dict[str, str]]) -> None:
-        """Parse children until the start of this element's close tag ('</' consumed)."""
-        text_parts: list[str] = []
-
-        def flush() -> None:
-            if text_parts:
-                parent.children.append("".join(text_parts))
-                text_parts.clear()
-
-        while True:
-            if self.pos >= self.n:
-                raise self.error(f"unterminated element <{parent.tag.local}>")
-            ch = self.peek()
-            if ch == "<":
-                if self.startswith("</"):
-                    flush()
-                    self.pos += 2
-                    return
-                if self.startswith("<!--"):
-                    self.skip_comment()
-                    continue
-                if self.startswith("<![CDATA["):
-                    self.pos += 9
-                    end = self.text.find("]]>", self.pos)
-                    if end == -1:
-                        raise self.error("unterminated CDATA section")
-                    text_parts.append(self.text[self.pos : end])
-                    self.pos = end + 3
-                    continue
-                if self.startswith("<?"):
-                    raise self.error("processing instructions are not supported")
-                flush()
-                parent.children.append(self.parse_element(scope))
-                continue
-            if ch == "&":
-                self.pos += 1
-                text_parts.append(self.read_reference())
-                continue
-            # Plain character run.
-            start = self.pos
-            while self.pos < self.n and self.text[self.pos] not in "<&":
-                self.pos += 1
-            text_parts.append(self.text[start : self.pos])
-
-    def read_attr_value(self) -> str:
-        quote = self.peek()
-        if quote not in ('"', "'"):
-            raise self.error("expected quoted attribute value")
-        self.pos += 1
-        parts: list[str] = []
-        while True:
-            if self.pos >= self.n:
-                raise self.error("unterminated attribute value")
-            ch = self.text[self.pos]
-            if ch == quote:
-                self.pos += 1
-                return "".join(parts)
-            if ch == "<":
-                raise self.error("'<' not allowed in attribute value")
-            if ch == "&":
-                self.pos += 1
-                parts.append(self.read_reference())
-                continue
-            start = self.pos
-            while self.pos < self.n and self.text[self.pos] not in (quote, "<", "&"):
-                self.pos += 1
-            parts.append(self.text[start : self.pos])
-
-    def resolve(self, raw: str, scope: list[dict[str, str]], *, is_attr: bool) -> QName:
-        prefix, sep, local = raw.partition(":")
-        if not sep:
-            if is_attr:
-                return QName("", raw)  # unprefixed attrs are in no namespace
-            uri = self._lookup("", scope) or ""
-            return QName(uri, raw)
-        if ":" in local:
-            raise self.error(f"invalid name {raw!r}")
-        uri = self._lookup(prefix, scope)
-        if uri is None:
-            raise self.error(f"undeclared namespace prefix {prefix!r}")
-        return QName(uri, local)
-
-    @staticmethod
-    def _lookup(prefix: str, scope: list[dict[str, str]]) -> str | None:
-        for frame in reversed(scope):
-            if prefix in frame:
-                return frame[prefix]
-        return None
+def _skip_misc(text: str, pos: int) -> int:
+    """Skip whitespace and comments between markup at document level."""
+    while True:
+        pos = _SKIP_WS(text, pos).end()
+        if text.startswith("<!--", pos):
+            pos = _comment_end(text, pos)
+        elif text.startswith("<!DOCTYPE", pos):
+            raise XmlParseError("DOCTYPE is not supported", pos)
+        elif text.startswith("<?", pos):
+            raise XmlParseError("processing instructions are not supported", pos)
+        else:
+            return pos
 
 
 def _pseudo_attr(body: str, name: str) -> str | None:
@@ -296,7 +327,36 @@ def _pseudo_attr(body: str, name: str) -> str | None:
 
 
 def parse(data: str | bytes) -> Document:
-    """Parse an XML document from a string or UTF-8 bytes."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return _Parser(data).parse_document()
+    """Parse an XML document from a string or UTF-8 bytes.
+
+    Bytes must be UTF-8 and may not declare another encoding: the writer
+    would re-label what it re-encodes.  Nothing but :class:`XmlParseError`
+    is raised for ``str`` or ``bytes`` input, whatever it holds.
+    """
+    from_bytes = isinstance(data, bytes)
+    if from_bytes:
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise XmlParseError(f"input is not UTF-8 ({exc.reason})", exc.start) from None
+    text: str = data  # type: ignore[assignment]
+    version, encoding = "1.0", "utf-8"
+    pos = _SKIP_WS(text, 0).end()
+    if _XML_DECL(text, pos):
+        end = text.find("?>", pos + 5)
+        if end == -1:
+            raise XmlParseError("unterminated XML declaration", pos + 5)
+        body = text[pos + 5 : end]
+        version = _pseudo_attr(body, "version") or "1.0"
+        encoding = _pseudo_attr(body, "encoding") or "utf-8"
+        if from_bytes and encoding.lower() not in ("utf-8", "us-ascii"):
+            raise XmlParseError(f"bytes input declares encoding {encoding!r}, not UTF-8", pos)
+        pos = end + 2
+    pos = _skip_misc(text, pos)
+    if not text.startswith("<", pos):
+        raise XmlParseError("expected root element", pos)
+    root, pos = _parse_element(text, pos)
+    pos = _skip_misc(text, pos)
+    if pos != len(text):
+        raise XmlParseError("trailing content after root element", pos)
+    return Document(root, version=version, encoding=encoding)

@@ -5,74 +5,66 @@ explicitly on elements (``Element.declare``) are honored; any namespace in
 use without an in-scope declaration gets a generated ``ns<N>`` prefix
 declared at the element that first needs it.  Deterministic output matters
 here because byte counts feed the Table 4 "bytes transferred" column.
+
+Prefix lookup is a dict probe, not a walk of the scope stack: each
+*namespace frame* carries a ``uri -> prefix`` memo for tags and one for
+attributes, computed once when an element declares (or is given) a prefix
+and shared, untouched, by every descendant that declares none.  Apart
+from the constant root frame (the ``xml`` prefix), frames live for one
+:func:`serialize` call.
 """
 
 from __future__ import annotations
 
-from repro.xmlkit.model import Document, Element, QName
+import itertools
+import re
+from typing import Iterator
 
-_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
-_ATTR_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\n": "&#10;", "\t": "&#9;"}
+from repro.xmlkit.model import Document, Element
+
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_ATTR_ESCAPES = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\n": "&#10;", "\t": "&#9;"}
+)
+_TEXT_SPECIAL = re.compile("[&<>]").search
+_ATTR_SPECIAL = re.compile('[&<>"\n\t]').search
 
 
 def escape_text(value: str) -> str:
     """Escape character data for element content."""
-    if not any(c in value for c in "&<>"):
-        return value
-    out = []
-    for ch in value:
-        out.append(_TEXT_ESCAPES.get(ch, ch))
-    return "".join(out)
+    return value.translate(_TEXT_ESCAPES) if _TEXT_SPECIAL(value) else value
 
 
 def escape_attr(value: str) -> str:
     """Escape character data for a double-quoted attribute value."""
-    if not any(c in value for c in '&<>"\n\t'):
-        return value
-    out = []
-    for ch in value:
-        out.append(_ATTR_ESCAPES.get(ch, ch))
-    return "".join(out)
+    return value.translate(_ATTR_ESCAPES) if _ATTR_SPECIAL(value) else value
 
 
-class _PrefixScope:
-    """Tracks in-scope prefix->uri bindings while writing."""
+_Frame = tuple[dict[str, str], dict[str, str], dict[str, str]]
 
-    def __init__(self) -> None:
-        # Stack of dicts; lookups walk from innermost out.
-        self._stack: list[dict[str, str]] = [{"xml": "http://www.w3.org/XML/1998/namespace"}]
-        self._counter = 0
 
-    def push(self, decls: dict[str, str]) -> None:
-        self._stack.append(dict(decls))
+def _frame(own: dict[str, str], outer: dict[str, str]) -> _Frame:
+    """The namespace frame of an element that declares *own* inside *outer*.
 
-    def pop(self) -> None:
-        self._stack.pop()
+    Returns ``(bindings, tag_prefix, attr_prefix)``.  ``bindings`` maps each
+    in-scope prefix to its uri, innermost declaration first with shadowed
+    outer prefixes dropped; the other two map a uri to the first prefix in
+    that order bound to it — attributes never take the default prefix.
+    """
+    bindings = dict(own)
+    for prefix, uri in outer.items():
+        if prefix not in bindings:
+            bindings[prefix] = uri
+    tag_prefix: dict[str, str] = {}
+    attr_prefix: dict[str, str] = {}
+    for prefix, uri in bindings.items():
+        tag_prefix.setdefault(uri, prefix)
+        if prefix:
+            attr_prefix.setdefault(uri, prefix)
+    return bindings, tag_prefix, attr_prefix
 
-    def uri_for_prefix(self, prefix: str) -> str | None:
-        for frame in reversed(self._stack):
-            if prefix in frame:
-                return frame[prefix]
-        return None
 
-    def prefix_for_uri(self, uri: str, *, allow_default: bool) -> str | None:
-        """Innermost prefix bound to *uri* that is not shadowed."""
-        seen_prefixes: set[str] = set()
-        for frame in reversed(self._stack):
-            for prefix, bound in frame.items():
-                if prefix in seen_prefixes:
-                    continue
-                seen_prefixes.add(prefix)
-                if bound == uri and (allow_default or prefix != ""):
-                    return prefix
-        return None
-
-    def fresh_prefix(self) -> str:
-        self._counter += 1
-        return f"ns{self._counter}"
-
-    def declare_here(self, prefix: str, uri: str) -> None:
-        self._stack[-1][prefix] = uri
+_ROOT_FRAME = _frame({"xml": "http://www.w3.org/XML/1998/namespace"}, {})  # never mutated
 
 
 def serialize(node: Element | Document, *, indent: int | None = None) -> str:
@@ -86,9 +78,8 @@ def serialize(node: Element | Document, *, indent: int | None = None) -> str:
         header = f'<?xml version="{node.version}" encoding="{node.encoding}"?>'
         body = serialize(node.root, indent=indent)
         return header + ("\n" if indent is not None else "") + body
-    scope = _PrefixScope()
     parts: list[str] = []
-    _write_element(node, scope, parts, indent, 0)
+    _write_element(node, _ROOT_FRAME, itertools.count(1), parts, indent, 0)
     return "".join(parts)
 
 
@@ -97,64 +88,65 @@ def serialize_bytes(node: Element | Document) -> bytes:
     return serialize(node).encode("utf-8")
 
 
-def _qname_str(name: QName, scope: _PrefixScope, extra_decls: dict[str, str], *, is_attr: bool) -> str:
-    """Render a QName, generating a declaration in *extra_decls* if needed."""
-    if not name.namespace:
-        return name.local
-    # Attributes cannot use the default (empty) prefix.
-    prefix = scope.prefix_for_uri(name.namespace, allow_default=not is_attr)
-    if prefix is None:
-        for p, uri in extra_decls.items():
-            if uri == name.namespace and (not is_attr or p != ""):
-                prefix = p
-                break
-    if prefix is None:
-        prefix = scope.fresh_prefix()
-        extra_decls[prefix] = name.namespace
-    return f"{prefix}:{name.local}" if prefix else name.local
-
-
 def _write_element(
     el: Element,
-    scope: _PrefixScope,
+    frame: _Frame,
+    fresh: Iterator[int],
     parts: list[str],
     indent: int | None,
     depth: int,
 ) -> None:
-    scope.push(el.nsdecls)
-    extra_decls: dict[str, str] = {}
-    tag = _qname_str(el.tag, scope, extra_decls, is_attr=False)
-    attr_parts: list[str] = []
-    for key in el.attrs:
-        rendered = _qname_str(key, scope, extra_decls, is_attr=True)
-        attr_parts.append(f' {rendered}="{escape_attr(el.attrs[key])}"')
-    # Register generated declarations so children can reuse them.
-    for prefix, uri in extra_decls.items():
-        scope.declare_here(prefix, uri)
-    decl_parts: list[str] = []
-    for prefix, uri in {**el.nsdecls, **extra_decls}.items():
+    own = el.nsdecls
+    if own:
+        frame = _frame(own, frame[0])
+    bindings, tag_prefix, attr_prefix = frame
+    generated: dict[str, str] = {}  # uri -> ns<N> prefix declared here for want of one in scope
+
+    tag = el.tag.local
+    uri = el.tag.namespace
+    if uri:
+        prefix = tag_prefix.get(uri)
+        if prefix is None:
+            prefix = generated[uri] = f"ns{next(fresh)}"
         if prefix:
-            decl_parts.append(f' xmlns:{prefix}="{escape_attr(uri)}"')
+            tag = f"{prefix}:{tag}"
+    attr_parts = ""
+    for key, value in el.attrs.items():
+        name = key.local
+        uri = key.namespace
+        if uri:
+            prefix = attr_prefix.get(uri) or generated.get(uri)
+            if prefix is None:
+                prefix = generated[uri] = f"ns{next(fresh)}"
+            name = f"{prefix}:{name}"
+        attr_parts += f' {name}="{escape_attr(value)}"'
+    inner = frame  # what the children see
+    if generated:
+        # A generated prefix overrides a same-named declaration of this element.
+        own = {**own, **{prefix: uri for uri, prefix in generated.items()}}
+        inner = None  # built for the first element child: a leaf never pays for it
+    decl_parts = ""
+    for prefix, uri in own.items():
+        if prefix:
+            decl_parts += f' xmlns:{prefix}="{escape_attr(uri)}"'
         else:
-            decl_parts.append(f' xmlns="{escape_attr(uri)}"')
+            decl_parts += f' xmlns="{escape_attr(uri)}"'
 
-    open_tag = f"<{tag}{''.join(decl_parts)}{''.join(attr_parts)}"
-    if not el.children:
-        parts.append(open_tag + "/>")
-        scope.pop()
+    children = el.children
+    if not children:
+        parts.append(f"<{tag}{decl_parts}{attr_parts}/>")
         return
-    parts.append(open_tag + ">")
-
-    only_elements = all(isinstance(c, Element) for c in el.children)
-    pretty = indent is not None and only_elements
-    for child in el.children:
+    parts.append(f"<{tag}{decl_parts}{attr_parts}>")
+    pretty = indent is not None and all(isinstance(c, Element) for c in children)
+    for child in children:
         if isinstance(child, str):
             parts.append(escape_text(child))
         else:
+            if inner is None:
+                inner = _frame(own, bindings)
             if pretty:
                 parts.append("\n" + " " * (indent * (depth + 1)))  # type: ignore[operator]
-            _write_element(child, scope, parts, indent, depth + 1)
+            _write_element(child, inner, fresh, parts, indent, depth + 1)
     if pretty:
         parts.append("\n" + " " * (indent * depth))  # type: ignore[operator]
     parts.append(f"</{tag}>")
-    scope.pop()

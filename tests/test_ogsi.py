@@ -98,6 +98,27 @@ class TestServiceData:
         sds.remove("x")
         assert sds.get("x") is None
 
+    def test_deferred_value_is_produced_by_its_first_read_only(self):
+        sds = ServiceDataSet()
+        calls = []
+        sds.set_deferred("big", lambda: calls.append(1) or "rendered")
+        sds.set("small", "1")
+        assert sds.names() == ["big", "small"] and not calls
+        assert sds.get("small").values == ["1"] and not calls
+        assert sds.get("big").values == ["rendered"]
+        assert "rendered" in sds.query("name:big") and "rendered" in sds.to_xml()
+        assert "rendered" in sds.query("xpath://serviceDataElement[@name='big']/value")
+        assert calls == [1]
+
+    def test_deferred_value_is_replaced_or_removed_unproduced(self):
+        sds = ServiceDataSet()
+        sds.set_deferred("a", lambda: 1 / 0)
+        sds.set_deferred("b", lambda: 1 / 0)
+        sds.set("a", "now")
+        sds.remove("b")
+        assert sds.names() == ["a"] and sds.get("a").values == ["now"]
+        assert sds.get("b") is None and "<value>" not in sds.query("b")
+
 
 ECHO_PT = PortType(
     "Echo",

@@ -8,6 +8,8 @@ NotificationSource so clients can subscribe to data-store updates.
 
 from __future__ import annotations
 
+import math
+
 from repro.core.prcache import PrCache, UnboundedCache
 from repro.core.semantic import (
     EXECUTION_PORTTYPE,
@@ -152,6 +154,10 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
             max_value = float(maxValue) if maxValue else None
         except ValueError as exc:
             raise ValueError(f"bad getPRAgg bound: {exc}") from exc
+        # nan orders no value, so each store would filter by it its own
+        # way; an infinite bound is simply an open one and passes.
+        if any(b is not None and math.isnan(b) for b in (min_value, max_value)):
+            raise ValueError("bad getPRAgg bound: nan")
         records = self.wrapper.get_pr_aggregate(
             metric, list(foci), start, end, resultType,
             min_value, max_value, groupBy,

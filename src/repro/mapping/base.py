@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import replace
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.core.semantic import (
     UNDEFINED_TYPE,
@@ -130,6 +130,41 @@ def compare_attribute(stored: str, value: str, operator: str) -> bool:
     raise MappingError(f"unsupported operator {operator!r}")
 
 
+def reduce_results(
+    results: Iterable[PerformanceResult],
+    min_value: float | None,
+    max_value: float | None,
+    group_by: str,
+) -> list[AggregateRecord]:
+    """Fold *results*, in order, into value-filtered aggregate buckets.
+
+    One bucket in all (``group_by == ""``) or one per result focus;
+    records come back sorted by group, non-empty groups only.
+    """
+    buckets: dict[str, list[float]] = {}
+    for result in results:
+        value = result.value
+        if min_value is not None and value < min_value:
+            continue
+        if max_value is not None and value > max_value:
+            continue
+        key = result.focus if group_by == "focus" else ""
+        acc = buckets.get(key)
+        if acc is None:
+            buckets[key] = [1.0, value, value, value]
+        else:
+            acc[0] += 1.0
+            acc[1] += value
+            if value < acc[2]:
+                acc[2] = value
+            if value > acc[3]:
+                acc[3] = value
+    return [
+        AggregateRecord(key, int(acc[0]), acc[1], acc[2], acc[3])
+        for key, acc in sorted(buckets.items())
+    ]
+
+
 class ExecutionWrapper(ABC):
     """Table 2 semantics for one execution of one data store."""
 
@@ -209,28 +244,9 @@ class ExecutionWrapper(ABC):
         """
         if group_by not in ("", "focus"):
             raise MappingError(f"unsupported aggregate group_by {group_by!r}")
-        buckets: dict[str, list[float]] = {}
-        for result in self.get_pr(metric, foci, start, end, result_type):
-            value = result.value
-            if min_value is not None and value < min_value:
-                continue
-            if max_value is not None and value > max_value:
-                continue
-            key = result.focus if group_by == "focus" else ""
-            acc = buckets.get(key)
-            if acc is None:
-                buckets[key] = [1.0, value, value, value]
-            else:
-                acc[0] += 1.0
-                acc[1] += value
-                if value < acc[2]:
-                    acc[2] = value
-                if value > acc[3]:
-                    acc[3] = value
-        return [
-            AggregateRecord(key, int(acc[0]), acc[1], acc[2], acc[3])
-            for key, acc in sorted(buckets.items())
-        ]
+        return reduce_results(
+            self.get_pr(metric, foci, start, end, result_type), min_value, max_value, group_by
+        )
 
     def get_stats(self) -> StoreStats:
         """Store statistics for this execution (cost-based planner input).

@@ -7,6 +7,8 @@ into PPerfGrid types.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.core.semantic import (
     UNDEFINED_TYPE,
     AggregateRecord,
@@ -14,7 +16,12 @@ from repro.core.semantic import (
     PerformanceResult,
     StoreStats,
 )
-from repro.mapping.base import ApplicationWrapper, ExecutionWrapper, MappingError
+from repro.mapping.base import (
+    ApplicationWrapper,
+    ExecutionWrapper,
+    MappingError,
+    reduce_results,
+)
 from repro.minidb import Connection, Database, connect
 
 _SQL_OPS = {"=": "=", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
@@ -31,6 +38,11 @@ def _value_bounds_sql(expr: str, min_value: float | None, max_value: float | Non
         clauses.append(f"({expr}) <= ?")
         params.append(max_value)
     return clauses, params
+
+
+def _in_sql(column: str, count: int) -> str:
+    """WHERE fragment admitting *count* bound members of a focus family."""
+    return f"{column} IN ({', '.join('?' * count)})"
 
 
 class _Bucket:
@@ -72,6 +84,14 @@ def _sql_value(value: str, numeric: bool) -> object:
     except ValueError as exc:
         raise MappingError(f"attribute expects a number, got {value!r}") from exc
     return int(f) if f.is_integer() else f
+
+
+def _grouped(rows: list[tuple], width: int) -> dict[tuple, list[tuple]]:
+    """*rows* keyed by their first *width* columns; each group keeps row order."""
+    groups: dict[tuple, list[tuple]] = {}
+    for row in rows:
+        groups.setdefault(row[:width], []).append(row[width:])
+    return groups
 
 
 def _type_matches(requested: str, actual: str) -> bool:
@@ -483,6 +503,42 @@ def _smg98_stats(conn: Connection, execid: int | None) -> StoreStats:
     )
 
 
+_BY_FUNCTION = "FROM intervals i JOIN functions f ON i.funcid = f.funcid"
+_BY_FUNCTION_AND_RANK = _BY_FUNCTION + " JOIN processes p ON i.procid = p.procid"
+#: metric -> (/Code columns, their source, their tail, /Process per-function value)
+_INTERVAL_SHAPES = {
+    "time_spent": (
+        "i.start_ts, i.end_ts", _BY_FUNCTION, "ORDER BY i.start_ts",
+        "SUM(i.end_ts - i.start_ts)",
+    ),
+    "func_calls": (
+        "p.rank, COUNT(*)", _BY_FUNCTION_AND_RANK,
+        "GROUP BY f.grp, f.name, p.rank ORDER BY p.rank", "COUNT(*)",
+    ),
+}
+
+
+def _smg98_focus(focus: str) -> tuple[str, str, tuple]:
+    """``(focus, family, key)``: the focus, the family whose one statement
+    answers it, and the leading columns that pick its rows out of that
+    statement's result."""
+    parts = focus.split("/")
+    if focus.startswith("/Code/"):
+        if len(parts) != 4:
+            raise MappingError(f"bad /Code focus {focus!r}")
+        return focus, "code", (parts[2], parts[3])
+    if focus.startswith("/Process/"):
+        if len(parts) != 3:
+            raise MappingError(f"bad /Process focus {focus!r}")
+        try:
+            return focus, "process", (int(parts[2]),)
+        except ValueError as exc:
+            raise MappingError(f"bad /Process focus {focus!r}") from exc
+    if focus == "/Messages":
+        return focus, "messages", ()
+    raise MappingError(f"unknown SMG98 focus {focus!r}")
+
+
 class Smg98ExecutionWrapper(ExecutionWrapper):
     """One SMG98 run.
 
@@ -547,17 +603,8 @@ class Smg98ExecutionWrapper(ExecutionWrapper):
         if metric not in known:
             raise MappingError(f"unknown SMG98 metric {metric!r}")
         lo, hi = self._window(start, end)
-        results: list[PerformanceResult] = []
-        for focus in foci:
-            if focus.startswith("/Code/"):
-                results.extend(self._code_focus(metric, focus, lo, hi))
-            elif focus.startswith("/Process/"):
-                results.extend(self._process_focus(metric, focus, lo, hi))
-            elif focus == "/Messages":
-                results.extend(self._message_focus(metric, focus, lo, hi))
-            else:
-                raise MappingError(f"unknown SMG98 focus {focus!r}")
-        return results
+        plan = [_smg98_focus(focus) for focus in foci]
+        return [pr for results in self._focus_results(metric, plan, lo, hi) for pr in results]
 
     def get_pr_aggregate(
         self,
@@ -573,12 +620,14 @@ class Smg98ExecutionWrapper(ExecutionWrapper):
         """SQL push-down for the trace-granularity metrics.
 
         ``time_spent`` on ``/Code`` foci and ``msg_deliv_time`` on
-        ``/Messages`` — the payloads that dominate Table 4 — reduce to a
-        single ``SELECT COUNT/SUM/MIN/MAX`` with the value filter in the
-        ``WHERE`` clause, so thousands of interval rows never leave the
-        store.  Shapes minidb cannot express in one statement (per-rank
-        subaggregates) fall back to the generic Mapping-Layer reduction,
-        which is still server-side.
+        ``/Messages`` — the payloads that dominate Table 4 — reduce to
+        one ``COUNT/SUM/MIN/MAX`` statement per family with the value
+        filter in the ``WHERE`` clause, so thousands of interval rows
+        never leave the store.  The other shapes are derived values
+        (per-rank, per-function subaggregates): their families' result
+        rows are reduced here in the Mapping Layer, still server-side.
+        Either way each focus's partials enter the buckets in request
+        order, which fixes every float sum.
         """
         if group_by not in ("", "focus"):
             raise MappingError(f"unsupported aggregate group_by {group_by!r}")
@@ -588,133 +637,119 @@ class Smg98ExecutionWrapper(ExecutionWrapper):
         if metric not in known:
             raise MappingError(f"unknown SMG98 metric {metric!r}")
         lo, hi = self._window(start, end)
+        plan = [_smg98_focus(focus) for focus in foci]
+        aggs = "COUNT(*), SUM({0}), MIN({0}), MAX({0})"
+        pushed, partials = "", {}
+        if metric == "time_spent":
+            pushed, expr = "code", "i.end_ts - i.start_ts"
+            partials = _grouped(self._interval_rows(
+                f"f.grp, f.name, {aggs.format(expr)}", _BY_FUNCTION, "f.name",
+                {key[1] for _, family, key in plan if family == pushed}, lo, hi,
+                _value_bounds_sql(expr, min_value, max_value), "GROUP BY f.grp, f.name",
+            ), 2)
+        elif metric == "msg_deliv_time" and group_by != "focus":
+            # Focus grouping cannot use this shape: delivery-time
+            # results carry per-message foci (/Messages/<snd>-<rcv>),
+            # so those buckets come from the result rows below.
+            pushed, expr = "messages", "recv_ts - send_ts"
+            if any(family == pushed for _, family, _ in plan):
+                clauses, bound_params = _value_bounds_sql(expr, min_value, max_value)
+                where = ["execid = ?", "send_ts >= ?", "recv_ts <= ?", *clauses]
+                partials = {(): self.conn.execute(
+                    f"SELECT {aggs.format(expr)} FROM messages WHERE {' AND '.join(where)}",
+                    [self.execid, lo, hi, *bound_params],
+                ).fetchall()}
+        derived = iter(self._focus_results(
+            metric, [entry for entry in plan if entry[1] != pushed], lo, hi
+        ))
         buckets: dict[str, _Bucket] = {}
-
-        def absorb(key: str, count: int, total: float, mn: float, mx: float) -> None:
-            buckets.setdefault(key, _Bucket()).absorb(count, total, mn, mx)
-
-        for focus in foci:
-            key = focus if group_by == "focus" else ""
-            if focus.startswith("/Code/") and metric == "time_spent":
-                parts = focus.split("/")
-                if len(parts) != 4:
-                    raise MappingError(f"bad /Code focus {focus!r}")
-                _, _, grp, name = parts
-                expr = "i.end_ts - i.start_ts"
-                where = [
-                    "i.execid = ?", "f.grp = ?", "f.name = ?",
-                    "i.start_ts >= ?", "i.end_ts <= ?",
-                ]
-                params: list[object] = [self.execid, grp, name, lo, hi]
-                clauses, bound_params = _value_bounds_sql(expr, min_value, max_value)
-                where.extend(clauses)
-                params.extend(bound_params)
-                row = self.conn.execute(
-                    f"SELECT COUNT(*), SUM({expr}), MIN({expr}), MAX({expr}) "
-                    "FROM intervals i JOIN functions f ON i.funcid = f.funcid "
-                    f"WHERE {' AND '.join(where)}",
-                    params,
-                ).fetchone()
-                assert row is not None
-                if int(row[0]):
-                    absorb(key, int(row[0]), float(row[1]), float(row[2]), float(row[3]))
-            elif focus == "/Messages" and metric == "msg_deliv_time" and group_by != "focus":
-                # Focus grouping cannot use this shape: delivery-time
-                # results carry per-message foci (/Messages/<snd>-<rcv>),
-                # so those buckets come from the generic path below.
-                expr = "recv_ts - send_ts"
-                where = ["execid = ?", "send_ts >= ?", "recv_ts <= ?"]
-                params = [self.execid, lo, hi]
-                clauses, bound_params = _value_bounds_sql(expr, min_value, max_value)
-                where.extend(clauses)
-                params.extend(bound_params)
-                row = self.conn.execute(
-                    f"SELECT COUNT(*), SUM({expr}), MIN({expr}), MAX({expr}) "
-                    f"FROM messages WHERE {' AND '.join(where)}",
-                    params,
-                ).fetchone()
-                assert row is not None
-                if int(row[0]):
-                    absorb(key, int(row[0]), float(row[1]), float(row[2]), float(row[3]))
+        for focus, family, key in plan:
+            if family == pushed:
+                group = focus if group_by == "focus" else ""
+                for count, total, mn, mx in partials.get(key, ()):
+                    if count:
+                        buckets.setdefault(group, _Bucket()).absorb(
+                            int(count), float(total), float(mn), float(mx)
+                        )
             else:
-                # Per-rank / per-function subaggregates need a derived
-                # table; reduce those foci through the generic path.
-                for record in super().get_pr_aggregate(
-                    metric, [focus], start, end, result_type,
-                    min_value, max_value, group_by,
-                ):
-                    absorb(record.group, record.count, record.total,
-                           record.minimum, record.maximum)
+                for record in reduce_results(next(derived), min_value, max_value, group_by):
+                    buckets.setdefault(record.group, _Bucket()).absorb(
+                        record.count, record.total, record.minimum, record.maximum
+                    )
         return _bucket_records(buckets)
 
     def get_stats(self) -> StoreStats:
         """Per-execution stats via the shared SQL aggregates (no scan)."""
         return _smg98_stats(self.conn, execid=self.execid)
 
-    def _code_focus(
-        self, metric: str, focus: str, lo: float, hi: float
-    ) -> list[PerformanceResult]:
-        parts = focus.split("/")
-        if len(parts) != 4:
-            raise MappingError(f"bad /Code focus {focus!r}")
-        _, _, grp, name = parts
-        if metric == "time_spent":
-            cursor = self.conn.execute(
-                "SELECT i.start_ts, i.end_ts FROM intervals i "
-                "JOIN functions f ON i.funcid = f.funcid "
-                "WHERE i.execid = ? AND f.grp = ? AND f.name = ? "
-                "AND i.start_ts >= ? AND i.end_ts <= ? ORDER BY i.start_ts",
-                [self.execid, grp, name, lo, hi],
-            )
-            return [
-                PerformanceResult(metric, focus, "vampir", s, e, e - s)
-                for s, e in cursor.fetchall()
-            ]
-        if metric == "func_calls":
-            cursor = self.conn.execute(
-                "SELECT p.rank, COUNT(*) FROM intervals i "
-                "JOIN functions f ON i.funcid = f.funcid "
-                "JOIN processes p ON i.procid = p.procid "
-                "WHERE i.execid = ? AND f.grp = ? AND f.name = ? "
-                "AND i.start_ts >= ? AND i.end_ts <= ? "
-                "GROUP BY p.rank ORDER BY p.rank",
-                [self.execid, grp, name, lo, hi],
-            )
-            return [
-                PerformanceResult(metric, f"{focus}/rank/{rank}", "vampir", lo, hi, float(n))
-                for rank, n in cursor.fetchall()
-            ]
-        return []  # message metrics do not apply to /Code foci
-
-    def _process_focus(
-        self, metric: str, focus: str, lo: float, hi: float
-    ) -> list[PerformanceResult]:
-        parts = focus.split("/")
-        if len(parts) != 3:
-            raise MappingError(f"bad /Process focus {focus!r}")
-        try:
-            rank = int(parts[2])
-        except ValueError as exc:
-            raise MappingError(f"bad /Process focus {focus!r}") from exc
-        if metric == "time_spent":
-            agg = "SUM(i.end_ts - i.start_ts)"
-        elif metric == "func_calls":
-            agg = "COUNT(*)"
-        else:
+    def _interval_rows(
+        self, select: str, source: str, column: str, members: set, lo: float, hi: float,
+        bounds: tuple[Sequence[str], Sequence[float]] = ((), ()), tail: str = "",
+    ) -> list[tuple]:
+        """One statement for a whole focus family: this execution's
+        intervals inside ``[lo, hi]`` whose *column* is one of *members*.
+        """
+        if not members:
             return []
-        cursor = self.conn.execute(
-            f"SELECT f.grp, f.name, {agg} FROM intervals i "
-            "JOIN functions f ON i.funcid = f.funcid "
-            "JOIN processes p ON i.procid = p.procid "
-            "WHERE i.execid = ? AND p.rank = ? "
-            "AND i.start_ts >= ? AND i.end_ts <= ? "
-            "GROUP BY f.grp, f.name ORDER BY f.grp, f.name",
-            [self.execid, rank, lo, hi],
-        )
-        return [
-            PerformanceResult(metric, f"{focus}/Code/{grp}/{name}", "vampir", lo, hi, float(v))
-            for grp, name, v in cursor.fetchall()
+        wanted = sorted(members)
+        clauses, bound_params = bounds
+        where = [
+            "i.execid = ?", _in_sql(column, len(wanted)),
+            "i.start_ts >= ?", "i.end_ts <= ?", *clauses,
         ]
+        return self.conn.execute(
+            f"SELECT {select} {source} WHERE {' AND '.join(where)} {tail}",
+            [self.execid, *wanted, lo, hi, *bound_params],
+        ).fetchall()
+
+    def _focus_results(
+        self, metric: str, plan: list[tuple[str, str, tuple]], lo: float, hi: float
+    ) -> list[list[PerformanceResult]]:
+        """One result list per planned focus, in plan order.
+
+        The foci are answered family by family — one statement for all
+        ``/Code`` foci, one for all ``/Process`` foci, ``/Messages``
+        once — and each focus then picks its own rows, so a focus gets
+        the rows, in the store order, that a statement of its own would.
+        """
+        code: dict[tuple, list[tuple]] = {}
+        process: dict[tuple, list[tuple]] = {}
+        if metric in _INTERVAL_SHAPES:  # message metrics find no interval rows
+            select, source, tail, per_function = _INTERVAL_SHAPES[metric]
+            code = _grouped(self._interval_rows(
+                f"f.grp, f.name, {select}", source, "f.name",
+                {key[1] for _, family, key in plan if family == "code"}, lo, hi, tail=tail,
+            ), 2)
+            process = _grouped(self._interval_rows(
+                f"p.rank, f.grp, f.name, {per_function}", _BY_FUNCTION_AND_RANK, "p.rank",
+                {key[0] for _, family, key in plan if family == "process"}, lo, hi,
+                tail="GROUP BY p.rank, f.grp, f.name ORDER BY f.grp, f.name",
+            ), 1)
+        messages: list[PerformanceResult] | None = None
+        results: list[list[PerformanceResult]] = []
+        for focus, family, key in plan:
+            if family == "messages":
+                if messages is None:
+                    messages = self._message_focus(metric, focus, lo, hi)
+                results.append(messages)
+            elif family == "process":
+                results.append([
+                    PerformanceResult(
+                        metric, f"{focus}/Code/{grp}/{name}", "vampir", lo, hi, float(value)
+                    )
+                    for grp, name, value in process.get(key, ())
+                ])
+            elif metric == "time_spent":
+                results.append([
+                    PerformanceResult(metric, focus, "vampir", s, e, e - s)
+                    for s, e in code.get(key, ())
+                ])
+            else:  # func_calls: one result per rank
+                results.append([
+                    PerformanceResult(metric, f"{focus}/rank/{rank}", "vampir", lo, hi, float(n))
+                    for rank, n in code.get(key, ())
+                ])
+        return results
 
     def _message_focus(
         self, metric: str, focus: str, lo: float, hi: float
@@ -871,6 +906,14 @@ def _presta_rdbms_stats(conn: Connection, execid: int | None) -> StoreStats:
     )
 
 
+def _presta_ops(foci: list[str]) -> list[str]:
+    """The operation each ``/Op/<name>`` focus names, in request order."""
+    for focus in foci:
+        if not focus.startswith("/Op/"):
+            raise MappingError(f"unknown PRESTA focus {focus!r}")
+    return [focus[len("/Op/") :] for focus in foci]
+
+
 class PrestaRdbmsExecutionWrapper(ExecutionWrapper):
     """One PRESTA run (relational): per-message-size sweeps per operation."""
 
@@ -915,23 +958,29 @@ class PrestaRdbmsExecutionWrapper(ExecutionWrapper):
             raise MappingError(f"unknown PRESTA metric {metric!r}")
         lo = max(self.start_time, start)
         hi = self.end_time if end <= 0 else min(self.end_time, end)
-        results: list[PerformanceResult] = []
-        for focus in foci:
-            if not focus.startswith("/Op/"):
-                raise MappingError(f"unknown PRESTA focus {focus!r}")
-            op = focus[len("/Op/") :]
-            cursor = self.conn.execute(
-                f"SELECT msgsize, {metric} FROM rma_results "
-                "WHERE execid = ? AND op = ? ORDER BY msgsize",
-                [self.execid, op],
-            )
-            for size, value in cursor.fetchall():
-                results.append(
-                    PerformanceResult(
-                        metric, f"{focus}/msgsize/{size}", "presta", lo, hi, float(value)
-                    )
-                )
-        return results
+        ops = _presta_ops(foci)
+        by_op = self._op_rows(f"msgsize, {metric}", ops, tail="ORDER BY msgsize")
+        return [
+            PerformanceResult(metric, f"{focus}/msgsize/{size}", "presta", lo, hi, float(value))
+            for focus, op in zip(foci, ops)
+            for size, value in by_op.get((op,), ())
+        ]
+
+    def _op_rows(
+        self, select: str, ops: list[str],
+        bounds: tuple[Sequence[str], Sequence[float]] = ((), ()), tail: str = "",
+    ) -> dict[tuple, list[tuple]]:
+        """One statement for every requested operation, rows keyed by op."""
+        if not ops:
+            return {}
+        wanted = sorted(set(ops))
+        clauses, bound_params = bounds
+        where = ["execid = ?", _in_sql("op", len(wanted)), *clauses]
+        cursor = self.conn.execute(
+            f"SELECT op, {select} FROM rma_results WHERE {' AND '.join(where)} {tail}",
+            [self.execid, *wanted, *bound_params],
+        )
+        return _grouped(cursor.fetchall(), 1)
 
     def get_pr_aggregate(
         self,
@@ -951,40 +1000,24 @@ class PrestaRdbmsExecutionWrapper(ExecutionWrapper):
             return []
         if metric not in PrestaRdbmsWrapper.METRICS:
             raise MappingError(f"unknown PRESTA metric {metric!r}")
+        ops = _presta_ops(foci)
+        aggs = f"COUNT(*), SUM({metric}), MIN({metric}), MAX({metric})"
+        bounds = _value_bounds_sql(metric, min_value, max_value)
+        if group_by == "focus":
+            # get_pr renders one result per message size, so the focus
+            # grouping is a per-msgsize GROUP BY inside the store.
+            by_op = self._op_rows(
+                f"msgsize, {aggs}", ops, bounds, "GROUP BY op, msgsize ORDER BY msgsize"
+            )
+        else:
+            by_op = self._op_rows(aggs, ops, bounds, "GROUP BY op")
         buckets: dict[str, _Bucket] = {}
-        for focus in foci:
-            if not focus.startswith("/Op/"):
-                raise MappingError(f"unknown PRESTA focus {focus!r}")
-            op = focus[len("/Op/") :]
-            where = ["execid = ?", "op = ?"]
-            params: list[object] = [self.execid, op]
-            clauses, bound_params = _value_bounds_sql(metric, min_value, max_value)
-            where.extend(clauses)
-            params.extend(bound_params)
-            aggs = f"COUNT(*), SUM({metric}), MIN({metric}), MAX({metric})"
-            if group_by == "focus":
-                # get_pr renders one result per message size, so the focus
-                # grouping is a per-msgsize GROUP BY inside the store.
-                cursor = self.conn.execute(
-                    f"SELECT msgsize, {aggs} FROM rma_results "
-                    f"WHERE {' AND '.join(where)} GROUP BY msgsize ORDER BY msgsize",
-                    params,
+        for focus, op in zip(foci, ops):  # foci order fixes the float sums
+            for *size, count, total, mn, mx in by_op.get((op,), ()):
+                key = f"{focus}/msgsize/{size[0]}" if size else ""
+                buckets.setdefault(key, _Bucket()).absorb(
+                    int(count), float(total), float(mn), float(mx)
                 )
-                for size, count, total, mn, mx in cursor.fetchall():
-                    if int(count):
-                        buckets.setdefault(
-                            f"{focus}/msgsize/{size}", _Bucket()
-                        ).absorb(int(count), float(total), float(mn), float(mx))
-            else:
-                row = self.conn.execute(
-                    f"SELECT {aggs} FROM rma_results WHERE {' AND '.join(where)}",
-                    params,
-                ).fetchone()
-                assert row is not None
-                if int(row[0]):
-                    buckets.setdefault("", _Bucket()).absorb(
-                        int(row[0]), float(row[1]), float(row[2]), float(row[3])
-                    )
         return _bucket_records(buckets)
 
     def get_stats(self) -> StoreStats:

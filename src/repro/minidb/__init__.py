@@ -25,6 +25,9 @@ Supported SQL
 * transactions: ``Connection.begin()/commit()/rollback()`` (undo-log
   based, DDL excluded) and the ``with conn.transaction():`` scope
 * ``Database.explain(sql)`` — plan introspection.
+* ``?`` placeholders wherever an expression may stand, and after
+  ``LIMIT`` / ``OFFSET``: each SQL text is parsed once and parameters are
+  bound into the parsed tree by value, never spliced into the text.
 """
 
 from repro.minidb.database import Database

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import lru_cache
+
 from repro.minidb.errors import ProgrammingError
 from repro.minidb.executor import ResultSet, SelectExecutor
-from repro.minidb.expr import BoundExpr, RowLayout, contains_aggregate
+from repro.minidb.expr import BoundExpr, Literal, Param, RowLayout, contains_aggregate
 from repro.minidb.schema import TableSchema
 from repro.minidb.sql_ast import (
     CreateIndexStmt,
@@ -17,7 +20,7 @@ from repro.minidb.sql_ast import (
     Statement,
     UpdateStmt,
 )
-from repro.minidb.sql_parser import parse_sql
+from repro.minidb.sql_parser import parse_template
 from repro.minidb.storage import Table
 from repro.minidb.txn import TransactionLog
 from repro.minidb.types import SqlValue
@@ -35,6 +38,9 @@ class Database:
         self.tables: dict[str, Table] = {}
         self._index_owner: dict[str, str] = {}  # index name -> table name
         self._txn: TransactionLog | None = None
+        # SQL text -> (template, placeholder count).  Parsing reads no
+        # catalog state, so DDL never stales an entry.
+        self._parse = lru_cache(maxsize=256)(parse_template)
 
     # ------------------------------------------------------- transactions
     @property
@@ -108,10 +114,28 @@ class Database:
     # ----------------------------------------------------------- dispatch
     def execute(self, sql: str, params: tuple | list | None = None) -> ResultSet | int:
         """Parse and execute; ``?`` placeholders are bound from *params*."""
-        if params:
-            sql = _bind_params(sql, list(params))
-        stmt = parse_sql(sql)
-        return self.execute_statement(stmt)
+        return self.execute_statement(self._prepare(sql, params))
+
+    def _prepare(self, sql: str, params: tuple | list | None) -> Statement:
+        """The statement for *sql* with *params* bound in as literal values.
+
+        Each text is lexed and parsed once; later executions only
+        re-bind.  A value never passes through SQL text, so it needs no
+        escaping and has no spelling the lexer could misread.
+        """
+        template, nparams = self._parse(sql)
+        values = params or ()
+        if len(values) < nparams:
+            raise ProgrammingError("not enough parameters for placeholders")
+        if len(values) > nparams:
+            raise ProgrammingError("too many parameters for placeholders")
+        stmt = _bound(template, values) if values else template
+        counts = {
+            clause: _row_count(clause, bound.value)
+            for clause in ("limit", "offset")
+            if isinstance(bound := getattr(stmt, clause, None), Literal)
+        }
+        return replace(stmt, **counts) if counts else stmt
 
     def execute_statement(self, stmt: Statement) -> ResultSet | int:
         if isinstance(stmt, SelectStmt):
@@ -163,9 +187,7 @@ class Database:
 
     def explain(self, sql: str, params: tuple | list | None = None) -> str:
         """Describe the plan for a SELECT without executing it."""
-        if params:
-            sql = _bind_params(sql, list(params))
-        stmt = parse_sql(sql)
+        stmt = self._prepare(sql, params)
         if not isinstance(stmt, SelectStmt):
             raise ProgrammingError("explain() requires a SELECT statement")
         lines = SelectExecutor(self, stmt).explain()
@@ -215,39 +237,28 @@ class Database:
         return len(to_delete)
 
 
-def _bind_params(sql: str, params: list[SqlValue]) -> str:
-    """Substitute ``?`` placeholders with SQL literals (string-safe)."""
-    out: list[str] = []
-    it = iter(params)
-    i, n = 0, len(sql)
-    in_string = False
-    while i < n:
-        ch = sql[i]
-        if ch == "'":
-            in_string = not in_string
-            out.append(ch)
-        elif ch == "?" and not in_string:
-            try:
-                value = next(it)
-            except StopIteration:
-                raise ProgrammingError("not enough parameters for placeholders") from None
-            out.append(_literal(value))
-        else:
-            out.append(ch)
-        i += 1
-    try:
-        next(it)
-    except StopIteration:
-        return "".join(out)
-    raise ProgrammingError("too many parameters for placeholders")
+def _row_count(clause: str, value: SqlValue) -> int:
+    """A bound ``LIMIT ?`` / ``OFFSET ?``, held to the parser's rule for a written one."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ProgrammingError(f"{clause.upper()} must be a non-negative integer, got {value!r}")
+    return value
 
 
-def _literal(value: SqlValue) -> str:
-    if value is None:
-        return "NULL"
-    if isinstance(value, bool):
-        return "TRUE" if value else "FALSE"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    escaped = str(value).replace("'", "''")
-    return f"'{escaped}'"
+def _bound(node, values: tuple | list):
+    """*node* with every ``Param`` leaf replaced by its value's ``Literal``.
+
+    Subtrees without placeholders are shared with the template, not
+    copied; the template itself is never modified.
+    """
+    if isinstance(node, Param):
+        return Literal(values[node.index])
+    if isinstance(node, tuple):
+        bound = tuple(_bound(child, values) for child in node)
+        return bound if any(b is not c for b, c in zip(bound, node)) else node
+    changed = {}
+    for name in getattr(node, "__dataclass_fields__", ()):
+        child = getattr(node, name)
+        bound = _bound(child, values)
+        if bound is not child:
+            changed[name] = bound
+    return replace(node, **changed) if changed else node

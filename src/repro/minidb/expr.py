@@ -28,6 +28,13 @@ class Literal(Expr):
 
 
 @dataclass(frozen=True)
+class Param(Expr):
+    """A ``?`` placeholder; ``Database.execute`` binds a value into its place."""
+
+    index: int  # position among the statement's placeholders
+
+
+@dataclass(frozen=True)
 class ColumnRef(Expr):
     table: str | None  # alias or table name, or None if unqualified
     column: str
@@ -420,8 +427,28 @@ def _compile(expr: Expr, layout: RowLayout):
 
     if isinstance(expr, InList):
         operand = _compile(expr.operand, layout)
-        items = [_compile(i, layout) for i in expr.items]
         negated = expr.negated
+        # A list of same-kind literals — a bound focus family — is one
+        # set probe per row, answering as the loop below does for every
+        # operand: kinds pair up as in compare_values, which also calls
+        # nan equal to any number (a nan member keeps the list on the loop).
+        values = [i.value for i in expr.items if isinstance(i, Literal)]
+        kinds = {type(v) for v in values}
+        if kinds <= {int, float}:
+            kinds = {int, float}
+        same_kind = kinds in ({str}, {int, float}) and all(v == v for v in values)
+        if same_kind and len(values) == len(expr.items):
+            members = frozenset(values)
+
+            def eval_in_literals(row: tuple) -> SqlValue:
+                v = operand(row)
+                if v is None:
+                    return False
+                hit = type(v) in kinds and (v in members or v != v)
+                return (not hit) if negated else hit
+
+            return eval_in_literals
+        items = [_compile(i, layout) for i in expr.items]
 
         def eval_in(row: tuple) -> SqlValue:
             v = operand(row)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.minidb.expr import Expr
+from repro.minidb.expr import Expr, Param
 from repro.minidb.schema import ColumnDef
 
 
@@ -51,8 +51,8 @@ class SelectStmt:
     group_by: tuple[Expr, ...] = ()
     having: Expr | None = None
     order_by: tuple[OrderItem, ...] = ()
-    limit: int | None = None
-    offset: int = 0
+    limit: int | Param | None = None  # a Param only until it is bound
+    offset: int | Param = 0
     distinct: bool = False
 
 

@@ -22,6 +22,7 @@ class TokenKind(Enum):
     IDENT = "ident"
     NUMBER = "number"
     STRING = "string"
+    PARAM = "param"  # a ``?`` placeholder
     OP = "op"  # operators and punctuation
     EOF = "eof"
 
@@ -114,6 +115,10 @@ def tokenize(sql: str) -> list[Token]:
                 raise SqlSyntaxError(f"unterminated quoted identifier at {i}")
             tokens.append(Token(TokenKind.IDENT, sql[i + 1 : j], i))
             i = j + 1
+            continue
+        if ch == "?":
+            tokens.append(Token(TokenKind.PARAM, ch, i))
+            i += 1
             continue
         two = sql[i : i + 2]
         if two in _TWO_CHAR_OPS:

@@ -31,6 +31,7 @@ from repro.minidb.expr import (
     Literal,
     Negate,
     NotOp,
+    Param,
 )
 from repro.minidb.schema import ColumnDef
 from repro.minidb.sql_ast import (
@@ -52,19 +53,29 @@ from repro.minidb.sql_lexer import Token, TokenKind, tokenize
 from repro.minidb.types import SqlType
 
 
-def parse_sql(sql: str) -> Statement:
-    """Parse one SQL statement (a single trailing ';' is allowed)."""
+def parse_template(sql: str) -> tuple[Statement, int]:
+    """Parse one SQL statement (a single trailing ';' is allowed).
+
+    Returns the statement and the number of ``?`` placeholders in it;
+    placeholder *n* (in text order) is the leaf ``Param(n)``.
+    """
     parser = _Parser(tokenize(sql))
     stmt = parser.parse_statement()
     parser.accept_op(";")
     parser.expect_eof()
-    return stmt
+    return stmt, parser.nparams
+
+
+def parse_sql(sql: str) -> Statement:
+    """The statement alone, for callers that bind no parameters."""
+    return parse_template(sql)[0]
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.i = 0
+        self.nparams = 0
 
     # ------------------------------------------------------------- cursor
     @property
@@ -158,8 +169,8 @@ class _Parser:
             order_by.append(self.parse_order_item())
             while self.accept_op(","):
                 order_by.append(self.parse_order_item())
-        limit: int | None = None
-        offset = 0
+        limit: int | Param | None = None
+        offset: int | Param = 0
         if self.accept_kw("LIMIT"):
             limit = self.parse_nonneg_int("LIMIT")
             if self.accept_kw("OFFSET"):
@@ -177,7 +188,9 @@ class _Parser:
             distinct=distinct,
         )
 
-    def parse_nonneg_int(self, context: str) -> int:
+    def parse_nonneg_int(self, context: str) -> int | Param:
+        if self.cur.kind is TokenKind.PARAM:
+            return self.parse_param()  # checked once its value is bound
         if self.cur.kind is not TokenKind.NUMBER:
             raise self.error(f"expected a number after {context}")
         text = self.advance().value
@@ -188,6 +201,11 @@ class _Parser:
         if value < 0:
             raise self.error(f"{context} must be non-negative")
         return value
+
+    def parse_param(self) -> Param:
+        self.advance()
+        self.nparams += 1
+        return Param(self.nparams - 1)
 
     def parse_select_item(self) -> SelectItem:
         if self.cur.is_op("*"):
@@ -432,6 +450,8 @@ class _Parser:
         if tok.kind is TokenKind.STRING:
             self.advance()
             return Literal(tok.value)
+        if tok.kind is TokenKind.PARAM:
+            return self.parse_param()
         if tok.is_kw("NULL"):
             self.advance()
             return Literal(None)

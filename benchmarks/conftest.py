@@ -7,7 +7,6 @@ Each table/figure bench regenerates its artifact, asserts the paper's
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
@@ -24,21 +23,6 @@ def write_result(name: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     print(f"\n[written to {path}]\n{text}")
-
-
-def write_json(name: str, payload: dict) -> None:
-    """Machine-readable companion artifact: ``BENCH_<name>.json``.
-
-    Key metrics and speedup ratios only — the rendered table stays in
-    the ``write_result`` text file; this one is for dashboards and CI
-    trend tracking.
-    """
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"BENCH_{name}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"\n[written to {path}]")
 
 
 @pytest.fixture(scope="session")

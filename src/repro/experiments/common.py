@@ -81,7 +81,6 @@ class TestGrid:
         self,
         authority: str = "fed.pdx.edu:9090",
         coherence: bool = True,
-        cost_based: bool = True,
     ):
         """Deploy a FederatedQuery service over this grid's members.
 
@@ -92,13 +91,10 @@ class TestGrid:
         ``grid.client.query(...)`` works afterwards.  With ``coherence``
         (the default) the service also subscribes to every member
         Execution's data-update topic, so store updates invalidate
-        exactly the cached plans that read them.  ``cost_based=False``
-        reverts the engine to the global-mode planner (the benchmark
-        baseline).  Returns the engine (useful for local, in-process
-        execution in tests).
+        exactly the cached plans that read them.  Returns the engine
+        (useful for local, in-process execution in tests).
         """
-        engine = _deploy_federation(self, authority, coherence, cost_based)
-        return engine
+        return _deploy_federation(self, authority, coherence)
 
     def execution_service(self, site_name: str, exec_id: str):
         """The live ExecutionService instance for *exec_id*, or None.
@@ -129,7 +125,7 @@ class TestGrid:
             self._tempdir = None
 
 
-def _deploy_federation(grid, authority: str, coherence: bool, cost_based: bool):
+def _deploy_federation(grid, authority: str, coherence: bool):
     """Deploy FederatedQuery + ViewRegistry over *grid* (TestGrid-shaped)."""
     from repro.fedquery.executor import FederationEngine, choose_fanout
     from repro.fedquery.scheduler import FanoutScheduler
@@ -151,7 +147,6 @@ def _deploy_federation(grid, authority: str, coherence: bool, cost_based: bool):
     engine = FederationEngine(
         engine_client,
         managers=managers,
-        cost_based=cost_based,
         scheduler=scheduler,
     )
     container = grid.environment.container_for(authority)
@@ -207,9 +202,8 @@ class SyntheticGrid:
         self,
         authority: str = "fed.pdx.edu:9090",
         coherence: bool = True,
-        cost_based: bool = True,
     ):
-        return _deploy_federation(self, authority, coherence, cost_based)
+        return _deploy_federation(self, authority, coherence)
 
     def execution_service(self, site_name: str, exec_id: str):
         site = self.sites[site_name]

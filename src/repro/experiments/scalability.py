@@ -32,6 +32,7 @@ from repro.datastores.generators.hpl import generate_hpl
 from repro.mapping.rdbms import HplRdbmsWrapper
 from repro.ogsi.container import GridEnvironment
 from repro.ogsi.gsh import GridServiceHandle
+from repro.simnet.clock import Clock
 from repro.simnet.host import SimHost
 from repro.simnet.network import NetworkModel
 
@@ -89,10 +90,10 @@ class ScalabilityResult:
 
 
 def _build_hpl_grid(
-    num_executions: int, replicas: int
+    num_executions: int, replicas: int, clock: Clock | None = None
 ) -> tuple[GridEnvironment, PPerfGridClient, PPerfGridSite, list[SimHost]]:
     """One HPL site on host A, plus ``replicas - 1`` replica hosts."""
-    environment = GridEnvironment()
+    environment = GridEnvironment(clock=clock)
     hosts = [SimHost("host-A")]
     wrapper = HplRdbmsWrapper(generate_hpl(num_executions=num_executions).to_database())
     site = PPerfGridSite(
@@ -121,12 +122,14 @@ def run_scalability_experiment(
     rounds: int = 10,
     replicas: int = 2,
     network: NetworkModel | None = None,
+    clock: Clock | None = None,
 ) -> ScalabilityResult:
     """Run both arms of the Figure 12 experiment.
 
     ``repeats`` x ``rounds`` = queries per Execution instance (paper:
     10 x 10 = 100).  ``replicas`` is the optimized arm's host count
-    (paper: 2).
+    (paper: 2).  ``clock`` is the grid's time source (wall clock by
+    default; tests pass a stepped one so every query costs the same).
 
     Each query executes once for real through the full SOAP stack and its
     measured cost is replayed onto *both* placements — all on host A
@@ -139,7 +142,7 @@ def run_scalability_experiment(
         raise ValueError("need at least one execution and two replica hosts")
     network = network or NetworkModel()
     max_count = max(counts)
-    environment, client, site, hosts = _build_hpl_grid(max_count, replicas)
+    environment, client, site, hosts = _build_hpl_grid(max_count, replicas, clock)
     binding = client.bind(site.factory_url, "HPL")
     executions = binding.all_executions()
     # Warm the query path (interpreter caches, lazily built structures) so

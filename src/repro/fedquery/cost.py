@@ -23,8 +23,9 @@ is *never* skipped.
 
 Alongside the mode decision the model estimates result cardinality and
 transfer bytes from ``rows × window_fraction × focus_fraction ×
-value_fraction`` — estimates feed ``explainPlan`` and the benchmark's
-bytes-moved accounting, never correctness.
+value_fraction`` — estimates feed ``explainPlan``, the result's
+``estimatedBytes`` counter and the bulk-vs-cursor choice, never
+correctness.
 """
 
 from __future__ import annotations
@@ -144,18 +145,13 @@ class MemberCost:
     est_bytes: int | None
     reason: str
     stats_missing: bool = False
+    #: (metric, mode) for every selected metric, in SELECT order
     metric_modes: tuple[tuple[str, str], ...] = ()
     vacuous: frozenset[str] = frozenset()
     #: estimated member round-trips (exec selection + per-metric fetches
     #: per touched execution); None when stats were unavailable, 0 for
     #: provable skips — and for tier-0 answers, which never call out
     est_calls: int | None = None
-
-    def metric_mode(self, metric: str) -> str | None:
-        for name, mode in self.metric_modes:
-            if name == metric:
-                return mode
-        return None
 
     def describe(self) -> str:
         if self.stats_missing:

@@ -31,7 +31,7 @@
    (server-side ``ordered`` cursors, or a client-side sort for provably
    small members where bulk ``getPR`` is cheaper) and a k-way heap
    merge yields them in exactly the bulk path's canonical order, with
-   at most ``stream_chunk_depth`` chunks in flight per member.
+   at most ``DEFAULT_CHUNK_DEPTH`` chunks in flight per member.
    Aggregates and ORDER BY need every row before the first output row,
    so they run the bulk pipeline internally and stream its finished
    rows.  Fully drained streams memoize like bulk results (up to
@@ -69,7 +69,6 @@ from repro.fedquery.scheduler import (
     empty_scheduler_stats,
 )
 from repro.fedquery.stream import (
-    DEFAULT_CHUNK_DEPTH,
     DEFAULT_CHUNK_ROWS,
     DEFAULT_MEMOIZE_MAX_BYTES,
     DEFAULT_STREAM_THRESHOLD_ROWS,
@@ -166,13 +165,10 @@ class FederationEngine:
         managers: dict[str, object] | None = None,
         plan_cache: PrCache | None = None,
         max_workers: int | None = None,
-        cost_based: bool = True,
         stream_chunk_rows: int = DEFAULT_CHUNK_ROWS,
-        stream_chunk_depth: int = DEFAULT_CHUNK_DEPTH,
         stream_threshold_rows: int = DEFAULT_STREAM_THRESHOLD_ROWS,
         stream_memoize_max_bytes: int = DEFAULT_MEMOIZE_MAX_BYTES,
         accept_encodings: tuple[str, ...] | None = None,
-        tier0: bool = True,
         scheduler: FanoutScheduler | None = None,
     ) -> None:
         self.client = client
@@ -186,22 +182,15 @@ class FederationEngine:
             )
         )
         self.max_workers = max_workers
-        #: False reverts to the pre-cost-model global planner (the
-        #: benchmark's baseline arm); no getStats calls are made
-        self.cost_based = cost_based
-        #: streaming knobs: rows per chunk, chunks in flight per member,
-        #: bulk-vs-cursor estimated-row threshold, memoization byte cap
+        #: streaming knobs: rows per chunk, bulk-vs-cursor estimated-row
+        #: threshold, memoization byte cap
         self.stream_chunk_rows = stream_chunk_rows
-        self.stream_chunk_depth = stream_chunk_depth
         self.stream_threshold_rows = stream_threshold_rows
         self.stream_memoize_max_bytes = stream_memoize_max_bytes
         #: wire encodings advertised when draining member cursors; None
         #: leaves the client default (PPG_ACCEPT_ENCODINGS-aware), and
         #: ``("xml",)`` pins the fan-out to per-row transfers
         self.accept_encodings = accept_encodings
-        #: False disables the tier-0 metadata answer path entirely (the
-        #: benchmark's baseline arm); queries then always fan out
-        self.tier0 = tier0
         self._bindings: dict[str, object] | None = None
         self._params: dict[str, dict[str, list[str]]] = {}
         self._metrics: dict[str, list[str]] = {}
@@ -613,22 +602,14 @@ class FederationEngine:
             # member stream is wholly sorted by the row key (app and exec
             # are constant within a stream)
             subqueries = sorted(subqueries, key=lambda sq: ordering_key(sq.metric))
-            if member.cost is not None and member.cost.est_rows is not None:
-                per_exec = max(1, member.cost.est_rows // max(1, len(executions)))
-            else:
-                per_exec = None
+            per_exec = member.est_rows_per_execution(len(executions))
             for execution in executions:
                 produce = self._stream_producer(
                     member, execution, subqueries, query, per_exec,
                     stats, stats_lock, deps,
                 )
                 streams.append(
-                    MemberStream(
-                        f"{member.app}:{len(streams)}",
-                        produce,
-                        runner,
-                        chunk_depth=self.stream_chunk_depth,
-                    )
+                    MemberStream(f"{member.app}:{len(streams)}", produce, runner)
                 )
         return streams
 
@@ -865,18 +846,13 @@ class FederationEngine:
             name: self._member_params(name, binding)
             for name, binding in members.items()
         }
-        stats = (
-            self.coherence.member_stats(members, self._execution_id)
-            if self.cost_based
-            else None
-        )
         return plan_query(
             query,
             catalog,
-            stats,
+            self.coherence.member_stats(members, self._execution_id),
             approx=approx,
             tolerance=tolerance,
-            tier0=self.tier0 and allow_tier0,
+            tier0=allow_tier0,
         )
 
     def _select_executions(self, member: MemberPlan, binding, stats) -> list:
@@ -919,7 +895,7 @@ class FederationEngine:
             executions = self._select_executions(member, binding, stats)
             if not executions:
                 continue
-            if member.cost is not None and not member.cost.stats_missing:
+            if not member.cost.stats_missing:
                 # the planner already dropped metrics the member's stats
                 # prove absent; probing one execution here would be
                 # *wrong* for heterogeneous members (executions[0] need

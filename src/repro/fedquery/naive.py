@@ -6,9 +6,9 @@ one, run plain ``getPR`` for each metric, and do all filtering and
 aggregation client-side with its own arithmetic.  No push-down, no
 ``getPRAgg``, no caching, no concurrency.
 
-It exists for two reasons: the property test compares the planner
-pipeline against it on randomized queries, and the benchmark measures
-what the push-down plan saves relative to it.  Keep it boring and
+It exists for two reasons: the property tests compare the planner
+pipeline against it on randomized queries, and the end-to-end benchmark
+checks its workloads' rows against it.  Keep it boring and
 obviously correct — any cleverness belongs in the planner, not here.
 """
 

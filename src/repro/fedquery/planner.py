@@ -18,14 +18,15 @@ then return combinable count/total/min/max buckets (RDBMS members via
 real SQL).  Otherwise the plan runs in **raw mode**: ``getPR`` rows come
 back and the executor filters/reduces client-side.
 
-With member statistics (the ``stats`` argument, fed by ``getStats``),
-the mode is chosen *per member and per metric* by the
+From the member statistics (the ``stats`` argument, fed by
+``getStats``) the mode is chosen *per member and per metric* by the
 :mod:`repro.fedquery.cost` model: members whose stats prove they cannot
 contribute are skipped outright (``Plan.skipped``), vacuous value
 predicates upgrade metrics to bound-free aggregation, and the remainder
-fall back to the global choice — so one plan can mix raw and aggregate
-members.  ``Plan.mode`` always records the global (stats-free) choice;
-``Plan.effective_mode`` summarizes what the cost model actually picked.
+— including every member whose stats are unknown — take the global
+choice, so one plan can mix raw and aggregate members.  ``Plan.mode``
+always records the global (stats-free) choice; ``Plan.effective_mode``
+summarizes what the cost model actually picked.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class MemberPlan:
     group_attrs: tuple[str, ...]
     needs_info: bool
     needs_exec_id: bool
-    cost: MemberCost | None = None  # None -> planned without statistics
+    cost: MemberCost
     #: answer tier: "tier0-stats" (exact from metadata), "tier0-sketch"
     #: (bounded estimate from merged sketches), "pushdown" (getPRAgg),
     #: or "raw" (getPR rows reduced client-side)
@@ -126,18 +127,21 @@ class MemberPlan:
     @property
     def est_round_trips(self) -> int | None:
         """Estimated member calls (0 for tier-0; None without stats)."""
-        if self.is_tier0:
-            return 0
-        if self.cost is not None:
-            return self.cost.est_calls
-        return None
+        return 0 if self.is_tier0 else self.cost.est_calls
+
+    def est_rows_per_execution(self, executions: int) -> int | None:
+        """The row estimate spread evenly over the member's *executions*
+        selected executions (None without stats): what picks bulk
+        ``getPR`` or a chunked cursor for each of them."""
+        if self.cost.est_rows is None:
+            return None
+        return max(1, self.cost.est_rows // max(1, executions))
 
     def describe(self) -> list[str]:
         lines = [f"member {self.app}: tier={self.tier}"]
         if self.is_tier0:
             lines.append("  answered from cached stats/sketches (0 round-trips)")
-            if self.cost is not None:
-                lines.append(f"  {self.cost.describe()}")
+            lines.append(f"  {self.cost.describe()}")
             return lines
         lines.append(
             "  execs: "
@@ -149,8 +153,7 @@ class MemberPlan:
             lines.append(f"  {sub.describe()}")
         if self.needs_info:
             lines.append(f"  getInfo() for group keys {self.group_attrs}")
-        if self.cost is not None:
-            lines.append(f"  {self.cost.describe()}")
+        lines.append(f"  {self.cost.describe()}")
         if self.est_round_trips is not None:
             lines.append(f"  est round-trips: {self.est_round_trips}")
         return lines
@@ -210,9 +213,7 @@ class Plan:
         metrics within one member) diverge, ``skip`` when statistics
         proved no member can contribute."""
         modes = {
-            "tier0"
-            if member.is_tier0
-            else (member.cost.mode if member.cost is not None else self.mode)
+            "tier0" if member.is_tier0 else member.cost.mode
             for member in self.members
         }
         if self.skipped:
@@ -243,7 +244,7 @@ class Plan:
         return sum(
             member.cost.est_bytes
             for member in self.members
-            if member.cost is not None and member.cost.est_bytes is not None
+            if member.cost.est_bytes is not None
         )
 
     @property
@@ -251,10 +252,7 @@ class Plan:
         """True when any member was planned without statistics (fetch
         failed); such plans' results must not be memoized, so recovery
         re-plans with fresh stats."""
-        return any(
-            member.cost is not None and member.cost.stats_missing
-            for member in self.members
-        )
+        return any(member.cost.stats_missing for member in self.members)
 
     def explain(self) -> str:
         lines = [f"plan: {self.fingerprint}"]
@@ -355,31 +353,27 @@ def _build_selector(split: PredicateSplit, params: dict[str, list[str]]) -> Exec
 
 
 def _member_subqueries(
-    query: Query,
     window: tuple[float, float],
     bounds: ValueBounds,
     result_type: str,
-    global_aggregate: bool,
     group_by_focus: bool,
-    cost: MemberCost | None,
+    cost: MemberCost,
 ) -> tuple[SubQuery, ...]:
     """One SubQuery per surviving metric, honoring per-metric modes.
 
-    Without a cost verdict every metric takes the global mode.  With
-    one, provably-empty metrics are omitted (an aggregate group missing
-    any selected metric is dropped by the merger — exactly what an
-    executed empty sub-query would do), and vacuous metrics aggregate
-    with no value bounds.
+    The cost verdict names a mode for every selected metric, in SELECT
+    order (the global one when the member's stats are unknown).
+    Provably-empty metrics are omitted (an aggregate group missing any
+    selected metric is dropped by the merger — exactly what an executed
+    empty sub-query would do), and vacuous metrics aggregate with no
+    value bounds.
     """
     subqueries: list[SubQuery] = []
-    for metric in query.metrics:
-        metric_mode = cost.metric_mode(metric) if cost is not None else None
-        if metric_mode is None:
-            metric_mode = "aggregate" if global_aggregate else "raw"
+    for metric, metric_mode in cost.metric_modes:
         if metric_mode == "skip":
             continue
         aggregate = metric_mode == "aggregate"
-        bounded = aggregate and not (cost is not None and metric in cost.vacuous)
+        bounded = aggregate and metric not in cost.vacuous
         subqueries.append(
             SubQuery(
                 metric=metric,
@@ -438,7 +432,7 @@ def _estimate_groups(
 def plan_query(
     query: Query,
     catalog: dict[str, dict[str, list[str]]],
-    stats: dict[str, StoreStats | None] | None = None,
+    stats: dict[str, StoreStats | None],
     approx: bool = False,
     tolerance: float | None = None,
     tier0: bool = True,
@@ -450,12 +444,13 @@ def plan_query(
     does not publish a referenced attribute contributes no rows, exactly
     as its own ``getExecs`` would reject the attribute.
 
-    *stats* (member name -> :class:`StoreStats`, or ``None`` for a
-    member whose stats could not be fetched) enables cost-based
-    per-member plan selection; omitted entirely, the plan is the
-    pre-cost-model global plan.
+    *stats* (member name -> :class:`StoreStats`) drives cost-based
+    per-member plan selection; a member mapped to ``None`` or absent
+    from it (stats could not be fetched — ``{}`` means nothing is known
+    about anyone) runs in the global mode, is never skipped, and marks
+    the plan ``stats_degraded``.
 
-    With *tier0* (and stats), members whose cached stats/sketches fully
+    With *tier0*, members whose cached stats/sketches fully
     answer an eligible aggregate query are planned at tier 0: no
     selector, no subqueries, zero round-trips — the executor folds the
     plan-time :class:`~repro.fedquery.sketch.WindowEstimate` partials
@@ -473,16 +468,8 @@ def plan_query(
     group_attrs = query.group_attributes()
     group_by_focus = "focus" in query.group_by
     needs_exec_id = (not query.is_aggregate) or ("exec" in query.group_by)
-    cost_model = (
-        CostModel(query, split, window, bounds, allowlist, mode)
-        if stats is not None
-        else None
-    )
-    tier0_capable = (
-        tier0
-        and stats is not None
-        and tier0_query_eligible(query, split, window, allowlist)
-    )
+    cost_model = CostModel(query, split, window, bounds, allowlist, mode)
+    tier0_capable = tier0 and tier0_query_eligible(query, split, window, allowlist)
 
     members: list[MemberPlan] = []
     pruned: list[PrunedMember] = []
@@ -503,8 +490,8 @@ def plan_query(
                 PrunedMember(app, f"does not publish attribute(s) {sorted(set(missing))}")
             )
             continue
-        cost = cost_model.member(stats.get(app)) if cost_model is not None else None
-        if cost is not None and cost.mode == "skip":
+        cost = cost_model.member(stats.get(app))
+        if cost.mode == "skip":
             skipped.append(PrunedMember(app, cost.reason))
             continue
         answer = (
@@ -523,17 +510,14 @@ def plan_query(
                     group_attrs=(),
                     needs_info=False,
                     needs_exec_id=False,
-                    cost=replace(cost, est_rows=0, est_bytes=0, est_calls=0)
-                    if cost is not None
-                    else None,
+                    cost=replace(cost, est_rows=0, est_bytes=0, est_calls=0),
                     tier=tier_label,
                     tier0=partials,
                 )
             )
             continue
         subqueries = _member_subqueries(
-            query, window, bounds, result_type, aggregate,
-            group_by_focus, cost,
+            window, bounds, result_type, group_by_focus, cost
         )
         members.append(
             MemberPlan(
@@ -564,7 +548,5 @@ def plan_query(
         tier0_capable=tier0_capable,
         est_groups=_estimate_groups(
             query, stats, [member.app for member in members]
-        )
-        if stats is not None
-        else None,
+        ),
     )

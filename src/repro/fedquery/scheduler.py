@@ -53,7 +53,7 @@ DEFAULT_TENANT = "default"
 DEFAULT_WORKER_IDLE_S = 10.0
 
 #: parked stream-lane threads exit after this long without a new producer
-DEFAULT_STREAM_IDLE_S = 5.0
+STREAM_IDLE_S = 5.0
 
 #: reactor tick interval: utilization sampling + queue-wait shedding
 DEFAULT_TICK_INTERVAL_S = 0.25
@@ -63,7 +63,7 @@ DEFAULT_TICK_INTERVAL_S = 0.25
 #: pool, so a transient wave is absorbed by the warm workers instead of
 #: paying burst-sized thread churn (the very cost the pool exists to
 #: avoid) and over-subscribing the interpreter
-DEFAULT_SPAWN_INTERVAL_S = 0.01
+SPAWN_INTERVAL_S = 0.01
 
 
 class TokenBucket:
@@ -154,9 +154,7 @@ class FanoutScheduler:
         burst: float | None = None,
         max_queue_wait_s: float | None = None,
         worker_idle_s: float = DEFAULT_WORKER_IDLE_S,
-        stream_idle_s: float = DEFAULT_STREAM_IDLE_S,
         tick_interval_s: float = DEFAULT_TICK_INTERVAL_S,
-        spawn_interval_s: float = DEFAULT_SPAWN_INTERVAL_S,
     ) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
@@ -171,8 +169,6 @@ class FanoutScheduler:
         self._default_burst = burst if burst is not None else (rate or 0.0)
         self._max_queue_wait_s = max_queue_wait_s
         self._worker_idle_s = worker_idle_s
-        self._stream_idle_s = stream_idle_s
-        self._spawn_interval_s = spawn_interval_s
         self._last_spawn = 0.0
         self._workers: set[threading.Thread] = set()
         self._idle = 0
@@ -222,7 +218,7 @@ class FanoutScheduler:
                 now = time.monotonic()
                 if (
                     not self._workers
-                    or now - self._last_spawn >= self._spawn_interval_s
+                    or now - self._last_spawn >= SPAWN_INTERVAL_S
                 ):
                     self._last_spawn = now
                     self._spawn_worker_locked()
@@ -323,7 +319,7 @@ class FanoutScheduler:
                     return
                 self._stream_idle_chans.append(chan)
             try:
-                job = chan.get(timeout=self._stream_idle_s)
+                job = chan.get(timeout=STREAM_IDLE_S)
             except queue.Empty:
                 with self._stream_lock:
                     try:

@@ -328,23 +328,30 @@ class ViewMaintainer:
         for member, executions, subqueries in self.engine.member_work(
             members, scratch
         ):
+            per_exec = member.est_rows_per_execution(len(executions))
             for execution in executions:
                 exec_id = self.engine._execution_id(execution)
                 if only_exec in (None, exec_id):
                     view.partitions[(member.app, exec_id)] = self._fetch_partition(
-                        view, member, execution, subqueries
+                        view, member, execution, subqueries, per_exec
                     )
                     if only_exec is not None:
                         return
 
     def _fetch_partition(
-        self, view: MaterializedView, member: MemberPlan, execution, subqueries
+        self,
+        view: MaterializedView,
+        member: MemberPlan,
+        execution,
+        subqueries,
+        per_exec: int | None,
     ) -> _Partition:
         """One execution's contribution, through a private merger.
 
-        Raw sub-queries drain through ``stream_pr`` — the stats-driven
-        chunked-cursor path — so a large partition never materializes
-        an unbounded SOAP array just to maintain a view.
+        Raw sub-queries drain through ``stream_pr`` — the chunked-cursor
+        path, chosen on the plan's own *per_exec* row estimate — so a
+        large partition never materializes an unbounded SOAP array just
+        to maintain a view.
         """
         query = view.query
         exec_id = self.engine._execution_id(execution)
@@ -363,7 +370,8 @@ class ViewMaintainer:
                 else:
                     results = []
                     for result in execution.stream_pr(
-                        sub.metric, foci, sub.start, sub.end, sub.result_type
+                        sub.metric, foci, sub.start, sub.end, sub.result_type,
+                        estimated_rows=per_exec,
                     ):
                         fetched_rows += 1
                         fetched_bytes += len(result.pack())

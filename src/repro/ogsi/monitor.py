@@ -2,9 +2,8 @@
 
 The admission-control metrics — queue depth, in-flight count, peaks, and
 the ``requests_handled`` / ``requests_rejected`` / ``requests_shed``
-split — need a Services Layer surface so remote operators (and the
-concurrency benchmark) can read them the same way they read any other
-service data.  Deploy one per container with
+split — need a Services Layer surface so remote operators can read
+them the same way they read any other service data.  Deploy one per container with
 :meth:`~repro.ogsi.container.ServiceContainer.deploy_monitor`; the SDEs
 are refreshed from the live counters on every read, so a plain
 ``FindServiceData("queueDepth")`` always answers with current state.

@@ -1,7 +1,7 @@
 """Columnar batch encoding for bulk chunk payloads.
 
 Per-row XML is the dominant hot-path cost in chunked transfers (ablation
-A1, ``bench_streaming``): every packed row becomes one ``<item>`` element
+A1): every packed row becomes one ``<item>`` element
 whose build/escape/parse cost and ~35-byte framing are paid per row.  A
 *colbatch* carries the same rows as a handful of records — one
 self-describing header plus one record per **column** — so the SOAP

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.semantic import PerformanceResult
 from repro.soap.chunks import (
     ENCODING_COLBATCH,
     ENCODING_XML,
@@ -34,6 +35,7 @@ from repro.soap.colbatch import (
     decode_batch,
     encode_batch,
 )
+from repro.soap.rpc import decode_response, encode_response
 
 
 def roundtrip(rows: list[str]) -> list[str]:
@@ -143,6 +145,35 @@ class TestChunkEnvelopeTagged:
         header = payload[0].replace("|2|", "|3|")
         with pytest.raises(ChunkError, match="declares 3 row"):
             decode_chunk([header, *payload[1:]])
+
+    def test_trace_chunk_is_an_order_of_magnitude_smaller_on_the_wire(self):
+        # one full 2,048-row chunk of Vampir-style time_spent rows over
+        # 16 MPI foci: sequential fixed-point spans (delta-RLE), a
+        # quantized value pool and three constant/dictionary columns
+        mpi_ops = (
+            "Send Recv Isend Irecv Wait Waitall Barrier Bcast Reduce Allreduce "
+            "Gather Scatter Alltoall Comm_rank Comm_size Finalize"
+        ).split()
+        rows = []
+        for i in range(2048):
+            start = i * 0.015625
+            rows.append(
+                PerformanceResult(
+                    "time_spent",
+                    f"/Code/MPI/MPI_{mpi_ops[i % 16]}",
+                    "vampir",
+                    start,
+                    start + 0.015625,
+                    ((i * 7 + i // 16) % 997) / 64,
+                ).pack()
+            )
+        wire_bytes = {}
+        for encoding in (ENCODING_XML, ENCODING_COLBATCH):
+            payload = encode_chunk(0, rows, done=True, encoding=encoding)
+            wire = encode_response("urn:ppg", "next", payload)
+            wire_bytes[encoding] = len(wire)
+            assert list(decode_chunk(decode_response(wire).value).rows) == rows
+        assert wire_bytes[ENCODING_COLBATCH] * 10 <= wire_bytes[ENCODING_XML], wire_bytes
 
 
 _wild_text = st.text(min_size=0, max_size=40)

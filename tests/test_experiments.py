@@ -14,6 +14,7 @@ from repro.experiments import (
     run_scalability_experiment,
     run_serialization_ablation,
 )
+from repro.simnet.network import NetworkModel
 
 
 @pytest.fixture(scope="module")
@@ -60,18 +61,38 @@ class TestOverheadExperiment:
             overhead_result.row("NOPE")
 
 
+class TickClock:
+    """Advances one fixed tick per ``now()``: a query's cost is the
+    number of clock reads it makes, the same for every query."""
+
+    def __init__(self, tick: float = 0.001) -> None:
+        self.tick = tick
+        self._now = 0.0
+
+    def now(self) -> float:
+        self._now += self.tick
+        return self._now
+
+
 class TestScalabilityExperiment:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_scalability_experiment(counts=(2, 4, 8), repeats=5, rounds=2)
+        # latency-only network: response sizes differ by a few bytes per
+        # execution, and the replayed costs must be identical
+        return run_scalability_experiment(
+            counts=(2, 4, 8),
+            repeats=5,
+            rounds=2,
+            network=NetworkModel(bandwidth_bytes_per_s=float("inf")),
+            clock=TickClock(),
+        )
 
     def test_speedup_near_two_hosts(self, result):
-        # Interleaved across 2 hosts with identical replayed costs.  At
-        # count=2 each host's total is only 10 queries, so a single slow
-        # sample can push the balance point a few percent off 2.0.
+        # interleaved across 2 hosts with identical replayed costs, each
+        # host gets exactly half the work at every even count
         for s in result.speedups():
-            assert 1.55 <= s <= 2.05
-        assert result.mean_speedup == pytest.approx(2.0, abs=0.25)
+            assert s == pytest.approx(2.0, abs=1e-9)
+        assert result.mean_speedup == pytest.approx(2.0, abs=1e-9)
 
     def test_times_grow_with_fanout(self, result):
         assert result.nonoptimized_s == sorted(result.nonoptimized_s)

@@ -168,41 +168,42 @@ CATALOG = {
 
 class TestPlanner:
     def test_prunes_by_from_clause(self):
-        plan = plan_query(parse_query("SELECT count(gflops) FROM HPL GROUP BY app"), CATALOG)
+        plan = plan_query(parse_query("SELECT count(gflops) FROM HPL GROUP BY app"), CATALOG, {})
         assert [m.app for m in plan.members] == ["HPL"]
         assert sorted(p.app for p in plan.pruned) == ["PRESTA-RMA", "SMG98"]
         assert all("FROM" in p.reason for p in plan.pruned)
 
     def test_prunes_by_app_predicate(self):
-        plan = plan_query(parse_query("SELECT count(x) WHERE app != HPL GROUP BY app"), CATALOG)
+        plan = plan_query(parse_query("SELECT count(x) WHERE app != HPL GROUP BY app"), CATALOG, {})
         assert sorted(m.app for m in plan.members) == ["PRESTA-RMA", "SMG98"]
 
     def test_prunes_unpublished_attribute(self):
-        plan = plan_query(parse_query("SELECT count(x) WHERE nx = 32 GROUP BY app"), CATALOG)
+        plan = plan_query(parse_query("SELECT count(x) WHERE nx = 32 GROUP BY app"), CATALOG, {})
         assert [m.app for m in plan.members] == ["SMG98"]
         reasons = {p.app: p.reason for p in plan.pruned}
         assert "nx" in reasons["HPL"]
 
     def test_prunes_unpublished_group_attribute(self):
-        plan = plan_query(parse_query("SELECT count(x) GROUP BY network"), CATALOG)
+        plan = plan_query(parse_query("SELECT count(x) GROUP BY network"), CATALOG, {})
         assert [m.app for m in plan.members] == ["PRESTA-RMA"]
 
     def test_aggregate_mode_with_inclusive_bounds(self):
         plan = plan_query(
             parse_query("SELECT mean(x) WHERE value >= 1 AND value <= 9 GROUP BY app"),
             CATALOG,
+            {},
         )
         assert plan.mode == "aggregate"
         sub = plan.members[0].subqueries[0]
         assert (sub.min_value, sub.max_value) == (1.0, 9.0)
 
     def test_raw_mode_on_strict_value_predicate(self):
-        plan = plan_query(parse_query("SELECT mean(x) WHERE value > 1 GROUP BY app"), CATALOG)
+        plan = plan_query(parse_query("SELECT mean(x) WHERE value > 1 GROUP BY app"), CATALOG, {})
         assert plan.mode == "raw"
         assert plan.members[0].subqueries[0].min_value is None
 
     def test_raw_mode_for_raw_select(self):
-        plan = plan_query(parse_query("SELECT gflops FROM HPL"), CATALOG)
+        plan = plan_query(parse_query("SELECT gflops FROM HPL"), CATALOG, {})
         assert plan.mode == "raw"
         assert plan.members[0].needs_exec_id is True
 
@@ -210,6 +211,7 @@ class TestPlanner:
         plan = plan_query(
             parse_query("SELECT count(x) WHERE numprocs IN (8, 16) GROUP BY app"),
             CATALOG,
+            {},
         )
         selector = plan.members[0].selector
         assert selector.conjuncts == ((("numprocs", "8", "="), ("numprocs", "16", "=")),)
@@ -218,6 +220,7 @@ class TestPlanner:
         plan = plan_query(
             parse_query("SELECT count(x) FROM SMG98 WHERE numprocs >= 8 AND nx = 32 GROUP BY app"),
             CATALOG,
+            {},
         )
         selector = plan.members[0].selector
         assert len(selector.conjuncts) == 2
@@ -229,23 +232,25 @@ class TestPlanner:
                 "AND focus IN ('/a', '/b') GROUP BY app"
             ),
             CATALOG,
+            {},
         )
         assert plan.window == (1.5, 9.5)
         assert plan.members[0].foci == frozenset({"/a", "/b"})
 
     def test_group_by_focus_flag(self):
-        plan = plan_query(parse_query("SELECT count(x) GROUP BY focus"), CATALOG)
+        plan = plan_query(parse_query("SELECT count(x) GROUP BY focus"), CATALOG, {})
         assert plan.members[0].subqueries[0].group_by_focus is True
         assert plan.members[0].needs_info is False
 
     def test_exec_group_needs_exec_id(self):
-        plan = plan_query(parse_query("SELECT count(x) GROUP BY exec"), CATALOG)
+        plan = plan_query(parse_query("SELECT count(x) GROUP BY exec"), CATALOG, {})
         assert plan.members[0].needs_exec_id is True
 
     def test_explain_mentions_everything(self):
         plan = plan_query(
             parse_query("SELECT mean(x) FROM HPL WHERE numprocs = 2 GROUP BY machine"),
             CATALOG,
+            {},
         )
         text = plan.explain()
         assert "mode: aggregate" in text

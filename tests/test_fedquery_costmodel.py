@@ -261,3 +261,55 @@ def test_skip_is_visible_in_explain(cost_env):
     result = env.engine.execute(f"SELECT count({GHOST_METRIC}) GROUP BY app")
     assert result.rows == []
     assert result.stats["executions"] == 0  # no member was touched
+
+
+def test_skewed_federation_moves_less_than_the_fat_members_rows():
+    """One fat member whose value range makes ``value > t`` vacuous next
+    to thin members, half of which never record the metric: the strict
+    predicate makes the global mode raw, yet the fat member's rows stay
+    home, the metric-less members are skipped and only the thin members
+    that straddle the threshold ship rows."""
+
+    def rows(metric, values):
+        return [
+            PerformanceResult(metric, "/Comm", "synthetic", float(i % 5), i % 5 + 5.0, v)
+            for i, v in enumerate(values)
+        ]
+
+    fat_rows = [
+        rows("latency_us", [float(100 + (37 * (25 * e + i)) % 800) for i in range(25)])
+        for e in range(12)
+    ]
+    wrappers = {
+        "FAT": InMemoryWrapper(
+            "FAT",
+            [
+                InMemoryExecution(str(e), {"numprocs": "64"}, results)
+                for e, results in enumerate(fat_rows)
+            ],
+        )
+    }
+    for index in range(4):
+        metric = "latency_us" if index % 2 == 0 else "cache_misses"
+        wrappers[f"THIN{index}"] = InMemoryWrapper(
+            f"THIN{index}",
+            [
+                InMemoryExecution(
+                    str(e), {"numprocs": "4"}, rows(metric, [10.0, 30.0, 60.0, 200.0, 390.0])
+                )
+                for e in range(2)
+            ],
+        )
+    grid = build_synthetic_grid(wrappers)
+    engine = grid.deploy_federation()
+    text = "SELECT count(latency_us), mean(latency_us) WHERE value > 50.0 GROUP BY app"
+    result = engine.execute(text)
+    assert result.plan.mode == "raw"
+    assert result.plan.effective_mode == "mixed"
+    assert result.stats["skippedMembers"] >= 1
+    # what the raw plan would ship from FAT alone, on the test's own data
+    fat_raw_bytes = sum(len(pr.pack()) for results in fat_rows for pr in results)
+    assert result.stats["payloadBytes"] * 2 < fat_raw_bytes
+    expected = naive_query(text, engine.members())
+    assert [r.pack() for r in result.rows] == [r.pack() for r in expected]
+    grid.cleanup()

@@ -279,10 +279,10 @@ class TestPlannerIntegration:
     def catalog(self):
         return {"A": {"numprocs": ["4"]}, "B": {"numprocs": ["4"]}}
 
-    def test_two_argument_plan_query_unchanged(self):
-        plan = plan_query(parse_query("SELECT count(m) GROUP BY app"), self.catalog())
+    def test_empty_stats_plan_is_the_global_plan(self):
+        plan = plan_query(parse_query("SELECT count(m) GROUP BY app"), self.catalog(), {})
         assert plan.mode == "aggregate" and plan.skipped == ()
-        assert all(member.cost is None for member in plan.members)
+        assert all(member.cost.stats_missing for member in plan.members)
         assert plan.effective_mode == plan.mode
 
     def test_stats_split_members_by_mode(self):

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.semantic import PerformanceResult
 from repro.experiments.common import GridScale, build_grid, build_synthetic_grid
-from repro.fedquery import QueryError
+from repro.fedquery import QueryError, naive_query
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 
 #: HPL publishes metric sketches, so this shape (aggregate-only select,
@@ -62,12 +62,9 @@ class TestExactTier0:
         assert tier0.plan.effective_mode == "tier0"
         assert grid.fed_engine.plan_modes["tier0"] == 1
 
-        grid.fed_engine.tier0 = False
-        grid.fed_engine.invalidate_cache()
-        naive = grid.fed_engine.execute(HPL_QUERY)
-        assert naive.stats["calls"] > 0
         # count/max answers are byte-identical to the real fan-out
-        assert [r.pack() for r in tier0.rows] == [r.pack() for r in naive.rows]
+        naive = naive_query(HPL_QUERY, grid.fed_engine.members())
+        assert [r.pack() for r in tier0.rows] == [r.pack() for r in naive]
 
     def test_vacuous_predicate_still_tier0(self, grid):
         result = grid.fed_engine.execute(
@@ -170,20 +167,6 @@ class TestFallbacks:
         assert result.stats["tier0Members"] == 0
         assert result.stats["calls"] > 0
         assert result.rows and result.rows[0]["count(time_spent)"] > 0
-
-    def test_tier0_disabled_engine_never_uses_it(self, grid):
-        grid.fed_engine.tier0 = False
-        result = grid.fed_engine.execute(HPL_QUERY)
-        assert result.stats["tier0Members"] == 0
-        assert result.stats["calls"] > 0
-        assert grid.fed_engine.plan_modes["tier0"] == 0
-
-    def test_cost_model_off_means_no_tier0(self, grid):
-        """Without getStats there is no metadata to answer from."""
-        grid.fed_engine.cost_based = False
-        result = grid.fed_engine.execute(HPL_QUERY)
-        assert result.stats["tier0Members"] == 0
-        assert result.stats["calls"] > 0
 
 
 class TestPlanCacheKeys:

@@ -17,6 +17,7 @@ exact doubles regardless of merge order and byte comparison is sound.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -32,7 +33,9 @@ from repro.fedquery import (
 from repro.fedquery.views import VIEW_STAT_NAMES
 from repro.fedquery.viewservice import VIEW_REGISTRY_PORTTYPE
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
+from repro.ogsi.container import GridEnvironment
 from repro.soap.faults import SoapFault
+from repro.soap.rpc import decode_request
 
 from tests.test_fedquery_costmodel import (
     GHOST_METRIC,
@@ -384,3 +387,86 @@ class TestViewStatsSurfaces:
         values = _sde_values(stub.FindServiceData("name:viewStats"))
         names = {value.split("|", 1)[0] for value in values}
         assert set(VIEW_STAT_NAMES) <= names
+
+
+class _OperationCounter:
+    """Transport proxy: counts SOAP requests by operation name."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.operations: Counter = Counter()
+
+    def send(self, endpoint_url: str, request: bytes) -> bytes:
+        self.operations[decode_request(request).operation] += 1
+        return self.inner.send(endpoint_url, request)
+
+    def __getattr__(self, name):  # bind / unbind / authorities
+        return getattr(self.inner, name)
+
+
+def _uniform_grid(members, executions, foci, environment=None):
+    """*members* x *executions* partitions, two rows per focus each."""
+    wrappers = {
+        f"APP{m}": InMemoryWrapper(
+            f"APP{m}",
+            [
+                InMemoryExecution(
+                    str(e),
+                    {},
+                    [
+                        _result("m", f"/rank/{i % foci}", float(m * 31 + e * 7 + i))
+                        for i in range(2 * foci)
+                    ],
+                )
+                for e in range(executions)
+            ],
+        )
+        for m in range(members)
+    }
+    grid = build_synthetic_grid(wrappers, environment=environment)
+    return grid, grid.deploy_federation(), wrappers
+
+
+class TestMaintenanceCost:
+    """What one attributed ``data_updated`` costs — counts, never time."""
+
+    def test_aggregate_update_refetches_exactly_one_partition(self):
+        foci = 5
+        grid, engine, wrappers = _uniform_grid(members=3, executions=4, foci=foci)
+        view = engine.views().create_view("SELECT count(m), sum(m) GROUP BY focus")
+        base = engine.view_stats()  # creation paid the one full fetch
+        assert base["deltaRowsFetched"] == 3 * 4 * foci
+        wrappers["APP1"].executions_data[2].results.append(_result("m", "/rank/0", 9.0))
+        assert grid.execution_service("APP1", "2").data_updated("append") == 1
+        stats = engine.view_stats()
+        # one getPRAgg over one execution: one bucket per focus it holds
+        assert stats["deltaRowsFetched"] - base["deltaRowsFetched"] == foci
+        assert stats["deltasApplied"] - base["deltasApplied"] == 1
+        expected = naive_query(view.text, engine.members())
+        assert view.packed_rows() == [row.pack() for row in expected]
+        grid.cleanup()
+
+    def test_raw_update_costs_one_get_stats_and_one_get_pr(self):
+        environment = GridEnvironment()
+        counter = environment.transport = _OperationCounter(environment.transport)
+        grid, engine, wrappers = _uniform_grid(
+            members=2, executions=3, foci=2, environment=environment
+        )
+        view = engine.views().create_view("SELECT m")
+        service = grid.execution_service("APP0", "1")
+        results = wrappers["APP0"].executions_data[1].results
+        # the first update makes the coherence tracker fetch its
+        # per-execution stats baseline; the steady state is what counts
+        results.append(_result("m", "/rank/0", 9.0))
+        assert service.data_updated("baseline") == 1
+        results.append(_result("m", "/rank/1", 10.0))
+        counter.operations.clear()
+        assert service.data_updated("append") == 1
+        # the tracker refreshes the dirty execution's stats; the
+        # partition fetch takes its row estimate from the plan instead
+        # of asking the execution again
+        assert counter.operations["getStats"] == 1
+        assert counter.operations["getPR"] == 1
+        expected = naive_query(view.text, engine.members())
+        assert view.packed_rows() == [row.pack() for row in expected]
+        grid.cleanup()

@@ -27,6 +27,7 @@ from repro.core.semantic import (
     APPLICATION_PORTTYPE,
     EXECUTION_PORTTYPE,
     UNDEFINED_TYPE,
+    AggregateRecord,
     PerformanceResult,
     StoreStats,
     pr_sort_key,
@@ -133,6 +134,9 @@ class ChunkedResultIterator:
         self._closed = False
         self.chunks_fetched = 0
         self.rows_fetched = 0
+        #: packed length of the rows fetched so far — what the engine's
+        #: ``payloadBytes`` counts, taken while the strings are in hand
+        self.bytes_fetched = 0
         self.accept_encodings = (
             tuple(accept_encodings)
             if accept_encodings is not None
@@ -185,6 +189,7 @@ class ChunkedResultIterator:
         self._done = envelope.done
         self.chunks_fetched += 1
         self.rows_fetched += len(envelope.rows)
+        self.bytes_fetched += sum(map(len, envelope.rows))
 
     def __iter__(self) -> "ChunkedResultIterator":
         return self
@@ -197,7 +202,15 @@ class ChunkedResultIterator:
             self._fetch()
         row = self._buffer[self._index]
         self._index += 1
-        return self._decoder(row) if self._decoder is not None else row
+        if self._decoder is None:
+            return row
+        try:
+            return self._decoder(row)
+        except Exception:
+            # a stream that cannot be decoded cannot be resumed: release
+            # the server-side cursor now, as for a broken chunk sequence
+            self.close()
+            raise
 
     def close(self) -> None:
         """Release the server-side cursor (idempotent, best-effort).
@@ -259,10 +272,37 @@ class ExecutionBinding:
         result_type: str = UNDEFINED_TYPE,
     ) -> list[PerformanceResult]:
         """Query Performance Results (the Table 4 "total query time" path)."""
+        return self.fetch(metric, foci, start, end, result_type)[0]
+
+    def fetch(
+        self, metric: str, foci: list[str], start: float | None = None,
+        end: float | None = None, result_type: str = UNDEFINED_TYPE,
+        aggregate: tuple[float | None, float | None, str] | None = None,
+    ) -> tuple[list, int]:
+        """The federation engine's member call: ``(records, wire_bytes)``.
+
+        ``getPR`` — or ``getPRAgg`` when *aggregate* gives its
+        ``(min_value, max_value, group_by)`` — plus the packed length of
+        the records as they arrived, counted here because this is the
+        last place that holds the strings.
+        """
         start, end = _window(self, start, end)
-        with self.environment.recorder.time("virtualization.getPR"):
-            packed = self.stub.getPR(metric, list(foci), repr(start), repr(end), result_type)
-        return [PerformanceResult.unpack(p) for p in packed]
+        args = (metric, list(foci), repr(start), repr(end), result_type)
+        if aggregate is None:
+            with self.environment.recorder.time("virtualization.getPR"):
+                packed = self.stub.getPR(*args)
+            unpack = PerformanceResult.unpack
+        else:
+            min_value, max_value, group_by = aggregate
+            with self.environment.recorder.time("virtualization.getPRAgg"):
+                packed = self.stub.getPRAgg(
+                    *args,
+                    "" if min_value is None else repr(min_value),
+                    "" if max_value is None else repr(max_value),
+                    group_by,
+                )
+            unpack = AggregateRecord.unpack
+        return [unpack(p) for p in packed], sum(map(len, packed))
 
     def get_pr_chunked(
         self,
@@ -352,21 +392,9 @@ class ExecutionBinding:
         Returns :class:`~repro.core.semantic.AggregateRecord` buckets;
         only those cross the wire, not the individual results.
         """
-        from repro.core.semantic import AggregateRecord
-
-        start, end = _window(self, start, end)
-        with self.environment.recorder.time("virtualization.getPRAgg"):
-            packed = self.stub.getPRAgg(
-                metric,
-                list(foci),
-                repr(start),
-                repr(end),
-                result_type,
-                "" if min_value is None else repr(min_value),
-                "" if max_value is None else repr(max_value),
-                group_by,
-            )
-        return [AggregateRecord.unpack(p) for p in packed]
+        return self.fetch(
+            metric, foci, start, end, result_type, (min_value, max_value, group_by)
+        )[0]
 
     def find_service_data(self, query: str) -> str:
         """FindServiceData passthrough (supports the ``xpath:`` dialect)."""
@@ -488,6 +516,19 @@ class LocalExecutionBinding:
                 metric, list(foci), start, end, result_type,
                 min_value, max_value, group_by,
             )
+
+    def fetch(
+        self, metric: str, foci: list[str], start: float | None = None,
+        end: float | None = None, result_type: str = UNDEFINED_TYPE,
+        aggregate: tuple[float | None, float | None, str] | None = None,
+    ) -> tuple[list, int]:
+        """Local bypass of :meth:`ExecutionBinding.fetch`: nothing crossed
+        a wire, so the records are rendered here to be counted."""
+        if aggregate is None:
+            records = self.get_pr(metric, foci, start, end, result_type)
+        else:
+            records = self.get_pr_agg(metric, foci, start, end, result_type, *aggregate)
+        return records, sum(len(record.pack()) for record in records)
 
     def get_stats(self) -> StoreStats:
         """Store statistics via the wrapper directly (local bypass)."""
@@ -715,7 +756,7 @@ class ViewSubscription:
         self.epoch = int(header["epoch"])
         self.version = int(header["version"])
         self.query = parse_query(header["query"])
-        self.rows = [ResultRow.unpack(packed) for packed in records[6:]]
+        self.rows = list(map(ResultRow.unpacker(), records[6:]))
 
     def _on_delivery(self, topic: str, message: str) -> None:
         from repro.fedquery.views import ViewDelta
@@ -734,7 +775,7 @@ class ViewSubscription:
             # a new epoch replaces local state unconditionally
             self.epoch = delta.epoch
             self.version = delta.to_version
-            self.rows = [ResultRow.unpack(packed) for packed in delta.added]
+            self.rows = list(map(ResultRow.unpacker(), delta.added))
             self.deltas_applied += 1
             return
         if delta.epoch != self.epoch or delta.from_version != self.version:
@@ -742,7 +783,7 @@ class ViewSubscription:
             self.refresh()
             return
         if delta.kind == "replace":
-            self.rows = [ResultRow.unpack(packed) for packed in delta.added]
+            self.rows = list(map(ResultRow.unpacker(), delta.added))
         else:
             counts = Counter(row.pack() for row in self.rows)
             for packed in delta.removed:
@@ -756,8 +797,9 @@ class ViewSubscription:
             for packed in delta.added:
                 counts[packed] += 1
             rows = []
+            unpack = ResultRow.unpacker()
             for packed, count in counts.items():
-                rows.extend([ResultRow.unpack(packed)] * count)
+                rows.extend([unpack(packed)] * count)
             # the canonical order is deterministic, so re-sorting the
             # multiset reproduces the server's row order byte for byte
             self.rows = order_rows(rows, self.query)
@@ -906,12 +948,10 @@ class PPerfGridClient:
             else:
                 packed = fed.query(text)
         if not approx:
-            return [ResultRow.unpack(p) for p in packed]
+            return list(map(ResultRow.unpacker(), packed))
         packed_rows, bounds = split_bounds(packed)
         return QueryRows(
-            [ResultRow.unpack(p) for p in packed_rows],
-            approx=True,
-            error_bounds=bounds,
+            map(ResultRow.unpacker(), packed_rows), approx=True, error_bounds=bounds
         )
 
     def query_stream(
@@ -936,8 +976,8 @@ class PPerfGridClient:
         with self.environment.recorder.time("virtualization.fedquery.stream"):
             handle = fed.queryChunked(text)
         return ChunkedResultIterator(
-            self.environment, handle, max_rows=max_rows, decoder=ResultRow.unpack,
-            accept_encodings=accept_encodings,
+            self.environment, handle, max_rows=max_rows,
+            decoder=ResultRow.unpacker(), accept_encodings=accept_encodings,
         )
 
     def explain_query(self, text: str) -> str:
@@ -995,8 +1035,7 @@ class PPerfGridClient:
 
         records = list(self._require_views().getView(view_id))
         header = _parse_pairs(records[:6])
-        rows = [ResultRow.unpack(packed) for packed in records[6:]]
-        return header, rows
+        return header, list(map(ResultRow.unpacker(), records[6:]))
 
     def subscribe_view(
         self, view_id: str, authority: str = "ppg-client:7070"

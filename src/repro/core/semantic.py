@@ -12,6 +12,7 @@ The thesis's wire conventions are preserved exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.ogsi.porttypes import (
     GRID_SERVICE_PORTTYPE,
@@ -78,6 +79,12 @@ def pr_cache_key(metric: str, foci: list[str], start: str, end: str, result_type
     return f"{metric} | {';'.join(foci)} | {result_type} | {start}-{end}"
 
 
+#: every NaN cell's key: after every number (``+inf`` included), before
+#: every text, all NaNs tied — a key holding ``nan`` itself would compare
+#: false both ways and make the sorted order depend on the input order
+_NAN_KEY = (1, 0.0, "")
+
+
 def ordering_key(value: object) -> tuple[int, float, str]:
     """Numeric-aware, type-stable sort key for one cell value.
 
@@ -85,14 +92,26 @@ def ordering_key(value: object) -> tuple[int, float, str]:
     ordering in the system derives from: the federated bulk merge sorts
     whole rows by it, and streaming cursors sort server-side by it so a
     client k-way merge of sorted member streams reproduces the bulk
-    ordering byte for byte.
+    ordering byte for byte.  Numbers order by value, then NaN, then
+    non-numeric text by code point.
     """
     if isinstance(value, (int, float)):
-        return (0, float(value), "")
+        number = float(value)
+        return (0, number, "") if number == number else _NAN_KEY
+    return _text_key(str(value))
+
+
+@lru_cache(maxsize=1024)
+def _text_key(text: str) -> tuple[int, float, str]:
+    """:func:`ordering_key` of a text cell.  Result columns repeat a
+    handful of texts (app, metric, focus, type) on every row; the memo
+    keeps each from re-entering ``float()`` — and the non-numeric ones
+    from raising — for every row of every sort."""
     try:
-        return (0, float(str(value)), "")
+        number = float(text)
     except ValueError:
-        return (1, 0.0, str(value))
+        return (2, 0.0, text)
+    return (0, number, "") if number == number else _NAN_KEY
 
 
 def pr_sort_key(result: "PerformanceResult") -> tuple:

@@ -51,13 +51,13 @@ from repro.core.semantic import AggregateRecord, ordering_key, pr_sort_key
 from repro.fedquery.ast import Query, QueryError
 from repro.fedquery.coherence import ANY, CoherenceTracker, Dep
 from repro.fedquery.merge import (
-    RAW_COLUMNS,
     BoundsTracker,
     ResultRow,
     StreamingMerger,
     TaskContext,
     order_rows,
     pack_bounds,
+    raw_row,
     split_bounds,
 )
 from repro.fedquery.parser import parse_query
@@ -106,17 +106,16 @@ def choose_fanout(
     return min(cap, SLOTS_PER_REPLICA * replicas)
 
 
-def fetch_aggregates(execution, sub: SubQuery, foci: list[str]) -> list:
-    """One push-down ``getPRAgg`` call for *sub* over *foci*."""
-    return execution.get_pr_agg(
-        sub.metric,
-        foci,
-        sub.start,
-        sub.end,
-        sub.result_type,
-        min_value=sub.min_value,
-        max_value=sub.max_value,
-        group_by="focus" if sub.group_by_focus else "",
+def fetch_subquery(execution, sub: SubQuery, foci: list[str]) -> tuple[list, int]:
+    """One bulk member call for *sub* over *foci* — push-down ``getPRAgg``
+    buckets or ``getPR`` results, by ``sub.mode`` — as ``(records,
+    payload bytes)``: the bytes are counted by the binding, off the
+    strings it received, never by rendering the records again."""
+    aggregate = None
+    if sub.mode == "aggregate":
+        aggregate = (sub.min_value, sub.max_value, "focus" if sub.group_by_focus else "")
+    return execution.fetch(
+        sub.metric, foci, sub.start, sub.end, sub.result_type, aggregate
     )
 
 
@@ -389,7 +388,9 @@ class FederationEngine:
         cached = self.plan_cache.get(fingerprint)
         if cached is not None:
             packed_rows, cached_bounds = split_bounds(cached)
-            rows = [ResultRow.unpack(r) for r in packed_rows]
+            # each row keeps the cached text it was parsed from, so a
+            # cached answer reaches the wire without being rendered again
+            rows = list(map(ResultRow.unpacker(), packed_rows))
             if stream:
                 return StreamedResult(
                     columns=query.output_columns, source=iter(rows), cached=True
@@ -613,6 +614,13 @@ class FederationEngine:
                 )
         return streams
 
+    def wants_cursor(self, execution, per_exec: int | None) -> bool:
+        """Should *execution*'s raw rows drain through a chunked cursor?
+        Remote and estimated large — or unsized: bulk is the memory risk."""
+        return not execution.is_local and (
+            per_exec is None or per_exec >= self.stream_threshold_rows
+        )
+
     def _stream_producer(
         self, member: MemberPlan, execution, subqueries, query: Query,
         per_exec: int | None, stats, stats_lock, deps,
@@ -629,9 +637,7 @@ class FederationEngine:
         """
         chunk_rows = self.stream_chunk_rows
         value_preds = query.predicates_on("value")
-        use_cursor = not execution.is_local and (
-            per_exec is None or per_exec >= self.stream_threshold_rows
-        )
+        use_cursor = self.wants_cursor(execution, per_exec)
 
         def produce(stop):
             exec_id = self._execution_id(execution)
@@ -649,45 +655,29 @@ class FederationEngine:
                         accept_encodings=self.accept_encodings,
                     )
                     kind = "chunkedCalls"
+                    payload_bytes = 0  # the cursor's count, read once it closes
                 else:
-                    results = execution.get_pr(
-                        sub.metric, foci, sub.start, sub.end, sub.result_type
-                    )
+                    results, payload_bytes = fetch_subquery(execution, sub, foci)
                     results.sort(key=pr_sort_key)
                     rows = iter(results)
                     kind = "bulkCalls"
                 batch: list[ResultRow] = []
-                records = payload_bytes = 0
+                records = 0
                 try:
                     for result in rows:
                         if stop.is_set():
                             return
                         records += 1
-                        payload_bytes += len(result.pack())
                         if value_preds and not matches_value(result.value, value_preds):
                             continue
-                        batch.append(
-                            ResultRow(
-                                RAW_COLUMNS,
-                                (
-                                    member.app,
-                                    exec_id,
-                                    result.metric,
-                                    result.focus,
-                                    result.result_type,
-                                    result.start,
-                                    result.end,
-                                    result.value,
-                                ),
-                            )
-                        )
+                        batch.append(raw_row(member.app, exec_id, result))
                         if len(batch) >= chunk_rows:
                             yield batch
                             batch = []
                 finally:
-                    closer = getattr(rows, "close", None)
-                    if closer is not None:
-                        closer()
+                    if use_cursor:
+                        rows.close()
+                        payload_bytes = rows.bytes_fetched
                     with stats_lock:
                         stats["calls"] += 1
                         stats[kind] += 1
@@ -925,18 +915,11 @@ class FederationEngine:
             info = dict(execution.info()) if member.needs_info else None
             ctx = TaskContext(app=member.app, exec_id=exec_id, info=info)
             foci = filter_foci(execution.foci(), member.foci)
-            payloads: list[tuple[str, str, list]] = []
+            payloads: list[tuple[SubQuery, list, int]] = []
             if not foci:
                 return ctx, payloads
             for sub in subqueries:
-                if sub.mode == "aggregate":
-                    records = fetch_aggregates(execution, sub, foci)
-                    payloads.append((sub.metric, "aggregate", records))
-                else:
-                    results = execution.get_pr(
-                        sub.metric, foci, sub.start, sub.end, sub.result_type
-                    )
-                    payloads.append((sub.metric, "raw", results))
+                payloads.append((sub, *fetch_subquery(execution, sub, foci)))
             return ctx, payloads
 
         return run
@@ -965,11 +948,11 @@ class FederationEngine:
             errors.append(f"{type(exc).__name__}: {exc}")
             return
         deps.add((ctx.app, ctx.exec_id))
-        for metric, kind, payload in payloads:
+        for sub, records, payload_bytes in payloads:
             stats["calls"] += 1
-            stats["records"] += len(payload)
-            stats["payloadBytes"] += sum(len(item.pack()) for item in payload)
-            if kind == "aggregate":
-                merger.absorb_aggregates(ctx, metric, payload)
+            stats["records"] += len(records)
+            stats["payloadBytes"] += payload_bytes
+            if sub.mode == "aggregate":
+                merger.absorb_aggregates(ctx, sub.metric, records)
             else:
-                merger.absorb_results(ctx, metric, payload)
+                merger.absorb_results(ctx, sub.metric, records)

@@ -12,7 +12,9 @@ aggregation at the stores safe to merge here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.core.semantic import AggregateRecord, PerformanceResult, ordering_key
 from repro.fedquery.ast import Query, QueryError
@@ -36,6 +38,9 @@ class ResultRow:
 
     columns: tuple[str, ...]
     values: tuple[object, ...]
+    #: the wire form, once rendered (or the text this row was parsed
+    #: from): every consumer of one row's text shares one render
+    _packed: str | None = field(default=None, compare=False, repr=False)
 
     def as_dict(self) -> dict[str, object]:
         return dict(zip(self.columns, self.values))
@@ -48,11 +53,11 @@ class ResultRow:
 
     def pack(self) -> str:
         """Wire form: ``col=value|col=value|...`` (floats via repr)."""
-        parts = []
-        for column, value in zip(self.columns, self.values):
-            rendered = repr(value) if isinstance(value, float) else str(value)
-            parts.append(f"{column}={rendered}")
-        return "|".join(parts)
+        packed = self._packed
+        if packed is None:
+            packed = _render(self.columns, self.values)
+            object.__setattr__(self, "_packed", packed)
+        return packed
 
     @staticmethod
     def unpack(text: str) -> "ResultRow":
@@ -64,7 +69,55 @@ class ResultRow:
                 raise ValueError(f"bad ResultRow field {part!r} in {text!r}")
             columns.append(column)
             values.append(_parse_value(column, rendered))
-        return ResultRow(tuple(columns), tuple(values))
+        return ResultRow(tuple(columns), tuple(values), text)
+
+    @staticmethod
+    def unpacker() -> Callable[[str], "ResultRow"]:
+        """An :meth:`unpack` for a run of rows that remembers the last
+        row's shape: a row with the same column names is read by one
+        compiled pattern and reuses the column tuple and the numeric
+        columns' converters, instead of re-deriving each cell's type
+        from its column name.  Anything else — a new shape, a malformed
+        field — goes through :meth:`unpack` itself, which then raises
+        or sets the shape to remember.
+        """
+        columns: tuple[str, ...] = ()
+        match = re.compile("(?!)").fullmatch  # no shape yet: matches nothing
+        numeric: list[tuple[int, type]] = []  # (position, int | float)
+
+        def unpack(text: str) -> ResultRow:
+            nonlocal columns, match, numeric
+            found = match(text)
+            if found is None:
+                row = ResultRow.unpack(text)
+                columns = row.columns
+                # exactly what unpack accepts for these columns: as many
+                # '|'-separated fields, each opening with its "column="
+                match = re.compile(
+                    r"\|".join(f"{re.escape(column)}=([^|]*)" for column in columns)
+                ).fullmatch
+                numeric = [
+                    (position, type(value))
+                    for position, value in enumerate(row.values)
+                    if not isinstance(value, str)
+                ]
+                return row
+            values: list[object] = list(found.groups())
+            for position, convert in numeric:
+                values[position] = convert(values[position])
+            return ResultRow(columns, tuple(values), text)
+
+        return unpack
+
+
+def _render(columns: tuple[str, ...], values: tuple[object, ...]) -> str:
+    """The one place a row becomes text (``ResultRow.pack`` memoises it)."""
+    return "|".join(
+        [
+            f"{column}={value!r}" if isinstance(value, float) else f"{column}={value}"
+            for column, value in zip(columns, values)
+        ]
+    )
 
 
 def _parse_value(column: str, rendered: str) -> object:
@@ -73,6 +126,23 @@ def _parse_value(column: str, rendered: str) -> object:
     if column in _FLOAT_COLUMNS or "(" in column:
         return float(rendered)
     return rendered
+
+
+def raw_row(app: str, exec_id: str, result: PerformanceResult) -> ResultRow:
+    """Project one Performance Result onto the raw-mode output columns."""
+    return ResultRow(
+        RAW_COLUMNS,
+        (
+            app,
+            exec_id,
+            result.metric,
+            result.focus,
+            result.result_type,
+            result.start,
+            result.end,
+            result.value,
+        ),
+    )
 
 
 class Accumulator:
@@ -178,30 +248,17 @@ class StreamingMerger:
         """Fold raw getPR rows: filter by value predicates, then reduce
         (aggregate query) or project (raw query)."""
         value_preds = self.query.predicates_on("value")
+        if value_preds:
+            results = [r for r in results if matches_value(r.value, value_preds)]
+        if not self.query.is_aggregate:
+            self._raw_rows.extend(
+                [raw_row(ctx.app, ctx.exec_id, result) for result in results]
+            )
+            return
         for result in results:
-            if value_preds and not matches_value(result.value, value_preds):
-                continue
-            if self.query.is_aggregate:
-                key = self._group_key(ctx, focus=result.focus)
-                if key is None:
-                    continue
+            key = self._group_key(ctx, focus=result.focus)
+            if key is not None:
                 self._accumulator(key, metric).add(result.value)
-            else:
-                self._raw_rows.append(
-                    ResultRow(
-                        RAW_COLUMNS,
-                        (
-                            ctx.app,
-                            ctx.exec_id,
-                            result.metric,
-                            result.focus,
-                            result.result_type,
-                            result.start,
-                            result.end,
-                            result.value,
-                        ),
-                    )
-                )
 
     # -------------------------------------------------------------- keys
     def _group_key(self, ctx: TaskContext, focus: str) -> tuple[str, ...] | None:
@@ -278,16 +335,12 @@ class StreamingMerger:
         return out
 
 
-# the canonical per-cell order lives in the semantic layer so server-side
-# cursor sorting (repro.core) and this client-side merge agree by
-# construction; the old private name stays as an alias for callers
-_ordering_key = ordering_key
-
-
 def row_sort_key(row: ResultRow) -> tuple:
     """Whole-row canonical sort key (what :func:`order_rows` sorts by,
-    and what the streaming k-way merge heaps member rows on)."""
-    return tuple(ordering_key(v) for v in row.values)
+    and what the streaming k-way merge heaps member rows on).  The
+    per-cell order lives in the semantic layer, so server-side cursor
+    sorting (repro.core) and this client-side merge agree by construction."""
+    return tuple(map(ordering_key, row.values))
 
 
 def order_rows(rows: list[ResultRow], query: Query) -> list[ResultRow]:
@@ -301,7 +354,7 @@ def order_rows(rows: list[ResultRow], query: Query) -> list[ResultRow]:
     if query.order_by is not None:
         column = query.order_by
         ordered.sort(
-            key=lambda r: _ordering_key(r[column]), reverse=query.order_desc
+            key=lambda r: ordering_key(r[column]), reverse=query.order_desc
         )
     if query.limit is not None:
         ordered = ordered[: query.limit]

@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.fedquery.ast import Query, QueryError
-from repro.fedquery.executor import fetch_aggregates
+from repro.fedquery.executor import fetch_subquery
 from repro.fedquery.merge import ResultRow, StreamingMerger, TaskContext, order_rows
 from repro.fedquery.parser import parse_query
 from repro.fedquery.planner import MemberPlan, ViewShape, view_shape
@@ -348,10 +348,10 @@ class ViewMaintainer:
     ) -> _Partition:
         """One execution's contribution, through a private merger.
 
-        Raw sub-queries drain through ``stream_pr`` — the chunked-cursor
-        path, chosen on the plan's own *per_exec* row estimate — so a
-        large partition never materializes an unbounded SOAP array just
-        to maintain a view.
+        Raw sub-queries of a large (or unsized) remote partition drain
+        through a chunked cursor — the engine's own rule, on the plan's
+        own *per_exec* row estimate — so a large partition never
+        materializes an unbounded SOAP array just to maintain a view.
         """
         query = view.query
         exec_id = self.engine._execution_id(execution)
@@ -362,21 +362,21 @@ class ViewMaintainer:
         fetched_rows = fetched_bytes = 0
         if foci:
             for sub in subqueries:
+                if sub.mode == "raw" and self.engine.wants_cursor(execution, per_exec):
+                    with execution.get_pr_chunked(
+                        sub.metric, foci, sub.start, sub.end, sub.result_type,
+                        accept_encodings=self.engine.accept_encodings,
+                    ) as cursor:
+                        records = list(cursor)
+                    payload_bytes = cursor.bytes_fetched
+                else:
+                    records, payload_bytes = fetch_subquery(execution, sub, foci)
+                fetched_rows += len(records)
+                fetched_bytes += payload_bytes
                 if sub.mode == "aggregate":
-                    records = fetch_aggregates(execution, sub, foci)
-                    fetched_rows += len(records)
-                    fetched_bytes += sum(len(r.pack()) for r in records)
                     merger.absorb_aggregates(ctx, sub.metric, records)
                 else:
-                    results = []
-                    for result in execution.stream_pr(
-                        sub.metric, foci, sub.start, sub.end, sub.result_type,
-                        estimated_rows=per_exec,
-                    ):
-                        fetched_rows += 1
-                        fetched_bytes += len(result.pack())
-                        results.append(result)
-                    merger.absorb_results(ctx, sub.metric, results)
+                    merger.absorb_results(ctx, sub.metric, records)
         self.counters["deltaRowsFetched"] += fetched_rows
         self.counters["deltaBytesFetched"] += fetched_bytes
         if query.is_aggregate:

@@ -99,34 +99,44 @@ def python_type_for(wire: str) -> type | None:
 
 def encode_value(name: str, value: object) -> Element:
     """Encode a Python value as an element named *name* with ``xsi:type``."""
-    el = Element(QName("", name))
-    wire = _wire_name_for(value)
-    el.attrs[_XSI_TYPE] = wire
+    return _encode(QName("", name), value, _wire_name_for(value))
+
+
+_ITEM = QName("", "item")
+_new_element = Element.__new__
+
+
+def _encode(tag: QName, value: object, wire: str) -> Element:
+    """:func:`encode_value` once the value's wire type is known."""
+    # Element() would copy the three containers it is handed.
+    el = _new_element(Element)
+    el.tag = tag
+    el.attrs = {_XSI_TYPE: wire}
+    el.children = children = []
+    el.nsdecls = {}
     if value is None:
         el.attrs[_XSI_NIL] = "true"
     elif wire == _BOOLEAN:
-        el.children.append("true" if value else "false")
+        children.append("true" if value else "false")
     elif wire == _DOUBLE:
-        el.children.append(repr(float(value)))  # type: ignore[arg-type]
+        children.append(repr(float(value)))  # type: ignore[arg-type]
     elif wire == _ARRAY:
         items = list(value)  # type: ignore[call-overload]
-        el.attrs[_ARRAY_TYPE_ATTR] = f"{_item_wire_type(items)}[{len(items)}]"
-        for item in items:
-            el.children.append(encode_value("item", item))
+        # classified once: the kinds that name the arrayType are the
+        # kinds the items are encoded with
+        kinds = [_wire_name_for(item) for item in items]
+        distinct = set(kinds) - {_ANY}  # None items do not vote
+        item_type = distinct.pop() if len(distinct) == 1 else _ANY
+        el.attrs[_ARRAY_TYPE_ATTR] = f"{item_type}[{len(items)}]"
+        children.extend([_encode(_ITEM, item, kind) for item, kind in zip(items, kinds)])
     elif wire == _STRUCT:
         for key, item in value.items():  # type: ignore[attr-defined]
             if not isinstance(key, str) or not key:
                 raise SoapEncodingError("struct keys must be non-empty strings")
-            el.children.append(encode_value(key, item))
+            children.append(encode_value(key, item))
     else:  # string, int, long
-        el.children.append(str(value))
+        children.append(str(value))
     return el
-
-
-def _item_wire_type(items: list[object]) -> str:
-    """Element type for an array's ``arrayType`` attribute."""
-    kinds = {_wire_name_for(item) for item in items if item is not None}
-    return kinds.pop() if len(kinds) == 1 else _ANY
 
 
 def decode_value(el: Element) -> object:
@@ -137,7 +147,9 @@ def decode_value(el: Element) -> object:
     wire = el.attrs.get(_XSI_TYPE)
     if wire is None:
         raise SoapEncodingError(f"element <{el.tag.local}> is missing xsi:type")
-    text = el.text()
+    children = el.children
+    # the common item: one text chunk, no join to run
+    text = children[0] if len(children) == 1 and type(children[0]) is str else el.text()
     try:
         if wire == _BOOLEAN:
             if text not in ("true", "false", "1", "0"):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 
 import pytest
 
-from repro.experiments.common import GridScale, build_grid
+from repro.core.client import PPerfGridClient
+from repro.experiments.common import GridScale, build_grid, build_synthetic_grid
 from repro.fedquery import (
     Accumulator,
     FEDERATED_QUERY_PORTTYPE,
@@ -21,7 +24,8 @@ from repro.fedquery import (
     plan_query,
 )
 from repro.fedquery.merge import StreamingMerger, TaskContext
-from repro.core.semantic import AggregateRecord, PerformanceResult
+from repro.core.semantic import AggregateRecord, PerformanceResult, ordering_key
+from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 
 
 @pytest.fixture(scope="module")
@@ -343,6 +347,97 @@ class TestOrderRows:
         rows = [ResultRow(cols, ("banana", 1)), ResultRow(cols, ("10", 1))]
         q = parse_query("SELECT count(x) GROUP BY k ORDER BY k")
         assert [r["k"] for r in order_rows(rows, q)] == ["10", "banana"]
+
+
+class TestNanOrder:
+    """One NaN must not make the canonical order depend on arrival order:
+    NaN (a float, or a text ``float()`` reads as one) orders after every
+    number, ``+inf`` included, and before every other text; NaNs tie."""
+
+    NAN = float("nan")
+
+    @staticmethod
+    def _packed(rows, query):
+        return [row.pack() for row in order_rows(rows, query)]
+
+    def test_float_cells_order_the_same_from_every_permutation(self):
+        query = parse_query("SELECT m")
+        rows = [
+            ResultRow(("app", "value"), ("A", value))
+            for value in (3.0, self.NAN, 1.0, float("inf"), 2.0, self.NAN)
+        ]
+        outputs = {tuple(self._packed(list(p), query)) for p in itertools.permutations(rows)}
+        assert outputs == {
+            tuple(f"app=A|value={v}" for v in ("1.0", "2.0", "3.0", "inf", "nan", "nan"))
+        }
+
+    def test_text_cells_order_the_same_from_every_permutation(self):
+        query = parse_query("SELECT count(x) GROUP BY k")
+        rows = [
+            ResultRow(("k", "count(x)"), (key, 1))
+            for key in ("5", "nan", "7", "10", "NaN", "inf", "banana", "")
+        ]
+        outputs = {tuple(self._packed(list(p), query)) for p in itertools.permutations(rows, 8)}
+        assert len(outputs) == 2  # "nan" and "NaN" tie: a stable sort keeps their arrival order
+        for output in outputs:
+            keys = [packed.split("|")[0][2:] for packed in output]
+            assert keys[:4] == ["5", "7", "10", "inf"] and keys[6:] == ["", "banana"]
+            assert sorted(keys[4:6]) == ["NaN", "nan"]
+
+    def test_nan_free_cells_order_as_they_always_did(self, oracle_seed):
+        def parent_key(value):  # ordering_key before the NaN rule and the memo
+            if isinstance(value, (int, float)):
+                return (0, float(value), "")
+            try:
+                return (0, float(str(value)), "")
+            except ValueError:
+                return (1, 0.0, str(value))
+
+        rng = random.Random(0x0A2 + oracle_seed)
+        pool = [0, -1, 7, True, 2.5, -0.0, 1e300, float("inf"), float("-inf"),
+                "5", "05", "5.0", "1e3", "inf", "-Infinity", " 2 ", "", "banana", "Z", "é", "/rank/3"]
+        for _ in range(200):
+            cells = [rng.choice(pool) for _ in range(rng.randint(2, 12))]
+            assert sorted(cells, key=ordering_key) == sorted(cells, key=parent_key)
+
+    def test_federation_with_a_nan_answers_alike_on_every_path(self, oracle_seed):
+        rng = random.Random(0x0A1 + oracle_seed)
+        values = [3.0, self.NAN, 1.0, 2.0, 5.0, 0.5, float("-inf")]
+        answers = set()
+        for _ in range(4):
+            rng.shuffle(values)
+            wrappers = {
+                name: InMemoryWrapper(
+                    name,
+                    [
+                        InMemoryExecution(
+                            "nan" if name == "A" else "0",
+                            {},
+                            [PerformanceResult("m", "/R", "t", 0.0, 1.0, v) for v in member_values],
+                        )
+                    ],
+                )
+                for name, member_values in (("A", values), ("B", [1.0, self.NAN]))
+            }
+            grid = build_synthetic_grid(wrappers)
+            engine = grid.deploy_federation()
+            engine.stream_threshold_rows = 0  # members sort server-side, the heap merges
+            bulk = [row.pack() for row in grid.client.query("SELECT m")]
+            engine.invalidate_cache()
+            streamed = [row.pack() for row in grid.client.query_stream("SELECT m")]
+            local = PPerfGridClient(grid.environment)
+            members = {}
+            for name, wrapper in wrappers.items():
+                local.register_local_wrapper(grid.sites[name].factory_url, wrapper)
+                members[name] = local.bind(grid.sites[name].factory_url, name)
+            naive = [row.pack() for row in naive_query("SELECT m", members)]
+            assert bulk == streamed == naive
+            answers.add(tuple(bulk))
+            grid.environment.close()
+        assert len(answers) == 1  # whatever order the stores held their rows in
+        assert [packed.rsplit("=", 1)[1] for packed in next(iter(answers))[:7]] == [
+            "-inf", "0.5", "1.0", "2.0", "3.0", "5.0", "nan",
+        ]
 
 
 class TestMergerSemantics:

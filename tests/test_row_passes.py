@@ -1,0 +1,401 @@
+"""One parse, one order key, one render per raw row per hop — as counts.
+
+Nothing here reads a clock.  Each pass over a row has one seam, and the
+tests count what goes through it on a 2-member x 2-execution x 50-row
+synthetic federation driven through the SOAP surface:
+
+* a ``ResultRow`` becomes text only in ``repro.fedquery.merge._render``
+  (``pack()`` memoises it, ``unpack`` seeds the memo);
+* a ``PerformanceResult`` becomes text only in ``PerformanceResult.pack``;
+* a text cell enters ``float()`` only in ``repro.core.semantic._text_key``,
+  whose ``cache_info().misses`` is the number of classifications made.
+
+Beside the counts, two differentials keep the faster paths honest: the
+shape-remembering unpacker against ``ResultRow.unpack`` row for row, and
+``encode_value`` against the encoder as it stood before arrays were
+classified once (kept verbatim below), byte for byte.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import semantic
+from repro.core.semantic import PerformanceResult
+from repro.experiments.common import build_synthetic_grid
+from repro.fedquery import ResultRow, merge
+from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
+from repro.soap import encoding
+from repro.soap.encoding import SoapEncodingError, decode_value, encode_value
+from repro.xmlkit import Element, QName, parse, serialize
+
+MEMBERS, EXECUTIONS, ROWS, FOCI = 2, 2, 50, 5
+TOTAL = MEMBERS * EXECUTIONS * ROWS
+
+
+def _wrappers() -> dict[str, InMemoryWrapper]:
+    return {
+        f"APP{m}": InMemoryWrapper(
+            f"APP{m}",
+            [
+                InMemoryExecution(
+                    str(e),
+                    {},
+                    [
+                        PerformanceResult(
+                            "m", f"/rank/{i % FOCI}", "synthetic",
+                            float(i), float(i + 1), (m * 7 + e * 3 + i * 13) % 101 / 4,
+                        )
+                        for i in range(ROWS)
+                    ],
+                )
+                for e in range(EXECUTIONS)
+            ],
+        )
+        for m in range(MEMBERS)
+    }
+
+
+class Passes:
+    """Counters on the three seams, plus every result the engine produced."""
+
+    def __init__(self, monkeypatch, engine) -> None:
+        self.renders = 0
+        self.pr_renders = 0
+        self.results: list = []
+        render, pr_pack, execute = merge._render, PerformanceResult.pack, engine.execute
+
+        def counted_render(columns, values):
+            self.renders += 1
+            return render(columns, values)
+
+        def counted_pr_pack(result):
+            self.pr_renders += 1
+            return pr_pack(result)
+
+        def recorded_execute(*args, **kwargs):
+            self.results.append(execute(*args, **kwargs))
+            return self.results[-1]
+
+        monkeypatch.setattr(merge, "_render", counted_render)
+        monkeypatch.setattr(PerformanceResult, "pack", counted_pr_pack)
+        monkeypatch.setattr(engine, "execute", recorded_execute)
+
+    def reset(self) -> None:
+        self.renders = self.pr_renders = 0
+        semantic._text_key.cache_clear()
+
+    @property
+    def classifications(self) -> int:
+        return semantic._text_key.cache_info().misses
+
+
+@pytest.fixture()
+def federation(monkeypatch):
+    wrappers = _wrappers()
+    grid = build_synthetic_grid(wrappers)
+    engine = grid.deploy_federation()
+    #: today's definition of payloadBytes, from the members' own data
+    payload = sum(
+        len(result.pack())
+        for wrapper in wrappers.values()
+        for execution in wrapper.executions_data
+        for result in execution.results
+    )
+    passes = Passes(monkeypatch, engine)
+    # the members' PR caches answer every later getPR: a PerformanceResult
+    # rendered after this is rendered by the federation, not by a member
+    assert len(grid.client.query("SELECT m WHERE value >= -900000.5")) == TOTAL
+    passes.reset()
+    yield grid, engine, passes, payload
+    engine.close()
+    grid.environment.close()
+
+
+def _distinct_texts(rows) -> int:
+    return len({value for row in rows for value in row.values if isinstance(value, str)})
+
+
+class TestBulk:
+    def test_one_render_per_row_and_none_of_a_member_record(self, federation):
+        grid, _, passes, payload = federation
+        rows = grid.client.query("SELECT m WHERE value >= -1.5")
+        assert len(rows) == TOTAL
+        assert passes.renders == TOTAL  # plan-cache admit and wire share it
+        assert passes.pr_renders == 0
+        assert 0 < passes.classifications <= _distinct_texts(rows)
+        assert passes.results[-1].stats["payloadBytes"] == payload
+
+    def test_plan_cache_hit_renders_nothing(self, federation):
+        grid, _, passes, _ = federation
+        text = "SELECT m WHERE value >= -2.5"
+        first = grid.client.query(text)
+        passes.reset()
+        second = grid.client.query(text)
+        assert passes.results[-1].cached is True
+        assert (passes.renders, passes.pr_renders) == (0, 0)
+        assert [row.pack() for row in second] == [row.pack() for row in first]
+        # a cached answer drained through a cursor is the same stored text
+        streamed = list(grid.client.query_stream(text))
+        assert (passes.renders, passes.pr_renders) == (0, 0)
+        assert [row.pack() for row in streamed] == [row.pack() for row in first]
+
+    def test_aggregate_rows_render_once(self, federation):
+        grid, _, passes, _ = federation
+        rows = grid.client.query("SELECT count(m), mean(m) WHERE value >= -3.5 GROUP BY focus")
+        assert len(rows) == FOCI
+        assert passes.renders == FOCI
+        assert passes.pr_renders == 0
+
+
+class TestStreamed:
+    @pytest.mark.parametrize("cursors", [True, False], ids=["member-cursors", "member-bulk"])
+    def test_one_render_per_row_on_a_drained_stream(self, federation, cursors):
+        grid, engine, passes, payload = federation
+        if cursors:
+            engine.stream_threshold_rows = 0
+        engine.stream_chunk_rows = 16
+        rows = list(grid.client.query_stream("SELECT m WHERE value >= -4.5", max_rows=32))
+        assert len(rows) == TOTAL
+        assert passes.renders == TOTAL  # memoize cap, plan-cache admit, cursor feed
+        # a member cursor bypasses its PR cache and renders each result it
+        # serves, once; the federation renders none to count its bytes
+        assert passes.pr_renders == (TOTAL if cursors else 0)
+        assert 0 < passes.classifications <= _distinct_texts(rows)
+        stats = passes.results[-1].stats
+        assert stats["chunkedCalls" if cursors else "bulkCalls"] == MEMBERS * EXECUTIONS
+        assert stats["payloadBytes"] == payload
+        assert [row.pack() for row in rows] == [
+            row.pack() for row in grid.client.query("SELECT m WHERE value >= -5.5")
+        ]
+
+
+class TestViews:
+    @pytest.mark.parametrize("cursors", [True, False], ids=["member-cursors", "member-bulk"])
+    def test_raw_view_counts_the_bytes_it_received(self, federation, cursors):
+        grid, engine, passes, payload = federation
+        if cursors:
+            engine.stream_threshold_rows = 0
+        view_id = grid.client.create_view("SELECT m")
+        assert grid.client.view_stats()["deltaBytesFetched"] == payload
+        assert grid.client.view_stats()["deltaRowsFetched"] == TOTAL
+        assert passes.pr_renders == (TOTAL if cursors else 0)
+        passes.reset()
+        _, rows = grid.client.get_view(view_id)
+        assert len(rows) == TOTAL and passes.renders == TOTAL
+        grid.client.get_view(view_id)
+        assert passes.renders == TOTAL  # the view's rows keep their text
+
+    def test_aggregate_view_counts_the_buckets_it_received(self, federation):
+        grid, engine, _, _ = federation
+        grid.client.create_view("SELECT count(m), sum(m) GROUP BY focus")
+        buckets = [
+            record
+            for binding in engine.members().values()
+            for execution in binding.all_executions()
+            for record in execution.get_pr_agg("m", execution.foci(), group_by="focus")
+        ]
+        stats = grid.client.view_stats()
+        assert stats["deltaRowsFetched"] == len(buckets) == MEMBERS * EXECUTIONS * FOCI
+        assert stats["deltaBytesFetched"] == sum(len(record.pack()) for record in buckets)
+
+
+# ------------------------------------------------- unpacker, row for row
+
+def _outcome(unpack, text):
+    try:
+        row = unpack(text)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    # repr: a nan cell equals itself here, and 1 differs from 1.0
+    return (row.columns, repr(row.values), row.pack())
+
+
+def _same_as_unpack(texts: list[str]) -> None:
+    unpack = ResultRow.unpacker()  # one unpacker over the whole run
+    for text in texts:
+        assert _outcome(unpack, text) == _outcome(ResultRow.unpack, text), text
+
+
+RAW = "app=A|exec=1|metric=m|focus=/rank/3|type=synthetic|start=1.0|end=2.0|value=0.25"
+AGG = "numprocs=16|count(m)=7|mean(m)=1.5e-07|max(m)=inf"
+
+
+class TestUnpackerEqualsUnpack:
+    def test_raw_rows(self):
+        _same_as_unpack([RAW, RAW.replace("0.25", "nan"), RAW.replace("A|", "B=|"), RAW])
+
+    def test_aggregate_rows(self):
+        _same_as_unpack([AGG, AGG.replace("=7", "=0"), AGG.replace("16", "")])
+
+    def test_shape_switches_mid_way(self):
+        _same_as_unpack([RAW, RAW, AGG, AGG, RAW, "k=v", AGG, "k=", "=v", RAW])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "novalue",
+            "",
+            RAW.replace("focus=", "focus"),  # no '=' in a remembered position
+            RAW.replace("focus=", "locus="),  # wrong name, still a valid row
+            RAW.replace("value=0.25", "value=abc"),
+            RAW.replace("start=1.0", "start="),
+            RAW.rsplit("|", 1)[0],  # short
+            RAW + "|extra=1",  # long
+            RAW + "|",
+            RAW.replace("|", "||", 1),
+            AGG.replace("=7", "=7.0"),  # a count that is not an int
+            AGG.replace("=7", "=x"),
+        ],
+    )
+    def test_malformed_field_after_a_remembered_shape(self, bad):
+        shape = AGG if bad.startswith("numprocs") else RAW
+        _same_as_unpack([shape, bad, shape, bad])
+        _same_as_unpack([bad, shape])
+
+    def test_seeded_fuzz(self, oracle_seed):
+        rng = random.Random(0x0A55E5 + oracle_seed)
+        columns = ["app", "exec", "focus", "start", "end", "value", "count(m)", "mean(m)", "a(b", ""]
+        cells = ["", "A", "1", "1.5", "nan", "-inf", "x=y", "7", "1e3", " 2 ", "0x10", "é"]
+        texts: list[str] = []
+        while len(texts) < 4_000:
+            shape = rng.sample(columns, rng.randint(1, 5))
+            for _ in range(rng.randint(1, 6)):
+                fields = [f"{column}={rng.choice(cells)}" for column in shape]
+                roll = rng.random()
+                if roll < 0.1:
+                    fields[rng.randrange(len(fields))] = rng.choice(["", "bare", "=", "value"])
+                elif roll < 0.15:
+                    fields.append(f"{rng.choice(columns)}={rng.choice(cells)}")
+                elif roll < 0.2:
+                    fields.pop()
+                texts.append("|".join(fields))
+        _same_as_unpack(texts)
+
+    def test_parsed_rows_keep_the_text_they_came_from(self):
+        parsed = ResultRow.unpack(RAW)
+        assert parsed.pack() is RAW and ResultRow.unpacker()(RAW).pack() is RAW
+        # the kept text is no part of the row's identity
+        built = ResultRow(parsed.columns, parsed.values)
+        assert built == parsed and hash(built) == hash(parsed) and "_packed" not in repr(parsed)
+        assert built.pack() == RAW
+
+
+# ------------------------------------------- encode_value, byte for byte
+
+_XSI_TYPE, _XSI_NIL, _ARRAY_TYPE = encoding._XSI_TYPE, encoding._XSI_NIL, encoding._ARRAY_TYPE_ATTR
+
+
+def _reference_encode(name: str, value: object) -> Element:
+    """``encode_value`` as it stood: the general ``Element`` constructor,
+    and every array item classified once for ``arrayType`` and once more
+    to be encoded."""
+    el = Element(QName("", name))
+    wire = encoding._wire_name_for(value)
+    el.attrs[_XSI_TYPE] = wire
+    if value is None:
+        el.attrs[_XSI_NIL] = "true"
+    elif wire == "xsd:boolean":
+        el.children.append("true" if value else "false")
+    elif wire == "xsd:double":
+        el.children.append(repr(float(value)))
+    elif wire == "enc:Array":
+        items = list(value)
+        kinds = {encoding._wire_name_for(item) for item in items if item is not None}
+        item_type = kinds.pop() if len(kinds) == 1 else "xsd:anyType"
+        el.attrs[_ARRAY_TYPE] = f"{item_type}[{len(items)}]"
+        for item in items:
+            el.children.append(_reference_encode("item", item))
+    elif wire == "tns:struct":
+        for key, item in value.items():
+            if not isinstance(key, str) or not key:
+                raise SoapEncodingError("struct keys must be non-empty strings")
+            el.children.append(_reference_encode(key, item))
+    else:
+        el.children.append(str(value))
+    return el
+
+
+class _Tagged(str):
+    """A ``str`` subclass: encoded as the plain string it wraps."""
+
+
+_xml_text = st.text(
+    alphabet=st.characters(codec="utf-8", exclude_categories=("Cs", "Cc")), max_size=12
+)
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    _xml_text,
+    _xml_text.map(_Tagged),
+    st.sampled_from(["", "<&>", "a|b=c", 2**31 - 1, 2**31, -(2**31) - 1]),
+)
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.from_regex(r"[a-z][a-z0-9]{0,6}", fullmatch=True), inner, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+class TestEncodeAgainstReference:
+    @given(_values)
+    @settings(max_examples=400, deadline=None)
+    def test_same_bytes(self, value):
+        encoded = encode_value("v", value)
+        assert serialize(encoded) == serialize(_reference_encode("v", value))
+        # what goes out comes back the same through the one-text-child read
+        assert repr(decode_value(parse(serialize(encoded)).root)) == repr(
+            decode_value(_reference_encode("v", value))
+        )
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [],
+            ["a", "", "b"],
+            [None, None],
+            ["a", None, "b"],
+            [True, 1],
+            [1, 2**31],
+            [2**31, 2**40],
+            [1.0, 2],
+            [["a"], [], [1, "b"]],
+            [{"k": ["v"]}, {}],
+            {"rows": ["x=1|y=2"], "n": 1, "nil": None},
+            [_Tagged("t"), "u"],
+            ("a", "b"),
+        ],
+    )
+    def test_named_shapes(self, value):
+        assert serialize(encode_value("v", value)) == serialize(_reference_encode("v", value))
+
+    def test_items_share_nothing_mutable(self):
+        first, second = encode_value("v", ["a", "b"]).children
+        first.attrs[QName("", "k")] = "1"
+        first.children.append("x")
+        first.nsdecls["p"] = "urn:p"
+        assert serialize(second) == '<item xmlns:ns1="http://www.w3.org/2001/XMLSchema-instance" ns1:type="xsd:string">b</item>'
+
+    def test_struct_key_still_checked(self):
+        with pytest.raises(SoapEncodingError):
+            encode_value("v", [{"": 1}])
+
+    def test_decode_reads_every_text_shape(self):
+        def item(*children):
+            return Element(QName("", "item"), attrs={_XSI_TYPE: "xsd:string"}, children=children)
+
+        assert decode_value(item()) == ""
+        assert decode_value(item("a")) == "a"
+        assert decode_value(item("a", "b")) == "ab"
+        assert decode_value(item("a", Element(QName("", "x"), children=["no"]), "b")) == "ab"
+        assert decode_value(item(Element(QName("", "x")))) == ""

@@ -17,6 +17,7 @@ import pytest
 from repro.core.client import ChunkedResultIterator
 from repro.core.semantic import PerformanceResult, pr_sort_key
 from repro.experiments.common import build_synthetic_grid
+from repro.fedquery.merge import ResultRow
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 from repro.ogsi.container import GridEnvironment
 from repro.ogsi.cursor import ResultCursorService, deploy_cursor
@@ -153,6 +154,31 @@ class TestChunkedResultIterator:
         with pytest.raises(ChunkError, match="expected 1"):
             for _ in it:
                 pass
+
+    @pytest.mark.parametrize(
+        "good, make_decoder",
+        [
+            (PerformanceResult("m", "/f", "t", 0.0, 1.0, 4.5).pack(), lambda: PerformanceResult.unpack),
+            ("app=A|value=1.5", ResultRow.unpacker),
+        ],
+        ids=["per-row", "shape-remembering"],
+    )
+    def test_rejected_row_releases_cursor(self, cursor_env, good, make_decoder):
+        """A stream that cannot be decoded cannot be resumed: the
+        server-side cursor goes now, not at the TTL sweep, and the
+        decoder's own exception is what the caller sees."""
+        environment, container = cursor_env
+        gsh = deploy_cursor(
+            container, "services/X", iter([good, "not a record", *[good] * 50])
+        )
+        it = ChunkedResultIterator(
+            environment, gsh.url(), max_rows=10, decoder=make_decoder()
+        )
+        next(it)
+        with pytest.raises(ValueError, match="not a record"):
+            next(it)
+        assert container.has_service(gsh) is False
+        assert list(it) == []  # closed iterator is simply exhausted
 
     def test_decoder_applied(self, cursor_env):
         environment, container = cursor_env

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from repro.core.prcache import PrCache, UnboundedCache
+from repro.core.prcache import PrCache, default_pr_cache
 from repro.core.semantic import (
     EXECUTION_PORTTYPE,
     PerformanceResult,
@@ -44,7 +44,7 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
         self._init_notification_source()
         self.wrapper = wrapper
         self.exec_id = exec_id
-        self.cache = cache if cache is not None else UnboundedCache()
+        self.cache = cache if cache is not None else default_pr_cache()
         #: data generation: bumped on every data_updated(), so clients
         #: can detect results computed against a superseded store state
         self.generation = 0

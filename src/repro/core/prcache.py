@@ -6,7 +6,8 @@ the query".  The thesis's prototype uses an unbounded table; its
 future-work section proposes a replacement policy that "adjusts
 dynamically depending on the host's available system resources" — both
 are here, plus a plain LRU for the ablation bench and a byte-budgeted
-one for the federation's plan cache.  Every policy is the one
+one for the federation's plan cache and, as :func:`default_pr_cache`,
+for every Execution configured none.  Every policy is the one
 :class:`~repro.simnet.lru.LruStore` constructed with a different bound.
 """
 
@@ -114,6 +115,17 @@ class ByteBudgetLruCache(PrCache):
     def approx_bytes(self) -> int:
         """Current approximate resident bytes across all entries."""
         return self.bytes
+
+
+#: the PR cache of an Execution that was configured none: the entries cap
+#: what literal-varying queries leave behind (keys carry value bounds)
+DEFAULT_PR_CACHE_BYTES = 1024 * 1024
+DEFAULT_PR_CACHE_ENTRIES = 128
+
+
+def default_pr_cache() -> ByteBudgetLruCache:
+    """The default policy of ``SiteConfig`` and ``ExecutionService``."""
+    return ByteBudgetLruCache(DEFAULT_PR_CACHE_BYTES, DEFAULT_PR_CACHE_ENTRIES)
 
 
 @dataclass

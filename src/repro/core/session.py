@@ -16,7 +16,7 @@ from typing import Callable
 from repro.core.application import ApplicationService
 from repro.core.execution import ExecutionService
 from repro.core.manager import DistributionPolicy, ManagerService
-from repro.core.prcache import PrCache, UnboundedCache
+from repro.core.prcache import PrCache, default_pr_cache
 from repro.mapping.base import ApplicationWrapper, TimedExecutionWrapper
 from repro.ogsi.container import GridEnvironment, ServiceContainer
 from repro.ogsi.factory import FactoryService
@@ -38,7 +38,7 @@ class SiteConfig:
     instance_lifetime: float | None = None
     #: whether Mapping-Layer getPR calls are timed into the recorder
     timed_mapping: bool = True
-    cache_factory: CacheFactory = field(default=UnboundedCache)
+    cache_factory: CacheFactory = field(default=default_pr_cache)
 
 
 class PPerfGridSite:

@@ -1,16 +1,18 @@
 """Cache coherence for the federation engine: one owner of the trust rule.
 
-The engine memoizes two things it read from the members — whole query
-results (the plan cache) and member statistics (``getStats``, the cost
-model's input) — and a ``data-update`` can supersede either at any
-moment, including while the read is in flight.  :class:`CoherenceTracker`
-decides when such an answer may be trusted:
+The engine memoizes three things it read from the members — whole query
+results (the plan cache), member statistics (``getStats``, the cost
+model's input) and the small facts every fan-out starts from (a
+member's execution list and vocabulary, an execution's foci) — and a
+``data-update`` can supersede any of them at any moment, including
+while the read is in flight.  :class:`CoherenceTracker` decides when
+such an answer may be trusted:
 
 * **One generation table**, three levels of one hierarchy: ``(app,
   exec_id)``, ``(app, "*")`` for a member, ``("*", "*")`` for the
   federation.  An execution update bumps the first two, a member-scoped
   clear the last two, a full clear the last.
-* **One admit rule**, for plans and statistics alike: copy the
+* **One admit rule**, for plans, statistics and facts alike: copy the
   generations *before* the read, cache the answer only if none it
   depends on moved by the time the read is done (the
   insert-after-invalidate race).  A superseded answer still serves the
@@ -30,7 +32,6 @@ from typing import Callable, Iterable
 
 from repro.core.prcache import PrCache
 from repro.core.semantic import StoreStats
-from repro.fedquery.ast import QueryError
 from repro.ogsi.gsh import GridServiceHandle
 from repro.ogsi.notification import NotificationSinkBase
 
@@ -58,8 +59,9 @@ class _CachedStats:
 
 
 class CoherenceTracker:
-    """Generations, plan dependencies, the member-stats cache, the sink
-    subscriptions and the counters, under one lock."""
+    """Generations, plan dependencies, the member-stats cache, the
+    member-fact memo, the sink subscriptions and the counters, under one
+    lock."""
 
     def __init__(self, plan_cache: PrCache) -> None:
         self.plan_cache = plan_cache
@@ -71,6 +73,10 @@ class CoherenceTracker:
         self._dep_sets: dict[frozenset[Dep], frozenset[Dep]] = {}
         #: member -> cached statistics; failed fetches are never cached
         self._stats: dict[str, _CachedStats] = {}
+        #: what the members told a listening engine, by name: ``(app,
+        #: "*")`` -> the member's execution bindings and vocabularies,
+        #: ``(app, exec_id)`` -> that execution's foci; never query text
+        self._facts: dict[Dep, dict[str, object]] = {}
         #: execution GSH -> (app, exec_id), learned at subscription time:
         #: the precise attribution for data-update deliveries
         self._sources: dict[str, Dep] = {}
@@ -87,6 +93,9 @@ class CoherenceTracker:
             "staleDiscards": 0,
             "statsInvalidations": 0,
             "statsDeltas": 0,
+            "factHits": 0,
+            "factReads": 0,
+            "staleHandles": 0,
         }
 
     # --------------------------------------------------------------- plans
@@ -136,6 +145,8 @@ class CoherenceTracker:
         — and drops the cached statistics outright; an execution update
         marks just that execution's share of them dirty, so the next
         plan re-merges a delta instead of refetching the whole member.
+        Remembered facts go by the same scope: an update forgets the
+        execution's and its member's own, a wider one all under it.
         """
         member = (app, ANY)
         with self._lock:
@@ -152,9 +163,12 @@ class CoherenceTracker:
                 self._generations[key] = self._generations.get(key, 0) + 1
             if exec_id is None:
                 self.counters["statsInvalidations"] += self.drop_stats(app)
+                self.forget(app)
             elif app in self._stats:
                 self.counters["statsInvalidations"] += 1
                 self._stats[app].dirty.add(exec_id)
+            for key in bumped:
+                self._facts.pop(key, None)
             dropped = 0
             for fingerprint in doomed:
                 del self._plan_deps[fingerprint]
@@ -261,9 +275,11 @@ class CoherenceTracker:
             for app, binding in members.items()
         }
 
-    def _stats_generation(self, app: str) -> tuple[int, int]:
-        """What cached member statistics depend on: the member, the federation."""
-        return self._generations.get((app, ANY), 0), self._generations.get(ROOT, 0)
+    def _generation(self, key: Dep) -> tuple[int, int]:
+        """What an answer read from *key* (a member ``(app, "*")`` or an
+        execution) depends on: the key, and the federation generation
+        every wider clear bumps."""
+        return self._generations.get(key, 0), self._generations.get(ROOT, 0)
 
     def _stats_for(self, app: str, binding, exec_id_of) -> StoreStats | None:
         with self._lock:
@@ -271,26 +287,21 @@ class CoherenceTracker:
             if cached is not None and not cached.dirty:
                 return cached.merged
             dirty = sorted(cached.dirty) if cached is not None else []
-            generation = self._stats_generation(app)
+            generation = self._generation((app, ANY))
         stats = per_exec = None
         if cached is not None:
             # Delta refresh: refetch only the executions the updates
-            # touched and re-merge from the per-execution baseline.  Any
-            # trouble falls back to the whole-member fetch, so
-            # correctness never depends on the fast path.
+            # touched — and any the member's (remembered) list names
+            # that the per-execution baseline does not know yet — and
+            # re-merge.  Any trouble falls back to the whole-member
+            # fetch, so correctness never depends on the fast path.
             try:
-                if cached.per_exec is None:
-                    per_exec = {
-                        exec_id_of(execution): execution.get_stats()
-                        for execution in binding.all_executions()
-                    }
-                else:
-                    per_exec = dict(cached.per_exec)
-                    for exec_id in dirty:
-                        matches = binding.query_executions("execid", exec_id)
-                        if not matches:
-                            raise QueryError(f"no execution {exec_id!r} in member {app}")
-                        per_exec[exec_id] = matches[0].get_stats()
+                known = cached.per_exec or {}
+                per_exec = {}
+                for execution in self.fact(app, ANY, "executions", binding.all_executions):
+                    exec_id = exec_id_of(execution)
+                    fresh = exec_id in dirty or exec_id not in known
+                    per_exec[exec_id] = execution.get_stats() if fresh else known[exec_id]
                 stats = StoreStats.merge(list(per_exec.values()))
             except Exception:
                 self.drop_stats(app)
@@ -305,7 +316,7 @@ class CoherenceTracker:
             # the member nor the federation was superseded meanwhile;
             # otherwise it serves this plan (itself stale-discarded) and
             # nothing about the member stays cached
-            if self._stats_generation(app) != generation:
+            if self._generation((app, ANY)) != generation:
                 self.drop_stats(app)
             else:
                 self._stats[app] = _CachedStats(stats, per_exec)
@@ -323,8 +334,41 @@ class CoherenceTracker:
             self._stats.clear()
             return dropped
 
+    # --------------------------------------------------------- member facts
+    def fact(self, app: str, exec_id: str, name: str, read: Callable[[], object]):
+        """Fact *name* of execution *exec_id* (``"*"``: of the member
+        itself), read through the memo: ``read()`` asks the member; the
+        answer is remembered under the admit rule, and only by a
+        listening tracker (nobody would tell another that it changed)."""
+        key = (app, exec_id)
+        with self._lock:
+            facts = self._facts.get(key)
+            if facts is not None and name in facts:
+                self.counters["factHits"] += 1
+                return facts[name]
+            generation = self._generation(key)
+            self.counters["factReads"] += 1
+        value = read()
+        with self._lock:
+            if self.listening and self._generation(key) == generation:
+                self._facts.setdefault(key, {})[name] = value
+        return value
+
+    def forget(self, app: str | None = None, stale_handle: bool = False) -> None:
+        """Forget *app*'s facts (every member's when None); nothing is
+        superseded, the next read just asks again.  *stale_handle* counts
+        a re-resolution of a handle that outlived its instance."""
+        with self._lock:
+            self.counters["staleHandles"] += stale_handle
+            for key in [k for k in self._facts if app in (None, k[0])]:
+                del self._facts[key]
+
     # ------------------------------------------------------------- counters
     def stats(self) -> dict[str, int]:
-        """Snapshot of the coherence counters plus tracked-plan count."""
+        """The coherence counters plus tracked plans and resident facts."""
         with self._lock:
-            return {**self.counters, "trackedPlans": len(self._plan_deps)}
+            return {
+                **self.counters,
+                "trackedPlans": len(self._plan_deps),
+                "factsRemembered": sum(map(len, self._facts.values())),
+            }

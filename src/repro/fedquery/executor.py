@@ -18,12 +18,13 @@
    canonical fingerprint (an LRU of packed rows), so repeated dashboards
    cost one cache probe instead of a federation sweep.
 4. **Cache coherence** and 5. **cached member statistics** — which
-   cached plan or ``getStats`` answer may still be trusted after a
-   ``data-update`` — live in :mod:`repro.fedquery.coherence`; the engine
-   only snapshots before it reads and offers what it computed for
-   admission afterwards.  Failed stats fetches degrade gracefully (the
-   member keeps the global mode, is never skipped, and the degraded
-   result is not memoized).
+   cached plan, ``getStats`` answer or remembered member fact (execution
+   list, vocabulary, foci) may still be trusted after a ``data-update``
+   — live in :mod:`repro.fedquery.coherence`; the engine only snapshots
+   before it reads and offers what it computed for admission
+   afterwards.  Failed stats fetches degrade gracefully (the member
+   keeps the global mode, is never skipped, and the degraded result is
+   not memoized).
 6. **Streaming execution** — ``execute(query, stream=True)`` returns a
    :class:`~repro.fedquery.stream.StreamedResult` instead of a
    materialized row list.  Raw queries without ORDER BY take the true
@@ -44,6 +45,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator
 
 from repro.core.prcache import ByteBudgetLruCache, PrCache
@@ -76,6 +78,7 @@ from repro.fedquery.stream import (
     StreamedResult,
     merge_streams,
 )
+from repro.soap.faults import SoapFault
 from repro.xmlkit import parse as parse_xml
 
 #: fan-out defaults: *default* when no Manager topology is known, *cap*
@@ -191,8 +194,6 @@ class FederationEngine:
         #: ``("xml",)`` pins the fan-out to per-row transfers
         self.accept_encodings = accept_encodings
         self._bindings: dict[str, object] | None = None
-        self._params: dict[str, dict[str, list[str]]] = {}
-        self._metrics: dict[str, list[str]] = {}
         self._exec_ids: dict[str, str] = {}
         #: how each executed (uncached) plan's effective mode broke down
         self.plan_modes = {"raw": 0, "aggregate": 0, "mixed": 0, "skip": 0, "tier0": 0}
@@ -289,27 +290,14 @@ class FederationEngine:
         must re-bind, not be answered by a binding to the old service.
         """
         self._bindings = None
-        self._params.clear()
-        self._metrics.clear()
         self._exec_ids.clear()
         self.coherence.drop_stats()
+        self.coherence.forget()
         stub_pool = getattr(
             getattr(self.client, "environment", None), "stub_pool", None
         )
         if stub_pool is not None:
             stub_pool.clear()
-
-    def _member_params(self, name: str, binding) -> dict[str, list[str]]:
-        params = self._params.get(name)
-        if params is None:
-            params = self._params[name] = binding.exec_query_params()
-        return params
-
-    def _member_metrics(self, name: str, probe) -> list[str]:
-        metrics = self._metrics.get(name)
-        if metrics is None:
-            metrics = self._metrics[name] = probe.metrics()
-        return metrics
 
     def _execution_id(self, binding) -> str:
         if binding.is_local:
@@ -639,10 +627,8 @@ class FederationEngine:
         value_preds = query.predicates_on("value")
         use_cursor = self.wants_cursor(execution, per_exec)
 
-        def produce(stop):
-            exec_id = self._execution_id(execution)
-            deps.add((member.app, exec_id))
-            foci = filter_foci(execution.foci(), member.foci)
+        def chunks(stop, execution, ctx, foci):
+            deps.add((member.app, ctx.exec_id))
             if not foci:
                 return
             for sub in subqueries:
@@ -670,7 +656,7 @@ class FederationEngine:
                         records += 1
                         if value_preds and not matches_value(result.value, value_preds):
                             continue
-                        batch.append(raw_row(member.app, exec_id, result))
+                        batch.append(raw_row(member.app, ctx.exec_id, result))
                         if len(batch) >= chunk_rows:
                             yield batch
                             batch = []
@@ -685,6 +671,9 @@ class FederationEngine:
                         stats["payloadBytes"] += payload_bytes
                 if batch:
                     yield batch
+
+        def produce(stop):
+            return self.on_execution(member, execution, partial(chunks, stop))
 
         return produce
 
@@ -833,7 +822,7 @@ class FederationEngine:
                 f"(published: {', '.join(members)})"
             )
         catalog = {
-            name: self._member_params(name, binding)
+            name: self.coherence.fact(name, ANY, "params", binding.exec_query_params)
             for name, binding in members.items()
         }
         return plan_query(
@@ -847,9 +836,12 @@ class FederationEngine:
 
     def _select_executions(self, member: MemberPlan, binding, stats) -> list:
         if member.selector is None:
-            executions = binding.all_executions()
-            stats["calls"] += 1
-            return executions
+
+            def read() -> list:
+                stats["calls"] += 1  # counted only when it crosses the wire
+                return binding.all_executions()
+
+            return self.coherence.fact(member.app, ANY, "executions", read)
         selected: dict[str, object] | None = None
         for alternatives in member.selector.conjuncts:
             term: dict[str, object] = {}
@@ -892,7 +884,9 @@ class FederationEngine:
                 # not record every metric its siblings do)
                 subqueries = list(member.subqueries)
             else:
-                metrics = self._member_metrics(member.app, executions[0])
+                metrics = self.coherence.fact(
+                    member.app, ANY, "metrics", executions[0].metrics
+                )
                 subqueries = [sq for sq in member.subqueries if sq.metric in metrics]
                 stats["skipped_metrics"] += len(member.subqueries) - len(subqueries)
             if not subqueries:
@@ -907,20 +901,55 @@ class FederationEngine:
             for execution in executions
         ]
 
+    def on_execution(self, member: MemberPlan, execution, body) -> Iterator:
+        """The per-execution prologue every result path shares (bulk
+        task, stream producer, view maintenance): yields what the
+        generator ``body(execution, ctx, foci)`` yields — *ctx* naming
+        the execution (dependencies are keyed ``(app, exec_id)``) with
+        its info when the plan needs it, *foci* its remembered foci
+        under the plan's focus filter.
+
+        A remembered handle is soft state: its instance can be
+        destroyed, expire or restart.  The container's ``no service at``
+        fault, before anything was yielded, re-resolves the execution by
+        id and runs *body* once more; any other failure propagates (the
+        caller degrades).  Either way the member's facts are forgotten,
+        so nothing stale survives an error.
+        """
+        for retry in (True, False):
+            started = False
+            try:
+                exec_id = self._execution_id(execution)
+                info = dict(execution.info()) if member.needs_info else None
+                foci = self.coherence.fact(member.app, exec_id, "foci", execution.foci)
+                ctx = TaskContext(app=member.app, exec_id=exec_id, info=info)
+                for item in body(execution, ctx, filter_foci(foci, member.foci)):
+                    started = True
+                    yield item
+                return
+            except Exception as exc:
+                stale = (
+                    retry and not started and isinstance(exc, SoapFault)
+                    and exc.fault_message.startswith("no service at ")
+                )
+                self.coherence.forget(member.app, stale_handle=stale)
+                live = stale and self.members()[member.app].query_executions(
+                    "execid", self._execution_id(execution)
+                )
+                if not live:
+                    raise
+                execution = live[0]
+
     def _make_task(self, member: MemberPlan, execution, subqueries):
+        def fetch(execution, ctx, foci):
+            yield ctx, [
+                (sub, *fetch_subquery(execution, sub, foci))
+                for sub in (subqueries if foci else ())
+            ]
+
         def run():
-            # exec_id is always resolved (cached per GSH): the coherence
-            # layer keys plan dependencies on (app, exec_id)
-            exec_id = self._execution_id(execution)
-            info = dict(execution.info()) if member.needs_info else None
-            ctx = TaskContext(app=member.app, exec_id=exec_id, info=info)
-            foci = filter_foci(execution.foci(), member.foci)
-            payloads: list[tuple[SubQuery, list, int]] = []
-            if not foci:
-                return ctx, payloads
-            for sub in subqueries:
-                payloads.append((sub, *fetch_subquery(execution, sub, foci)))
-            return ctx, payloads
+            (fetched,) = self.on_execution(member, execution, fetch)
+            return fetched
 
         return run
 

@@ -132,7 +132,8 @@ FEDERATED_QUERY_PORTTYPE = PortType(
                 "Cache-coherence counters as 'name|value' records: "
                 "subscriptions, notifications, invalidations, "
                 "fullClears, memberClears, staleDiscards, "
-                "statsInvalidations, statsDeltas, trackedPlans."
+                "statsInvalidations, statsDeltas, trackedPlans, "
+                "factsRemembered, factHits, factReads, staleHandles."
             ),
         ),
         Operation(

@@ -34,13 +34,14 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from typing import Iterator
 
 from repro.fedquery.ast import Query, QueryError
 from repro.fedquery.executor import fetch_subquery
 from repro.fedquery.merge import ResultRow, StreamingMerger, TaskContext, order_rows
 from repro.fedquery.parser import parse_query
-from repro.fedquery.planner import MemberPlan, ViewShape, view_shape
-from repro.fedquery.pushdown import filter_foci
+from repro.fedquery.planner import ViewShape, view_shape
 
 #: every counter ``ViewMaintainer.stats()`` reports (plus "views")
 VIEW_STAT_NAMES = (
@@ -332,8 +333,10 @@ class ViewMaintainer:
             for execution in executions:
                 exec_id = self.engine._execution_id(execution)
                 if only_exec in (None, exec_id):
-                    view.partitions[(member.app, exec_id)] = self._fetch_partition(
-                        view, member, execution, subqueries, per_exec
+                    (view.partitions[(member.app, exec_id)],) = self.engine.on_execution(
+                        member,
+                        execution,
+                        partial(self._fetch_partition, view, subqueries, per_exec),
                     )
                     if only_exec is not None:
                         return
@@ -341,12 +344,15 @@ class ViewMaintainer:
     def _fetch_partition(
         self,
         view: MaterializedView,
-        member: MemberPlan,
-        execution,
         subqueries,
         per_exec: int | None,
-    ) -> _Partition:
-        """One execution's contribution, through a private merger.
+        execution,
+        ctx: TaskContext,
+        foci: list[str],
+    ) -> Iterator[_Partition]:
+        """One execution's contribution, through a private merger (an
+        :meth:`~repro.fedquery.executor.FederationEngine.on_execution`
+        body: it yields the one partition).
 
         Raw sub-queries of a large (or unsized) remote partition drain
         through a chunked cursor — the engine's own rule, on the plan's
@@ -354,11 +360,7 @@ class ViewMaintainer:
         materializes an unbounded SOAP array just to maintain a view.
         """
         query = view.query
-        exec_id = self.engine._execution_id(execution)
-        info = dict(execution.info()) if member.needs_info else None
-        ctx = TaskContext(app=member.app, exec_id=exec_id, info=info)
         merger = StreamingMerger(query)
-        foci = filter_foci(execution.foci(), member.foci)
         fetched_rows = fetched_bytes = 0
         if foci:
             for sub in subqueries:
@@ -380,12 +382,12 @@ class ViewMaintainer:
         self.counters["deltaRowsFetched"] += fetched_rows
         self.counters["deltaBytesFetched"] += fetched_bytes
         if query.is_aggregate:
-            return _Partition(groups=merger.group_accumulators())
-        rows = merger.raw_rows()
-        if view.shape.kind == "topk-bounded":
+            yield _Partition(groups=merger.group_accumulators())
+        elif view.shape.kind == "topk-bounded":
             # the partition's own top-N is a sufficient candidate set
-            rows = order_rows(rows, query)
-        return _Partition(rows=rows)
+            yield _Partition(rows=order_rows(merger.raw_rows(), query))
+        else:
+            yield _Partition(rows=merger.raw_rows())
 
     def _fold(self, view: MaterializedView) -> list[ResultRow]:
         """Re-merge every partition into the view's output rows."""

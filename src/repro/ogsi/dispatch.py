@@ -6,11 +6,12 @@ cross-container notification a lock-ordering deadlock (two containers
 delivering into each other's sinks while each held its own dispatch
 lock).  This module replaces that lock with three cooperating pieces:
 
-* :class:`ServiceGate` — a re-entrant, *fully releasable* mutex, one per
-  deployed service path.  Dispatch serializes per service instead of per
-  container, so requests to different services in one container proceed
-  concurrently while a single stateful instance still sees one request
-  at a time.
+* :class:`ServiceGate` — a re-entrant, *fully releasable*, first-come-
+  first-served mutex, one per deployed service path.  Dispatch
+  serializes per service instead of per container, so requests to
+  different services in one container proceed concurrently while a
+  single stateful instance still sees one request at a time, in the
+  order the requests arrived.
 * a per-thread **dispatch frame stack** — every dispatch pushes the gate
   it holds; :func:`suspend_dispatch` releases every gate the current
   thread holds for the duration of an outbound SOAP call (notification
@@ -57,59 +58,74 @@ def is_busy_fault(fault: SoapFault) -> bool:
 
 # --------------------------------------------------------------------- gates
 class ServiceGate:
-    """A re-entrant mutex whose full recursion depth can be released.
+    """A re-entrant, first-come-first-served mutex whose full recursion
+    depth can be released.
 
     ``release_save``/``acquire_restore`` (the :class:`threading.Condition`
     idiom) let :func:`suspend_dispatch` drop the gate across an outbound
     call even when dispatch has nested back into the same service.
+
+    A release hands the gate to the longest waiter before anyone else
+    can take it.  A notify-and-race gate lets the thread that just
+    released win every rematch (it still holds the GIL when it comes
+    back), so one client issuing requests back to back could keep
+    another waiting for as long as it kept going.
     """
 
-    __slots__ = ("_cond", "_owner", "_depth")
+    __slots__ = ("_lock", "_owner", "_depth", "_waiters")
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._owner: int | None = None
         self._depth = 0
+        #: (turn, thread, depth) per queued thread, oldest first; *turn*
+        #: is a held lock the releasing thread opens (guarded by _lock)
+        self._waiters: deque[tuple[threading.Lock, int, int]] = deque()
+
+    def _take(self, me: int, depth: int) -> None:
+        with self._lock:
+            if self._owner is None:
+                self._owner, self._depth = me, depth
+                return
+            turn = threading.Lock()
+            turn.acquire()
+            self._waiters.append((turn, me, depth))
+        turn.acquire()  # opened by _hand_over, which made this thread the owner
+
+    def _hand_over(self) -> None:
+        """Give the gate to the oldest waiter, or free it."""
+        with self._lock:
+            if self._waiters:
+                turn, self._owner, self._depth = self._waiters.popleft()
+                turn.release()
+            else:
+                self._owner, self._depth = None, 0
 
     def acquire(self) -> None:
         me = threading.get_ident()
-        with self._cond:
-            if self._owner == me:
-                self._depth += 1
-                return
-            while self._owner is not None:
-                self._cond.wait()
-            self._owner = me
-            self._depth = 1
+        if self._owner == me:  # only this thread can have set it to *me*
+            self._depth += 1
+        else:
+            self._take(me, 1)
 
     def release(self) -> None:
-        me = threading.get_ident()
-        with self._cond:
-            if self._owner != me:
-                raise RuntimeError("release of a gate not owned by this thread")
-            self._depth -= 1
-            if self._depth == 0:
-                self._owner = None
-                self._cond.notify()
+        if self._owner != threading.get_ident():
+            raise RuntimeError("release of a gate not owned by this thread")
+        self._depth -= 1
+        if self._depth == 0:
+            self._hand_over()
 
     def release_save(self) -> int:
         """Release the gate completely; returns the saved depth."""
-        me = threading.get_ident()
-        with self._cond:
-            if self._owner != me:
-                raise RuntimeError("release_save of a gate not owned by this thread")
-            depth, self._depth, self._owner = self._depth, 0, None
-            self._cond.notify()
-            return depth
+        if self._owner != threading.get_ident():
+            raise RuntimeError("release_save of a gate not owned by this thread")
+        depth = self._depth
+        self._hand_over()
+        return depth
 
     def acquire_restore(self, depth: int) -> None:
         """Re-take the gate at the previously saved recursion depth."""
-        me = threading.get_ident()
-        with self._cond:
-            while self._owner is not None:
-                self._cond.wait()
-            self._owner = me
-            self._depth = depth
+        self._take(threading.get_ident(), depth)
 
     def held_by_me(self) -> bool:
         return self._owner == threading.get_ident()

@@ -107,6 +107,35 @@ class TestServiceGate:
         assert acquired.wait(timeout=2.0)
         thread.join(timeout=2.0)
 
+    @pytest.mark.parametrize("reacquire", ["acquire", "acquire_restore"])
+    def test_release_hands_over_to_the_longest_waiter(self, reacquire):
+        # a notify-and-race gate lets the releasing thread, still running,
+        # win every rematch: one back-to-back client then starves the rest
+        gate = ServiceGate()
+        gate.acquire()
+        order = []
+
+        def contender():
+            gate.acquire()
+            order.append("waiter")
+            gate.release()
+
+        thread = threading.Thread(target=contender, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 2.0
+        while not gate._waiters and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert gate._waiters
+        if reacquire == "acquire":
+            gate.release()
+            gate.acquire()
+        else:
+            gate.acquire_restore(gate.release_save())
+        order.append("releaser")
+        gate.release()
+        thread.join(timeout=2.0)
+        assert order == ["waiter", "releaser"]
+
 
 class TestFairQueue:
     def test_round_robin_across_keys_fifo_within_a_key(self):

@@ -67,6 +67,10 @@ class TestSubscriptions:
             "statsInvalidations",
             "statsDeltas",
             "trackedPlans",
+            "factsRemembered",
+            "factHits",
+            "factReads",
+            "staleHandles",
         }
 
 

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.core.client import ExecutionBinding
 from repro.core.semantic import PerformanceResult
 from repro.experiments.common import build_synthetic_grid
 from repro.fedquery import QueryError
@@ -346,7 +347,7 @@ class TestStatsDeltas:
         def broken(*args, **kwargs):
             raise RuntimeError("transport glitch")
 
-        monkeypatch.setattr(engine.members()["A"], "query_executions", broken)
+        monkeypatch.setattr(ExecutionBinding, "get_stats", broken)
         self._update_a0(grid, 4242.0)
         result = engine.execute(RAW_QUERY)  # whole-member refetch fallback
         assert any(row["value"] == 4242.0 for row in result.rows)

@@ -163,3 +163,33 @@ class TestExecutionCaching:
             if getattr(service, "exec_id", None) == exec_id:
                 service.announce_update("test")
         assert execution.get_pr("gflops", ["/Run"])[0].value == 123.456
+
+    def test_default_cache_stays_bounded_under_literal_varying_queries(self):
+        """Cache keys carry the value bounds, so a dashboard that varies
+        a numeric literal adds one never-hit entry per query: an
+        Execution that was configured no cache must not keep them all."""
+        from repro.core.prcache import DEFAULT_PR_CACHE_ENTRIES
+        from repro.experiments.common import build_synthetic_grid
+        from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
+
+        rows = [
+            PerformanceResult("m", "/f", "synthetic", 0.0, 1.0, float(v)) for v in range(40)
+        ]
+        grid = build_synthetic_grid({"A": InMemoryWrapper("A", [InMemoryExecution("0", {}, rows)])})
+        try:
+            execution = grid.client.bind(grid.sites["A"].factory_url).all_executions()[0]
+            cache = grid.execution_service("A", "0").cache
+
+            def count_at_least(bound: float) -> int:
+                return execution.get_pr_agg("m", ["/f"], 0.0, 1.0, min_value=bound)[0].count
+
+            for k in range(1, 501):
+                assert count_at_least(20 + k / 1000) == 19
+            assert len(cache) <= DEFAULT_PR_CACHE_ENTRIES
+            assert cache.stats.evictions >= 500 - DEFAULT_PR_CACHE_ENTRIES > 0
+            hits = cache.stats.hits
+            assert count_at_least(20.75) == 19  # the 501st distinct bound
+            assert count_at_least(20.5) == 19  # a recent one, still resident
+            assert cache.stats.hits == hits + 1
+        finally:
+            grid.environment.close()

@@ -43,8 +43,8 @@ from repro.uddi.proxy import OrganizationProxy, ServiceProxy, UddiClient
 #: default page size a chunked iterator requests per ``next`` call
 DEFAULT_CHUNK_ROWS = 256
 
-#: estimated result rows above which ``stream_pr`` prefers a cursor
-#: over one bulk getPR (the stats-driven auto-fallback threshold)
+#: estimated result rows at which a member read (``stream_pr``'s, and the
+#: federation engine's per execution) prefers a cursor over one bulk getPR
 DEFAULT_STREAM_THRESHOLD_ROWS = 512
 
 
@@ -235,6 +235,30 @@ class ChunkedResultIterator:
         self.close()
 
 
+class ArrayRead(list):
+    """What a member read that opened no cursor returns: the decoded
+    list itself, carrying the accounting surface of
+    :class:`ChunkedResultIterator` so a consumer treats both alike."""
+
+    #: set by a reader that saw the records as strings
+    wire_bytes: int | None = None
+
+    @property
+    def bytes_fetched(self) -> int:
+        """Packed length of the records — rendered to be counted, on
+        first ask, when nothing crossed a wire (the local bypass)."""
+        if self.wire_bytes is None:
+            self.wire_bytes = sum(len(record.pack()) for record in self)
+        return self.wire_bytes
+
+    @property
+    def rows_fetched(self) -> int:
+        return len(self)
+
+    def close(self) -> None:
+        """Nothing is held open: the array already crossed the wire."""
+
+
 class ExecutionBinding:
     """A virtual Execution object (remote, via stub)."""
 
@@ -272,20 +296,28 @@ class ExecutionBinding:
         result_type: str = UNDEFINED_TYPE,
     ) -> list[PerformanceResult]:
         """Query Performance Results (the Table 4 "total query time" path)."""
-        return self.fetch(metric, foci, start, end, result_type)[0]
+        return self.read(metric, foci, start, end, result_type)
 
-    def fetch(
+    def read(
         self, metric: str, foci: list[str], start: float | None = None,
         end: float | None = None, result_type: str = UNDEFINED_TYPE,
         aggregate: tuple[float | None, float | None, str] | None = None,
-    ) -> tuple[list, int]:
-        """The federation engine's member call: ``(records, wire_bytes)``.
-
-        ``getPR`` — or ``getPRAgg`` when *aggregate* gives its
-        ``(min_value, max_value, group_by)`` — plus the packed length of
-        the records as they arrived, counted here because this is the
-        last place that holds the strings.
+        cursor: bool = False, max_rows: int = DEFAULT_CHUNK_ROWS,
+        ordered: bool = False, accept_encodings: tuple[str, ...] | None = None,
+    ) -> "ArrayRead | ChunkedResultIterator":
+        """The one member read: a ``getPR`` array (``getPRAgg`` when
+        *aggregate* gives its ``(min_value, max_value, group_by)``) or,
+        when *cursor* is set, a ``getPRChunked`` cursor paging *max_rows*
+        at a time.  Either is an iterable of records, in ``pr_sort_key``
+        order when *ordered*, with ``rows_fetched``, ``close()`` and
+        ``bytes_fetched`` — the packed length of the records as they
+        arrived, counted here because nothing later holds the strings.
         """
+        if cursor:
+            return self.get_pr_chunked(
+                metric, foci, start, end, result_type,
+                max_rows=max_rows, ordered=ordered, accept_encodings=accept_encodings,
+            )
         start, end = _window(self, start, end)
         args = (metric, list(foci), repr(start), repr(end), result_type)
         if aggregate is None:
@@ -302,7 +334,11 @@ class ExecutionBinding:
                     group_by,
                 )
             unpack = AggregateRecord.unpack
-        return [unpack(p) for p in packed], sum(map(len, packed))
+        records = ArrayRead(map(unpack, packed))
+        records.wire_bytes = sum(map(len, packed))
+        if ordered:
+            records.sort(key=pr_sort_key)
+        return records
 
     def get_pr_chunked(
         self,
@@ -349,13 +385,12 @@ class ExecutionBinding:
     ) -> Iterator[PerformanceResult]:
         """Transparent iteration: chunked for big results, bulk for small.
 
-        ``estimated_rows`` drives the choice — pass the cost model's
-        estimate when one is at hand (the federated executor does);
-        without one the execution's ``getStats`` row count for *metric*
-        is consulted.  Estimates at or above ``threshold_rows`` (and
-        unknown sizes, the conservative case — bulk is the memory risk)
-        stream through a cursor; provably small results fall back to one
-        bulk ``getPR``, sparing the cursor round trips.
+        :meth:`read`, choosing cursor or array from ``estimated_rows`` —
+        or, when none is passed, from the execution's ``getStats`` row
+        count for *metric* (the one probe the federation engine, which
+        already holds statistics, does not want).  Estimates at or above
+        ``threshold_rows`` and unknown sizes (bulk is the memory risk)
+        stream through a cursor; provably small results cost one ``getPR``.
         """
         if estimated_rows is None:
             try:
@@ -363,16 +398,11 @@ class ExecutionBinding:
                 estimated_rows = stats.rows if stats is not None else 0
             except Exception:
                 estimated_rows = None  # unknown: stream, the safe side
-        if estimated_rows is not None and estimated_rows < threshold_rows:
-            results = self.get_pr(metric, foci, start, end, result_type)
-            if ordered:
-                results.sort(key=pr_sort_key)
-            return iter(results)
         return iter(
-            self.get_pr_chunked(
+            self.read(
                 metric, foci, start, end, result_type,
-                max_rows=max_rows, ordered=ordered,
-                accept_encodings=accept_encodings,
+                cursor=estimated_rows is None or estimated_rows >= threshold_rows,
+                max_rows=max_rows, ordered=ordered, accept_encodings=accept_encodings,
             )
         )
 
@@ -392,9 +422,9 @@ class ExecutionBinding:
         Returns :class:`~repro.core.semantic.AggregateRecord` buckets;
         only those cross the wire, not the individual results.
         """
-        return self.fetch(
+        return self.read(
             metric, foci, start, end, result_type, (min_value, max_value, group_by)
-        )[0]
+        )
 
     def find_service_data(self, query: str) -> str:
         """FindServiceData passthrough (supports the ``xpath:`` dialect)."""
@@ -458,77 +488,35 @@ class LocalExecutionBinding:
     def time_range(self) -> tuple[float, float]:
         return self.wrapper.get_time_start_end()
 
-    def get_pr(
-        self,
-        metric: str,
-        foci: list[str],
-        start: float | None = None,
-        end: float | None = None,
-        result_type: str = UNDEFINED_TYPE,
-    ) -> list[PerformanceResult]:
-        start, end = _window(self, start, end)
-        with self.environment.recorder.time("virtualization.getPR.local"):
-            return self.wrapper.get_pr(metric, list(foci), start, end, result_type)
-
-    def stream_pr(
-        self,
-        metric: str,
-        foci: list[str],
-        start: float | None = None,
-        end: float | None = None,
-        result_type: str = UNDEFINED_TYPE,
-        max_rows: int = DEFAULT_CHUNK_ROWS,
-        threshold_rows: int = DEFAULT_STREAM_THRESHOLD_ROWS,
-        estimated_rows: int | None = None,
-        ordered: bool = False,
-        accept_encodings: tuple[str, ...] | None = None,
-    ) -> Iterator[PerformanceResult]:
-        """Local bypass streaming: the wrapper's lazy scan, no cursor.
-
-        There is no Services Layer to chunk through, so the threshold
-        machinery is moot — the wrapper's ``iter_pr`` is already
-        zero-copy (and ``accept_encodings`` with it: nothing crosses a
-        wire).  ``ordered`` still sorts (materializing), matching the
-        remote contract.
-        """
-        start, end = _window(self, start, end)
-        if ordered:
-            results = self.wrapper.get_pr(metric, list(foci), start, end, result_type)
-            results.sort(key=pr_sort_key)
-            return iter(results)
-        return self.wrapper.iter_pr(metric, list(foci), start, end, result_type)
-
-    def get_pr_agg(
-        self,
-        metric: str,
-        foci: list[str],
-        start: float | None = None,
-        end: float | None = None,
-        result_type: str = UNDEFINED_TYPE,
-        min_value: float | None = None,
-        max_value: float | None = None,
-        group_by: str = "",
-    ):
-        """Server-side aggregation via the wrapper directly (local bypass)."""
-        start, end = _window(self, start, end)
-        with self.environment.recorder.time("virtualization.getPRAgg.local"):
-            return self.wrapper.get_pr_aggregate(
-                metric, list(foci), start, end, result_type,
-                min_value, max_value, group_by,
-            )
-
-    def fetch(
+    def read(
         self, metric: str, foci: list[str], start: float | None = None,
         end: float | None = None, result_type: str = UNDEFINED_TYPE,
         aggregate: tuple[float | None, float | None, str] | None = None,
-    ) -> tuple[list, int]:
-        """Local bypass of :meth:`ExecutionBinding.fetch`: nothing crossed
-        a wire, so the records are rendered here to be counted."""
+        cursor: bool = False, max_rows: int = DEFAULT_CHUNK_ROWS,
+        ordered: bool = False, accept_encodings: tuple[str, ...] | None = None,
+    ) -> ArrayRead:
+        """Local bypass of :meth:`ExecutionBinding.read`, signature and
+        all: the wrapper's answer — its server-side aggregation when
+        *aggregate* is given — and never a cursor, whatever *cursor* asks."""
+        start, end = _window(self, start, end)
         if aggregate is None:
-            records = self.get_pr(metric, foci, start, end, result_type)
+            with self.environment.recorder.time("virtualization.getPR.local"):
+                records = self.wrapper.get_pr(metric, list(foci), start, end, result_type)
         else:
-            records = self.get_pr_agg(metric, foci, start, end, result_type, *aggregate)
-        return records, sum(len(record.pack()) for record in records)
+            with self.environment.recorder.time("virtualization.getPRAgg.local"):
+                records = self.wrapper.get_pr_aggregate(
+                    metric, list(foci), start, end, result_type, *aggregate
+                )
+        records = ArrayRead(records)
+        if ordered:
+            records.sort(key=pr_sort_key)
+        return records
+
+    #: the remote binding's, as they are: each is a few lines over the
+    #: binding's own ``read``, and this one costs no round trip
+    get_pr = ExecutionBinding.get_pr
+    get_pr_agg = ExecutionBinding.get_pr_agg
+    stream_pr = ExecutionBinding.stream_pr
 
     def get_stats(self) -> StoreStats:
         """Store statistics via the wrapper directly (local bypass)."""
@@ -639,6 +627,16 @@ class LocalApplicationBinding:
         return self.wrapper.get_stats()
 
 
+def _deploy_sink(environment: GridEnvironment, authority: str, kind: str, sink):
+    """Deploy a notification *sink* in the client's own container as
+    ``services/<kind>/instances/<n>``: the container numbers instances
+    per prefix under its lock, so concurrent subscribers never collide."""
+    container = environment.container_for(authority)
+    if container is None:
+        container = environment.create_container(authority)
+    return container.deploy_instance(f"services/{kind}", sink)
+
+
 class AsyncQueryCollector:
     """Client-side half of the registry-callback query model (§7).
 
@@ -648,20 +646,12 @@ class AsyncQueryCollector:
     appear in ``errors[qid]`` instead.
     """
 
-    _counter = 0
-
     def __init__(self, environment: GridEnvironment, authority: str = "ppg-client:7070") -> None:
         from repro.ogsi.notification import PullNotificationSink
 
         self.environment = environment
-        container = environment.container_for(authority)
-        if container is None:
-            container = environment.create_container(authority)
         self.sink = PullNotificationSink()
-        AsyncQueryCollector._counter += 1
-        self.sink_gsh = container.deploy(
-            f"services/async-sink/{AsyncQueryCollector._counter}", self.sink
-        )
+        self.sink_gsh = _deploy_sink(environment, authority, "async-sink", self.sink)
         self.results: dict[str, list[PerformanceResult]] = {}
         self.errors: dict[str, str] = {}
 
@@ -713,8 +703,6 @@ class ViewSubscription:
     instead of silently diverging — counted in :attr:`stale_refreshes`.
     """
 
-    _counter = 0
-
     def __init__(
         self,
         environment: GridEnvironment,
@@ -733,14 +721,8 @@ class ViewSubscription:
         self.rows: list = []
         self.deltas_applied = 0
         self.stale_refreshes = 0
-        container = environment.container_for(authority)
-        if container is None:
-            container = environment.create_container(authority)
-        ViewSubscription._counter += 1
         self._sink = NotificationSinkBase(callback=self._on_delivery)
-        self._sink_gsh = container.deploy(
-            f"services/view-sink/{ViewSubscription._counter}", self._sink
-        )
+        self._sink_gsh = _deploy_sink(environment, authority, "view-sink", self._sink)
         self.refresh()
         self.subscription_id = self._stub.subscribeView(
             view_id, self._sink_gsh.url()

@@ -45,6 +45,8 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
         self.wrapper = wrapper
         self.exec_id = exec_id
         self.cache = cache if cache is not None else default_pr_cache()
+        #: resident cache entries the simulated host is charged for
+        self._charged_entries = 0
         #: data generation: bumped on every data_updated(), so clients
         #: can detect results computed against a superseded store state
         self.generation = 0
@@ -112,8 +114,7 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
         results = self.wrapper.get_pr(metric, list(foci), start, end, resultType)
         packed = [pr.pack() for pr in results]
         self.cache.put(key, packed)
-        if self.container is not None and self.container.host is not None:
-            self.container.host.allocate_memory(_CACHE_ENTRY_MB)
+        self._charge_cache()
         return packed
 
     def getPRAgg(
@@ -164,8 +165,7 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
         )
         packed = [record.pack() for record in records]
         self.cache.put(key, packed)
-        if self.container is not None and self.container.host is not None:
-            self.container.host.allocate_memory(_CACHE_ENTRY_MB)
+        self._charge_cache()
         return packed
 
     def getPRChunked(
@@ -270,6 +270,20 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
         stub.DeliverNotification(f"pr-result/{query_id}", "\n".join(packed))
         return query_id
 
+    def _charge_cache(self) -> None:
+        """Charge the simulated host for the *change* in resident cache
+        entries (after every ``put`` and ``clear``): an entry the policy
+        refused or evicted costs nothing, a cleared cache gives its
+        memory back."""
+        if self.container is None or self.container.host is None:
+            return
+        delta = (len(self.cache) - self._charged_entries) * _CACHE_ENTRY_MB
+        self._charged_entries = len(self.cache)
+        if delta > 0:
+            self.container.host.allocate_memory(delta)
+        else:
+            self.container.host.release_memory(-delta)
+
     # ---------------------------------------------------- cache stats SDE
     def _publish_cache_stats(self) -> None:
         """Publish the PR cache's counters as the ``cacheStats`` SDE."""
@@ -288,9 +302,8 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
 
     # -------------------------------------------------------- lifecycle
     def on_destroyed(self) -> None:
-        if self.container is not None and self.container.host is not None:
-            self.container.host.release_memory(_CACHE_ENTRY_MB * len(self.cache))
         self.cache.clear()
+        self._charge_cache()
 
     # --------------------------------------------------- update support
     def data_updated(self, description: str = "") -> int:
@@ -311,6 +324,7 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
         self.require_active()
         self.generation += 1
         self.cache.clear()
+        self._charge_cache()
         self.service_data.set("generation", str(self.generation))
         self.service_data.set("metrics", self.wrapper.get_metrics())
         self.service_data.set("foci", self.wrapper.get_foci())

@@ -55,19 +55,14 @@ class GridScale:
 
 
 @dataclass
-class TestGrid:
-    """A fully wired grid: three sites, registry, client."""
+class Grid:
+    """What every wired grid carries: a registry, a client, one site per
+    published member and, once deployed, a federation endpoint."""
 
     environment: GridEnvironment
     uddi: UddiClient
     uddi_gsh: str
-    hpl_site: PPerfGridSite
-    smg98_site: PPerfGridSite
-    presta_site: PPerfGridSite
     client: PPerfGridClient
-    scale: GridScale
-    #: holds the presta temp directory alive for the grid's lifetime
-    _tempdir: tempfile.TemporaryDirectory | None = None
     sites: dict[str, PPerfGridSite] = field(default_factory=dict)
     #: set by deploy_federation()
     fed_gsh: str | None = None
@@ -94,7 +89,52 @@ class TestGrid:
         exactly the cached plans that read them.  Returns the engine
         (useful for local, in-process execution in tests).
         """
-        return _deploy_federation(self, authority, coherence)
+        from repro.fedquery.executor import FederationEngine, choose_fanout
+        from repro.fedquery.scheduler import FanoutScheduler
+        from repro.fedquery.service import FederatedQueryService
+        from repro.fedquery.viewservice import ViewRegistryService
+
+        engine_client = PPerfGridClient(self.environment, self.uddi_gsh)
+        managers = {name: site.manager for name, site in self.sites.items()}
+        # the canonical deployment owns a reactor-attached fan-out pool:
+        # the environment's reactor paces its utilization/shedding tick, and
+        # the engine never has to create one lazily mid-query
+        scheduler = FanoutScheduler(
+            max_workers=choose_fanout(
+                [manager.stats() for manager in managers.values()]
+            ),
+            reactor=self.environment.reactor,
+            name=f"fed-{authority.split(':')[0]}",
+        )
+        engine = FederationEngine(
+            engine_client,
+            managers=managers,
+            scheduler=scheduler,
+        )
+        container = self.environment.container_for(authority)
+        if container is None:
+            container = self.environment.create_container(authority)
+        service = FederatedQueryService(engine)
+        gsh = container.deploy("services/FederatedQuery", service)
+        self.fed_gsh = gsh.url()
+        self.fed_engine = engine
+        self.client.use_federation(self.fed_gsh)
+        views_service = ViewRegistryService(engine)
+        views_gsh = container.deploy("services/FederatedQuery/views", views_service)
+        self.views_gsh = views_gsh.url()
+        self.client.use_views(self.views_gsh)
+        # the federation container's monitor surfaces scheduler state as SDEs
+        container.deploy_monitor(
+            "services/FederatedQuery/monitor",
+            sources={"fanoutScheduler": engine.scheduler_stats},
+        )
+        # every site Manager surfaces the federation's view + pool counters
+        for site in self.sites.values():
+            site.manager.add_stats_provider("viewStats", engine.view_stats)
+            site.manager.add_stats_provider("fanoutScheduler", engine.scheduler_stats)
+        if coherence:
+            service.subscribeUpdates()
+        return engine
 
     def execution_service(self, site_name: str, exec_id: str):
         """The live ExecutionService instance for *exec_id*, or None.
@@ -120,63 +160,28 @@ class TestGrid:
         raise KeyError(f"no published application {app_name!r}")
 
     def cleanup(self) -> None:
+        """Release what the grid holds outside the process (nothing here)."""
+
+
+@dataclass(kw_only=True)
+class TestGrid(Grid):
+    """A fully wired grid: three sites, registry, client."""
+
+    hpl_site: PPerfGridSite
+    smg98_site: PPerfGridSite
+    presta_site: PPerfGridSite
+    scale: GridScale
+    #: holds the presta temp directory alive for the grid's lifetime
+    _tempdir: tempfile.TemporaryDirectory | None = None
+
+    def cleanup(self) -> None:
         if self._tempdir is not None:
             self._tempdir.cleanup()
             self._tempdir = None
 
 
-def _deploy_federation(grid, authority: str, coherence: bool):
-    """Deploy FederatedQuery + ViewRegistry over *grid* (TestGrid-shaped)."""
-    from repro.fedquery.executor import FederationEngine, choose_fanout
-    from repro.fedquery.scheduler import FanoutScheduler
-    from repro.fedquery.service import FederatedQueryService
-    from repro.fedquery.viewservice import ViewRegistryService
-
-    engine_client = PPerfGridClient(grid.environment, grid.uddi_gsh)
-    managers = {name: site.manager for name, site in grid.sites.items()}
-    # the canonical deployment owns a reactor-attached fan-out pool:
-    # the environment's reactor paces its utilization/shedding tick, and
-    # the engine never has to create one lazily mid-query
-    scheduler = FanoutScheduler(
-        max_workers=choose_fanout(
-            [manager.stats() for manager in managers.values()]
-        ),
-        reactor=grid.environment.reactor,
-        name=f"fed-{authority.split(':')[0]}",
-    )
-    engine = FederationEngine(
-        engine_client,
-        managers=managers,
-        scheduler=scheduler,
-    )
-    container = grid.environment.container_for(authority)
-    if container is None:
-        container = grid.environment.create_container(authority)
-    service = FederatedQueryService(engine)
-    gsh = container.deploy("services/FederatedQuery", service)
-    grid.fed_gsh = gsh.url()
-    grid.fed_engine = engine
-    grid.client.use_federation(grid.fed_gsh)
-    views_service = ViewRegistryService(engine)
-    views_gsh = container.deploy("services/FederatedQuery/views", views_service)
-    grid.views_gsh = views_gsh.url()
-    grid.client.use_views(grid.views_gsh)
-    # the federation container's monitor surfaces scheduler state as SDEs
-    container.deploy_monitor(
-        "services/FederatedQuery/monitor",
-        sources={"fanoutScheduler": engine.scheduler_stats},
-    )
-    # every site Manager surfaces the federation's view + pool counters
-    for site in grid.sites.values():
-        site.manager.add_stats_provider("viewStats", engine.view_stats)
-        site.manager.add_stats_provider("fanoutScheduler", engine.scheduler_stats)
-    if coherence:
-        service.subscribeUpdates()
-    return engine
-
-
 @dataclass
-class SyntheticGrid:
+class SyntheticGrid(Grid):
     """A grid publishing explicit in-memory datasets (tests/benches).
 
     Same wiring as :class:`TestGrid` — UDDI registry, one site per
@@ -185,37 +190,6 @@ class SyntheticGrid:
     exact Performance Results (and therefore the exact statistics) each
     member publishes.
     """
-
-    environment: GridEnvironment
-    uddi: UddiClient
-    uddi_gsh: str
-    client: PPerfGridClient
-    sites: dict[str, PPerfGridSite] = field(default_factory=dict)
-    fed_gsh: str | None = None
-    fed_engine: object | None = None
-    views_gsh: str | None = None
-
-    def site(self, name: str) -> PPerfGridSite:
-        return self.sites[name]
-
-    def deploy_federation(
-        self,
-        authority: str = "fed.pdx.edu:9090",
-        coherence: bool = True,
-    ):
-        return _deploy_federation(self, authority, coherence)
-
-    def execution_service(self, site_name: str, exec_id: str):
-        site = self.sites[site_name]
-        for container in [site.container, *site.replica_containers]:
-            for path in container.service_paths():
-                service = container.service_at(path)
-                if getattr(service, "exec_id", None) == exec_id:
-                    return service
-        return None
-
-    def cleanup(self) -> None:
-        pass
 
 
 def build_synthetic_grid(

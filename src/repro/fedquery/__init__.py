@@ -25,6 +25,7 @@ Entry points:
 * :func:`naive_query` — the push-down-free reference implementation.
 """
 
+from repro.core.client import DEFAULT_CHUNK_ROWS, DEFAULT_STREAM_THRESHOLD_ROWS
 from repro.fedquery.ast import (
     AGG_FUNCS,
     RESERVED_FIELDS,
@@ -80,9 +81,7 @@ from repro.fedquery.views import (
 from repro.fedquery.viewservice import VIEW_REGISTRY_PORTTYPE, ViewRegistryService
 from repro.fedquery.stream import (
     DEFAULT_CHUNK_DEPTH,
-    DEFAULT_CHUNK_ROWS,
     DEFAULT_MEMOIZE_MAX_BYTES,
-    DEFAULT_STREAM_THRESHOLD_ROWS,
     MemberStream,
     StreamedResult,
     merge_streams,

@@ -44,12 +44,15 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import FIRST_COMPLETED, Future, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from typing import Iterable, Iterator
 
+from repro.core.client import DEFAULT_CHUNK_ROWS, DEFAULT_STREAM_THRESHOLD_ROWS
 from repro.core.prcache import ByteBudgetLruCache, PrCache
-from repro.core.semantic import AggregateRecord, ordering_key, pr_sort_key
+from repro.core.semantic import AggregateRecord, ordering_key
 from repro.fedquery.ast import Query, QueryError
 from repro.fedquery.coherence import ANY, CoherenceTracker, Dep
 from repro.fedquery.merge import (
@@ -71,9 +74,7 @@ from repro.fedquery.scheduler import (
     empty_scheduler_stats,
 )
 from repro.fedquery.stream import (
-    DEFAULT_CHUNK_ROWS,
     DEFAULT_MEMOIZE_MAX_BYTES,
-    DEFAULT_STREAM_THRESHOLD_ROWS,
     MemberStream,
     StreamedResult,
     merge_streams,
@@ -107,19 +108,6 @@ def choose_fanout(
     if replicas <= 0:
         return default
     return min(cap, SLOTS_PER_REPLICA * replicas)
-
-
-def fetch_subquery(execution, sub: SubQuery, foci: list[str]) -> tuple[list, int]:
-    """One bulk member call for *sub* over *foci* — push-down ``getPRAgg``
-    buckets or ``getPR`` results, by ``sub.mode`` — as ``(records,
-    payload bytes)``: the bytes are counted by the binding, off the
-    strings it received, never by rendering the records again."""
-    aggregate = None
-    if sub.mode == "aggregate":
-        aggregate = (sub.min_value, sub.max_value, "focus" if sub.group_by_focus else "")
-    return execution.fetch(
-        sub.metric, foci, sub.start, sub.end, sub.result_type, aggregate
-    )
 
 
 def _sde_values(xml: str) -> list[str]:
@@ -206,6 +194,8 @@ class FederationEngine:
         self._scheduler = scheduler
         self._owns_scheduler = scheduler is None
         self._scheduler_lock = threading.Lock()
+        #: member reads on pool threads count into their query's stats
+        self._stats_lock = threading.Lock()
 
     # -------------------------------------------------- fan-out scheduler
     def _pool(self) -> FanoutScheduler:
@@ -415,20 +405,16 @@ class FederationEngine:
         tolerance: float | None,
         tenant: str,
     ) -> QueryResult:
-        snapshot, plan, stats, deps = self._begin_uncached(
-            query, tenant, approx=approx, tolerance=tolerance
+        plan, stats, deps, errors, finish = self._begin_uncached(
+            query, fingerprint, tenant, approx=approx, tolerance=tolerance
         )
-        tier0_members = [m for m in plan.members if m.is_tier0]
-        stats["tier0Members"] = len(tier0_members)
-        stats["estimatedRoundTrips"] = plan.estimated_round_trips
         merger = StreamingMerger(query)
-        errors: list[str] = []
         # a tier-0 answer is likewise a read of the member's cached
         # stats/sketches: the wildcard dep plus the generation-snapshot
         # comparison at admission guarantee an update racing this
         # query can never leave a stale tier-0 answer in the cache
         tracker = BoundsTracker(query) if approx and plan.tier0_capable else None
-        for member in tier0_members:
+        for member in (m for m in plan.members if m.is_tier0):
             deps.add((member.app, ANY))
             if tracker is not None:
                 tracker.add_estimates(member.app, member.tier0)
@@ -463,10 +449,6 @@ class FederationEngine:
                 for future in pending:
                     future.cancel()
                 raise
-            if errors and len(errors) == len(tasks):
-                raise QueryError(
-                    f"all {len(tasks)} member task(s) failed: {'; '.join(errors[:3])}"
-                )
         error_bounds: list[dict[str, tuple[float, float]]] = []
         if tracker is not None:
             # interval merge: tier-0 estimates plus the fan-out members'
@@ -485,14 +467,8 @@ class FederationEngine:
                 # approx requested but the query shape is not tier-0
                 # capable: the exact pipeline answered, every cell exact
                 error_bounds = [{} for _ in rows]
-        if not errors and not plan.stats_degraded:
-            # degraded results (member task errors, or a plan built with
-            # missing member stats) are never offered to the plan cache;
-            # approximate ones keep their bounds records after the rows
-            packed = [row.pack() for row in rows]
-            if approx:
-                packed += pack_bounds(error_bounds)
-            self.coherence.admit(fingerprint, deps, snapshot, packed)
+        # approximate results keep their bounds records after the rows
+        finish(len(tasks), rows, pack_bounds(error_bounds) if approx else [])
         return QueryResult(
             rows=rows,
             columns=query.output_columns,
@@ -508,19 +484,31 @@ class FederationEngine:
     def _execute_stream(
         self, query: Query, fingerprint: str, tenant: str
     ) -> StreamedResult:
-        snapshot, plan, stats, deps = self._begin_uncached(query, tenant)
-        stats["chunkedCalls"] = 0
-        stats["bulkCalls"] = 0
-        errors: list[str] = []
-        streams = self._stream_tasks(
-            plan, query, stats, threading.Lock(), deps, tenant
-        )
-        source = self._stream_rows(
-            query, plan, fingerprint, streams, stats, errors, deps, snapshot
-        )
+        plan, stats, deps, errors, finish = self._begin_uncached(query, fingerprint, tenant)
+        # producers run on the scheduler's elastic stream lane (slots
+        # accounted to the tenant), never on the bounded sub-query pool:
+        # a backpressure-blocked producer must not eat a slot another
+        # tenant's bulk tasks need
+        runner = partial(self._pool().spawn, tenant=tenant)
+        #: one MemberStream per selected execution (not started)
+        streams: list[MemberStream] = []
+        for member, executions, subqueries, cursor in self.member_work(
+            plan.members, stats
+        ):
+            # sub-queries concatenate in canonical metric order so each
+            # member stream is wholly sorted by the row key (app and exec
+            # are constant within a stream)
+            subqueries = sorted(subqueries, key=lambda sq: ordering_key(sq.metric))
+            for execution in executions:
+                produce = self._stream_producer(
+                    member, execution, subqueries, query, cursor, stats, deps
+                )
+                streams.append(
+                    MemberStream(f"{member.app}:{len(streams)}", produce, runner)
+                )
         return StreamedResult(
             columns=query.output_columns,
-            source=source,
+            source=self._stream_rows(query, streams, stats, errors, finish),
             plan=plan,
             stats=stats,
             errors=errors,
@@ -529,13 +517,16 @@ class FederationEngine:
     def _begin_uncached(
         self,
         query: Query,
+        fingerprint: str,
         tenant: str,
         approx: bool = False,
         tolerance: float | None = None,
-    ) -> tuple[dict[Dep, int], Plan, dict[str, int], set[Dep]]:
-        """The shared head of both result paths after a plan-cache miss:
+    ):
+        """The shared head of both result paths after a plan-cache miss —
         coherence snapshot, plan, rate charge, stats counters, plan-time
-        dependencies.
+        dependencies — and, as the ``finish`` it returns last (after the
+        plan, the counters, the dependency set and the list member
+        failures are recorded in), their shared tail.
 
         This is the one place a query is rate-limited — after the cache
         probe and planning (cached and tier-0 answers cost the members
@@ -564,111 +555,99 @@ class FederationEngine:
             "skippedMembers": len(plan.skipped),
             "estimatedBytes": plan.estimated_bytes,
             "payloadBytes": 0,
+            "chunkedCalls": 0,
+            "bulkCalls": 0,
+            "tier0Members": len(plan.members) - len(fanout_members),
+            "estimatedRoundTrips": plan.estimated_round_trips,
         }
         # a stats-proven skip is a read of the member's *statistics*: the
         # wildcard dep makes any later update to that member invalidate
         # (or stale-discard) this result, so the skip gets re-evaluated
         deps = {(skipped.app, ANY) for skipped in plan.skipped}
-        return snapshot, plan, stats, deps
+        errors: list[str] = []
 
-    def _stream_tasks(
-        self, plan: Plan, query: Query, stats, stats_lock, deps,
-        tenant: str = DEFAULT_TENANT,
-    ) -> list[MemberStream]:
-        """One :class:`MemberStream` per selected execution (not started)."""
-        # producers run on the scheduler's elastic stream lane (slots
-        # accounted to the tenant), never on the bounded sub-query pool:
-        # a backpressure-blocked producer must not eat a slot another
-        # tenant's bulk tasks need
-        pool = self._pool()
-
-        def runner(fn):
-            pool.spawn(fn, tenant=tenant)
-
-        streams: list[MemberStream] = []
-        for member, executions, subqueries in self.member_work(plan.members, stats):
-            # sub-queries concatenate in canonical metric order so each
-            # member stream is wholly sorted by the row key (app and exec
-            # are constant within a stream)
-            subqueries = sorted(subqueries, key=lambda sq: ordering_key(sq.metric))
-            per_exec = member.est_rows_per_execution(len(executions))
-            for execution in executions:
-                produce = self._stream_producer(
-                    member, execution, subqueries, query, per_exec,
-                    stats, stats_lock, deps,
+        def finish(n: int, rows: list[ResultRow] | None, trailer: list[str] = ()) -> None:
+            """End a query that ran *n* member tasks.  If every one of
+            them failed there is no answer to degrade to.  And a degraded
+            result (member task errors, or a plan built with missing
+            member stats) is never offered to the plan cache — nor one
+            the caller gave up accumulating (*rows* is None); *trailer*
+            records follow the rows."""
+            if errors and len(errors) == n:
+                raise QueryError(
+                    f"all {n} member task(s) failed: {'; '.join(errors[:3])}"
                 )
-                streams.append(
-                    MemberStream(f"{member.app}:{len(streams)}", produce, runner)
-                )
-        return streams
+            if rows is not None and not errors and not plan.stats_degraded:
+                packed = [row.pack() for row in rows]
+                self.coherence.admit(fingerprint, deps, snapshot, packed + list(trailer))
 
-    def wants_cursor(self, execution, per_exec: int | None) -> bool:
-        """Should *execution*'s raw rows drain through a chunked cursor?
-        Remote and estimated large — or unsized: bulk is the memory risk."""
-        return not execution.is_local and (
-            per_exec is None or per_exec >= self.stream_threshold_rows
+        return plan, stats, deps, errors, finish
+
+    def wants_cursor(self, per_exec: int | None) -> bool:
+        """Should one execution's raw rows drain through a chunked cursor?
+        Estimated large — or unsized: bulk is the memory risk.  (A local
+        binding's reader answers with the wrapper's array regardless.)"""
+        return per_exec is None or per_exec >= self.stream_threshold_rows
+
+    @contextmanager
+    def read(
+        self, execution, sub: SubQuery, foci: list[str], stats,
+        cursor: bool, ordered: bool = False,
+    ):
+        """The one member read under bulk tasks, stream producers and
+        view maintenance: *sub* over *foci* on *execution*, as a context
+        whose value iterates the records — ``getPRAgg`` buckets, or
+        ``getPR`` results (through a chunked *cursor* when asked, in
+        ``pr_sort_key`` order when *ordered*).  On the way out, whether
+        the consumer drained it, stopped or raised, the cursor is closed
+        and the read counted into *stats*: the bytes are the binding's
+        count, off the strings it received, never a second rendering.
+        """
+        aggregate = None
+        if sub.mode == "aggregate":
+            aggregate = (sub.min_value, sub.max_value, "focus" if sub.group_by_focus else "")
+        rows = execution.read(
+            sub.metric, foci, sub.start, sub.end, sub.result_type, aggregate,
+            cursor=cursor and aggregate is None, max_rows=self.stream_chunk_rows,
+            ordered=ordered, accept_encodings=self.accept_encodings,
         )
+        try:
+            yield rows
+        finally:
+            rows.close()
+            with self._stats_lock:
+                stats["calls"] += 1
+                stats["bulkCalls" if isinstance(rows, list) else "chunkedCalls"] += 1
+                stats["records"] += rows.rows_fetched
+                stats["payloadBytes"] += rows.bytes_fetched
 
     def _stream_producer(
         self, member: MemberPlan, execution, subqueries, query: Query,
-        per_exec: int | None, stats, stats_lock, deps,
+        cursor: bool, stats, deps,
     ):
-        """Build the producer generator for one execution's stream.
-
-        Remote executions with large (or unknown — bulk is the memory
-        risk) estimated row counts drain through a server-``ordered``
-        chunked cursor; provably small remote ones and local bindings
-        use one bulk ``getPR`` plus a client-side canonical sort, which
-        is cheaper than cursor round trips.  Either way the emitted
-        chunks are sorted and value predicates are applied producer-side
-        so filtered rows never cross the merge.
-        """
+        """Build the producer generator for one execution's stream: what
+        :meth:`read` hands over, already sorted, is filtered by the value
+        predicates (so filtered rows never cross the merge), converted
+        and batched into chunks."""
         chunk_rows = self.stream_chunk_rows
         value_preds = query.predicates_on("value")
-        use_cursor = self.wants_cursor(execution, per_exec)
 
         def chunks(stop, execution, ctx, foci):
             deps.add((member.app, ctx.exec_id))
-            if not foci:
-                return
-            for sub in subqueries:
+            for sub in subqueries if foci else ():
                 if stop.is_set():
                     return
-                if use_cursor:
-                    rows = execution.get_pr_chunked(
-                        sub.metric, foci, sub.start, sub.end, sub.result_type,
-                        max_rows=chunk_rows, ordered=True,
-                        accept_encodings=self.accept_encodings,
-                    )
-                    kind = "chunkedCalls"
-                    payload_bytes = 0  # the cursor's count, read once it closes
-                else:
-                    results, payload_bytes = fetch_subquery(execution, sub, foci)
-                    results.sort(key=pr_sort_key)
-                    rows = iter(results)
-                    kind = "bulkCalls"
                 batch: list[ResultRow] = []
-                records = 0
-                try:
+                with self.read(execution, sub, foci, stats, cursor, ordered=True) as rows:
                     for result in rows:
                         if stop.is_set():
                             return
-                        records += 1
                         if value_preds and not matches_value(result.value, value_preds):
                             continue
                         batch.append(raw_row(member.app, ctx.exec_id, result))
                         if len(batch) >= chunk_rows:
                             yield batch
                             batch = []
-                finally:
-                    if use_cursor:
-                        rows.close()
-                        payload_bytes = rows.bytes_fetched
-                    with stats_lock:
-                        stats["calls"] += 1
-                        stats[kind] += 1
-                        stats["records"] += records
-                        stats["payloadBytes"] += payload_bytes
                 if batch:
                     yield batch
 
@@ -678,41 +657,26 @@ class FederationEngine:
         return produce
 
     def _stream_rows(
-        self, query: Query, plan: Plan, fingerprint: str,
-        streams: list[MemberStream], stats, errors: list[str], deps,
-        snapshot: dict[Dep, int],
+        self, query: Query, streams: list[MemberStream], stats,
+        errors: list[str], finish,
     ):
         """The consumer generator behind a raw-path StreamedResult.
 
         Starts the member streams on first iteration, merges, enforces
         LIMIT (sound under the heap invariant: every yielded row is a
         global minimum, so the first N are the bulk path's first N), and
-        on clean exhaustion memoizes — only a *fully drained* stream
-        with no member errors, and only while the accumulated rows stay
-        under ``stream_memoize_max_bytes``.
+        on clean exhaustion memoizes — only a stream drained to its end
+        or its LIMIT, and only while the accumulated rows stay under
+        ``stream_memoize_max_bytes``.
         """
-        limit = query.limit
         acc: list[ResultRow] | None = []
         acc_bytes = 0
-        completed_scan = False
-
-        def on_error(exc: BaseException) -> None:
-            stats["errors"] += 1
-            errors.append(f"{type(exc).__name__}: {exc}")
-
         for member_stream in streams:
             member_stream.start()
-        yielded = 0
         try:
-            merged = merge_streams(streams, on_error)
-            while limit is None or yielded < limit:
-                try:
-                    row = next(merged)
-                except StopIteration:
-                    completed_scan = True
-                    break
+            merged = merge_streams(streams, partial(self._degrade, stats, errors))
+            for row in islice(merged, query.limit):
                 yield row
-                yielded += 1
                 if acc is not None:
                     acc_bytes += len(row.pack())
                     if acc_bytes > self.stream_memoize_max_bytes:
@@ -722,14 +686,15 @@ class FederationEngine:
         finally:
             for member_stream in streams:
                 member_stream.close()
-        if completed_scan and streams and errors and len(errors) == len(streams):
-            raise QueryError(
-                f"all {len(streams)} member task(s) failed: {'; '.join(errors[:3])}"
-            )
-        if acc is not None and not errors and not plan.stats_degraded:
-            self.coherence.admit(
-                fingerprint, deps, snapshot, [row.pack() for row in acc]
-            )
+        # (every stream can only have failed once the merge ran dry)
+        finish(len(streams), acc)
+
+    @staticmethod
+    def _degrade(stats, errors: list[str], exc: BaseException) -> None:
+        """One member task failed: counted and recorded, and the
+        surviving members' rows still come back."""
+        stats["errors"] += 1
+        errors.append(f"{type(exc).__name__}: {exc}")
 
     # ----------------------------------------------------------- coherence
     def invalidate_cache(self) -> int:
@@ -859,16 +824,18 @@ class FederationEngine:
 
     def member_work(
         self, members: Iterable[MemberPlan], stats
-    ) -> Iterator[tuple[MemberPlan, list, list[SubQuery]]]:
+    ) -> Iterator[tuple[MemberPlan, list, list[SubQuery], bool]]:
         """The one enumeration of member work behind a plan, consumed by
         the bulk task builder, the stream producers and view maintenance.
 
-        Yields ``(member, executions, subqueries)`` per member that really
-        fans out: its selected executions and the sub-queries surviving
-        the metric filter.  Tier-0 members (answered at plan time) and
-        members with nothing selected or nothing left to ask yield
-        nothing.  ``stats`` takes the ``calls``, ``executions`` and
-        ``skipped_metrics`` counts.
+        Yields ``(member, executions, subqueries, cursor)`` per member
+        that really fans out: its selected executions, the sub-queries
+        surviving the metric filter, and whether their raw reads want a
+        cursor — the one place :meth:`wants_cursor` is asked, of the
+        plan's row estimate spread over those executions.  Tier-0
+        members (answered at plan time) and members with nothing selected
+        or nothing left to ask yield nothing.  ``stats`` takes the
+        ``calls``, ``executions`` and ``skipped_metrics`` counts.
         """
         for member in members:
             if member.is_tier0:
@@ -892,12 +859,19 @@ class FederationEngine:
             if not subqueries:
                 continue
             stats["executions"] += len(executions)
-            yield member, executions, subqueries
+            per_exec = member.est_rows_per_execution(len(executions))
+            yield member, executions, subqueries, self.wants_cursor(per_exec)
 
     def _collect_tasks(self, plan: Plan, stats) -> list:
+        # cursor=False is what is left of the bulk/stream fork: a bulk
+        # query reads every execution as one array however large the
+        # plan says it is.  ROADMAP "One result path" step (3) deletes
+        # this argument once the benchmark's path guards are re-baselined.
         return [
-            self._make_task(member, execution, subqueries)
-            for member, executions, subqueries in self.member_work(plan.members, stats)
+            partial(
+                self.execution_task, member, execution, subqueries, stats, cursor=False
+            )
+            for member, executions, subqueries, _ in self.member_work(plan.members, stats)
             for execution in executions
         ]
 
@@ -940,48 +914,41 @@ class FederationEngine:
                     raise
                 execution = live[0]
 
-    def _make_task(self, member: MemberPlan, execution, subqueries):
+    def execution_task(
+        self, member: MemberPlan, execution, subqueries, stats, cursor: bool
+    ):
+        """The per-execution task body: read every sub-query and return
+        ``(ctx, [(sub, records)])`` for a merger to absorb.  Bulk queries
+        run it on the fan-out pool; view maintenance runs it inline, on
+        the thread delivering the update."""
+
         def fetch(execution, ctx, foci):
-            yield ctx, [
-                (sub, *fetch_subquery(execution, sub, foci))
-                for sub in (subqueries if foci else ())
-            ]
+            payloads = []
+            for sub in subqueries if foci else ():
+                with self.read(execution, sub, foci, stats, cursor) as rows:
+                    # an array is handed on as decoded, a cursor drained
+                    payloads.append((sub, rows if isinstance(rows, list) else list(rows)))
+            yield ctx, payloads
 
-        def run():
-            (fetched,) = self.on_execution(member, execution, fetch)
-            return fetched
-
-        return run
+        (fetched,) = self.on_execution(member, execution, fetch)
+        return fetched
 
     def _merge_payloads(
-        self,
-        merger: StreamingMerger,
-        future: Future,
-        stats,
-        errors: list[str],
-        deps: set[Dep],
+        self, merger: StreamingMerger, future: Future, stats,
+        errors: list[str], deps: set[Dep],
     ) -> None:
         """Fold one completed member task into the merger.
 
         A :class:`QueryError` is a hard failure (planning/protocol — the
         whole query is wrong) and propagates; any other per-task
-        exception degrades the result: it is counted, recorded, and the
-        surviving members' rows still come back.
+        exception degrades the result (:meth:`_degrade`).
         """
         try:
             ctx, payloads = future.result()
         except QueryError:
             raise
         except Exception as exc:
-            stats["errors"] += 1
-            errors.append(f"{type(exc).__name__}: {exc}")
+            self._degrade(stats, errors, exc)
             return
         deps.add((ctx.app, ctx.exec_id))
-        for sub, records, payload_bytes in payloads:
-            stats["calls"] += 1
-            stats["records"] += len(records)
-            stats["payloadBytes"] += payload_bytes
-            if sub.mode == "aggregate":
-                merger.absorb_aggregates(ctx, sub.metric, records)
-            else:
-                merger.absorb_results(ctx, sub.metric, records)
+        merger.absorb(ctx, payloads)

@@ -230,6 +230,15 @@ class StreamingMerger:
         self._raw_rows: list[ResultRow] = []
 
     # ------------------------------------------------------------ absorb
+    def absorb(self, ctx: TaskContext, payloads) -> None:
+        """Fold one execution's task result: ``(sub-query, records)``
+        pairs, buckets or raw results by the sub-query's mode."""
+        for sub, records in payloads:
+            if sub.mode == "aggregate":
+                self.absorb_aggregates(ctx, sub.metric, records)
+            else:
+                self.absorb_results(ctx, sub.metric, records)
+
     def absorb_aggregates(
         self, ctx: TaskContext, metric: str, records: list[AggregateRecord]
     ) -> None:

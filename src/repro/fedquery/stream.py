@@ -28,15 +28,8 @@ from typing import Callable, Iterable, Iterator
 from repro.fedquery.ast import QueryError
 from repro.fedquery.merge import ResultRow, row_sort_key
 
-#: rows per chunk a streamed member task moves at a time
-DEFAULT_CHUNK_ROWS = 256
-
 #: bounded queue depth per member stream (the backpressure window)
 DEFAULT_CHUNK_DEPTH = 2
-
-#: estimated per-execution rows at which the engine switches a member
-#: call from bulk getPR to a chunked cursor
-DEFAULT_STREAM_THRESHOLD_ROWS = 512
 
 #: streamed results larger than this (packed bytes) are not memoized —
 #: accumulating them for the plan cache would defeat bounded memory
@@ -214,7 +207,6 @@ class StreamedResult:
         cached: bool = False,
         stats: dict | None = None,
         errors: list[str] | None = None,
-        on_close: Callable[[], None] | None = None,
     ) -> None:
         self.columns = columns
         self.plan = plan
@@ -222,7 +214,6 @@ class StreamedResult:
         self.stats = stats if stats is not None else {}
         self.errors = errors if errors is not None else []
         self._source = iter(source)
-        self._on_close = on_close
         self.complete = False
         self.closed = False
 
@@ -237,10 +228,6 @@ class StreamedResult:
             self.close()
             raise
 
-    def rows(self) -> list[ResultRow]:
-        """Drain the remainder into a list (the bulk-compatible form)."""
-        return list(self)
-
     def close(self) -> None:
         """Release member streams; safe to call repeatedly."""
         if self.closed:
@@ -249,9 +236,6 @@ class StreamedResult:
         closer = getattr(self._source, "close", None)
         if closer is not None:
             closer()  # GeneratorExit runs the producer-side finally blocks
-        callback, self._on_close = self._on_close, None
-        if callback is not None:
-            callback()
 
     def __enter__(self) -> "StreamedResult":
         return self

@@ -34,12 +34,9 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from typing import Iterator
 
 from repro.fedquery.ast import Query, QueryError
-from repro.fedquery.executor import fetch_subquery
-from repro.fedquery.merge import ResultRow, StreamingMerger, TaskContext, order_rows
+from repro.fedquery.merge import ResultRow, StreamingMerger, order_rows
 from repro.fedquery.parser import parse_query
 from repro.fedquery.planner import ViewShape, view_shape
 
@@ -324,70 +321,44 @@ class ViewMaintainer:
         self, view: MaterializedView, members, only_exec: str | None = None
     ) -> None:
         """(Re)fetch the partitions of *members*' selected executions —
-        all of them, or just execution *only_exec*."""
-        scratch = {"calls": 0, "executions": 0, "skipped_metrics": 0}
-        for member, executions, subqueries in self.engine.member_work(
-            members, scratch
-        ):
-            per_exec = member.est_rows_per_execution(len(executions))
-            for execution in executions:
-                exec_id = self.engine._execution_id(execution)
-                if only_exec in (None, exec_id):
-                    (view.partitions[(member.app, exec_id)],) = self.engine.on_execution(
-                        member,
-                        execution,
-                        partial(self._fetch_partition, view, subqueries, per_exec),
-                    )
-                    if only_exec is not None:
-                        return
-
-    def _fetch_partition(
-        self,
-        view: MaterializedView,
-        subqueries,
-        per_exec: int | None,
-        execution,
-        ctx: TaskContext,
-        foci: list[str],
-    ) -> Iterator[_Partition]:
-        """One execution's contribution, through a private merger (an
-        :meth:`~repro.fedquery.executor.FederationEngine.on_execution`
-        body: it yields the one partition).
-
-        Raw sub-queries of a large (or unsized) remote partition drain
-        through a chunked cursor — the engine's own rule, on the plan's
-        own *per_exec* row estimate — so a large partition never
-        materializes an unbounded SOAP array just to maintain a view.
+        all of them, or just execution *only_exec* — each through the
+        engine's per-execution task, run inline: this is the thread
+        delivering the update, and the notifier may hold a service gate
+        a pool thread would wait on.  A large (or unsized) raw partition
+        therefore drains through a chunked cursor by the engine's own
+        rule, never as an unbounded SOAP array.
         """
+        fetched = Counter()
+        try:
+            for member, executions, subqueries, cursor in self.engine.member_work(
+                members, fetched
+            ):
+                for execution in executions:
+                    exec_id = self.engine._execution_id(execution)
+                    if only_exec in (None, exec_id):
+                        ctx, payloads = self.engine.execution_task(
+                            member, execution, subqueries, fetched, cursor
+                        )
+                        view.partitions[(member.app, exec_id)] = self._partition(
+                            view, ctx, payloads
+                        )
+                        if only_exec is not None:
+                            return
+        finally:
+            self.counters["deltaRowsFetched"] += fetched["records"]
+            self.counters["deltaBytesFetched"] += fetched["payloadBytes"]
+
+    def _partition(self, view: MaterializedView, ctx, payloads) -> _Partition:
+        """One execution's contribution, through a private merger."""
         query = view.query
         merger = StreamingMerger(query)
-        fetched_rows = fetched_bytes = 0
-        if foci:
-            for sub in subqueries:
-                if sub.mode == "raw" and self.engine.wants_cursor(execution, per_exec):
-                    with execution.get_pr_chunked(
-                        sub.metric, foci, sub.start, sub.end, sub.result_type,
-                        accept_encodings=self.engine.accept_encodings,
-                    ) as cursor:
-                        records = list(cursor)
-                    payload_bytes = cursor.bytes_fetched
-                else:
-                    records, payload_bytes = fetch_subquery(execution, sub, foci)
-                fetched_rows += len(records)
-                fetched_bytes += payload_bytes
-                if sub.mode == "aggregate":
-                    merger.absorb_aggregates(ctx, sub.metric, records)
-                else:
-                    merger.absorb_results(ctx, sub.metric, records)
-        self.counters["deltaRowsFetched"] += fetched_rows
-        self.counters["deltaBytesFetched"] += fetched_bytes
+        merger.absorb(ctx, payloads)
         if query.is_aggregate:
-            yield _Partition(groups=merger.group_accumulators())
-        elif view.shape.kind == "topk-bounded":
+            return _Partition(groups=merger.group_accumulators())
+        if view.shape.kind == "topk-bounded":
             # the partition's own top-N is a sufficient candidate set
-            yield _Partition(rows=order_rows(merger.raw_rows(), query))
-        else:
-            yield _Partition(rows=merger.raw_rows())
+            return _Partition(rows=order_rows(merger.raw_rows(), query))
+        return _Partition(rows=merger.raw_rows())
 
     def _fold(self, view: MaterializedView) -> list[ResultRow]:
         """Re-merge every partition into the view's output rows."""

@@ -330,6 +330,41 @@ class TestConsistencyProtocol:
         assert subscriber.stale_refreshes == 1
         assert subscriber.version == 1  # re-adopted the server's version
 
+    def test_concurrent_subscribers_get_distinct_sinks(self, view_grid):
+        """Sink paths are numbered by the client's container, under its
+        lock: 16 subscriptions opened at once never draw the same one
+        (they used to come from an unlocked class-level counter)."""
+        import threading
+
+        from repro.core.client import AsyncQueryCollector, ViewSubscription
+
+        grid, engine, a, b = view_grid
+        view_id = grid.client.create_view(AGG_VIEW)
+        grid.client.subscribe_view(view_id)  # the client's container now exists
+        opened, failures = [], []
+        start = threading.Barrier(16)
+
+        def subscribe():
+            start.wait(timeout=10)
+            try:
+                opened.append(grid.client.subscribe_view(view_id))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=subscribe) for _ in range(16)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        handles = {subscriber._sink_gsh.url() for subscriber in opened}
+        assert len(handles) == 16 and all("view-sink" in handle for handle in handles)
+        expected = [row.pack() for row in naive_query(AGG_VIEW, engine.members())]
+        assert all([row.pack() for row in s.rows] == expected for s in opened)
+        assert not hasattr(ViewSubscription, "_counter")
+        assert not hasattr(AsyncQueryCollector, "_counter")
+
     def test_unattributable_update_opens_a_new_epoch(self, view_grid):
         grid, engine, a, b = view_grid
         view_id = grid.client.create_view(AGG_VIEW)

@@ -1,0 +1,327 @@
+"""One member read under bulk tasks, stream producers and view maintenance.
+
+Counts and identities only, never a timing, on a 2-member x 2-execution
+synthetic federation whose executions record two metrics (so every
+execution is two sub-query reads): the bindings' reader answers the same
+records as an array and through a cursor; the engine's ``read`` does one
+accounting whichever consumer sits on it; nothing a consumer does leaves
+a cursor behind; and both result paths end in one failure-and-memoize
+tail.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core.client import ArrayRead, ChunkedResultIterator, PPerfGridClient
+from repro.core.semantic import PerformanceResult, pr_sort_key
+from repro.experiments.common import build_synthetic_grid
+from repro.fedquery import QueryError
+from repro.fedquery import executor as executor_module
+from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
+from repro.ogsi.container import GridEnvironment
+from repro.soap.rpc import decode_request
+
+from tests import test_member_facts
+
+MEMBERS, EXECUTIONS, ROWS, FOCI = 2, 2, 30, 3
+METRICS = ("m", "n")
+ALL_FOCI = [f"/rank/{i}" for i in range(FOCI)]
+#: (execution, sub-query) reads behind one query over both metrics
+READS = MEMBERS * EXECUTIONS * len(METRICS)
+TOTAL = READS * ROWS
+
+
+class Wire(test_member_facts.Wire):
+    """The recording transport of ``test_member_facts``, able to fail
+    the *n*-th ``next`` it is asked to carry."""
+
+    fail_next_at: int | None = None
+
+    def send(self, endpoint_url: str, request: bytes) -> bytes:
+        if self.fail_next_at is not None and decode_request(request).operation == "next":
+            self.fail_next_at -= 1
+            if self.fail_next_at == 0:
+                self.fail_next_at = None
+                raise ConnectionError("link dropped mid-drain")
+        return super().send(endpoint_url, request)
+
+
+def _wrappers() -> dict[str, InMemoryWrapper]:
+    return {
+        f"APP{m}": InMemoryWrapper(
+            f"APP{m}",
+            [
+                InMemoryExecution(
+                    str(e),
+                    {"numprocs": str(2 ** e)},
+                    [
+                        PerformanceResult(
+                            metric, f"/rank/{(i * 7) % FOCI}", "synthetic",
+                            float(i), float(i + 1), (m * 11 + e * 5 + i * 13) % 97 / 4,
+                        )
+                        for metric in METRICS
+                        for i in range(ROWS)
+                    ],
+                )
+                for e in range(EXECUTIONS)
+            ],
+        )
+        for m in range(MEMBERS)
+    }
+
+
+@pytest.fixture()
+def federation():
+    wrappers = _wrappers()
+    environment = GridEnvironment()
+    wire = environment.transport = Wire(environment.transport)
+    grid = build_synthetic_grid(wrappers, environment)
+    engine = grid.deploy_federation()
+    yield grid, engine, wire, wrappers
+    engine.close()
+    environment.close()
+
+
+def raw(k: int) -> str:
+    """Both metrics, every row; the literal busts the plan cache."""
+    return f"SELECT m, n WHERE value >= -{k}.5"
+
+
+def payload(wrappers) -> int:
+    """payloadBytes of a query reading every row, from the members' own data."""
+    return sum(
+        len(result.pack())
+        for wrapper in wrappers.values()
+        for execution in wrapper.executions_data
+        for result in execution.results
+    )
+
+
+def live_cursors(grid) -> int:
+    return sum(
+        "/cursors/" in path
+        for site in grid.sites.values()
+        for container in (site.container, *site.replica_containers)
+        for path in container.service_paths()
+    )
+
+
+def packs(records) -> list[str]:
+    return [record.pack() for record in records]
+
+
+# ---------------------------------------------------------- the bindings' reader
+class TestBindingReader:
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_array_and_cursor_are_the_same_records(self, federation, ordered):
+        grid, *_ = federation
+        execution = grid.bind("APP0").all_executions()[0]
+        array = execution.read("m", ALL_FOCI, ordered=ordered)
+        cursor = execution.read("m", ALL_FOCI, cursor=True, max_rows=7, ordered=ordered)
+        assert isinstance(array, ArrayRead) and isinstance(cursor, ChunkedResultIterator)
+        drained = list(cursor)
+        assert packs(drained) == packs(array) and len(array) == ROWS
+        if ordered:
+            assert packs(array) == packs(sorted(array, key=pr_sort_key))
+        expected_bytes = sum(map(len, packs(array)))
+        assert array.bytes_fetched == cursor.bytes_fetched == expected_bytes
+        assert array.rows_fetched == cursor.rows_fetched == ROWS
+        array.close()  # a no-op with the cursor's name
+        assert live_cursors(grid) == 0  # exhaustion closed the cursor
+
+    def test_get_pr_is_the_array_the_reader_decoded(self, federation):
+        grid, *_ = federation
+        execution = grid.bind("APP1").all_executions()[1]
+        assert packs(execution.get_pr("n", ALL_FOCI)) == packs(execution.read("n", ALL_FOCI))
+        buckets = execution.get_pr_agg("n", ALL_FOCI, group_by="focus")
+        assert buckets.bytes_fetched == sum(map(len, packs(buckets))) and len(buckets) == FOCI
+
+    def test_the_local_reader_never_opens_a_cursor(self, federation):
+        grid, _, wire, wrappers = federation
+        client = PPerfGridClient(grid.environment)
+        url = grid.sites["APP0"].factory_url
+        client.register_local_wrapper(url, wrappers["APP0"])
+        local = client.bind(url, "APP0").all_executions()[0]
+        remote = grid.bind("APP0").all_executions()[0]
+        wire.take()
+        rows = local.read("m", ALL_FOCI, cursor=True, max_rows=4, ordered=True)
+        assert isinstance(rows, ArrayRead) and not wire.take()
+        assert packs(rows) == packs(remote.read("m", ALL_FOCI, ordered=True))
+        assert rows.bytes_fetched == sum(map(len, packs(rows)))
+        assert packs(local.stream_pr("m", ALL_FOCI, ordered=True)) == packs(rows)
+
+    def test_stream_pr_sizes_the_read_with_get_stats(self, federation, monkeypatch):
+        grid, _, wire, _ = federation
+        execution = grid.bind("APP0").all_executions()[0]
+        execution.get_pr("m", ALL_FOCI)  # getTimeStartEnd is per call: keep it out of the counts
+        bulk = packs(execution.get_pr("m", ALL_FOCI))
+        wire.take()
+        assert packs(execution.stream_pr("m", ALL_FOCI, threshold_rows=ROWS + 1)) == bulk
+        sent = wire.take()
+        assert sent["getStats"] == sent["getPR"] == 1 and "getPRChunked" not in sent
+        assert packs(execution.stream_pr("m", ALL_FOCI, threshold_rows=ROWS)) == bulk
+        sent = wire.take()
+        assert sent["getStats"] == sent["getPRChunked"] == 1 and "getPR" not in sent
+        # an estimate in hand spares the probe
+        assert packs(execution.stream_pr("m", ALL_FOCI, estimated_rows=1)) == bulk
+        assert "getStats" not in wire.take()
+
+        def stats_down():
+            raise RuntimeError("getStats unavailable")
+
+        monkeypatch.setattr(execution, "get_stats", stats_down)
+        assert packs(execution.stream_pr("m", ALL_FOCI, threshold_rows=10**6)) == bulk
+        sent = wire.take()
+        assert sent["getPRChunked"] == 1 and "getPR" not in sent
+
+
+# ------------------------------------------------------------- one accounting
+class TestOneAccounting:
+    def test_bulk_and_streamed_count_the_same_reads(self, federation):
+        grid, engine, _, wrappers = federation
+        bulk = engine.execute(raw(1))
+        assert len(bulk.rows) == TOTAL
+        engine.stream_threshold_rows = 0
+        cursors = engine.execute(raw(2), stream=True)
+        assert len(list(cursors)) == TOTAL
+        engine.stream_threshold_rows = 10**6
+        arrays = engine.execute(raw(3), stream=True)
+        assert len(list(arrays)) == TOTAL
+        for stats in (bulk.stats, cursors.stats, arrays.stats):
+            assert stats["records"] == TOTAL
+            assert stats["payloadBytes"] == payload(wrappers)
+            assert stats["chunkedCalls"] + stats["bulkCalls"] == READS
+        assert bulk.stats["bulkCalls"] == arrays.stats["bulkCalls"] == READS
+        assert cursors.stats["chunkedCalls"] == READS
+        assert live_cursors(grid) == 0
+
+    @pytest.mark.parametrize("threshold", [0, 10**6], ids=["member-cursors", "member-arrays"])
+    def test_a_view_refresh_moves_its_counters_by_the_same_amounts(self, federation, threshold):
+        grid, engine, wire, wrappers = federation
+        engine.stream_threshold_rows = threshold
+        engine.views().create_view("SELECT m, n")
+        before = engine.view_stats()
+        assert before["deltaRowsFetched"] == TOTAL
+        assert before["deltaBytesFetched"] == payload(wrappers)
+        wire.take()
+        engine.views().on_full_refresh()
+        after = engine.view_stats()
+        assert after["deltaRowsFetched"] - before["deltaRowsFetched"] == TOTAL
+        assert after["deltaBytesFetched"] - before["deltaBytesFetched"] == payload(wrappers)
+        sent = wire.take()
+        assert sent["getPRChunked" if threshold == 0 else "getPR"] == READS
+        assert live_cursors(grid) == 0
+
+    def test_a_large_view_partition_honours_the_engines_chunk_rows(self, federation):
+        grid, engine, wire, _ = federation
+        engine.stream_threshold_rows = 0
+        engine.stream_chunk_rows = 10
+        execution = grid.bind("APP0").all_executions()[0]
+        wire.take()
+        with execution.get_pr_chunked("m", ALL_FOCI, max_rows=10) as direct:
+            assert len(list(direct)) == ROWS
+        per_cursor = wire.take()["next"]
+        assert per_cursor >= ROWS // 10
+        engine.views().create_view("SELECT m, n")
+        assert wire.take()["next"] == READS * per_cursor
+
+
+# ------------------------------------------------------- nothing left behind
+class TestNoCursorSurvivesItsConsumer:
+    def test_a_stream_producer_that_raises_mid_read(self, federation, monkeypatch):
+        grid, engine, *_ = federation
+        engine.stream_threshold_rows = 0
+        engine.stream_chunk_rows = 4
+        converted = []
+
+        def raw_row(app, exec_id, result):
+            converted.append(result)
+            if len(converted) % 10 == 0:
+                raise RuntimeError("consumer gave up mid-read")
+            return real_raw_row(app, exec_id, result)
+
+        real_raw_row = executor_module.raw_row
+        monkeypatch.setattr(executor_module, "raw_row", raw_row)
+        with pytest.raises(QueryError, match=r"all 4 member task\(s\) failed"):
+            list(engine.execute(raw(1), stream=True))
+        assert live_cursors(grid) == 0
+
+    def test_a_consumer_that_walks_away(self, federation):
+        grid, engine, *_ = federation
+        engine.stream_threshold_rows = 0
+        engine.stream_chunk_rows = 4
+        streamed = engine.execute(raw(1), stream=True)
+        next(streamed)
+        streamed.close()
+        assert live_cursors(grid) == 0
+        assert engine.execute(raw(1)).cached is False  # a partial drain memoizes nothing
+
+    def test_view_maintenance_whose_drain_fails_mid_read(self, federation):
+        grid, engine, wire, _ = federation
+        engine.stream_threshold_rows = 0
+        engine.stream_chunk_rows = 10
+        view = engine.views().create_view("SELECT m, n")
+        errors = engine.view_stats()["maintenanceErrors"]
+        wire.fail_next_at = 2  # the second chunk of the first partition
+        engine.views().on_update("APP0", "0")
+        assert engine.view_stats()["maintenanceErrors"] == errors + 1
+        assert live_cursors(grid) == 0
+        assert len(view.rows) == TOTAL  # the epoch refresh rebuilt it whole
+
+
+# ------------------------------------------------ one failure-and-memoize tail
+def run(engine, text: str, stream: bool):
+    """Execute and drain; returns (result object, rows)."""
+    result = engine.execute(text, stream=stream)
+    return result, (list(result) if stream else result.rows)
+
+
+@pytest.mark.parametrize("stream", [False, True], ids=["bulk", "streamed"])
+class TestOneTail:
+    def _break(self, grid, monkeypatch, members) -> None:
+        def down(*args, **kwargs):
+            raise RuntimeError("store connection lost")
+
+        for member in members:
+            for exec_id in map(str, range(EXECUTIONS)):
+                service = grid.execution_service(member, exec_id)
+                monkeypatch.setattr(service, "getPR", down)
+                monkeypatch.setattr(service, "getPRChunked", down)
+
+    @pytest.mark.parametrize("threshold", [0, 10**6])
+    def test_every_member_task_failing_is_a_query_error(
+        self, federation, monkeypatch, stream, threshold
+    ):
+        grid, engine, *_ = federation
+        engine.stream_threshold_rows = threshold
+        self._break(grid, monkeypatch, ["APP0", "APP1"])
+        with pytest.raises(QueryError, match=r"all 4 member task\(s\) failed: .*lost"):
+            run(engine, raw(1), stream)
+
+    def test_a_degraded_result_is_never_admitted(self, federation, monkeypatch, stream):
+        grid, engine, *_ = federation
+        self._break(grid, monkeypatch, ["APP1"])
+        for _ in range(2):
+            result, rows = run(engine, raw(1), stream)
+            assert result.cached is False and len(result.errors) == EXECUTIONS
+            assert result.stats["errors"] == EXECUTIONS
+            assert {row["app"] for row in rows} == {"APP0"} and len(rows) == TOTAL // MEMBERS
+        monkeypatch.undo()
+        assert run(engine, raw(1), stream)[0].cached is False
+        assert run(engine, raw(1), stream)[0].cached is True  # the clean one was
+
+    def test_a_stats_degraded_result_is_never_admitted(self, federation, monkeypatch, stream):
+        grid, engine, *_ = federation
+
+        def stats_down():
+            raise OSError("stats store on fire")
+
+        monkeypatch.setattr(engine.members()["APP1"], "get_stats", stats_down)
+        for _ in range(2):
+            result, rows = run(engine, raw(1), stream)
+            assert result.cached is False and not result.errors and len(rows) == TOTAL
+            assert result.plan.stats_degraded is True
+        monkeypatch.undo()
+        assert run(engine, raw(1), stream)[0].cached is False
+        assert run(engine, raw(1), stream)[0].cached is True

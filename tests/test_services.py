@@ -193,3 +193,65 @@ class TestExecutionCaching:
             assert cache.stats.hits == hits + 1
         finally:
             grid.environment.close()
+
+
+class TestSimulatedHostMemory:
+    """The host is charged ``_CACHE_ENTRY_MB`` per *resident* PR-cache
+    entry — not per call to ``put`` — and gets it back on a clear."""
+
+    @staticmethod
+    def _execution(grid):
+        """(binding, service, host) of one HPL execution on a SimHost."""
+        execution = grid.bind("HPL").all_executions()[0]
+        service = grid.execution_service("HPL", execution.info()["runid"])
+        return execution, service, service.container.host
+
+    @staticmethod
+    def _distinct_queries(execution, count: int) -> None:
+        for k in range(count):
+            execution.get_pr("gflops", ["/Run"], 0.0, 1e9 + k)
+
+    def test_an_uncached_query_costs_the_host_nothing(self):
+        from repro.experiments.common import GridScale, build_grid
+
+        grid = build_grid(GridScale.tiny(), caching=False, with_hosts=True)
+        try:
+            execution, service, host = self._execution(grid)
+            self._distinct_queries(execution, 300)
+            assert len(service.cache) == 0
+            assert host.memory_used_mb == pytest.approx(0.0, abs=1e-9)
+        finally:
+            grid.cleanup()
+
+    def test_an_evicted_entry_gives_its_charge_back(self):
+        from repro.core.prcache import LruCache
+        from repro.experiments.common import GridScale, build_grid
+
+        grid = build_grid(GridScale.tiny(), with_hosts=True)
+        try:
+            execution, service, host = self._execution(grid)
+            service.cache = LruCache(capacity=8)
+            self._distinct_queries(execution, 50)
+            assert len(service.cache) == 8 and service.cache.stats.evictions == 42
+            assert host.memory_used_mb == pytest.approx(0.01 * 8)
+        finally:
+            grid.cleanup()
+
+    def test_data_updated_and_destroy_release_what_was_charged(self):
+        from repro.experiments.common import GridScale, build_grid
+
+        grid = build_grid(GridScale.tiny(), with_hosts=True)
+        try:
+            execution, service, host = self._execution(grid)
+            self._distinct_queries(execution, 300)
+            assert host.memory_used_mb == pytest.approx(0.01 * len(service.cache))
+            assert len(service.cache) == 300
+            service.data_updated("ingest")
+            assert len(service.cache) == 0
+            assert host.memory_used_mb == pytest.approx(0.0, abs=1e-9)
+            self._distinct_queries(execution, 5)
+            assert host.memory_used_mb == pytest.approx(0.05)
+            service.Destroy()
+            assert host.memory_used_mb == pytest.approx(0.0, abs=1e-9)
+        finally:
+            grid.cleanup()

@@ -35,8 +35,9 @@ from repro.core.semantic import (
 from repro.mapping.base import ApplicationWrapper
 from repro.ogsi.container import GridEnvironment
 from repro.ogsi.cursor import RESULT_CURSOR_PORTTYPE
+from repro.ogsi.dispatch import accept_encodings_headers
 from repro.ogsi.porttypes import FACTORY_PORTTYPE
-from repro.soap.chunks import ENCODING_XML, WIRE_ENCODINGS, ChunkError, decode_chunk
+from repro.soap.chunks import ENCODING_XML, WIRE_ENCODINGS, ChunkError, decode_chunk, unframe_answer
 from repro.soap.faults import SoapFault
 from repro.uddi.proxy import OrganizationProxy, ServiceProxy, UddiClient
 
@@ -49,11 +50,12 @@ DEFAULT_STREAM_THRESHOLD_ROWS = 512
 
 
 def default_accept_encodings() -> tuple[str, ...]:
-    """Wire encodings a new chunked iterator advertises.
+    """Wire encodings a new chunked iterator — or a request expecting a
+    large array answer — advertises.
 
     ``PPG_ACCEPT_ENCODINGS`` (comma-separated) overrides the built-in
-    list; setting it to ``xml`` pins every cursor drain in the process
-    to the per-row fallback — the CI leg that keeps that path covered.
+    list; setting it to ``xml`` pins every cursor drain and array answer
+    in the process to per-row XML — the CI leg that keeps it covered.
     """
     override = os.environ.get("PPG_ACCEPT_ENCODINGS")
     if override:
@@ -242,6 +244,7 @@ class ArrayRead(list):
 
     #: set by a reader that saw the records as strings
     wire_bytes: int | None = None
+    encoding: str = ENCODING_XML  # the content encoding the answer arrived in
 
     @property
     def bytes_fetched(self) -> int:
@@ -304,6 +307,7 @@ class ExecutionBinding:
         aggregate: tuple[float | None, float | None, str] | None = None,
         cursor: bool = False, max_rows: int = DEFAULT_CHUNK_ROWS,
         ordered: bool = False, accept_encodings: tuple[str, ...] | None = None,
+        columnar: bool = False,
     ) -> "ArrayRead | ChunkedResultIterator":
         """The one member read: a ``getPR`` array (``getPRAgg`` when
         *aggregate* gives its ``(min_value, max_value, group_by)``) or,
@@ -312,6 +316,10 @@ class ExecutionBinding:
         order when *ordered*, with ``rows_fetched``, ``close()`` and
         ``bytes_fetched`` — the packed length of the records as they
         arrived, counted here because nothing later holds the strings.
+
+        *accept_encodings* (None: the client default) are what a cursor
+        negotiates and, when *columnar* is set, what ``getPR`` advertises:
+        the answer may then be one columnar chunk of the same records.
         """
         if cursor:
             return self.get_pr_chunked(
@@ -320,9 +328,14 @@ class ExecutionBinding:
             )
         start, end = _window(self, start, end)
         args = (metric, list(foci), repr(start), repr(end), result_type)
+        encoding = ENCODING_XML
         if aggregate is None:
+            advertised = (accept_encodings or default_accept_encodings()) if columnar else ()
             with self.environment.recorder.time("virtualization.getPR"):
-                packed = self.stub.getPR(*args)
+                answer = self.stub.invoke(
+                    "getPR", *args, headers=accept_encodings_headers(advertised)
+                )
+            packed, encoding = unframe_answer(answer, advertised)
             unpack = PerformanceResult.unpack
         else:
             min_value, max_value, group_by = aggregate
@@ -336,6 +349,7 @@ class ExecutionBinding:
             unpack = AggregateRecord.unpack
         records = ArrayRead(map(unpack, packed))
         records.wire_bytes = sum(map(len, packed))
+        records.encoding = encoding
         if ordered:
             records.sort(key=pr_sort_key)
         return records
@@ -494,10 +508,12 @@ class LocalExecutionBinding:
         aggregate: tuple[float | None, float | None, str] | None = None,
         cursor: bool = False, max_rows: int = DEFAULT_CHUNK_ROWS,
         ordered: bool = False, accept_encodings: tuple[str, ...] | None = None,
+        columnar: bool = False,
     ) -> ArrayRead:
         """Local bypass of :meth:`ExecutionBinding.read`, signature and
         all: the wrapper's answer — its server-side aggregation when
-        *aggregate* is given — and never a cursor, whatever *cursor* asks."""
+        *aggregate* is given — and never a cursor or a wire encoding,
+        whatever *cursor* and *columnar* ask."""
         start, end = _window(self, start, end)
         if aggregate is None:
             with self.environment.recorder.time("virtualization.getPR.local"):
@@ -630,10 +646,9 @@ class LocalApplicationBinding:
 def _deploy_sink(environment: GridEnvironment, authority: str, kind: str, sink):
     """Deploy a notification *sink* in the client's own container as
     ``services/<kind>/instances/<n>``: the container numbers instances
-    per prefix under its lock, so concurrent subscribers never collide."""
-    container = environment.container_for(authority)
-    if container is None:
-        container = environment.create_container(authority)
+    per prefix under its lock, and the environment creates it under its
+    own, so concurrent subscribers never collide."""
+    container = environment.ensure_container(authority)
     return container.deploy_instance(f"services/{kind}", sink)
 
 
@@ -928,7 +943,11 @@ class PPerfGridClient:
                     text, "" if tolerance is None else repr(float(tolerance))
                 )
             else:
-                packed = fed.query(text)
+                # only the federation knows the answer's size: always
+                # advertise (a small answer still comes back as XML)
+                accepted = default_accept_encodings()
+                answer = fed.invoke("query", text, headers=accept_encodings_headers(accepted))
+                packed, _ = unframe_answer(answer, accepted)
         if not approx:
             return list(map(ResultRow.unpacker(), packed))
         packed_rows, bounds = split_bounds(packed)

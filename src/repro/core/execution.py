@@ -20,9 +20,10 @@ from repro.core.semantic import (
 )
 from repro.mapping.base import ExecutionWrapper
 from repro.ogsi.cursor import DEFAULT_CURSOR_TTL, deploy_cursor
+from repro.ogsi.dispatch import answer_encoding
 from repro.ogsi.notification import NotificationSourceMixin
 from repro.ogsi.service import GridServiceBase
-from repro.soap.chunks import WIRE_ENCODINGS
+from repro.soap.chunks import ENCODING_XML, WIRE_ENCODINGS, frame_answer
 
 #: estimated memory (MB) charged to the host per cached entry, for the
 #: Service-Data-Provider-driven adaptive policy
@@ -53,8 +54,8 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
         #: soft-state lifetime granted to getPRChunked cursors; renewed
         #: on every next(), swept by the container when it lapses
         self.cursor_ttl: float = DEFAULT_CURSOR_TTL
-        #: wire encodings this execution's cursors may serve (negotiated
-        #: per cursor; ``("xml",)`` pins a member to per-row transfers)
+        #: wire encodings this execution's cursors and getPR answers may
+        #: serve (negotiated per request; ``("xml",)`` pins per-row transfers)
         self.wire_encodings: tuple[str, ...] = WIRE_ENCODINGS
 
     def on_deployed(self, container, gsh) -> None:
@@ -100,22 +101,26 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
         endTime: str,
         resultType: str,
     ) -> list[str]:
-        """Query Performance Results, consulting the PR cache first."""
+        """Query Performance Results, consulting the PR cache first; framed
+        for an advertising request (``frame_answer``, cached beside them)."""
         self.require_active()
         key = pr_cache_key(metric, list(foci), startTime, endTime, resultType)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return list(cached)
-        try:
-            start = float(startTime)
-            end = float(endTime)
-        except ValueError as exc:
-            raise ValueError(f"bad time bound: {exc}") from exc
-        results = self.wrapper.get_pr(metric, list(foci), start, end, resultType)
-        packed = [pr.pack() for pr in results]
-        self.cache.put(key, packed)
-        self._charge_cache()
-        return packed
+
+        def rows() -> list[str]:
+            try:
+                start = float(startTime)
+                end = float(endTime)
+            except ValueError as exc:
+                raise ValueError(f"bad time bound: {exc}") from exc
+            results = self.wrapper.get_pr(metric, list(foci), start, end, resultType)
+            return [pr.pack() for pr in results]
+
+        encoding = answer_encoding(self.wire_encodings)
+        if encoding == ENCODING_XML:
+            return self._memo(key, rows)
+        return self._memo(
+            f"{encoding}: {key}", lambda: frame_answer(self._memo(key, rows), encoding)
+        )
 
     def getPRAgg(
         self,
@@ -145,25 +150,33 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
             metric, list(foci), startTime, endTime, resultType,
             minValue, maxValue, groupBy,
         )
+
+        def buckets() -> list[str]:
+            try:
+                start = float(startTime)
+                end = float(endTime)
+                min_value = float(minValue) if minValue else None
+                max_value = float(maxValue) if maxValue else None
+            except ValueError as exc:
+                raise ValueError(f"bad getPRAgg bound: {exc}") from exc
+            # nan orders no value, so each store would filter by it its own
+            # way; an infinite bound is simply an open one and passes.
+            if any(b is not None and math.isnan(b) for b in (min_value, max_value)):
+                raise ValueError("bad getPRAgg bound: nan")
+            records = self.wrapper.get_pr_aggregate(
+                metric, list(foci), start, end, resultType,
+                min_value, max_value, groupBy,
+            )
+            return [record.pack() for record in records]
+
+        return self._memo(key, buckets)
+
+    def _memo(self, key: str, compute) -> list[str]:
+        """The PR cache's answer for *key*, else ``compute()``'s, cached."""
         cached = self.cache.get(key)
         if cached is not None:
             return list(cached)
-        try:
-            start = float(startTime)
-            end = float(endTime)
-            min_value = float(minValue) if minValue else None
-            max_value = float(maxValue) if maxValue else None
-        except ValueError as exc:
-            raise ValueError(f"bad getPRAgg bound: {exc}") from exc
-        # nan orders no value, so each store would filter by it its own
-        # way; an infinite bound is simply an open one and passes.
-        if any(b is not None and math.isnan(b) for b in (min_value, max_value)):
-            raise ValueError("bad getPRAgg bound: nan")
-        records = self.wrapper.get_pr_aggregate(
-            metric, list(foci), start, end, resultType,
-            min_value, max_value, groupBy,
-        )
-        packed = [record.pack() for record in records]
+        packed = compute()
         self.cache.put(key, packed)
         self._charge_cache()
         return packed

@@ -111,9 +111,7 @@ class Grid:
             managers=managers,
             scheduler=scheduler,
         )
-        container = self.environment.container_for(authority)
-        if container is None:
-            container = self.environment.create_container(authority)
+        container = self.environment.ensure_container(authority)
         service = FederatedQueryService(engine)
         gsh = container.deploy("services/FederatedQuery", service)
         self.fed_gsh = gsh.url()

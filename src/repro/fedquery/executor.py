@@ -592,12 +592,13 @@ class FederationEngine:
     @contextmanager
     def read(
         self, execution, sub: SubQuery, foci: list[str], stats,
-        cursor: bool, ordered: bool = False,
+        cursor: bool, ordered: bool = False, columnar: bool = False,
     ):
         """The one member read under bulk tasks, stream producers and
         view maintenance: *sub* over *foci* on *execution*, as a context
         whose value iterates the records — ``getPRAgg`` buckets, or
-        ``getPR`` results (through a chunked *cursor* when asked, in
+        ``getPR`` results (through a chunked *cursor* when asked, else
+        as one array that may arrive as a *columnar* chunk; in
         ``pr_sort_key`` order when *ordered*).  On the way out, whether
         the consumer drained it, stopped or raised, the cursor is closed
         and the read counted into *stats*: the bytes are the binding's
@@ -609,7 +610,7 @@ class FederationEngine:
         rows = execution.read(
             sub.metric, foci, sub.start, sub.end, sub.result_type, aggregate,
             cursor=cursor and aggregate is None, max_rows=self.stream_chunk_rows,
-            ordered=ordered, accept_encodings=self.accept_encodings,
+            ordered=ordered, accept_encodings=self.accept_encodings, columnar=columnar,
         )
         try:
             yield rows
@@ -863,15 +864,15 @@ class FederationEngine:
             yield member, executions, subqueries, self.wants_cursor(per_exec)
 
     def _collect_tasks(self, plan: Plan, stats) -> list:
-        # cursor=False is what is left of the bulk/stream fork: a bulk
-        # query reads every execution as one array however large the
-        # plan says it is.  ROADMAP "One result path" step (3) deletes
-        # this argument once the benchmark's path guards are re-baselined.
+        # a bulk query reads every execution as one array; one the plan
+        # calls large — what a stream drains through a cursor — as one
+        # getPR that advertises the columnar encoding, so the member may
+        # answer with a single colbatch chunk in the same round trip
         return [
             partial(
-                self.execution_task, member, execution, subqueries, stats, cursor=False
+                self.execution_task, member, execution, subqueries, stats, columnar=large
             )
-            for member, executions, subqueries, _ in self.member_work(plan.members, stats)
+            for member, executions, subqueries, large in self.member_work(plan.members, stats)
             for execution in executions
         ]
 
@@ -915,17 +916,18 @@ class FederationEngine:
                 execution = live[0]
 
     def execution_task(
-        self, member: MemberPlan, execution, subqueries, stats, cursor: bool
+        self, member: MemberPlan, execution, subqueries, stats,
+        cursor: bool = False, columnar: bool = False,
     ):
-        """The per-execution task body: read every sub-query and return
-        ``(ctx, [(sub, records)])`` for a merger to absorb.  Bulk queries
+        """The per-execution task body: :meth:`read` every sub-query and
+        return ``(ctx, [(sub, records)])`` for a merger to absorb.  Bulk queries
         run it on the fan-out pool; view maintenance runs it inline, on
         the thread delivering the update."""
 
         def fetch(execution, ctx, foci):
             payloads = []
             for sub in subqueries if foci else ():
-                with self.read(execution, sub, foci, stats, cursor) as rows:
+                with self.read(execution, sub, foci, stats, cursor, columnar=columnar) as rows:
                     # an array is handed on as decoded, a cursor drained
                     payloads.append((sub, rows if isinstance(rows, list) else list(rows)))
             yield ctx, payloads

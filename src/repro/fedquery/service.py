@@ -13,9 +13,10 @@ from repro.core.semantic import PPERFGRID_NS
 from repro.fedquery.executor import FederationEngine
 from repro.fedquery.merge import pack_bounds
 from repro.ogsi.cursor import deploy_cursor
+from repro.ogsi.dispatch import answer_encoding
 from repro.ogsi.porttypes import GRID_SERVICE_PORTTYPE
 from repro.ogsi.service import GridServiceBase
-from repro.soap.chunks import WIRE_ENCODINGS
+from repro.soap.chunks import WIRE_ENCODINGS, frame_answer
 from repro.wsdl.porttype import Operation, Parameter, PortType
 
 FEDERATED_QUERY_PORTTYPE = PortType(
@@ -161,8 +162,8 @@ class FederatedQueryService(GridServiceBase):
     def __init__(self, engine: FederationEngine) -> None:
         super().__init__()
         self.engine = engine
-        #: wire encodings queryChunked cursors may serve (negotiated per
-        #: cursor; ``("xml",)`` pins this endpoint to per-row transfers)
+        #: wire encodings queryChunked cursors and query answers may serve
+        #: (negotiated per request; ``("xml",)`` pins per-row transfers)
         self.wire_encodings: tuple[str, ...] = WIRE_ENCODINGS
 
     def on_deployed(self, container, gsh) -> None:
@@ -172,8 +173,8 @@ class FederatedQueryService(GridServiceBase):
     # --------------------------------------------------------- operations
     def query(self, queryText: str) -> list[str]:
         self.require_active()
-        result = self.engine.execute(queryText)
-        return [row.pack() for row in result.rows]
+        rows = [row.pack() for row in self.engine.execute(queryText).rows]
+        return frame_answer(rows, answer_encoding(self.wire_encodings))
 
     def queryApprox(self, queryText: str, tolerance: str = "") -> list[str]:
         """Approximate query; rows then ``@bounds`` records (see wire doc)."""

@@ -235,7 +235,7 @@ class ServiceContainer:
                     f"{rpc.operation}",
                 )
             gate = self._core.gate_for(path)
-            with dispatch_frame(gate):
+            with dispatch_frame(gate, rpc.headers):
                 # Re-check under the gate: a sweep or Destroy may have won
                 # the race while this request waited its turn.
                 if service.state is not ServiceState.ACTIVE:
@@ -363,6 +363,8 @@ class GridEnvironment:
         self.recorder = recorder if recorder is not None else Recorder(self.clock)
         self.transport: Transport = LoopbackTransport(self.recorder)
         self._containers: dict[str, ServiceContainer] = {}
+        #: makes "is an authority bound? bind it" one step
+        self._containers_lock = threading.RLock()
         self._reactor: Reactor | None = None
         self._sweeper: RepeatingTask | None = None
         #: shared TTL'd stub cache for the pooled bind helpers
@@ -375,22 +377,29 @@ class GridEnvironment:
         max_inflight: int | None = None,
         max_queue_depth: int | None = None,
     ) -> ServiceContainer:
-        if authority in self._containers:
-            raise ContainerError(f"a container is already bound at {authority!r}")
-        container = ServiceContainer(
-            authority,
-            self,
-            host=host,
-            max_inflight=max_inflight,
-            max_queue_depth=max_queue_depth,
-        )
-        self._containers[authority] = container
-        # The loopback transport routes by authority to the container ingress.
-        self.transport.bind(authority, container.handle_request)  # type: ignore[attr-defined]
+        with self._containers_lock:
+            if authority in self._containers:
+                raise ContainerError(f"a container is already bound at {authority!r}")
+            container = ServiceContainer(
+                authority,
+                self,
+                host=host,
+                max_inflight=max_inflight,
+                max_queue_depth=max_queue_depth,
+            )
+            self._containers[authority] = container
+            # The loopback transport routes by authority to the container ingress.
+            self.transport.bind(authority, container.handle_request)  # type: ignore[attr-defined]
         return container
 
     def container_for(self, authority: str) -> ServiceContainer | None:
         return self._containers.get(authority)
+
+    def ensure_container(self, authority: str) -> ServiceContainer:
+        """The container at *authority*, created with the defaults if none
+        is — in one step, so racing first callers share one container."""
+        with self._containers_lock:
+            return self._containers.get(authority) or self.create_container(authority)
 
     def containers(self) -> list[ServiceContainer]:
         return [self._containers[a] for a in sorted(self._containers)]

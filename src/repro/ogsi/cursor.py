@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator
 
 from repro.ogsi.gsh import GridServiceHandle
 from repro.ogsi.service import GridServiceBase, ServiceState
-from repro.soap.chunks import ENCODING_XML, WIRE_ENCODINGS, encode_chunk
+from repro.soap.chunks import ENCODING_XML, WIRE_ENCODINGS, choose_encoding, encode_chunk
 from repro.wsdl.porttype import Operation, Parameter, PortType
 
 #: PPerfGrid extension namespace for the cursor PortType
@@ -164,11 +164,7 @@ class ResultCursorService(GridServiceBase):
         self.require_active()
         if self._seq:
             raise ValueError("negotiate must be called before the first next()")
-        accepted = {item.strip() for item in acceptEncodings.split(",") if item.strip()}
-        accepted.add(ENCODING_XML)
-        self._encoding = next(
-            (enc for enc in self._encodings if enc in accepted), ENCODING_XML
-        )
+        self._encoding = choose_encoding(self._encodings, acceptEncodings)
         self._publish_progress()
         return self._encoding
     def next(self, maxRows: int) -> list[str]:

@@ -33,8 +33,9 @@ import re
 import threading
 from collections import deque
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
+from repro.soap.chunks import ENCODING_XML, choose_encoding
 from repro.soap.faults import SoapFault
 from repro.xmlkit import Element
 
@@ -149,13 +150,21 @@ def dispatch_depth() -> int:
 
 
 @contextmanager
-def dispatch_frame(gate: ServiceGate) -> Iterator[None]:
-    """Hold *gate* for one dispatch, visible to :func:`suspend_dispatch`."""
+def dispatch_frame(gate: ServiceGate, headers: Iterable[Element] = ()) -> Iterator[None]:
+    """Hold *gate* for one dispatch, visible to :func:`suspend_dispatch`;
+    the request's ``acceptEncodings`` header (*headers*' one, if any) is
+    what :func:`answer_encoding` sees meanwhile — a nested dispatch's own."""
+    accepted = None
+    for header in headers:
+        if header.tag.local == ACCEPT_ENCODINGS_HEADER:
+            accepted = header.text()
     gate.acquire()
     _FRAMES.stack.append(gate)
+    previous, _REQUEST.accept_encodings = _REQUEST.accept_encodings, accepted
     try:
         yield
     finally:
+        _REQUEST.accept_encodings = previous
         _FRAMES.stack.pop()
         gate.release()
 
@@ -391,16 +400,21 @@ class DispatchCore:
             self._gates.pop(path, None)
 
 
-# ------------------------------------------------------------ client identity
+# ---------------------------------------- request headers: identity, encoding
 #: SOAP header element name carrying an explicit client identity
 CLIENT_ID_HEADER = "clientId"
 
+#: SOAP header element listing, comma-separated, the content encodings a
+#: caller accepts for one string-array answer
+ACCEPT_ENCODINGS_HEADER = "acceptEncodings"
 
-class _ClientContext(threading.local):
-    value: str | None = None
+
+class _RequestContext(threading.local):
+    client_id: str | None = None  # the clientId admission saw
+    accept_encodings: str | None = None  # the request's acceptEncodings
 
 
-_CLIENT_CONTEXT = _ClientContext()
+_REQUEST = _RequestContext()
 
 
 def current_client_id() -> str | None:
@@ -410,18 +424,33 @@ def current_client_id() -> str | None:
     the engine's tenant scheduling then falls back to its default
     tenant, exactly as admission control falls back to the thread key.
     """
-    return _CLIENT_CONTEXT.value
+    return _REQUEST.client_id
 
 
 @contextmanager
 def client_context(client_id: str | None) -> Iterator[None]:
     """Make *client_id* visible via :func:`current_client_id` within."""
-    previous = _CLIENT_CONTEXT.value
-    _CLIENT_CONTEXT.value = client_id
+    previous = _REQUEST.client_id
+    _REQUEST.client_id = client_id
     try:
         yield
     finally:
-        _CLIENT_CONTEXT.value = previous
+        _REQUEST.client_id = previous
+
+
+def answer_encoding(offered: tuple[str, ...]) -> str:
+    """The encoding of this thread's string-array answer: *offered*'s
+    ``negotiate`` pick of the request's header; ``xml`` without one."""
+    accepted = _REQUEST.accept_encodings
+    return ENCODING_XML if accepted is None else choose_encoding(offered, accepted)
+
+
+def accept_encodings_headers(accept_encodings: tuple[str, ...]) -> list[Element]:
+    """The header advertising *accept_encodings*; none if they are ``xml``."""
+    if set(accept_encodings) <= {ENCODING_XML}:
+        return []
+    return [Element(ACCEPT_ENCODINGS_HEADER, children=[",".join(accept_encodings)])]
+
 
 _CLIENT_ID_RE = re.compile(
     rb"<(?:[A-Za-z0-9_.-]+:)?clientId(?:\s[^>]*)?>([^<]{1,128})</"

@@ -25,11 +25,17 @@ payload records following the header:
   a colbatch-unaware peer never sees anything new;
 * ``colbatch``: a :mod:`repro.soap.colbatch` columnar batch whose
   decoded row count must equal ``count``.
+
+Chunks also frame *one-shot* answers: a ``getPR`` / ``query`` request
+whose ``acceptEncodings`` header lists ``colbatch`` may be answered with
+one ``done=1`` chunk (:func:`frame_answer`) when that is shorter than
+the rows, else with the very array an unadvertised call gets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 #: first field of every chunk header record
 CHUNK_HEADER = "#chunk"
@@ -109,3 +115,36 @@ def decode_chunk(payload: list[str]) -> ChunkEnvelope:
             f"chunk {seq} declares {count} row(s) but carries {len(rows)}"
         )
     return ChunkEnvelope(seq=seq, rows=rows, done=done, encoding=encoding)
+
+
+def choose_encoding(offered: tuple[str, ...], accept_encodings: str) -> str:
+    """The negotiation rule: the first *offered* encoding the comma-separated
+    *accept_encodings* lists — ``xml``, which every peer accepts, if none."""
+    accepted = {item.strip() for item in accept_encodings.split(",")}
+    accepted.add(ENCODING_XML)
+    return next((enc for enc in offered if enc in accepted), ENCODING_XML)
+
+
+def _wire_size(items: list[str]) -> int:
+    # each array item's element costs ~35 bytes beside its text
+    return sum(map(len, items)) + 35 * len(items)
+
+
+def frame_answer(rows: list[str], encoding: str) -> list[str]:
+    """*rows* as one ``done=1`` chunk in *encoding* when that is shorter
+    on the wire, else *rows* themselves: never larger than the XML."""
+    if encoding == ENCODING_XML:
+        return rows
+    framed = encode_chunk(0, rows, True, encoding)
+    return framed if _wire_size(framed) < _wire_size(rows) else rows
+
+
+def unframe_answer(items: Sequence[str], accept_encodings) -> tuple[Sequence[str], str]:
+    """``(rows, encoding)`` of a maybe-framed answer; a chunk that is not
+    one whole answer in an accepted encoding is a protocol error."""
+    if not items or not items[0].startswith(CHUNK_HEADER + "|"):
+        return items, ENCODING_XML
+    envelope = decode_chunk(items)
+    if envelope.seq or not envelope.done or envelope.encoding not in accept_encodings:
+        raise ChunkError(f"bad one-chunk answer {items[0]!r} (accepted {accept_encodings})")
+    return envelope.rows, envelope.encoding

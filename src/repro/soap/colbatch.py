@@ -54,7 +54,7 @@ import base64
 import re
 import struct
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.soap.chunks import ChunkError
 
@@ -86,6 +86,20 @@ def _escape(text: str) -> str:
 def _unescape(text: str) -> str:
     """Inverse of :func:`_escape` (reverse order)."""
     return text.replace("%7C", "|").replace("%3B", ";").replace("%25", "%")
+
+
+def _escape_join(tokens: Sequence[str]) -> str:
+    """``;``-join the escaped *tokens* — one join when none needs escaping."""
+    joined = ";".join(tokens)
+    if "%" in joined or "|" in joined or joined.count(";") != len(tokens) - 1:
+        return ";".join(map(_escape, tokens))
+    return joined
+
+
+def _split_unescape(payload: str) -> list[str]:
+    """Inverse of :func:`_escape_join` (an escaped token holds a ``%``)."""
+    tokens = payload.split(";") if payload else []
+    return list(map(_unescape, tokens)) if "%" in payload else tokens
 
 
 # ------------------------------------------------------------ bit packing
@@ -128,15 +142,9 @@ def _index_width(size: int) -> int:
     return 3
 
 
-def _pack_indexes(indexes: Iterable[int], size: int) -> str:
-    width = _index_width(size)
-    if width == 1:
-        return "".join(_B64[i] for i in indexes)
-    if width == 2:
-        return "".join(_B64[i >> 6] + _B64[i & 63] for i in indexes)
-    return "".join(
-        _B64[i >> 12] + _B64[(i >> 6) & 63] + _B64[i & 63] for i in indexes
-    )
+def _index_code(index: int, width: int) -> str:
+    """*index* as *width* base-64 characters, most significant first."""
+    return "".join(_B64[(index >> shift) & 63] for shift in range(6 * width - 6, -1, -6))
 
 
 def _unpack_indexes(packed: str, count: int, size: int) -> list[int]:
@@ -280,10 +288,9 @@ def _try_f64(tokens: list[str], nulls: str) -> str | None:
 
 
 # ------------------------------------------------------------- encoding
-def _encode_column(tokens: list[str]) -> str:
-    null_flags = [token == "" for token in tokens]
-    if any(null_flags):
-        nulls = _pack_bits(null_flags)
+def _encode_column(tokens: Sequence[str]) -> str:
+    if "" in tokens:
+        nulls = _pack_bits([token == "" for token in tokens])
         values = [token for token in tokens if token]
     else:
         nulls = "-"
@@ -291,7 +298,7 @@ def _encode_column(tokens: list[str]) -> str:
     if not values:
         return f"const|{nulls}|"
     first = values[0]
-    if all(value == first for value in values):
+    if values.count(first) == len(values):
         return f"const|{nulls}|{_escape(first)}"
     if first and (first[0].isdigit() or first[0] == "-"):
         fxp = _try_fxp(values, nulls)
@@ -304,14 +311,14 @@ def _encode_column(tokens: list[str]) -> str:
     distinct = list(dict.fromkeys(values))
     size = len(distinct)
     if size <= DICT_MAX and size * 2 <= len(values):
-        index_of = {value: i for i, value in enumerate(distinct)}
-        entries = ";".join(_escape(value) for value in distinct)
-        packed = _pack_indexes((index_of[value] for value in values), size)
-        return f"dict|{nulls}|{entries}|{packed}"
+        width = _index_width(size)
+        code = {value: _index_code(i, width) for i, value in enumerate(distinct)}
+        packed = "".join(map(code.__getitem__, values))
+        return f"dict|{nulls}|{_escape_join(distinct)}|{packed}"
     f64 = _try_f64(values, nulls)
     if f64 is not None:
         return f64
-    return f"raw|{nulls}|" + ";".join(_escape(value) for value in values)
+    return f"raw|{nulls}|" + _escape_join(values)
 
 
 def encode_batch(rows: Sequence[str]) -> list[str]:
@@ -336,8 +343,7 @@ def encode_batch(rows: Sequence[str]) -> list[str]:
     records = [
         f"{BATCH_MAGIC}|{COLBATCH_VERSION}|{nrows}|{nfields}|{len(exceptions)}"
     ]
-    for column in range(nfields):
-        records.append(_encode_column([parts[column] for parts in matrix]))
+    records.extend(map(_encode_column, zip(*matrix)))
     if exceptions:
         records.append(
             f"{XROWS_MAGIC}|"
@@ -386,6 +392,9 @@ def _decode_fxp_series(
         raise ChunkError(
             f"fxp column declares {need} delta(s) but carries {got}"
         )
+    if scale and min(numbers) >= 0:  # the common case, rendered in one format
+        template, unit = f"%d.%0{scale}d", 10**scale
+        return [template % divmod(number, unit) for number in numbers]
     return [_fxp_render(number, scale) for number in numbers]
 
 
@@ -408,16 +417,15 @@ def _decode_column(record: str, nrows: int) -> list[str]:
     elif encoding == "raw":
         if len(parts) != 3:
             raise ChunkError(f"bad raw column record {record!r}")
-        items = parts[2].split(";") if parts[2] else []
-        if len(items) != present:
+        values = _split_unescape(parts[2])
+        if len(values) != present:
             raise ChunkError(
-                f"raw column carries {len(items)} token(s), expected {present}"
+                f"raw column carries {len(values)} token(s), expected {present}"
             )
-        values = [_unescape(item) for item in items]
     elif encoding == "dict":
         if len(parts) != 4:
             raise ChunkError(f"bad dict column record {record!r}")
-        entries = [_unescape(e) for e in parts[2].split(";")] if parts[2] else []
+        entries = _split_unescape(parts[2])
         if not entries and present:
             raise ChunkError("dict column has indexes but no dictionary")
         indexes = _unpack_indexes(parts[3], present, len(entries))
@@ -514,7 +522,7 @@ def decode_batch(records: Sequence[str]) -> list[str]:
         return []
     body_rows = nrows - nexc
     columns = [_decode_column(record, body_rows) for record in records[1 : 1 + nfields]]
-    body = ["|".join(fields) for fields in zip(*columns)]
+    body = list(map("|".join, zip(*columns)))
     if not nexc:
         return body
     exceptions = _decode_exceptions(records[-1], nexc, nrows)

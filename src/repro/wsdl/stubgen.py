@@ -10,7 +10,7 @@ the path timed as "total query time" in Table 4.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.simnet.transport import Transport
 from repro.soap.encoding import SoapEncodingError
@@ -86,7 +86,10 @@ class ClientStub:
     def operation_names(self) -> list[str]:
         return sorted(self._ops)
 
-    def invoke(self, operation: str, *args: object) -> object:
+    def invoke(
+        self, operation: str, *args: object, headers: Sequence[Element] = ()
+    ) -> object:
+        """Call *operation*; *headers* ride this request after the provider's."""
         op = self._ops.get(operation)
         if op is None:
             raise StubError(
@@ -98,13 +101,12 @@ class ClientStub:
             )
         for i, value in enumerate(args):
             _check_arg(op, i, value)
-        headers: list[Element] = []
         if self._headers_provider is not None:
             # Providers may need the payload; give them a provisional encoding.
             provisional = encode_request(
                 self._porttype.namespace, operation, list(args), op.param_names
             )
-            headers = self._headers_provider(operation, provisional)
+            headers = [*self._headers_provider(operation, provisional), *headers]
         request = encode_request(
             self._porttype.namespace, operation, list(args), op.param_names, headers=headers
         )

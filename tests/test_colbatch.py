@@ -14,6 +14,7 @@ Two halves, matching the ISSUE's test satellites:
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -256,6 +257,43 @@ class TestSeededOracle:
         rng = random.Random(0xC0B + oracle_seed * 1_000_003 + case)
         rows = _random_rows(rng)
         assert roundtrip(rows) == rows
+
+
+def _pinned_corpus() -> list[list[str]]:
+    """Row sets covering every column encoding and both escape paths:
+    the seeded random corpus, plus Performance Result and raw result-row
+    shapes at bulk sizes (one- and two-character dictionary indexes,
+    overflow to raw, fixed point of both signs, nulls, ragged rows)."""
+    rng = random.Random(0xB17E5)
+    corpus = [_random_rows(rng) for _ in range(300)]
+    for n, foci in ((640, 8), (5120, 70), (9000, 5000)):
+        corpus.append([
+            f"m|/rank/{i % foci}|synthetic|{i:.9f}-{i + 1:.9f}|{rng.randrange(8000) / 8!r}"
+            for i in range(n)
+        ])
+        corpus.append([
+            f"app=M0{i % 4}|exec={i % 2}|metric=m|focus=/rank/{i % foci}|type=synthetic"
+            f"|start={i * 0.5!r}|end={i * 0.5 + 1!r}|value={rng.randrange(-80, 80) / 8!r}"
+            for i in range(n)
+        ])
+    corpus.append([f"{rng.randrange(-10**6, 10**6) / 1000:.3f}|" for _ in range(700)])
+    corpus.append([f"a;b|{i}%|x|y" if i % 3 else "ragged" for i in range(400)])
+    return corpus
+
+
+def test_encoder_bytes_are_pinned():
+    """``encode_batch`` output is part of the wire: any speed-up must
+    emit exactly these bytes (digest of the encoder this test was
+    written against)."""
+    digest = hashlib.sha256()
+    for rows in _pinned_corpus():
+        records = encode_batch(rows)
+        assert decode_batch(records) == rows
+        digest.update("\n".join(records).encode("utf-8", "surrogatepass") + b"\0")
+    assert digest.hexdigest() == PINNED_ENCODER_DIGEST
+
+
+PINNED_ENCODER_DIGEST = "3001c03a9bc067d5a48755746962e3a9845d42f65a8dc3e2ad09d1d86840fc93"
 
 
 class TestAdversarialDecode:

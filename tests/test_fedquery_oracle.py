@@ -16,13 +16,17 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
+from repro.core import client as client_module
+from repro.core.client import default_accept_encodings
 from repro.experiments.common import GridScale, build_grid
 from repro.fedquery import ResultRow, naive_query
 from repro.fedquery.merge import RAW_COLUMNS
+from repro.soap.chunks import ENCODING_COLBATCH, ENCODING_XML
 
 #: randomized queries checked against the oracle (ISSUE floor: 200)
 N_QUERIES = 240
@@ -51,10 +55,11 @@ def oracle_env():
     engine = grid.deploy_federation()
     members = engine.members()
 
-    # independent engines (own plan caches) with the cursor path forced
-    # on, so the streamed arms can never answer from the bulk arm's
-    # cache — one per wire encoding, so the whole randomized corpus runs
-    # over both the negotiated (columnar) and the forced-XML chunk path
+    # independent engines (own plan caches) on which every raw read is
+    # large — a cursor when streamed, an advertising getPR when bulk —
+    # so the streamed arms can never answer from the main engine's
+    # cache; one per wire encoding, so the whole randomized corpus runs
+    # over both the negotiated (columnar) and the forced-XML path
     from repro.core.client import PPerfGridClient
     from repro.fedquery.executor import FederationEngine
 
@@ -110,6 +115,9 @@ def oracle_env():
         types=types,
         samples=samples,
         end_max=end_max,
+        # filled by the bulk corpus, per wire-encoding leg
+        framed_answers=Counter(),
+        bulk_queries_run=Counter(),
     )
     grid.cleanup()
 
@@ -260,17 +268,70 @@ def make_query(rng: random.Random, V) -> str:
     return text
 
 
-@pytest.mark.parametrize("seed", range(N_QUERIES))
-def test_planned_matches_naive(oracle_env, seed, oracle_seed):
+def count_framed_answers(monkeypatch) -> list[int]:
+    """A one-cell counter of the array answers the bindings receive as a
+    columnar chunk (``unframe_answer`` reports a non-XML encoding)."""
+    counter = [0]
+    real = client_module.unframe_answer
+
+    def counting(items, accept_encodings):
+        rows, encoding = real(items, accept_encodings)
+        counter[0] += encoding != ENCODING_XML
+        return rows, encoding
+
+    monkeypatch.setattr(client_module, "unframe_answer", counting)
+    return counter
+
+
+# the negotiated leg keeps the bare seed as its id
+@pytest.mark.parametrize(
+    "seed, encoding",
+    [pytest.param(seed, "negotiated", id=str(seed)) for seed in range(N_QUERIES)]
+    + [pytest.param(seed, "xml", id=f"{seed}-xml") for seed in range(N_QUERIES)],
+)
+def test_planned_matches_naive(oracle_env, seed, oracle_seed, encoding, monkeypatch):
+    """Bulk ``execute`` on the engine of each wire encoding, whose
+    ``stream_threshold_rows=0`` makes every raw read large: on the
+    negotiated leg each raw ``getPR`` advertises the columnar encoding
+    and the member answers with one colbatch chunk whenever that is
+    shorter; on the xml leg nothing is advertised and every array is
+    XML.  Raw answers are byte-identical to the naive oracle on both."""
+    from repro.fedquery import parse_query
+
     rng = random.Random(7000 + seed + 1_000_000 * oracle_seed)
     text = make_query(rng, oracle_env)
-    planned = oracle_env.engine.execute(text)
+    engine = oracle_env.stream_engines[encoding]
+    framed = count_framed_answers(monkeypatch)
+    planned = engine.execute(text)
+    # the streamed arms of the corpus run on this engine too: they must
+    # never answer from what this bulk run memoized
+    engine.plan_cache.remove(parse_query(text).fingerprint())
     expected = naive_query(text, oracle_env.members)
-    assert rows_equal(planned.rows, expected), (
-        f"planned != naive for {text!r}\n"
-        f"planned ({len(planned.rows)}): {[r.pack() for r in planned.rows[:5]]}\n"
-        f"naive   ({len(expected)}): {[r.pack() for r in expected[:5]]}"
-    )
+    if parse_query(text).is_aggregate:
+        assert rows_equal(planned.rows, expected), f"planned != naive for {text!r}"
+    else:
+        assert [r.pack() for r in planned.rows] == [r.pack() for r in expected], (
+            f"planned bytes != naive bytes for {text!r}\n"
+            f"planned ({len(planned.rows)}): {[r.pack() for r in planned.rows[:5]]}\n"
+            f"naive   ({len(expected)}): {[r.pack() for r in expected[:5]]}"
+        )
+    if encoding == "xml":
+        assert framed[0] == 0, text
+    oracle_env.framed_answers[encoding] += framed[0]
+    oracle_env.bulk_queries_run[encoding] += 1
+
+
+def test_negotiated_bulk_leg_received_columnar_answers(oracle_env):
+    """Over the whole bulk corpus, the negotiated leg really did receive
+    columnar ``getPR`` answers — unless the process pins every encoding
+    to XML (``PPG_ACCEPT_ENCODINGS=xml``), when neither leg may."""
+    if min(oracle_env.bulk_queries_run[leg] for leg in ("negotiated", "xml")) < N_QUERIES:
+        pytest.skip("needs the whole bulk corpus on both legs")
+    assert oracle_env.framed_answers["xml"] == 0
+    if ENCODING_COLBATCH in default_accept_encodings():
+        assert oracle_env.framed_answers["negotiated"] > 0
+    else:
+        assert oracle_env.framed_answers["negotiated"] == 0
 
 
 @pytest.mark.parametrize("encoding", ["negotiated", "xml"])

@@ -331,37 +331,60 @@ class TestConsistencyProtocol:
         assert subscriber.version == 1  # re-adopted the server's version
 
     def test_concurrent_subscribers_get_distinct_sinks(self, view_grid):
-        """Sink paths are numbered by the client's container, under its
-        lock: 16 subscriptions opened at once never draw the same one
-        (they used to come from an unlocked class-level counter)."""
+        """16 first subscriptions opened at once on a client authority
+        with no container yet: they share one container, created once
+        (get-or-create is one step under the environment's lock — it was
+        check-then-act, and the losers raised ``ContainerError``), and
+        draw distinct sinks (numbered by that container under its lock;
+        they used to come from an unlocked class-level counter).
+
+        One burst interleaves the create about one time in ten, so the
+        test runs 64 bursts, each on a fresh authority, with the
+        interpreter switching threads as often as it can."""
+        import sys
         import threading
 
         from repro.core.client import AsyncQueryCollector, ViewSubscription
 
         grid, engine, a, b = view_grid
         view_id = grid.client.create_view(AGG_VIEW)
-        grid.client.subscribe_view(view_id)  # the client's container now exists
-        opened, failures = [], []
-        start = threading.Barrier(16)
-
-        def subscribe():
-            start.wait(timeout=10)
-            try:
-                opened.append(grid.client.subscribe_view(view_id))
-            except Exception as exc:  # noqa: BLE001 - reported below
-                failures.append(exc)
-
-        threads = [threading.Thread(target=subscribe) for _ in range(16)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert not any(thread.is_alive() for thread in threads)
-        assert failures == []
-        handles = {subscriber._sink_gsh.url() for subscriber in opened}
-        assert len(handles) == 16 and all("view-sink" in handle for handle in handles)
         expected = [row.pack() for row in naive_query(AGG_VIEW, engine.members())]
-        assert all([row.pack() for row in s.rows] == expected for s in opened)
+
+        def burst(authority: str) -> list:
+            opened, failures = [], []
+            start = threading.Barrier(16)
+
+            def subscribe():
+                start.wait(timeout=10)
+                try:
+                    opened.append(grid.client.subscribe_view(view_id, authority))
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    failures.append(exc)
+
+            threads = [threading.Thread(target=subscribe) for _ in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == [], authority
+            return opened
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for index in range(64):
+                authority = f"ppg-client-{index}:7070"
+                assert grid.environment.container_for(authority) is None
+                opened = burst(authority)
+                handles = {subscriber._sink_gsh.url() for subscriber in opened}
+                assert len(handles) == 16
+                assert all(f"{authority}/services/view-sink/" in h for h in handles)
+                assert all([row.pack() for row in s.rows] == expected for s in opened)
+                for subscriber in opened:
+                    subscriber.close()
+        finally:
+            sys.setswitchinterval(interval)
         assert not hasattr(ViewSubscription, "_counter")
         assert not hasattr(AsyncQueryCollector, "_counter")
 

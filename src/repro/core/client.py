@@ -37,8 +37,9 @@ from repro.ogsi.container import GridEnvironment
 from repro.ogsi.cursor import RESULT_CURSOR_PORTTYPE
 from repro.ogsi.dispatch import accept_encodings_headers
 from repro.ogsi.porttypes import FACTORY_PORTTYPE
-from repro.soap.chunks import ENCODING_XML, WIRE_ENCODINGS, ChunkError, decode_chunk, unframe_answer
-from repro.soap.faults import SoapFault
+from repro.soap.chunks import (
+    ENCODING_XML, WIRE_ENCODINGS, ChunkError, decode_chunk, require_accepted, unframe_answer,
+)
 from repro.uddi.proxy import OrganizationProxy, ServiceProxy, UddiClient
 
 #: default page size a chunked iterator requests per ``next`` call
@@ -50,8 +51,8 @@ DEFAULT_STREAM_THRESHOLD_ROWS = 512
 
 
 def default_accept_encodings() -> tuple[str, ...]:
-    """Wire encodings a new chunked iterator — or a request expecting a
-    large array answer — advertises.
+    """Wire encodings a request creating a cursor — or expecting a large
+    array answer — advertises: the only source of that list.
 
     ``PPG_ACCEPT_ENCODINGS`` (comma-separated) overrides the built-in
     list; setting it to ``xml`` pins every cursor drain and array answer
@@ -61,6 +62,11 @@ def default_accept_encodings() -> tuple[str, ...]:
     if override:
         return tuple(item.strip() for item in override.split(",") if item.strip())
     return WIRE_ENCODINGS
+
+
+def _check_max_rows(max_rows: int) -> None:
+    if max_rows < 1:
+        raise ValueError(f"max_rows must be >= 1, got {max_rows}")
 
 
 def _parse_pairs(records: list[str]) -> dict[str, str]:
@@ -105,13 +111,12 @@ class ChunkedResultIterator:
     form) to release a partially drained cursor without waiting for its
     server-side TTL.
 
-    ``accept_encodings`` is the content-encoding advertisement sent to
-    the cursor before the first fetch (default:
-    :func:`default_accept_encodings`).  A cursor without a ``negotiate``
-    operation — a member predating the columnar format — faults the
-    handshake and the iterator falls back to XML rows transparently.
-    Once negotiated, the encoding is pinned: a chunk arriving in any
-    other encoding is a protocol error.
+    ``accept_encodings`` is what the request that created the cursor
+    advertised (default: :func:`default_accept_encodings`, what
+    :meth:`open` sends).  The first chunk pins :attr:`encoding`; a chunk
+    in an encoding the request did not advertise
+    (``soap.chunks.require_accepted``) or other than the pinned one is a
+    protocol error.
     """
 
     def __init__(
@@ -122,8 +127,7 @@ class ChunkedResultIterator:
         decoder: Callable[[str], object] | None = None,
         accept_encodings: tuple[str, ...] | None = None,
     ) -> None:
-        if max_rows < 1:
-            raise ValueError(f"max_rows must be >= 1, got {max_rows}")
+        _check_max_rows(max_rows)
         self.environment = environment
         self.cursor_handle = cursor_handle
         self.max_rows = max_rows
@@ -144,35 +148,34 @@ class ChunkedResultIterator:
             if accept_encodings is not None
             else default_accept_encodings()
         )
-        self.encoding = self._negotiate()
+        #: the content encoding of every chunk, pinned by the first one
+        self.encoding: str | None = None
 
-    def _negotiate(self) -> str:
-        """The cursor-create-time handshake (see the class docstring)."""
-        if set(self.accept_encodings) <= {ENCODING_XML}:
-            return ENCODING_XML  # nothing beyond the baseline: skip the round trip
-        try:
-            chosen = str(self._stub.negotiate(",".join(self.accept_encodings)))
-        except SoapFault:
-            # a cursor that does not speak negotiation serves XML rows,
-            # exactly as it always has — transparent fallback
-            return ENCODING_XML
-        if chosen != ENCODING_XML and chosen not in self.accept_encodings:
-            self.close()
-            raise ChunkError(
-                f"cursor {self.cursor_handle} chose encoding {chosen!r}, "
-                f"which this client did not advertise {self.accept_encodings}"
-            )
-        return chosen
+    @classmethod
+    def open(
+        cls, environment: GridEnvironment, stub, operation: str, *args: object,
+        max_rows: int = DEFAULT_CHUNK_ROWS, decoder: Callable[[str], object] | None = None,
+    ) -> "ChunkedResultIterator":
+        """Send *operation*, which creates a cursor, advertising
+        :func:`default_accept_encodings`, and iterate the cursor; a bad
+        *max_rows* raises first, so no cursor lingers until its TTL."""
+        _check_max_rows(max_rows)
+        advertised = default_accept_encodings()
+        handle = stub.invoke(operation, *args, headers=accept_encodings_headers(advertised))
+        return cls(environment, handle, max_rows, decoder, advertised)
 
     def _fetch(self) -> None:
         payload = list(self._stub.next(self.max_rows))
         try:
             envelope = decode_chunk(payload)
-            if envelope.encoding != self.encoding:
+            require_accepted(envelope, self.accept_encodings)
+            if self.encoding is None:
+                self.encoding = envelope.encoding
+            elif envelope.encoding != self.encoding:
                 raise ChunkError(
                     f"cursor {self.cursor_handle} switched encoding mid-stream: "
                     f"chunk {envelope.seq} arrived as {envelope.encoding!r}, "
-                    f"negotiated {self.encoding!r}"
+                    f"pinned {self.encoding!r}"
                 )
             if envelope.seq != self._expected_seq:
                 raise ChunkError(
@@ -306,8 +309,7 @@ class ExecutionBinding:
         end: float | None = None, result_type: str = UNDEFINED_TYPE,
         aggregate: tuple[float | None, float | None, str] | None = None,
         cursor: bool = False, max_rows: int = DEFAULT_CHUNK_ROWS,
-        ordered: bool = False, accept_encodings: tuple[str, ...] | None = None,
-        columnar: bool = False,
+        ordered: bool = False, columnar: bool = False,
     ) -> "ArrayRead | ChunkedResultIterator":
         """The one member read: a ``getPR`` array (``getPRAgg`` when
         *aggregate* gives its ``(min_value, max_value, group_by)``) or,
@@ -317,20 +319,19 @@ class ExecutionBinding:
         ``bytes_fetched`` — the packed length of the records as they
         arrived, counted here because nothing later holds the strings.
 
-        *accept_encodings* (None: the client default) are what a cursor
-        negotiates and, when *columnar* is set, what ``getPR`` advertises:
-        the answer may then be one columnar chunk of the same records.
+        A cursor always advertises :func:`default_accept_encodings`; a
+        ``getPR`` does when *columnar* is set (the caller expects a large
+        answer), which may then be one columnar chunk of the same records.
         """
         if cursor:
             return self.get_pr_chunked(
-                metric, foci, start, end, result_type,
-                max_rows=max_rows, ordered=ordered, accept_encodings=accept_encodings,
+                metric, foci, start, end, result_type, max_rows=max_rows, ordered=ordered
             )
         start, end = _window(self, start, end)
         args = (metric, list(foci), repr(start), repr(end), result_type)
         encoding = ENCODING_XML
         if aggregate is None:
-            advertised = (accept_encodings or default_accept_encodings()) if columnar else ()
+            advertised = default_accept_encodings() if columnar else ()
             with self.environment.recorder.time("virtualization.getPR"):
                 answer = self.stub.invoke(
                     "getPR", *args, headers=accept_encodings_headers(advertised)
@@ -363,26 +364,20 @@ class ExecutionBinding:
         result_type: str = UNDEFINED_TYPE,
         max_rows: int = DEFAULT_CHUNK_ROWS,
         ordered: bool = False,
-        accept_encodings: tuple[str, ...] | None = None,
     ) -> ChunkedResultIterator:
         """Open a ResultCursor over the query and return its iterator.
 
         The returned :class:`ChunkedResultIterator` yields
         :class:`PerformanceResult` objects one chunk at a time; close it
         early to release a partially drained cursor.
-        ``accept_encodings`` is the wire-encoding advertisement for the
-        cursor handshake (None: the client default).
         """
         start, end = _window(self, start, end)
         with self.environment.recorder.time("virtualization.getPRChunked"):
-            handle = self.stub.getPRChunked(
-                metric, list(foci), repr(start), repr(end), result_type, bool(ordered)
+            return ChunkedResultIterator.open(
+                self.environment, self.stub, "getPRChunked",
+                metric, list(foci), repr(start), repr(end), result_type, bool(ordered),
+                max_rows=max_rows, decoder=PerformanceResult.unpack,
             )
-        return ChunkedResultIterator(
-            self.environment, handle, max_rows=max_rows,
-            decoder=PerformanceResult.unpack,
-            accept_encodings=accept_encodings,
-        )
 
     def stream_pr(
         self,
@@ -395,7 +390,6 @@ class ExecutionBinding:
         threshold_rows: int = DEFAULT_STREAM_THRESHOLD_ROWS,
         estimated_rows: int | None = None,
         ordered: bool = False,
-        accept_encodings: tuple[str, ...] | None = None,
     ) -> Iterator[PerformanceResult]:
         """Transparent iteration: chunked for big results, bulk for small.
 
@@ -416,7 +410,7 @@ class ExecutionBinding:
             self.read(
                 metric, foci, start, end, result_type,
                 cursor=estimated_rows is None or estimated_rows >= threshold_rows,
-                max_rows=max_rows, ordered=ordered, accept_encodings=accept_encodings,
+                max_rows=max_rows, ordered=ordered,
             )
         )
 
@@ -507,8 +501,7 @@ class LocalExecutionBinding:
         end: float | None = None, result_type: str = UNDEFINED_TYPE,
         aggregate: tuple[float | None, float | None, str] | None = None,
         cursor: bool = False, max_rows: int = DEFAULT_CHUNK_ROWS,
-        ordered: bool = False, accept_encodings: tuple[str, ...] | None = None,
-        columnar: bool = False,
+        ordered: bool = False, columnar: bool = False,
     ) -> ArrayRead:
         """Local bypass of :meth:`ExecutionBinding.read`, signature and
         all: the wrapper's answer — its server-side aggregation when
@@ -955,12 +948,7 @@ class PPerfGridClient:
             map(ResultRow.unpacker(), packed_rows), approx=True, error_bounds=bounds
         )
 
-    def query_stream(
-        self,
-        text: str,
-        max_rows: int = DEFAULT_CHUNK_ROWS,
-        accept_encodings: tuple[str, ...] | None = None,
-    ):
+    def query_stream(self, text: str, max_rows: int = DEFAULT_CHUNK_ROWS):
         """Run a federated query through a ResultCursor.
 
         Where :meth:`query` transfers the whole row set in one SOAP
@@ -975,11 +963,10 @@ class PPerfGridClient:
         from repro.fedquery.merge import ResultRow
 
         with self.environment.recorder.time("virtualization.fedquery.stream"):
-            handle = fed.queryChunked(text)
-        return ChunkedResultIterator(
-            self.environment, handle, max_rows=max_rows,
-            decoder=ResultRow.unpacker(), accept_encodings=accept_encodings,
-        )
+            return ChunkedResultIterator.open(
+                self.environment, fed, "queryChunked", text,
+                max_rows=max_rows, decoder=ResultRow.unpacker(),
+            )
 
     def explain_query(self, text: str) -> str:
         """The FederatedQuery service's plan description for *text*."""

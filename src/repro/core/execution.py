@@ -55,7 +55,7 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
         #: on every next(), swept by the container when it lapses
         self.cursor_ttl: float = DEFAULT_CURSOR_TTL
         #: wire encodings this execution's cursors and getPR answers may
-        #: serve (negotiated per request; ``("xml",)`` pins per-row transfers)
+        #: serve (chosen per request; ``("xml",)`` pins per-row transfers)
         self.wire_encodings: tuple[str, ...] = WIRE_ENCODINGS
 
     def on_deployed(self, container, gsh) -> None:
@@ -194,7 +194,8 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
 
         Deploys a transient cursor under this Execution's path (the same
         factory/instance idiom as the Execution itself) and returns its
-        GSH; the client drains it with ``next(maxRows)``/``close()``.
+        GSH; the client drains it with ``next(maxRows)``/``close()``, in
+        the encoding this request's ``acceptEncodings`` header chose.
 
         Two server-side profiles, chosen by ``ordered``:
 
@@ -213,6 +214,7 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
         in later chunks; the ``generation`` SDE lets clients detect it.
         """
         self.require_active()
+        encoding = answer_encoding(self.wire_encodings)
         if self.container is None:
             raise RuntimeError("Execution service is not deployed")
         try:
@@ -231,8 +233,7 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
             )
         assert self.gsh is not None
         gsh = deploy_cursor(
-            self.container, self.gsh.path, rows,
-            ttl=self.cursor_ttl, encodings=self.wire_encodings,
+            self.container, self.gsh.path, rows, ttl=self.cursor_ttl, encoding=encoding
         )
         return gsh.url()
 

@@ -158,7 +158,6 @@ class FederationEngine:
         stream_chunk_rows: int = DEFAULT_CHUNK_ROWS,
         stream_threshold_rows: int = DEFAULT_STREAM_THRESHOLD_ROWS,
         stream_memoize_max_bytes: int = DEFAULT_MEMOIZE_MAX_BYTES,
-        accept_encodings: tuple[str, ...] | None = None,
         scheduler: FanoutScheduler | None = None,
     ) -> None:
         self.client = client
@@ -177,10 +176,6 @@ class FederationEngine:
         self.stream_chunk_rows = stream_chunk_rows
         self.stream_threshold_rows = stream_threshold_rows
         self.stream_memoize_max_bytes = stream_memoize_max_bytes
-        #: wire encodings advertised when draining member cursors; None
-        #: leaves the client default (PPG_ACCEPT_ENCODINGS-aware), and
-        #: ``("xml",)`` pins the fan-out to per-row transfers
-        self.accept_encodings = accept_encodings
         self._bindings: dict[str, object] | None = None
         self._exec_ids: dict[str, str] = {}
         #: how each executed (uncached) plan's effective mode broke down
@@ -610,7 +605,7 @@ class FederationEngine:
         rows = execution.read(
             sub.metric, foci, sub.start, sub.end, sub.result_type, aggregate,
             cursor=cursor and aggregate is None, max_rows=self.stream_chunk_rows,
-            ordered=ordered, accept_encodings=self.accept_encodings, columnar=columnar,
+            ordered=ordered, columnar=columnar,
         )
         try:
             yield rows

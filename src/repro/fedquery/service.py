@@ -163,7 +163,7 @@ class FederatedQueryService(GridServiceBase):
         super().__init__()
         self.engine = engine
         #: wire encodings queryChunked cursors and query answers may serve
-        #: (negotiated per request; ``("xml",)`` pins per-row transfers)
+        #: (chosen per request; ``("xml",)`` pins per-row transfers)
         self.wire_encodings: tuple[str, ...] = WIRE_ENCODINGS
 
     def on_deployed(self, container, gsh) -> None:
@@ -194,9 +194,11 @@ class FederatedQueryService(GridServiceBase):
 
         The cursor's row source is the engine's incremental merge, so
         member chunks are pulled only as the client drains — closing the
-        cursor early (or expiry) closes the member streams with it.
+        cursor early (or expiry) closes the member streams with it.  The
+        request's ``acceptEncodings`` header is read before planning.
         """
         self.require_active()
+        encoding = answer_encoding(self.wire_encodings)
         if self.container is None:
             raise RuntimeError("FederatedQuery service is not deployed")
         streamed = self.engine.execute(queryText, stream=True)
@@ -206,7 +208,7 @@ class FederatedQueryService(GridServiceBase):
             self.gsh.path,
             (row.pack() for row in streamed),
             on_close=streamed.close,
-            encodings=self.wire_encodings,
+            encoding=encoding,
         )
         return gsh.url()
 

@@ -14,6 +14,11 @@ crashed mid-drain) is reclaimed by ``sweep_expired()`` without any
 distributed garbage-collection protocol.  ``close`` is just ``Destroy``
 under a cursor-flavored name — after it (or after expiry), further
 ``next`` calls fault with the container's ``no service at ...`` fault.
+
+A cursor serves one content encoding, fixed at deployment from the
+creating request's ``acceptEncodings`` header (``xml`` without one).  An
+old client's ``negotiate`` call gets the container's no-operation fault,
+and its fallback drains that ``xml``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Callable, Iterable, Iterator
 
 from repro.ogsi.gsh import GridServiceHandle
 from repro.ogsi.service import GridServiceBase, ServiceState
-from repro.soap.chunks import ENCODING_XML, WIRE_ENCODINGS, choose_encoding, encode_chunk
+from repro.soap.chunks import ENCODING_XML, WIRE_ENCODINGS, encode_chunk
 from repro.wsdl.porttype import Operation, Parameter, PortType
 
 #: PPerfGrid extension namespace for the cursor PortType
@@ -38,8 +43,9 @@ _NEXT_OPERATION = Operation(
     doc=(
         "Return the next chunk of the stream: a '#chunk|seq|count|"
         "done[|encoding]' header record followed by the payload "
-        "records (per-row strings, or a columnar batch when that was "
-        "negotiated).  Each successful call renews the cursor's "
+        "records (per-row strings, or a columnar batch when the "
+        "creating request's acceptEncodings header chose one).  "
+        "Each successful call renews the cursor's "
         "termination time (soft-state keepalive).  Calling next "
         "on a closed or expired cursor faults."
     ),
@@ -56,36 +62,7 @@ _CLOSE_OPERATION = Operation(
     ),
 )
 
-_NEGOTIATE_OPERATION = Operation(
-    "negotiate",
-    (Parameter("acceptEncodings", "xsd:string"),),
-    "xsd:string",
-    doc=(
-        "Content-encoding negotiation, called at most once before the "
-        "first next(): the client passes the comma-separated encodings "
-        "it accepts and the cursor answers with its pick — the first "
-        "entry of the server's preference list the client accepts, "
-        "'xml' (the universal baseline) when nothing else matches.  "
-        "Every subsequent chunk carries the chosen encoding."
-    ),
-)
-
 RESULT_CURSOR_PORTTYPE = PortType(
-    name="ResultCursor",
-    namespace=CURSOR_NS,
-    doc=(
-        "A transient service streaming one query's result set in "
-        "client-paced chunks, with soft-state lifetime management "
-        "and negotiable payload content encoding."
-    ),
-    operations=(_NEXT_OPERATION, _CLOSE_OPERATION, _NEGOTIATE_OPERATION),
-)
-
-#: the pre-negotiation cursor interface: what a member that predates the
-#: columnar encoding publishes.  A client calling ``negotiate`` against
-#: it gets the container's "no operation" fault and falls back to XML
-#: rows — tests deploy this to prove that path stays transparent.
-LEGACY_RESULT_CURSOR_PORTTYPE = PortType(
     name="ResultCursor",
     namespace=CURSOR_NS,
     doc=(
@@ -106,11 +83,8 @@ class ResultCursorService(GridServiceBase):
     lifetime sweep); producers use it to release upstream resources
     such as member streams feeding the iterator.
 
-    ``encodings`` lists the content encodings this cursor may serve, in
-    preference order; chunks are XML rows until ``negotiate`` picks
-    something richer.  ``negotiable=False`` deploys the cursor with the
-    pre-negotiation PortType (no ``negotiate`` operation at all) — the
-    legacy-member profile.
+    ``encoding`` is the content encoding of every chunk: the producer's
+    ``answer_encoding`` pick for the creating request, ``xml`` by default.
     """
 
     porttype = RESULT_CURSOR_PORTTYPE
@@ -120,13 +94,11 @@ class ResultCursorService(GridServiceBase):
         rows: Iterable[str],
         ttl: float | None = DEFAULT_CURSOR_TTL,
         on_close: Callable[[], None] | None = None,
-        encodings: tuple[str, ...] = WIRE_ENCODINGS,
-        negotiable: bool = True,
+        encoding: str = ENCODING_XML,
     ) -> None:
         super().__init__()
-        for encoding in encodings:
-            if encoding not in WIRE_ENCODINGS:
-                raise ValueError(f"unknown wire encoding {encoding!r}")
+        if encoding not in WIRE_ENCODINGS:
+            raise ValueError(f"unknown wire encoding {encoding!r}")
         self._iter: Iterator[str] = iter(rows)
         self._pending: str | None = None
         self._exhausted = False
@@ -134,10 +106,7 @@ class ResultCursorService(GridServiceBase):
         self.ttl = ttl
         self._on_close = on_close
         self.rows_served = 0
-        self._encodings = tuple(encodings) if negotiable else (ENCODING_XML,)
-        self._encoding = ENCODING_XML
-        if not negotiable:
-            self.porttype = LEGACY_RESULT_CURSOR_PORTTYPE
+        self._encoding = encoding
 
     def on_deployed(self, container, gsh) -> None:
         super().on_deployed(container, gsh)
@@ -152,21 +121,6 @@ class ResultCursorService(GridServiceBase):
         self.service_data.set("encoding", self._encoding)
 
     # --------------------------------------------------------- operations
-    def negotiate(self, acceptEncodings: str) -> str:
-        """Pick the content encoding for this cursor's chunks.
-
-        The answer is the first entry of this cursor's preference list
-        the client accepts; ``xml`` — which every peer must accept — is
-        the fallback when nothing richer matches.  Negotiating after
-        the stream has started would flip the encoding mid-drain, so it
-        faults instead.
-        """
-        self.require_active()
-        if self._seq:
-            raise ValueError("negotiate must be called before the first next()")
-        self._encoding = choose_encoding(self._encodings, acceptEncodings)
-        self._publish_progress()
-        return self._encoding
     def next(self, maxRows: int) -> list[str]:
         """The next chunk: header + up to *maxRows* rows (see chunks.py)."""
         self.require_active()
@@ -227,12 +181,9 @@ def deploy_cursor(
     rows: Iterable[str],
     ttl: float | None = DEFAULT_CURSOR_TTL,
     on_close: Callable[[], None] | None = None,
-    encodings: tuple[str, ...] = WIRE_ENCODINGS,
-    negotiable: bool = True,
+    encoding: str = ENCODING_XML,
 ) -> GridServiceHandle:
     """Deploy a cursor instance under ``<base_path>/cursors`` and return
     its GSH — the producer-side half of every *Chunked operation."""
-    cursor = ResultCursorService(
-        rows, ttl=ttl, on_close=on_close, encodings=encodings, negotiable=negotiable
-    )
+    cursor = ResultCursorService(rows, ttl=ttl, on_close=on_close, encoding=encoding)
     return container.deploy_instance(f"{base_path}/cursors", cursor)

@@ -35,7 +35,7 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator
 
-from repro.soap.chunks import ENCODING_XML, choose_encoding
+from repro.soap.chunks import ENCODING_XML
 from repro.soap.faults import SoapFault
 from repro.xmlkit import Element
 
@@ -405,7 +405,7 @@ class DispatchCore:
 CLIENT_ID_HEADER = "clientId"
 
 #: SOAP header element listing, comma-separated, the content encodings a
-#: caller accepts for one string-array answer
+#: caller accepts for one string-array answer or one cursor's chunks
 ACCEPT_ENCODINGS_HEADER = "acceptEncodings"
 
 
@@ -439,10 +439,10 @@ def client_context(client_id: str | None) -> Iterator[None]:
 
 
 def answer_encoding(offered: tuple[str, ...]) -> str:
-    """The encoding of this thread's string-array answer: *offered*'s
-    ``negotiate`` pick of the request's header; ``xml`` without one."""
-    accepted = _REQUEST.accept_encodings
-    return ENCODING_XML if accepted is None else choose_encoding(offered, accepted)
+    """The encoding of this thread's answer, an array or a cursor's chunks:
+    the first *offered* one the request's header lists, else ``xml``."""
+    accepted = {item.strip() for item in (_REQUEST.accept_encodings or "").split(",")}
+    return next((enc for enc in offered if enc in accepted), ENCODING_XML)
 
 
 def accept_encodings_headers(accept_encodings: tuple[str, ...]) -> list[Element]:

@@ -17,8 +17,8 @@ rows the chunk carries, and ``done`` ``1`` on the final chunk of the
 stream (``0`` otherwise).  ``#`` cannot start a packed result record,
 so the header is unambiguous.
 
-The optional fifth field is the negotiated *content encoding* of the
-payload records following the header:
+The optional fifth field is the *content encoding* of the payload
+records following the header:
 
 * ``xml`` (the default, and the only form a four-field header can
   carry): ``count`` per-row strings, exactly the legacy wire bytes —
@@ -26,10 +26,10 @@ payload records following the header:
 * ``colbatch``: a :mod:`repro.soap.colbatch` columnar batch whose
   decoded row count must equal ``count``.
 
-Chunks also frame *one-shot* answers: a ``getPR`` / ``query`` request
-whose ``acceptEncodings`` header lists ``colbatch`` may be answered with
-one ``done=1`` chunk (:func:`frame_answer`) when that is shorter than
-the rows, else with the very array an unadvertised call gets.
+One ``acceptEncodings`` request header chooses the encoding: of every
+chunk of the cursor a ``getPRChunked`` / ``queryChunked`` request
+deploys, or of a ``getPR`` / ``query`` answer — one ``done=1`` chunk
+(:func:`frame_answer`) only when that is shorter than the rows.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ ENCODING_XML = "xml"
 ENCODING_COLBATCH = "colbatch"
 
 #: every encoding this build can serve/decode, in server preference
-#: order — negotiation picks the first one the client also accepts
+#: order — a responder picks the first one the request also accepts
 WIRE_ENCODINGS = (ENCODING_COLBATCH, ENCODING_XML)
 
 
@@ -117,12 +117,14 @@ def decode_chunk(payload: list[str]) -> ChunkEnvelope:
     return ChunkEnvelope(seq=seq, rows=rows, done=done, encoding=encoding)
 
 
-def choose_encoding(offered: tuple[str, ...], accept_encodings: str) -> str:
-    """The negotiation rule: the first *offered* encoding the comma-separated
-    *accept_encodings* lists — ``xml``, which every peer accepts, if none."""
-    accepted = {item.strip() for item in accept_encodings.split(",")}
-    accepted.add(ENCODING_XML)
-    return next((enc for enc in offered if enc in accepted), ENCODING_XML)
+def require_accepted(envelope: ChunkEnvelope, advertised: Sequence[str]) -> None:
+    """The caller's acceptance rule: a chunk in an encoding the request did
+    not *advertise* is a protocol error; ``xml`` is always accepted."""
+    if envelope.encoding not in (ENCODING_XML, *advertised):
+        raise ChunkError(
+            f"chunk {envelope.seq} arrived as {envelope.encoding!r}, which the "
+            f"request did not advertise (accepted {tuple(advertised)})"
+        )
 
 
 def _wire_size(items: list[str]) -> int:
@@ -139,12 +141,13 @@ def frame_answer(rows: list[str], encoding: str) -> list[str]:
     return framed if _wire_size(framed) < _wire_size(rows) else rows
 
 
-def unframe_answer(items: Sequence[str], accept_encodings) -> tuple[Sequence[str], str]:
+def unframe_answer(items: Sequence[str], advertised: Sequence[str]) -> tuple[Sequence[str], str]:
     """``(rows, encoding)`` of a maybe-framed answer; a chunk that is not
     one whole answer in an accepted encoding is a protocol error."""
     if not items or not items[0].startswith(CHUNK_HEADER + "|"):
         return items, ENCODING_XML
     envelope = decode_chunk(items)
-    if envelope.seq or not envelope.done or envelope.encoding not in accept_encodings:
-        raise ChunkError(f"bad one-chunk answer {items[0]!r} (accepted {accept_encodings})")
+    if envelope.seq or not envelope.done:
+        raise ChunkError(f"bad one-chunk answer {items[0]!r}")
+    require_accepted(envelope, advertised)
     return envelope.rows, envelope.encoding

@@ -76,6 +76,13 @@ def wrappers(n: int = ROWS) -> dict[str, InMemoryWrapper]:
     }
 
 
+@pytest.fixture(autouse=True)
+def capable(monkeypatch):
+    """Callers advertise every encoding this build speaks, whatever the
+    process pins; a test that wants xml sets the variable itself."""
+    monkeypatch.setenv("PPG_ACCEPT_ENCODINGS", ",".join(WIRE_ENCODINGS))
+
+
 @pytest.fixture()
 def federation():
     environment = GridEnvironment()
@@ -111,14 +118,12 @@ def count_encode_batch(monkeypatch) -> list[int]:
     return calls
 
 
-def engine_for(grid, accept_encodings) -> FederationEngine:
+def engine_for(grid) -> FederationEngine:
     """A bulk engine on which every raw read is large (so it advertises)."""
     from repro.core.client import PPerfGridClient
 
     return FederationEngine(
-        PPerfGridClient(grid.environment, grid.uddi_gsh),
-        stream_threshold_rows=0,
-        accept_encodings=accept_encodings,
+        PPerfGridClient(grid.environment, grid.uddi_gsh), stream_threshold_rows=0
     )
 
 
@@ -138,7 +143,7 @@ def test_framed_rows_equal_xml_rows_on_every_store(three_stores, app):
         foci = execution.foci()
         for metric in execution.metrics():
             xml = execution.read(metric, foci)
-            framed = execution.read(metric, foci, columnar=True, accept_encodings=WIRE_ENCODINGS)
+            framed = execution.read(metric, foci, columnar=True)
             assert packs(framed) == packs(xml) and xml.encoding == ENCODING_XML
             assert framed.bytes_fetched == xml.bytes_fetched
             encodings.add(framed.encoding)
@@ -151,9 +156,7 @@ def test_framed_rows_equal_xml_rows_on_synthetic_members(federation):
     for app in grid.sites:
         for execution in grid.bind(app).all_executions():
             xml = execution.read("m", ALL_FOCI, ordered=True)
-            framed = execution.read(
-                "m", ALL_FOCI, ordered=True, columnar=True, accept_encodings=WIRE_ENCODINGS
-            )
+            framed = execution.read("m", ALL_FOCI, ordered=True, columnar=True)
             assert packs(framed) == packs(xml) and len(xml) == ROWS
             assert framed.encoding == ENCODING_COLBATCH
     answers = [response for op, _, response in sent(wire) if op == "getPR"]
@@ -197,9 +200,7 @@ def test_a_one_row_answer_stays_xml_when_advertised(federation):
     grid, _, wire = federation
     execution = grid.bind("G1").all_executions()[0]
     start, end = execution.time_range()
-    one = execution.read(
-        "m", ALL_FOCI, start, start + 1.0, columnar=True, accept_encodings=WIRE_ENCODINGS
-    )
+    one = execution.read("m", ALL_FOCI, start, start + 1.0, columnar=True)
     assert len(one) == 1 and one.encoding == ENCODING_XML
     ((request, response),) = [(q, r) for op, q, r in sent(wire) if op == "getPR"]
     assert HEADER in request and b"#chunk" not in response
@@ -226,7 +227,7 @@ def test_a_member_pinned_to_xml_answers_xml(federation):
     execution = grid.bind("G0").all_executions()[0]
     expected = packs(execution.read("m", ALL_FOCI))
     grid.execution_service("G0", "0").wire_encodings = XML_ONLY
-    pinned = execution.read("m", ALL_FOCI, columnar=True, accept_encodings=WIRE_ENCODINGS)
+    pinned = execution.read("m", ALL_FOCI, columnar=True)
     assert packs(pinned) == expected and pinned.encoding == ENCODING_XML
     assert all(b"#chunk" not in r for op, _, r in sent(wire) if op == "getPR")
 
@@ -239,7 +240,7 @@ def test_a_responder_that_ignores_the_header_is_decoded_transparently(
     expected = packs(execution.read("m", ALL_FOCI))
     # a member that predates the header never asks what the request accepts
     monkeypatch.setattr(execution_module, "answer_encoding", lambda offered: ENCODING_XML)
-    answer = execution.read("m", ALL_FOCI, columnar=True, accept_encodings=WIRE_ENCODINGS)
+    answer = execution.read("m", ALL_FOCI, columnar=True)
     assert packs(answer) == expected and answer.encoding == ENCODING_XML
 
 
@@ -272,7 +273,7 @@ def test_a_malformed_framed_answer_raises_chunk_error(federation, monkeypatch):
     honest = service.getPR
     monkeypatch.setattr(service, "getPR", lambda *args: corrupt(honest(*args)))
     with pytest.raises(ChunkError):
-        execution.read("m", ALL_FOCI, columnar=True, accept_encodings=WIRE_ENCODINGS)
+        execution.read("m", ALL_FOCI, columnar=True)
     # a chunk nobody advertised for is as much a protocol error
     monkeypatch.setattr(
         service, "getPR", lambda *args: encode_chunk(0, ["m|/a|t|0.0-1.0|1.0"], True, ENCODING_COLBATCH)
@@ -285,7 +286,7 @@ def test_a_malformed_framed_answer_degrades_one_task_and_memoizes_nothing(
     federation, monkeypatch
 ):
     grid, _, _ = federation
-    engine = engine_for(grid, WIRE_ENCODINGS)
+    engine = engine_for(grid)
     text = "SELECT m WHERE value >= 0.5"
     clean = engine.execute(text)
     engine.invalidate_cache()
@@ -305,7 +306,7 @@ def test_a_malformed_framed_answer_degrades_one_task_and_memoizes_nothing(
 
 def test_every_member_sending_malformed_chunks_is_a_query_error(federation, monkeypatch):
     grid, _, _ = federation
-    engine = engine_for(grid, WIRE_ENCODINGS)
+    engine = engine_for(grid)
     for app in grid.sites:
         for exec_id in map(str, range(EXECUTIONS)):
             service = grid.execution_service(app, exec_id)
@@ -325,7 +326,7 @@ def test_the_member_cache_keeps_the_framed_form(federation, monkeypatch):
     encoded = count_encode_batch(monkeypatch)
 
     def read():
-        return execution.read("m", ALL_FOCI, columnar=True, accept_encodings=WIRE_ENCODINGS)
+        return execution.read("m", ALL_FOCI, columnar=True)
 
     first = read()
     assert first.encoding == ENCODING_COLBATCH and encoded == [1]
@@ -348,17 +349,19 @@ def test_an_unadvertised_read_never_encodes(federation, monkeypatch):
     encoded = count_encode_batch(monkeypatch)
     execution.read("m", ALL_FOCI)
     execution.get_pr("m", ALL_FOCI)
-    execution.read("m", ALL_FOCI, columnar=True, accept_encodings=XML_ONLY)
+    monkeypatch.setenv("PPG_ACCEPT_ENCODINGS", ENCODING_XML)
+    execution.read("m", ALL_FOCI, columnar=True)
     assert encoded == [0]
 
 
 # ------------------------------------------------------ the engine's counters
-def test_counters_do_not_depend_on_the_encoding(federation):
+def test_counters_do_not_depend_on_the_encoding(federation, monkeypatch):
     grid, _, wire = federation
     text = "SELECT m WHERE value >= 0.5"
     results = {}
     for leg, accepted in (("xml", XML_ONLY), ("negotiated", WIRE_ENCODINGS)):
-        engine = engine_for(grid, accepted)
+        monkeypatch.setenv("PPG_ACCEPT_ENCODINGS", ",".join(accepted))
+        engine = engine_for(grid)
         engine.execute(text.replace("0.5", "0.25"))  # remember the members' facts
         sent(wire)
         results[leg] = engine.execute(text)
@@ -376,15 +379,18 @@ def test_counters_do_not_depend_on_the_encoding(federation):
 
 
 def test_a_small_bulk_read_and_a_large_streamed_read_do_not_advertise(federation):
+    """No array request advertises here: a small bulk read's ``getPR``
+    carries no header, and a large streamed read sends no ``getPR`` —
+    its cursors carry the header on the ``getPRChunked`` creating them."""
     grid, engine, wire = federation
-    engine.accept_encodings = WIRE_ENCODINGS
     assert len(engine.execute("SELECT m WHERE value >= 0.5").rows) > ROWS  # small: 300 < 512
     assert all(HEADER not in q for op, q, _ in sent(wire) if op == "getPR")
     engine.stream_threshold_rows = 0
     streamed = engine.execute("SELECT m WHERE value >= 0.25", stream=True)
     assert len(list(streamed)) > ROWS
     log = sent(wire)
-    assert [op for op, _, _ in log].count("getPRChunked") == MEMBERS * EXECUTIONS
+    creating = [q for op, q, _ in log if op == "getPRChunked"]
+    assert len(creating) == MEMBERS * EXECUTIONS and all(HEADER in q for q in creating)
     assert "getPR" not in [op for op, _, _ in log]
 
 
@@ -392,7 +398,7 @@ def test_the_environment_pins_the_default_advertisement(federation, monkeypatch)
     """``PPG_ACCEPT_ENCODINGS=xml``: no header is sent, every array is XML."""
     monkeypatch.setenv("PPG_ACCEPT_ENCODINGS", ENCODING_XML)
     grid, _, wire = federation
-    engine = engine_for(grid, None)
+    engine = engine_for(grid)
     engine.execute("SELECT m")
     grid.client.query("SELECT m WHERE value >= 0.5")
     log = sent(wire)
@@ -402,12 +408,10 @@ def test_the_environment_pins_the_default_advertisement(federation, monkeypatch)
 
 
 def test_cursors_are_unchanged(federation):
+    """``columnar`` sizes a ``getPR``; a cursor advertises regardless."""
     grid, _, _ = federation
     execution = grid.bind("G1").all_executions()[0]
-    with execution.read(
-        "m", ALL_FOCI, cursor=True, columnar=True, max_rows=64,
-        accept_encodings=WIRE_ENCODINGS,
-    ) as cursor:
+    with execution.read("m", ALL_FOCI, cursor=True, columnar=True, max_rows=64) as cursor:
         assert isinstance(cursor, ChunkedResultIterator)
-        assert cursor.encoding == ENCODING_COLBATCH
         assert packs(cursor) == packs(execution.read("m", ALL_FOCI))
+    assert cursor.encoding == ENCODING_COLBATCH

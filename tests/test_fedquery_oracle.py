@@ -59,22 +59,22 @@ def oracle_env():
     # large — a cursor when streamed, an advertising getPR when bulk —
     # so the streamed arms can never answer from the main engine's
     # cache; one per wire encoding, so the whole randomized corpus runs
-    # over both the negotiated (columnar) and the forced-XML path
+    # over both the negotiated (columnar) and the forced-XML path: the
+    # xml leg's tests pin PPG_ACCEPT_ENCODINGS=xml (see pin_leg)
     from repro.core.client import PPerfGridClient
     from repro.fedquery.executor import FederationEngine
 
-    def make_stream_engine(accept_encodings):
+    def make_stream_engine():
         return FederationEngine(
             PPerfGridClient(grid.environment, grid.uddi_gsh),
             managers={name: site.manager for name, site in grid.sites.items()},
             stream_threshold_rows=0,
             stream_chunk_rows=7,
-            accept_encodings=accept_encodings,
         )
 
     stream_engines = {
-        "negotiated": make_stream_engine(None),  # client default advertisement
-        "xml": make_stream_engine(("xml",)),  # forced per-row fallback
+        "negotiated": make_stream_engine(),  # client default advertisement
+        "xml": make_stream_engine(),  # forced per-row fallback
     }
     stream_engine = stream_engines["negotiated"]
 
@@ -268,6 +268,13 @@ def make_query(rng: random.Random, V) -> str:
     return text
 
 
+def pin_leg(monkeypatch, encoding: str) -> None:
+    """The xml leg advertises nothing beyond per-row XML; the negotiated
+    leg keeps the process default."""
+    if encoding == "xml":
+        monkeypatch.setenv("PPG_ACCEPT_ENCODINGS", ENCODING_XML)
+
+
 def count_framed_answers(monkeypatch) -> list[int]:
     """A one-cell counter of the array answers the bindings receive as a
     columnar chunk (``unframe_answer`` reports a non-XML encoding)."""
@@ -301,6 +308,7 @@ def test_planned_matches_naive(oracle_env, seed, oracle_seed, encoding, monkeypa
     rng = random.Random(7000 + seed + 1_000_000 * oracle_seed)
     text = make_query(rng, oracle_env)
     engine = oracle_env.stream_engines[encoding]
+    pin_leg(monkeypatch, encoding)
     framed = count_framed_answers(monkeypatch)
     planned = engine.execute(text)
     # the streamed arms of the corpus run on this engine too: they must
@@ -336,7 +344,7 @@ def test_negotiated_bulk_leg_received_columnar_answers(oracle_env):
 
 @pytest.mark.parametrize("encoding", ["negotiated", "xml"])
 @pytest.mark.parametrize("seed", range(N_QUERIES))
-def test_streamed_matches_bulk(oracle_env, seed, oracle_seed, encoding):
+def test_streamed_matches_bulk(oracle_env, seed, oracle_seed, encoding, monkeypatch):
     """The same corpus through execute(stream=True): raw queries must be
     byte-identical to the bulk rows (the incremental merge reproduces
     the bulk order exactly); global operators (aggregates/ORDER BY) take
@@ -348,6 +356,7 @@ def test_streamed_matches_bulk(oracle_env, seed, oracle_seed, encoding):
     rng = random.Random(7000 + seed + 1_000_000 * oracle_seed)
     text = make_query(rng, oracle_env)
     bulk = oracle_env.engine.execute(text)
+    pin_leg(monkeypatch, encoding)
     with oracle_env.stream_engines[encoding].execute(text, stream=True) as streamed:
         streamed_rows = list(streamed)
     query = parse_query(text)

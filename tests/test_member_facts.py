@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core.client import ExecutionBinding, PPerfGridClient
+from repro.core.client import DEFAULT_CHUNK_ROWS, ExecutionBinding, PPerfGridClient
 from repro.core.semantic import PerformanceResult
 from repro.experiments.common import build_synthetic_grid
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
@@ -25,6 +25,8 @@ MEMBERS, EXECUTIONS, ROWS = 2, 2, 10
 WARM = {"query": 1, "getPR": MEMBERS * EXECUTIONS}
 #: what discovery adds, per query, when nothing is remembered
 DISCOVERY = {"getFoci": 4, "getAllExecs": 2, "getExecs": 2, "getExecQueryParams": 2}
+#: the federation's authority (deploy_federation's default)
+FED = "fed.pdx.edu:9090"
 
 
 class Wire(RecordingTransport):
@@ -94,14 +96,28 @@ class TestWarmQueriesSendOnlyDataCalls:
         assert wire.take() == WARM  # 1 + M*E messages, nothing else
 
     def test_streamed_query_is_cursor_traffic_only(self, federation):
+        """The client sends queryChunked, one next per chunk and close;
+        each member execution is sent getPRChunked, one next per chunk
+        and close.  The encoding rides the creating request's header:
+        no negotiate anywhere."""
         grid, _, wire = federation
         grid.client.query(raw(1))
         grid.fed_engine.stream_threshold_rows = 0  # every member drains a cursor
         wire.take()
-        assert len(list(grid.client.query_stream(raw(2)))) == MEMBERS * EXECUTIONS * ROWS
+        total = MEMBERS * EXECUTIONS * ROWS
+        assert len(list(grid.client.query_stream(raw(2)))) == total
+        chunks = -(-total // DEFAULT_CHUNK_ROWS)
+        assert wire.take(FED) == {"queryChunked": 1, "next": chunks, "close": 1}
+        member_chunks = -(-ROWS // grid.fed_engine.stream_chunk_rows)
+        for member in ("A", "B"):
+            assert wire.take(authority(grid, member)) == {
+                "getPRChunked": EXECUTIONS,
+                "next": EXECUTIONS * member_chunks,
+                "close": EXECUTIONS,
+            }
         sent = wire.take()
-        assert sent.pop("queryChunked") == 1 and sent.pop("getPRChunked") == 4
-        assert set(sent) == {"negotiate", "next", "close"}
+        assert set(sent) == {"queryChunked", "getPRChunked", "next", "close"}
+        assert sent["next"] == chunks + MEMBERS * EXECUTIONS * member_chunks
 
     def test_view_refresh_refetches_data_only(self, federation):
         grid, _, wire = federation

@@ -257,6 +257,29 @@ class TestNoCursorSurvivesItsConsumer:
         assert live_cursors(grid) == 0
         assert engine.execute(raw(1)).cached is False  # a partial drain memoizes nothing
 
+    def test_a_bad_max_rows_opens_no_member_cursor(self, federation):
+        grid, engine, wire, _ = federation
+        execution = grid.bind("APP0").all_executions()[0]
+        wire.take()
+        with pytest.raises(ValueError, match="max_rows"):
+            execution.get_pr_chunked("m", ALL_FOCI, max_rows=0)
+        assert live_cursors(grid) == 0
+        with pytest.raises(ValueError, match="max_rows"):
+            execution.stream_pr("m", ALL_FOCI, max_rows=0, estimated_rows=10**6)
+        engine.stream_threshold_rows = 0
+        engine.stream_chunk_rows = 0
+        with pytest.raises(QueryError):
+            list(engine.execute(raw(1), stream=True))
+        assert live_cursors(grid) == 0
+        assert "getPRChunked" not in wire.take()  # validated before the call
+
+    def test_a_bad_max_rows_opens_no_federation_cursor(self, federation):
+        grid, *_ = federation
+        with pytest.raises(ValueError, match="max_rows"):
+            grid.client.query_stream(raw(1), max_rows=0)
+        fed = grid.environment.container_for("fed.pdx.edu:9090")
+        assert not [path for path in fed.service_paths() if "/cursors/instances/" in path]
+
     def test_view_maintenance_whose_drain_fails_mid_read(self, federation):
         grid, engine, wire, _ = federation
         engine.stream_threshold_rows = 0

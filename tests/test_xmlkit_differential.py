@@ -385,10 +385,12 @@ def traffic():
         client.query("SELECT count(gflops), mean(gflops) FROM HPL GROUP BY numprocs")
         client.query("SELECT gflops FROM HPL")
         for encoding in (ENCODING_COLBATCH, ENCODING_XML):
-            with client.query_stream(
-                "SELECT bandwidth_mbps FROM PRESTA-RMA", max_rows=64, accept_encodings=(encoding,)
-            ) as rows:
-                assert list(rows)
+            with pytest.MonkeyPatch.context() as env:
+                env.setenv("PPG_ACCEPT_ENCODINGS", encoding)
+                with client.query_stream(
+                    "SELECT bandwidth_mbps FROM PRESTA-RMA", max_rows=64
+                ) as rows:
+                    assert list(rows)
         with pytest.raises(SoapFault):
             client.query("SELECT nosuch FROM NOPE")
         grid.execution_service("HPL", "1").data_updated("appended")

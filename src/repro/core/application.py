@@ -26,9 +26,7 @@ class ApplicationService(GridServiceBase):
 
     def on_deployed(self, container, gsh) -> None:
         super().on_deployed(container, gsh)
-        self.service_data.set(
-            "appInfo", [f"{k}|{v}" for k, v in self.wrapper.get_app_info()]
-        )
+        self.service_data.set("appInfo", self.getAppInfo)
 
     def _manager_stub(self):
         if self.container is None:
@@ -74,10 +72,11 @@ class ApplicationService(GridServiceBase):
         """Extension: application-wide store statistics (packed records).
 
         Computed on demand (not at deploy time — some Mapping Layers pay
-        a file parse per execution) and mirrored to the ``storeStats``
-        SDE so FindServiceData clients see the same numbers.
+        a file parse per execution); the first call also publishes the
+        ``storeStats`` SDE, computed per read from then on, so
+        FindServiceData clients see the same numbers.
         """
         self.require_active()
-        records = self.wrapper.get_stats().pack_records()
-        self.service_data.set("storeStats", records)
-        return records
+        if "storeStats" not in self.service_data:
+            self.service_data.set("storeStats", self.getStats)
+        return self.wrapper.get_stats().pack_records()

@@ -60,16 +60,18 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
 
     def on_deployed(self, container, gsh) -> None:
         super().on_deployed(container, gsh)
-        self.service_data.set("execId", self.exec_id)
-        self.service_data.set("generation", str(self.generation))
-        self._publish_cache_stats()
         # Future-work §7: expose metrics/foci/types/time as SDEs so an
-        # XPath FindServiceData query can answer discovery questions.
-        self.service_data.set("metrics", self.wrapper.get_metrics())
-        self.service_data.set("foci", self.wrapper.get_foci())
-        self.service_data.set("types", self.wrapper.get_types())
-        start, end = self.wrapper.get_time_start_end()
-        self.service_data.set("timeStartEnd", [repr(start), repr(end)])
+        # XPath FindServiceData query can answer discovery questions —
+        # read off the wrapper and the PR cache when asked, so neither
+        # the query path nor data_updated() keeps copies current.
+        sdes = self.service_data
+        sdes.set("execId", lambda: self.exec_id)
+        sdes.set("generation", lambda: str(self.generation))
+        sdes.set("cacheStats", lambda: self.cache.stat_records())
+        sdes.set("metrics", self.getMetrics)
+        sdes.set("foci", self.getFoci)
+        sdes.set("types", self.getTypes)
+        sdes.set("timeStartEnd", self.getTimeStartEnd)
 
     # ----------------------------------------------- Table 2 operations
     def getInfo(self) -> list[str]:
@@ -242,11 +244,14 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
 
         Delegates to the Mapping Layer, whose wrappers answer with cheap
         native queries (SQL aggregates, header scans) where possible.
+        The first call also publishes them as the ``storeStats`` SDE,
+        computed per read from then on: an XPath read of an instance
+        nobody asked for statistics never pays a store scan.
         """
         self.require_active()
-        records = self.wrapper.get_stats().pack_records()
-        self.service_data.set("storeStats", records)
-        return records
+        if "storeStats" not in self.service_data:
+            self.service_data.set("storeStats", self.getStats)
+        return self.wrapper.get_stats().pack_records()
 
     def getPRAsync(
         self,
@@ -298,22 +303,6 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
         else:
             self.container.host.release_memory(-delta)
 
-    # ---------------------------------------------------- cache stats SDE
-    def _publish_cache_stats(self) -> None:
-        """Publish the PR cache's counters as the ``cacheStats`` SDE."""
-        self.service_data.set("cacheStats", self.cache.stat_records())
-
-    def FindServiceData(self, queryExpression: str) -> str:
-        """GridService query, with cache counters refreshed lazily.
-
-        The counters change on every ``getPR``; re-rendering the SDE per
-        lookup (rather than per cache access) keeps the hot query path
-        free of bookkeeping while ``findServiceData`` always sees current
-        hit/miss/eviction numbers.
-        """
-        self._publish_cache_stats()
-        return super().FindServiceData(queryExpression)
-
     # -------------------------------------------------------- lifecycle
     def on_destroyed(self) -> None:
         self.cache.clear()
@@ -328,8 +317,8 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
         subscriber that re-queries from inside its delivery callback can
         never replay pre-update packed results, and any in-flight reader
         holding the old generation can recognize its results as
-        superseded.  Discovery SDEs are refreshed too.  Returns the
-        number of push deliveries made.
+        superseded.  The SDEs need nothing: they are computed when read.
+        Returns the number of push deliveries made.
 
         The notification body is ``execId|generation|sourceHandle|description``
         — the handle disambiguates executions whose ids collide across
@@ -339,15 +328,6 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
         self.generation += 1
         self.cache.clear()
         self._charge_cache()
-        self.service_data.set("generation", str(self.generation))
-        self.service_data.set("metrics", self.wrapper.get_metrics())
-        self.service_data.set("foci", self.wrapper.get_foci())
-        start, end = self.wrapper.get_time_start_end()
-        self.service_data.set("timeStartEnd", [repr(start), repr(end)])
-        if self.service_data.get("storeStats") is not None:
-            # Refresh published stats so a post-update FindServiceData
-            # never reads pre-update row counts or value ranges.
-            self.service_data.set("storeStats", self.wrapper.get_stats().pack_records())
         source = self.gsh.url() if self.gsh is not None else ""
         return self.notify(
             "data-update", f"{self.exec_id}|{self.generation}|{source}|{description}"

@@ -138,9 +138,6 @@ class ManagerService(GridServiceBase):
         self._instance_cache: dict[str, str] = {}
         self.creations = 0
         self.cache_hits = 0
-        #: named external stats sources merged into :meth:`stats` (e.g.
-        #: the federation's view-maintenance counters)
-        self._stats_providers: dict[str, object] = {}
 
     def getExecs(self, keys: list[str]) -> list[str]:
         """One Execution-instance GSH per key, creating on cache misses."""
@@ -198,7 +195,7 @@ class ManagerService(GridServiceBase):
         for replica in self.replicas:
             authority = replica.gsh.authority
             per_host[authority] = per_host.get(authority, 0) + replica.assigned
-        out: dict[str, object] = {
+        return {
             "policy": self.policy.name,
             "replicas": len(self.replicas),
             "creations": self.creations,
@@ -208,16 +205,6 @@ class ManagerService(GridServiceBase):
             "cached_instances": len(self._instance_cache),
             "instances_per_host": per_host,
         }
-        for name, provider in sorted(self._stats_providers.items()):
-            try:
-                out[name] = provider()
-            except Exception:
-                out[name] = None
-        return out
-
-    def add_stats_provider(self, name: str, provider) -> None:
-        """Merge *provider()*'s value into :meth:`stats` under *name*."""
-        self._stats_providers[name] = provider
 
     def assignment_counts(self) -> dict[str, int]:
         """factory handle -> instances created there (for tests/ablation)."""

@@ -89,27 +89,13 @@ class Grid:
         exactly the cached plans that read them.  Returns the engine
         (useful for local, in-process execution in tests).
         """
-        from repro.fedquery.executor import FederationEngine, choose_fanout
-        from repro.fedquery.scheduler import FanoutScheduler
+        from repro.fedquery.executor import FederationEngine
         from repro.fedquery.service import FederatedQueryService
         from repro.fedquery.viewservice import ViewRegistryService
 
-        engine_client = PPerfGridClient(self.environment, self.uddi_gsh)
-        managers = {name: site.manager for name, site in self.sites.items()}
-        # the canonical deployment owns a reactor-attached fan-out pool:
-        # the environment's reactor paces its utilization/shedding tick, and
-        # the engine never has to create one lazily mid-query
-        scheduler = FanoutScheduler(
-            max_workers=choose_fanout(
-                [manager.stats() for manager in managers.values()]
-            ),
-            reactor=self.environment.reactor,
-            name=f"fed-{authority.split(':')[0]}",
-        )
         engine = FederationEngine(
-            engine_client,
-            managers=managers,
-            scheduler=scheduler,
+            PPerfGridClient(self.environment, self.uddi_gsh),
+            managers={name: site.manager for name, site in self.sites.items()},
         )
         container = self.environment.ensure_container(authority)
         service = FederatedQueryService(engine)
@@ -126,10 +112,6 @@ class Grid:
             "services/FederatedQuery/monitor",
             sources={"fanoutScheduler": engine.scheduler_stats},
         )
-        # every site Manager surfaces the federation's view + pool counters
-        for site in self.sites.values():
-            site.manager.add_stats_provider("viewStats", engine.view_stats)
-            site.manager.add_stats_provider("fanoutScheduler", engine.scheduler_stats)
         if coherence:
             service.subscribeUpdates()
         return engine

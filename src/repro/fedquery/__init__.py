@@ -72,12 +72,7 @@ from repro.fedquery.pushdown import (
     split_predicates,
 )
 from repro.fedquery.service import FEDERATED_QUERY_PORTTYPE, FederatedQueryService
-from repro.fedquery.views import (
-    MaterializedView,
-    ViewDelta,
-    ViewMaintainer,
-    empty_view_stats,
-)
+from repro.fedquery.views import MaterializedView, ViewDelta, ViewMaintainer
 from repro.fedquery.viewservice import VIEW_REGISTRY_PORTTYPE, ViewRegistryService
 from repro.fedquery.stream import (
     DEFAULT_CHUNK_DEPTH,
@@ -128,7 +123,6 @@ __all__ = [
     "choose_fanout",
     "derive_value_bounds",
     "derive_window",
-    "empty_view_stats",
     "merge_streams",
     "naive_query",
     "order_rows",

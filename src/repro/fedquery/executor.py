@@ -68,11 +68,7 @@ from repro.fedquery.merge import (
 from repro.fedquery.parser import parse_query
 from repro.fedquery.planner import MemberPlan, Plan, SubQuery, plan_query
 from repro.fedquery.pushdown import filter_foci, matches_value
-from repro.fedquery.scheduler import (
-    DEFAULT_TENANT,
-    FanoutScheduler,
-    empty_scheduler_stats,
-)
+from repro.fedquery.scheduler import DEFAULT_TENANT, FanoutScheduler
 from repro.fedquery.stream import (
     DEFAULT_MEMOIZE_MAX_BYTES,
     MemberStream,
@@ -154,11 +150,9 @@ class FederationEngine:
         client,
         managers: dict[str, object] | None = None,
         plan_cache: PrCache | None = None,
-        max_workers: int | None = None,
         stream_chunk_rows: int = DEFAULT_CHUNK_ROWS,
         stream_threshold_rows: int = DEFAULT_STREAM_THRESHOLD_ROWS,
         stream_memoize_max_bytes: int = DEFAULT_MEMOIZE_MAX_BYTES,
-        scheduler: FanoutScheduler | None = None,
     ) -> None:
         self.client = client
         self.managers = dict(managers or {})
@@ -170,7 +164,6 @@ class FederationEngine:
                 capacity=DEFAULT_PLAN_CACHE_ENTRIES,
             )
         )
-        self.max_workers = max_workers
         #: streaming knobs: rows per chunk, bulk-vs-cursor estimated-row
         #: threshold, memoization byte cap
         self.stream_chunk_rows = stream_chunk_rows
@@ -184,10 +177,8 @@ class FederationEngine:
         self.coherence = CoherenceTracker(self.plan_cache)
         #: lazily created ViewMaintainer (see :meth:`views`)
         self._view_maintainer = None
-        #: the engine-lifetime fan-out pool; injected (the deployer owns
-        #: its lifecycle) or created lazily on first fan-out
-        self._scheduler = scheduler
-        self._owns_scheduler = scheduler is None
+        #: the engine-lifetime fan-out pool, created on first use
+        self._scheduler: FanoutScheduler | None = None
         self._scheduler_lock = threading.Lock()
         #: member reads on pool threads count into their query's stats
         self._stats_lock = threading.Lock()
@@ -196,11 +187,10 @@ class FederationEngine:
     def _pool(self) -> FanoutScheduler:
         """The engine-lifetime fan-out scheduler (created on first use).
 
-        Sized once from the federation topology (``max_workers`` wins if
-        set); per-query width clamping happens at submit time by simply
-        queueing — the pool never grows per query.  The environment's
-        reactor, when one is already running, paces the scheduler's
-        control tick; a lazily created pool never *starts* a reactor.
+        Sized once from the federation topology; per-query width
+        clamping happens at submit time by simply queueing — the pool
+        never grows per query.  Building it starts no thread, so reading
+        its stats before the first fan-out is free of side effects.
         """
         sched = self._scheduler
         if sched is not None and not sched.is_shutdown:
@@ -208,32 +198,13 @@ class FederationEngine:
         with self._scheduler_lock:
             sched = self._scheduler
             if sched is None or sched.is_shutdown:
-                if self.max_workers is not None:
-                    width = self.max_workers
-                else:
-                    width = choose_fanout(
-                        [m.stats() for m in self.managers.values()]
-                    )
-                reactor = getattr(
-                    getattr(self.client, "environment", None), "_reactor", None
-                )
-                sched = self._scheduler = FanoutScheduler(
-                    max_workers=width, reactor=reactor, name="fedpool"
-                )
-                self._owns_scheduler = True
+                width = choose_fanout([m.stats() for m in self.managers.values()])
+                sched = self._scheduler = FanoutScheduler(max_workers=width, name="fedpool")
         return sched
 
     def scheduler_stats(self) -> dict:
-        """Pool/queue/tenant counters for SDE publication and stats().
-
-        Safe before the first fan-out: an absent pool reports the same
-        keys zeroed rather than forcing pool creation as a side effect
-        of monitoring.
-        """
-        sched = self._scheduler
-        if sched is None or sched.is_shutdown:
-            return empty_scheduler_stats()
-        return sched.stats()
+        """Pool/queue/tenant counters (the monitor's ``fanoutScheduler.*``)."""
+        return self._pool().stats()
 
     def set_rate_limit(
         self, tenant: str | None, rate: float, burst: int | None = None
@@ -242,15 +213,10 @@ class FederationEngine:
         self._pool().set_rate_limit(tenant, rate, burst=burst)
 
     def close(self) -> None:
-        """Shut down the fan-out pool if this engine created it.
-
-        An injected scheduler (shared by the deployer across engines)
-        is left running — its owner closes it.
-        """
+        """Shut down the fan-out pool and join its workers."""
         with self._scheduler_lock:
             sched, self._scheduler = self._scheduler, None
-            owns = self._owns_scheduler
-        if sched is not None and owns:
+        if sched is not None:
             sched.shutdown()
 
     # ------------------------------------------------------------ catalog
@@ -756,11 +722,7 @@ class FederationEngine:
 
     def view_stats(self) -> dict[str, int]:
         """View-maintenance counters (all zero before any view exists)."""
-        if self._view_maintainer is None:
-            from repro.fedquery.views import empty_view_stats
-
-            return empty_view_stats()
-        return self._view_maintainer.stats()
+        return self.views().stats()
 
     # ----------------------------------------------------------- internals
     def _parse(self, query: str | Query) -> Query:

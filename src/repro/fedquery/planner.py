@@ -282,45 +282,26 @@ class Plan:
         return "\n".join(lines)
 
 
-#: aggregate functions whose partial accumulators merge losslessly —
-#: everything the grammar admits today: count/sum/min/max combine
-#: directly, mean decomposes into the combinable (total, count) pair
-COMBINABLE_FUNCS = frozenset({"count", "sum", "mean", "min", "max"})
-
-
 @dataclass(frozen=True)
 class ViewShape:
     """How a materialized view of this query can be maintained.
 
     ``aggregate-merge``: per-partition accumulator snapshots re-merge
-    into the output (combinable aggregates, GROUP BY).
+    into the output (every aggregate the grammar admits combines:
+    count/sum/min/max directly, mean as the (total, count) pair).
     ``raw-splice``: raw partitions concatenate under the canonical order.
     ``topk-bounded``: raw with LIMIT — each partition keeps only its own
     top-N candidate set (the global top-N is always a subset of the
     union of per-partition top-Ns under a total order).
-    ``recompute``: a non-combinable shape; maintenance falls back to
-    recomputing the view on every update.
     """
 
     kind: str
     detail: str
 
-    @property
-    def combinable(self) -> bool:
-        return self.kind != "recompute"
-
 
 def view_shape(query: Query) -> ViewShape:
     """Combinability analysis for incremental view maintenance."""
     if query.is_aggregate:
-        uncombinable = sorted(
-            {item.func for item in query.aggregates} - COMBINABLE_FUNCS
-        )
-        if uncombinable:
-            return ViewShape(
-                "recompute",
-                f"aggregate function(s) {uncombinable} are not combinable",
-            )
         detail = "count/total/min/max accumulators merge per partition"
         if any(item.func == "mean" for item in query.aggregates):
             detail += "; mean folds as sum+count"

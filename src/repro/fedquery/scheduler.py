@@ -6,26 +6,21 @@ saturate (the same collapse the grid information-service studies
 measured).  :class:`FanoutScheduler` is one engine-lifetime pool:
 
 * **Pooled workers** — a bounded set of daemon threads, spawned lazily
-  up to ``max_workers`` and reaped after ``worker_idle_s`` of idleness,
+  up to ``max_workers`` and reaped after ``WORKER_IDLE_S`` of idleness,
   pull member sub-query tasks from the scheduler's queues.  ``submit``
   returns a plain :class:`concurrent.futures.Future`, so the engine
-  merges with an ordinary ``FIRST_COMPLETED`` wait loop.
+  merges with an ordinary ``FIRST_COMPLETED`` wait loop.  Building a
+  scheduler starts no thread: the first ``submit`` spawns the first
+  worker.
 * **Per-tenant fair queueing** — each tenant (the container ingress's
   ``clientId``) gets its own FIFO in a shared
   :class:`~repro.ogsi.dispatch.FairQueue` and runnable tasks are
   admitted round-robin across tenants, so a flooding tenant lengthens
   only its own queue.
 * **Token-bucket rate limiting** — :meth:`acquire_rate` charges one
-  token per query against the tenant's bucket and sheds excess with the
-  established ``ServerBusy`` :class:`~repro.ogsi.dispatch.BusyFault`.
-* **A reactor-driven control loop** — when the environment's
-  :class:`~repro.simnet.reactor.Reactor` is attached, a periodic tick
-  samples pool utilization and *completes the futures of tasks that
-  overstayed* ``max_queue_wait_s`` with a ``BusyFault`` (queue-wait
-  shedding).  Data-path completions are set by the worker that computed
-  them — funnelling every completion through the single reactor thread
-  would serialize the whole pool — so the reactor paces control work,
-  never the merge.
+  token per query against the tenant's bucket (:meth:`set_rate_limit`)
+  and sheds excess with the established ``ServerBusy``
+  :class:`~repro.ogsi.dispatch.BusyFault`.
 * **An elastic stream lane** — :meth:`spawn` runs long-lived
   backpressure-blocked producers (:class:`~repro.fedquery.stream.
   MemberStream`) on reusable threads *outside* the bounded pool, so a
@@ -50,13 +45,10 @@ DEFAULT_POOL_WORKERS = 8
 DEFAULT_TENANT = "default"
 
 #: idle pool workers exit after this long with nothing queued
-DEFAULT_WORKER_IDLE_S = 10.0
+WORKER_IDLE_S = 10.0
 
 #: parked stream-lane threads exit after this long without a new producer
 STREAM_IDLE_S = 5.0
-
-#: reactor tick interval: utilization sampling + queue-wait shedding
-DEFAULT_TICK_INTERVAL_S = 0.25
 
 #: minimum spacing between worker spawns once one worker exists —
 #: damped growth: a submit burst must sustain a backlog to grow the
@@ -138,24 +130,11 @@ class _TenantState:
 class FanoutScheduler:
     """One shared worker pool for federated fan-out (see module doc).
 
-    ``reactor`` (optional) attaches the control tick; ``rate`` /
-    ``burst`` set the default per-tenant token bucket (``None`` = no
-    rate limiting until :meth:`set_rate_limit` is called);
-    ``max_queue_wait_s`` (``None`` = off) sheds tasks that waited too
-    long, their futures completed with a ``BusyFault`` by the reactor.
+    No tenant is rate limited until :meth:`set_rate_limit` configures a
+    bucket (``tenant=None`` sets the default every tenant gets).
     """
 
-    def __init__(
-        self,
-        max_workers: int = DEFAULT_POOL_WORKERS,
-        reactor=None,
-        name: str = "fanout",
-        rate: float | None = None,
-        burst: float | None = None,
-        max_queue_wait_s: float | None = None,
-        worker_idle_s: float = DEFAULT_WORKER_IDLE_S,
-        tick_interval_s: float = DEFAULT_TICK_INTERVAL_S,
-    ) -> None:
+    def __init__(self, max_workers: int = DEFAULT_POOL_WORKERS, name: str = "fanout") -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = max_workers
@@ -165,10 +144,8 @@ class FanoutScheduler:
         self._queue = FairQueue()
         self._tenants: dict[str, _TenantState] = {}
         self._buckets: dict[str, TokenBucket] = {}
-        self._default_rate = rate
-        self._default_burst = burst if burst is not None else (rate or 0.0)
-        self._max_queue_wait_s = max_queue_wait_s
-        self._worker_idle_s = worker_idle_s
+        self._default_rate: float | None = None
+        self._default_burst = 0.0
         self._last_spawn = 0.0
         self._workers: set[threading.Thread] = set()
         self._idle = 0
@@ -180,10 +157,7 @@ class FanoutScheduler:
         self.completed = 0
         self.cancelled = 0
         self.shed = 0
-        self.shed_timeouts = 0
         self.peak_queued = 0
-        self._util_sum = 0.0
-        self._util_samples = 0
         # elastic stream lane (guarded by _stream_lock)
         self._stream_lock = threading.Lock()
         self._stream_idle_chans: list[queue.SimpleQueue] = []
@@ -192,13 +166,6 @@ class FanoutScheduler:
         self.stream_threads_created = 0
         self.stream_threads_reused = 0
         self.stream_failures = 0
-        self._reactor_task = None
-        if reactor is not None:
-            try:
-                self._reactor_task = reactor.call_every(tick_interval_s, self._on_tick)
-            except RuntimeError:
-                # reactor already shut down: run without the control tick
-                self._reactor_task = None
 
     # ------------------------------------------------------------- submission
     def submit(self, fn: Callable, tenant: str = DEFAULT_TENANT) -> Future:
@@ -353,7 +320,7 @@ class FanoutScheduler:
                         self._workers.discard(me)
                         return
                     self._idle += 1
-                    signalled = self._cond.wait(timeout=self._worker_idle_s)
+                    signalled = self._cond.wait(timeout=WORKER_IDLE_S)
                     self._idle -= 1
                     task = self._pop_locked()
                     if task is None and not signalled and not self._shutdown:
@@ -400,33 +367,6 @@ class FanoutScheduler:
             state = self._tenants[tenant] = _TenantState()
         return state
 
-    # ----------------------------------------------------------- reactor tick
-    def _on_tick(self) -> None:
-        """The reactor-driven control loop: sample gauges, shed overstays."""
-        overdue: list[_Task] = []
-        with self._cond:
-            self._util_sum += self._busy / self.max_workers
-            self._util_samples += 1
-            if self._max_queue_wait_s is not None:
-                cutoff = time.monotonic() - self._max_queue_wait_s
-                overdue = self._queue.pop_heads_while(
-                    lambda task: task.enqueued < cutoff
-                )
-                self.shed += len(overdue)
-                self.shed_timeouts += len(overdue)
-                for task in overdue:
-                    self._tenant_locked(task.tenant).shed += 1
-        for task in overdue:
-            # the reactor completes shed futures: the merge loop sees a
-            # BusyFault exactly as if admission had refused the work
-            if task.future.set_running_or_notify_cancel():
-                task.future.set_exception(
-                    BusyFault(
-                        f"tenant {task.tenant!r} task queued longer than "
-                        f"{self._max_queue_wait_s:g}s, shed"
-                    )
-                )
-
     # -------------------------------------------------------------- lifecycle
     @property
     def is_shutdown(self) -> bool:
@@ -446,8 +386,6 @@ class FanoutScheduler:
             self._cond.notify_all()
         for task in pending:
             task.future.cancel()
-        if self._reactor_task is not None:
-            self._reactor_task.cancel()
         with self._stream_lock:
             idle = list(self._stream_idle_chans)
             self._stream_idle_chans.clear()
@@ -466,9 +404,6 @@ class FanoutScheduler:
                 name: state.snapshot(self._queue.depth(name))
                 for name, state in sorted(self._tenants.items())
             }
-            avg_util = (
-                self._util_sum / self._util_samples if self._util_samples else 0.0
-            )
             return {
                 "maxWorkers": self.max_workers,
                 "workers": len(self._workers),
@@ -479,10 +414,8 @@ class FanoutScheduler:
                 "completed": self.completed,
                 "cancelled": self.cancelled,
                 "shed": self.shed,
-                "shedTimeouts": self.shed_timeouts,
                 "workersCreated": self.workers_created,
                 "poolUtilization": round(self._busy / self.max_workers, 6),
-                "avgUtilization": round(avg_util, 6),
                 "streamActive": self._stream_active,
                 "streamPeak": self._stream_peak,
                 "streamThreadsCreated": self.stream_threads_created,
@@ -490,15 +423,6 @@ class FanoutScheduler:
                 "streamFailures": self.stream_failures,
                 "tenants": tenants,
             }
-
-
-def empty_scheduler_stats() -> dict[str, object]:
-    """:meth:`FanoutScheduler.stats` for a pool that does not exist yet,
-    read off a scheduler that never ran (it spawns no thread before the
-    first submit) so monitors see one key set before and after first use."""
-    stats = FanoutScheduler(max_workers=1).stats()
-    stats["maxWorkers"] = 0
-    return stats
 
 
 # ---------------------------------------------------------- shared client pool

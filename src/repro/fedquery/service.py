@@ -168,7 +168,9 @@ class FederatedQueryService(GridServiceBase):
 
     def on_deployed(self, container, gsh) -> None:
         super().on_deployed(container, gsh)
-        self._publish_cache_stats()
+        self.service_data.set("planCacheStats", self.getCacheStats)
+        self.service_data.set("coherenceStats", self.coherenceStats)
+        self.service_data.set("viewStats", self.viewStats)
 
     # --------------------------------------------------------- operations
     def query(self, queryText: str) -> list[str]:
@@ -241,19 +243,3 @@ class FederatedQueryService(GridServiceBase):
     def viewStats(self) -> list[str]:
         self.require_active()
         return [f"{k}|{v}" for k, v in sorted(self.engine.view_stats().items())]
-
-    # ---------------------------------------------------------------- SDEs
-    def _publish_cache_stats(self) -> None:
-        self.service_data.set("planCacheStats", self.engine.plan_cache.stat_records())
-        self.service_data.set(
-            "coherenceStats",
-            [f"{k}|{v}" for k, v in sorted(self.engine.coherence_stats().items())],
-        )
-        self.service_data.set(
-            "viewStats",
-            [f"{k}|{v}" for k, v in sorted(self.engine.view_stats().items())],
-        )
-
-    def FindServiceData(self, queryExpression: str) -> str:
-        self._publish_cache_stats()
-        return super().FindServiceData(queryExpression)

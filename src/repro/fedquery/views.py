@@ -17,9 +17,6 @@ view reads:
 * **topk-bounded** (ORDER BY/LIMIT) views keep only each partition's
   own top-N candidate set: under the total row order the global top-N
   is always a subset of the union of per-partition top-Ns.
-* **recompute** shapes (a non-combinable aggregate, should the grammar
-  ever grow one) are flagged by :func:`~repro.fedquery.planner.view_shape`
-  and fall back to recomputing the view on every update.
 
 Consistency is tracked per view with an *(epoch, version)* pair:
 ``version`` advances with every applied change; ``epoch`` advances when
@@ -54,10 +51,6 @@ VIEW_STAT_NAMES = (
     "pushedDeltas",
     "maintenanceErrors",
 )
-
-
-def empty_view_stats() -> dict[str, int]:
-    return {name: 0 for name in VIEW_STAT_NAMES}
 
 
 @dataclass(frozen=True)
@@ -219,10 +212,7 @@ class ViewMaintainer:
                 if app not in view.deps:
                     continue
                 try:
-                    if view.shape.combinable:
-                        self._apply_delta(view, app, exec_id)
-                    else:
-                        self._recompute(view)
+                    self._apply_delta(view, app, exec_id)
                 except Exception:
                     self.counters["maintenanceErrors"] += 1
                     self._refresh_view(view)
@@ -276,12 +266,6 @@ class ViewMaintainer:
         self._fetch_members(view, [m for m in plan.members if m.app == app])
         self.counters["scopedRecomputes"] += 1
         self._publish(view, self._fold(view))
-
-    def _recompute(self, view: MaterializedView) -> None:
-        """Non-combinable fallback: full rebuild within the same epoch."""
-        rows = self._rebuild(view)
-        self.counters["scopedRecomputes"] += 1
-        self._publish(view, rows, replace=True)
 
     def _refresh_view(self, view: MaterializedView) -> None:
         """Rebuild from scratch under a new epoch and push a refresh."""
@@ -378,9 +362,7 @@ class ViewMaintainer:
                 rows.extend(partition.rows)
         return order_rows(rows, query)
 
-    def _publish(
-        self, view: MaterializedView, rows: list[ResultRow], replace: bool = False
-    ) -> None:
+    def _publish(self, view: MaterializedView, rows: list[ResultRow]) -> None:
         """Adopt *rows*; emit a versioned delta if anything changed."""
         old_packed = view.packed_rows()
         view.rows = rows
@@ -390,7 +372,7 @@ class ViewMaintainer:
             return
         from_version = view.version
         view.version += 1
-        if replace or view.query.limit is not None:
+        if view.query.limit is not None:
             # a LIMIT window can shift wholesale; ship the new rows
             delta = ViewDelta(
                 view_id=view.view_id,

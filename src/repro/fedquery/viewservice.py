@@ -109,7 +109,7 @@ class ViewRegistryService(GridServiceBase, NotificationSourceMixin):
 
     def on_deployed(self, container, gsh) -> None:
         super().on_deployed(container, gsh)
-        self._publish_view_stats()
+        self.service_data.set("viewStats", self.viewStats)
 
     def _push_delta(self, view: MaterializedView, delta: ViewDelta) -> None:
         if self.container is None or self.state is not ServiceState.ACTIVE:
@@ -156,14 +156,3 @@ class ViewRegistryService(GridServiceBase, NotificationSourceMixin):
     def viewStats(self) -> list[str]:
         self.require_active()
         return [f"{k}|{v}" for k, v in sorted(self.maintainer.stats().items())]
-
-    # ---------------------------------------------------------------- SDEs
-    def _publish_view_stats(self) -> None:
-        self.service_data.set(
-            "viewStats",
-            [f"{k}|{v}" for k, v in sorted(self.engine.view_stats().items())],
-        )
-
-    def FindServiceData(self, queryExpression: str) -> str:
-        self._publish_view_stats()
-        return super().FindServiceData(queryExpression)

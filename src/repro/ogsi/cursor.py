@@ -112,13 +112,11 @@ class ResultCursorService(GridServiceBase):
         super().on_deployed(container, gsh)
         if self.ttl is not None:
             self.termination_time = container.clock.now() + self.ttl
-        self._publish_progress()
-
-    def _publish_progress(self) -> None:
-        self.service_data.set("chunksServed", str(self._seq))
-        self.service_data.set("rowsServed", str(self.rows_served))
-        self.service_data.set("done", "1" if self._exhausted else "0")
-        self.service_data.set("encoding", self._encoding)
+        sdes = self.service_data
+        sdes.set("chunksServed", lambda: str(self._seq))
+        sdes.set("rowsServed", lambda: str(self.rows_served))
+        sdes.set("done", lambda: "1" if self._exhausted else "0")
+        sdes.set("encoding", lambda: self._encoding)
 
     # --------------------------------------------------------- operations
     def next(self, maxRows: int) -> list[str]:
@@ -147,7 +145,6 @@ class ResultCursorService(GridServiceBase):
         seq = self._seq
         self._seq += 1
         self.rows_served += len(batch)
-        self._publish_progress()
         return encode_chunk(
             seq,
             batch,

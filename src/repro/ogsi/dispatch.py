@@ -240,21 +240,6 @@ class FairQueue:
         self._size -= 1
         return item
 
-    def pop_heads_while(self, predicate: Callable[[object], bool]) -> list:
-        """Pop, from the head of every key's FIFO, the items *predicate*
-        accepts (stopping at each key's first refusal); the surviving
-        keys keep their rotation order."""
-        popped: list = []
-        for key in list(self._queues):
-            fifo = self._queues[key]
-            while fifo and predicate(fifo[0]):
-                popped.append(fifo.popleft())
-            if not fifo:
-                del self._queues[key]
-                self._rotation.remove(key)
-        self._size -= len(popped)
-        return popped
-
     def drain(self) -> list:
         """Remove and return everything queued."""
         items = [item for fifo in self._queues.values() for item in fifo]

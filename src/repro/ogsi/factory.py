@@ -41,6 +41,10 @@ class FactoryService(GridServiceBase):
         self.instance_lifetime = instance_lifetime
         self.created_count = 0
 
+    def on_deployed(self, container, gsh) -> None:
+        super().on_deployed(container, gsh)
+        self.service_data.set("instancesCreated", lambda: str(self.created_count))
+
     def CreateService(self, creationParameters: list[str]) -> str:
         """Create one instance; returns its GSH as a string."""
         self.require_active()
@@ -51,5 +55,4 @@ class FactoryService(GridServiceBase):
         if self.instance_lifetime is not None:
             instance.termination_time = self.container.clock.now() + self.instance_lifetime
         self.created_count += 1
-        self.service_data.set("instancesCreated", str(self.created_count))
         return gsh.url()

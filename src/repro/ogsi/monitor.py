@@ -57,13 +57,16 @@ def _flatten(prefix: str, value, out: dict) -> None:
 class ContainerMonitorService(GridServiceBase):
     """SDE/operation surface over :meth:`ServiceContainer.stats`.
 
-    ``sources`` (or :meth:`add_stats_source`) attaches extra named stats
-    providers — e.g. the federation engine's fan-out scheduler — whose
-    dicts are flattened into dotted SDE names
-    (``fanoutScheduler.queueDepth``, ``fanoutScheduler.tenants.alpha.shed``)
-    so the same FindServiceData surface covers them.  A provider that
-    raises contributes a single ``<name>.error=1`` record instead of
-    breaking the whole refresh.
+    ``sources`` attaches extra named stats providers — e.g. the
+    federation engine's fan-out scheduler — whose dicts are flattened
+    into dotted SDE names (``fanoutScheduler.queueDepth``,
+    ``fanoutScheduler.tenants.alpha.shed``) so the same FindServiceData
+    surface covers them.  A provider that raises contributes a single
+    ``<name>.error=1`` record instead of breaking the whole refresh.
+
+    The counter names follow the tenants, so they cannot be producers
+    registered once: every read republishes them, and the set it
+    publishes replaces the last one wholesale.
     """
 
     porttype = CONTAINER_MONITOR_PORTTYPE
@@ -76,10 +79,8 @@ class ContainerMonitorService(GridServiceBase):
         super().__init__()
         self._target = target
         self._sources: dict[str, Callable[[], Mapping]] = dict(sources or {})
-
-    def add_stats_source(self, name: str, provider: Callable[[], Mapping]) -> None:
-        """Attach a named stats dict provider after deployment."""
-        self._sources[name] = provider
+        #: the counter names the last refresh published
+        self._published: set[str] = set()
 
     def _refresh(self) -> dict:
         stats: dict = dict(self._target.stats())
@@ -88,13 +89,12 @@ class ContainerMonitorService(GridServiceBase):
                 _flatten(name, provider(), stats)
             except Exception:
                 stats[f"{name}.error"] = 1
+        for name in self._published - stats.keys():
+            self.service_data.remove(name)
         for name, value in stats.items():
             self.service_data.set(name, str(value))
+        self._published = set(stats)
         return stats
-
-    def on_deployed(self, container, gsh) -> None:
-        super().on_deployed(container, gsh)
-        self._refresh()
 
     # --------------------------------------------------------- operations
     def FindServiceData(self, queryExpression: str) -> str:

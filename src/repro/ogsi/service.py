@@ -10,6 +10,7 @@ declared PortType.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -66,12 +67,13 @@ class GridServiceBase:
         # The service's WSDL document, published as an SDE so clients can
         # bind dynamically (the Figure 1 "download WSDL, generate stubs"
         # step) instead of relying on compile-time PortType knowledge.
-        # Rendered when first asked for: a ~3.6 KB serialisation per
-        # deployed instance, transient cursors included, is mostly unread.
+        # Rendered when first asked for, then remembered: a ~3.6 KB
+        # serialisation per deployed instance, transient cursors
+        # included, is mostly unread and never changes.
         from repro.wsdl.document import generate_wsdl
 
-        self.service_data.set_deferred(
-            "wsdl", lambda: generate_wsdl(self.porttype, gsh.endpoint_url())
+        self.service_data.set(
+            "wsdl", functools.cache(lambda: generate_wsdl(self.porttype, gsh.endpoint_url()))
         )
 
     def on_destroyed(self) -> None:

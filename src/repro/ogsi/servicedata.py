@@ -6,16 +6,25 @@ Execution instance exposes its metrics, foci, types, and time range as
 SDEs).  ``FindServiceData`` queries them either **by name** or, per the
 thesis's future-work §7, with an **XPath** expression over the XML
 rendering of the set (GT3.2's WS Information Services style).
+
+An SDE is either a value — the introspection entries every deployment
+sets — or a zero-argument producer run on every read, for anything a
+service derives from its own state: the way an MDS2 GRIS runs its
+information providers when a query asks, so no write path pays to keep
+copies nobody reads current.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Union
 
 from repro.xmlkit import Element, XPathError, serialize, xpath_select
 
 SDE_NS = "http://www.gridforum.org/namespaces/2003/03/serviceData"
+
+#: what an SDE holds: its values, or a producer of them
+SdeSource = Union[list[str], str, Callable[[], Union[list[str], str]]]
 
 
 @dataclass
@@ -33,43 +42,35 @@ class ServiceDataElement:
         return el
 
 
+def _as_list(values: list[str] | str) -> list[str]:
+    return [values] if isinstance(values, str) else list(values)
+
+
 class ServiceDataSet:
     """The SDE collection of one service."""
 
     def __init__(self) -> None:
-        self._elements: dict[str, ServiceDataElement] = {}
-        #: name -> producer of an SDE nobody has read yet
-        self._deferred: dict[str, Callable[[], list[str] | str]] = {}
+        self._sources: dict[str, SdeSource] = {}
 
-    def set(self, name: str, values: list[str] | str) -> ServiceDataElement:
-        if isinstance(values, str):
-            values = [values]
-        sde = ServiceDataElement(name, list(values))
-        self._elements[name] = sde
-        self._deferred.pop(name, None)
-        return sde
-
-    def set_deferred(self, name: str, produce: Callable[[], list[str] | str]) -> None:
-        """Declare an SDE whose values are computed by the first read of it.
-
-        For values that cost more to render than most instances are ever
-        asked for — every service publishes its WSDL, few are asked for it.
-        """
-        self._elements.pop(name, None)
-        self._deferred[name] = produce
+    def set(self, name: str, values: SdeSource) -> None:
+        """Publish *values* under *name*: a value, or a zero-argument
+        producer of one that every read (name, XPath, ``to_xml``) runs."""
+        self._sources[name] = values if callable(values) else _as_list(values)
 
     def get(self, name: str) -> ServiceDataElement | None:
-        produce = self._deferred.get(name)
-        if produce is not None:
-            return self.set(name, produce())
-        return self._elements.get(name)
+        source = self._sources.get(name)
+        if source is None:
+            return None
+        return ServiceDataElement(name, _as_list(source() if callable(source) else source))
 
     def names(self) -> list[str]:
-        return sorted({*self._elements, *self._deferred})
+        return sorted(self._sources)
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._sources
 
     def remove(self, name: str) -> None:
-        self._elements.pop(name, None)
-        self._deferred.pop(name, None)
+        self._sources.pop(name, None)
 
     def to_element(self) -> Element:
         root = Element("serviceData")

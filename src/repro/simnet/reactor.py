@@ -57,12 +57,6 @@ class Reactor:
         """Run ``fn(*args)`` on the reactor thread as soon as possible."""
         self._schedule(time.monotonic(), fn, args)
 
-    def call_later(self, delay: float, fn: Callable, *args) -> None:
-        """Run ``fn(*args)`` on the reactor thread after *delay* seconds."""
-        if delay < 0:
-            raise ValueError(f"delay must be >= 0, got {delay}")
-        self._schedule(time.monotonic() + delay, fn, args)
-
     def call_every(self, interval: float, fn: Callable, *args) -> RepeatingTask:
         """Run ``fn(*args)`` every *interval* seconds until cancelled."""
         if interval <= 0:
@@ -138,7 +132,7 @@ class Reactor:
     def drain(self, timeout: float = 10.0) -> bool:
         """Block until every *currently due* task has run (True on success).
 
-        Tasks scheduled for the future (``call_later`` / ``call_every``)
+        Tasks scheduled for the future (``call_every``'s next tick)
         don't hold ``drain`` open past their next due time — it waits for
         quiescence of due work, not for the end of time.
         """

@@ -130,13 +130,18 @@ class TestWrapperFailures:
         assert service.getPR("m", ["/Run"], "0", "1", UNDEFINED_TYPE) == []
         assert service.cache.stats.hits == 0
 
-    def test_discovery_failure_during_deploy_propagates(self):
+    def test_discovery_failure_faults_the_read_not_the_deploy(self):
         env = GridEnvironment()
         container = env.create_container("s:1")
-        with pytest.raises(OSError):
-            container.deploy(
-                "services/exec", ExecutionService(_ExplodingWrapper("get_metrics"), "1")
-            )
+        gsh = container.deploy(
+            "services/exec", ExecutionService(_ExplodingWrapper("get_metrics"), "1")
+        )
+        stub = env.stub_for_handle(gsh, EXECUTION_PORTTYPE)
+        # service data is computed when read: the store is asked then
+        with pytest.raises(SoapFault, match="disk on fire") as exc_info:
+            stub.FindServiceData("metrics")
+        assert exc_info.value.code == "Server"
+        assert "<value>1</value>" in stub.FindServiceData("execId")
 
 
 class TestServiceDeathMidSession:

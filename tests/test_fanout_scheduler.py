@@ -4,9 +4,9 @@ The contract under test: one engine-lifetime pool carries every fan-out
 (the oracle suites cover the merged bytes; here we cover the pool
 mechanics) — fair
 round-robin across tenants, token-bucket shedding with the established
-``ServerBusy`` fault, reactor-driven queue-wait shedding, lazy worker
-growth with idle reaping, the elastic stream lane, and the process-wide
-shared pool behind ``ExecutionQueryPanel.run_queries_parallel``.
+``ServerBusy`` fault, lazy worker growth with idle reaping, the elastic
+stream lane, and the process-wide shared pool behind
+``ExecutionQueryPanel.run_queries_parallel``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import pytest
 from repro.core.client import ExecutionQuery, ExecutionQueryPanel
 from repro.core.semantic import PerformanceResult
 from repro.experiments.common import build_synthetic_grid
+from repro.fedquery import scheduler as scheduler_module
 from repro.fedquery.scheduler import (
     DEFAULT_TENANT,
     FanoutScheduler,
@@ -27,7 +28,6 @@ from repro.fedquery.scheduler import (
 )
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 from repro.ogsi.dispatch import BusyFault, client_id_headers, is_busy_fault
-from repro.simnet.reactor import Reactor
 
 
 def wait_until(predicate, timeout: float = 5.0) -> bool:
@@ -116,7 +116,8 @@ class TestRateLimiting:
             sched.shutdown()
 
     def test_default_bucket_applies_to_every_tenant(self):
-        sched = FanoutScheduler(max_workers=1, rate=0.0001, burst=1)
+        sched = FanoutScheduler(max_workers=1)
+        sched.set_rate_limit(None, rate=0.0001, burst=1)
         try:
             sched.acquire_rate("anyone")
             with pytest.raises(BusyFault):
@@ -141,8 +142,9 @@ class TestWorkerLifecycle:
         finally:
             sched.shutdown()
 
-    def test_idle_workers_reaped_and_regrown(self):
-        sched = FanoutScheduler(max_workers=2, worker_idle_s=0.05)
+    def test_idle_workers_reaped_and_regrown(self, monkeypatch):
+        monkeypatch.setattr(scheduler_module, "WORKER_IDLE_S", 0.05)
+        sched = FanoutScheduler(max_workers=2)
         try:
             assert sched.submit(lambda: "x").result(timeout=5.0) == "x"
             assert wait_until(lambda: sched.worker_count() == 0, timeout=5.0)
@@ -189,41 +191,6 @@ class TestWorkerLifecycle:
             sched.submit(lambda: None)
         with pytest.raises(RuntimeError):
             sched.spawn(lambda: None)
-
-
-class TestQueueWaitShedding:
-    def test_reactor_tick_sheds_overstayed_tasks(self):
-        reactor = Reactor("shed-test")
-        sched = FanoutScheduler(
-            max_workers=1,
-            reactor=reactor,
-            max_queue_wait_s=0.05,
-            tick_interval_s=0.02,
-        )
-        try:
-            release, blocker = blocked_worker(sched)
-            victim = sched.submit(lambda: "never", tenant="slowpoke")
-            with pytest.raises(BusyFault) as info:
-                victim.result(timeout=5.0)
-            assert is_busy_fault(info.value)
-            release.set()
-            blocker.result(timeout=5.0)
-            stats = sched.stats()
-            assert stats["shedTimeouts"] >= 1
-            assert stats["tenants"]["slowpoke"]["shed"] >= 1
-            assert stats["avgUtilization"] > 0.0  # the tick sampled
-        finally:
-            sched.shutdown()
-            reactor.shutdown()
-
-    def test_attaching_to_shut_down_reactor_degrades_gracefully(self):
-        reactor = Reactor("dead")
-        reactor.shutdown()
-        sched = FanoutScheduler(max_workers=1, reactor=reactor)
-        try:
-            assert sched.submit(lambda: 7).result(timeout=5.0) == 7
-        finally:
-            sched.shutdown()
 
 
 class TestStreamLane:
@@ -375,18 +342,21 @@ class TestEngineIntegration:
         assert DEFAULT_TENANT in engine.scheduler_stats()["tenants"]
 
     def test_scheduler_stats_before_first_query_reports_absent_pool(self):
-        from repro.fedquery.executor import FederationEngine
+        """Reading stats builds the pool, which starts no thread: every
+        worker and lane thread is still absent."""
+        from repro.fedquery.executor import DEFAULT_FANOUT, FederationEngine
 
         engine = FederationEngine(client=None, managers={})
         stats = engine.scheduler_stats()
-        assert stats["maxWorkers"] == 0
-        assert stats["workers"] == 0
+        assert stats["maxWorkers"] == DEFAULT_FANOUT
+        assert stats["workers"] == 0 and stats["streamThreadsCreated"] == 0
         assert stats["submitted"] == 0
         assert stats["tenants"] == {}
+        engine.close()
 
     def test_scheduler_stats_keep_one_shape_across_first_use(self, fedgrid):
-        """Monitors flatten these keys into SDEs: the absent pool must
-        report exactly the key set the live pool does."""
+        """Monitors flatten these keys into SDEs: the idle pool must
+        report exactly the key set the busy pool does."""
         from repro.core.client import PPerfGridClient
         from repro.fedquery.executor import FederationEngine
 
@@ -394,7 +364,7 @@ class TestEngineIntegration:
         engine = FederationEngine(PPerfGridClient(grid.environment, grid.uddi_gsh))
         try:
             before = engine.scheduler_stats()
-            assert engine._scheduler is None  # reading stats built no pool
+            assert engine._pool().worker_count() == 0  # reading stats ran nothing
             engine.execute("SELECT m WHERE numprocs = 2")
             after = engine.scheduler_stats()
             assert after["submitted"] >= 1
@@ -451,10 +421,3 @@ class TestEngineIntegration:
         assert int(records["fanoutScheduler.submitted"]) >= 1
         assert "fanoutScheduler.queueDepth" in records
         assert f"fanoutScheduler.tenants.{DEFAULT_TENANT}.completed" in records
-
-    def test_manager_stats_nest_scheduler_counters(self, fedgrid):
-        grid, engine = fedgrid
-        engine.execute("SELECT m WHERE numprocs = 2")
-        site = next(iter(grid.sites.values()))
-        nested = site.manager.stats()["fanoutScheduler"]
-        assert nested["submitted"] >= 1

@@ -1,6 +1,7 @@
 """Tests for GSHs, service data, the GridService base, factories,
 registries, handle maps, and the container dispatch path."""
 
+import functools
 import math
 
 import pytest
@@ -99,9 +100,10 @@ class TestServiceData:
         assert sds.get("x") is None
 
     def test_deferred_value_is_produced_by_its_first_read_only(self):
+        # a producer that remembers its render, as the WSDL SDE's does
         sds = ServiceDataSet()
         calls = []
-        sds.set_deferred("big", lambda: calls.append(1) or "rendered")
+        sds.set("big", functools.cache(lambda: calls.append(1) or "rendered"))
         sds.set("small", "1")
         assert sds.names() == ["big", "small"] and not calls
         assert sds.get("small").values == ["1"] and not calls
@@ -110,10 +112,29 @@ class TestServiceData:
         assert "rendered" in sds.query("xpath://serviceDataElement[@name='big']/value")
         assert calls == [1]
 
+    def test_producer_runs_on_every_read_and_only_on_a_read(self):
+        sds = ServiceDataSet()
+        state = {"n": 0}
+
+        def produce():
+            state["n"] += 1
+            return [str(state["n"])]
+
+        sds.set("live", produce)
+        sds.set("small", "1")
+        assert sds.names() == ["live", "small"] and "live" in sds
+        assert sds.get("small").values == ["1"] and state["n"] == 0
+        assert sds.get("live").values == ["1"]
+        assert "<value>2</value>" in sds.query("name:live")
+        assert "<value>3</value>" in sds.to_xml()
+        assert "<value>4</value>" in sds.query(
+            "xpath://serviceDataElement[@name='live']/value"
+        )
+
     def test_deferred_value_is_replaced_or_removed_unproduced(self):
         sds = ServiceDataSet()
-        sds.set_deferred("a", lambda: 1 / 0)
-        sds.set_deferred("b", lambda: 1 / 0)
+        sds.set("a", lambda: 1 / 0)
+        sds.set("b", lambda: 1 / 0)
         sds.set("a", "now")
         sds.remove("b")
         assert sds.names() == ["a"] and sds.get("a").values == ["now"]

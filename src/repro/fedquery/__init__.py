@@ -74,20 +74,13 @@ from repro.fedquery.pushdown import (
 from repro.fedquery.service import FEDERATED_QUERY_PORTTYPE, FederatedQueryService
 from repro.fedquery.views import MaterializedView, ViewDelta, ViewMaintainer
 from repro.fedquery.viewservice import VIEW_REGISTRY_PORTTYPE, ViewRegistryService
-from repro.fedquery.stream import (
-    DEFAULT_CHUNK_DEPTH,
-    DEFAULT_MEMOIZE_MAX_BYTES,
-    MemberStream,
-    StreamedResult,
-    merge_streams,
-)
+from repro.fedquery.stream import DEFAULT_MEMOIZE_MAX_BYTES, StreamedResult, merge_streams
 
 __all__ = [
     "AGG_FUNCS",
     "AGG_RECORD_BYTES",
     "Accumulator",
     "CostModel",
-    "DEFAULT_CHUNK_DEPTH",
     "DEFAULT_CHUNK_ROWS",
     "DEFAULT_MEMOIZE_MAX_BYTES",
     "DEFAULT_STREAM_THRESHOLD_ROWS",
@@ -98,7 +91,6 @@ __all__ = [
     "MaterializedView",
     "MemberCost",
     "MemberPlan",
-    "MemberStream",
     "Plan",
     "Predicate",
     "PredicateSplit",

@@ -28,14 +28,14 @@
 6. **Streaming execution** — ``execute(query, stream=True)`` returns a
    :class:`~repro.fedquery.stream.StreamedResult` instead of a
    materialized row list.  Raw queries without ORDER BY take the true
-   streaming path: each member execution's rows arrive pre-sorted
-   (server-side ``ordered`` cursors, or a client-side sort for provably
-   small members where bulk ``getPR`` is cheaper) and a k-way heap
-   merge yields them in exactly the bulk path's canonical order, with
-   at most ``DEFAULT_CHUNK_DEPTH`` chunks in flight per member.
-   Aggregates and ORDER BY need every row before the first output row,
-   so they run the bulk pipeline internally and stream its finished
-   rows.  Fully drained streams memoize like bulk results (up to
+   streaming path: each member execution is one lazy generator whose
+   rows arrive pre-sorted (server-side ``ordered`` cursors, or a
+   client-side sort for provably small members where bulk ``getPR`` is
+   cheaper), and a k-way heap merge pulls them — on the thread that
+   drains the result, one member chunk at a time — in exactly the bulk
+   path's canonical order.  Aggregates and ORDER BY need every row
+   before the first output row, so they run the bulk pipeline
+   internally and stream its finished rows.  Fully drained streams memoize like bulk results (up to
    ``stream_memoize_max_bytes``); partial drains and degraded runs
    never do.
 """
@@ -69,12 +69,7 @@ from repro.fedquery.parser import parse_query
 from repro.fedquery.planner import MemberPlan, Plan, SubQuery, plan_query
 from repro.fedquery.pushdown import filter_foci, matches_value
 from repro.fedquery.scheduler import DEFAULT_TENANT, FanoutScheduler
-from repro.fedquery.stream import (
-    DEFAULT_MEMOIZE_MAX_BYTES,
-    MemberStream,
-    StreamedResult,
-    merge_streams,
-)
+from repro.fedquery.stream import DEFAULT_MEMOIZE_MAX_BYTES, StreamedResult, merge_streams
 from repro.soap.faults import SoapFault
 from repro.xmlkit import parse as parse_xml
 
@@ -446,13 +441,8 @@ class FederationEngine:
         self, query: Query, fingerprint: str, tenant: str
     ) -> StreamedResult:
         plan, stats, deps, errors, finish = self._begin_uncached(query, fingerprint, tenant)
-        # producers run on the scheduler's elastic stream lane (slots
-        # accounted to the tenant), never on the bounded sub-query pool:
-        # a backpressure-blocked producer must not eat a slot another
-        # tenant's bulk tasks need
-        runner = partial(self._pool().spawn, tenant=tenant)
-        #: one MemberStream per selected execution (not started)
-        streams: list[MemberStream] = []
+        #: one lazy row generator per selected execution (nothing read yet)
+        streams: list[Iterator[ResultRow]] = []
         for member, executions, subqueries, cursor in self.member_work(
             plan.members, stats
         ):
@@ -460,13 +450,10 @@ class FederationEngine:
             # member stream is wholly sorted by the row key (app and exec
             # are constant within a stream)
             subqueries = sorted(subqueries, key=lambda sq: ordering_key(sq.metric))
-            for execution in executions:
-                produce = self._stream_producer(
-                    member, execution, subqueries, query, cursor, stats, deps
-                )
-                streams.append(
-                    MemberStream(f"{member.app}:{len(streams)}", produce, runner)
-                )
+            streams.extend(
+                self._member_rows(member, execution, subqueries, query, cursor, stats, deps)
+                for execution in executions
+            )
         return StreamedResult(
             columns=query.output_columns,
             source=self._stream_rows(query, streams, stats, errors, finish),
@@ -555,7 +542,7 @@ class FederationEngine:
         self, execution, sub: SubQuery, foci: list[str], stats,
         cursor: bool, ordered: bool = False, columnar: bool = False,
     ):
-        """The one member read under bulk tasks, stream producers and
+        """The one member read under bulk tasks, member streams and
         view maintenance: *sub* over *foci* on *execution*, as a context
         whose value iterates the records — ``getPRAgg`` buckets, or
         ``getPR`` results (through a chunked *cursor* when asked, else
@@ -583,58 +570,43 @@ class FederationEngine:
                 stats["records"] += rows.rows_fetched
                 stats["payloadBytes"] += rows.bytes_fetched
 
-    def _stream_producer(
+    def _member_rows(
         self, member: MemberPlan, execution, subqueries, query: Query,
         cursor: bool, stats, deps,
-    ):
-        """Build the producer generator for one execution's stream: what
+    ) -> Iterator[ResultRow]:
+        """One execution's sorted row stream, as a lazy generator: what
         :meth:`read` hands over, already sorted, is filtered by the value
-        predicates (so filtered rows never cross the merge), converted
-        and batched into chunks."""
-        chunk_rows = self.stream_chunk_rows
+        predicates (so filtered rows never cross the merge) and
+        converted.  Nothing is read until the merge pulls the first row;
+        closing the generator closes the open read's cursor."""
         value_preds = query.predicates_on("value")
 
-        def chunks(stop, execution, ctx, foci):
+        def rows_of(execution, ctx, foci):
             deps.add((member.app, ctx.exec_id))
             for sub in subqueries if foci else ():
-                if stop.is_set():
-                    return
-                batch: list[ResultRow] = []
                 with self.read(execution, sub, foci, stats, cursor, ordered=True) as rows:
                     for result in rows:
-                        if stop.is_set():
-                            return
-                        if value_preds and not matches_value(result.value, value_preds):
-                            continue
-                        batch.append(raw_row(member.app, ctx.exec_id, result))
-                        if len(batch) >= chunk_rows:
-                            yield batch
-                            batch = []
-                if batch:
-                    yield batch
+                        if not value_preds or matches_value(result.value, value_preds):
+                            yield raw_row(member.app, ctx.exec_id, result)
 
-        def produce(stop):
-            return self.on_execution(member, execution, partial(chunks, stop))
-
-        return produce
+        return self.on_execution(member, execution, rows_of)
 
     def _stream_rows(
-        self, query: Query, streams: list[MemberStream], stats,
+        self, query: Query, streams: list[Iterator[ResultRow]], stats,
         errors: list[str], finish,
     ):
         """The consumer generator behind a raw-path StreamedResult.
 
-        Starts the member streams on first iteration, merges, enforces
+        Merges the member generators on the thread iterating it, enforces
         LIMIT (sound under the heap invariant: every yielded row is a
         global minimum, so the first N are the bulk path's first N), and
         on clean exhaustion memoizes — only a stream drained to its end
         or its LIMIT, and only while the accumulated rows stay under
-        ``stream_memoize_max_bytes``.
+        ``stream_memoize_max_bytes``.  Drained, stopped or closed, every
+        member generator is closed on the way out.
         """
         acc: list[ResultRow] | None = []
         acc_bytes = 0
-        for member_stream in streams:
-            member_stream.start()
         try:
             merged = merge_streams(streams, partial(self._degrade, stats, errors))
             for row in islice(merged, query.limit):
@@ -784,7 +756,7 @@ class FederationEngine:
         self, members: Iterable[MemberPlan], stats
     ) -> Iterator[tuple[MemberPlan, list, list[SubQuery], bool]]:
         """The one enumeration of member work behind a plan, consumed by
-        the bulk task builder, the stream producers and view maintenance.
+        the bulk task builder, the member streams and view maintenance.
 
         Yields ``(member, executions, subqueries, cursor)`` per member
         that really fans out: its selected executions, the sub-queries
@@ -835,7 +807,7 @@ class FederationEngine:
 
     def on_execution(self, member: MemberPlan, execution, body) -> Iterator:
         """The per-execution prologue every result path shares (bulk
-        task, stream producer, view maintenance): yields what the
+        task, member stream, view maintenance): yields what the
         generator ``body(execution, ctx, foci)`` yields — *ctx* naming
         the execution (dependencies are keyed ``(app, exec_id)``) with
         its info when the plan needs it, *foci* its remembered foci

@@ -21,16 +21,13 @@ measured).  :class:`FanoutScheduler` is one engine-lifetime pool:
   token per query against the tenant's bucket (:meth:`set_rate_limit`)
   and sheds excess with the established ``ServerBusy``
   :class:`~repro.ogsi.dispatch.BusyFault`.
-* **An elastic stream lane** — :meth:`spawn` runs long-lived
-  backpressure-blocked producers (:class:`~repro.fedquery.stream.
-  MemberStream`) on reusable threads *outside* the bounded pool, so a
-  stalled stream can never deadlock the sub-query workers, while
-  per-tenant slot accounting still shows who holds stream capacity.
+
+Streamed queries take no thread from here: their member reads run on
+the thread that drains the result (:mod:`repro.fedquery.stream`).
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from concurrent.futures import Future
@@ -46,9 +43,6 @@ DEFAULT_TENANT = "default"
 
 #: idle pool workers exit after this long with nothing queued
 WORKER_IDLE_S = 10.0
-
-#: parked stream-lane threads exit after this long without a new producer
-STREAM_IDLE_S = 5.0
 
 #: minimum spacing between worker spawns once one worker exists —
 #: damped growth: a submit burst must sustain a backlog to grow the
@@ -98,7 +92,7 @@ class _TenantState:
 
     __slots__ = (
         "submitted", "completed", "cancelled", "shed",
-        "wait_total_s", "wait_count", "wait_max_s", "stream_slots",
+        "wait_total_s", "wait_count", "wait_max_s",
     )
 
     def __init__(self) -> None:
@@ -109,7 +103,6 @@ class _TenantState:
         self.wait_total_s = 0.0
         self.wait_count = 0
         self.wait_max_s = 0.0
-        self.stream_slots = 0
 
     def snapshot(self, queued: int) -> dict[str, object]:
         avg_ms = (
@@ -123,7 +116,6 @@ class _TenantState:
             "queued": queued,
             "avgWaitMs": round(avg_ms, 3),
             "maxWaitMs": round(1000.0 * self.wait_max_s, 3),
-            "streamSlots": self.stream_slots,
         }
 
 
@@ -143,7 +135,10 @@ class FanoutScheduler:
         #: queued tasks, keyed by tenant (guarded by _cond)
         self._queue = FairQueue()
         self._tenants: dict[str, _TenantState] = {}
+        #: buckets set for one tenant, and those the default rate built
+        #: for tenants without one — dropped whenever the default changes
         self._buckets: dict[str, TokenBucket] = {}
+        self._default_buckets: dict[str, TokenBucket] = {}
         self._default_rate: float | None = None
         self._default_burst = 0.0
         self._last_spawn = 0.0
@@ -158,14 +153,6 @@ class FanoutScheduler:
         self.cancelled = 0
         self.shed = 0
         self.peak_queued = 0
-        # elastic stream lane (guarded by _stream_lock)
-        self._stream_lock = threading.Lock()
-        self._stream_idle_chans: list[queue.SimpleQueue] = []
-        self._stream_active = 0
-        self._stream_peak = 0
-        self.stream_threads_created = 0
-        self.stream_threads_reused = 0
-        self.stream_failures = 0
 
     # ------------------------------------------------------------- submission
     def submit(self, fn: Callable, tenant: str = DEFAULT_TENANT) -> Future:
@@ -206,9 +193,11 @@ class FanoutScheduler:
             if bucket is None:
                 if self._default_rate is None:
                     return
-                bucket = self._buckets[tenant] = TokenBucket(
-                    self._default_rate, max(1.0, self._default_burst)
-                )
+                bucket = self._default_buckets.get(tenant)
+                if bucket is None:
+                    bucket = self._default_buckets[tenant] = TokenBucket(
+                        self._default_rate, max(1.0, self._default_burst)
+                    )
             if not bucket.try_acquire(tokens):
                 self.shed += 1
                 self._tenant_locked(tenant).shed += 1
@@ -222,82 +211,21 @@ class FanoutScheduler:
     ) -> None:
         """Configure the token bucket for *tenant* (``None`` = the default
         applied to tenants without an explicit bucket).  ``rate=None``
-        removes the limit."""
+        removes the limit.  Either way the affected tenants start from a
+        full bucket."""
         with self._cond:
             if tenant is None:
                 self._default_rate = rate
                 self._default_burst = burst if burst is not None else (rate or 0.0)
+                self._default_buckets.clear()
                 return
+            self._default_buckets.pop(tenant, None)
             if rate is None:
                 self._buckets.pop(tenant, None)
                 return
             self._buckets[tenant] = TokenBucket(
                 rate, max(1.0, burst if burst is not None else rate)
             )
-
-    # ------------------------------------------------------------ stream lane
-    def spawn(self, fn: Callable[[], None], tenant: str = DEFAULT_TENANT) -> None:
-        """Run a long-lived producer on the elastic stream lane.
-
-        Stream producers block on backpressure for arbitrarily long, so
-        they must not occupy bounded pool slots (a wide streamed query
-        could otherwise starve every other tenant's sub-queries into a
-        deadlock).  Parked lane threads are reused across streams; the
-        tenant's ``streamSlots`` gauge tracks who holds lane capacity.
-        """
-        with self._cond:
-            if self._shutdown:
-                raise RuntimeError(f"scheduler {self.name!r} is shut down")
-            self._tenant_locked(tenant).stream_slots += 1
-            self._stream_active += 1
-            self._stream_peak = max(self._stream_peak, self._stream_active)
-        job = (fn, tenant)
-        with self._stream_lock:
-            if self._stream_idle_chans:
-                chan = self._stream_idle_chans.pop()
-                self.stream_threads_reused += 1
-                chan.put(job)
-                return
-            self.stream_threads_created += 1
-        thread = threading.Thread(
-            target=self._stream_loop, args=(job,),
-            name=f"{self.name}-stream", daemon=True,
-        )
-        thread.start()
-
-    def _stream_loop(self, job) -> None:
-        while job is not None:
-            fn, tenant = job
-            try:
-                fn()
-            except Exception:
-                # producers report their own failures through the
-                # MemberStream contract; a raw escape must not kill the
-                # lane thread (it would defeat parking/reuse)
-                with self._cond:
-                    self.stream_failures += 1
-            finally:
-                with self._cond:
-                    self._tenant_locked(tenant).stream_slots -= 1
-                    self._stream_active -= 1
-            chan: queue.SimpleQueue = queue.SimpleQueue()
-            with self._stream_lock:
-                if self._shutdown:
-                    return
-                self._stream_idle_chans.append(chan)
-            try:
-                job = chan.get(timeout=STREAM_IDLE_S)
-            except queue.Empty:
-                with self._stream_lock:
-                    try:
-                        self._stream_idle_chans.remove(chan)
-                    except ValueError:
-                        # a dispatcher (or shutdown) claimed this thread
-                        # between the timeout and the lock: the job (or
-                        # the shutdown sentinel) is already in flight
-                        job = chan.get()
-                    else:
-                        return
 
     # ---------------------------------------------------------------- workers
     def _spawn_worker_locked(self) -> None:
@@ -386,11 +314,6 @@ class FanoutScheduler:
             self._cond.notify_all()
         for task in pending:
             task.future.cancel()
-        with self._stream_lock:
-            idle = list(self._stream_idle_chans)
-            self._stream_idle_chans.clear()
-        for chan in idle:
-            chan.put(None)
         me = threading.current_thread()
         for thread in workers:
             if thread is not me:
@@ -416,11 +339,6 @@ class FanoutScheduler:
                 "shed": self.shed,
                 "workersCreated": self.workers_created,
                 "poolUtilization": round(self._busy / self.max_workers, 6),
-                "streamActive": self._stream_active,
-                "streamPeak": self._stream_peak,
-                "streamThreadsCreated": self.stream_threads_created,
-                "streamThreadsReused": self.stream_threads_reused,
-                "streamFailures": self.stream_failures,
                 "tenants": tenants,
             }
 

@@ -1,6 +1,8 @@
 """Failure-injection tests: corrupted messages, dying services,
 misbehaving wrappers, hostile inputs at every boundary."""
 
+import threading
+
 import pytest
 
 from repro.core import PPerfGridClient, PPerfGridSite, SiteConfig
@@ -14,6 +16,8 @@ from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 from repro.ogsi import GridEnvironment, GridServiceHandle
 from repro.soap import SoapFault
 from repro.soap.rpc import decode_response, encode_request
+
+from tests.test_member_read import live_cursors
 
 
 @pytest.fixture()
@@ -288,8 +292,8 @@ class TestStatsFetchFailures:
 
 
 class TestTenantIsolationUnderFailure:
-    """A tenant whose member dies mid-stream must release its pool and
-    stream-lane slots; other tenants' queries proceed undisturbed."""
+    """A tenant whose member dies mid-stream leaves no member cursor and
+    no thread behind; other tenants' queries proceed undisturbed."""
 
     def _grid(self):
         def rows(metric, count, base):
@@ -321,6 +325,7 @@ class TestTenantIsolationUnderFailure:
         monkeypatch.setattr(
             grid.execution_service("B", "0"), "getPRChunked", broken
         )
+        before = set(threading.enumerate())
         with engine.execute(
             "SELECT m", stream=True, tenant="victim"
         ) as streamed:
@@ -328,11 +333,10 @@ class TestTenantIsolationUnderFailure:
         assert {row["app"] for row in rows} == {"A"}
         assert len(streamed.errors) == 1
 
-        # the dead member's producer drained out of the stream lane:
-        # every slot the victim held is back
-        stats = engine.scheduler_stats()
-        assert stats["streamActive"] == 0
-        assert stats["tenants"]["victim"]["streamSlots"] == 0
+        # the members were read on this thread, and each read closed
+        # with the stream: no cursor and no thread outlive the query
+        assert live_cursors(grid) == 0
+        assert set(threading.enumerate()) <= before
 
         # an unrelated tenant's bulk query is unaffected
         result = engine.execute(
@@ -353,9 +357,9 @@ class TestTenantIsolationUnderFailure:
         monkeypatch.setattr(
             grid.execution_service("A", "0"), "getPRChunked", broken
         )
+        before = set(threading.enumerate())
         streamed = engine.execute("SELECT m", stream=True, tenant="victim")
         next(iter(streamed))  # touch the stream, then abandon it
         streamed.close()
-        stats = engine.scheduler_stats()
-        assert stats["tenants"]["victim"]["streamSlots"] == 0
-        assert stats["streamActive"] == 0
+        assert live_cursors(grid) == 0
+        assert set(threading.enumerate()) <= before

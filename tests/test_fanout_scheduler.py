@@ -4,9 +4,8 @@ The contract under test: one engine-lifetime pool carries every fan-out
 (the oracle suites cover the merged bytes; here we cover the pool
 mechanics) — fair
 round-robin across tenants, token-bucket shedding with the established
-``ServerBusy`` fault, lazy worker growth with idle reaping, the elastic
-stream lane, and the process-wide shared pool behind
-``ExecutionQueryPanel.run_queries_parallel``.
+``ServerBusy`` fault, lazy worker growth with idle reaping, and the
+process-wide shared pool behind ``ExecutionQueryPanel.run_queries_parallel``.
 """
 
 from __future__ import annotations
@@ -127,6 +126,25 @@ class TestRateLimiting:
         finally:
             sched.shutdown()
 
+    @pytest.mark.parametrize(
+        "rate, burst", [(None, None), (1000.0, 1000)], ids=["lifted", "raised"]
+    )
+    def test_a_new_default_reaches_a_tenant_already_charged(self, rate, burst):
+        """The buckets the default rate built go whenever the default
+        changes: lifting it (``rate=None``) or raising it frees a tenant
+        that the old default had already shed."""
+        sched = FanoutScheduler(max_workers=1)
+        try:
+            sched.set_rate_limit(None, rate=0.0001, burst=1)
+            sched.acquire_rate("t")
+            with pytest.raises(BusyFault):
+                sched.acquire_rate("t")
+            sched.set_rate_limit(None, rate, burst=burst)
+            sched.acquire_rate("t")
+            sched.acquire_rate("t")
+        finally:
+            sched.shutdown()
+
 
 class TestWorkerLifecycle:
     def test_workers_reused_across_batches(self):
@@ -189,50 +207,6 @@ class TestWorkerLifecycle:
         sched.shutdown()  # idempotent
         with pytest.raises(RuntimeError):
             sched.submit(lambda: None)
-        with pytest.raises(RuntimeError):
-            sched.spawn(lambda: None)
-
-
-class TestStreamLane:
-    def test_spawn_releases_slots_and_reuses_threads(self):
-        sched = FanoutScheduler(max_workers=1)
-        try:
-            done = threading.Event()
-            sched.spawn(done.set, tenant="s")
-            assert done.wait(timeout=5.0)
-            assert wait_until(lambda: sched.stats()["streamActive"] == 0)
-            time.sleep(0.2)  # let the lane thread park
-            done2 = threading.Event()
-            sched.spawn(done2.set, tenant="s")
-            assert done2.wait(timeout=5.0)
-            assert wait_until(lambda: sched.stats()["streamActive"] == 0)
-            stats = sched.stats()
-            assert stats["streamThreadsCreated"] == 1
-            assert stats["streamThreadsReused"] == 1
-            assert stats["tenants"]["s"]["streamSlots"] == 0
-            assert stats["streamPeak"] == 1
-        finally:
-            sched.shutdown()
-
-    def test_stream_failure_still_releases_slot(self):
-        sched = FanoutScheduler(max_workers=1)
-        try:
-            def boom():
-                raise RuntimeError("producer died")
-
-            sched.spawn(boom, tenant="f")
-            assert wait_until(lambda: sched.stats()["streamActive"] == 0)
-            stats = sched.stats()
-            assert stats["tenants"]["f"]["streamSlots"] == 0
-            assert stats["streamFailures"] == 1
-            # the lane thread survived the escape and parked for reuse
-            done = threading.Event()
-            time.sleep(0.1)
-            sched.spawn(done.set, tenant="f")
-            assert done.wait(timeout=5.0)
-            assert sched.stats()["streamThreadsReused"] == 1
-        finally:
-            sched.shutdown()
 
 
 class TestSharedScheduler:
@@ -343,13 +317,13 @@ class TestEngineIntegration:
 
     def test_scheduler_stats_before_first_query_reports_absent_pool(self):
         """Reading stats builds the pool, which starts no thread: every
-        worker and lane thread is still absent."""
+        worker is still absent."""
         from repro.fedquery.executor import DEFAULT_FANOUT, FederationEngine
 
         engine = FederationEngine(client=None, managers={})
         stats = engine.scheduler_stats()
         assert stats["maxWorkers"] == DEFAULT_FANOUT
-        assert stats["workers"] == 0 and stats["streamThreadsCreated"] == 0
+        assert stats["workers"] == 0
         assert stats["submitted"] == 0
         assert stats["tenants"] == {}
         engine.close()

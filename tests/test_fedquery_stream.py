@@ -12,7 +12,6 @@ on ``data_updated``.
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
@@ -21,6 +20,8 @@ from repro.core.semantic import PerformanceResult
 from repro.experiments.common import build_synthetic_grid
 from repro.fedquery import QueryError
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
+
+from tests.test_member_read import live_cursors
 
 RAW_QUERY = "SELECT m"
 
@@ -216,80 +217,39 @@ class TestQueryStreamOverSoap:
         assert list(it) == []
 
 
-class TestMemberStreamClose:
-    """Satellite: ``close()`` wakes a blocked producer immediately.
+class TestNothingLeftBehind:
+    """Member cursors are paged on the thread that drains the stream:
+    however a streamed query ends — drained, stopped by LIMIT, closed
+    after one row, or with one member failing — it leaves no member
+    cursor open and no thread running, whether the engine is iterated
+    directly or through the federation cursor over SOAP."""
 
-    The old ``_enqueue`` retried a 50 ms ``queue.Full`` poll loop, so an
-    early close slept out up to a full tick per member before the
-    producer noticed.  The condition-signalled buffer wakes it at once.
-    """
+    @pytest.mark.parametrize("surface", ["engine", "client"])
+    @pytest.mark.parametrize(
+        "ending", ["drained", "limit", "closed-after-one-row", "member-raises"]
+    )
+    def test_no_member_cursor_and_no_thread_outlive_the_query(
+        self, fedgrid, monkeypatch, surface, ending
+    ):
+        grid, engine = fedgrid
+        if ending == "member-raises":
 
-    def _thread_runner(self):
-        """A plain daemon-thread runner (the engine passes the
-        scheduler's stream lane); returns (runner, started threads)."""
-        threads: list[threading.Thread] = []
+            def broken(*args, **kwargs):
+                raise RuntimeError("store connection lost")
 
-        def runner(fn):
-            thread = threading.Thread(target=fn, daemon=True)
-            threads.append(thread)
-            thread.start()
-
-        return runner, threads
-
-    def _blocked_stream(self):
-        from repro.fedquery.stream import MemberStream
-
-        producing = threading.Event()
-
-        def produce(stop):
-            for i in range(1000):
-                producing.set()
-                yield [f"row-{i}"]
-
-        runner, threads = self._thread_runner()
-        stream = MemberStream("m", produce, runner, chunk_depth=1)
-        stream.start()
-        assert producing.wait(timeout=5.0)
-        return stream, threads[0]
-
-    def test_close_wakes_blocked_producer_promptly(self):
-        stream, producer = self._blocked_stream()
-        time.sleep(0.05)  # let the producer block on the full window
-        start = time.monotonic()
-        stream.close()
-        elapsed = time.monotonic() - start
-        producer.join(timeout=2.0)
-        assert not producer.is_alive()  # close waited the producer out
-        assert elapsed < 0.5, f"close took {elapsed * 1e3:.0f} ms"
-
-    def test_next_row_after_close_returns_none(self):
-        stream, _ = self._blocked_stream()
-        stream.close()
-        assert stream.next_row() is None
-
-    def test_consumer_blocked_on_empty_stream_woken_by_close(self):
-        from repro.fedquery.stream import MemberStream
-
-        release = threading.Event()
-
-        def produce(stop):
-            release.wait(timeout=10.0)
-            yield []
-
-        runner, _ = self._thread_runner()
-        stream = MemberStream("m", produce, runner, chunk_depth=1)
-        stream.start()
-        got: list = []
-        consumer = threading.Thread(
-            target=lambda: got.append(stream.next_row()), daemon=True
-        )
-        consumer.start()
-        time.sleep(0.05)  # consumer is parked on the empty buffer
-        release.set()
-        consumer.join(timeout=5.0)
-        assert not consumer.is_alive()
-        assert got == [None]
-        stream.close()
+            monkeypatch.setattr(grid.execution_service("B", "0"), "getPRChunked", broken)
+        text = "SELECT m LIMIT 3" if ending == "limit" else RAW_QUERY
+        before = set(threading.enumerate())
+        if surface == "engine":
+            stream = engine.execute(text, stream=True)
+        else:
+            stream = grid.client.query_stream(text, max_rows=4)
+        with stream:
+            rows = [next(stream)] if ending == "closed-after-one-row" else list(stream)
+        expected = {"drained": 30, "limit": 3, "closed-after-one-row": 1, "member-raises": 20}
+        assert len(rows) == expected[ending]
+        assert live_cursors(grid) == 0
+        assert set(threading.enumerate()) <= before
 
 
 class TestStatsDeltas:

@@ -313,8 +313,9 @@ class ExecutionBinding:
     ) -> "ArrayRead | ChunkedResultIterator":
         """The one member read: a ``getPR`` array (``getPRAgg`` when
         *aggregate* gives its ``(min_value, max_value, group_by)``) or,
-        when *cursor* is set, a ``getPRChunked`` cursor paging *max_rows*
-        at a time.  Either is an iterable of records, in ``pr_sort_key``
+        when *cursor* is set on a raw read, a ``getPRChunked`` cursor
+        paging *max_rows* at a time — aggregates never page through a
+        cursor.  Either is an iterable of records, in ``pr_sort_key``
         order when *ordered*, with ``rows_fetched``, ``close()`` and
         ``bytes_fetched`` — the packed length of the records as they
         arrived, counted here because nothing later holds the strings.
@@ -323,7 +324,7 @@ class ExecutionBinding:
         ``getPR`` does when *columnar* is set (the caller expects a large
         answer), which may then be one columnar chunk of the same records.
         """
-        if cursor:
+        if cursor and aggregate is None:
             return self.get_pr_chunked(
                 metric, foci, start, end, result_type, max_rows=max_rows, ordered=ordered
             )

@@ -128,10 +128,6 @@ class Query:
     def predicates_on(self, field_name: str) -> tuple[Predicate, ...]:
         return tuple(p for p in self.where if p.field == field_name)
 
-    def attribute_predicates(self) -> tuple[Predicate, ...]:
-        """Predicates on execution attributes (non-reserved fields)."""
-        return tuple(p for p in self.where if p.field not in RESERVED_FIELDS)
-
     def group_attributes(self) -> tuple[str, ...]:
         """Group keys that are execution attributes."""
         return tuple(k for k in self.group_by if k not in ("app", "exec", "focus"))

@@ -68,14 +68,14 @@ from repro.fedquery.merge import (
 from repro.fedquery.parser import parse_query
 from repro.fedquery.planner import MemberPlan, Plan, SubQuery, plan_query
 from repro.fedquery.pushdown import filter_foci, matches_value
-from repro.fedquery.scheduler import DEFAULT_TENANT, FanoutScheduler
+from repro.fedquery.scheduler import DEFAULT_POOL_WORKERS, DEFAULT_TENANT, FanoutScheduler
 from repro.fedquery.stream import DEFAULT_MEMOIZE_MAX_BYTES, StreamedResult, merge_streams
 from repro.soap.faults import SoapFault
 from repro.xmlkit import parse as parse_xml
 
-#: fan-out defaults: *default* when no Manager topology is known, *cap*
-#: so a large federation cannot spawn an unbounded thread pool
-DEFAULT_FANOUT = 8
+#: fan-out cap, so a large federation cannot spawn an unbounded thread
+#: pool (with no Manager topology known the width is the scheduler's
+#: ``DEFAULT_POOL_WORKERS``)
 FANOUT_CAP = 32
 
 #: fan-out slots per replica container (dispatch serializes per service,
@@ -88,17 +88,14 @@ DEFAULT_PLAN_CACHE_BYTES = 4 * 1024 * 1024
 DEFAULT_PLAN_CACHE_ENTRIES = 256
 
 
-def choose_fanout(
-    manager_stats: list[dict[str, object]],
-    default: int = DEFAULT_FANOUT,
-    cap: int = FANOUT_CAP,
-) -> int:
-    """Pool width from the Managers' replica topology (*default* when
-    none is known): ``SLOTS_PER_REPLICA`` per replica, at most *cap*."""
+def choose_fanout(manager_stats: list[dict[str, object]]) -> int:
+    """Pool width from the Managers' replica topology
+    (``DEFAULT_POOL_WORKERS`` when none is known): ``SLOTS_PER_REPLICA``
+    per replica, at most ``FANOUT_CAP``."""
     replicas = sum(int(stats.get("replicas", 0)) for stats in manager_stats)
     if replicas <= 0:
-        return default
-    return min(cap, SLOTS_PER_REPLICA * replicas)
+        return DEFAULT_POOL_WORKERS
+    return min(FANOUT_CAP, SLOTS_PER_REPLICA * replicas)
 
 
 def _sde_values(xml: str) -> list[str]:
@@ -557,7 +554,7 @@ class FederationEngine:
             aggregate = (sub.min_value, sub.max_value, "focus" if sub.group_by_focus else "")
         rows = execution.read(
             sub.metric, foci, sub.start, sub.end, sub.result_type, aggregate,
-            cursor=cursor and aggregate is None, max_rows=self.stream_chunk_rows,
+            cursor=cursor, max_rows=self.stream_chunk_rows,
             ordered=ordered, columnar=columnar,
         )
         try:

@@ -348,14 +348,15 @@ _SHARED: FanoutScheduler | None = None
 _SHARED_LOCK = threading.Lock()
 
 
-def shared_scheduler(max_workers: int = DEFAULT_POOL_WORKERS) -> FanoutScheduler:
-    """The process-wide pool for client-side batch work (query panels).
+def shared_scheduler() -> FanoutScheduler:
+    """The process-wide pool for client-side batch work (query panels),
+    ``DEFAULT_POOL_WORKERS`` wide.
 
     Created on first use; replaced transparently if the previous one was
-    shut down.  ``max_workers`` applies only when (re)creating.
+    shut down.
     """
     global _SHARED
     with _SHARED_LOCK:
         if _SHARED is None or _SHARED.is_shutdown:
-            _SHARED = FanoutScheduler(max_workers=max_workers, name="shared")
+            _SHARED = FanoutScheduler(name="shared")
         return _SHARED

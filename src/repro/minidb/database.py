@@ -104,9 +104,6 @@ class Database:
     def table_names(self) -> list[str]:
         return sorted(t.schema.name for t in self.tables.values())
 
-    def total_rows(self) -> int:
-        return sum(len(t) for t in self.tables.values())
-
     def load_rows(self, table: str, columns: list[str], rows: list[tuple] | list[list]) -> int:
         """Bulk-load positional rows into *table* (ETL fast path)."""
         return self.table(table).insert_many(columns, rows)

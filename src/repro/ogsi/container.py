@@ -11,13 +11,15 @@ to different services proceed concurrently while one stateful instance
 still sees one request at a time.  The ingress runs under an
 :class:`~repro.ogsi.dispatch.AdmissionController` — a bounded request
 queue with per-client fair queueing that sheds excess load with a
-``Server``-role busy fault instead of convoying.  Lifetime sweeps take
-each victim's gate (and re-check expiry under it), so a sweep can never
-destroy a service mid-dispatch.
+``Server``-role busy fault instead of convoying.  Lifetime sweeps run
+when :meth:`~ServiceContainer.sweep_expired` is called, on the caller's
+thread; they take each victim's gate (and re-check expiry under it), so
+a sweep can never destroy a service mid-dispatch.
 
 A :class:`GridEnvironment` groups containers, wires them to a shared
-transport/clock/reactor, and builds client stubs — the whole "grid" of
-one PPerfGrid session lives in one environment object.
+transport and clock, and builds client stubs — the whole "grid" of one
+PPerfGrid session lives in one environment object.  It starts no thread
+of its own.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from repro.simnet.clock import Clock, RealClock
 from repro.simnet.host import SimHost
 from repro.simnet.lru import LruStore
 from repro.simnet.metrics import Recorder
-from repro.simnet.reactor import Reactor, RepeatingTask
 from repro.simnet.transport import LoopbackTransport, Transport
 from repro.soap.faults import SoapFault, fault_from_exception
 from repro.soap.rpc import decode_request, encode_fault, encode_response
@@ -356,7 +357,7 @@ class StubPool:
 
 
 class GridEnvironment:
-    """One grid: shared clock, transport, reactor, a set of containers."""
+    """One grid: shared clock, transport, a set of containers."""
 
     def __init__(self, clock: Clock | None = None, recorder: Recorder | None = None) -> None:
         self.clock: Clock = clock or RealClock()
@@ -365,8 +366,6 @@ class GridEnvironment:
         self._containers: dict[str, ServiceContainer] = {}
         #: makes "is an authority bound? bind it" one step
         self._containers_lock = threading.RLock()
-        self._reactor: Reactor | None = None
-        self._sweeper: RepeatingTask | None = None
         #: shared TTL'd stub cache for the pooled bind helpers
         self.stub_pool = StubPool(clock=self.clock)
 
@@ -404,52 +403,14 @@ class GridEnvironment:
     def containers(self) -> list[ServiceContainer]:
         return [self._containers[a] for a in sorted(self._containers)]
 
-    # --------------------------------------------------------------- reactor
-    @property
-    def reactor(self) -> Reactor:
-        """The environment's deferred-work loop (created on first use)."""
-        if self._reactor is None:
-            self._reactor = Reactor(name="grid-env")
-        return self._reactor
-
-    def start_sweeper(self, interval: float) -> RepeatingTask:
-        """Run :meth:`sweep_expired` every *interval* seconds on the reactor.
-
-        Replaces any previously started sweeper.  The sweep itself
-        serializes with dispatch through the per-service gates, so it is
-        safe to run concurrently with live traffic.
-        """
-        if self._sweeper is not None:
-            self._sweeper.cancel()
-        self._sweeper = self.reactor.call_every(interval, self.sweep_expired)
-        return self._sweeper
-
-    def stop_sweeper(self) -> None:
-        if self._sweeper is not None:
-            self._sweeper.cancel()
-            self._sweeper = None
-
     def close(self, drain_timeout: float = 5.0) -> None:
-        """Quiesce, then tear down; the environment stays usable for
-        synchronous work afterwards.  Idempotent.
-
-        Ordering matters: first cancel the sweeper (no *new* sweeps),
-        then let already-due reactor work — including a sweep caught
-        mid-flight — run to completion, then wait for every container's
-        in-flight and queued dispatches to drain, and only then stop the
-        reactor.  The old stop-everything-at-once order could shut the
-        reactor down under a dispatch that was about to schedule
-        deferred work on it.
+        """Wait for every container's in-flight and queued dispatches to
+        drain (at most *drain_timeout* seconds each).  Idempotent; the
+        environment stays usable afterwards.  The grid runs no thread of
+        its own, so there is nothing else to stop.
         """
-        self.stop_sweeper()
-        reactor = self._reactor
-        if reactor is not None:
-            reactor.drain(timeout=drain_timeout)
         for container in self._containers.values():
             container.admission.wait_idle(timeout=drain_timeout)
-        if reactor is not None:
-            reactor.shutdown()
-            self._reactor = None
 
     # ---------------------------------------------------------------- stubs
     def stub_for_handle(
@@ -542,8 +503,5 @@ class GridEnvironment:
         return make_stub(porttype, endpoint, self.transport, headers_provider)
 
     def sweep_expired(self) -> int:
-        """Run lifetime sweeps on every container."""
+        """Run lifetime sweeps on every container, on the caller's thread."""
         return sum(c.sweep_expired() for c in self._containers.values())
-
-    def total_services(self) -> int:
-        return sum(c.service_count() for c in self._containers.values())

@@ -145,10 +145,6 @@ def in_dispatch() -> bool:
     return bool(_FRAMES.stack)
 
 
-def dispatch_depth() -> int:
-    return len(_FRAMES.stack)
-
-
 @contextmanager
 def dispatch_frame(gate: ServiceGate, headers: Iterable[Element] = ()) -> Iterator[None]:
     """Hold *gate* for one dispatch, visible to :func:`suspend_dispatch`;
@@ -324,10 +320,9 @@ class AdmissionController:
     def wait_idle(self, timeout: float = 5.0) -> bool:
         """Block until no request is in flight or queued (True on success).
 
-        The teardown half of the admission contract: environment close
-        drains in-flight dispatches through this before stopping the
-        reactor, so a service mid-request never sees its infrastructure
-        vanish under it.
+        The teardown half of the admission contract:
+        ``GridEnvironment.close()`` is this wait, once per container, so
+        teardown returns only after every in-flight request has answered.
         """
         with self._cond:
             return self._cond.wait_for(

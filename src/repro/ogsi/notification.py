@@ -117,18 +117,6 @@ class NotificationSourceMixin:
                     self.delivery_failures += 1
         return delivered
 
-    def notify_async(self, topic: str, message: str) -> None:
-        """Queue a :meth:`notify` on the environment's reactor.
-
-        Returns immediately; delivery happens on the reactor thread with
-        no dispatch state held at all.  Use
-        ``environment.reactor.drain()`` in tests to wait for completion.
-        """
-        container = self.container  # type: ignore[attr-defined]
-        if container is None:
-            raise RuntimeError("source is not deployed")
-        container.environment.reactor.call_soon(self.notify, topic, message)
-
     def subscription_count(self) -> int:
         return len(self._subscriptions)
 

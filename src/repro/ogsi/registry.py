@@ -67,12 +67,6 @@ class RegistryService(GridServiceBase):
                 out.append(reg.handle)
         return sorted(out)
 
-    def information_for(self, handle: str) -> list[str] | None:
-        """Local accessor (not a PortType op) used by clients in-process."""
-        self._sweep()
-        reg = self._entries.get(handle)
-        return list(reg.information) if reg is not None else None
-
     def live_count(self) -> int:
         self._sweep()
         return len(self._entries)

@@ -11,7 +11,7 @@ Wire types use the names of :class:`repro.soap.encoding.XsdType`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.soap.encoding import SoapEncodingError, XsdType
 
@@ -109,17 +109,3 @@ class PortType:
 
     def has_operation(self, name: str) -> bool:
         return any(op.name == name for op in self.all_operations())
-
-
-@dataclass
-class PortTypeRegistry:
-    """Name -> PortType lookup used when parsing WSDL with extensions."""
-
-    by_name: dict[str, PortType] = field(default_factory=dict)
-
-    def register(self, porttype: PortType) -> PortType:
-        self.by_name[porttype.name] = porttype
-        return porttype
-
-    def get(self, name: str) -> PortType | None:
-        return self.by_name.get(name)

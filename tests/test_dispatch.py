@@ -20,7 +20,6 @@ from repro.ogsi.dispatch import (
     extract_client_id,
     suspend_dispatch,
 )
-from repro.simnet.reactor import Reactor
 from repro.soap.faults import SoapFault
 from repro.wsdl.porttype import Operation, Parameter, PortType
 
@@ -523,62 +522,3 @@ class TestSuspendDispatch:
         assert stub.ping("x") == "x"
         assert observed == [False, True]
 
-
-class TestReactor:
-    def test_call_soon_runs_in_order(self):
-        reactor = Reactor()
-        seen: list[int] = []
-        for i in range(5):
-            reactor.call_soon(seen.append, i)
-        assert reactor.drain(timeout=5.0)
-        assert seen == [0, 1, 2, 3, 4]
-        reactor.shutdown()
-
-    def test_call_every_repeats_until_cancelled(self):
-        reactor = Reactor()
-        seen: list[float] = []
-        task = reactor.call_every(0.01, lambda: seen.append(time.monotonic()))
-        time.sleep(0.08)
-        task.cancel()
-        count = len(seen)
-        assert count >= 2
-        time.sleep(0.05)
-        assert len(seen) <= count + 1  # at most one already-queued tick
-        reactor.shutdown()
-
-    def test_task_failure_does_not_kill_reactor(self):
-        reactor = Reactor()
-
-        def boom():
-            raise RuntimeError("task exploded")
-
-        seen: list[str] = []
-        reactor.call_soon(boom)
-        reactor.call_soon(seen.append, "alive")
-        assert reactor.drain(timeout=5.0)
-        assert seen == ["alive"]
-        assert reactor.task_failures == 1
-        reactor.shutdown()
-
-    def test_shutdown_rejects_new_work(self):
-        reactor = Reactor()
-        reactor.call_soon(lambda: None)
-        reactor.drain(timeout=5.0)
-        reactor.shutdown()
-        with pytest.raises(RuntimeError):
-            reactor.call_soon(lambda: None)
-
-    def test_environment_sweeper_runs_on_reactor(self):
-        from repro.simnet.clock import VirtualClock
-
-        env = GridEnvironment(clock=VirtualClock())
-        container = env.create_container("c:1")
-        service, _ = deploy_echo(container)
-        service.termination_time = 5.0
-        env.clock.advance(10.0)
-        env.start_sweeper(interval=0.01)
-        deadline = time.monotonic() + 5.0
-        while container.service_count() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert container.service_count() == 0
-        env.close()

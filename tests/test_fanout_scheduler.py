@@ -20,6 +20,7 @@ from repro.core.semantic import PerformanceResult
 from repro.experiments.common import build_synthetic_grid
 from repro.fedquery import scheduler as scheduler_module
 from repro.fedquery.scheduler import (
+    DEFAULT_POOL_WORKERS,
     DEFAULT_TENANT,
     FanoutScheduler,
     TokenBucket,
@@ -318,11 +319,11 @@ class TestEngineIntegration:
     def test_scheduler_stats_before_first_query_reports_absent_pool(self):
         """Reading stats builds the pool, which starts no thread: every
         worker is still absent."""
-        from repro.fedquery.executor import DEFAULT_FANOUT, FederationEngine
+        from repro.fedquery.executor import FederationEngine
 
         engine = FederationEngine(client=None, managers={})
         stats = engine.scheduler_stats()
-        assert stats["maxWorkers"] == DEFAULT_FANOUT
+        assert stats["maxWorkers"] == DEFAULT_POOL_WORKERS
         assert stats["workers"] == 0
         assert stats["submitted"] == 0
         assert stats["tenants"] == {}

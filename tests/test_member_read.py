@@ -137,6 +137,16 @@ class TestBindingReader:
         buckets = execution.get_pr_agg("n", ALL_FOCI, group_by="focus")
         assert buckets.bytes_fetched == sum(map(len, packs(buckets))) and len(buckets) == FOCI
 
+    def test_an_aggregate_never_pages_through_a_cursor(self, federation):
+        grid, _, wire, _ = federation
+        execution = grid.bind("APP0").all_executions()[0]
+        aggregate = (None, None, "")
+        buckets = packs(execution.read("m", ALL_FOCI, aggregate=aggregate))
+        wire.take()
+        paged = execution.read("m", ALL_FOCI, aggregate=aggregate, cursor=True, max_rows=7)
+        assert isinstance(paged, ArrayRead) and packs(paged) == buckets and len(buckets) == 1
+        assert "getPRChunked" not in wire.take() and live_cursors(grid) == 0
+
     def test_the_local_reader_never_opens_a_cursor(self, federation):
         grid, _, wire, wrappers = federation
         client = PPerfGridClient(grid.environment)

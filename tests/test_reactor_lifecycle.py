@@ -1,12 +1,10 @@
-"""Reactor and GridEnvironment teardown ordering.
+"""GridEnvironment teardown ordering.
 
-The contract under test: ``Reactor.shutdown()`` is idempotent and safe
-while a repeating task is mid-tick (the shutdown-while-sweeping race);
-``AdmissionController.wait_idle`` observes the drain; and
-``GridEnvironment.close()`` stops the sweeper, lets due reactor work
-run, waits for in-flight dispatches, and only then stops the reactor —
-so teardown can never yank the reactor out from under a dispatch about
-to schedule deferred work on it.
+The contract under test: ``AdmissionController.wait_idle`` observes the
+drain, and ``GridEnvironment.close()`` is that wait for every
+container — it returns only after in-flight dispatches have answered,
+is idempotent, and starts or stops no background work: lifetime sweeps
+run only when ``sweep_expired()`` is called.
 """
 
 from __future__ import annotations
@@ -16,54 +14,9 @@ import time
 
 from repro.ogsi import GridEnvironment
 from repro.ogsi.dispatch import AdmissionController
-from repro.simnet.reactor import Reactor
+from repro.simnet.clock import VirtualClock
 
 from tests.test_dispatch import deploy_echo
-
-
-class TestReactorShutdown:
-    def test_double_shutdown_is_idempotent(self):
-        reactor = Reactor("twice")
-        seen: list[int] = []
-        reactor.call_soon(seen.append, 1)
-        assert reactor.drain(timeout=5.0)
-        reactor.shutdown()
-        reactor.shutdown()  # second call must be a no-op, not an error
-        assert reactor.is_shutdown
-        assert seen == [1]
-
-    def test_shutdown_while_repeating_task_runs(self):
-        """A tick caught mid-flight by shutdown stops cleanly.
-
-        The tick's reschedule lands after the queue is closed; that must
-        end the repetition silently, not count a task failure.
-        """
-        reactor = Reactor("sweep-race")
-        entered = threading.Event()
-        release = threading.Event()
-
-        def sweep():
-            entered.set()
-            release.wait(timeout=5.0)
-
-        reactor.call_every(0.01, sweep)
-        assert entered.wait(timeout=5.0)
-        # release the tick shortly after shutdown starts joining, so the
-        # reschedule runs against an already-closed queue
-        threading.Timer(0.05, release.set).start()
-        reactor.shutdown()
-        assert reactor.is_shutdown
-        assert reactor.task_failures == 0
-
-    def test_schedule_after_shutdown_raises(self):
-        reactor = Reactor("closed")
-        reactor.shutdown()
-        try:
-            reactor.call_soon(lambda: None)
-        except RuntimeError:
-            pass
-        else:  # pragma: no cover - defends the assertion below
-            raise AssertionError("call_soon on a shut-down reactor must raise")
 
 
 class TestWaitIdle:
@@ -116,27 +69,17 @@ class TestEnvironmentClose:
         thread.join(timeout=5.0)
         assert replies == ["unblocked"]
         assert container.admission.inflight == 0
-        assert env._reactor is None
 
     def test_close_is_idempotent_and_stops_sweeper(self):
-        env = GridEnvironment()
-        env.create_container("c:1")
-        ticks: list[float] = []
-        env.reactor.call_every(0.01, lambda: ticks.append(time.monotonic()))
-        env.start_sweeper(0.01)
-        time.sleep(0.05)
+        """Closing twice is a no-op, and no sweep runs behind the caller:
+        an expired instance outlives both closes until ``sweep_expired``."""
+        env = GridEnvironment(clock=VirtualClock())
+        container = env.create_container("c:1")
+        service, _ = deploy_echo(container)
+        service.termination_time = 5.0
+        env.clock.advance(10.0)
         env.close()
-        env.close()  # second close: no reactor left, still a no-op
-        count = len(ticks)
-        time.sleep(0.05)
-        assert len(ticks) == count  # nothing runs after close
-        assert env._reactor is None
-
-    def test_close_then_reactor_property_restarts_fresh(self):
-        env = GridEnvironment()
-        first = env.reactor
         env.close()
-        second = env.reactor
-        assert second is not first
-        assert not second.is_shutdown
-        env.close()
+        assert container.service_count() == 1
+        assert env.sweep_expired() == 1
+        assert container.service_count() == 0

@@ -6,10 +6,13 @@ component holds now, and no operation pays to keep a copy current: the
 write-count guard below pins that the member operations write no
 service data beyond a new instance's introspection values.  Also here:
 the container monitor's wholesale refresh, and the federation pool's
-lifecycle (the engine builds its pool, and closing the engine joins it).
+lifecycle (the engine builds its pool, closing the engine joins it, and
+a query starts no thread outside it).
 """
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
@@ -189,8 +192,14 @@ class TestFederationPoolLifecycle:
         assert not any(worker.is_alive() for worker in workers)
 
     def test_a_query_starts_no_reactor(self, grid):
+        """The only threads a query leaves behind are the engine's pool
+        workers: the grid itself runs no loop of its own."""
+        before = set(threading.enumerate())
         engine = grid.deploy_federation()
-        assert engine.execute("SELECT count(m) GROUP BY app").rows
-        assert grid.client.query("SELECT m WHERE numprocs = 4")
-        assert grid.environment._reactor is None
+        assert engine.execute("SELECT m WHERE numprocs = 2").rows
+        assert list(engine.execute("SELECT m WHERE numprocs = 4", stream=True))
+        assert grid.client.query("SELECT count(m) GROUP BY app")
+        started = set(threading.enumerate()) - before
+        assert started
+        assert started <= engine._scheduler._workers
         engine.close()

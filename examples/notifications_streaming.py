@@ -55,8 +55,8 @@ def main() -> None:
     for path in exec_container.service_paths():
         service = exec_container.service_at(path)
         if getattr(service, "exec_id", None) == exec_id:
-            delivered = service.announce_update("gflops recalibrated")
-            print(f"announce_update delivered {delivered} push notification(s)")
+            delivered = service.data_updated("gflops recalibrated")
+            print(f"data_updated delivered {delivered} push notification(s)")
 
     print(f"Push sink received: {received}")
     print(f"Pull sink poll:     {pull_sink.poll()}")

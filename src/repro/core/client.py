@@ -773,27 +773,25 @@ class ViewSubscription:
             self.stale_refreshes += 1
             self.refresh()
             return
-        if delta.kind == "replace":
-            self.rows = list(map(ResultRow.unpacker(), delta.added))
-        else:
-            counts = Counter(row.pack() for row in self.rows)
-            for packed in delta.removed:
-                if counts.get(packed, 0) <= 0:
-                    # the delta removes a row we never had: local state
-                    # has diverged, so fall back to a consistent refresh
-                    self.stale_refreshes += 1
-                    self.refresh()
-                    return
-                counts[packed] -= 1
-            for packed in delta.added:
-                counts[packed] += 1
-            rows = []
-            unpack = ResultRow.unpacker()
-            for packed, count in counts.items():
-                rows.extend([unpack(packed)] * count)
-            # the canonical order is deterministic, so re-sorting the
-            # multiset reproduces the server's row order byte for byte
-            self.rows = order_rows(rows, self.query)
+        counts = Counter(row.pack() for row in self.rows)
+        for packed in delta.removed:
+            if counts.get(packed, 0) <= 0:
+                # the delta removes a row we never had: local state
+                # has diverged, so fall back to a consistent refresh
+                self.stale_refreshes += 1
+                self.refresh()
+                return
+            counts[packed] -= 1
+        for packed in delta.added:
+            counts[packed] += 1
+        rows = []
+        unpack = ResultRow.unpacker()
+        for packed, count in counts.items():
+            rows.extend([unpack(packed)] * count)
+        # the canonical order is deterministic, so re-sorting (and
+        # re-limiting) the multiset reproduces the server's rows byte for
+        # byte — a LIMIT window that shifted included
+        self.rows = order_rows(rows, self.query)
         self.version = delta.to_version
         self.deltas_applied += 1
 

@@ -333,10 +333,6 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
             "data-update", f"{self.exec_id}|{self.generation}|{source}|{description}"
         )
 
-    def announce_update(self, description: str) -> int:
-        """Back-compat alias for :meth:`data_updated`."""
-        return self.data_updated(description)
-
     def unpack_results(self, packed: list[str]) -> list[PerformanceResult]:
         """Convenience for in-process callers/tests."""
         return [PerformanceResult.unpack(p) for p in packed]

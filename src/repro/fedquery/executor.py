@@ -661,18 +661,13 @@ class FederationEngine:
     def _on_update(self, topic: str, message: str) -> None:
         """Data-update delivery: the tracker drops exactly what read the
         updated scope, then — after its lock is released, because view
-        maintenance re-plans and refetches member rows — the views
-        depending on that scope are brought up to date."""
+        maintenance re-plans and refetches member rows — each scope goes
+        unchanged to the view maintainer, whose one refetch brings the
+        views depending on it up to date."""
         scopes = self.coherence.on_update(message, self._bindings or ())
         maintainer = self._view_maintainer
-        if maintainer is None:
-            return
-        for app, exec_id in scopes:
-            if app is None:
-                maintainer.on_full_refresh()
-            elif exec_id is None:
-                maintainer.on_member_update(app)
-            else:
+        if maintainer is not None:
+            for app, exec_id in scopes:
                 maintainer.on_update(app, exec_id)
 
     def coherence_stats(self) -> dict[str, int]:

@@ -168,7 +168,8 @@ class Accumulator:
         self.count += 1
         self.total += value
 
-    def absorb(self, record: AggregateRecord) -> None:
+    def absorb(self, record: "AggregateRecord | Accumulator") -> None:
+        """Fold a getPRAgg bucket, or another accumulator (view re-merges), in."""
         if record.count <= 0:
             return
         if self.count == 0:
@@ -181,21 +182,6 @@ class Accumulator:
                 self.maximum = record.maximum
         self.count += record.count
         self.total += record.total
-
-    def merge(self, other: "Accumulator") -> None:
-        """Fold another combinable accumulator in (view re-merges)."""
-        if other.count <= 0:
-            return
-        if self.count == 0:
-            self.minimum = other.minimum
-            self.maximum = other.maximum
-        else:
-            if other.minimum < self.minimum:
-                self.minimum = other.minimum
-            if other.maximum > self.maximum:
-                self.maximum = other.maximum
-        self.count += other.count
-        self.total += other.total
 
     def result(self, func: str) -> object:
         if func == "count":
@@ -304,14 +290,10 @@ class StreamingMerger:
 
         View maintenance keeps one snapshot per member execution and
         rebuilds the view output by re-merging all partitions — min/max
-        are not invertible, so deltas *replace* a partition's snapshot
+        are not invertible, so a refetch *replaces* a partition's snapshot
         instead of subtracting from a global state.
         """
         return {key: dict(metrics) for key, metrics in self._groups.items()}
-
-    def raw_rows(self) -> list[ResultRow]:
-        """Snapshot of the (unordered) raw rows absorbed so far."""
-        return list(self._raw_rows)
 
     def absorb_groups(
         self, groups: dict[tuple[str, ...], dict[str, Accumulator]]
@@ -319,7 +301,7 @@ class StreamingMerger:
         """Fold another merger's group snapshot in (combinable merge)."""
         for key, metrics in groups.items():
             for metric, acc in metrics.items():
-                self._accumulator(key, metric).merge(acc)
+                self._accumulator(key, metric).absorb(acc)
 
     # ------------------------------------------------------------- output
     def rows(self) -> list[ResultRow]:

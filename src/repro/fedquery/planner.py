@@ -110,7 +110,6 @@ class MemberPlan:
     foci: frozenset[str] | None  # None -> all of each execution's foci
     group_attrs: tuple[str, ...]
     needs_info: bool
-    needs_exec_id: bool
     cost: MemberCost
     #: answer tier: "tier0-stats" (exact from metadata), "tier0-sketch"
     #: (bounded estimate from merged sketches), "pushdown" (getPRAgg),
@@ -448,7 +447,6 @@ def plan_query(
     mode = "aggregate" if aggregate else "raw"
     group_attrs = query.group_attributes()
     group_by_focus = "focus" in query.group_by
-    needs_exec_id = (not query.is_aggregate) or ("exec" in query.group_by)
     cost_model = CostModel(query, split, window, bounds, allowlist, mode)
     tier0_capable = tier0 and tier0_query_eligible(query, split, window, allowlist)
 
@@ -490,7 +488,6 @@ def plan_query(
                     foci=None,
                     group_attrs=(),
                     needs_info=False,
-                    needs_exec_id=False,
                     cost=replace(cost, est_rows=0, est_bytes=0, est_calls=0),
                     tier=tier_label,
                     tier0=partials,
@@ -508,7 +505,6 @@ def plan_query(
                 foci=allowlist,
                 group_attrs=group_attrs,
                 needs_info=bool(group_attrs),
-                needs_exec_id=needs_exec_id,
                 cost=cost,
                 tier="pushdown"
                 if any(sub.mode == "aggregate" for sub in subqueries)

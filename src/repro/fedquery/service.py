@@ -137,18 +137,6 @@ FEDERATED_QUERY_PORTTYPE = PortType(
                 "factsRemembered, factHits, factReads, staleHandles."
             ),
         ),
-        Operation(
-            "viewStats",
-            (),
-            "xsd:string[]",
-            doc=(
-                "View-maintenance counters as 'name|value' records: "
-                "views, created, dropped, deltasApplied, "
-                "deltaRowsFetched, deltaBytesFetched, scopedRecomputes, "
-                "epochRefreshes, noopUpdates, pushedDeltas, "
-                "maintenanceErrors."
-            ),
-        ),
     ),
     extends=(GRID_SERVICE_PORTTYPE,),
 )
@@ -170,7 +158,6 @@ class FederatedQueryService(GridServiceBase):
         super().on_deployed(container, gsh)
         self.service_data.set("planCacheStats", self.getCacheStats)
         self.service_data.set("coherenceStats", self.coherenceStats)
-        self.service_data.set("viewStats", self.viewStats)
 
     # --------------------------------------------------------- operations
     def query(self, queryText: str) -> list[str]:
@@ -239,7 +226,3 @@ class FederatedQueryService(GridServiceBase):
     def coherenceStats(self) -> list[str]:
         self.require_active()
         return [f"{k}|{v}" for k, v in sorted(self.engine.coherence_stats().items())]
-
-    def viewStats(self) -> list[str]:
-        self.require_active()
-        return [f"{k}|{v}" for k, v in sorted(self.engine.view_stats().items())]

@@ -3,24 +3,27 @@
 A :class:`MaterializedView` is a standing federated query whose answer
 the engine keeps current under ``data_updated`` traffic instead of
 recomputing it per query.  The maintenance model is semi-naive delta
-evaluation over *partitions* — one partition per ``(app, exec_id)`` the
-view reads:
+evaluation over *partitions* — one per ``(app, exec_id)`` the view
+reads, each holding that execution's own merger snapshot:
 
-* **aggregate-merge** views keep each partition's combinable
-  group -> metric -> :class:`~repro.fedquery.merge.Accumulator`
-  snapshot; a data-update refetches only the notifying execution's
-  snapshot (min/max are not invertible, so deltas replace a partition
-  rather than subtract from a global state) and the output re-merges
-  all snapshots.  ``mean`` folds as the (total, count) pair.
-* **raw-splice** views keep each partition's projected rows; the output
-  is the canonical ordering of their concatenation.
-* **topk-bounded** (ORDER BY/LIMIT) views keep only each partition's
-  own top-N candidate set: under the total row order the global top-N
-  is always a subset of the union of per-partition top-Ns.
+* **aggregate-merge** views keep its group -> metric ->
+  :class:`~repro.fedquery.merge.Accumulator` snapshot; min/max are not
+  invertible, so a refetch replaces a partition rather than subtracting
+  from a global state, and the output re-merges all snapshots.  ``mean``
+  folds as the (total, count) pair.
+* **raw-splice** views keep its projected rows; the output is the
+  canonical ordering of their concatenation.
+* **topk-bounded** (ORDER BY/LIMIT) views keep only its own top-N
+  candidate set: under the total row order the global top-N is always a
+  subset of the union of per-partition top-Ns.
+
+Every update takes one path: the coherence tracker's scope — an
+execution ``(app, exec_id)``, a member ``(app, None)`` or everything
+``(None, None)`` — drives one partition refetch, and the view re-folds.
 
 Consistency is tracked per view with an *(epoch, version)* pair:
 ``version`` advances with every applied change; ``epoch`` advances when
-the view was rebuilt from scratch (an unattributable update, or any
+the view was refetched whole (an unattributable update, or any
 maintenance failure).  Emitted :class:`ViewDelta` messages carry both,
 so a subscriber applying a delta against a stale epoch or version can
 detect the gap and refresh consistently instead of silently diverging.
@@ -57,10 +60,9 @@ VIEW_STAT_NAMES = (
 class ViewDelta:
     """One versioned change to a view, in wire form.
 
-    ``kind`` is ``delta`` (apply removed/added to the current rows),
-    ``replace`` (added *is* the new row set — LIMIT views, where a
-    one-row change can shift the whole window), or ``refresh`` (a new
-    epoch: adopt added unconditionally).
+    ``kind`` is ``delta`` (apply removed/added to the current rows, then
+    re-sort and re-limit — a shifted LIMIT window included) or
+    ``refresh`` (a new epoch: adopt added unconditionally).
     """
 
     view_id: str
@@ -98,14 +100,6 @@ class ViewDelta:
         )
 
 
-@dataclass
-class _Partition:
-    """One execution's contribution to a view."""
-
-    groups: dict | None = None  # aggregate-merge: group -> metric -> Accumulator
-    rows: list[ResultRow] | None = None  # raw shapes (bounded for top-k)
-
-
 class MaterializedView:
     """One standing query plus its maintained state."""
 
@@ -117,8 +111,9 @@ class MaterializedView:
         self.epoch = 1
         self.version = 1
         self.rows: list[ResultRow] = []
-        #: (app, exec_id) -> _Partition
-        self.partitions: dict[tuple[str, str], _Partition] = {}
+        #: (app, exec_id) -> that execution's merger snapshot: its group
+        #: accumulators (aggregate views) or its rows (raw views)
+        self.partitions: dict[tuple[str, str], dict | list[ResultRow]] = {}
         #: member apps the view depends on (contributing *or* skipped on
         #: a stats proof — a skip must be re-evaluated after an update)
         self.deps: set[str] = set()
@@ -149,10 +144,9 @@ def _multiset_diff(
 class ViewMaintainer:
     """Owns every materialized view of one :class:`FederationEngine`.
 
-    The engine's coherence sink routes each ``data_updated`` here (after
-    releasing its own lock): precisely attributed updates refetch one
-    partition, member-scoped ones recompute that member's partitions,
-    unattributable ones rebuild every view under a new epoch.
+    The engine's coherence sink hands each ``data_updated`` scope to
+    :meth:`on_update` (after releasing its own lock), which refetches
+    exactly that scope of every view depending on it.
     """
 
     def __init__(self, engine) -> None:
@@ -168,14 +162,16 @@ class ViewMaintainer:
     def add_listener(self, callback) -> None:
         self._listeners.append(callback)
 
-    def create_view(self, query: str | Query) -> MaterializedView:
-        text = query if isinstance(query, str) else query.fingerprint()
-        parsed = parse_query(query) if isinstance(query, str) else query.validate()
-        shape = view_shape(parsed)
+    def create_view(self, text: str) -> MaterializedView:
+        if not isinstance(text, str):
+            # the text is the view's identity on the wire (getView's
+            # query header, which a subscriber parses back)
+            raise TypeError(f"a view is created from query text, not {type(text).__name__}")
+        query = parse_query(text)
         with self._lock:
             self._counter += 1
-            view = MaterializedView(f"view-{self._counter}", text, parsed, shape)
-            view.rows = self._rebuild(view)
+            view = MaterializedView(f"view-{self._counter}", text, query, view_shape(query))
+            view.rows = self._refetch(view)
             self._views[view.view_id] = view
             self.counters["created"] += 1
         return view
@@ -205,197 +201,125 @@ class ViewMaintainer:
         return out
 
     # --------------------------------------------------------- maintenance
-    def on_update(self, app: str, exec_id: str) -> None:
-        """Precisely attributed update: refetch one partition per view."""
+    def on_update(self, app: str | None, exec_id: str | None) -> None:
+        """Bring one coherence scope — an execution ``(app, exec_id)``, a
+        member ``(app, None)`` or everything ``(None, None)`` — into every
+        view depending on it.  A scoped refetch is pushed as a delta;
+        everything, or a scoped refetch that failed, is refetched and
+        pushed as a refresh under a new epoch."""
         with self._lock:
             for view in self._views.values():
-                if app not in view.deps:
+                if app is not None and app not in view.deps:
                     continue
+                if app is not None:
+                    try:
+                        rows = self._refetch(view, app, exec_id)
+                    except Exception:
+                        self.counters["maintenanceErrors"] += 1
+                    else:
+                        scope = "scopedRecomputes" if exec_id is None else "deltasApplied"
+                        self.counters[scope] += 1
+                        self._publish(view, rows)
+                        continue
                 try:
-                    self._apply_delta(view, app, exec_id)
+                    rows = self._refetch(view)
                 except Exception:
                     self.counters["maintenanceErrors"] += 1
-                    self._refresh_view(view)
-
-    def on_member_update(self, app: str) -> None:
-        """Member-scoped update: recompute that member's partitions."""
-        with self._lock:
-            for view in self._views.values():
-                if app not in view.deps:
                     continue
-                try:
-                    self._recompute_member(view, app)
-                except Exception:
-                    self.counters["maintenanceErrors"] += 1
-                    self._refresh_view(view)
-
-    def on_full_refresh(self) -> None:
-        """Unattributable update: rebuild every view under a new epoch."""
-        with self._lock:
-            for view in self._views.values():
-                self._refresh_view(view)
+                self.counters["epochRefreshes"] += 1
+                self._publish(view, rows, new_epoch=True)
 
     # ----------------------------------------------------------- internals
-    # Maintenance plans always pass allow_tier0=False: a tier-0 member
-    # has no executions to partition by, and view deltas *replace*
-    # per-(app, exec) partition snapshots — it must fetch real data.
-    def _apply_delta(self, view: MaterializedView, app: str, exec_id: str) -> None:
-        """Semi-naive step: replace exactly the updated partition."""
-        plan = self.engine._plan(view.query, allow_tier0=False)
-        view.deps = self._plan_deps(plan)
-        member = next((m for m in plan.members if m.app == app), None)
-        if member is None:
-            # fresh statistics (or the re-plan) prove the member out of
-            # the view: every partition it contributed goes with it
-            for key in [k for k in view.partitions if k[0] == app]:
-                del view.partitions[key]
-        else:
-            # absent from the fetch: the execution no longer matches the
-            # view's selector
-            view.partitions.pop((app, exec_id), None)
-            self._fetch_members(view, [member], only_exec=exec_id)
-        self.counters["deltasApplied"] += 1
-        self._publish(view, self._fold(view))
+    def _refetch(
+        self, view: MaterializedView, app: str | None = None, exec_id: str | None = None
+    ) -> list[ResultRow]:
+        """Refetch the partitions in scope and re-fold the view's rows.
 
-    def _recompute_member(self, view: MaterializedView, app: str) -> None:
-        """Scoped recompute: rebuild only *app*'s partitions."""
-        plan = self.engine._plan(view.query, allow_tier0=False)
-        view.deps = self._plan_deps(plan)
-        for key in [k for k in view.partitions if k[0] == app]:
-            del view.partitions[key]
-        self._fetch_members(view, [m for m in plan.members if m.app == app])
-        self.counters["scopedRecomputes"] += 1
-        self._publish(view, self._fold(view))
-
-    def _refresh_view(self, view: MaterializedView) -> None:
-        """Rebuild from scratch under a new epoch and push a refresh."""
-        try:
-            rows = self._rebuild(view)
-        except Exception:
-            self.counters["maintenanceErrors"] += 1
-            return
-        view.rows = rows
-        view.epoch += 1
-        view.version += 1
-        self.counters["epochRefreshes"] += 1
-        self._emit(
-            view,
-            ViewDelta(
-                view_id=view.view_id,
-                epoch=view.epoch,
-                from_version=view.version - 1,
-                to_version=view.version,
-                kind="refresh",
-                added=tuple(view.packed_rows()),
-            ),
-        )
-
-    def _rebuild(self, view: MaterializedView) -> list[ResultRow]:
-        """Full collection: fetch every member's partitions, then fold."""
-        plan = self.engine._plan(view.query, allow_tier0=False)
-        view.partitions = {}
-        view.deps = self._plan_deps(plan)
-        self._fetch_members(view, plan.members)
-        return self._fold(view)
-
-    def _plan_deps(self, plan) -> set[str]:
-        return {m.app for m in plan.members} | {s.app for s in plan.skipped}
-
-    def _fetch_members(
-        self, view: MaterializedView, members, only_exec: str | None = None
-    ) -> None:
-        """(Re)fetch the partitions of *members*' selected executions —
-        all of them, or just execution *only_exec* — each through the
-        engine's per-execution task, run inline: this is the thread
-        delivering the update, and the notifier may hold a service gate
-        a pool thread would wait on.  A large (or unsized) raw partition
+        Re-plans without tier 0 (a tier-0 member has no executions to
+        partition by), drops the partitions the scope covers and those
+        of every member the fresh plan proves out of the view, then
+        reads each in-scope execution through the engine's
+        per-execution task, run inline: this is the thread delivering
+        the update, and the notifier may hold a service gate a pool
+        thread would wait on.  A large (or unsized) raw partition
         therefore drains through a chunked cursor by the engine's own
-        rule, never as an unbounded SOAP array.
+        rule, never as an unbounded SOAP array.  An execution absent
+        from the fetch no longer matches the view's selector.
         """
+        query = view.query
+        plan = self.engine._plan(query, allow_tier0=False)
+        planned = {member.app for member in plan.members}
+        view.deps = planned | {skipped.app for skipped in plan.skipped}
+
+        def in_scope(key: tuple[str, str]) -> bool:
+            return app in (None, key[0]) and exec_id in (None, key[1])
+
+        view.partitions = {
+            key: part
+            for key, part in view.partitions.items()
+            if key[0] in planned and not in_scope(key)
+        }
         fetched = Counter()
         try:
             for member, executions, subqueries, cursor in self.engine.member_work(
-                members, fetched
+                [member for member in plan.members if app in (None, member.app)], fetched
             ):
                 for execution in executions:
-                    exec_id = self.engine._execution_id(execution)
-                    if only_exec in (None, exec_id):
-                        ctx, payloads = self.engine.execution_task(
-                            member, execution, subqueries, fetched, cursor
-                        )
-                        view.partitions[(member.app, exec_id)] = self._partition(
-                            view, ctx, payloads
-                        )
-                        if only_exec is not None:
-                            return
+                    key = (member.app, self.engine._execution_id(execution))
+                    if not in_scope(key):
+                        continue
+                    ctx, payloads = self.engine.execution_task(
+                        member, execution, subqueries, fetched, cursor
+                    )
+                    merger = StreamingMerger(query)
+                    merger.absorb(ctx, payloads)
+                    if query.is_aggregate:
+                        view.partitions[key] = merger.group_accumulators()
+                    else:
+                        # a LIMIT partition keeps only its own top-N: a
+                        # sufficient candidate set under the total order
+                        rows = merger.rows()
+                        if query.limit is not None:
+                            rows = order_rows(rows, query)
+                        view.partitions[key] = rows
+                    if exec_id is not None:
+                        break
         finally:
             self.counters["deltaRowsFetched"] += fetched["records"]
             self.counters["deltaBytesFetched"] += fetched["payloadBytes"]
-
-    def _partition(self, view: MaterializedView, ctx, payloads) -> _Partition:
-        """One execution's contribution, through a private merger."""
-        query = view.query
+        if not query.is_aggregate:
+            return order_rows([row for rows in view.partitions.values() for row in rows], query)
         merger = StreamingMerger(query)
-        merger.absorb(ctx, payloads)
-        if query.is_aggregate:
-            return _Partition(groups=merger.group_accumulators())
-        if view.shape.kind == "topk-bounded":
-            # the partition's own top-N is a sufficient candidate set
-            return _Partition(rows=order_rows(merger.raw_rows(), query))
-        return _Partition(rows=merger.raw_rows())
+        for groups in view.partitions.values():
+            merger.absorb_groups(groups)
+        # the complete-group rule applies to the *merged* groups, so a
+        # group partially present across partitions behaves exactly as
+        # in a from-scratch execution
+        return order_rows(merger.rows(), query)
 
-    def _fold(self, view: MaterializedView) -> list[ResultRow]:
-        """Re-merge every partition into the view's output rows."""
-        query = view.query
-        if query.is_aggregate:
-            merger = StreamingMerger(query)
-            for partition in view.partitions.values():
-                if partition.groups:
-                    merger.absorb_groups(partition.groups)
-            # the complete-group rule applies to the *merged* groups, so
-            # a group partially present across partitions behaves exactly
-            # as in a from-scratch execution
-            return order_rows(merger.rows(), query)
-        rows: list[ResultRow] = []
-        for partition in view.partitions.values():
-            if partition.rows:
-                rows.extend(partition.rows)
-        return order_rows(rows, query)
-
-    def _publish(self, view: MaterializedView, rows: list[ResultRow]) -> None:
-        """Adopt *rows*; emit a versioned delta if anything changed."""
+    def _publish(
+        self, view: MaterializedView, rows: list[ResultRow], new_epoch: bool = False
+    ) -> None:
+        """Adopt *rows* and emit a versioned change: a ``refresh`` under a
+        new epoch, else the multiset ``delta`` if anything changed (a
+        subscriber re-sorts and re-limits, so a LIMIT window that shifts
+        is an ordinary delta too)."""
         old_packed = view.packed_rows()
         view.rows = rows
         new_packed = view.packed_rows()
-        if new_packed == old_packed:
+        if new_epoch:
+            view.epoch += 1
+            kind, removed, added = "refresh", (), tuple(new_packed)
+        elif new_packed == old_packed:
             self.counters["noopUpdates"] += 1
             return
-        from_version = view.version
-        view.version += 1
-        if view.query.limit is not None:
-            # a LIMIT window can shift wholesale; ship the new rows
-            delta = ViewDelta(
-                view_id=view.view_id,
-                epoch=view.epoch,
-                from_version=from_version,
-                to_version=view.version,
-                kind="replace",
-                added=tuple(new_packed),
-            )
         else:
+            kind = "delta"
             removed, added = _multiset_diff(old_packed, new_packed)
-            delta = ViewDelta(
-                view_id=view.view_id,
-                epoch=view.epoch,
-                from_version=from_version,
-                to_version=view.version,
-                kind="delta",
-                removed=removed,
-                added=added,
-            )
-        self._emit(view, delta)
-
-    def _emit(self, view: MaterializedView, delta: ViewDelta) -> None:
+        view.version += 1
+        delta = ViewDelta(
+            view.view_id, view.epoch, view.version - 1, view.version, kind, removed, added
+        )
         self.counters["pushedDeltas"] += 1
         for listener in list(self._listeners):
             try:

@@ -220,7 +220,7 @@ class HplRdbmsExecutionWrapper(ExecutionWrapper):
     def _refresh_runtime(self) -> float:
         """Re-read the run's duration — the store may be live-updated.
 
-        (Caching stale durations here once made ``announce_update``
+        (Caching stale durations here once made ``data_updated``
         republish outdated time-range SDEs; the Data Layer is the source
         of truth, the wrapper holds no state worth trusting.)
         """

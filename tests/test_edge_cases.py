@@ -86,7 +86,7 @@ class TestServiceDataFreshness:
         for path in container.service_paths():
             service = container.service_at(path)
             if getattr(service, "exec_id", None) == exec_id:
-                service.announce_update("runtime fixed")
+                service.data_updated("runtime fixed")
         after = execution.find_service_data("timeStartEnd")
         assert before != after and "9999" in after
 

@@ -209,7 +209,6 @@ class TestPlanner:
     def test_raw_mode_for_raw_select(self):
         plan = plan_query(parse_query("SELECT gflops FROM HPL"), CATALOG, {})
         assert plan.mode == "raw"
-        assert plan.members[0].needs_exec_id is True
 
     def test_in_predicate_decomposes_to_union(self):
         plan = plan_query(
@@ -245,10 +244,6 @@ class TestPlanner:
         plan = plan_query(parse_query("SELECT count(x) GROUP BY focus"), CATALOG, {})
         assert plan.members[0].subqueries[0].group_by_focus is True
         assert plan.members[0].needs_info is False
-
-    def test_exec_group_needs_exec_id(self):
-        plan = plan_query(parse_query("SELECT count(x) GROUP BY exec"), CATALOG, {})
-        assert plan.members[0].needs_exec_id is True
 
     def test_explain_mentions_everything(self):
         plan = plan_query(

@@ -85,7 +85,7 @@ class TestViewDeltaWire:
         assert ViewDelta.decode(delta.encode()) == delta
 
     def test_empty_delta_roundtrip(self):
-        delta = ViewDelta("view-1", 1, 1, 2, "replace")
+        delta = ViewDelta("view-1", 1, 1, 2, "delta")
         assert ViewDelta.decode(delta.encode()) == delta
 
     def test_bad_header_rejected(self):
@@ -287,6 +287,27 @@ class TestViewRegistryOverSoap:
         assert subscriber.deltas_applied == 0
         assert subscriber.version == 1
         subscriber.close()
+
+    def test_a_view_is_created_from_query_text_only(self):
+        """The view's text is its identity on the wire: ``getView``'s
+        query header, which a subscriber parses back.  A parsed
+        ``Query`` has no such text, so it is refused before any member
+        read, and the text of the same query subscribes."""
+        environment = GridEnvironment()
+        counter = environment.transport = _OperationCounter(environment.transport)
+        grid, engine, _ = _uniform_grid(members=2, executions=1, foci=2, environment=environment)
+        text = "SELECT count(m) GROUP BY app"
+        counter.operations.clear()
+        with pytest.raises(TypeError, match="query text"):
+            engine.views().create_view(parse_query(text))
+        assert counter.operations == Counter()  # raised before any member read
+        assert engine.views().views() == []
+        assert engine.view_stats()["created"] == 0
+        subscriber = grid.client.subscribe_view(engine.views().create_view(text).view_id)
+        expected = [row.pack() for row in naive_query(text, engine.members())]
+        assert [row.pack() for row in subscriber.rows] == expected
+        subscriber.close()
+        grid.cleanup()
 
     def test_subscribe_unknown_view_rejected(self, view_grid):
         grid, engine, a, b = view_grid
@@ -519,6 +540,83 @@ class TestMaintenanceCost:
         # of asking the execution again
         assert counter.operations["getStats"] == 1
         assert counter.operations["getPR"] == 1
+        expected = naive_query(view.text, engine.members())
+        assert view.packed_rows() == [row.pack() for row in expected]
+        grid.cleanup()
+
+
+class TestScopedRefetch:
+    """One update path: the coherence scope decides what is refetched."""
+
+    def test_a_limit_replica_follows_a_window_shift(self):
+        grid, engine, wrappers = _uniform_grid(members=2, executions=2, foci=2)
+        text = "SELECT m ORDER BY value DESC LIMIT 3"
+        kinds: list[str] = []
+        engine.views().add_listener(lambda view, delta: kinds.append(delta.kind))
+        view_id = grid.client.create_view(text)
+        view = engine.views().get_view(view_id)
+        subscriber = grid.client.subscribe_view(view_id)
+
+        def assert_replica_tracks():
+            expected = [row.pack() for row in naive_query(text, engine.members())]
+            assert view.packed_rows() == expected
+            assert [row.pack() for row in subscriber.rows] == expected
+            assert subscriber.stale_refreshes == 0
+
+        assert_replica_tracks()
+        top = max(row["value"] for row in view.rows)
+        # an appended row enters the window; the smallest one leaves
+        wrappers["APP0"].executions_data[0].results.append(_result("m", "/rank/0", top + 50))
+        assert grid.execution_service("APP0", "0").data_updated("enter") == 1
+        assert_replica_tracks()
+        assert view.rows[0]["value"] == top + 50
+        # a row modified below the window leaves it; the next one enters
+        results = wrappers["APP1"].executions_data[1].results
+        index = max(range(len(results)), key=lambda i: results[i].value)
+        results[index] = _result("m", results[index].focus, 0.0)
+        assert grid.execution_service("APP1", "1").data_updated("leave") == 1
+        assert_replica_tracks()
+        assert top not in [row["value"] for row in view.rows]
+        assert subscriber.deltas_applied == 2
+        assert kinds == ["delta", "delta"]
+        subscriber.close()
+        grid.cleanup()
+
+    def test_a_member_proven_out_loses_every_partition(self):
+        """An execution-scoped update after which the member's fresh
+        stats prove it out of a ``WHERE value >= ...`` view: all of its
+        partitions go, the ones outside the scope included, and nothing
+        is read from it."""
+        environment = GridEnvironment()
+        counter = environment.transport = _OperationCounter(environment.transport)
+        wrappers = {
+            "HIGH": InMemoryWrapper(
+                "HIGH", [InMemoryExecution("0", {}, [_result("m", "/A", 50.0)])]
+            ),
+            "MIXED": InMemoryWrapper(
+                "MIXED",
+                [
+                    InMemoryExecution("0", {}, [_result("m", "/A", 1.0)]),
+                    InMemoryExecution("1", {}, [_result("m", "/A", 40.0)]),
+                ],
+            ),
+        }
+        grid = build_synthetic_grid(wrappers, environment=environment)
+        engine = grid.deploy_federation()
+        view = engine.views().create_view("SELECT m WHERE value >= 30")
+        assert {key for key in view.partitions if key[0] == "MIXED"} == {
+            ("MIXED", "0"),
+            ("MIXED", "1"),
+        }
+        wrappers["MIXED"].executions_data[1].results[0] = _result("m", "/A", 5.0)
+        counter.operations.clear()
+        assert grid.execution_service("MIXED", "1").data_updated("drop below") == 1
+        assert [key for key in view.partitions if key[0] == "MIXED"] == []
+        assert counter.operations["getPR"] == 0
+        assert counter.operations["getPRAgg"] == 0
+        assert engine.view_stats()["deltasApplied"] == 1
+        plan = engine._plan(view.query, allow_tier0=False)
+        assert [skipped.app for skipped in plan.skipped] == ["MIXED"]
         expected = naive_query(view.text, engine.members())
         assert view.packed_rows() == [row.pack() for row in expected]
         grid.cleanup()

@@ -153,7 +153,7 @@ class TestStreamingUpdateScenario:
         for path in container.service_paths():
             service = container.service_at(path)
             if getattr(service, "exec_id", None) == exec_id:
-                service.announce_update("recalibrated")
+                service.data_updated("recalibrated")
         messages = sink.poll()
         assert messages and messages[0][0] == "data-update"
         assert execution.get_pr("gflops", ["/Run"])[0].value == pytest.approx(

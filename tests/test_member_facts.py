@@ -125,7 +125,7 @@ class TestWarmQueriesSendOnlyDataCalls:
         wire.take()
         grid.client.create_view("SELECT count(m), sum(m) GROUP BY focus")
         assert wire.take() == {"createView": 1, "getPRAgg": 4}
-        grid.fed_engine.views().on_full_refresh()
+        grid.fed_engine.views().on_update(None, None)
         assert wire.take() == {"getPRAgg": 4}
 
     @pytest.mark.parametrize("federation", [False], indirect=True)
@@ -269,7 +269,7 @@ class TestRememberedHandlesAreSoftState:
         assert streamed.errors == []
         assert engine.coherence_stats()["staleHandles"] == 1
         destroy_one_of_a()
-        engine.views().on_full_refresh()
+        engine.views().on_update(None, None)
         assert engine.coherence_stats()["staleHandles"] == 2
         assert [row["count(m)"] for row in view.rows] == [20.0, 20.0]
         assert engine.view_stats()["maintenanceErrors"] == 0

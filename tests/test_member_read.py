@@ -215,7 +215,7 @@ class TestOneAccounting:
         assert before["deltaRowsFetched"] == TOTAL
         assert before["deltaBytesFetched"] == payload(wrappers)
         wire.take()
-        engine.views().on_full_refresh()
+        engine.views().on_update(None, None)
         after = engine.view_stats()
         assert after["deltaRowsFetched"] - before["deltaRowsFetched"] == TOTAL
         assert after["deltaBytesFetched"] - before["deltaBytesFetched"] == payload(wrappers)

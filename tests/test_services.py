@@ -161,7 +161,7 @@ class TestExecutionCaching:
         for path in container.service_paths():
             service = container.service_at(path)
             if getattr(service, "exec_id", None) == exec_id:
-                service.announce_update("test")
+                service.data_updated("test")
         assert execution.get_pr("gflops", ["/Run"])[0].value == 123.456
 
     def test_default_cache_stays_bounded_under_literal_varying_queries(self):

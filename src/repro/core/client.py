@@ -803,21 +803,6 @@ class ViewSubscription:
         self._sink.Destroy()
 
 
-class QueryRows(list):
-    """Federated query rows, plus approximate-answer metadata.
-
-    A plain ``list`` of ResultRow (so every existing caller's indexing,
-    iteration, and ``len`` work unchanged) carrying ``approx`` and
-    ``error_bounds`` — one ``{column label: (lo, hi)}`` dict per row; an
-    empty dict means every cell in that row is exact.
-    """
-
-    def __init__(self, rows, approx: bool = False, error_bounds=None) -> None:
-        super().__init__(rows)
-        self.approx = approx
-        self.error_bounds = list(error_bounds or [])
-
-
 class PPerfGridClient:
     """The client application: discovery, binding, and query panels."""
 
@@ -904,48 +889,23 @@ class PPerfGridClient:
             raise RuntimeError("no federation configured; call use_federation() first")
         return self._fed_stub
 
-    def query(self, text: str, approx: bool = False, tolerance: float | None = None, **options):
+    def query(self, text: str):
         """Run a federated query; returns a list of ResultRow objects.
 
         Requires :meth:`use_federation` first — the query text travels
         to the FederatedQuery service over SOAP and packed result rows
         come back (see README "Federated queries" for the grammar).
-
-        ``approx=True`` (aggregate queries only) runs the approximate
-        tier-0 path: the returned list is a :class:`QueryRows` whose
-        ``error_bounds`` holds one ``{label: (lo, hi)}`` dict per row —
-        existing list-shaped callers are unchanged.  ``tolerance`` caps
-        the worst per-cell relative error a sketch answer may carry;
-        members over the cap fall back to the exact paths server-side.
         """
-        from repro.fedquery.ast import QueryError
-        from repro.fedquery.merge import ResultRow, split_bounds
+        from repro.fedquery.merge import ResultRow
 
-        if options:
-            raise QueryError(
-                f"unknown query option(s) {sorted(options)}; "
-                "supported: approx, tolerance"
-            )
-        if tolerance is not None and not approx:
-            raise QueryError("tolerance requires approx=True")
         fed = self._require_federation()
         with self.environment.recorder.time("virtualization.fedquery"):
-            if approx:
-                packed = fed.queryApprox(
-                    text, "" if tolerance is None else repr(float(tolerance))
-                )
-            else:
-                # only the federation knows the answer's size: always
-                # advertise (a small answer still comes back as XML)
-                accepted = default_accept_encodings()
-                answer = fed.invoke("query", text, headers=accept_encodings_headers(accepted))
-                packed, _ = unframe_answer(answer, accepted)
-        if not approx:
-            return list(map(ResultRow.unpacker(), packed))
-        packed_rows, bounds = split_bounds(packed)
-        return QueryRows(
-            map(ResultRow.unpacker(), packed_rows), approx=True, error_bounds=bounds
-        )
+            # only the federation knows the answer's size: always
+            # advertise (a small answer still comes back as XML)
+            accepted = default_accept_encodings()
+            answer = fed.invoke("query", text, headers=accept_encodings_headers(accepted))
+            packed, _ = unframe_answer(answer, accepted)
+        return list(map(ResultRow.unpacker(), packed))
 
     def query_stream(self, text: str, max_rows: int = DEFAULT_CHUNK_ROWS):
         """Run a federated query through a ResultCursor.

@@ -181,8 +181,8 @@ def build_synthetic_grid(
     all published under one UDDI organization; call
     ``deploy_federation()`` on the result to query them federatedly.
     Pass a pre-built *environment* to control the clock or transport
-    (e.g. a :class:`~repro.simnet.transport.LatencyTransport` — it must
-    be installed before any container binds, which this supports).
+    (e.g. a :class:`~repro.simnet.transport.RecordingTransport` — it
+    must be installed before any container binds, which this supports).
     """
     environment = environment or GridEnvironment()
     registry_container = environment.create_container("registry.mem.pdx.edu:9090")

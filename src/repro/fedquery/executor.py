@@ -56,14 +56,11 @@ from repro.core.semantic import AggregateRecord, ordering_key
 from repro.fedquery.ast import Query, QueryError
 from repro.fedquery.coherence import ANY, CoherenceTracker, Dep
 from repro.fedquery.merge import (
-    BoundsTracker,
     ResultRow,
     StreamingMerger,
     TaskContext,
     order_rows,
-    pack_bounds,
     raw_row,
-    split_bounds,
 )
 from repro.fedquery.parser import parse_query
 from repro.fedquery.planner import MemberPlan, Plan, SubQuery, plan_query
@@ -110,12 +107,6 @@ class QueryResult:
 
     ``errors`` carries one message per failed member task (degraded
     result); such results are never memoized in the plan cache.
-
-    ``approx`` marks a bounded-estimate answer (``execute(...,
-    approx=True)``); ``error_bounds`` then holds one dict per row
-    mapping aggregate column label to its sound ``(lo, hi)`` interval —
-    an empty dict means every cell in that row is exact.  Both default
-    empty so exact-mode callers are unchanged.
     """
 
     rows: list[ResultRow]
@@ -124,8 +115,6 @@ class QueryResult:
     plan: Plan | None
     stats: dict[str, int] = field(default_factory=dict)
     errors: list[str] = field(default_factory=list)
-    approx: bool = False
-    error_bounds: list = field(default_factory=list)
 
 
 class FederationEngine:
@@ -274,8 +263,6 @@ class FederationEngine:
         self,
         query: str | Query,
         stream: bool = False,
-        approx: bool = False,
-        tolerance: float | None = None,
         tenant: str | None = None,
     ) -> QueryResult | StreamedResult:
         """Run a federated query.
@@ -286,11 +273,9 @@ class FederationEngine:
         — in exactly the order (and bytes) the bulk path would produce —
         holding O(members × chunk) memory instead of the whole result.
 
-        ``approx=True`` (aggregate queries only) admits bounded-error
-        tier-0 answers from merged sketches: the result carries per-cell
-        ``error_bounds`` and members whose sketches are missing — or
-        whose bounds exceed *tolerance* (worst relative error per cell)
-        — fall back to the exact tier-1/2 paths per member.
+        Every answer is exact.  A member whose cached stats and sketches
+        prove its share of an aggregate is answered at tier 0 with no
+        round trip; every other member fans out.
 
         ``tenant`` keys the fan-out scheduler's fair queueing and rate
         limiting; when omitted the engine uses the dispatching request's
@@ -299,29 +284,17 @@ class FederationEngine:
         back to the shared default tenant.
         """
         query = self._parse(query)
-        if approx and stream:
-            raise QueryError("approx=True cannot stream (bounds need every row)")
-        if approx and not query.is_aggregate:
-            raise QueryError("approx=True requires an aggregate query")
-        if tolerance is not None and not approx:
-            raise QueryError("tolerance requires approx=True")
         if tenant is None:
             from repro.ogsi.dispatch import current_client_id
 
             tenant = current_client_id() or DEFAULT_TENANT
         fingerprint = query.fingerprint()
-        if approx:
-            # approximate results memoize under a disjoint key: an exact
-            # caller must never be served bounded estimates (or vice
-            # versa), even for the same query text
-            fingerprint += f";approx[tol={tolerance!r}]"
         # the one plan-cache probe of this query, whichever path runs it
         cached = self.plan_cache.get(fingerprint)
         if cached is not None:
-            packed_rows, cached_bounds = split_bounds(cached)
             # each row keeps the cached text it was parsed from, so a
             # cached answer reaches the wire without being rendered again
-            rows = list(map(ResultRow.unpacker(), packed_rows))
+            rows = list(map(ResultRow.unpacker(), cached))
             if stream:
                 return StreamedResult(
                     columns=query.output_columns, source=iter(rows), cached=True
@@ -331,12 +304,10 @@ class FederationEngine:
                 columns=query.output_columns,
                 cached=True,
                 plan=None,
-                approx=approx,
-                error_bounds=cached_bounds if approx else [],
             )
         if stream and not query.is_aggregate and query.order_by is None:
             return self._execute_stream(query, fingerprint, tenant)
-        result = self._execute_bulk(query, fingerprint, approx, tolerance, tenant)
+        result = self._execute_bulk(query, fingerprint, tenant)
         if not stream:
             return result
         # a global reduction or sort needs every row before the first
@@ -350,43 +321,30 @@ class FederationEngine:
             errors=result.errors,
         )
 
-    def _execute_bulk(
-        self,
-        query: Query,
-        fingerprint: str,
-        approx: bool,
-        tolerance: float | None,
-        tenant: str,
-    ) -> QueryResult:
-        plan, stats, deps, errors, finish = self._begin_uncached(
-            query, fingerprint, tenant, approx=approx, tolerance=tolerance
-        )
+    def _execute_bulk(self, query: Query, fingerprint: str, tenant: str) -> QueryResult:
+        plan, stats, deps, errors, finish = self._begin_uncached(query, fingerprint, tenant)
         merger = StreamingMerger(query)
-        # a tier-0 answer is likewise a read of the member's cached
-        # stats/sketches: the wildcard dep plus the generation-snapshot
-        # comparison at admission guarantee an update racing this
-        # query can never leave a stale tier-0 answer in the cache
-        tracker = BoundsTracker(query) if approx and plan.tier0_capable else None
         for member in (m for m in plan.members if m.is_tier0):
+            # a tier-0 answer is likewise a read of the member's cached
+            # stats/sketches: the wildcard dep plus the generation-snapshot
+            # comparison at admission guarantee an update racing this
+            # query can never leave a stale tier-0 answer in the cache
             deps.add((member.app, ANY))
-            if tracker is not None:
-                tracker.add_estimates(member.app, member.tier0)
-            else:
-                # exact mode: the estimates are provably exact
-                # (zero-width count/sum, proven extrema), so they fold
-                # into the merge as synthetic getPRAgg buckets
-                ctx = TaskContext(app=member.app)
-                for metric, est in member.tier0:
-                    if est.count_hi <= 0.0:
-                        continue
-                    record = AggregateRecord(
-                        "",
-                        int(round(est.count_lo)),
-                        est.sum_lo,
-                        est.min_exact if est.min_exact is not None else est.value_lo,
-                        est.max_exact if est.max_exact is not None else est.value_hi,
-                    )
-                    merger.absorb_aggregates(ctx, metric, [record])
+            # the estimates are provably exact (zero-width count/sum,
+            # proven extrema), so they fold into the merge as synthetic
+            # getPRAgg buckets
+            ctx = TaskContext(app=member.app)
+            for metric, est in member.tier0:
+                if est.count_hi <= 0.0:
+                    continue
+                record = AggregateRecord(
+                    "",
+                    int(round(est.count_lo)),
+                    est.sum_lo,
+                    est.min_exact if est.min_exact is not None else est.value_lo,
+                    est.max_exact if est.max_exact is not None else est.value_hi,
+                )
+                merger.absorb_aggregates(ctx, metric, [record])
         tasks = self._collect_tasks(plan, stats)
         if tasks:
             pool = self._pool()
@@ -402,26 +360,8 @@ class FederationEngine:
                 for future in pending:
                     future.cancel()
                 raise
-        error_bounds: list[dict[str, tuple[float, float]]] = []
-        if tracker is not None:
-            # interval merge: tier-0 estimates plus the fan-out members'
-            # exact accumulators, with per-cell bounds keyed by group
-            tracker.add_groups(merger.group_accumulators())
-            unordered, bounds_by_key = tracker.rows()
-            rows = order_rows(unordered, query)
-            key_width = len(query.group_by)
-            error_bounds = [
-                bounds_by_key.get(tuple(str(v) for v in row.values[:key_width]), {})
-                for row in rows
-            ]
-        else:
-            rows = order_rows(merger.rows(), query)
-            if approx:
-                # approx requested but the query shape is not tier-0
-                # capable: the exact pipeline answered, every cell exact
-                error_bounds = [{} for _ in rows]
-        # approximate results keep their bounds records after the rows
-        finish(len(tasks), rows, pack_bounds(error_bounds) if approx else [])
+        rows = order_rows(merger.rows(), query)
+        finish(len(tasks), rows)
         return QueryResult(
             rows=rows,
             columns=query.output_columns,
@@ -429,8 +369,6 @@ class FederationEngine:
             plan=plan,
             stats=stats,
             errors=errors,
-            approx=approx,
-            error_bounds=error_bounds,
         )
 
     # ----------------------------------------------------------- streaming
@@ -459,14 +397,7 @@ class FederationEngine:
             errors=errors,
         )
 
-    def _begin_uncached(
-        self,
-        query: Query,
-        fingerprint: str,
-        tenant: str,
-        approx: bool = False,
-        tolerance: float | None = None,
-    ):
+    def _begin_uncached(self, query: Query, fingerprint: str, tenant: str):
         """The shared head of both result paths after a plan-cache miss —
         coherence snapshot, plan, rate charge, stats counters, plan-time
         dependencies — and, as the ``finish`` it returns last (after the
@@ -480,7 +411,7 @@ class FederationEngine:
         propagates undegraded: a shed is not a member failure.
         """
         snapshot = self.coherence.snapshot()
-        plan = self._plan(query, approx=approx, tolerance=tolerance)
+        plan = self._plan(query)
         fanout_members = [m for m in plan.members if not m.is_tier0]
         if fanout_members:
             self._pool().acquire_rate(tenant)
@@ -511,20 +442,19 @@ class FederationEngine:
         deps = {(skipped.app, ANY) for skipped in plan.skipped}
         errors: list[str] = []
 
-        def finish(n: int, rows: list[ResultRow] | None, trailer: list[str] = ()) -> None:
+        def finish(n: int, rows: list[ResultRow] | None) -> None:
             """End a query that ran *n* member tasks.  If every one of
             them failed there is no answer to degrade to.  And a degraded
             result (member task errors, or a plan built with missing
             member stats) is never offered to the plan cache — nor one
-            the caller gave up accumulating (*rows* is None); *trailer*
-            records follow the rows."""
+            the caller gave up accumulating (*rows* is None)."""
             if errors and len(errors) == n:
                 raise QueryError(
                     f"all {n} member task(s) failed: {'; '.join(errors[:3])}"
                 )
             if rows is not None and not errors and not plan.stats_degraded:
                 packed = [row.pack() for row in rows]
-                self.coherence.admit(fingerprint, deps, snapshot, packed + list(trailer))
+                self.coherence.admit(fingerprint, deps, snapshot, packed)
 
         return plan, stats, deps, errors, finish
 
@@ -694,13 +624,7 @@ class FederationEngine:
             return query.validate()
         return parse_query(query)
 
-    def _plan(
-        self,
-        query: Query,
-        approx: bool = False,
-        tolerance: float | None = None,
-        allow_tier0: bool = True,
-    ) -> Plan:
+    def _plan(self, query: Query, allow_tier0: bool = True) -> Plan:
         members = self.members()
         unknown = [name for name in query.sources if name not in members]
         if unknown:
@@ -716,8 +640,6 @@ class FederationEngine:
             query,
             catalog,
             self.coherence.member_stats(members, self._execution_id),
-            approx=approx,
-            tolerance=tolerance,
             tier0=allow_tier0,
         )
 

@@ -350,220 +350,3 @@ def order_rows(rows: list[ResultRow], query: Query) -> list[ResultRow]:
     if query.limit is not None:
         ordered = ordered[: query.limit]
     return ordered
-
-
-# ---------------------------------------------------- approximate answers
-
-#: wire marker for per-row error-bound records appended after packed rows
-#: (unambiguous: a packed ResultRow's first field always contains ``=``
-#: before any ``|``, so it can never start with this prefix)
-BOUNDS_PREFIX = "@bounds|"
-
-
-def pack_bounds(error_bounds: list[dict[str, tuple[float, float]]]) -> list[str]:
-    """Bounds wire records: ``@bounds|row_index|label|lo|hi`` per cell."""
-    records: list[str] = []
-    for index, bounds in enumerate(error_bounds):
-        for label, (low, high) in sorted(bounds.items()):
-            records.append(f"{BOUNDS_PREFIX}{index}|{label}|{low!r}|{high!r}")
-    return records
-
-
-def split_bounds(
-    packed: list[str],
-) -> tuple[list[str], list[dict[str, tuple[float, float]]]]:
-    """Separate packed rows from trailing ``@bounds`` records.
-
-    Returns the row strings and one bounds dict per row (empty dict =
-    every cell exact), in row order.
-    """
-    rows = [entry for entry in packed if not entry.startswith(BOUNDS_PREFIX)]
-    bounds: list[dict[str, tuple[float, float]]] = [{} for _ in rows]
-    for entry in packed:
-        if not entry.startswith(BOUNDS_PREFIX):
-            continue
-        parts = entry.split("|")
-        if len(parts) != 5:
-            raise ValueError(f"bad bounds record {entry!r}")
-        _, index_text, label, low, high = parts
-        index = int(index_text)
-        if not 0 <= index < len(rows):
-            raise ValueError(f"bounds record {entry!r} references no row")
-        bounds[index][label] = (float(low), float(high))
-    return rows, bounds
-
-
-class _IntervalCell:
-    """Interval accumulator for one (group, metric) approximate cell.
-
-    Mirrors :class:`Accumulator`, but every component is an interval:
-    exact contributions (fan-out members) add zero-width, tier-0 sketch
-    estimates add their :class:`~repro.fedquery.sketch.WindowEstimate`
-    bounds.  Count and sum intervals add across members (sums of sound
-    intervals stay sound); the value envelope and the exact extrema
-    combine by min/max.
-    """
-
-    __slots__ = (
-        "count_est", "count_lo", "count_hi",
-        "sum_est", "sum_lo", "sum_hi",
-        "value_lo", "value_hi", "minimum", "maximum", "touched",
-    )
-
-    def __init__(self) -> None:
-        self.count_est = 0.0
-        self.count_lo = 0.0
-        self.count_hi = 0.0
-        self.sum_est = 0.0
-        self.sum_lo = 0.0
-        self.sum_hi = 0.0
-        self.value_lo = 0.0
-        self.value_hi = 0.0
-        self.minimum: float | None = None
-        self.maximum: float | None = None
-        self.touched = False
-
-    def _widen_envelope(self, low: float, high: float) -> None:
-        if not self.touched:
-            self.value_lo, self.value_hi = low, high
-            self.touched = True
-        else:
-            self.value_lo = min(self.value_lo, low)
-            self.value_hi = max(self.value_hi, high)
-
-    def add_estimate(self, est) -> None:
-        """Fold one member's WindowEstimate in."""
-        if est.count_hi <= 0.0:
-            return
-        self.count_est += est.count_est
-        self.count_lo += est.count_lo
-        self.count_hi += est.count_hi
-        self.sum_est += est.sum_est
-        self.sum_lo += est.sum_lo
-        self.sum_hi += est.sum_hi
-        self._widen_envelope(est.value_lo, est.value_hi)
-        if est.min_exact is not None and (
-            self.minimum is None or est.min_exact < self.minimum
-        ):
-            self.minimum = est.min_exact
-        if est.max_exact is not None and (
-            self.maximum is None or est.max_exact > self.maximum
-        ):
-            self.maximum = est.max_exact
-
-    def add_accumulator(self, acc: Accumulator) -> None:
-        """Fold one member's exact accumulator in (zero-width)."""
-        if acc.count <= 0:
-            return
-        count = float(acc.count)
-        self.count_est += count
-        self.count_lo += count
-        self.count_hi += count
-        self.sum_est += acc.total
-        self.sum_lo += acc.total
-        self.sum_hi += acc.total
-        self._widen_envelope(acc.minimum, acc.maximum)
-        if self.minimum is None or acc.minimum < self.minimum:
-            self.minimum = acc.minimum
-        if self.maximum is None or acc.maximum > self.maximum:
-            self.maximum = acc.maximum
-
-    @property
-    def present(self) -> bool:
-        """Does this metric's estimate keep the group in the output?
-        Mirrors the exact merger's rule (count > 0) on the estimate."""
-        return round(self.count_est) >= 1
-
-    def cell(self, func: str) -> tuple[object, tuple[float, float]]:
-        """(value, (lo, hi)) for one aggregate cell."""
-        if func == "count":
-            return int(round(self.count_est)), (self.count_lo, self.count_hi)
-        if func == "sum":
-            return self.sum_est, (self.sum_lo, self.sum_hi)
-        if func == "mean":
-            mean = self.sum_est / self.count_est
-            low, high = self.value_lo, self.value_hi
-            if self.count_lo >= 1.0:
-                corners = [
-                    self.sum_lo / self.count_lo, self.sum_lo / self.count_hi,
-                    self.sum_hi / self.count_lo, self.sum_hi / self.count_hi,
-                ]
-                low = max(low, min(corners))
-                high = min(high, max(corners))
-                if low > high:  # float-drift guard
-                    low, high = min(corners), max(corners)
-            mean = max(low, min(mean, high))
-            return mean, (low, high)
-        if func == "min":
-            assert self.minimum is not None
-            return self.minimum, (self.minimum, self.minimum)
-        if func == "max":
-            assert self.maximum is not None
-            return self.maximum, (self.maximum, self.maximum)
-        raise QueryError(f"unknown aggregate function {func!r}")
-
-
-class BoundsTracker:
-    """Approximate-answer assembly for tier-0-capable aggregate plans.
-
-    Collects tier-0 :class:`~repro.fedquery.sketch.WindowEstimate`
-    partials and exact fan-out accumulators per (group, metric), then
-    materializes rows with per-cell ``(lo, hi)`` error bounds.  Only
-    used when the planner proved the query shape tier-0 eligible, so
-    group keys are at most ``(app,)``.
-    """
-
-    def __init__(self, query: Query) -> None:
-        self.query = query
-        self._cells: dict[tuple[str, ...], dict[str, _IntervalCell]] = {}
-
-    def _cell(self, key: tuple[str, ...], metric: str) -> _IntervalCell:
-        metrics = self._cells.setdefault(key, {})
-        cell = metrics.get(metric)
-        if cell is None:
-            cell = metrics[metric] = _IntervalCell()
-        return cell
-
-    def _key(self, app: str) -> tuple[str, ...]:
-        return tuple(app if name == "app" else "" for name in self.query.group_by)
-
-    def add_estimates(self, app: str, partials: tuple) -> None:
-        """One tier-0 member's (metric, WindowEstimate) partials."""
-        key = self._key(app)
-        for metric, est in partials:
-            self._cell(key, metric).add_estimate(est)
-
-    def add_groups(
-        self, groups: dict[tuple[str, ...], dict[str, Accumulator]]
-    ) -> None:
-        """Exact accumulators from the fan-out members' merger."""
-        for key, metrics in groups.items():
-            for metric, acc in metrics.items():
-                self._cell(key, metric).add_accumulator(acc)
-
-    def rows(self) -> tuple[list[ResultRow], dict[tuple[str, ...], dict[str, tuple[float, float]]]]:
-        """(unordered rows, per-group per-label bounds).
-
-        A group emits only when every selected metric's estimated count
-        is at least one — the estimate-side mirror of the exact merger's
-        all-metrics-present rule."""
-        columns = self.query.output_columns
-        out: list[ResultRow] = []
-        bounds_by_key: dict[tuple[str, ...], dict[str, tuple[float, float]]] = {}
-        for key, metrics in self._cells.items():
-            values: list[object] = list(key)
-            bounds: dict[str, tuple[float, float]] = {}
-            complete = True
-            for item in self.query.aggregates:
-                cell = metrics.get(item.metric)
-                if cell is None or not cell.present:
-                    complete = False
-                    break
-                value, (low, high) = cell.cell(item.func)
-                values.append(value)
-                if low != high:
-                    bounds[item.label] = (low, high)
-            if complete:
-                out.append(ResultRow(columns, tuple(values)))
-                bounds_by_key[key] = bounds
-        return out, bounds_by_key

@@ -46,6 +46,7 @@ from repro.fedquery.pushdown import (
     split_predicates,
 )
 from repro.fedquery.sketch import (
+    TIER0_STATS,
     DistinctSketch,
     tier0_member_answer,
     tier0_query_eligible,
@@ -111,9 +112,8 @@ class MemberPlan:
     group_attrs: tuple[str, ...]
     needs_info: bool
     cost: MemberCost
-    #: answer tier: "tier0-stats" (exact from metadata), "tier0-sketch"
-    #: (bounded estimate from merged sketches), "pushdown" (getPRAgg),
-    #: or "raw" (getPR rows reduced client-side)
+    #: answer tier: "tier0-stats" (exact from metadata), "pushdown"
+    #: (getPRAgg), or "raw" (getPR rows reduced client-side)
     tier: str = "pushdown"
     #: tier-0 payload: ((metric, WindowEstimate), ...) — the member's
     #: answer, computed at plan time from cached stats, zero round-trips
@@ -121,7 +121,7 @@ class MemberPlan:
 
     @property
     def is_tier0(self) -> bool:
-        return self.tier.startswith("tier0")
+        return self.tier == TIER0_STATS
 
     @property
     def est_round_trips(self) -> int | None:
@@ -177,12 +177,8 @@ class Plan:
     pruned: tuple[PrunedMember, ...]
     #: members the cost model proved cannot contribute (stats-based)
     skipped: tuple[PrunedMember, ...] = ()
-    #: approximate mode: answers may carry error bounds
-    approx: bool = False
-    #: requested per-cell relative error ceiling (approx mode only)
-    tolerance: float | None = None
     #: the query *shape* admits tier-0 answers (individual members may
-    #: still fall back when sketches are missing or bounds too wide)
+    #: still fall back when their stats do not prove the answer exactly)
     tier0_capable: bool = False
     #: estimated output group count from merged distinct sketches
     est_groups: int | None = None
@@ -190,8 +186,8 @@ class Plan:
     @property
     def fingerprint(self) -> str:
         """Plan-cache key: the query fingerprint plus the answer-tier
-        assignment and approx knobs, so a tier-0 plan, a push-down plan,
-        and an approximate plan for the same text never collide."""
+        assignment, so a tier-0 plan and a push-down plan for the same
+        text never collide."""
         base = self.query.fingerprint()
         tier0 = ",".join(
             f"{member.app}={member.tier}"
@@ -200,8 +196,6 @@ class Plan:
         )
         if tier0:
             base += f";tier0[{tier0}]"
-        if self.approx:
-            base += f";approx[tol={self.tolerance!r}]"
         return base
 
     @property
@@ -259,9 +253,6 @@ class Plan:
             lines.append("mode: aggregate (stores return count/total/min/max buckets)")
         else:
             lines.append("mode: raw (getPR rows reduced client-side)")
-        if self.approx:
-            tol = "none" if self.tolerance is None else repr(self.tolerance)
-            lines.append(f"approx: estimates with error bounds (tolerance: {tol})")
         if self.tier0_capable:
             lines.append("tier0: query shape answerable from cached stats/sketches")
         lines.append(f"window: [{self.window[0]!r}, {self.window[1]!r}]")
@@ -413,8 +404,6 @@ def plan_query(
     query: Query,
     catalog: dict[str, dict[str, list[str]]],
     stats: dict[str, StoreStats | None],
-    approx: bool = False,
-    tolerance: float | None = None,
     tier0: bool = True,
 ) -> Plan:
     """Compile *query* against *catalog* (member name -> query params).
@@ -430,13 +419,12 @@ def plan_query(
     about anyone) runs in the global mode, is never skipped, and marks
     the plan ``stats_degraded``.
 
-    With *tier0*, members whose cached stats/sketches fully
-    answer an eligible aggregate query are planned at tier 0: no
+    With *tier0*, members whose cached stats/sketches prove the exact
+    answer to an eligible aggregate query are planned at tier 0: no
     selector, no subqueries, zero round-trips — the executor folds the
     plan-time :class:`~repro.fedquery.sketch.WindowEstimate` partials
-    straight into the merge.  *approx* admits bounded-error tier-0
-    answers (optionally capped at *tolerance* relative error); exact
-    mode only takes provably-exact ones.
+    straight into the merge.  A member whose stats only bound an
+    aggregate fans out like any other.
     """
     split = split_predicates(query)
     window = derive_window(split.time)
@@ -473,13 +461,12 @@ def plan_query(
         if cost.mode == "skip":
             skipped.append(PrunedMember(app, cost.reason))
             continue
-        answer = (
-            tier0_member_answer(query, split.value, stats.get(app), approx, tolerance)
+        partials = (
+            tier0_member_answer(query, split.value, stats.get(app))
             if tier0_capable
             else None
         )
-        if answer is not None:
-            tier_label, partials = answer
+        if partials is not None:
             members.append(
                 MemberPlan(
                     app=app,
@@ -489,7 +476,7 @@ def plan_query(
                     group_attrs=(),
                     needs_info=False,
                     cost=replace(cost, est_rows=0, est_bytes=0, est_calls=0),
-                    tier=tier_label,
+                    tier=TIER0_STATS,
                     tier0=partials,
                 )
             )
@@ -520,8 +507,6 @@ def plan_query(
         members=tuple(members),
         pruned=tuple(pruned),
         skipped=tuple(skipped),
-        approx=approx,
-        tolerance=tolerance,
         tier0_capable=tier0_capable,
         est_groups=_estimate_groups(
             query, stats, [member.app for member in members]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from repro.core.semantic import PPERFGRID_NS
 from repro.fedquery.executor import FederationEngine
-from repro.fedquery.merge import pack_bounds
 from repro.ogsi.cursor import deploy_cursor
 from repro.ogsi.dispatch import answer_encoding
 from repro.ogsi.porttypes import GRID_SERVICE_PORTTYPE
@@ -37,24 +36,6 @@ FEDERATED_QUERY_PORTTYPE = PortType(
                 "Plan and execute a federated query (SELECT ... FROM ... "
                 "WHERE ... GROUP BY ...). Returns one string per result "
                 "row, each a '|'-delimited list of column=value fields."
-            ),
-        ),
-        Operation(
-            "queryApprox",
-            (
-                Parameter("queryText", "xsd:string"),
-                Parameter("tolerance", "xsd:string"),
-            ),
-            "xsd:string[]",
-            doc=(
-                "Approximate federated aggregate query: eligible members "
-                "are answered at tier 0 from merged metric sketches "
-                "(zero member round-trips), the rest fall back to the "
-                "exact paths. Returns the packed result rows followed by "
-                "'@bounds|row|label|lo|hi' records giving each inexact "
-                "cell's sound error interval. 'tolerance' caps the "
-                "worst per-cell relative error a sketch answer may carry "
-                "('' = no cap); members over the cap fall back to exact."
             ),
         ),
         Operation(
@@ -164,18 +145,6 @@ class FederatedQueryService(GridServiceBase):
         self.require_active()
         rows = [row.pack() for row in self.engine.execute(queryText).rows]
         return frame_answer(rows, answer_encoding(self.wire_encodings))
-
-    def queryApprox(self, queryText: str, tolerance: str = "") -> list[str]:
-        """Approximate query; rows then ``@bounds`` records (see wire doc)."""
-        self.require_active()
-        result = self.engine.execute(
-            queryText,
-            approx=True,
-            tolerance=float(tolerance) if str(tolerance).strip() else None,
-        )
-        packed = [row.pack() for row in result.rows]
-        packed.extend(pack_bounds(result.error_bounds))
-        return packed
 
     def queryChunked(self, queryText: str) -> str:
         """Streamed query: deploy a ResultCursor over the engine's

@@ -24,14 +24,10 @@ so ``[l, h]`` lies within the target bucket widened by one source bucket
 width — the ``fuzz`` field records the accumulated widening, and
 :func:`estimate_window` classifies buckets against predicates over their
 *widened* ranges.  Mass in a bucket whose widened range provably
-satisfies (or provably violates) every predicate is exactly countable,
-which is how tier-0 exact answers and the approximate mode's hard error
-bounds fall out of one code path:
-
-* all buckets provably inside → the answer is *exact* (tier0-stats);
-* a mix → interval bounds ``[lo, hi]`` guaranteed to contain the true
-  aggregate (tier0-sketch), with an estimate from the uniform-spread
-  assumption clamped into the bounds.
+satisfies (or provably violates) every predicate is exactly countable;
+that yields sound interval bounds on the filtered count and sum, and
+tier 0 answers a member only when those bounds (or a proven extremum)
+pin every selected aggregate to one exact value (tier0-stats).
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ import zlib
 from dataclasses import dataclass
 
 from repro.fedquery.ast import Predicate
-from repro.fedquery.cost import unsatisfiable_over, vacuous_over, value_fraction
+from repro.fedquery.cost import unsatisfiable_over, vacuous_over
 from repro.fedquery.pushdown import WINDOW_END, WINDOW_START, matches_value
 
 #: histogram resolution: fixed so aligned merges stay exact bucket-wise
@@ -50,9 +46,8 @@ HIST_BUCKETS = 32
 #: linear-counting bitmap width (bits) for distinct-count sketches
 DISTINCT_BITS = 256
 
-#: tier labels surfaced by explainPlan (satellite: tier per member)
+#: the tier label explainPlan shows for a member answered from metadata
 TIER0_STATS = "tier0-stats"
-TIER0_SKETCH = "tier0-sketch"
 
 
 @dataclass(frozen=True)
@@ -299,10 +294,10 @@ class DistinctSketch:
 
 @dataclass(frozen=True)
 class WindowEstimate:
-    """Sound bounds (and a clamped estimate) for one metric under the
-    query's value predicates, derived purely from its sketch.
+    """Sound bounds for one metric under the query's value predicates,
+    derived purely from its sketch.
 
-    The invariants the executor and planner rely on:
+    The invariants tier 0 relies on to prove an answer exact:
 
     * the true matching-row count lies in ``[count_lo, count_hi]``;
     * the true matching-value sum lies in ``[sum_lo, sum_hi]``;
@@ -313,10 +308,8 @@ class WindowEstimate:
     * zero-width count and sum bounds are exact answers.
     """
 
-    count_est: float
     count_lo: float
     count_hi: float
-    sum_est: float
     sum_lo: float
     sum_hi: float
     min_exact: float | None
@@ -333,7 +326,7 @@ class WindowEstimate:
         return self.count_lo == self.count_hi and self.sum_lo == self.sum_hi
 
 
-EMPTY_ESTIMATE = WindowEstimate(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, None, None, 0.0, 0.0)
+EMPTY_ESTIMATE = WindowEstimate(0.0, 0.0, 0.0, 0.0, None, None, 0.0, 0.0)
 
 
 def _allowed_hull(preds: tuple[Predicate, ...]) -> tuple[float, float]:
@@ -355,8 +348,8 @@ def _exact_estimate(sketch: MetricSketch, preds: tuple[Predicate, ...]) -> Windo
     """Every row matches: the sketch scalars are the exact answer."""
     count = float(sketch.count)
     return WindowEstimate(
-        count_est=count, count_lo=count, count_hi=count,
-        sum_est=sketch.total, sum_lo=sketch.total, sum_hi=sketch.total,
+        count_lo=count, count_hi=count,
+        sum_lo=sketch.total, sum_hi=sketch.total,
         min_exact=sketch.minimum, max_exact=sketch.maximum,
         value_lo=sketch.minimum, value_hi=sketch.maximum,
     )
@@ -392,8 +385,6 @@ def estimate_window(
 
     count_in = 0.0
     count_out = 0.0
-    count_est = 0.0
-    sum_est = 0.0
     direct_lo = direct_hi = 0.0  # sum over selected rows, direct route
     excl_lo = excl_hi = 0.0  # sum over excluded rows, complement route
     all_inside = True
@@ -404,8 +395,6 @@ def estimate_window(
         w_high = min(gmax, high + fuzz)
         if all(vacuous_over(pred, w_low, w_high) for pred in preds):
             count_in += mass
-            count_est += mass
-            sum_est += tot
             if trust_totals:
                 direct_lo += tot
                 direct_hi += tot
@@ -424,9 +413,6 @@ def estimate_window(
                 excl_hi += mass * w_high
             continue
         # partial bucket: between 0 and all of its mass is selected
-        fraction = value_fraction(preds, low, high)
-        count_est += mass * fraction
-        sum_est += tot * fraction
         env_lo = max(w_low, hull_lo)
         env_hi = min(w_high, hull_hi)
         direct_lo += min(0.0, mass * env_lo)
@@ -456,34 +442,12 @@ def estimate_window(
     pad = 1e-9 * max(1.0, abs(sum_lo), abs(sum_hi))
     sum_lo -= pad
     sum_hi += pad
-    count_est = max(count_lo, min(count_est, count_hi))
-    sum_est = max(sum_lo, min(sum_est, sum_hi))
     return WindowEstimate(
-        count_est=count_est, count_lo=count_lo, count_hi=count_hi,
-        sum_est=sum_est, sum_lo=sum_lo, sum_hi=sum_hi,
+        count_lo=count_lo, count_hi=count_hi,
+        sum_lo=sum_lo, sum_hi=sum_hi,
         min_exact=min_exact, max_exact=max_exact,
         value_lo=value_lo, value_hi=value_hi,
     )
-
-
-def mean_bounds(est: WindowEstimate) -> tuple[float, float]:
-    """Sound bounds on the mean of the selected rows.
-
-    The ratio corners of the count/sum intervals (when at least one row
-    provably matches) intersect with the selected-value envelope — each
-    route is sound alone, so the intersection is too.
-    """
-    low, high = est.value_lo, est.value_hi
-    if est.count_lo >= 1.0:
-        corners = [
-            est.sum_lo / est.count_lo, est.sum_lo / est.count_hi,
-            est.sum_hi / est.count_lo, est.sum_hi / est.count_hi,
-        ]
-        low = max(low, min(corners))
-        high = min(high, max(corners))
-        if low > high:  # float-drift guard
-            low, high = min(corners), max(corners)
-    return low, high
 
 
 # ------------------------------------------------------------ tier-0 answers
@@ -508,15 +472,16 @@ def tier0_query_eligible(query, split, window, allowlist) -> bool:
     )
 
 
-def _item_answerable(func: str, est: WindowEstimate, approx: bool) -> bool:
+def _item_answerable(func: str, est: WindowEstimate) -> bool:
+    """Do the member's bounds pin this aggregate to one exact value?"""
     if est.empty:
         return True  # contributes nothing; the group simply won't emit
     if func == "count":
-        return approx or est.count_lo == est.count_hi
+        return est.count_lo == est.count_hi
     if func == "sum":
-        return approx or est.sum_lo == est.sum_hi
+        return est.sum_lo == est.sum_hi
     if func == "mean":
-        return approx or est.exact
+        return est.exact
     if func == "min":
         return est.min_exact is not None
     if func == "max":
@@ -524,46 +489,21 @@ def _item_answerable(func: str, est: WindowEstimate, approx: bool) -> bool:
     return False
 
 
-def _item_rel_error(func: str, est: WindowEstimate) -> float:
-    """Relative half-width of one aggregate cell's bounds (0 = exact)."""
-    if est.empty:
-        return 0.0
-    if func == "count":
-        width = est.count_hi - est.count_lo
-        scale = max(abs(est.count_est), 1.0)
-    elif func == "sum":
-        width = est.sum_hi - est.sum_lo
-        scale = max(abs(est.sum_est), 1e-9)
-    elif func == "mean":
-        low, high = mean_bounds(est)
-        width = high - low
-        scale = max(abs(est.sum_est) / max(est.count_est, 1e-9), 1e-9)
-    else:  # min/max are only answerable exactly
-        return 0.0
-    return width / (2.0 * scale)
-
-
 def tier0_member_answer(
-    query,
-    value_preds: tuple[Predicate, ...],
-    stats,
-    approx: bool,
-    tolerance: float | None,
-) -> tuple[str, tuple[tuple[str, WindowEstimate], ...]] | None:
-    """One member's tier-0 verdict: ``(tier, per-metric partials)``.
+    query, value_preds: tuple[Predicate, ...], stats
+) -> tuple[tuple[str, WindowEstimate], ...] | None:
+    """One member's tier-0 answer: its per-metric partials.
 
-    ``None`` means the member cannot be answered from metadata (missing
-    or incomplete stats, a metric without a sketch, an inexact answer in
-    exact mode, or bounds wider than the requested tolerance) — the
-    executor then falls back to push-down/raw for this member only.
-    Metrics the stats prove empty (absent, or an exact zero row count)
-    contribute :data:`EMPTY_ESTIMATE` — the exact zero-row answer.
+    ``None`` means the stats do not prove the answer exactly (missing
+    or incomplete stats, a metric without a sketch, or an aggregate the
+    bounds leave inexact) — the executor then falls back to
+    push-down/raw for this member only.  Metrics the stats prove empty
+    (absent, or an exact zero row count) contribute
+    :data:`EMPTY_ESTIMATE` — the exact zero-row answer.
     """
     if stats is None or not stats.complete:
         return None
     partials: list[tuple[str, WindowEstimate]] = []
-    worst = 0.0
-    exact = True
     for metric in query.metrics:
         metric_stats = stats.metric(metric)
         if metric_stats is None or metric_stats.rows == 0:
@@ -573,19 +513,14 @@ def tier0_member_answer(
         if sketch is None:
             return None
         est = estimate_window(sketch, value_preds)
+        if not all(
+            _item_answerable(item.func, est)
+            for item in query.aggregates
+            if item.metric == metric
+        ):
+            return None
         partials.append((metric, est))
-        for item in query.aggregates:
-            if item.metric != metric:
-                continue
-            if not _item_answerable(item.func, est, approx):
-                return None
-            rel = _item_rel_error(item.func, est)
-            worst = max(worst, rel)
-            if rel > 0.0:
-                exact = False
-    if approx and tolerance is not None and worst > tolerance:
-        return None
-    return (TIER0_STATS if exact else TIER0_SKETCH), tuple(partials)
+    return tuple(partials)
 
 
 # ------------------------------------------------------------ build helpers

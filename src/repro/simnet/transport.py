@@ -95,56 +95,6 @@ class LoopbackTransport:
         return response
 
 
-class LatencyTransport:
-    """Wraps another transport, sleeping the modeled wire time per call.
-
-    Each ``send`` pays the :class:`~repro.simnet.network.NetworkModel`
-    round-trip for its actual request/response byte counts, scaled by
-    ``time_scale`` so benchmarks can model a WAN without waiting for
-    one.  This makes *time-to-first-row* measurable: a bulk transfer
-    pays one huge response in a single sleep, while a chunked cursor
-    pays small sleeps interleaved with consumption.
-
-    Install it on ``environment.transport`` *before* containers are
-    created — containers capture the transport at bind time.
-    """
-
-    def __init__(self, inner: Transport, model, time_scale: float = 1.0) -> None:
-        if time_scale < 0:
-            raise ValueError(f"time_scale must be >= 0, got {time_scale}")
-        self.inner = inner
-        self.model = model
-        self.time_scale = time_scale
-        self.calls = 0
-        self.slept_s = 0.0
-        # dispatch is concurrent now: per-call accounting must not race
-        import threading
-
-        self._stats_lock = threading.Lock()
-
-    def send(self, endpoint_url: str, request: bytes) -> bytes:
-        import time
-
-        response = self.inner.send(endpoint_url, request)
-        delay = self.model.round_trip_time(len(request), len(response)) * self.time_scale
-        with self._stats_lock:
-            self.calls += 1
-            self.slept_s += delay
-        if delay > 0:
-            time.sleep(delay)
-        return response
-
-    # delegate the registry surface so containers can bind through us
-    def bind(self, authority: str, handler: RequestHandler) -> None:
-        self.inner.bind(authority, handler)
-
-    def unbind(self, authority: str) -> None:
-        self.inner.unbind(authority)
-
-    def authorities(self) -> list[str]:
-        return self.inner.authorities()
-
-
 class RecordingTransport:
     """Wraps another transport, logging (endpoint, request, response) tuples.
 

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.semantic import PerformanceResult
 from repro.experiments.common import GridScale, build_grid, build_synthetic_grid
-from repro.fedquery import QueryError, naive_query
+from repro.fedquery import naive_query
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 
 #: HPL publishes metric sketches, so this shape (aggregate-only select,
@@ -96,12 +96,25 @@ class TestExactTier0:
 
     def test_inexact_window_falls_back_in_exact_mode(self):
         """A straddling predicate makes count inexact from metadata, so
-        exact mode must fan out (only approx mode may answer it)."""
+        the member must fan out.  The max is provable under it (the
+        global maximum matches) but the mean is not: one unprovable
+        aggregate is enough to send the member out."""
         grid, engine = synthetic({"A": [float(v) for v in range(1, 101)]})
-        result = engine.execute("SELECT count(m) WHERE value > 50.0 GROUP BY app")
-        assert result.stats["calls"] > 0
-        assert not result.plan.members[0].is_tier0
-        assert result.rows[0]["count(m)"] == 50
+        cases = {
+            "SELECT count(m) WHERE value > 50.0 GROUP BY app": {"count(m)": 50},
+            "SELECT max(m), mean(m) WHERE value > 50.0 GROUP BY app": {
+                "max(m)": 100.0,
+                "mean(m)": 75.5,
+            },
+        }
+        for text, cells in cases.items():
+            result = engine.execute(text)
+            assert result.stats["calls"] > 0
+            assert not result.plan.members[0].is_tier0
+            for label, value in cells.items():
+                assert result.rows[0][label] == value
+            naive = naive_query(text, engine.members())
+            assert [r.pack() for r in result.rows] == [r.pack() for r in naive]
         grid.cleanup()
 
     def test_attribute_group_key_disqualifies_tier0(self, grid):
@@ -178,25 +191,15 @@ class TestPlanCacheKeys:
         assert ";tier0[HPL=tier0-stats]" in tier0_plan.fingerprint
 
     def test_approx_and_exact_results_never_collide(self, grid):
+        """A tier-0 answer is memoized like any other: the first run
+        misses, the second hits the plan cache with identical rows."""
         engine = grid.fed_engine
         exact = engine.execute(HPL_QUERY)
-        assert exact.cached is False and exact.approx is False
-        # same text, approx mode: a fresh computation, not the exact hit
-        approx = engine.execute(HPL_QUERY, approx=True)
-        assert approx.cached is False and approx.approx is True
-        assert len(approx.error_bounds) == len(approx.rows)
-        # each mode then hits its own entry, bounds intact
-        hot_exact = engine.execute(HPL_QUERY)
-        assert hot_exact.cached is True and hot_exact.error_bounds == []
-        hot_approx = engine.execute(HPL_QUERY, approx=True)
-        assert hot_approx.cached is True
-        assert hot_approx.error_bounds == approx.error_bounds
-
-    def test_tolerance_is_part_of_the_key(self, grid):
-        engine = grid.fed_engine
-        engine.execute(HPL_QUERY, approx=True)
-        other = engine.execute(HPL_QUERY, approx=True, tolerance=0.5)
-        assert other.cached is False
+        assert exact.cached is False
+        assert exact.plan.effective_mode == "tier0"
+        hot = engine.execute(HPL_QUERY)
+        assert hot.cached is True
+        assert [r.pack() for r in hot.rows] == [r.pack() for r in exact.rows]
 
 
 class TestExplainSurfacesTiers:
@@ -220,22 +223,12 @@ class TestExplainSurfacesTiers:
 
 class TestClientOptions:
     def test_unknown_option_rejected(self, grid):
-        with pytest.raises(QueryError, match=r"unknown query option\(s\) \['frobnicate'\]"):
+        with pytest.raises(TypeError, match="frobnicate"):
             grid.client.query(HPL_QUERY, frobnicate=True)
-
-    def test_tolerance_requires_approx(self, grid):
-        with pytest.raises(QueryError, match="tolerance requires approx=True"):
-            grid.client.query(HPL_QUERY, tolerance=0.1)
 
     def test_exact_query_returns_plain_rows(self, grid):
         rows = grid.client.query(HPL_QUERY)
         assert rows and not hasattr(rows, "error_bounds")
-
-    def test_approx_query_returns_bounds_over_soap(self, grid):
-        rows = grid.client.query(HPL_QUERY, approx=True, tolerance=1.0)
-        assert rows.approx is True
-        assert len(rows.error_bounds) == len(rows)
-        assert all(isinstance(b, dict) for b in rows.error_bounds)
 
 
 class TestTier0CoherenceRace:

@@ -35,7 +35,7 @@ def main() -> None:
 
     # The plan, without executing: what pushed down where, who was pruned.
     print("\n== EXPLAIN")
-    print(grid.client.explain_query(text))
+    print(grid.client.explain(text))
 
     # A federation-wide question — no FROM clause means every published
     # Application; members that don't speak the metric contribute nothing.

@@ -12,15 +12,19 @@ This is the library form of the thesis's Swing client (Figures 8-11):
 * the local-bypass optimization of §7: a data store co-located with the
   client is accessed directly through its wrapper, skipping the Services
   Layer.
+
+The client is the top of the ``core`` package's import order: it sits
+above :mod:`repro.fedquery`, whose FederatedQuery and ViewRegistry
+services it calls like any other (``tests/test_layers.py``).
 """
 
 from __future__ import annotations
 
 import os
 import threading
-
+from collections import Counter
+from concurrent.futures import wait
 from dataclasses import dataclass, field
-
 from typing import Callable, Iterator
 
 from repro.core.semantic import (
@@ -32,23 +36,26 @@ from repro.core.semantic import (
     StoreStats,
     pr_sort_key,
 )
+from repro.fedquery.merge import ResultRow, order_rows
+from repro.fedquery.parser import parse_query
+from repro.fedquery.scheduler import shared_scheduler
+from repro.fedquery.service import FEDERATED_QUERY_PORTTYPE
+from repro.fedquery.views import ViewDelta
+from repro.fedquery.viewservice import VIEW_REGISTRY_PORTTYPE
 from repro.mapping.base import ApplicationWrapper
 from repro.ogsi.container import GridEnvironment
-from repro.ogsi.cursor import RESULT_CURSOR_PORTTYPE
+from repro.ogsi.cursor import (
+    DEFAULT_CHUNK_ROWS,
+    DEFAULT_STREAM_THRESHOLD_ROWS,
+    RESULT_CURSOR_PORTTYPE,
+)
 from repro.ogsi.dispatch import accept_encodings_headers
+from repro.ogsi.notification import NotificationSinkBase, PullNotificationSink
 from repro.ogsi.porttypes import FACTORY_PORTTYPE
 from repro.soap.chunks import (
     ENCODING_XML, WIRE_ENCODINGS, ChunkError, decode_chunk, require_accepted, unframe_answer,
 )
 from repro.uddi.proxy import OrganizationProxy, ServiceProxy, UddiClient
-
-#: default page size a chunked iterator requests per ``next`` call
-DEFAULT_CHUNK_ROWS = 256
-
-#: estimated result rows at which a member read (``stream_pr``'s, and the
-#: federation engine's per execution) prefers a cursor over one bulk getPR
-DEFAULT_STREAM_THRESHOLD_ROWS = 512
-
 
 def default_accept_encodings() -> tuple[str, ...]:
     """Wire encodings a request creating a cursor — or expecting a large
@@ -656,8 +663,6 @@ class AsyncQueryCollector:
     """
 
     def __init__(self, environment: GridEnvironment, authority: str = "ppg-client:7070") -> None:
-        from repro.ogsi.notification import PullNotificationSink
-
         self.environment = environment
         self.sink = PullNotificationSink()
         self.sink_gsh = _deploy_sink(environment, authority, "async-sink", self.sink)
@@ -719,8 +724,6 @@ class ViewSubscription:
         view_id: str,
         authority: str = "ppg-client:7070",
     ) -> None:
-        from repro.ogsi.notification import NotificationSinkBase
-
         self.environment = environment
         self._stub = registry_stub
         self.view_id = view_id
@@ -739,9 +742,6 @@ class ViewSubscription:
 
     def refresh(self) -> None:
         """Adopt the registry's current snapshot (epoch, version, rows)."""
-        from repro.fedquery.merge import ResultRow
-        from repro.fedquery.parser import parse_query
-
         records = list(self._stub.getView(self.view_id))
         header = _parse_pairs(records[:6])
         self.epoch = int(header["epoch"])
@@ -750,16 +750,10 @@ class ViewSubscription:
         self.rows = list(map(ResultRow.unpacker(), records[6:]))
 
     def _on_delivery(self, topic: str, message: str) -> None:
-        from repro.fedquery.views import ViewDelta
-
         self.apply(ViewDelta.decode(message))
 
     def apply(self, delta) -> None:
         """Apply one pushed delta (see the consistency rules above)."""
-        from collections import Counter
-
-        from repro.fedquery.merge import ResultRow, order_rows
-
         if delta.view_id != self.view_id:
             return
         if delta.kind == "refresh":
@@ -878,8 +872,6 @@ class PPerfGridClient:
     # ---------------------------------------------------- federated queries
     def use_federation(self, handle: str) -> None:
         """Point this client at a deployed FederatedQuery service."""
-        from repro.fedquery.service import FEDERATED_QUERY_PORTTYPE
-
         self._fed_stub = self.environment.stub_for_handle(
             handle, FEDERATED_QUERY_PORTTYPE
         )
@@ -896,8 +888,6 @@ class PPerfGridClient:
         to the FederatedQuery service over SOAP and packed result rows
         come back (see README "Federated queries" for the grammar).
         """
-        from repro.fedquery.merge import ResultRow
-
         fed = self._require_federation()
         with self.environment.recorder.time("virtualization.fedquery"):
             # only the federation knows the answer's size: always
@@ -919,24 +909,16 @@ class PPerfGridClient:
         iterator early to release the cursor and its member streams.
         """
         fed = self._require_federation()
-        from repro.fedquery.merge import ResultRow
-
         with self.environment.recorder.time("virtualization.fedquery.stream"):
             return ChunkedResultIterator.open(
                 self.environment, fed, "queryChunked", text,
                 max_rows=max_rows, decoder=ResultRow.unpacker(),
             )
 
-    def explain_query(self, text: str) -> str:
-        """The FederatedQuery service's plan description for *text*."""
-        return "\n".join(self._require_federation().explainQuery(text))
-
     def explain(self, text: str) -> str:
-        """The cost-annotated plan for *text* (explainPlan operation).
-
-        Unlike :meth:`explain_query`, the description includes the cost
-        model's per-member decisions: chosen mode, estimated rows and
-        transfer bytes, and any stats-proven skips.
+        """The cost-annotated plan for *text* (explainPlan operation):
+        per-member push-down terms and modes, estimated rows and transfer
+        bytes, and any stats-proven skips or pruned members.
         """
         return "\n".join(self._require_federation().explainPlan(text))
 
@@ -958,8 +940,6 @@ class PPerfGridClient:
     # ----------------------------------------------------- materialized views
     def use_views(self, handle: str) -> None:
         """Point this client at a deployed ViewRegistry service."""
-        from repro.fedquery.viewservice import VIEW_REGISTRY_PORTTYPE
-
         self._views_stub = self.environment.stub_for_handle(
             handle, VIEW_REGISTRY_PORTTYPE
         )
@@ -978,8 +958,6 @@ class PPerfGridClient:
 
     def get_view(self, view_id: str):
         """The view's current snapshot: (header dict, list of ResultRow)."""
-        from repro.fedquery.merge import ResultRow
-
         records = list(self._require_views().getView(view_id))
         header = _parse_pairs(records[:6])
         return header, list(map(ResultRow.unpacker(), records[6:]))
@@ -1107,9 +1085,6 @@ class ExecutionQueryPanel:
         this call's concurrency (a semaphore over the shared pool), not
         the pool size.
         """
-        from concurrent.futures import wait
-        from repro.fedquery.scheduler import shared_scheduler
-
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         pool = shared_scheduler()

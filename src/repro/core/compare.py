@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.analysis.tables import format_table
 from repro.core.semantic import UNDEFINED_TYPE, PerformanceResult
 
 
@@ -144,8 +145,6 @@ class ExecutionComparison:
         return [r.focus for r in self.rows if r.baseline is None and r.candidate is not None]
 
     def to_table(self) -> str:
-        from repro.analysis.tables import format_table
-
         rows = []
         for r in sorted(
             self.rows, key=lambda r: -(r.ratio if r.ratio is not None else 0.0)
@@ -201,8 +200,6 @@ class ScalingStudy:
     points: list[ScalingPoint]
 
     def to_table(self) -> str:
-        from repro.analysis.tables import format_table
-
         rows = [
             [p.attribute_value, p.metric_value, f"{p.speedup:.2f}", f"{p.efficiency:.1%}"]
             for p in self.points

@@ -22,6 +22,7 @@ from repro.mapping.base import ExecutionWrapper
 from repro.ogsi.cursor import DEFAULT_CURSOR_TTL, deploy_cursor
 from repro.ogsi.dispatch import answer_encoding
 from repro.ogsi.notification import NotificationSourceMixin
+from repro.ogsi.porttypes import NOTIFICATION_SINK_PORTTYPE
 from repro.ogsi.service import GridServiceBase
 from repro.soap.chunks import ENCODING_XML, WIRE_ENCODINGS, frame_answer
 
@@ -276,8 +277,6 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
             raise RuntimeError("Execution service is not deployed")
         self._async_counter = getattr(self, "_async_counter", 0) + 1
         query_id = f"query-{self.exec_id}-{self._async_counter}"
-        from repro.ogsi.porttypes import NOTIFICATION_SINK_PORTTYPE
-
         stub = self.container.environment.stub_for_handle(
             sinkHandle, NOTIFICATION_SINK_PORTTYPE
         )

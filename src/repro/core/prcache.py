@@ -128,7 +128,7 @@ def default_pr_cache() -> ByteBudgetLruCache:
     return ByteBudgetLruCache(DEFAULT_PR_CACHE_BYTES, DEFAULT_PR_CACHE_ENTRIES)
 
 
-@dataclass
+@dataclass(eq=False)
 class AdaptiveCache(PrCache):
     """Capacity follows host free memory (future-work §7).
 

@@ -18,6 +18,9 @@ from repro.datastores.generators.hpl import generate_hpl
 from repro.datastores.generators.presta import generate_presta
 from repro.datastores.generators.smg98 import generate_smg98
 from repro.datastores.textfiles import TextFileStore
+from repro.fedquery.executor import FederationEngine
+from repro.fedquery.service import FederatedQueryService
+from repro.fedquery.viewservice import ViewRegistryService
 from repro.mapping.rdbms import HplRdbmsWrapper, Smg98RdbmsWrapper
 from repro.mapping.textfile import PrestaTextWrapper
 from repro.ogsi.container import GridEnvironment
@@ -89,10 +92,6 @@ class Grid:
         exactly the cached plans that read them.  Returns the engine
         (useful for local, in-process execution in tests).
         """
-        from repro.fedquery.executor import FederationEngine
-        from repro.fedquery.service import FederatedQueryService
-        from repro.fedquery.viewservice import ViewRegistryService
-
         engine = FederationEngine(
             PPerfGridClient(self.environment, self.uddi_gsh),
             managers={name: site.manager for name, site in self.sites.items()},

@@ -25,7 +25,6 @@ Entry points:
 * :func:`naive_query` — the push-down-free reference implementation.
 """
 
-from repro.core.client import DEFAULT_CHUNK_ROWS, DEFAULT_STREAM_THRESHOLD_ROWS
 from repro.fedquery.ast import (
     AGG_FUNCS,
     RESERVED_FIELDS,
@@ -81,9 +80,7 @@ __all__ = [
     "AGG_RECORD_BYTES",
     "Accumulator",
     "CostModel",
-    "DEFAULT_CHUNK_ROWS",
     "DEFAULT_MEMOIZE_MAX_BYTES",
-    "DEFAULT_STREAM_THRESHOLD_ROWS",
     "ExecSelector",
     "FEDERATED_QUERY_PORTTYPE",
     "FederatedQueryService",

@@ -50,7 +50,6 @@ from functools import partial
 from itertools import islice
 from typing import Iterable, Iterator
 
-from repro.core.client import DEFAULT_CHUNK_ROWS, DEFAULT_STREAM_THRESHOLD_ROWS
 from repro.core.prcache import ByteBudgetLruCache, PrCache
 from repro.core.semantic import AggregateRecord, ordering_key
 from repro.fedquery.ast import Query, QueryError
@@ -67,6 +66,8 @@ from repro.fedquery.planner import MemberPlan, Plan, SubQuery, plan_query
 from repro.fedquery.pushdown import filter_foci, matches_value
 from repro.fedquery.scheduler import DEFAULT_POOL_WORKERS, DEFAULT_TENANT, FanoutScheduler
 from repro.fedquery.stream import DEFAULT_MEMOIZE_MAX_BYTES, StreamedResult, merge_streams
+from repro.ogsi.cursor import DEFAULT_CHUNK_ROWS, DEFAULT_STREAM_THRESHOLD_ROWS
+from repro.ogsi.dispatch import current_client_id
 from repro.soap.faults import SoapFault
 from repro.xmlkit import parse as parse_xml
 
@@ -244,20 +245,8 @@ class FederationEngine:
 
     # ------------------------------------------------------------ queries
     def explain(self, query: str | Query) -> str:
+        """The cost-annotated plan text, without executing the query."""
         return self._plan(self._parse(query)).explain()
-
-    def explain_plan(self, query: str | Query) -> list[str]:
-        """Cost-annotated plan lines, without executing the query.
-
-        Extends :meth:`explain` with the cost model's federation-wide
-        summary: the effective mode the stats actually selected and the
-        estimated transfer volume.
-        """
-        plan = self._plan(self._parse(query))
-        lines = plan.explain().splitlines()
-        lines.append(f"effective mode: {plan.effective_mode}")
-        lines.append(f"estimated transfer: {plan.estimated_bytes} bytes")
-        return lines
 
     def execute(
         self,
@@ -285,8 +274,6 @@ class FederationEngine:
         """
         query = self._parse(query)
         if tenant is None:
-            from repro.ogsi.dispatch import current_client_id
-
             tenant = current_client_id() or DEFAULT_TENANT
         fingerprint = query.fingerprint()
         # the one plan-cache probe of this query, whichever path runs it

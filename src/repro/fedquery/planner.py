@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.core.semantic import StoreStats, UNDEFINED_TYPE
+from repro.core.semantic import UNDEFINED_TYPE, DistinctSketch, StoreStats
 from repro.fedquery.ast import Query
 from repro.fedquery.cost import CostModel, MemberCost
 from repro.fedquery.pushdown import (
@@ -45,12 +45,7 @@ from repro.fedquery.pushdown import (
     focus_allowlist,
     split_predicates,
 )
-from repro.fedquery.sketch import (
-    TIER0_STATS,
-    DistinctSketch,
-    tier0_member_answer,
-    tier0_query_eligible,
-)
+from repro.fedquery.sketch import TIER0_STATS, tier0_member_answer, tier0_query_eligible
 
 #: the attribute name every store answers for unique-execution-id queries
 EXEC_ID_ATTRIBUTE = "execid"
@@ -248,6 +243,9 @@ class Plan:
         return any(member.cost.stats_missing for member in self.members)
 
     def explain(self) -> str:
+        """The cost-annotated plan as text: per-member push-down terms,
+        tiers and estimates, skipped and pruned members, and the
+        federation-wide effective mode and estimated transfer."""
         lines = [f"plan: {self.fingerprint}"]
         if self.mode == "aggregate":
             lines.append("mode: aggregate (stores return count/total/min/max buckets)")
@@ -269,6 +267,8 @@ class Plan:
             lines.append(
                 f"estimated output groups: {self.est_groups} (distinct sketches)"
             )
+        lines.append(f"effective mode: {self.effective_mode}")
+        lines.append(f"estimated transfer: {self.estimated_bytes} bytes")
         return "\n".join(lines)
 
 

@@ -53,16 +53,6 @@ FEDERATED_QUERY_PORTTYPE = PortType(
             ),
         ),
         Operation(
-            "explainQuery",
-            (Parameter("queryText", "xsd:string"),),
-            "xsd:string[]",
-            doc=(
-                "Compile a federated query and return the plan as text "
-                "lines — push-down terms per member, chosen mode, and "
-                "pruned members — without executing it."
-            ),
-        ),
-        Operation(
             "explainPlan",
             (Parameter("queryText", "xsd:string"),),
             "xsd:string[]",
@@ -170,13 +160,9 @@ class FederatedQueryService(GridServiceBase):
         )
         return gsh.url()
 
-    def explainQuery(self, queryText: str) -> list[str]:
-        self.require_active()
-        return self.engine.explain(queryText).splitlines()
-
     def explainPlan(self, queryText: str) -> list[str]:
         self.require_active()
-        return self.engine.explain_plan(queryText)
+        return self.engine.explain(queryText).splitlines()
 
     def getCacheStats(self) -> list[str]:
         self.require_active()

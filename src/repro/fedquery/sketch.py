@@ -1,27 +1,11 @@
-"""Mergeable sketches and the tier-0 answer machinery.
+"""Tier-0 estimation: what a member's sketches prove about a query.
 
-Two sketch kinds ride the existing ``getStats`` wire path (packed as
-extra ``StoreStats`` records, merged member-side exactly like
-:meth:`repro.core.semantic.StoreStats.merge`):
+The sketch types themselves (:class:`~repro.core.semantic.MetricSketch`,
+:class:`~repro.core.semantic.DistinctSketch`) belong to the store's own
+statistics and live beside :class:`~repro.core.semantic.StoreStats`.
+This module only reads them.
 
-* :class:`MetricSketch` — per metric: the exact matching-row ``count``,
-  value ``total``, observed ``minimum``/``maximum``, plus a fixed-bucket
-  histogram of the value distribution.  A wrapper may only emit one when
-  it was built from a *complete scan* of the metric's rows over all foci
-  and the full time window (the same row set ``getPR`` with no
-  constraints returns) — that exactness contract is what lets the
-  planner answer whole sub-queries from the sketch alone.
-* :class:`DistinctSketch` — per group key: a linear-counting bitmap
-  whose merge is a bitwise OR, estimating the number of distinct values
-  across the federation (duplicates across members collapse, which a
-  per-member count could never do).
-
-Histogram merges must stay *sound* after rebinning: when two sketches
-with different value ranges merge, a source bucket's mass is spread
-proportionally over the target buckets it overlaps.  Every target
-bucket that receives mass from a source bucket ``[l, h]`` overlaps it,
-so ``[l, h]`` lies within the target bucket widened by one source bucket
-width — the ``fuzz`` field records the accumulated widening, and
+A rebinning merge widens each bucket by the sketch's ``fuzz``, and
 :func:`estimate_window` classifies buckets against predicates over their
 *widened* ranges.  Mass in a bucket whose widened range provably
 satisfies (or provably violates) every predicate is exactly countable;
@@ -33,263 +17,15 @@ pin every selected aggregate to one exact value (tier0-stats).
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
 
+from repro.core.semantic import MetricSketch
 from repro.fedquery.ast import Predicate
 from repro.fedquery.cost import unsatisfiable_over, vacuous_over
 from repro.fedquery.pushdown import WINDOW_END, WINDOW_START, matches_value
 
-#: histogram resolution: fixed so aligned merges stay exact bucket-wise
-HIST_BUCKETS = 32
-
-#: linear-counting bitmap width (bits) for distinct-count sketches
-DISTINCT_BITS = 256
-
 #: the tier label explainPlan shows for a member answered from metadata
 TIER0_STATS = "tier0-stats"
-
-
-@dataclass(frozen=True)
-class MetricSketch:
-    """Mergeable value-distribution sketch for one metric.
-
-    ``count``/``total``/``minimum``/``maximum`` are exact over the
-    metric's full row set (the builder contract).  ``counts``/``totals``
-    attribute that mass to ``len(counts)`` equal-width buckets over
-    ``[minimum, maximum]``; after a rebinning merge the attribution is
-    approximate but every unit of mass in bucket *i* belongs to a row
-    whose value lies within the bucket range widened by ``fuzz`` (and
-    clipped to the exact global range).  ``exact_buckets`` is True while
-    per-bucket counts and totals are still exact (fresh sketches, and
-    merges of identically-binned exact sketches).
-    """
-
-    metric: str
-    count: int
-    total: float
-    minimum: float
-    maximum: float
-    counts: tuple[float, ...]
-    totals: tuple[float, ...]
-    fuzz: float = 0.0
-    exact_buckets: bool = True
-
-    # ------------------------------------------------------------ geometry
-    def bucket_width(self) -> float:
-        if not self.counts or self.maximum <= self.minimum:
-            return 0.0
-        return (self.maximum - self.minimum) / len(self.counts)
-
-    def bucket_bounds(self, index: int) -> tuple[float, float]:
-        width = self.bucket_width()
-        if width == 0.0:
-            return (self.minimum, self.maximum)
-        low = self.minimum + index * width
-        if index == len(self.counts) - 1:
-            return (low, self.maximum)  # absorb float drift at the top edge
-        return (low, low + width)
-
-    def buckets(self) -> list[tuple[float, float, float, float]]:
-        """(mass, total, low, high) per bucket; degenerate sketches fold
-        into one bucket spanning the whole exact range."""
-        if not self.counts:
-            if self.count <= 0:
-                return []
-            return [(float(self.count), self.total, self.minimum, self.maximum)]
-        out = []
-        for index, (mass, tot) in enumerate(zip(self.counts, self.totals)):
-            low, high = self.bucket_bounds(index)
-            out.append((mass, tot, low, high))
-        return out
-
-    # ------------------------------------------------------------ builders
-    @classmethod
-    def from_values(
-        cls, metric: str, values: list[float], buckets: int = HIST_BUCKETS
-    ) -> "MetricSketch":
-        """Exact sketch from a complete scan of the metric's values."""
-        if not values:
-            return cls(metric, 0, 0.0, 0.0, 0.0, (), ())
-        minimum = min(values)
-        maximum = max(values)
-        total = math.fsum(values)
-        if maximum <= minimum:
-            return cls(
-                metric, len(values), total, minimum, maximum,
-                (float(len(values)),), (total,),
-            )
-        width = (maximum - minimum) / buckets
-        counts = [0.0] * buckets
-        totals = [0.0] * buckets
-        for value in values:
-            index = min(buckets - 1, int((value - minimum) / width))
-            counts[index] += 1.0
-            totals[index] += value
-        return cls(
-            metric, len(values), total, minimum, maximum,
-            tuple(counts), tuple(totals),
-        )
-
-    @classmethod
-    def merge(cls, parts: list["MetricSketch"]) -> "MetricSketch":
-        """Combine sketches of disjoint row sets into one.
-
-        Identically-binned parts add bucket-wise and stay as exact as
-        their inputs; differently-binned parts rebin proportionally into
-        ``HIST_BUCKETS`` buckets over the union range, widening ``fuzz``
-        by each part's source bucket width so bucket classification in
-        :func:`estimate_window` stays sound.
-        """
-        name = parts[0].metric if parts else ""
-        live = [part for part in parts if part.count > 0]
-        if not live:
-            return cls(name, 0, 0.0, 0.0, 0.0, (), ())
-        if len(live) == 1:
-            return live[0]
-        count = sum(part.count for part in live)
-        total = math.fsum(part.total for part in live)
-        minimum = min(part.minimum for part in live)
-        maximum = max(part.maximum for part in live)
-        first = live[0]
-        if all(
-            part.minimum == first.minimum
-            and part.maximum == first.maximum
-            and len(part.counts) == len(first.counts)
-            for part in live
-        ):
-            counts = [0.0] * len(first.counts)
-            totals = [0.0] * len(first.counts)
-            for part in live:
-                for index, (mass, tot) in enumerate(zip(part.counts, part.totals)):
-                    counts[index] += mass
-                    totals[index] += tot
-            return cls(
-                name, count, total, minimum, maximum,
-                tuple(counts), tuple(totals),
-                fuzz=max(part.fuzz for part in live),
-                exact_buckets=all(part.exact_buckets for part in live),
-            )
-        if maximum <= minimum:
-            return cls(
-                name, count, total, minimum, maximum,
-                (float(count),), (total,),
-                fuzz=max(part.fuzz for part in live),
-            )
-        width = (maximum - minimum) / HIST_BUCKETS
-        counts = [0.0] * HIST_BUCKETS
-        totals = [0.0] * HIST_BUCKETS
-        fuzz = 0.0
-        for part in live:
-            fuzz = max(fuzz, part.fuzz + part.bucket_width())
-            for mass, tot, low, high in part.buckets():
-                if mass <= 0.0 and tot == 0.0:
-                    continue
-                if high <= low:  # point mass lands in one target bucket
-                    index = min(HIST_BUCKETS - 1, int((low - minimum) / width))
-                    counts[index] += mass
-                    totals[index] += tot
-                    continue
-                start = max(0, min(HIST_BUCKETS - 1, int((low - minimum) / width)))
-                stop = max(0, min(HIST_BUCKETS - 1, int((high - minimum) / width)))
-                for index in range(start, stop + 1):
-                    b_low = minimum + index * width
-                    overlap = min(high, b_low + width) - max(low, b_low)
-                    if overlap <= 0.0:
-                        continue
-                    share = overlap / (high - low)
-                    counts[index] += mass * share
-                    totals[index] += tot * share
-        return cls(
-            name, count, total, minimum, maximum,
-            tuple(counts), tuple(totals),
-            fuzz=fuzz, exact_buckets=False,
-        )
-
-    # ---------------------------------------------------------------- wire
-    def pack(self) -> str:
-        """Wire form: ``sketch|metric|count|total|min|max|fuzz|exact|counts|totals``
-        (bucket lists comma-separated — ``|`` delimits fields)."""
-        return (
-            f"sketch|{self.metric}|{self.count}|{self.total!r}|"
-            f"{self.minimum!r}|{self.maximum!r}|{self.fuzz!r}|"
-            f"{1 if self.exact_buckets else 0}|"
-            + ",".join(repr(value) for value in self.counts)
-            + "|"
-            + ",".join(repr(value) for value in self.totals)
-        )
-
-    @staticmethod
-    def unpack(rest: str) -> "MetricSketch":
-        parts = rest.split("|")
-        if len(parts) != 9:
-            raise ValueError(f"bad MetricSketch record {rest!r}")
-        metric, count, total, minimum, maximum, fuzz, exact, counts, totals = parts
-        return MetricSketch(
-            metric=metric,
-            count=int(count),
-            total=float(total),
-            minimum=float(minimum),
-            maximum=float(maximum),
-            counts=tuple(float(v) for v in counts.split(",") if v),
-            totals=tuple(float(v) for v in totals.split(",") if v),
-            fuzz=float(fuzz),
-            exact_buckets=exact.strip() not in ("0", ""),
-        )
-
-
-@dataclass(frozen=True)
-class DistinctSketch:
-    """Linear-counting distinct-value sketch for one group key.
-
-    ``bitmap`` holds ``bits`` hash buckets; merge is bitwise OR, so the
-    federation-wide estimate counts each distinct value once no matter
-    how many members publish it.  Estimates only — never a proof.
-    """
-
-    key: str
-    bits: int = DISTINCT_BITS
-    bitmap: int = 0
-
-    @classmethod
-    def from_values(cls, key: str, values: list[str], bits: int = DISTINCT_BITS) -> "DistinctSketch":
-        bitmap = 0
-        for value in values:
-            bitmap |= 1 << (zlib.crc32(str(value).encode("utf-8")) % bits)
-        return cls(key=key, bits=bits, bitmap=bitmap)
-
-    @classmethod
-    def merge(cls, parts: list["DistinctSketch"]) -> "DistinctSketch":
-        if not parts:
-            return cls(key="")
-        bits = max(part.bits for part in parts)
-        bitmap = 0
-        for part in parts:
-            if part.bits == bits:
-                bitmap |= part.bitmap
-        return cls(key=parts[0].key, bits=bits, bitmap=bitmap)
-
-    def estimate(self) -> float:
-        """Linear-counting estimate of the distinct-value count."""
-        zeros = self.bits - bin(self.bitmap).count("1")
-        if zeros <= 0:
-            return float(self.bits)
-        return self.bits * math.log(self.bits / zeros)
-
-    def pack(self) -> str:
-        """Wire form: ``distinct|key|bits|bitmap-hex``."""
-        return f"distinct|{self.key}|{self.bits}|{self.bitmap:x}"
-
-    @staticmethod
-    def unpack(rest: str) -> "DistinctSketch":
-        parts = rest.split("|")
-        if len(parts) != 3:
-            raise ValueError(f"bad DistinctSketch record {rest!r}")
-        key, bits, bitmap = parts
-        return DistinctSketch(key=key, bits=int(bits), bitmap=int(bitmap, 16))
-
-
-# --------------------------------------------------------------- estimation
 
 
 @dataclass(frozen=True)
@@ -521,22 +257,3 @@ def tier0_member_answer(
             return None
         partials.append((metric, est))
     return tuple(partials)
-
-
-# ------------------------------------------------------------ build helpers
-
-
-def sketches_from_values(values: dict[str, list[float]]) -> tuple[MetricSketch, ...]:
-    """One exact sketch per metric from complete per-metric value scans."""
-    return tuple(
-        MetricSketch.from_values(metric, metric_values)
-        for metric, metric_values in sorted(values.items())
-    )
-
-
-def distincts_from_values(values: dict[str, list[str]]) -> tuple[DistinctSketch, ...]:
-    """One distinct-count sketch per group key."""
-    return tuple(
-        DistinctSketch.from_values(key, key_values)
-        for key, key_values in sorted(values.items())
-    )

@@ -17,9 +17,12 @@ from typing import Iterable, Iterator
 from repro.core.semantic import (
     UNDEFINED_TYPE,
     AggregateRecord,
+    DistinctSketch,
     MetricStats,
     PerformanceResult,
     StoreStats,
+    distincts_from_values,
+    sketches_from_values,
 )
 from repro.simnet.metrics import Recorder
 
@@ -75,8 +78,6 @@ class ApplicationWrapper(ABC):
             [self.execution(exec_id).get_stats() for exec_id in exec_ids]
         )
         if merged.distinct("exec") is None:
-            from repro.fedquery.sketch import DistinctSketch
-
             merged = replace(
                 merged,
                 distincts=merged.distincts
@@ -95,8 +96,6 @@ class ApplicationWrapper(ABC):
         overrides attach these; the generic fallback gets per-execution
         distincts through :meth:`StoreStats.merge` instead.
         """
-        from repro.fedquery.sketch import DistinctSketch
-
         sketches = [DistinctSketch.from_values("exec", self.get_all_exec_ids())]
         for attr, values in sorted(self.get_exec_query_params().items()):
             sketches.append(DistinctSketch.from_values(attr, values))
@@ -256,12 +255,10 @@ class ExecutionWrapper(ABC):
         comes back, so the :class:`repro.core.semantic.StoreStats`
         soundness contract holds trivially.  Because that is a complete
         scan, the same values legitimately feed per-metric
-        :class:`~repro.fedquery.sketch.MetricSketch` histograms (the
+        :class:`~repro.core.semantic.MetricSketch` histograms (the
         tier-0 exactness contract).  Store wrappers override this with
         cheap native queries when a full scan would be expensive.
         """
-        from repro.fedquery.sketch import distincts_from_values, sketches_from_values
-
         foci = self.get_foci()
         start, end = self.get_time_start_end()
         metrics = []

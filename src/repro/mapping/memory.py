@@ -18,6 +18,8 @@ from repro.core.semantic import (
     MetricStats,
     PerformanceResult,
     StoreStats,
+    distincts_from_values,
+    sketches_from_values,
 )
 from repro.mapping.base import (
     ApplicationWrapper,
@@ -110,8 +112,6 @@ def _memory_stats(execution: InMemoryExecution) -> StoreStats:
     The result list *is* the complete row set, so the per-metric
     sketches honour the tier-0 exactness contract by construction.
     """
-    from repro.fedquery.sketch import distincts_from_values, sketches_from_values
-
     values: dict[str, list[float]] = {}
     foci: list[str] = []
     types: list[str] = []

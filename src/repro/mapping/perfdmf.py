@@ -16,6 +16,8 @@ from repro.core.semantic import (
     MetricStats,
     PerformanceResult,
     StoreStats,
+    distincts_from_values,
+    sketches_from_values,
 )
 from repro.mapping.base import ApplicationWrapper, ExecutionWrapper, MappingError
 from repro.mapping.rdbms import _SQL_OPS, _sql_value
@@ -175,8 +177,6 @@ def _perfdmf_stats(conn: Connection, app_id: int | None, trial_id: int | None) -
         f"WHERE {ie_where} ORDER BY ie.event_group, ie.event_name",
         params,
     )
-    from repro.fedquery.sketch import distincts_from_values, sketches_from_values
-
     distinct_keys = {} if trial_id is None else {"exec": [str(trial_id)]}
     return StoreStats(
         executions=execs,

@@ -15,6 +15,8 @@ from repro.core.semantic import (
     MetricStats,
     PerformanceResult,
     StoreStats,
+    distincts_from_values,
+    sketches_from_values,
 )
 from repro.mapping.base import (
     ApplicationWrapper,
@@ -173,8 +175,6 @@ class HplRdbmsWrapper(ApplicationWrapper):
         scan per metric builds tier-0 sketches honouring the exactness
         contract.
         """
-        from repro.fedquery.sketch import sketches_from_values
-
         count = int(self.conn.execute("SELECT COUNT(*) FROM hpl_runs").scalar() or 0)
         metrics = []
         scanned: dict[str, list[float]] = {}
@@ -323,8 +323,6 @@ class HplRdbmsExecutionWrapper(ExecutionWrapper):
 
     def get_stats(self) -> StoreStats:
         """One row read: each metric is a single scalar for this run."""
-        from repro.fedquery.sketch import distincts_from_values, sketches_from_values
-
         row = self.conn.execute(
             "SELECT gflops, runtimesec, resid FROM hpl_runs WHERE runid = ?",
             [self.runid],
@@ -857,8 +855,6 @@ def _presta_rdbms_stats(conn: Connection, execid: int | None) -> StoreStats:
     sketches require.  Stats foci are the *query* foci (``/Op/<op>``,
     what ``get_foci`` returns), not the per-msgsize result foci.
     """
-    from repro.fedquery.sketch import distincts_from_values, sketches_from_values
-
     where = "" if execid is None else " WHERE execid = ?"
     params: list[object] = [] if execid is None else [execid]
     if execid is None:

@@ -14,6 +14,8 @@ from repro.core.semantic import (
     MetricStats,
     PerformanceResult,
     StoreStats,
+    distincts_from_values,
+    sketches_from_values,
 )
 from repro.datastores.textfiles import TextFileStore, TextStoreError
 from repro.mapping.base import (
@@ -112,8 +114,6 @@ def _presta_text_stats(store: TextFileStore, execid: int) -> StoreStats:
     (``/Op/<op>``), matching ``get_foci``, not the per-msgsize result
     foci.
     """
-    from repro.fedquery.sketch import distincts_from_values, sketches_from_values
-
     execution = store.load(execid)
     latencies = [float(row[3]) for row in execution.measurements]
     bandwidths = [float(row[4]) for row in execution.measurements]

@@ -13,6 +13,7 @@ from repro.core.semantic import (
     MetricStats,
     PerformanceResult,
     StoreStats,
+    sketches_from_values,
 )
 from repro.datastores.xmlstore import XmlStore
 from repro.mapping.base import (
@@ -98,8 +99,6 @@ class HplXmlWrapper(ApplicationWrapper):
 
 
 def _hpl_xml_stats(runs: list) -> StoreStats:
-    from repro.fedquery.sketch import sketches_from_values
-
     metrics = []
     scanned: dict[str, list[float]] = {}
     for metric in sorted(HplXmlWrapper.METRICS):

@@ -46,9 +46,10 @@ from repro.simnet.metrics import Recorder
 from repro.simnet.transport import LoopbackTransport, Transport
 from repro.soap.faults import SoapFault, fault_from_exception
 from repro.soap.rpc import decode_request, encode_fault, encode_response
+from repro.wsdl.document import parse_wsdl
 from repro.wsdl.porttype import Operation, PortType
 from repro.wsdl.stubgen import ClientStub, make_stub
-from repro.xmlkit import Element
+from repro.xmlkit import Element, parse as parse_xml
 
 #: optional security check: (headers, request_bytes) -> None or raise
 SecurityVerifier = Callable[[list[Element], bytes], None]
@@ -488,9 +489,6 @@ class GridEnvironment:
         PortType (always available), parses it, and builds the stub from
         the parsed interface — the analog of WSDL2Java stub generation.
         """
-        from repro.wsdl.document import parse_wsdl
-        from repro.xmlkit import parse as parse_xml
-
         bootstrap = self.stub_for_handle(handle, GRID_SERVICE_PORTTYPE, headers_provider)
         result_xml = bootstrap.FindServiceData("wsdl")
         root = parse_xml(result_xml).root

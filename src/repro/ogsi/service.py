@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 from repro.ogsi.gsh import GridServiceHandle
 from repro.ogsi.porttypes import GRID_SERVICE_PORTTYPE
 from repro.ogsi.servicedata import ServiceDataSet
+from repro.wsdl.document import generate_wsdl
 from repro.wsdl.porttype import PortType
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,8 +71,6 @@ class GridServiceBase:
         # Rendered when first asked for, then remembered: a ~3.6 KB
         # serialisation per deployed instance, transient cursors
         # included, is mostly unread and never changes.
-        from repro.wsdl.document import generate_wsdl
-
         self.service_data.set(
             "wsdl", functools.cache(lambda: generate_wsdl(self.porttype, gsh.endpoint_url()))
         )

@@ -562,7 +562,7 @@ class TestFederatedQueryService:
         assert rows and rows_equal(rows, naive_query(text, fed_grid.fed_engine.members()))
 
     def test_client_explain_over_soap(self, fed_grid):
-        text = fed_grid.client.explain_query("SELECT count(gflops) FROM HPL GROUP BY app")
+        text = fed_grid.client.explain("SELECT count(gflops) FROM HPL GROUP BY app")
         assert "member HPL" in text
 
     def test_query_without_federation_rejected(self, fed_grid):

@@ -255,8 +255,7 @@ def test_plan_mode_coverage(cost_env):
 def test_skip_is_visible_in_explain(cost_env):
     """A stats-proven skip shows up in the cost-annotated plan text."""
     env = cost_env[0]
-    lines = env.engine.explain_plan(f"SELECT count({GHOST_METRIC}) GROUP BY app")
-    text = "\n".join(lines)
+    text = env.engine.explain(f"SELECT count({GHOST_METRIC}) GROUP BY app")
     assert "skipped" in text and "effective mode: skip" in text
     result = env.engine.execute(f"SELECT count({GHOST_METRIC}) GROUP BY app")
     assert result.rows == []

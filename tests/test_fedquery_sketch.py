@@ -16,15 +16,15 @@ import random
 
 import pytest
 
-from repro.core.semantic import MetricStats, StoreStats
-from repro.fedquery.ast import Predicate
-from repro.fedquery.sketch import (
-    EMPTY_ESTIMATE,
+from repro.core.semantic import (
     DistinctSketch,
     MetricSketch,
-    estimate_window,
+    MetricStats,
+    StoreStats,
     sketches_from_values,
 )
+from repro.fedquery.ast import Predicate
+from repro.fedquery.sketch import EMPTY_ESTIMATE, estimate_window
 from repro.fedquery.pushdown import matches_value
 
 

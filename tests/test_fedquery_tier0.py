@@ -204,16 +204,16 @@ class TestPlanCacheKeys:
 
 class TestExplainSurfacesTiers:
     def test_explain_plan_shows_tier_and_round_trips(self, grid):
-        lines = grid.fed_engine.explain_plan(HPL_QUERY)
-        text = "\n".join(lines)
+        text = grid.fed_engine.explain(HPL_QUERY)
+        lines = text.splitlines()
         assert "member HPL: tier=tier0-stats" in text
         assert "answered from cached stats/sketches (0 round-trips)" in text
         assert any(line.startswith("estimated round-trips: 0") for line in lines)
 
     def test_explain_plan_shows_fallback_tier(self, grid):
-        lines = grid.fed_engine.explain_plan(
+        lines = grid.fed_engine.explain(
             "SELECT count(time_spent) FROM SMG98 GROUP BY app"
-        )
+        ).splitlines()
         assert any("member SMG98: tier=pushdown" in line for line in lines)
 
     def test_estimated_vs_actual_round_trips(self, grid):

@@ -12,11 +12,12 @@ from collections import Counter
 
 import pytest
 
-from repro.core.client import DEFAULT_CHUNK_ROWS, ExecutionBinding, PPerfGridClient
+from repro.core.client import ExecutionBinding, PPerfGridClient
 from repro.core.semantic import PerformanceResult
 from repro.experiments.common import build_synthetic_grid
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 from repro.ogsi.container import GridEnvironment
+from repro.ogsi.cursor import DEFAULT_CHUNK_ROWS
 from repro.simnet.transport import RecordingTransport
 from repro.soap.rpc import decode_request
 

@@ -258,6 +258,17 @@ class TestAdaptiveCache:
         with pytest.raises(ValueError):
             AdaptiveCache(max_capacity=5, min_capacity=0)
 
+    def test_identity_not_config_decides_equality(self):
+        # two caches with one configuration but different entries are
+        # different caches, and like every PrCache each one hashes
+        filled = AdaptiveCache()
+        filled.put("k", ["x"])
+        empty = AdaptiveCache()
+        assert empty != filled
+        assert filled == filled
+        assert len({empty, filled}) == 2
+        assert {filled: "a"}[filled] == "a"
+
 
 class TestStats:
     def test_hit_rate(self):

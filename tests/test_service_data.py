@@ -108,12 +108,12 @@ class TestComputedWhenRead:
         assert len(list(rows)) == 11  # drained: the cursor closed itself
 
     def test_wsdl_is_rendered_once_and_only_when_asked(self, grid, monkeypatch):
-        import repro.wsdl.document as document
+        import repro.ogsi.service as service_module
 
         renders = []
-        real = document.generate_wsdl
+        real = service_module.generate_wsdl
         monkeypatch.setattr(
-            document, "generate_wsdl", lambda *args: renders.append(1) or real(*args)
+            service_module, "generate_wsdl", lambda *args: renders.append(1) or real(*args)
         )
         execution = grid.bind("A").all_executions()[1]
         assert not renders

@@ -1,16 +1,22 @@
-"""Query planning and execution (iterator model).
+"""Query planning and execution.
 
-The planner is rule-based and small:
+``SelectExecutor._plan`` makes every planner decision once per
+statement; ``run`` acts on the plan and ``explain`` prints it:
 
-* equality predicates of the form ``col = literal`` on the driving table
-  use a hash index when one exists;
-* joins whose ON condition contains an equality between one column from
-  each side become hash joins; everything else is a filtered nested loop;
-* aggregation materializes groups in a dict keyed by GROUP BY values.
+* ``col = literal`` on an indexed driving-table column (resolved in the
+  joined layout) becomes an index lookup;
+* an ON equality between one column from each side makes a hash join;
+  anything else is a filtered nested loop;
+* when every join is a hash join on plain column keys with no other ON
+  conjunct, the longest leading run of WHERE conjuncts that read only
+  driving-table columns and cannot raise (column-vs-literal comparison,
+  literal IN list, IS [NOT] NULL) filters driving rows before the first
+  join; the other conjuncts filter joined rows, in written order;
+* aggregation groups in a dict keyed by GROUP BY values and evaluates
+  each distinct aggregate argument once per row.
 
-Results stream lazily where possible — the thesis notes Enosys-style
-"lazy evaluation ... using an adaptation of relational database iterator
-models", and the Mapping Layer benefits from LIMIT short-circuits.
+Scan, filters and joins stream; projection, aggregation, ORDER BY and
+DISTINCT materialize every row before LIMIT and OFFSET slice the result.
 """
 
 from __future__ import annotations
@@ -36,10 +42,11 @@ from repro.minidb.expr import (
     Negate,
     NotOp,
     RowLayout,
+    column_refs,
     contains_aggregate,
 )
 from repro.minidb.sql_ast import JoinClause, OrderItem, SelectStmt, TableRef
-from repro.minidb.storage import Table
+from repro.minidb.storage import HashIndex, Table
 from repro.minidb.types import SqlValue, sort_key
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -100,11 +107,11 @@ def _join_conjuncts(conjuncts: list[Expr]) -> Expr | None:
 
 
 def _index_probe(
-    conjuncts: list[Expr], table: Table, alias: str
-) -> tuple[str, SqlValue, list[Expr]] | None:
+    conjuncts: list[Expr], table: Table, on_driving: Callable[[ColumnRef], bool]
+) -> tuple[tuple[HashIndex, SqlValue], list[Expr]] | None:
     """Find ``col = literal`` (either order) with an index on *col*.
 
-    Returns (index_name, probe_value, remaining_conjuncts) or None.
+    Returns ((index, probe_value), remaining_conjuncts) or None.
     """
     for i, conj in enumerate(conjuncts):
         if not (isinstance(conj, Comparison) and conj.op == "="):
@@ -112,18 +119,22 @@ def _index_probe(
         for ref, lit in ((conj.left, conj.right), (conj.right, conj.left)):
             if not (isinstance(ref, ColumnRef) and isinstance(lit, Literal)):
                 continue
-            if ref.table is not None and ref.table.lower() != alias.lower():
-                continue
-            try:
-                table.schema.column_index(ref.column)
-            except ProgrammingError:
-                continue
-            index = table.index_on(ref.column)
-            if index is None:
-                continue
-            remaining = conjuncts[:i] + conjuncts[i + 1 :]
-            return index.name, lit.value, remaining
+            index = table.index_on(ref.column) if on_driving(ref) else None
+            if index is not None:
+                return (index, lit.value), conjuncts[:i] + conjuncts[i + 1 :]
     return None
+
+
+def _cannot_raise(conj: Expr) -> bool:
+    """A column-vs-literal comparison, literal IN list or IS [NOT] NULL."""
+    if isinstance(conj, Comparison):
+        sides = (type(conj.left), type(conj.right))
+        return sides in ((ColumnRef, Literal), (Literal, ColumnRef))
+    if isinstance(conj, InList):
+        return isinstance(conj.operand, ColumnRef) and all(
+            isinstance(item, Literal) for item in conj.items
+        )
+    return isinstance(conj, IsNull) and isinstance(conj.operand, ColumnRef)
 
 
 def _equi_join_keys(
@@ -136,7 +147,7 @@ def _equi_join_keys(
     """
 
     def side(expr: Expr) -> str | None:
-        refs = _refs(expr)
+        refs = column_refs(expr)
         if not refs:
             return None
         sides = set()
@@ -165,12 +176,6 @@ def _equi_join_keys(
     return None
 
 
-def _refs(expr: Expr) -> list[ColumnRef]:
-    from repro.minidb.expr import column_refs
-
-    return column_refs(expr)
-
-
 def _resolvable(ref: ColumnRef, layout: RowLayout) -> bool:
     try:
         layout.resolve(ref)
@@ -182,34 +187,109 @@ def _resolvable(ref: ColumnRef, layout: RowLayout) -> bool:
 # ---------------------------------------------------------------- executor
 
 
+def _layout(ref: TableRef, table: Table) -> RowLayout:
+    return RowLayout([(ref.alias, col.name) for col in table.schema.columns])
+
+
+def _bind(expr: Expr | None, layout: RowLayout) -> Callable | None:
+    return None if expr is None else BoundExpr(expr, layout).fn
+
+
+@dataclass
+class _Join:
+    clause: JoinClause
+    table: Table
+    width: int  # the joined table's column count
+    keys: tuple[Callable, Callable] | None  # bound (left, right) keys of a hash join
+    on: Callable | None  # what of the ON condition the keys leave, bound
+
+
+@dataclass
+class _Plan:
+    """Every decision and binding :meth:`SelectExecutor.run` acts on and
+    :meth:`SelectExecutor.explain` prints."""
+
+    table: Table
+    probe: tuple[HashIndex, SqlValue] | None
+    pushed: Callable | None  # filters driving rows before the first join
+    joins: list[_Join]
+    residual: Callable | None  # filters joined rows
+    layout: RowLayout  # of the joined rows
+    aggregate: bool
+
+
 class SelectExecutor:
     """Executes one SELECT statement against a database."""
 
     def __init__(self, db: "Database", stmt: SelectStmt) -> None:
         self.db = db
         self.stmt = stmt
-        self._residual_where: Expr | None = None
 
-    def run(self) -> ResultSet:
+    def _plan(self) -> _Plan:
         stmt = self.stmt
-        layout, rows = self._base_rows(stmt.table, stmt.where)
-        for join in stmt.joins:
-            layout, rows = self._apply_join(layout, rows, join)
-        residual = self._residual_where
-        if residual is not None:
-            bound = BoundExpr(residual, layout)
-            rows = (row for row in rows if bound.eval(row))
+        table = self.db.table(stmt.table.table)
+        layout = _layout(stmt.table, table)
+        width, joins, pushable = len(layout.slots), [], bool(stmt.joins)
+        for clause in stmt.joins:
+            right = self.db.table(clause.table.table)
+            right_layout = _layout(clause.table, right)
+            keys = _equi_join_keys(clause.condition, layout, right_layout)
+            on = clause.condition if keys is None else keys[2]
+            pushable = pushable and on is None and all(isinstance(k, ColumnRef) for k in keys[:2])
+            if keys is not None:
+                keys = (BoundExpr(keys[0], layout).fn, BoundExpr(keys[1], right_layout).fn)
+            layout = layout.concat(right_layout)
+            joins.append(_Join(clause, right, len(right_layout.slots), keys, _bind(on, layout)))
 
-        wants_aggregate = (
+        def on_driving(ref: ColumnRef) -> bool:
+            try:
+                return layout.resolve(ref) < width
+            except ProgrammingError:  # unknown or ambiguous: raised binding the residual
+                return False
+
+        conjuncts = _split_conjuncts(stmt.where)
+        found = _index_probe(conjuncts, table, on_driving)
+        probe, conjuncts = found if found is not None else (None, conjuncts)
+        n = 0
+        while pushable and n < len(conjuncts) and _cannot_raise(conjuncts[n]) and all(
+            on_driving(ref) for ref in column_refs(conjuncts[n])
+        ):
+            n += 1
+        # driving-table slots lead the joined layout, so a filter bound to
+        # it reads a driving row as it would the joined row
+        pushed, residual = _join_conjuncts(conjuncts[:n]), _join_conjuncts(conjuncts[n:])
+        aggregate = (
             bool(stmt.group_by)
             or stmt.having is not None
             or any(not it.is_star and contains_aggregate(it.expr) for it in stmt.items)
             or any(contains_aggregate(o.expr) for o in stmt.order_by)
         )
-        if wants_aggregate:
-            columns, out_rows = self._aggregate(layout, rows)
+        return _Plan(
+            table, probe, _bind(pushed, layout), joins, _bind(residual, layout), layout, aggregate
+        )
+
+    def run(self) -> ResultSet:
+        stmt = self.stmt
+        plan = self._plan()
+        table = plan.table
+        if plan.probe is not None:
+            rowids = sorted(plan.probe[0].lookup(plan.probe[1]))
+            rows: Iterator[tuple] = (
+                table.rows[rid] for rid in rowids if table.rows[rid] is not None
+            )
         else:
-            columns, out_rows = self._project(layout, rows)
+            rows = (row for _, row in table.scan())
+        if plan.pushed is not None:
+            rows = filter(plan.pushed, rows)
+        for join in plan.joins:
+            rows = _join_rows(rows, join)
+        if plan.residual is not None:
+            rows = filter(plan.residual, rows)
+
+        if plan.aggregate:
+            columns, out_rows = self._aggregate(plan.layout, rows)
+        else:
+            columns, out_rows = self._project(plan.layout, rows)
 
         if stmt.distinct:
             seen: set[tuple] = set()
@@ -227,54 +307,25 @@ class SelectExecutor:
         return ResultSet(columns, out_rows)
 
     def explain(self) -> list[str]:
-        """Describe the plan this executor would run, one line per stage.
-
-        Mirrors the decisions in :meth:`run` (index probe selection,
-        hash- vs nested-loop join) without touching any rows — used to
-        test the planner and to diagnose slow Mapping-Layer queries.
-        """
-        stmt = self.stmt
-        lines: list[str] = []
-        table = self.db.table(stmt.table.table)
-        layout = RowLayout([(stmt.table.alias, c.name) for c in table.schema.columns])
-        conjuncts = _split_conjuncts(stmt.where)
-        probe = _index_probe(conjuncts, table, stmt.table.alias) if conjuncts else None
-        if probe is not None:
-            index_name, value, remaining = probe
-            index = table.indexes[index_name]
+        """Describe the plan :meth:`run` acts on, one line per stage,
+        without touching any rows."""
+        stmt, plan = self.stmt, self._plan()
+        source = f"{stmt.table.table} AS {stmt.table.alias}"
+        lines = [f"SeqScan {source}"]
+        if plan.probe is not None:
+            index, value = plan.probe
+            lines = [f"IndexLookup {source} USING {index.name} ({index.column} = {value!r})"]
+        if plan.pushed is not None:
+            lines.append("Filter (before joins)")
+        for join in plan.joins:
             lines.append(
-                f"IndexLookup {stmt.table.table} AS {stmt.table.alias} "
-                f"USING {index_name} ({index.column} = {value!r})"
+                f"{'NestedLoop' if join.keys is None else 'Hash'}Join "
+                f"({'Left' if join.clause.left_outer else 'Inner'}) "
+                f"{join.clause.table.table} AS {join.clause.table.alias}"
             )
-            residual = _join_conjuncts(remaining)
-        else:
-            lines.append(f"SeqScan {stmt.table.table} AS {stmt.table.alias}")
-            residual = stmt.where
-        for join in stmt.joins:
-            right_table = self.db.table(join.table.table)
-            right_layout = RowLayout(
-                [(join.table.alias, c.name) for c in right_table.schema.columns]
-            )
-            keys = _equi_join_keys(join.condition, layout, right_layout)
-            kind = "Left" if join.left_outer else "Inner"
-            if keys is not None:
-                lines.append(
-                    f"HashJoin ({kind}) {join.table.table} AS {join.table.alias}"
-                )
-            else:
-                lines.append(
-                    f"NestedLoopJoin ({kind}) {join.table.table} AS {join.table.alias}"
-                )
-            layout = layout.concat(right_layout)
-        if residual is not None:
+        if plan.residual is not None:
             lines.append("Filter")
-        wants_aggregate = (
-            bool(stmt.group_by)
-            or stmt.having is not None
-            or any(not it.is_star and contains_aggregate(it.expr) for it in stmt.items)
-            or any(contains_aggregate(o.expr) for o in stmt.order_by)
-        )
-        if wants_aggregate:
+        if plan.aggregate:
             lines.append(f"Aggregate (group keys: {len(stmt.group_by)})")
             if stmt.having is not None:
                 lines.append("Having")
@@ -287,80 +338,6 @@ class SelectExecutor:
         return lines
 
     # ------------------------------------------------------------- stages
-    def _base_rows(
-        self, ref: TableRef, where: Expr | None
-    ) -> tuple[RowLayout, Iterator[tuple]]:
-        table = self.db.table(ref.table)
-        layout = RowLayout([(ref.alias, col.name) for col in table.schema.columns])
-        conjuncts = _split_conjuncts(where)
-        probe = _index_probe(conjuncts, table, ref.alias) if conjuncts else None
-        if probe is not None:
-            index_name, value, remaining = probe
-            self._residual_where = _join_conjuncts(remaining)
-            index = table.indexes[index_name]
-            rowids = sorted(index.lookup(value))
-            rows: Iterator[tuple] = (
-                table.rows[rid] for rid in rowids if table.rows[rid] is not None
-            )
-            return layout, rows
-        self._residual_where = where
-        return layout, (row for _, row in table.scan())
-
-    def _apply_join(
-        self, left_layout: RowLayout, left_rows: Iterator[tuple], join: JoinClause
-    ) -> tuple[RowLayout, Iterator[tuple]]:
-        table = self.db.table(join.table.table)
-        right_layout = RowLayout(
-            [(join.table.alias, col.name) for col in table.schema.columns]
-        )
-        out_layout = left_layout.concat(right_layout)
-        right_width = len(right_layout.slots)
-        keys = _equi_join_keys(join.condition, left_layout, right_layout)
-
-        if keys is not None:
-            left_key_expr, right_key_expr, residual = keys
-            right_key = BoundExpr(right_key_expr, right_layout)
-            build: dict[SqlValue, list[tuple]] = {}
-            for _, row in table.scan():
-                k = right_key.eval(row)
-                if k is not None:
-                    build.setdefault(k, []).append(row)
-            left_key = BoundExpr(left_key_expr, left_layout)
-            bound_residual = BoundExpr(residual, out_layout) if residual is not None else None
-
-            def hash_join() -> Iterator[tuple]:
-                null_pad = (None,) * right_width
-                for lrow in left_rows:
-                    matched = False
-                    k = left_key.eval(lrow)
-                    if k is not None:
-                        for rrow in build.get(k, ()):
-                            combined = lrow + rrow
-                            if bound_residual is None or bound_residual.eval(combined):
-                                matched = True
-                                yield combined
-                    if join.left_outer and not matched:
-                        yield lrow + null_pad
-
-            return out_layout, hash_join()
-
-        bound = BoundExpr(join.condition, out_layout)
-        right_rows = [row for _, row in table.scan()]
-
-        def nested_loop() -> Iterator[tuple]:
-            null_pad = (None,) * right_width
-            for lrow in left_rows:
-                matched = False
-                for rrow in right_rows:
-                    combined = lrow + rrow
-                    if bound.eval(combined):
-                        matched = True
-                        yield combined
-                if join.left_outer and not matched:
-                    yield lrow + null_pad
-
-        return out_layout, nested_loop()
-
     def _expand_items(self, layout: RowLayout) -> list[tuple[str, Expr]]:
         """Expand stars; return (output_name, expr) pairs."""
         out: list[tuple[str, Expr]] = []
@@ -462,26 +439,36 @@ class SelectExecutor:
                     f"output column {name!r} is not aggregated (no GROUP BY present)"
                 )
 
-        bound_groups = [BoundExpr(e, layout) for e in group_exprs]
-        bound_agg_args = [
-            BoundExpr(call.args[0], layout) if call.args else None for call in agg_calls
-        ]
+        group_fns = [BoundExpr(e, layout).fn for e in group_exprs]
+        # One value slot per distinct argument, COUNT(*)'s holding 1: the
+        # first aggregate to use an argument evaluates it, so a row raises
+        # the error a per-aggregate loop would; later ones read the slot.
+        # repr() keys keep x + 1 and x + 1.0 apart (dataclass == merges them).
+        arg_slots: dict[str, int] = {"*": 0}
+        steps: list[tuple[Callable | None, int]] = []
+        for call in agg_calls:
+            if not call.star and not call.args:
+                raise ProgrammingError(f"{call.name}() needs an argument")
+            key = "*" if call.star else repr(call.args[0])
+            fresh = key not in arg_slots
+            slot = arg_slots.setdefault(key, len(arg_slots))
+            steps.append((BoundExpr(call.args[0], layout).fn if fresh else None, slot))
+        values = [1] * len(arg_slots)
 
         groups: dict[tuple, list[_AggState]] = {}
         group_values: dict[tuple, tuple] = {}
         for row in rows:
-            key_values = tuple(b.eval(row) for b in bound_groups)
-            key = tuple(sort_key(v) for v in key_values)
+            key_values = tuple([fn(row) for fn in group_fns])
+            key = tuple([sort_key(v) for v in key_values])
             states = groups.get(key)
             if states is None:
                 states = [_AggState(call.name) for call in agg_calls]
                 groups[key] = states
                 group_values[key] = key_values
-            for state, arg, call in zip(states, bound_agg_args, agg_calls):
-                if call.star:
-                    state.update(1)
-                else:
-                    state.update(arg.eval(row))  # type: ignore[union-attr]
+            for state, (fn, slot) in zip(states, steps):
+                if fn is not None:
+                    values[slot] = fn(row)
+                state.update(values[slot])
 
         if not groups and not group_exprs:
             # Aggregates over an empty input produce one row.
@@ -541,6 +528,35 @@ class SelectExecutor:
         return columns, [projected for _, projected in out]
 
 
+def _join_rows(left_rows: Iterator[tuple], join: _Join) -> Iterator[tuple]:
+    """Joined rows, in left-row order; the hash table is built now."""
+    right_rows = [row for _, row in join.table.scan()]
+    if join.keys is None:
+        candidates = lambda lrow: right_rows  # noqa: E731
+    else:
+        left_key, right_key = join.keys
+        build: dict[SqlValue, list[tuple]] = {}
+        for row in right_rows:
+            k = right_key(row)
+            if k is not None:
+                build.setdefault(k, []).append(row)
+        candidates = lambda lrow: build.get(left_key(lrow), ())  # noqa: E731
+    on, null_pad = join.on, (None,) * join.width
+
+    def joined() -> Iterator[tuple]:
+        for lrow in left_rows:
+            matched = False
+            for rrow in candidates(lrow):
+                combined = lrow + rrow
+                if on is None or on(combined):
+                    matched = True
+                    yield combined
+            if join.clause.left_outer and not matched:
+                yield lrow + null_pad
+
+    return joined()
+
+
 class _Reversed:
     """Inverts comparison order for DESC sort keys."""
 
@@ -559,14 +575,14 @@ class _Reversed:
 class _AggState:
     """Incremental state for one aggregate over one group."""
 
-    __slots__ = ("name", "count", "total", "minimum", "maximum")
+    __slots__ = ("name", "count", "total", "best", "best_key")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.count = 0
         self.total: float | int = 0
-        self.minimum: SqlValue = None
-        self.maximum: SqlValue = None
+        self.best: SqlValue = None  # MIN's minimum, MAX's maximum
+        self.best_key: tuple | None = None  # sort_key(self.best), kept with it
 
     def update(self, value: SqlValue) -> None:
         if value is None:
@@ -577,11 +593,13 @@ class _AggState:
                 raise ProgrammingError(f"{self.name} requires numeric input, got {value!r}")
             self.total += value
         elif self.name == "MIN":
-            if self.minimum is None or sort_key(value) < sort_key(self.minimum):
-                self.minimum = value
+            key = sort_key(value)
+            if self.best_key is None or key < self.best_key:
+                self.best, self.best_key = value, key
         elif self.name == "MAX":
-            if self.maximum is None or sort_key(value) > sort_key(self.maximum):
-                self.maximum = value
+            key = sort_key(value)
+            if self.best_key is None or key > self.best_key:
+                self.best, self.best_key = value, key
 
     def result(self) -> SqlValue:
         if self.name == "COUNT":
@@ -592,9 +610,7 @@ class _AggState:
             return self.total
         if self.name == "AVG":
             return self.total / self.count
-        if self.name == "MIN":
-            return self.minimum
-        return self.maximum
+        return self.best
 
 
 def _children(expr: Expr) -> list[Expr]:

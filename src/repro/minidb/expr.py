@@ -8,6 +8,7 @@ per row, which keeps the hot path to a tuple index plus Python ops.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from repro.minidb.errors import ProgrammingError
@@ -232,22 +233,29 @@ def like_match(text: str, pattern: str) -> bool:
 class BoundExpr:
     """An expression resolved against a :class:`RowLayout`.
 
-    ``eval(row)`` computes the value for one tuple.  Aggregate calls are
-    *not* evaluated here — the executor replaces them with pre-computed
-    slot references before binding (see ``executor._rewrite_aggregates``).
+    ``eval(row)`` computes the value for one tuple; hot loops call the
+    compiled closure ``fn`` directly.  Aggregate calls are *not*
+    evaluated here — ``SelectExecutor._aggregate`` rewrites them into
+    references to its group-row slots before binding.
     """
 
-    __slots__ = ("_fn",)
+    __slots__ = ("fn",)
 
     def __init__(self, expr: Expr, layout: RowLayout) -> None:
-        self._fn = _compile(expr, layout)
+        self.fn = _compile(expr, layout)
 
     def eval(self, row: tuple) -> SqlValue:
-        return self._fn(row)
+        return self.fn(row)
+
+
+_COMPARE = {
+    "=": operator.eq, "!=": operator.ne, "<>": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
 
 
 def _compile_literal_comparison(expr: "Comparison", layout: RowLayout):
-    """Specialized closure for ``column <op> literal`` (either order).
+    """One closure for ``column <op> literal`` (either order).
 
     Returns None when the pattern does not apply; the caller falls back
     to the generic three-way comparison.
@@ -260,38 +268,19 @@ def _compile_literal_comparison(expr: "Comparison", layout: RowLayout):
     if not (isinstance(left, ColumnRef) and isinstance(right, Literal)):
         return None
     slot = layout.resolve(left)
-    value = right.value
+    value, compare = right.value, _COMPARE[op]
     if value is None:
         return lambda row: False  # comparisons with NULL are never true
-    if isinstance(value, str):
-        kinds: tuple[type, ...] = (str,)
-    elif isinstance(value, bool):
-        kinds = (bool,)
-    elif isinstance(value, (int, float)):
-        kinds = (int, float)
-    else:  # pragma: no cover - literals are scalars by construction
-        return None
-    numeric = kinds == (int, float)
-
-    def check(v: SqlValue) -> bool:
-        if not isinstance(v, kinds):
-            return False
-        # bool is an int subclass but a distinct SQL kind.
-        return not (numeric and isinstance(v, bool))
-
-    if op == "=":
-        return lambda row: check(row[slot]) and row[slot] == value
-    if op in ("!=", "<>"):
-        return lambda row: check(row[slot]) and row[slot] != value
-    if op == "<":
-        return lambda row: check(row[slot]) and row[slot] < value
-    if op == "<=":
-        return lambda row: check(row[slot]) and row[slot] <= value
-    if op == ">":
-        return lambda row: check(row[slot]) and row[slot] > value
-    if op == ">=":
-        return lambda row: check(row[slot]) and row[slot] >= value
-    return None  # pragma: no cover
+    if isinstance(value, (str, bool)):
+        kind = str if isinstance(value, str) else bool
+        return lambda row: isinstance(v := row[slot], kind) and compare(v, value)
+    if not isinstance(value, (int, float)):
+        return None  # not a SQL scalar (a bound parameter can be anything)
+    # bool is an int subclass but a distinct SQL kind
+    return lambda row: (
+        isinstance(v := row[slot], (int, float)) and not isinstance(v, bool)
+        and compare(v, value)
+    )
 
 
 def _numeric(value: SqlValue, context: str) -> int | float:

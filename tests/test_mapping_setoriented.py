@@ -4,7 +4,8 @@
   on ``pack()`` strings, the request-order fold of one-focus calls —
   the fold order is part of the contract, it fixes every float sum;
 * cost guard: statements per call are *counted* through a ``Database``
-  proxy, never timed;
+  proxy, never timed, and so are the rows the ``/Code`` aggregate's
+  first join receives;
 * minidb: ``?`` is a token bound by value — no parameter leaks through
   the statement memo, none passes through SQL text;
 * the SOAP surface answers infinite ``getPRAgg`` bounds alike on every
@@ -25,6 +26,7 @@ from repro.experiments.common import build_synthetic_grid
 from repro.mapping import MappingError, PrestaRdbmsWrapper, Smg98RdbmsWrapper
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 from repro.minidb import Database, ProgrammingError, connect
+from repro.minidb import executor
 from repro.minidb.expr import BoundExpr, ColumnRef, InList, Literal, RowLayout
 from repro.minidb.types import compare_values
 from repro.soap import SoapFault
@@ -259,6 +261,32 @@ class TestStatementsPerCall:
         del db.statements[:]
         assert execution.get_pr(metric, [focus], 0.0, 0.0, UNDEFINED_TYPE)
         assert len(db.statements) == 1, db.statements
+
+    def test_code_aggregate_joins_one_executions_intervals(self, counted, monkeypatch):
+        """The /Code aggregate's first hash join is fed this execution's
+        interval rows — ``i.execid = ?`` filters them before the join —
+        while the table is still scanned whole: a count of rows."""
+        db, execution, foci = counted
+        fed: list[tuple[str, list[tuple]]] = []
+        join_rows = executor._join_rows
+
+        def counting(left_rows, join):
+            taken: list[tuple] = []
+            fed.append((join.clause.table.table, taken))
+            return join_rows((taken.append(row) or row for row in left_rows), join)
+
+        monkeypatch.setattr(executor, "_join_rows", counting)
+        code = [focus for focus in foci if focus.startswith("/Code/")]
+        assert execution.get_pr_aggregate("time_spent", code, 0.0, 0.0, UNDEFINED_TYPE)
+        assert len(db.statements) == 1, db.statements
+        [(table, rows)] = fed
+        execid = db.table("intervals").schema.column_index("execid")
+        own = db.query(
+            "SELECT COUNT(*) FROM intervals WHERE execid = ?", [execution.execid]
+        ).scalar()
+        assert table == "functions"
+        assert len(rows) == own < len(db.table("intervals"))
+        assert {row[execid] for row in rows} == {execution.execid}
 
     def test_presta_is_one_statement_per_call(self, presta_dataset):
         db = CountingDatabase(presta_dataset.to_database())

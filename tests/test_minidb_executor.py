@@ -201,6 +201,22 @@ class TestAggregates:
         with pytest.raises(ProgrammingError):
             db.query("SELECT SUM(machine) FROM runs")
 
+    def test_equal_looking_arguments_are_evaluated_apart(self, db):
+        # x + 1 and x + 1.0 compare equal as trees; each keeps its own kind
+        row = db.query("SELECT SUM(numprocs + 1), MAX(numprocs + 1.0), MIN(-numprocs) FROM runs")
+        assert repr(row.rows) == "[(45, 17.0, -16)]"
+
+    def test_an_argument_error_is_raised_by_its_first_user(self, db):
+        # SUM(machine) rejects 'alpha' before MIN(runid / 0) is evaluated
+        with pytest.raises(ProgrammingError, match="SUM requires numeric input"):
+            db.query("SELECT COUNT(*), SUM(machine), MIN(runid / 0), MAX(machine) FROM runs")
+        with pytest.raises(ProgrammingError, match="division by zero"):
+            db.query("SELECT COUNT(*), MIN(runid / 0), SUM(machine), MAX(runid / 0) FROM runs")
+
+    def test_an_aggregate_needs_an_argument(self, db):
+        with pytest.raises(ProgrammingError, match=r"SUM\(\) needs an argument"):
+            db.query("SELECT SUM() FROM runs")
+
 
 class TestJoins:
     def test_inner_join(self, db):

@@ -82,7 +82,39 @@ class TestExplain:
             "JOIN functions f ON i.funcid = f.funcid "
             "WHERE i.execid = 1 AND f.name = 'MPI_Irecv'"
         )
-        plan = smg98_db.explain(sql)
-        assert "SeqScan intervals" in plan
-        assert "HashJoin" in plan
-        smg98_db.query(sql)  # and it actually runs
+        plan = smg98_db.explain(sql).splitlines()
+        assert plan[0] == "SeqScan intervals AS i"
+        # i.execid = 1 filters the intervals before the join; f.name after
+        assert plan[1].strip() == "-> Filter (before joins)"
+        assert plan[2].strip() == "-> HashJoin (Inner) functions AS f"
+        assert plan[3].strip() == "-> Filter"
+        rows = smg98_db.query(sql).rows  # and it runs what explain prints
+        joined = smg98_db.query(
+            "SELECT i.execid, f.name, i.start_ts, i.end_ts FROM intervals i "
+            "JOIN functions f ON i.funcid = f.funcid"
+        ).rows
+        assert rows and rows == [row[2:] for row in joined if row[:2] == (1, "MPI_Irecv")]
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT r.machine FROM runs r JOIN procs p ON r.runid = p.runid WHERE runid = 1",
+            "SELECT p.pid FROM procs p JOIN runs r ON p.runid = r.runid WHERE runid = 1",
+        ],
+    )
+    def test_an_ambiguous_column_is_never_an_index_probe(self, db, sql):
+        # runs.runid has an index, procs.runid none: both raise alike
+        for call in (db.query, db.explain):
+            with pytest.raises(ProgrammingError, match="ambiguous column 'runid'"):
+                call(sql)
+        qualified = sql.replace("WHERE runid", "WHERE r.runid")
+        assert db.explain(qualified).splitlines()[0].startswith(
+            "IndexLookup runs" if "FROM runs" in sql else "SeqScan procs"
+        )
+
+    def test_no_filter_is_pushed_past_a_nested_loop_or_on_residual(self, db):
+        for join in ("r.runid < p.runid", "r.runid = p.runid AND p.pid > 1"):
+            plan = db.explain(
+                f"SELECT * FROM runs r JOIN procs p ON {join} WHERE r.numprocs = 4"
+            )
+            assert "before joins" not in plan and "-> Filter" in plan

@@ -188,12 +188,6 @@ class FederationEngine:
         """Pool/queue/tenant counters (the monitor's ``fanoutScheduler.*``)."""
         return self._pool().stats()
 
-    def set_rate_limit(
-        self, tenant: str | None, rate: float, burst: int | None = None
-    ) -> None:
-        """Token-bucket admission for *tenant* (None = the default bucket)."""
-        self._pool().set_rate_limit(tenant, rate, burst=burst)
-
     def close(self) -> None:
         """Shut down the fan-out pool and join its workers."""
         with self._scheduler_lock:
@@ -266,11 +260,10 @@ class FederationEngine:
         prove its share of an aggregate is answered at tier 0 with no
         round trip; every other member fans out.
 
-        ``tenant`` keys the fan-out scheduler's fair queueing and rate
-        limiting; when omitted the engine uses the dispatching request's
-        ``clientId`` header (a query arriving through the federation
-        service inherits the identity admission control saw), falling
-        back to the shared default tenant.
+        ``tenant`` keys the fan-out scheduler's fair queueing; when
+        omitted the engine uses the dispatching request's ``clientId``
+        header (a query arriving through the federation service carries
+        its caller's), falling back to the shared default tenant.
         """
         query = self._parse(query)
         if tenant is None:
@@ -293,7 +286,7 @@ class FederationEngine:
                 plan=None,
             )
         if stream and not query.is_aggregate and query.order_by is None:
-            return self._execute_stream(query, fingerprint, tenant)
+            return self._execute_stream(query, fingerprint)
         result = self._execute_bulk(query, fingerprint, tenant)
         if not stream:
             return result
@@ -309,7 +302,7 @@ class FederationEngine:
         )
 
     def _execute_bulk(self, query: Query, fingerprint: str, tenant: str) -> QueryResult:
-        plan, stats, deps, errors, finish = self._begin_uncached(query, fingerprint, tenant)
+        plan, stats, deps, errors, finish = self._begin_uncached(query, fingerprint)
         merger = StreamingMerger(query)
         for member in (m for m in plan.members if m.is_tier0):
             # a tier-0 answer is likewise a read of the member's cached
@@ -359,10 +352,8 @@ class FederationEngine:
         )
 
     # ----------------------------------------------------------- streaming
-    def _execute_stream(
-        self, query: Query, fingerprint: str, tenant: str
-    ) -> StreamedResult:
-        plan, stats, deps, errors, finish = self._begin_uncached(query, fingerprint, tenant)
+    def _execute_stream(self, query: Query, fingerprint: str) -> StreamedResult:
+        plan, stats, deps, errors, finish = self._begin_uncached(query, fingerprint)
         #: one lazy row generator per selected execution (nothing read yet)
         streams: list[Iterator[ResultRow]] = []
         for member, executions, subqueries, cursor in self.member_work(
@@ -384,24 +375,16 @@ class FederationEngine:
             errors=errors,
         )
 
-    def _begin_uncached(self, query: Query, fingerprint: str, tenant: str):
+    def _begin_uncached(self, query: Query, fingerprint: str):
         """The shared head of both result paths after a plan-cache miss —
-        coherence snapshot, plan, rate charge, stats counters, plan-time
-        dependencies — and, as the ``finish`` it returns last (after the
-        plan, the counters, the dependency set and the list member
-        failures are recorded in), their shared tail.
-
-        This is the one place a query is rate-limited — after the cache
-        probe and planning (cached and tier-0 answers cost the members
-        nothing, so they are free) and before any execution selection,
-        so a shed query has made no member round trip.  ``BusyFault``
-        propagates undegraded: a shed is not a member failure.
+        coherence snapshot, plan, stats counters, plan-time dependencies —
+        and, as the ``finish`` it returns last (after the plan, the
+        counters, the dependency set and the list member failures are
+        recorded in), their shared tail.
         """
         snapshot = self.coherence.snapshot()
         plan = self._plan(query)
         fanout_members = [m for m in plan.members if not m.is_tier0]
-        if fanout_members:
-            self._pool().acquire_rate(tenant)
         self.plan_modes[plan.effective_mode] += 1
         # metrics the planner already proved away (skipped members count
         # all their metrics; surviving fan-out members count omitted

@@ -12,15 +12,11 @@ measured).  :class:`FanoutScheduler` is one engine-lifetime pool:
   merges with an ordinary ``FIRST_COMPLETED`` wait loop.  Building a
   scheduler starts no thread: the first ``submit`` spawns the first
   worker.
-* **Per-tenant fair queueing** — each tenant (the container ingress's
-  ``clientId``) gets its own FIFO in a shared
-  :class:`~repro.ogsi.dispatch.FairQueue` and runnable tasks are
-  admitted round-robin across tenants, so a flooding tenant lengthens
-  only its own queue.
-* **Token-bucket rate limiting** — :meth:`acquire_rate` charges one
-  token per query against the tenant's bucket (:meth:`set_rate_limit`)
-  and sheds excess with the established ``ServerBusy``
-  :class:`~repro.ogsi.dispatch.BusyFault`.
+* **Per-tenant fair queueing** — each tenant (the request's
+  ``clientId`` header) gets its own FIFO in a :class:`FairQueue` and
+  runnable tasks are admitted round-robin across tenants, so a flooding
+  tenant lengthens only its own queue.  This is the grid's one
+  admission point: container ingress neither queues nor sheds.
 
 Streamed queries take no thread from here: their member reads run on
 the thread that drains the result (:mod:`repro.fedquery.stream`).
@@ -30,10 +26,9 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from typing import Callable
-
-from repro.ogsi.dispatch import BusyFault, FairQueue
 
 #: pool width when no Manager topology is known
 DEFAULT_POOL_WORKERS = 8
@@ -52,29 +47,61 @@ WORKER_IDLE_S = 10.0
 SPAWN_INTERVAL_S = 0.01
 
 
-class TokenBucket:
-    """A classic token bucket: ``rate`` tokens/second, ``burst`` capacity."""
+class FairQueue:
+    """Per-key FIFOs served round-robin across keys.
 
-    __slots__ = ("rate", "burst", "tokens", "_last")
+    The scheduler keys it by tenant.  A key that floods lengthens only
+    its own FIFO — every :meth:`pop` serves the next key in rotation —
+    and a single key degenerates to a plain global FIFO.
 
-    def __init__(self, rate: float, burst: float) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be > 0, got {rate}")
-        if burst < 1:
-            raise ValueError(f"burst must be >= 1, got {burst}")
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self.tokens = float(burst)
-        self._last = time.monotonic()
+    Lock-free by contract: every method must be called under the
+    owner's own lock or condition.  A key is in the rotation exactly
+    while its FIFO is non-empty.
+    """
 
-    def try_acquire(self, tokens: float = 1.0) -> bool:
-        now = time.monotonic()
-        self.tokens = min(self.burst, self.tokens + (now - self._last) * self.rate)
-        self._last = now
-        if self.tokens >= tokens:
-            self.tokens -= tokens
-            return True
-        return False
+    __slots__ = ("_queues", "_rotation", "_size")
+
+    def __init__(self) -> None:
+        self._queues: dict[str, deque] = {}
+        self._rotation: deque[str] = deque()
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def depth(self, key: str) -> int:
+        """Items queued under *key*."""
+        return len(self._queues.get(key, ()))
+
+    def push(self, key: str, item) -> None:
+        fifo = self._queues.get(key)
+        if fifo is None:
+            fifo = self._queues[key] = deque()
+            self._rotation.append(key)
+        fifo.append(item)
+        self._size += 1
+
+    def pop(self):
+        """The head of the next key in rotation; ``None`` when empty."""
+        if not self._rotation:
+            return None
+        key = self._rotation.popleft()
+        fifo = self._queues[key]
+        item = fifo.popleft()
+        if fifo:
+            self._rotation.append(key)  # round-robin re-queue
+        else:
+            del self._queues[key]
+        self._size -= 1
+        return item
+
+    def drain(self) -> list:
+        """Remove and return everything queued."""
+        items = [item for fifo in self._queues.values() for item in fifo]
+        self._queues.clear()
+        self._rotation.clear()
+        self._size = 0
+        return items
 
 
 class _Task:
@@ -91,7 +118,7 @@ class _TenantState:
     """Per-tenant accounting (guarded by the scheduler condition)."""
 
     __slots__ = (
-        "submitted", "completed", "cancelled", "shed",
+        "submitted", "completed", "cancelled",
         "wait_total_s", "wait_count", "wait_max_s",
     )
 
@@ -99,7 +126,6 @@ class _TenantState:
         self.submitted = 0
         self.completed = 0
         self.cancelled = 0
-        self.shed = 0
         self.wait_total_s = 0.0
         self.wait_count = 0
         self.wait_max_s = 0.0
@@ -112,7 +138,6 @@ class _TenantState:
             "submitted": self.submitted,
             "completed": self.completed,
             "cancelled": self.cancelled,
-            "shed": self.shed,
             "queued": queued,
             "avgWaitMs": round(avg_ms, 3),
             "maxWaitMs": round(1000.0 * self.wait_max_s, 3),
@@ -120,11 +145,7 @@ class _TenantState:
 
 
 class FanoutScheduler:
-    """One shared worker pool for federated fan-out (see module doc).
-
-    No tenant is rate limited until :meth:`set_rate_limit` configures a
-    bucket (``tenant=None`` sets the default every tenant gets).
-    """
+    """One shared worker pool for federated fan-out (see module doc)."""
 
     def __init__(self, max_workers: int = DEFAULT_POOL_WORKERS, name: str = "fanout") -> None:
         if max_workers < 1:
@@ -135,12 +156,6 @@ class FanoutScheduler:
         #: queued tasks, keyed by tenant (guarded by _cond)
         self._queue = FairQueue()
         self._tenants: dict[str, _TenantState] = {}
-        #: buckets set for one tenant, and those the default rate built
-        #: for tenants without one — dropped whenever the default changes
-        self._buckets: dict[str, TokenBucket] = {}
-        self._default_buckets: dict[str, TokenBucket] = {}
-        self._default_rate: float | None = None
-        self._default_burst = 0.0
         self._last_spawn = 0.0
         self._workers: set[threading.Thread] = set()
         self._idle = 0
@@ -151,7 +166,6 @@ class FanoutScheduler:
         self.submitted = 0
         self.completed = 0
         self.cancelled = 0
-        self.shed = 0
         self.peak_queued = 0
 
     # ------------------------------------------------------------- submission
@@ -181,51 +195,6 @@ class FanoutScheduler:
             # convoys the pool at high submit rates
             self._cond.notify()
         return future
-
-    def acquire_rate(self, tenant: str = DEFAULT_TENANT, tokens: float = 1.0) -> None:
-        """Charge *tokens* against the tenant's bucket or shed the query.
-
-        Raises the established ``ServerBusy`` :class:`BusyFault` when
-        the tenant is over its rate; no-op while no limit is configured.
-        """
-        with self._cond:
-            bucket = self._buckets.get(tenant)
-            if bucket is None:
-                if self._default_rate is None:
-                    return
-                bucket = self._default_buckets.get(tenant)
-                if bucket is None:
-                    bucket = self._default_buckets[tenant] = TokenBucket(
-                        self._default_rate, max(1.0, self._default_burst)
-                    )
-            if not bucket.try_acquire(tokens):
-                self.shed += 1
-                self._tenant_locked(tenant).shed += 1
-                raise BusyFault(
-                    f"tenant {tenant!r} over its query rate "
-                    f"({bucket.rate:g}/s, burst {bucket.burst:g}), try again later"
-                )
-
-    def set_rate_limit(
-        self, tenant: str | None, rate: float | None, burst: float | None = None
-    ) -> None:
-        """Configure the token bucket for *tenant* (``None`` = the default
-        applied to tenants without an explicit bucket).  ``rate=None``
-        removes the limit.  Either way the affected tenants start from a
-        full bucket."""
-        with self._cond:
-            if tenant is None:
-                self._default_rate = rate
-                self._default_burst = burst if burst is not None else (rate or 0.0)
-                self._default_buckets.clear()
-                return
-            self._default_buckets.pop(tenant, None)
-            if rate is None:
-                self._buckets.pop(tenant, None)
-                return
-            self._buckets[tenant] = TokenBucket(
-                rate, max(1.0, burst if burst is not None else rate)
-            )
 
     # ---------------------------------------------------------------- workers
     def _spawn_worker_locked(self) -> None:
@@ -336,7 +305,6 @@ class FanoutScheduler:
                 "submitted": self.submitted,
                 "completed": self.completed,
                 "cancelled": self.cancelled,
-                "shed": self.shed,
                 "workersCreated": self.workers_created,
                 "poolUtilization": round(self._busy / self.max_workers, 6),
                 "tenants": tenants,

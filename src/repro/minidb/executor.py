@@ -409,12 +409,20 @@ class SelectExecutor:
         stmt = self.stmt
         items = self._expand_items(layout)
         group_exprs = list(stmt.group_by)
+        # Calls and group keys match by repr(): dataclass == calls x + 1
+        # and x + 1.0 equal, which would merge two different expressions.
+        group_slots: dict[str, int] = {}
+        for i, expr in enumerate(group_exprs):
+            group_slots.setdefault(repr(expr), i)
         # Collect every distinct aggregate call appearing anywhere.
         agg_calls: list[FuncCall] = []
+        agg_slots: dict[str, int] = {}
 
         def collect(expr: Expr) -> None:
             if isinstance(expr, FuncCall) and expr.name in AGGREGATE_FUNCS:
-                if expr not in agg_calls:
+                key = repr(expr)
+                if key not in agg_slots:
+                    agg_slots[key] = len(agg_calls)
                     agg_calls.append(expr)
                 return
             for child in _children(expr):
@@ -429,7 +437,7 @@ class SelectExecutor:
 
         # Validate: non-aggregate output expressions must be group keys.
         for name, expr in items:
-            if not contains_aggregate(expr) and expr not in group_exprs:
+            if not contains_aggregate(expr) and repr(expr) not in group_slots:
                 if group_exprs or not agg_calls:
                     raise ProgrammingError(
                         f"output column {name!r} must appear in GROUP BY or an aggregate"
@@ -443,7 +451,6 @@ class SelectExecutor:
         # One value slot per distinct argument, COUNT(*)'s holding 1: the
         # first aggregate to use an argument evaluates it, so a row raises
         # the error a per-aggregate loop would; later ones read the slot.
-        # repr() keys keep x + 1 and x + 1.0 apart (dataclass == merges them).
         arg_slots: dict[str, int] = {"*": 0}
         steps: list[tuple[Callable | None, int]] = []
         for call in agg_calls:
@@ -481,11 +488,11 @@ class SelectExecutor:
         group_layout = RowLayout(slots)
 
         def rewrite(expr: Expr) -> Expr:
-            for i, g in enumerate(group_exprs):
-                if expr == g:
-                    return ColumnRef("__grp", f"g{i}")
+            key = repr(expr)
+            if key in group_slots:
+                return ColumnRef("__grp", f"g{group_slots[key]}")
             if isinstance(expr, FuncCall) and expr.name in AGGREGATE_FUNCS:
-                return ColumnRef("__agg", f"a{agg_calls.index(expr)}")
+                return ColumnRef("__agg", f"a{agg_slots[key]}")
             return _rebuild(expr, rewrite)
 
         columns = [name for name, _ in items]

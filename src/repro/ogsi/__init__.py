@@ -42,26 +42,16 @@ from repro.ogsi.notification import (
     PullNotificationSink,
     Subscription,
 )
-from repro.ogsi.dispatch import (
-    AdmissionController,
-    BusyFault,
-    ServiceGate,
-    client_id_headers,
-    is_busy_fault,
-    suspend_dispatch,
-)
+from repro.ogsi.dispatch import ServiceGate, client_id_headers, suspend_dispatch
 from repro.ogsi.monitor import CONTAINER_MONITOR_PORTTYPE, ContainerMonitorService
 from repro.ogsi.container import ContainerError, GridEnvironment, ServiceContainer
 
 __all__ = [
-    "AdmissionController",
-    "BusyFault",
     "CONTAINER_MONITOR_PORTTYPE",
     "ContainerError",
     "ContainerMonitorService",
     "ServiceGate",
     "client_id_headers",
-    "is_busy_fault",
     "suspend_dispatch",
     "DEFAULT_CURSOR_TTL",
     "FACTORY_PORTTYPE",

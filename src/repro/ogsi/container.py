@@ -8,10 +8,11 @@ the native method, and serializes the result (or a fault) back to bytes.
 Dispatch is serialized **per service**, not per container: each deployed
 path gets its own :class:`~repro.ogsi.dispatch.ServiceGate`, so requests
 to different services proceed concurrently while one stateful instance
-still sees one request at a time.  The ingress runs under an
-:class:`~repro.ogsi.dispatch.AdmissionController` — a bounded request
-queue with per-client fair queueing that sheds excess load with a
-``Server``-role busy fault instead of convoying.  Lifetime sweeps run
+still sees one request at a time.  Nothing queues or sheds at the
+ingress: it only counts requests in flight, so teardown can wait for
+them to answer.  Load is spread by replica placement (the Manager), and
+federated fan-out is queued fairly per tenant by the engine's
+scheduler.  Lifetime sweeps run
 when :meth:`~ServiceContainer.sweep_expired` is called, on the caller's
 thread; they take each victim's gate (and re-check expiry under it), so
 a sweep can never destroy a service mid-dispatch.
@@ -27,15 +28,7 @@ from __future__ import annotations
 import threading
 from typing import Callable
 
-from repro.ogsi.dispatch import (
-    AdmissionController,
-    BusyFault,
-    DispatchCore,
-    client_context,
-    dispatch_frame,
-    extract_client_id,
-    in_dispatch,
-)
+from repro.ogsi.dispatch import DispatchCore, dispatch_frame
 from repro.ogsi.gsh import GridServiceHandle, GshError
 from repro.ogsi.porttypes import GRID_SERVICE_PORTTYPE
 from repro.ogsi.service import GridServiceBase, ServiceState
@@ -60,19 +53,13 @@ class ContainerError(RuntimeError):
 
 
 class ServiceContainer:
-    """Hosts Grid services under one authority (one "host:port").
-
-    ``max_inflight``/``max_queue_depth`` configure admission control
-    (both default to unbounded: no queueing, no shedding).
-    """
+    """Hosts Grid services under one authority (one "host:port")."""
 
     def __init__(
         self,
         authority: str,
         environment: "GridEnvironment",
         host: SimHost | None = None,
-        max_inflight: int | None = None,
-        max_queue_depth: int | None = None,
     ) -> None:
         self.authority = authority
         self.environment = environment
@@ -83,16 +70,16 @@ class ServiceContainer:
         #: service method call or any SOAP work
         self._services_lock = threading.Lock()
         self._core = DispatchCore()
-        self.admission = AdmissionController(max_inflight, max_queue_depth)
         self.verifier: SecurityVerifier | None = None
         # Ingress accounting: *handled* requests reached a service method;
         # *rejected* ones never routed (malformed envelope, unknown path/
-        # operation, bad arity, failed verification); *shed* ones were
-        # refused by admission control.  Only the sum is "traffic".
+        # operation, bad arity, failed verification).  Only the sum is
+        # "traffic".  *inflight* counts requests between ingress and
+        # answer, nested dispatches included; wait_idle waits for zero.
         self.requests_handled = 0
         self.requests_rejected = 0
-        self.requests_shed = 0
-        self._counter_lock = threading.Lock()
+        self.inflight = 0
+        self._counters = threading.Condition()
 
     @property
     def clock(self) -> Clock:
@@ -121,7 +108,7 @@ class ServiceContainer:
 
     def deploy_monitor(self, path: str = "services/container-monitor", sources=None):
         """Deploy a :class:`~repro.ogsi.monitor.ContainerMonitorService`
-        publishing this container's ingress/admission counters as SDEs.
+        publishing this container's ingress counters as SDEs.
 
         ``sources`` (name -> zero-arg stats provider) merge extra
         counter dicts into the surface as ``<name>.<key>`` entries —
@@ -182,28 +169,24 @@ class ServiceContainer:
     # ------------------------------------------------------------- ingress
     def handle_request(self, path: str, request: bytes) -> bytes:
         """The container ingress: bytes in, bytes out, faults on errors."""
-        if in_dispatch():
-            # A nested call from already-admitted work (a service invoking
-            # another service mid-request).  Admission applies only at the
-            # outermost ingress — re-admitting would deadlock a saturated
-            # queue against itself — but the per-service gate still does.
+        with self._counters:
+            self.inflight += 1
+        try:
             return self._dispatch(path, request)
-        client_header = extract_client_id(request)
-        client = client_header or f"thread-{threading.get_ident()}"
-        try:
-            self.admission.acquire(client)
-        except BusyFault as fault:
-            with self._counter_lock:
-                self.requests_shed += 1
-            return encode_fault(fault)
-        try:
-            # the explicit header identity (never the thread fallback) is
-            # visible to dispatched code via current_client_id(), so the
-            # engine's tenant scheduling sees the same key admission did
-            with client_context(client_header):
-                return self._dispatch(path, request)
         finally:
-            self.admission.release()
+            with self._counters:
+                self.inflight -= 1
+                if self.inflight == 0:
+                    self._counters.notify_all()  # wake wait_idle
+
+    def wait_idle(self, timeout: float = 5.0) -> bool:
+        """Block until no request is in flight (True on success).
+
+        ``GridEnvironment.close()`` is this wait, once per container, so
+        teardown returns only after every in-flight request has answered.
+        """
+        with self._counters:
+            return self._counters.wait_for(lambda: self.inflight == 0, timeout=timeout)
 
     def _dispatch(self, path: str, request: bytes) -> bytes:
         routed = False
@@ -245,7 +228,7 @@ class ServiceContainer:
                         "Client", f"no service at {self.authority}/{path}"
                     )
                 routed = True
-                with self._counter_lock:
+                with self._counters:
                     self.requests_handled += 1
                 result = method(*rpc.params)
                 # Encode under the gate too: services may return views of
@@ -266,20 +249,22 @@ class ServiceContainer:
             return encode_fault(fault_from_exception(exc))
 
     def _count_rejected(self) -> None:
-        with self._counter_lock:
+        with self._counters:
             self.requests_rejected += 1
 
     def stats(self) -> dict[str, int]:
-        """Ingress and admission counters (the container-monitor SDEs)."""
-        snapshot = self.admission.snapshot()
-        with self._counter_lock:
-            snapshot.update(
-                requestsHandled=self.requests_handled,
-                requestsRejected=self.requests_rejected,
-                requestsShed=self.requests_shed,
-            )
-        snapshot["services"] = self.service_count()
-        return snapshot
+        """Ingress counters (the container-monitor SDEs)."""
+        services = self.service_count()
+        with self._counters:
+            return {
+                "requestsHandled": self.requests_handled,
+                "requestsRejected": self.requests_rejected,
+                "inflight": self.inflight,
+                # the ingress never queues or sheds; benchmarks/e2e/layers.py reads both
+                "requestsShed": 0,
+                "peakQueueDepth": 0,
+                "services": services,
+            }
 
     @staticmethod
     def _find_operation(service: GridServiceBase, name: str) -> Operation:
@@ -374,19 +359,11 @@ class GridEnvironment:
         self,
         authority: str,
         host: SimHost | None = None,
-        max_inflight: int | None = None,
-        max_queue_depth: int | None = None,
     ) -> ServiceContainer:
         with self._containers_lock:
             if authority in self._containers:
                 raise ContainerError(f"a container is already bound at {authority!r}")
-            container = ServiceContainer(
-                authority,
-                self,
-                host=host,
-                max_inflight=max_inflight,
-                max_queue_depth=max_queue_depth,
-            )
+            container = ServiceContainer(authority, self, host=host)
             self._containers[authority] = container
             # The loopback transport routes by authority to the container ingress.
             self.transport.bind(authority, container.handle_request)  # type: ignore[attr-defined]
@@ -405,13 +382,13 @@ class GridEnvironment:
         return [self._containers[a] for a in sorted(self._containers)]
 
     def close(self, drain_timeout: float = 5.0) -> None:
-        """Wait for every container's in-flight and queued dispatches to
-        drain (at most *drain_timeout* seconds each).  Idempotent; the
-        environment stays usable afterwards.  The grid runs no thread of
-        its own, so there is nothing else to stop.
+        """Wait for every container's in-flight dispatches to drain (at
+        most *drain_timeout* seconds each).  Idempotent; the environment
+        stays usable afterwards.  The grid runs no thread of its own, so
+        there is nothing else to stop.
         """
         for container in self._containers.values():
-            container.admission.wait_idle(timeout=drain_timeout)
+            container.wait_idle(timeout=drain_timeout)
 
     # ---------------------------------------------------------------- stubs
     def stub_for_handle(

@@ -1,12 +1,12 @@
 """ContainerMonitor: a service publishing one container's load as SDEs.
 
-The admission-control metrics — queue depth, in-flight count, peaks, and
-the ``requests_handled`` / ``requests_rejected`` / ``requests_shed``
-split — need a Services Layer surface so remote operators can read
-them the same way they read any other service data.  Deploy one per container with
+The ingress counters — the in-flight count and the
+``requestsHandled`` / ``requestsRejected`` split — need a Services Layer
+surface so remote operators can read them the same way they read any
+other service data.  Deploy one per container with
 :meth:`~repro.ogsi.container.ServiceContainer.deploy_monitor`; the SDEs
 are refreshed from the live counters on every read, so a plain
-``FindServiceData("queueDepth")`` always answers with current state.
+``FindServiceData("inflight")`` always answers with current state.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ CONTAINER_MONITOR_PORTTYPE = PortType(
     name="ContainerMonitor",
     namespace=MONITOR_NS,
     doc=(
-        "Read-only view of a container's ingress and admission-control "
-        "counters, published as service data."
+        "Read-only view of a container's ingress counters, published as "
+        "service data."
     ),
     operations=(
         Operation(
@@ -36,9 +36,9 @@ CONTAINER_MONITOR_PORTTYPE = PortType(
             "xsd:string[]",
             doc=(
                 "Return every container counter as a 'name=value' record: "
-                "requestsHandled/requestsRejected/requestsShed, "
-                "inflight/queueDepth and their peaks, admitted/shed/"
-                "queueWaits, and the deployed-service count."
+                "requestsHandled/requestsRejected, inflight, the deployed-"
+                "service count, and requestsShed/peakQueueDepth (always 0: "
+                "the ingress never queues or sheds)."
             ),
         ),
     ),
@@ -60,7 +60,7 @@ class ContainerMonitorService(GridServiceBase):
     ``sources`` attaches extra named stats providers — e.g. the
     federation engine's fan-out scheduler — whose dicts are flattened
     into dotted SDE names (``fanoutScheduler.queueDepth``,
-    ``fanoutScheduler.tenants.alpha.shed``) so the same FindServiceData
+    ``fanoutScheduler.tenants.alpha.completed``) so the same FindServiceData
     surface covers them.  A provider that raises contributes a single
     ``<name>.error=1`` record instead of breaking the whole refresh.
 

@@ -1,25 +1,18 @@
-"""Dispatch core tests: gates, admission control, fairness, counters."""
+"""Dispatch core tests: gates, nested dispatch, request identity, counters."""
 
 import threading
 import time
 
 import pytest
 
-from repro.fedquery.scheduler import FanoutScheduler
+from repro.fedquery.scheduler import FairQueue, FanoutScheduler
 from repro.ogsi import (
     GRID_SERVICE_PORTTYPE,
     GridEnvironment,
     GridServiceBase,
     client_id_headers,
-    is_busy_fault,
 )
-from repro.ogsi.dispatch import (
-    AdmissionController,
-    FairQueue,
-    ServiceGate,
-    extract_client_id,
-    suspend_dispatch,
-)
+from repro.ogsi.dispatch import ServiceGate, current_client_id, suspend_dispatch
 from repro.soap.faults import SoapFault
 from repro.wsdl.porttype import Operation, Parameter, PortType
 
@@ -167,36 +160,8 @@ class TestFairQueue:
         assert queue.pop() == 4
 
 
-def _admission_grant_order(arrivals):
-    """Serve *arrivals* (queued in order behind one held slot) through an
-    AdmissionController; returns the order they were admitted in."""
-    admission = AdmissionController(max_inflight=1)
-    admission.acquire("holder")
-    order: list[str] = []
-
-    def request(client):
-        admission.acquire(client)
-        order.append(client)  # under the single slot: no race
-        admission.release()
-
-    threads = []
-    for position, client in enumerate(arrivals, start=1):
-        thread = threading.Thread(target=request, args=(client,), daemon=True)
-        thread.start()
-        threads.append(thread)
-        deadline = time.monotonic() + 5.0
-        while admission.queued < position and time.monotonic() < deadline:
-            time.sleep(0.001)
-        assert admission.queued == position
-    admission.release()  # free the held slot; grants cascade
-    for thread in threads:
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-    return order
-
-
-def _scheduler_grant_order(arrivals):
-    """The same scenario through a one-worker FanoutScheduler."""
+def test_flooding_key_cannot_starve_a_minority():
+    """Behind one busy worker, strict FIFO would leave meek last."""
     sched = FanoutScheduler(max_workers=1)
     try:
         started, release = threading.Event(), threading.Event()
@@ -210,26 +175,14 @@ def _scheduler_grant_order(arrivals):
         order: list[str] = []
         futures = [
             sched.submit(lambda c=client: order.append(c), tenant=client)
-            for client in arrivals
+            for client in ["hog", "hog", "hog", "hog", "meek"]
         ]
         release.set()
         for future in futures:
             future.result(timeout=5.0)
-        return order
+        assert order == ["hog", "meek", "hog", "hog", "hog"]
     finally:
         sched.shutdown()
-
-
-@pytest.mark.parametrize(
-    "grant_order",
-    [_admission_grant_order, _scheduler_grant_order],
-    ids=["admission", "scheduler"],
-)
-def test_flooding_key_cannot_starve_a_minority(grant_order):
-    """Both consumers of FairQueue serve the same arrival pattern the
-    same way: strict FIFO would leave meek last."""
-    served = grant_order(["hog", "hog", "hog", "hog", "meek"])
-    assert served == ["hog", "meek", "hog", "hog", "hog"]
 
 
 class TestPerServiceDispatch:
@@ -273,11 +226,11 @@ class TestPerServiceDispatch:
         t2.join(timeout=5.0)
         assert sorted(done) == ["unblocked", "x"]
 
-    def test_nested_dispatch_bypasses_admission(self):
-        """A service calling a sibling mid-request must not deadlock a
-        fully admitted container (admission applies at the ingress only)."""
+    def test_nested_dispatch_completes(self):
+        """A service calling a sibling mid-request is answered, and the
+        container drains once both dispatches are done."""
         env = GridEnvironment()
-        container = env.create_container("c:1", max_inflight=1)
+        container = env.create_container("c:1")
         inner, inner_gsh = deploy_echo(container, "services/inner")
 
         class OuterService(GridServiceBase):
@@ -291,98 +244,42 @@ class TestPerServiceDispatch:
         stub = env.stub_for_handle(outer_gsh, ECHO_PORTTYPE)
         assert stub.ping("x") == "outer:x"
         assert inner.calls == 1
+        assert container.stats()["inflight"] == 0
 
 
-class TestAdmissionControl:
-    def _saturated(self, max_queue_depth):
-        env = GridEnvironment()
-        container = env.create_container(
-            "c:1", max_inflight=1, max_queue_depth=max_queue_depth
-        )
-        blocker, gsh = deploy_echo(container)
-        stub = env.stub_for_handle(gsh, ECHO_PORTTYPE)
-        holder = threading.Thread(target=stub.block, daemon=True)
-        holder.start()
-        assert blocker.entered.wait(timeout=5.0)
-        return env, container, blocker, stub, holder
-
-    def test_shed_when_queue_bound_exceeded(self):
-        env, container, blocker, stub, holder = self._saturated(max_queue_depth=0)
-        with pytest.raises(SoapFault) as info:
-            stub.ping("shed me")
-        assert is_busy_fault(info.value)
-        assert "busy" in str(info.value)
-        assert container.requests_shed == 1
-        blocker.resume.set()
-        holder.join(timeout=5.0)
-        # the blocked call was handled; the shed one was not
-        assert container.requests_handled == 1
-        assert container.requests_rejected == 0
-
-    def test_queued_request_admitted_after_release(self):
-        env, container, blocker, stub, holder = self._saturated(max_queue_depth=4)
-        answered: list[str] = []
-        waiter = threading.Thread(
-            target=lambda: answered.append(stub.ping("queued")), daemon=True
-        )
-        waiter.start()
-        time.sleep(0.05)
-        assert container.admission.queued == 1
-        assert answered == []
-        blocker.resume.set()
-        holder.join(timeout=5.0)
-        waiter.join(timeout=5.0)
-        assert answered == ["queued"]
-        assert container.admission.snapshot()["peakQueueDepth"] == 1
-
-    def test_fair_round_robin_across_clients(self):
-        """One client queueing three requests cannot starve another
-        client's single request: grants alternate round-robin."""
-        admission = AdmissionController(max_inflight=1, max_queue_depth=16)
-        admission.acquire("holder")  # saturate the one slot
-        order: list[str] = []
-        order_lock = threading.Lock()
-        started: list[threading.Thread] = []
-
-        def request(client):
-            admission.acquire(client)
-            with order_lock:
-                order.append(client)
-            admission.release()
-
-        # hog queues 3 requests first, then meek queues 1
-        for client in ["hog", "hog", "hog", "meek"]:
-            thread = threading.Thread(target=request, args=(client,), daemon=True)
-            thread.start()
-            started.append(thread)
-            time.sleep(0.05)  # deterministic FIFO arrival order
-        admission.release()  # free the held slot; grants cascade
-        for thread in started:
-            thread.join(timeout=5.0)
-        # strict FIFO would be hog, hog, hog, meek; fair queueing
-        # interleaves meek right after hog's first grant
-        assert order == ["hog", "meek", "hog", "hog"]
-
-    def test_client_id_header_names_the_queue(self):
+class TestRequestIdentity:
+    def test_nested_dispatch_sees_its_own_client_id(self):
+        """The header is read per dispatch frame: a sibling called with no
+        header sees none, and the caller's comes back after the call."""
         env = GridEnvironment()
         container = env.create_container("c:1")
-        _, gsh = deploy_echo(container)
+        seen: list = []
+
+        class Inner(GridServiceBase):
+            porttype = ECHO_PORTTYPE
+
+            def ping(self, payload: str) -> str:
+                seen.append(("inner", current_client_id()))
+                return payload
+
+        inner_gsh = container.deploy("services/inner", Inner())
+
+        class Outer(GridServiceBase):
+            porttype = ECHO_PORTTYPE
+
+            def ping(self, payload: str) -> str:
+                seen.append(("outer", current_client_id()))
+                env.stub_for_handle(inner_gsh, ECHO_PORTTYPE).ping(payload)
+                seen.append(("outer", current_client_id()))
+                return payload
+
+        outer_gsh = container.deploy("services/outer", Outer())
         stub = env.stub_for_handle(
-            gsh, ECHO_PORTTYPE, headers_provider=client_id_headers("alice")
+            outer_gsh, ECHO_PORTTYPE, headers_provider=client_id_headers("alice")
         )
         assert stub.ping("x") == "x"
-        assert container.requests_handled == 1
-
-    def test_extract_client_id(self):
-        assert extract_client_id(b"<x:clientId>alice</x:clientId>") == "alice"
-        assert extract_client_id(b"<clientId>bob</clientId>") == "bob"
-        assert extract_client_id(b"<noheader/>") is None
-
-    def test_admission_validation(self):
-        with pytest.raises(ValueError):
-            AdmissionController(max_inflight=0)
-        with pytest.raises(ValueError):
-            AdmissionController(max_queue_depth=-1)
+        assert seen == [("outer", "alice"), ("inner", None), ("outer", "alice")]
+        assert current_client_id() is None
 
 
 class TestIngressCounters:
@@ -439,17 +336,16 @@ class TestIngressCounters:
     def test_stats_snapshot_keys(self, wired):
         _, container, _, _ = wired
         stats = container.stats()
-        for key in (
+        assert set(stats) == {
             "requestsHandled",
             "requestsRejected",
             "requestsShed",
             "inflight",
-            "queueDepth",
-            "peakInflight",
             "peakQueueDepth",
             "services",
-        ):
-            assert key in stats
+        }
+        # the ingress never queues or sheds
+        assert stats["requestsShed"] == stats["peakQueueDepth"] == 0
 
 
 class TestContainerMonitor:
@@ -464,27 +360,6 @@ class TestContainerMonitor:
         xml = mon.FindServiceData("requestsHandled")
         # the echo ping plus this FindServiceData dispatch itself
         assert "<value>2</value>" in xml
-
-    def test_monitor_reports_shed_requests(self):
-        env = GridEnvironment()
-        container = env.create_container("c:1", max_inflight=1, max_queue_depth=0)
-        blocker, gsh = deploy_echo(container)
-        monitor_gsh = container.deploy_monitor()
-        stub = env.stub_for_handle(gsh, ECHO_PORTTYPE)
-        holder = threading.Thread(target=stub.block, daemon=True)
-        holder.start()
-        assert blocker.entered.wait(timeout=5.0)
-        with pytest.raises(SoapFault):
-            stub.ping("shed")
-        blocker.resume.set()
-        holder.join(timeout=5.0)
-        from repro.ogsi.monitor import ContainerMonitorService
-
-        monitor = container.service_at(monitor_gsh.path)
-        assert isinstance(monitor, ContainerMonitorService)
-        records = dict(r.split("=", 1) for r in monitor.getContainerStats())
-        assert records["requestsShed"] == "1"
-        assert records["requestsHandled"] == "1"
 
     def test_get_container_stats_over_soap(self):
         env = GridEnvironment()

@@ -1,10 +1,9 @@
-"""FanoutScheduler: pooled fan-out workers, tenant fairness, rate limits.
+"""FanoutScheduler: pooled fan-out workers and tenant fairness.
 
 The contract under test: one engine-lifetime pool carries every fan-out
 (the oracle suites cover the merged bytes; here we cover the pool
-mechanics) — fair
-round-robin across tenants, token-bucket shedding with the established
-``ServerBusy`` fault, lazy worker growth with idle reaping, and the
+mechanics) — fair round-robin across tenants keyed by the request's
+``clientId`` header, lazy worker growth with idle reaping, and the
 process-wide shared pool behind ``ExecutionQueryPanel.run_queries_parallel``.
 """
 
@@ -23,11 +22,10 @@ from repro.fedquery.scheduler import (
     DEFAULT_POOL_WORKERS,
     DEFAULT_TENANT,
     FanoutScheduler,
-    TokenBucket,
     shared_scheduler,
 )
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
-from repro.ogsi.dispatch import BusyFault, client_id_headers, is_busy_fault
+from repro.ogsi.dispatch import MAX_CLIENT_ID_CHARS, client_id_headers
 
 
 def wait_until(predicate, timeout: float = 5.0) -> bool:
@@ -84,65 +82,6 @@ class TestFairQueueing:
             assert tenants["a"]["maxWaitMs"] >= 40.0
             assert tenants["a"]["avgWaitMs"] > 0.0
             assert tenants["a"]["completed"] == 2
-        finally:
-            sched.shutdown()
-
-
-class TestRateLimiting:
-    def test_token_bucket_validates_and_refills(self):
-        with pytest.raises(ValueError):
-            TokenBucket(rate=0, burst=1)
-        with pytest.raises(ValueError):
-            TokenBucket(rate=1, burst=0)
-        bucket = TokenBucket(rate=1000.0, burst=1)
-        assert bucket.try_acquire()
-        assert wait_until(bucket.try_acquire, timeout=1.0)  # refilled
-
-    def test_over_rate_sheds_with_server_busy(self):
-        sched = FanoutScheduler(max_workers=1)
-        try:
-            sched.set_rate_limit("greedy", rate=0.0001, burst=2)
-            sched.acquire_rate("greedy")
-            sched.acquire_rate("greedy")
-            with pytest.raises(BusyFault) as info:
-                sched.acquire_rate("greedy")
-            assert is_busy_fault(info.value)
-            stats = sched.stats()
-            assert stats["shed"] == 1
-            assert stats["tenants"]["greedy"]["shed"] == 1
-            # other tenants have no bucket configured: unlimited
-            sched.acquire_rate("other")
-        finally:
-            sched.shutdown()
-
-    def test_default_bucket_applies_to_every_tenant(self):
-        sched = FanoutScheduler(max_workers=1)
-        sched.set_rate_limit(None, rate=0.0001, burst=1)
-        try:
-            sched.acquire_rate("anyone")
-            with pytest.raises(BusyFault):
-                sched.acquire_rate("anyone")
-            sched.set_rate_limit("anyone", rate=None)  # lift the limit
-            sched.acquire_rate("anyone")
-        finally:
-            sched.shutdown()
-
-    @pytest.mark.parametrize(
-        "rate, burst", [(None, None), (1000.0, 1000)], ids=["lifted", "raised"]
-    )
-    def test_a_new_default_reaches_a_tenant_already_charged(self, rate, burst):
-        """The buckets the default rate built go whenever the default
-        changes: lifting it (``rate=None``) or raising it frees a tenant
-        that the old default had already shed."""
-        sched = FanoutScheduler(max_workers=1)
-        try:
-            sched.set_rate_limit(None, rate=0.0001, burst=1)
-            sched.acquire_rate("t")
-            with pytest.raises(BusyFault):
-                sched.acquire_rate("t")
-            sched.set_rate_limit(None, rate, burst=burst)
-            sched.acquire_rate("t")
-            sched.acquire_rate("t")
         finally:
             sched.shutdown()
 
@@ -311,6 +250,20 @@ class TestEngineIntegration:
         assert "alice" in tenants
         assert tenants["alice"]["completed"] >= 1
 
+    def test_unusable_client_ids_land_on_default_tenant(self, fedgrid):
+        """A whitespace-only id and one past the length cap count as no id."""
+        grid, engine = fedgrid
+        from repro.fedquery.service import FEDERATED_QUERY_PORTTYPE
+
+        for client_id in ("   ", "x" * (MAX_CLIENT_ID_CHARS + 1)):
+            stub = grid.environment.stub_for_handle(
+                grid.fed_gsh,
+                FEDERATED_QUERY_PORTTYPE,
+                headers_provider=client_id_headers(client_id),
+            )
+            assert stub.query("SELECT m WHERE numprocs = 2")
+        assert set(engine.scheduler_stats()["tenants"]) == {DEFAULT_TENANT}
+
     def test_anonymous_queries_land_on_default_tenant(self, fedgrid):
         grid, engine = fedgrid
         engine.execute("SELECT m WHERE numprocs = 8")
@@ -347,43 +300,6 @@ class TestEngineIntegration:
             assert {"enabled", "fair"}.isdisjoint(after)
         finally:
             engine.close()
-
-    def test_engine_rate_limit_sheds_queries(self, fedgrid):
-        grid, engine = fedgrid
-        engine.set_rate_limit("flooder", rate=0.0001, burst=1)
-        engine.execute("SELECT m WHERE numprocs = 2", tenant="flooder")
-        with pytest.raises(BusyFault):
-            engine.execute("SELECT m WHERE numprocs = 4", tenant="flooder")
-        tenants = engine.scheduler_stats()["tenants"]
-        assert tenants["flooder"]["shed"] >= 1
-        # the charge sits after the plan-cache probe: an answer that is
-        # already memoized costs the members nothing and is not charged
-        assert engine.execute("SELECT m WHERE numprocs = 2", tenant="flooder").cached
-
-    @pytest.mark.parametrize("stream", [False, True])
-    def test_shed_query_makes_no_member_round_trip(self, fedgrid, stream):
-        """The rate charge precedes execution selection: with stats warm,
-        a shed query never reaches a member container."""
-        grid, engine = fedgrid
-        engine.execute("SELECT m WHERE numprocs = 2")  # warms catalog + stats
-        engine.set_rate_limit("flooder", rate=0.0001, burst=1)
-        engine.execute("SELECT m WHERE numprocs = 4", tenant="flooder")
-        members = [
-            container
-            for container in grid.environment.containers()
-            if container.authority != "fed.pdx.edu:9090"
-        ]
-
-        def member_requests() -> int:
-            return sum(c.stats()["requestsHandled"] for c in members)
-
-        before = member_requests()
-        assert before > 0
-        with pytest.raises(BusyFault):
-            engine.execute(
-                "SELECT m WHERE numprocs = 8", tenant="flooder", stream=stream
-            )
-        assert member_requests() == before
 
     def test_monitor_publishes_scheduler_sdes(self, fedgrid):
         grid, engine = fedgrid

@@ -206,6 +206,21 @@ class TestAggregates:
         row = db.query("SELECT SUM(numprocs + 1), MAX(numprocs + 1.0), MIN(-numprocs) FROM runs")
         assert repr(row.rows) == "[(45, 17.0, -16)]"
 
+    def test_equal_looking_calls_are_answered_apart(self, db):
+        # SUM(x + 1) and SUM(x + 1.0) are two calls, not one answered twice
+        row = db.query("SELECT SUM(numprocs + 1), SUM(numprocs + 1.0) FROM runs")
+        assert repr(row.rows) == "[(45, 45.0)]"
+
+    def test_equal_looking_group_key_is_not_the_output_expression(self, db):
+        # numprocs + 1 is not the group key numprocs + 1.0
+        with pytest.raises(ProgrammingError, match="must appear in GROUP BY"):
+            db.query("SELECT numprocs + 1, COUNT(*) FROM runs GROUP BY numprocs + 1.0")
+        result = db.query(
+            "SELECT numprocs + 1.0, COUNT(*) FROM runs GROUP BY numprocs + 1.0 "
+            "ORDER BY numprocs + 1.0"
+        )
+        assert repr(result.rows) == "[(5.0, 2), (9.0, 2), (17.0, 1)]"
+
     def test_an_argument_error_is_raised_by_its_first_user(self, db):
         # SUM(machine) rejects 'alpha' before MIN(runid / 0) is evaluated
         with pytest.raises(ProgrammingError, match="SUM requires numeric input"):

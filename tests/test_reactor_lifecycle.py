@@ -1,10 +1,10 @@
 """GridEnvironment teardown ordering.
 
-The contract under test: ``AdmissionController.wait_idle`` observes the
-drain, and ``GridEnvironment.close()`` is that wait for every
-container — it returns only after in-flight dispatches have answered,
-is idempotent, and starts or stops no background work: lifetime sweeps
-run only when ``sweep_expired()`` is called.
+The contract under test: ``ServiceContainer.wait_idle`` observes the
+drain of its in-flight requests, and ``GridEnvironment.close()`` is that
+wait for every container — it returns only after in-flight dispatches
+have answered, is idempotent, and starts or stops no background work:
+lifetime sweeps run only when ``sweep_expired()`` is called.
 """
 
 from __future__ import annotations
@@ -13,40 +13,53 @@ import threading
 import time
 
 from repro.ogsi import GridEnvironment
-from repro.ogsi.dispatch import AdmissionController
 from repro.simnet.clock import VirtualClock
 
 from tests.test_dispatch import deploy_echo
 
 
+def blocked_dispatch():
+    """A container with one request held in flight; resume
+    ``service.resume`` and join the thread to answer it."""
+    env = GridEnvironment()
+    container = env.create_container("c:1")
+    service, gsh = deploy_echo(container)
+    stub = env.stub_for_handle(gsh, service.porttype)
+    thread = threading.Thread(target=stub.block, daemon=True)
+    thread.start()
+    assert service.entered.wait(timeout=5.0)
+    return container, service, thread
+
+
 class TestWaitIdle:
     def test_idle_controller_returns_immediately(self):
-        admission = AdmissionController(max_inflight=2)
+        container = GridEnvironment().create_container("c:1")
         start = time.monotonic()
-        assert admission.wait_idle(timeout=5.0)
+        assert container.wait_idle(timeout=5.0)
         assert time.monotonic() - start < 1.0
 
     def test_waits_for_inflight_release(self):
-        admission = AdmissionController(max_inflight=2)
-        admission.acquire("c")
+        container, service, holder = blocked_dispatch()
         done = threading.Event()
 
         def waiter():
-            assert admission.wait_idle(timeout=5.0)
+            assert container.wait_idle(timeout=5.0)
             done.set()
 
         thread = threading.Thread(target=waiter, daemon=True)
         thread.start()
-        assert not done.wait(timeout=0.1)  # still held
-        admission.release()
+        assert not done.wait(timeout=0.1)  # still in flight
+        service.resume.set()
         assert done.wait(timeout=5.0)
         thread.join(timeout=2.0)
+        holder.join(timeout=2.0)
 
     def test_times_out_when_never_idle(self):
-        admission = AdmissionController(max_inflight=1)
-        admission.acquire("c")
-        assert not admission.wait_idle(timeout=0.1)
-        admission.release()
+        container, service, holder = blocked_dispatch()
+        assert not container.wait_idle(timeout=0.1)
+        service.resume.set()
+        holder.join(timeout=5.0)
+        assert container.wait_idle(timeout=5.0)
 
 
 class TestEnvironmentClose:
@@ -68,7 +81,7 @@ class TestEnvironmentClose:
         env.close(drain_timeout=5.0)
         thread.join(timeout=5.0)
         assert replies == ["unblocked"]
-        assert container.admission.inflight == 0
+        assert container.stats()["inflight"] == 0
 
     def test_close_is_idempotent_and_stops_sweeper(self):
         """Closing twice is a no-op, and no sweep runs behind the caller:

@@ -33,8 +33,8 @@ from repro.core.semantic import (
     UNDEFINED_TYPE,
     AggregateRecord,
     PerformanceResult,
+    ResultColumns,
     StoreStats,
-    pr_sort_key,
 )
 from repro.fedquery.merge import ResultRow, order_rows
 from repro.fedquery.parser import parse_query
@@ -55,6 +55,7 @@ from repro.ogsi.porttypes import FACTORY_PORTTYPE
 from repro.soap.chunks import (
     ENCODING_XML, WIRE_ENCODINGS, ChunkError, decode_chunk, require_accepted, unframe_answer,
 )
+from repro.soap.colbatch import DecodedBatch
 from repro.uddi.proxy import OrganizationProxy, ServiceProxy, UddiClient
 
 def default_accept_encodings() -> tuple[str, ...]:
@@ -247,10 +248,12 @@ class ChunkedResultIterator:
         self.close()
 
 
-class ArrayRead(list):
-    """What a member read that opened no cursor returns: the decoded
-    list itself, carrying the accounting surface of
-    :class:`ChunkedResultIterator` so a consumer treats both alike."""
+class ArrayRead:
+    """What a member read that opened no cursor returns, carrying the
+    accounting surface of :class:`ChunkedResultIterator` so a consumer
+    treats both alike: the decoded buckets of a ``getPRAgg``
+    (:class:`BucketRead`), the columns of a raw ``getPR``
+    (:class:`ColumnRead`)."""
 
     #: set by a reader that saw the records as strings
     wire_bytes: int | None = None
@@ -270,6 +273,14 @@ class ArrayRead(list):
 
     def close(self) -> None:
         """Nothing is held open: the array already crossed the wire."""
+
+
+class BucketRead(list, ArrayRead):
+    """A ``getPRAgg`` answer: the decoded bucket list itself."""
+
+
+class ColumnRead(ResultColumns, ArrayRead):
+    """A raw ``getPR`` answer, column by column."""
 
 
 class ExecutionBinding:
@@ -309,7 +320,7 @@ class ExecutionBinding:
         result_type: str = UNDEFINED_TYPE,
     ) -> list[PerformanceResult]:
         """Query Performance Results (the Table 4 "total query time" path)."""
-        return self.read(metric, foci, start, end, result_type)
+        return list(self.read(metric, foci, start, end, result_type))
 
     def read(
         self, metric: str, foci: list[str], start: float | None = None,
@@ -326,6 +337,8 @@ class ExecutionBinding:
         order when *ordered*, with ``rows_fetched``, ``close()`` and
         ``bytes_fetched`` — the packed length of the records as they
         arrived, counted here because nothing later holds the strings.
+        A raw array is a :class:`ColumnRead`: its columns are what the
+        federation merges, its iteration the per-record fallback.
 
         A cursor always advertises :func:`default_accept_encodings`; a
         ``getPR`` does when *columnar* is set (the caller expects a large
@@ -337,7 +350,6 @@ class ExecutionBinding:
             )
         start, end = _window(self, start, end)
         args = (metric, list(foci), repr(start), repr(end), result_type)
-        encoding = ENCODING_XML
         if aggregate is None:
             advertised = default_accept_encodings() if columnar else ()
             with self.environment.recorder.time("virtualization.getPR"):
@@ -345,23 +357,28 @@ class ExecutionBinding:
                     "getPR", *args, headers=accept_encodings_headers(advertised)
                 )
             packed, encoding = unframe_answer(answer, advertised)
-            unpack = PerformanceResult.unpack
-        else:
-            min_value, max_value, group_by = aggregate
-            with self.environment.recorder.time("virtualization.getPRAgg"):
-                packed = self.stub.getPRAgg(
-                    *args,
-                    "" if min_value is None else repr(min_value),
-                    "" if max_value is None else repr(max_value),
-                    group_by,
-                )
-            unpack = AggregateRecord.unpack
-        records = ArrayRead(map(unpack, packed))
-        records.wire_bytes = sum(map(len, packed))
-        records.encoding = encoding
-        if ordered:
-            records.sort(key=pr_sort_key)
-        return records
+            if isinstance(packed, DecodedBatch) and not packed.exceptions and len(packed.columns) == 5:
+                # a colbatch answer's columns, as they came: no row is joined
+                records = ColumnRead.unpack(packed.columns)
+                records.wire_bytes = packed.text_length()
+            else:  # per-row XML (or a batch whose rows are not all records)
+                records = ColumnRead.of(map(PerformanceResult.unpack, packed))
+                records.wire_bytes = sum(map(len, packed))
+            records.encoding = encoding
+            if ordered:
+                records.sort()
+            return records
+        min_value, max_value, group_by = aggregate
+        with self.environment.recorder.time("virtualization.getPRAgg"):
+            packed = self.stub.getPRAgg(
+                *args,
+                "" if min_value is None else repr(min_value),
+                "" if max_value is None else repr(max_value),
+                group_by,
+            )
+        buckets = BucketRead(map(AggregateRecord.unpack, packed))
+        buckets.wire_bytes = sum(map(len, packed))
+        return buckets
 
     def get_pr_chunked(
         self,
@@ -516,17 +533,17 @@ class LocalExecutionBinding:
         *aggregate* is given — and never a cursor or a wire encoding,
         whatever *cursor* and *columnar* ask."""
         start, end = _window(self, start, end)
-        if aggregate is None:
-            with self.environment.recorder.time("virtualization.getPR.local"):
-                records = self.wrapper.get_pr(metric, list(foci), start, end, result_type)
-        else:
+        if aggregate is not None:
             with self.environment.recorder.time("virtualization.getPRAgg.local"):
-                records = self.wrapper.get_pr_aggregate(
+                return BucketRead(self.wrapper.get_pr_aggregate(
                     metric, list(foci), start, end, result_type, *aggregate
-                )
-        records = ArrayRead(records)
+                ))
+        with self.environment.recorder.time("virtualization.getPR.local"):
+            records = ColumnRead.of(
+                self.wrapper.get_pr(metric, list(foci), start, end, result_type)
+            )
         if ordered:
-            records.sort(key=pr_sort_key)
+            records.sort()
         return records
 
     #: the remote binding's, as they are: each is a few lines over the

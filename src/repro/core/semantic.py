@@ -15,6 +15,8 @@ import math
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from repro.ogsi.porttypes import (
     GRID_SERVICE_PORTTYPE,
@@ -127,6 +129,87 @@ def pr_sort_key(result: "PerformanceResult") -> tuple:
         ordering_key(result.end),
         ordering_key(result.value),
     )
+
+
+def column_keys(column: Sequence) -> Sequence:
+    """Sort keys for the cells of one single-typed column that order and
+    tie exactly as their :func:`ordering_key` does, but compare as one
+    number each: a float column without NaN is its own key, any other
+    column keys each cell on the dense rank of the distinct cells' keys
+    (each distinct cell classified once)."""
+    if column and isinstance(column[0], float) and not any(map(math.isnan, column)):
+        return column
+    ranks: dict[object, int] = {}
+    rank, previous = -1, None
+    for cell in sorted(set(column), key=ordering_key):
+        key = ordering_key(cell)
+        if key != previous:
+            rank, previous = rank + 1, key
+        ranks[cell] = rank
+    return list(map(ranks.__getitem__, column))
+
+
+class ResultColumns:
+    """Performance Results held column by column: what a raw ``getPR``
+    answer decodes to without one object per row.  ``start``, ``end`` and
+    ``value`` hold numbers, the other columns text; iterating yields
+    :class:`PerformanceResult` objects, the per-row fallback."""
+
+    def __init__(self, metric, focus, result_type, start, end, value) -> None:
+        self.metric, self.focus, self.result_type = metric, focus, result_type
+        self.start, self.end, self.value = start, end, value
+
+    @classmethod
+    def of(cls, results: Iterable[PerformanceResult]) -> "ResultColumns":
+        """*results* transposed, once."""
+        rows = [(r.metric, r.focus, r.result_type, r.start, r.end, r.value) for r in results]
+        return cls(*[list(column) for column in zip(*rows)] or [[] for _ in range(6)])
+
+    @classmethod
+    def unpack(cls, fields: Sequence[Sequence[str]]) -> "ResultColumns":
+        """From the packed records' five fields as columns (metric, focus,
+        type, ``start-end`` span, value), each read as
+        :meth:`PerformanceResult.unpack` reads it (``ValueError`` alike)."""
+        metric, focus, result_type, spans, values = fields
+        halves = [span.partition("-") for span in spans]
+        for span, (_, sep, _) in zip(spans, halves):
+            if not sep:
+                raise ValueError(f"bad time span {span!r}")
+        starts, _, ends = zip(*halves) if halves else ((), (), ())
+        return cls(list(metric), list(focus), list(result_type),
+                   list(map(float, starts)), list(map(float, ends)), list(map(float, values)))
+
+    @classmethod
+    def concat(cls, parts: Sequence["ResultColumns"]) -> "ResultColumns":
+        if len(parts) == 1:
+            return parts[0]
+        columns = zip(*(part.columns() for part in parts))
+        return cls(*(list(chain.from_iterable(cells)) for cells in columns))
+
+    def columns(self) -> tuple[list, ...]:
+        return (self.metric, self.focus, self.result_type, self.start, self.end, self.value)
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __iter__(self) -> Iterator[PerformanceResult]:
+        return map(PerformanceResult, *self.columns())
+
+    def take(self, rows: Sequence[int]) -> "ResultColumns":
+        """The rows at positions *rows*, in that order."""
+        return ResultColumns(*([column[i] for i in rows] for column in self.columns()))
+
+    def sort_keys(self, metric: bool = False) -> list[tuple]:
+        """Each row's place in :func:`pr_sort_key` order (led by the
+        metric when *metric*) as a tuple of :func:`column_keys`."""
+        return list(zip(*map(column_keys, self.columns()[0 if metric else 1:])))
+
+    def sort(self) -> None:
+        """Reorder the rows, stably, into :func:`pr_sort_key` order."""
+        keys = self.sort_keys()
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        (self.metric, self.focus, self.result_type,
+         self.start, self.end, self.value) = self.take(order).columns()
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,16 @@
    dispatch serializes *per service* (not per container), so several
    tasks per replica container make real progress at once;
    ``SLOTS_PER_REPLICA`` sizes the pool accordingly.  The merge itself
-   happens on the calling thread as futures complete.  Per-task
-   failures degrade the result (surviving members' rows are returned,
-   the failures are counted) instead of aborting the whole query.
+   happens on the calling thread as futures complete, each task under
+   its place in the plan.  A raw read arrives as columns
+   (``ResultColumns``) and stays columns: the merger keeps one sorted
+   run per payload and the answer is a :class:`~repro.fedquery.merge.RawAnswer`
+   the service encodes straight from its columns.  Per-task failures
+   degrade the result (surviving members' rows are returned, the
+   failures are counted) instead of aborting the whole query.
 3. **Plan cache** — whole query results are memoized on the query's
-   canonical fingerprint (an LRU of packed rows), so repeated dashboards
-   cost one cache probe instead of a federation sweep.
+   canonical fingerprint (an LRU of packed rows, one text per row), so
+   repeated dashboards cost one cache probe instead of a federation sweep.
 4. **Cache coherence** and 5. **cached member statistics** — which
    cached plan, ``getStats`` answer or remembered member fact (execution
    list, vocabulary, foci) may still be trusted after a ``data-update``
@@ -54,13 +58,7 @@ from repro.core.prcache import ByteBudgetLruCache, PrCache
 from repro.core.semantic import AggregateRecord, ordering_key
 from repro.fedquery.ast import Query, QueryError
 from repro.fedquery.coherence import ANY, CoherenceTracker, Dep
-from repro.fedquery.merge import (
-    ResultRow,
-    StreamingMerger,
-    TaskContext,
-    order_rows,
-    raw_row,
-)
+from repro.fedquery.merge import RawAnswer, ResultRow, StreamingMerger, TaskContext, raw_row
 from repro.fedquery.parser import parse_query
 from repro.fedquery.planner import MemberPlan, Plan, SubQuery, plan_query
 from repro.fedquery.pushdown import filter_foci, matches_value
@@ -106,16 +104,29 @@ def _sde_values(xml: str) -> list[str]:
 class QueryResult:
     """One answered federated query.
 
-    ``errors`` carries one message per failed member task (degraded
-    result); such results are never memoized in the plan cache.
+    ``answer`` is a fresh raw answer's columns (:class:`RawAnswer`) or
+    the rows themselves.  ``errors`` carries one message per failed
+    member task (degraded result); such results are never memoized in
+    the plan cache.
     """
 
-    rows: list[ResultRow]
+    answer: RawAnswer | list[ResultRow]
     columns: tuple[str, ...]
     cached: bool
     plan: Plan | None
     stats: dict[str, int] = field(default_factory=dict)
     errors: list[str] = field(default_factory=list)
+
+    @property
+    def rows(self) -> list[ResultRow]:
+        """The answer as rows, built on first read from columns."""
+        answer = self.answer
+        return answer.rows if isinstance(answer, RawAnswer) else answer
+
+    def packed(self) -> list[str]:
+        """One wire text per row."""
+        answer = self.answer
+        return answer.texts if isinstance(answer, RawAnswer) else [row.pack() for row in answer]
 
 
 class FederationEngine:
@@ -280,7 +291,7 @@ class FederationEngine:
                     columns=query.output_columns, source=iter(rows), cached=True
                 )
             return QueryResult(
-                rows=rows,
+                answer=rows,
                 columns=query.output_columns,
                 cached=True,
                 plan=None,
@@ -328,28 +339,36 @@ class FederationEngine:
         tasks = self._collect_tasks(plan, stats)
         if tasks:
             pool = self._pool()
-            pending = {pool.submit(task, tenant=tenant) for task in tasks}
+            # each task's place in the plan: ties merge in plan order,
+            # never in completion order
+            positions = {
+                pool.submit(task, tenant=tenant): position
+                for position, task in enumerate(tasks)
+            }
+            pending = set(positions)
             try:
                 # merge on this thread as completions stream in
                 while pending:
                     done, pending = wait(pending, return_when=FIRST_COMPLETED)
                     for future in done:
-                        self._merge_payloads(merger, future, stats, errors, deps)
+                        self._merge_payloads(
+                            merger, future, positions[future], stats, errors, deps
+                        )
             except BaseException:
                 # hard failure: queued member tasks must not run
                 for future in pending:
                     future.cancel()
                 raise
-        rows = order_rows(merger.rows(), query)
-        finish(len(tasks), rows)
-        return QueryResult(
-            rows=rows,
+        result = QueryResult(
+            answer=merger.answer(),
             columns=query.output_columns,
             cached=False,
             plan=plan,
             stats=stats,
             errors=errors,
         )
+        finish(len(tasks), result.packed())
+        return result
 
     # ----------------------------------------------------------- streaming
     def _execute_stream(self, query: Query, fingerprint: str) -> StreamedResult:
@@ -412,18 +431,18 @@ class FederationEngine:
         deps = {(skipped.app, ANY) for skipped in plan.skipped}
         errors: list[str] = []
 
-        def finish(n: int, rows: list[ResultRow] | None) -> None:
+        def finish(n: int, packed: list[str] | None) -> None:
             """End a query that ran *n* member tasks.  If every one of
             them failed there is no answer to degrade to.  And a degraded
             result (member task errors, or a plan built with missing
             member stats) is never offered to the plan cache — nor one
-            the caller gave up accumulating (*rows* is None)."""
+            the caller gave up accumulating (*packed*, one text per row,
+            is None)."""
             if errors and len(errors) == n:
                 raise QueryError(
                     f"all {n} member task(s) failed: {'; '.join(errors[:3])}"
                 )
-            if rows is not None and not errors and not plan.stats_degraded:
-                packed = [row.pack() for row in rows]
+            if packed is not None and not errors and not plan.stats_degraded:
                 self.coherence.admit(fingerprint, deps, snapshot, packed)
 
         return plan, stats, deps, errors, finish
@@ -463,7 +482,7 @@ class FederationEngine:
             rows.close()
             with self._stats_lock:
                 stats["calls"] += 1
-                stats["bulkCalls" if isinstance(rows, list) else "chunkedCalls"] += 1
+                stats["chunkedCalls" if isinstance(rows, Iterator) else "bulkCalls"] += 1
                 stats["records"] += rows.rows_fetched
                 stats["payloadBytes"] += rows.bytes_fetched
 
@@ -502,18 +521,19 @@ class FederationEngine:
         ``stream_memoize_max_bytes``.  Drained, stopped or closed, every
         member generator is closed on the way out.
         """
-        acc: list[ResultRow] | None = []
+        acc: list[str] | None = []
         acc_bytes = 0
         try:
             merged = merge_streams(streams, partial(self._degrade, stats, errors))
             for row in islice(merged, query.limit):
                 yield row
                 if acc is not None:
-                    acc_bytes += len(row.pack())
+                    text = row.pack()
+                    acc_bytes += len(text)
                     if acc_bytes > self.stream_memoize_max_bytes:
                         acc = None
                     else:
-                        acc.append(row)
+                        acc.append(text)
         finally:
             for member_stream in streams:
                 member_stream.close()
@@ -742,17 +762,18 @@ class FederationEngine:
             for sub in subqueries if foci else ():
                 with self.read(execution, sub, foci, stats, cursor, columnar=columnar) as rows:
                     # an array is handed on as decoded, a cursor drained
-                    payloads.append((sub, rows if isinstance(rows, list) else list(rows)))
+                    payloads.append((sub, list(rows) if isinstance(rows, Iterator) else rows))
             yield ctx, payloads
 
         (fetched,) = self.on_execution(member, execution, fetch)
         return fetched
 
     def _merge_payloads(
-        self, merger: StreamingMerger, future: Future, stats,
+        self, merger: StreamingMerger, future: Future, position: int, stats,
         errors: list[str], deps: set[Dep],
     ) -> None:
-        """Fold one completed member task into the merger.
+        """Fold one completed member task, the plan's *position*-th, into
+        the merger.
 
         A :class:`QueryError` is a hard failure (planning/protocol — the
         whole query is wrong) and propagates; any other per-task
@@ -766,4 +787,4 @@ class FederationEngine:
             self._degrade(stats, errors, exc)
             return
         deps.add((ctx.app, ctx.exec_id))
-        merger.absorb(ctx, payloads)
+        merger.absorb(ctx, payloads, position)

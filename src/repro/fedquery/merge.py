@@ -1,24 +1,33 @@
-"""Streaming merge of per-execution partial results.
+"""Merging per-execution partial results into one answer.
 
-Sub-query payloads arrive from the fan-out in completion order; the
-merger folds each into per-group accumulators immediately (aggregate
-queries) or appends projected rows (raw queries), so memory stays
-proportional to the *output*, not to the number of executions touched.
-
-count/sum/mean/min/max are all recoverable from the combinable
-(count, total, min, max) accumulator, which is what makes partial
-aggregation at the stores safe to merge here.
+Payloads arrive from the fan-out in completion order and are folded in
+as they arrive, each under its execution's place in the plan, so no
+answer depends on which member finished first.  Aggregate queries fold
+getPRAgg buckets, or a raw read's ``focus`` / ``value`` columns, into
+combinable (count, total, min, max) accumulators.  Raw queries keep
+*runs*, not rows: a payload's :class:`~repro.core.semantic.ResultColumns`
+less what the value predicates drop.  :func:`row_sort_key` leads with
+``app`` and ``exec``, constant within a run, so the answer is the runs
+concatenated in that order, each sorted on its own columns (runs whose
+leading keys tie sorted together, ties in plan order); ORDER BY is one
+stable sort, LIMIT a slice, and the :class:`RawAnswer` renders each
+column once.  No :class:`ResultRow` is built unless a caller asks.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import Callable
 
-from repro.core.semantic import AggregateRecord, PerformanceResult, ordering_key
+from repro.core.semantic import (
+    AggregateRecord, PerformanceResult, ResultColumns, column_keys, ordering_key,
+)
 from repro.fedquery.ast import Query, QueryError
-from repro.fedquery.pushdown import matches_value
+from repro.fedquery.pushdown import matching_rows
 
 #: raw-mode output columns, in order
 RAW_COLUMNS = ("app", "exec", "metric", "focus", "type", "start", "end", "value")
@@ -120,6 +129,21 @@ def _render(columns: tuple[str, ...], values: tuple[object, ...]) -> str:
     )
 
 
+def _render_column(column: str, values: list) -> list[str]:
+    """:func:`_render` for one whole output column: each cell's
+    ``column=value`` token, a text's once per distinct text."""
+    prefix = column + "="
+    if values and isinstance(values[0], str):
+        tokens = {value: prefix + value for value in set(values)}
+        return list(map(tokens.__getitem__, values))
+    return list(map(prefix.__add__, map(repr, values)))
+
+
+def _join_rows(cells: list[list[str]]) -> list[str]:
+    """The one place a columnar answer's row becomes text."""
+    return list(map("|".join, zip(*cells)))
+
+
 def _parse_value(column: str, rendered: str) -> object:
     if column.startswith("count("):
         return int(rendered)
@@ -143,6 +167,33 @@ def raw_row(app: str, exec_id: str, result: PerformanceResult) -> ResultRow:
             result.value,
         ),
     )
+
+
+class RawAnswer:
+    """A finished raw answer, one ``values`` list per :data:`RAW_COLUMNS`
+    column: its wire tokens (:attr:`cells`), row texts (:attr:`texts`)
+    and :class:`ResultRow` objects (:attr:`rows`) are made when asked."""
+
+    def __init__(self, values: list[list]) -> None:
+        self.values = values
+
+    @cached_property
+    def cells(self) -> list[list[str]]:
+        return [_render_column(*column) for column in zip(RAW_COLUMNS, self.values)]
+
+    @cached_property
+    def texts(self) -> list[str]:
+        return _join_rows(self.cells)
+
+    @cached_property
+    def rows(self) -> list[ResultRow]:
+        # a row shares its text if the texts were joined, else renders
+        # its own when packed
+        texts = vars(self).get("texts") or repeat(None)
+        return [
+            ResultRow(RAW_COLUMNS, values, text)
+            for values, text in zip(zip(*self.values), texts)
+        ]
 
 
 class Accumulator:
@@ -207,23 +258,27 @@ class TaskContext:
 
 
 class StreamingMerger:
-    """Folds per-execution payloads into the final row set."""
+    """Folds per-execution payloads into the final answer."""
 
     def __init__(self, query: Query) -> None:
         self.query = query
         #: group key tuple -> metric -> Accumulator
         self._groups: dict[tuple[str, ...], dict[str, Accumulator]] = {}
-        self._raw_rows: list[ResultRow] = []
+        #: raw queries: one run per payload — ((app key, exec key, plan
+        #: position, arrival), context, the kept rows' columns)
+        self._runs: list[tuple[tuple, TaskContext, ResultColumns]] = []
 
     # ------------------------------------------------------------ absorb
-    def absorb(self, ctx: TaskContext, payloads) -> None:
+    def absorb(self, ctx: TaskContext, payloads, position: int = 0) -> None:
         """Fold one execution's task result: ``(sub-query, records)``
-        pairs, buckets or raw results by the sub-query's mode."""
+        pairs, buckets or raw results by the sub-query's mode.
+        *position* is the execution's place in the plan, which breaks
+        ties between executions."""
         for sub, records in payloads:
             if sub.mode == "aggregate":
                 self.absorb_aggregates(ctx, sub.metric, records)
             else:
-                self.absorb_results(ctx, sub.metric, records)
+                self.absorb_results(ctx, sub.metric, records, position)
 
     def absorb_aggregates(
         self, ctx: TaskContext, metric: str, records: list[AggregateRecord]
@@ -238,22 +293,25 @@ class StreamingMerger:
             self._accumulator(key, metric).absorb(record)
 
     def absorb_results(
-        self, ctx: TaskContext, metric: str, results: list[PerformanceResult]
+        self, ctx: TaskContext, metric: str, results, position: int = 0
     ) -> None:
-        """Fold raw getPR rows: filter by value predicates, then reduce
-        (aggregate query) or project (raw query)."""
-        value_preds = self.query.predicates_on("value")
-        if value_preds:
-            results = [r for r in results if matches_value(r.value, value_preds)]
+        """Fold raw getPR results — columns, or result objects transposed
+        once — through the value predicates, then reduce them (aggregate
+        query) or keep them as one run (raw query)."""
+        if not isinstance(results, ResultColumns):
+            results = ResultColumns.of(results)
+        kept = matching_rows(results.value, self.query.predicates_on("value"))
         if not self.query.is_aggregate:
-            self._raw_rows.extend(
-                [raw_row(ctx.app, ctx.exec_id, result) for result in results]
-            )
+            if len(kept) < len(results):
+                results = results.take(kept)
+            order = (ordering_key(ctx.app), ordering_key(ctx.exec_id), position, len(self._runs))
+            self._runs.append((order, ctx, results))
             return
-        for result in results:
-            key = self._group_key(ctx, focus=result.focus)
+        focus, value = results.focus, results.value
+        for i in kept:
+            key = self._group_key(ctx, focus=focus[i])
             if key is not None:
-                self._accumulator(key, metric).add(result.value)
+                self._accumulator(key, metric).add(value[i])
 
     # -------------------------------------------------------------- keys
     def _group_key(self, ctx: TaskContext, focus: str) -> tuple[str, ...] | None:
@@ -304,10 +362,37 @@ class StreamingMerger:
                 self._accumulator(key, metric).absorb(acc)
 
     # ------------------------------------------------------------- output
+    def answer(self) -> "RawAnswer | list[ResultRow]":
+        """The answer in its final order, ORDER BY and LIMIT applied: a
+        raw query's as columns, an aggregate query's as rows."""
+        if self.query.is_aggregate:
+            return order_rows(self._group_rows(), self.query)
+        values: list[list] = [[] for _ in RAW_COLUMNS]
+        runs = sorted(self._runs, key=itemgetter(0))
+        for _, tied in groupby(runs, key=lambda run: run[0][:2]):
+            tied = [(ctx, part) for _, ctx, part in tied]
+            results = ResultColumns.concat([part for _, part in tied])
+            apps = [ctx.app for ctx, part in tied for _ in range(len(part))]
+            execs = [ctx.exec_id for ctx, part in tied for _ in range(len(part))]
+            keys = results.sort_keys(metric=True)
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            for out, column in zip(values, (apps, execs, *results.columns())):
+                out.extend([column[i] for i in order])
+        if self.query.order_by is not None:
+            keys = column_keys(values[RAW_COLUMNS.index(self.query.order_by)])
+            order = sorted(range(len(keys)), key=keys.__getitem__, reverse=self.query.order_desc)
+            values = [[column[i] for i in order] for column in values]
+        if self.query.limit is not None:
+            values = [column[: self.query.limit] for column in values]
+        return RawAnswer(values)
+
     def rows(self) -> list[ResultRow]:
-        """Materialize the (unordered) output rows."""
-        if not self.query.is_aggregate:
-            return list(self._raw_rows)
+        """:meth:`answer` as rows."""
+        answer = self.answer()
+        return answer.rows if isinstance(answer, RawAnswer) else answer
+
+    def _group_rows(self) -> list[ResultRow]:
+        """One row per complete group, unordered."""
         columns = self.query.output_columns
         out: list[ResultRow] = []
         for key, metrics in self._groups.items():
@@ -335,7 +420,8 @@ def row_sort_key(row: ResultRow) -> tuple:
 
 
 def order_rows(rows: list[ResultRow], query: Query) -> list[ResultRow]:
-    """Deterministic ordering + LIMIT.
+    """Deterministic ordering + LIMIT of a row list (the aggregate
+    answer, view partitions, the naive oracle, a client's view replica).
 
     Rows are first sorted by every column (numeric-aware) so output is
     reproducible without an ORDER BY; an explicit ORDER BY then applies

@@ -22,7 +22,9 @@ naive reference implementation the oracle test compares against.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.fedquery.ast import Predicate, Query
 from repro.mapping.base import compare_attribute
@@ -171,16 +173,20 @@ def attrs_match(info: dict[str, str], attr_preds: tuple[Predicate, ...]) -> bool
 
 def matches_value(value: float, value_preds: tuple[Predicate, ...]) -> bool:
     """Exact client-side value filter (the non-pushable fallback)."""
+    return bool(matching_rows((value,), value_preds))
+
+
+#: a value predicate's comparison, as a function of ``(value, bound)``
+_VALUE_OPS = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def matching_rows(values: Sequence[float], value_preds: tuple[Predicate, ...]) -> Sequence[int]:
+    """Positions of the *values* every predicate keeps, one pass each."""
+    kept: Sequence[int] = range(len(values))
     for pred in value_preds:
-        bound = float(str(pred.value))
-        ok = {
-            "=": value == bound,
-            "!=": value != bound,
-            "<": value < bound,
-            "<=": value <= bound,
-            ">": value > bound,
-            ">=": value >= bound,
-        }[pred.op]
-        if not ok:
-            return False
-    return True
+        compare, bound = _VALUE_OPS[pred.op], float(str(pred.value))
+        kept = [i for i in kept if compare(values[i], bound)]
+    return kept

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.core.semantic import PPERFGRID_NS
 from repro.fedquery.executor import FederationEngine
+from repro.fedquery.merge import RawAnswer
 from repro.ogsi.cursor import deploy_cursor
 from repro.ogsi.dispatch import answer_encoding
 from repro.ogsi.porttypes import GRID_SERVICE_PORTTYPE
@@ -133,8 +134,11 @@ class FederatedQueryService(GridServiceBase):
     # --------------------------------------------------------- operations
     def query(self, queryText: str) -> list[str]:
         self.require_active()
-        rows = [row.pack() for row in self.engine.execute(queryText).rows]
-        return frame_answer(rows, answer_encoding(self.wire_encodings))
+        result = self.engine.execute(queryText)
+        # a fresh raw answer is framed from its columns, never from rows
+        answer = result.answer
+        columns = answer.cells if isinstance(answer, RawAnswer) else None
+        return frame_answer(result.packed(), answer_encoding(self.wire_encodings), columns)
 
     def queryChunked(self, queryText: str) -> str:
         """Streamed query: deploy a ResultCursor over the engine's

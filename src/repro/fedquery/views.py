@@ -273,15 +273,11 @@ class ViewMaintainer:
                     )
                     merger = StreamingMerger(query)
                     merger.absorb(ctx, payloads)
-                    if query.is_aggregate:
-                        view.partitions[key] = merger.group_accumulators()
-                    else:
-                        # a LIMIT partition keeps only its own top-N: a
-                        # sufficient candidate set under the total order
-                        rows = merger.rows()
-                        if query.limit is not None:
-                            rows = order_rows(rows, query)
-                        view.partitions[key] = rows
+                    # a LIMIT partition keeps only its own top-N: a
+                    # sufficient candidate set under the total order
+                    view.partitions[key] = (
+                        merger.group_accumulators() if query.is_aggregate else merger.rows()
+                    )
                     if exec_id is not None:
                         break
         finally:
@@ -295,7 +291,7 @@ class ViewMaintainer:
         # the complete-group rule applies to the *merged* groups, so a
         # group partially present across partitions behaves exactly as
         # in a from-scratch execution
-        return order_rows(merger.rows(), query)
+        return merger.rows()
 
     def _publish(
         self, view: MaterializedView, rows: list[ResultRow], new_epoch: bool = False

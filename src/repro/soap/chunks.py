@@ -58,32 +58,36 @@ class ChunkError(ValueError):
 @dataclass(frozen=True)
 class ChunkEnvelope:
     """One decoded chunk: sequence number, payload rows, end-of-stream,
-    and the content encoding the payload arrived in."""
+    and the content encoding the payload arrived in.  A colbatch payload's
+    rows are a :class:`~repro.soap.colbatch.DecodedBatch`, still columns."""
 
     seq: int
-    rows: tuple[str, ...]
+    rows: Sequence[str]
     done: bool
     encoding: str = ENCODING_XML
 
 
 def encode_chunk(
-    seq: int, rows: list[str], done: bool, encoding: str = ENCODING_XML
+    seq: int, rows: list[str], done: bool, encoding: str = ENCODING_XML,
+    columns: Sequence[Sequence[str]] | None = None,
 ) -> list[str]:
     """Frame *rows* as a chunk payload (header record + payload records).
 
     ``encoding="xml"`` emits the legacy four-field header and per-row
     payload byte-for-byte; ``"colbatch"`` emits the tagged five-field
-    header followed by the columnar batch records.
+    header followed by the columnar batch records — encoded straight
+    from *columns*, the rows' ``|``-separated tokens, when the caller
+    holds them.
     """
     if seq < 0:
         raise ChunkError(f"chunk seq must be >= 0, got {seq}")
     if encoding == ENCODING_XML:
         return [f"{CHUNK_HEADER}|{seq}|{len(rows)}|{1 if done else 0}", *rows]
     if encoding == ENCODING_COLBATCH:
-        from repro.soap.colbatch import encode_batch
+        from repro.soap.colbatch import encode_batch, encode_columns
 
         header = f"{CHUNK_HEADER}|{seq}|{len(rows)}|{1 if done else 0}|{encoding}"
-        return [header, *encode_batch(rows)]
+        return [header, *(encode_batch(rows) if columns is None else encode_columns(columns))]
     raise ChunkError(f"unknown chunk encoding {encoding!r}")
 
 
@@ -105,9 +109,9 @@ def decode_chunk(payload: list[str]) -> ChunkEnvelope:
     if encoding == ENCODING_XML:
         rows = tuple(payload[1:])
     elif encoding == ENCODING_COLBATCH:
-        from repro.soap.colbatch import decode_batch
+        from repro.soap.colbatch import decode_columns
 
-        rows = tuple(decode_batch(payload[1:]))
+        rows = decode_columns(payload[1:])
     else:
         raise ChunkError(f"chunk {seq} carries unknown encoding {encoding!r}")
     if len(rows) != count:
@@ -132,18 +136,22 @@ def _wire_size(items: list[str]) -> int:
     return sum(map(len, items)) + 35 * len(items)
 
 
-def frame_answer(rows: list[str], encoding: str) -> list[str]:
+def frame_answer(
+    rows: list[str], encoding: str, columns: Sequence[Sequence[str]] | None = None
+) -> list[str]:
     """*rows* as one ``done=1`` chunk in *encoding* when that is shorter
-    on the wire, else *rows* themselves: never larger than the XML."""
+    on the wire, else *rows* themselves: never larger than the XML.
+    *columns*, when given, are the rows' tokens the chunk is encoded from."""
     if encoding == ENCODING_XML:
         return rows
-    framed = encode_chunk(0, rows, True, encoding)
+    framed = encode_chunk(0, rows, True, encoding, columns)
     return framed if _wire_size(framed) < _wire_size(rows) else rows
 
 
 def unframe_answer(items: Sequence[str], advertised: Sequence[str]) -> tuple[Sequence[str], str]:
-    """``(rows, encoding)`` of a maybe-framed answer; a chunk that is not
-    one whole answer in an accepted encoding is a protocol error."""
+    """``(rows, encoding)`` of a maybe-framed answer (a colbatch answer's
+    rows still its decoded columns); a chunk that is not one whole answer
+    in an accepted encoding is a protocol error."""
     if not items or not items[0].startswith(CHUNK_HEADER + "|"):
         return items, ENCODING_XML
     envelope = decode_chunk(items)

@@ -53,7 +53,7 @@ from __future__ import annotations
 import base64
 import re
 import struct
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from repro.soap.chunks import ChunkError
@@ -321,18 +321,36 @@ def _encode_column(tokens: Sequence[str]) -> str:
     return f"raw|{nulls}|" + _escape_join(values)
 
 
+def encode_columns(
+    columns: Sequence[Sequence[str]], exceptions: Sequence[tuple[int, str]] = ()
+) -> list[str]:
+    """Encode equal-length token *columns* as colbatch records (header
+    first), and *exceptions*, ``(row index, row)`` pairs, verbatim:
+    :func:`decode_batch` gives each row as its tokens ``|``-joined."""
+    nrows = len(columns[0]) + len(exceptions) if columns else 0
+    if nrows == 0:
+        return [f"{BATCH_MAGIC}|{COLBATCH_VERSION}|0|0|0"]
+    records = [f"{BATCH_MAGIC}|{COLBATCH_VERSION}|{nrows}|{len(columns)}|{len(exceptions)}"]
+    records.extend(map(_encode_column, columns))
+    if exceptions:
+        records.append(
+            f"{XROWS_MAGIC}|"
+            + ";".join(f"{i}:{_escape(row)}" for i, row in exceptions)
+        )
+    return records
+
+
 def encode_batch(rows: Sequence[str]) -> list[str]:
-    """Encode *rows* as colbatch records (header first).
+    """Encode *rows* as colbatch records (header first): the rows split on
+    ``|`` into :func:`encode_columns`, any row whose arity differs from
+    the first one's carried verbatim.
 
     Decoding the result with :func:`decode_batch` reproduces *rows*
     byte-identically for any input strings.
     """
     rows = list(rows)
-    nrows = len(rows)
-    if nrows == 0:
-        return [f"{BATCH_MAGIC}|{COLBATCH_VERSION}|0|0|0"]
     split_rows = [row.split("|") for row in rows]
-    nfields = len(split_rows[0])
+    nfields = len(split_rows[0]) if split_rows else 0
     matrix: list[list[str]] = []
     exceptions: list[tuple[int, str]] = []
     for i, parts in enumerate(split_rows):
@@ -340,16 +358,7 @@ def encode_batch(rows: Sequence[str]) -> list[str]:
             matrix.append(parts)
         else:
             exceptions.append((i, rows[i]))
-    records = [
-        f"{BATCH_MAGIC}|{COLBATCH_VERSION}|{nrows}|{nfields}|{len(exceptions)}"
-    ]
-    records.extend(map(_encode_column, zip(*matrix)))
-    if exceptions:
-        records.append(
-            f"{XROWS_MAGIC}|"
-            + ";".join(f"{i}:{_escape(row)}" for i, row in exceptions)
-        )
-    return records
+    return encode_columns(list(zip(*matrix)), exceptions)
 
 
 # ------------------------------------------------------------- decoding
@@ -487,8 +496,40 @@ def _decode_exceptions(record: str, nexc: int, nrows: int) -> dict[int, str]:
     return out
 
 
-def decode_batch(records: Sequence[str]) -> list[str]:
-    """Decode colbatch *records* back to the original row strings.
+class DecodedBatch(Sequence[str]):
+    """The rows of one decoded batch, held as the ``columns`` of tokens
+    they arrived in (and the verbatim ``exceptions`` rows by index): a
+    row string is joined only when a row is read."""
+
+    def __init__(self, nrows: int, columns: list[list[str]], exceptions: dict[int, str]) -> None:
+        self.columns, self.exceptions, self._nrows = columns, exceptions, nrows
+
+    def __len__(self) -> int:
+        return self._nrows
+
+    def __getitem__(self, index):
+        return self.rows[index]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def text_length(self) -> int:
+        """Total length of the row strings, counted off the columns."""
+        body = sum(sum(map(len, column)) for column in self.columns)
+        separators = (len(self.columns) - 1) * (self._nrows - len(self.exceptions))
+        return body + separators + sum(map(len, self.exceptions.values()))
+
+    @cached_property
+    def rows(self) -> list[str]:
+        body = list(map("|".join, zip(*self.columns)))
+        if not self.exceptions:
+            return body
+        rest, exceptions = iter(body), self.exceptions
+        return [exceptions[i] if i in exceptions else next(rest) for i in range(len(self))]
+
+
+def decode_columns(records: Sequence[str]) -> DecodedBatch:
+    """Decode colbatch *records* column by column, joining no row.
 
     Raises :class:`~repro.soap.chunks.ChunkError` on any malformed
     input — truncation, corrupted counts, bad indexes, wrong version.
@@ -518,21 +559,13 @@ def decode_batch(records: Sequence[str]) -> list[str]:
         raise ChunkError(
             f"colbatch declares {expected} record(s) but carries {len(records)}"
         )
-    if nrows == 0:
-        return []
     body_rows = nrows - nexc
     columns = [_decode_column(record, body_rows) for record in records[1 : 1 + nfields]]
-    body = list(map("|".join, zip(*columns)))
-    if not nexc:
-        return body
-    exceptions = _decode_exceptions(records[-1], nexc, nrows)
-    out: list[str] = []
-    body_index = 0
-    for i in range(nrows):
-        exception = exceptions.get(i)
-        if exception is None:
-            out.append(body[body_index])
-            body_index += 1
-        else:
-            out.append(exception)
-    return out
+    exceptions = _decode_exceptions(records[-1], nexc, nrows) if nexc else {}
+    return DecodedBatch(nrows, columns, exceptions)
+
+
+def decode_batch(records: Sequence[str]) -> list[str]:
+    """Decode colbatch *records* back to the original row strings
+    (:func:`decode_columns`, every row joined)."""
+    return decode_columns(records).rows

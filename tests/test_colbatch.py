@@ -34,7 +34,9 @@ from repro.soap.colbatch import (
     COLBATCH_VERSION,
     DICT_MAX,
     decode_batch,
+    decode_columns,
     encode_batch,
+    encode_columns,
 )
 from repro.soap.rpc import decode_response, encode_response
 
@@ -257,6 +259,28 @@ class TestSeededOracle:
         rng = random.Random(0xC0B + oracle_seed * 1_000_003 + case)
         rows = _random_rows(rng)
         assert roundtrip(rows) == rows
+        # the row strings' total length, counted off the undecoded columns
+        assert decode_columns(encode_batch(rows)).text_length() == sum(map(len, rows))
+
+    @pytest.mark.parametrize("case", range(N_CASES))
+    def test_random_columns_roundtrip(self, case, oracle_seed):
+        """A batch encoded from token columns decodes to the tokens
+        ``|``-joined, whatever they hold; tokens without a ``|`` are what
+        splitting those rows gives, so the bytes are ``encode_batch``'s."""
+        rng = random.Random(0xC01 + oracle_seed * 1_000_003 + case)
+        nrows = rng.randrange(0, 40)
+        columns = [[_random_token(rng) for _ in range(nrows)] for _ in range(rng.randrange(1, 8))]
+        for special in ("%", ";", "|", "", "a|b;c%7C"):
+            if nrows and rng.random() < 0.7:
+                columns[rng.randrange(len(columns))][rng.randrange(nrows)] = special
+        rows = ["|".join(cells) for cells in zip(*columns)]
+        records = encode_columns(columns)
+        assert decode_batch(records) == rows
+        batch = decode_columns(records)
+        assert batch.columns == (columns if nrows else []) and not batch.exceptions
+        assert batch.text_length() == sum(map(len, rows))
+        if not any("|" in token for column in columns for token in column):
+            assert records == encode_batch(rows)
 
 
 def _pinned_corpus() -> list[list[str]]:

@@ -469,6 +469,41 @@ class TestMergerSemantics:
         )
         assert merger.rows()[0]["count(a)"] == 1
 
+    def test_bulk_ties_follow_plan_order_not_completion_order(self):
+        """Exec ids ``1`` and ``01`` tie in the canonical order and their
+        rows are otherwise equal, yet render differently: whichever
+        execution's task completes first, the rows come out in plan order
+        (the streamed merge's tie rule: stream index)."""
+        query = parse_query("SELECT m")
+        results = [PerformanceResult("m", "/f", "t", 0.0, 1.0, 2.0)] * 2
+        plan = ["01", "1"]
+        answers = set()
+        for completion in (["1", "01"], ["01", "1"]):
+            merger = StreamingMerger(query)
+            for exec_id in completion:
+                merger.absorb_results(
+                    TaskContext("A", exec_id), "m", results, plan.index(exec_id)
+                )
+            answers.add(tuple(row.pack() for row in merger.rows()))
+        assert [packed.split("|")[1] for packed in answers.pop()] == [
+            "exec=01", "exec=01", "exec=1", "exec=1",
+        ]
+        assert not answers
+
+    def test_tied_exec_ids_answer_alike_on_every_path(self):
+        rows = [PerformanceResult("m", "/f", "t", 0.0, 1.0, v) for v in (2.0, 1.0)]
+        wrappers = {"A": InMemoryWrapper("A", [
+            InMemoryExecution(exec_id, {}, rows) for exec_id in ("1", "01", "1.0")
+        ])}
+        grid = build_synthetic_grid(wrappers)
+        engine = grid.deploy_federation()
+        bulk = [row.pack() for row in grid.client.query("SELECT m")]
+        engine.invalidate_cache()
+        streamed = [row.pack() for row in grid.client.query_stream("SELECT m")]
+        assert bulk == streamed and len(bulk) == 6
+        assert [packed.split("|")[1] for packed in bulk[:3]] == ["exec=1", "exec=01", "exec=1.0"]
+        grid.environment.close()
+
 
 class TestChooseFanout:
     def test_default_without_managers(self):

@@ -329,6 +329,48 @@ def test_planned_matches_naive(oracle_env, seed, oracle_seed, encoding, monkeypa
     oracle_env.bulk_queries_run[encoding] += 1
 
 
+@pytest.mark.parametrize("encoding", ["negotiated", "xml"])
+def test_client_query_matches_naive_over_the_wire(oracle_env, oracle_seed, encoding, monkeypatch):
+    """The raw half of the corpus through ``PPerfGridClient.query``, every
+    hop a SOAP round trip: the federation frames each fresh answer from
+    its columns — one colbatch chunk when that is shorter, else per-row
+    XML — and the client's rows are byte-identical to the naive oracle,
+    ORDER BY, LIMIT and empty answers included.  On the xml leg nothing
+    is advertised and no answer is framed."""
+    from repro.fedquery import parse_query
+
+    pin_leg(monkeypatch, encoding)
+    seen: list[str] = []
+    real = client_module.unframe_answer
+
+    def recording(items, accept_encodings):
+        rows, answer_encoding = real(items, accept_encodings)
+        seen.append(answer_encoding)
+        return rows, answer_encoding
+
+    monkeypatch.setattr(client_module, "unframe_answer", recording)
+    answers: Counter = Counter()
+    for seed in range(N_QUERIES):
+        text = make_query(random.Random(7000 + seed + 1_000_000 * oracle_seed), oracle_env)
+        query = parse_query(text)
+        if query.is_aggregate:
+            continue
+        # answered by the merge, never by a memoized earlier answer
+        oracle_env.engine.plan_cache.remove(query.fingerprint())
+        received = [row.pack() for row in oracle_env.grid.client.query(text)]
+        answers[seen[-1]] += 1  # the client's answer is the last one read
+        expected = [row.pack() for row in naive_query(text, oracle_env.members)]
+        assert received == expected, (
+            f"client bytes != naive bytes for {text!r}\n"
+            f"client ({len(received)}): {received[:5]}\n"
+            f"naive  ({len(expected)}): {expected[:5]}"
+        )
+    if encoding == "xml" or ENCODING_COLBATCH not in default_accept_encodings():
+        assert set(answers) == {ENCODING_XML}, answers
+    else:  # large answers went columnar, small ones stayed per-row XML
+        assert answers[ENCODING_COLBATCH] and answers[ENCODING_XML], answers
+
+
 def test_negotiated_bulk_leg_received_columnar_answers(oracle_env):
     """Over the whole bulk corpus, the negotiated leg really did receive
     columnar ``getPR`` answers — unless the process pins every encoding

@@ -4,11 +4,16 @@ Nothing here reads a clock.  Each pass over a row has one seam, and the
 tests count what goes through it on a 2-member x 2-execution x 50-row
 synthetic federation driven through the SOAP surface:
 
-* a ``ResultRow`` becomes text only in ``repro.fedquery.merge._render``
-  (``pack()`` memoises it, ``unpack`` seeds the memo);
+* a result row becomes text only in ``repro.fedquery.merge._render``
+  (one ``ResultRow``: ``pack()`` memoises it, ``unpack`` seeds the memo)
+  or ``repro.fedquery.merge._join_rows`` (a columnar answer's rows, each
+  joined once from its column tokens);
 * a ``PerformanceResult`` becomes text only in ``PerformanceResult.pack``;
 * a text cell enters ``float()`` only in ``repro.core.semantic._text_key``,
-  whose ``cache_info().misses`` is the number of classifications made.
+  whose ``cache_info().misses`` is the number of classifications made;
+* ``ResultRow`` and ``PerformanceResult`` objects are counted as they are
+  built, and apart while the FederatedQuery service answers: a bulk raw
+  answer goes from the members' columns to the client's without one.
 
 Beside the counts, two differentials keep the faster paths honest: the
 shape-remembering unpacker against ``ResultRow.unpack`` row for row, and
@@ -19,15 +24,17 @@ classified once (kept verbatim below), byte for byte.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import client as client_module
 from repro.core import semantic
 from repro.core.semantic import PerformanceResult
 from repro.experiments.common import build_synthetic_grid
-from repro.fedquery import ResultRow, merge
+from repro.fedquery import FederatedQueryService, ResultRow, merge
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 from repro.soap import encoding
 from repro.soap.encoding import SoapEncodingError, decode_value, encode_value
@@ -61,17 +68,43 @@ def _wrappers() -> dict[str, InMemoryWrapper]:
 
 
 class Passes:
-    """Counters on the three seams, plus every result the engine produced."""
+    """Counters on the seams, plus every result the engine produced."""
 
     def __init__(self, monkeypatch, engine) -> None:
         self.renders = 0
         self.pr_renders = 0
+        #: row objects built, by class name — and of them, those built
+        #: while the FederatedQuery service answered a query
+        self.built: Counter = Counter()
+        self.served: Counter = Counter()
         self.results: list = []
-        render, pr_pack, execute = merge._render, PerformanceResult.pack, engine.execute
+        render, join, pr_pack, execute = (
+            merge._render, merge._join_rows, PerformanceResult.pack, engine.execute
+        )
+        serve = FederatedQueryService.query
 
         def counted_render(columns, values):
             self.renders += 1
             return render(columns, values)
+
+        def counted_join(cells):
+            texts = join(cells)
+            self.renders += len(texts)
+            return texts
+
+        def counted_serve(service, text):
+            before = Counter(self.built)
+            try:
+                return serve(service, text)
+            finally:
+                self.served.update(self.built - before)
+
+        for cls in (ResultRow, PerformanceResult):
+            def counted_init(obj, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                self.built[_name] += 1
+                _init(obj, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted_init)
 
         def counted_pr_pack(result):
             self.pr_renders += 1
@@ -82,11 +115,15 @@ class Passes:
             return self.results[-1]
 
         monkeypatch.setattr(merge, "_render", counted_render)
+        monkeypatch.setattr(merge, "_join_rows", counted_join)
         monkeypatch.setattr(PerformanceResult, "pack", counted_pr_pack)
+        monkeypatch.setattr(FederatedQueryService, "query", counted_serve)
         monkeypatch.setattr(engine, "execute", recorded_execute)
 
     def reset(self) -> None:
         self.renders = self.pr_renders = 0
+        self.built.clear()
+        self.served.clear()
         semantic._text_key.cache_clear()
 
     @property
@@ -120,15 +157,51 @@ def _distinct_texts(rows) -> int:
     return len({value for row in rows for value in row.values if isinstance(value, str)})
 
 
+def _bulk_raw_query(federation, monkeypatch, columnar: bool):
+    """One bulk raw query through the client, its members answering
+    colbatch (*columnar*, every read advertising) or per-row XML, and the
+    counts that do not depend on which."""
+    grid, engine, passes, payload = federation
+    monkeypatch.setenv("PPG_ACCEPT_ENCODINGS", "colbatch,xml")
+    if columnar:
+        engine.stream_threshold_rows = 0
+    encodings: Counter = Counter()
+    unframe = client_module.unframe_answer
+
+    def counted_unframe(items, accepted):
+        rows, encoding = unframe(items, accepted)
+        encodings[encoding] += 1
+        return rows, encoding
+
+    monkeypatch.setattr(client_module, "unframe_answer", counted_unframe)
+    rows = grid.client.query("SELECT m WHERE value >= -1.5")
+    # every member answer, and the client's own, arrived as the leg says
+    members = MEMBERS * EXECUTIONS
+    assert encodings == (
+        Counter(colbatch=members + 1) if columnar else Counter(xml=members, colbatch=1)
+    )
+    assert len(rows) == TOTAL
+    assert passes.renders == TOTAL  # joined from the columns: plan-cache admit and wire share it
+    assert passes.pr_renders == 0
+    assert 0 < passes.classifications <= _distinct_texts(rows)
+    stats = passes.results[-1].stats
+    assert stats["payloadBytes"] == payload and stats["bulkCalls"] == members
+    return passes
+
+
 class TestBulk:
-    def test_one_render_per_row_and_none_of_a_member_record(self, federation):
-        grid, _, passes, payload = federation
-        rows = grid.client.query("SELECT m WHERE value >= -1.5")
-        assert len(rows) == TOTAL
-        assert passes.renders == TOTAL  # plan-cache admit and wire share it
-        assert passes.pr_renders == 0
-        assert 0 < passes.classifications <= _distinct_texts(rows)
-        assert passes.results[-1].stats["payloadBytes"] == payload
+    def test_one_render_per_row_and_none_of_a_member_record(self, federation, monkeypatch):
+        passes = _bulk_raw_query(federation, monkeypatch, columnar=False)
+        # an XML record is parsed once, then transposed: no ResultRow at
+        # the federation, the client's one per row the only ones built
+        assert passes.served == Counter(PerformanceResult=TOTAL)
+        assert passes.built == Counter(PerformanceResult=TOTAL, ResultRow=TOTAL)
+
+    def test_colbatch_members_in_no_row_object_at_the_federation(self, federation, monkeypatch):
+        passes = _bulk_raw_query(federation, monkeypatch, columnar=True)
+        # members' columns in, the answer's columns out
+        assert passes.served == Counter()
+        assert passes.built == Counter(ResultRow=TOTAL)
 
     def test_plan_cache_hit_renders_nothing(self, federation):
         grid, _, passes, _ = federation

@@ -197,12 +197,13 @@ class ChunkedResultIterator:
             self.close()
             raise
         self._expected_seq += 1
-        self._buffer = envelope.rows
+        # a colbatch chunk's rows joined once, then indexed in place
+        self._buffer = tuple(envelope.rows)
         self._index = 0
         self._done = envelope.done
         self.chunks_fetched += 1
-        self.rows_fetched += len(envelope.rows)
-        self.bytes_fetched += sum(map(len, envelope.rows))
+        self.rows_fetched += len(self._buffer)
+        self.bytes_fetched += sum(map(len, self._buffer))
 
     def __iter__(self) -> "ChunkedResultIterator":
         return self

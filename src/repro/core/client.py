@@ -358,7 +358,8 @@ class ExecutionBinding:
                     "getPR", *args, headers=accept_encodings_headers(advertised)
                 )
             packed, encoding = unframe_answer(answer, advertised)
-            if isinstance(packed, DecodedBatch) and not packed.exceptions and len(packed.columns) == 5:
+            columnar = isinstance(packed, DecodedBatch) and not packed.exceptions
+            if columnar and len(packed.columns) == 5:
                 # a colbatch answer's columns, as they came: no row is joined
                 records = ColumnRead.unpack(packed.columns)
                 records.wire_bytes = packed.text_length()

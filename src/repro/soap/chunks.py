@@ -35,7 +35,7 @@ deploys, or of a ``getPR`` / ``query`` answer — one ``done=1`` chunk
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 #: first field of every chunk header record
 CHUNK_HEADER = "#chunk"
@@ -62,7 +62,7 @@ class ChunkEnvelope:
     rows are a :class:`~repro.soap.colbatch.DecodedBatch`, still columns."""
 
     seq: int
-    rows: Sequence[str]
+    rows: Collection[str]
     done: bool
     encoding: str = ENCODING_XML
 
@@ -148,7 +148,7 @@ def frame_answer(
     return framed if _wire_size(framed) < _wire_size(rows) else rows
 
 
-def unframe_answer(items: Sequence[str], advertised: Sequence[str]) -> tuple[Sequence[str], str]:
+def unframe_answer(items: Sequence[str], advertised: Sequence[str]) -> tuple[Collection[str], str]:
     """``(rows, encoding)`` of a maybe-framed answer (a colbatch answer's
     rows still its decoded columns); a chunk that is not one whole answer
     in an accepted encoding is a protocol error."""

@@ -496,7 +496,7 @@ def _decode_exceptions(record: str, nexc: int, nrows: int) -> dict[int, str]:
     return out
 
 
-class DecodedBatch(Sequence[str]):
+class DecodedBatch:
     """The rows of one decoded batch, held as the ``columns`` of tokens
     they arrived in (and the verbatim ``exceptions`` rows by index): a
     row string is joined only when a row is read."""
@@ -506,9 +506,6 @@ class DecodedBatch(Sequence[str]):
 
     def __len__(self) -> int:
         return self._nrows
-
-    def __getitem__(self, index):
-        return self.rows[index]
 
     def __iter__(self):
         return iter(self.rows)

@@ -25,7 +25,8 @@ import threading
 from collections import Counter
 from concurrent.futures import wait
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from itertools import chain
+from typing import Callable, Collection, Iterator
 
 from repro.core.semantic import (
     APPLICATION_PORTTYPE,
@@ -141,11 +142,12 @@ class ChunkedResultIterator:
         self.max_rows = max_rows
         self._decoder = decoder
         self._stub = environment.stub_for_handle(cursor_handle, RESULT_CURSOR_PORTTYPE)
-        self._buffer: tuple[str, ...] = ()
-        self._index = 0
         self._expected_seq = 0
         self._done = False
         self._closed = False
+        #: the last chunk's rows as they arrived, and the rows not yet yielded
+        self._chunk: Collection[str] = ()
+        self._rows: Iterator[str] = chain.from_iterable(self._fetched())
         self.chunks_fetched = 0
         self.rows_fetched = 0
         #: packed length of the rows fetched so far — what the engine's
@@ -197,25 +199,31 @@ class ChunkedResultIterator:
             self.close()
             raise
         self._expected_seq += 1
-        # a colbatch chunk's rows joined once, then indexed in place
-        self._buffer = tuple(envelope.rows)
-        self._index = 0
+        # a colbatch chunk's rows stay columns until a row is read
+        self._chunk = envelope.rows
         self._done = envelope.done
         self.chunks_fetched += 1
-        self.rows_fetched += len(self._buffer)
-        self.bytes_fetched += sum(map(len, self._buffer))
+        self.rows_fetched += len(envelope.rows)
+        self.bytes_fetched += _text_length(envelope.rows)
+
+    def _fetched(self) -> Iterator[Collection[str]]:
+        """Each remaining chunk's rows as they arrived (a colbatch chunk's
+        still its columns); the cursor is closed after the last."""
+        while not (self._done or self._closed):
+            self._fetch()
+            yield self._chunk
+        self.close()
+
+    def chunks(self) -> Iterator["ColumnRead"]:
+        """A ``getPR`` cursor read a chunk at a time instead of row by
+        row, each chunk as its :func:`read_columns`."""
+        return map(read_columns, self._fetched())
 
     def __iter__(self) -> "ChunkedResultIterator":
         return self
 
     def __next__(self) -> object:
-        while self._index >= len(self._buffer):
-            if self._done or self._closed:
-                self.close()
-                raise StopIteration
-            self._fetch()
-        row = self._buffer[self._index]
-        self._index += 1
+        row = next(self._rows)
         if self._decoder is None:
             return row
         try:
@@ -236,7 +244,7 @@ class ChunkedResultIterator:
         if self._closed:
             return
         self._closed = True
-        self._buffer = ()
+        self._chunk, self._rows = (), iter(())
         try:
             self._stub.close()
         except Exception:
@@ -282,6 +290,20 @@ class BucketRead(list, ArrayRead):
 
 class ColumnRead(ResultColumns, ArrayRead):
     """A raw ``getPR`` answer, column by column."""
+
+
+def _text_length(packed: Collection[str]) -> int:
+    """Total length of *packed*'s record strings (off a batch's columns)."""
+    return packed.text_length() if isinstance(packed, DecodedBatch) else sum(map(len, packed))
+
+
+def read_columns(packed: Collection[str]) -> ColumnRead:
+    """A ``getPR`` array or cursor chunk as columns: a colbatch answer's
+    as they came, per-row XML (or a batch with exception rows) parsed
+    one record at a time and transposed."""
+    if isinstance(packed, DecodedBatch) and not packed.exceptions and len(packed.columns) == 5:
+        return ColumnRead.unpack(packed.columns)
+    return ColumnRead.of(map(PerformanceResult.unpack, packed))
 
 
 class ExecutionBinding:
@@ -358,14 +380,8 @@ class ExecutionBinding:
                     "getPR", *args, headers=accept_encodings_headers(advertised)
                 )
             packed, encoding = unframe_answer(answer, advertised)
-            columnar = isinstance(packed, DecodedBatch) and not packed.exceptions
-            if columnar and len(packed.columns) == 5:
-                # a colbatch answer's columns, as they came: no row is joined
-                records = ColumnRead.unpack(packed.columns)
-                records.wire_bytes = packed.text_length()
-            else:  # per-row XML (or a batch whose rows are not all records)
-                records = ColumnRead.of(map(PerformanceResult.unpack, packed))
-                records.wire_bytes = sum(map(len, packed))
+            records = read_columns(packed)
+            records.wire_bytes = _text_length(packed)
             records.encoding = encoding
             if ordered:
                 records.sort()
@@ -925,7 +941,7 @@ class PPerfGridClient:
         returns a :class:`ChunkedResultIterator` yielding ResultRow
         objects — rows flow member-chunk by member-chunk end to end, in
         the same order :meth:`query` would return them.  Close the
-        iterator early to release the cursor and its member streams.
+        iterator early to release the cursor and its member reads.
         """
         fed = self._require_federation()
         with self.environment.recorder.time("virtualization.fedquery.stream"):

@@ -95,9 +95,9 @@ def ordering_key(value: object) -> tuple[int, float, str]:
     This is the canonical total order every deterministic result
     ordering in the system derives from: the federated bulk merge sorts
     whole rows by it, and streaming cursors sort server-side by it so a
-    client k-way merge of sorted member streams reproduces the bulk
-    ordering byte for byte.  Numbers order by value, then NaN, then
-    non-numeric text by code point.
+    streamed answer's member runs arrive in the bulk ordering byte for
+    byte.  Numbers order by value, then NaN, then non-numeric text by
+    code point.
     """
     if isinstance(value, (int, float)):
         number = float(value)

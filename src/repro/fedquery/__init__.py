@@ -6,9 +6,10 @@ Applications, compiled into per-store sub-queries with push-down
 ``getPRAgg`` aggregation with real SQL in the RDBMS wrappers), executed
 with a replica-aware parallel fan-out, merged streamingly, and memoized
 per canonical query fingerprint.  ``execute(stream=True)`` swaps the
-materialized merge for a bounded-memory incremental one: member rows
-arrive through chunked ResultCursors and a k-way heap merge yields the
-bulk path's exact row order one row at a time (:class:`StreamedResult`).
+materialized merge for a bounded-memory incremental one: the bulk
+merge's runs, pulled in order one member chunk at a time through chunked
+ResultCursors — ties collected and sorted, one cursor open at a time —
+yield the bulk path's exact row order (:class:`StreamedResult`).
 
 Entry points:
 
@@ -73,7 +74,7 @@ from repro.fedquery.pushdown import (
 from repro.fedquery.service import FEDERATED_QUERY_PORTTYPE, FederatedQueryService
 from repro.fedquery.views import MaterializedView, ViewDelta, ViewMaintainer
 from repro.fedquery.viewservice import VIEW_REGISTRY_PORTTYPE, ViewRegistryService
-from repro.fedquery.stream import DEFAULT_MEMOIZE_MAX_BYTES, StreamedResult, merge_streams
+from repro.fedquery.stream import DEFAULT_MEMOIZE_MAX_BYTES, StreamedResult
 
 __all__ = [
     "AGG_FUNCS",
@@ -112,7 +113,6 @@ __all__ = [
     "choose_fanout",
     "derive_value_bounds",
     "derive_window",
-    "merge_streams",
     "naive_query",
     "order_rows",
     "parse_query",

@@ -31,15 +31,15 @@
    not memoized).
 6. **Streaming execution** — ``execute(query, stream=True)`` returns a
    :class:`~repro.fedquery.stream.StreamedResult` instead of a
-   materialized row list.  Raw queries without ORDER BY take the true
-   streaming path: each member execution is one lazy generator whose
-   rows arrive pre-sorted (server-side ``ordered`` cursors, or a
-   client-side sort for provably small members where bulk ``getPR`` is
-   cheaper), and a k-way heap merge pulls them — on the thread that
-   drains the result, one member chunk at a time — in exactly the bulk
-   path's canonical order.  Aggregates and ORDER BY need every row
-   before the first output row, so they run the bulk pipeline
-   internally and stream its finished rows.  Fully drained streams memoize like bulk results (up to
+   materialized answer.  Raw queries without ORDER BY take the true
+   streaming path: the bulk merger's runs (:mod:`repro.fedquery.stream`)
+   — pulled in order, one member chunk at a time on the thread that
+   drains the result; ties collected and sorted; one cursor open at a
+   time — each arriving sorted (server-side ``ordered`` cursors, or a
+   client-side sort of a provably small member's ``getPR``) and staying
+   columns.  Aggregates and ORDER BY need every row before the first
+   output row, so they run the bulk pipeline and stream its answer.
+   Fully drained streams memoize like bulk results (up to
    ``stream_memoize_max_bytes``); partial drains and degraded runs
    never do.
 """
@@ -51,19 +51,21 @@ from concurrent.futures import FIRST_COMPLETED, Future, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
 from typing import Iterable, Iterator
 
 from repro.core.prcache import ByteBudgetLruCache, PrCache
 from repro.core.semantic import AggregateRecord, ordering_key
 from repro.fedquery.ast import Query, QueryError
 from repro.fedquery.coherence import ANY, CoherenceTracker, Dep
-from repro.fedquery.merge import RawAnswer, ResultRow, StreamingMerger, TaskContext, raw_row
+from repro.fedquery.merge import (
+    RawAnswer, ResultRow, StreamingMerger, TaskContext, answer_rows, answer_texts,
+    filter_values, run_chunks, run_key,
+)
 from repro.fedquery.parser import parse_query
 from repro.fedquery.planner import MemberPlan, Plan, SubQuery, plan_query
-from repro.fedquery.pushdown import filter_foci, matches_value
+from repro.fedquery.pushdown import filter_foci
 from repro.fedquery.scheduler import DEFAULT_POOL_WORKERS, DEFAULT_TENANT, FanoutScheduler
-from repro.fedquery.stream import DEFAULT_MEMOIZE_MAX_BYTES, StreamedResult, merge_streams
+from repro.fedquery.stream import DEFAULT_MEMOIZE_MAX_BYTES, StreamedResult
 from repro.ogsi.cursor import DEFAULT_CHUNK_ROWS, DEFAULT_STREAM_THRESHOLD_ROWS
 from repro.ogsi.dispatch import current_client_id
 from repro.soap.faults import SoapFault
@@ -120,13 +122,11 @@ class QueryResult:
     @property
     def rows(self) -> list[ResultRow]:
         """The answer as rows, built on first read from columns."""
-        answer = self.answer
-        return answer.rows if isinstance(answer, RawAnswer) else answer
+        return answer_rows(self.answer)
 
     def packed(self) -> list[str]:
         """One wire text per row."""
-        answer = self.answer
-        return answer.texts if isinstance(answer, RawAnswer) else [row.pack() for row in answer]
+        return answer_texts(self.answer)
 
 
 class FederationEngine:
@@ -285,31 +285,19 @@ class FederationEngine:
         if cached is not None:
             # each row keeps the cached text it was parsed from, so a
             # cached answer reaches the wire without being rendered again
-            rows = list(map(ResultRow.unpacker(), cached))
-            if stream:
-                return StreamedResult(
-                    columns=query.output_columns, source=iter(rows), cached=True
-                )
-            return QueryResult(
-                answer=rows,
-                columns=query.output_columns,
-                cached=True,
-                plan=None,
-            )
-        if stream and not query.is_aggregate and query.order_by is None:
+            answer = list(map(ResultRow.unpacker(), cached))
+            result = QueryResult(answer, query.output_columns, cached=True, plan=None)
+        elif stream and not query.is_aggregate and query.order_by is None:
             return self._execute_stream(query, fingerprint)
-        result = self._execute_bulk(query, fingerprint, tenant)
+        else:
+            result = self._execute_bulk(query, fingerprint, tenant)
         if not stream:
             return result
-        # a global reduction or sort needs every row before the first
-        # output row exists; the bulk pipeline ran (and memoized as
-        # usual) and its finished rows are streamed
+        # a cached answer, or a global reduction or sort, which needs every
+        # row before the first output row exists: the bulk pipeline ran
+        # (and memoized as usual) and its finished answer is streamed
         return StreamedResult(
-            columns=result.columns,
-            source=iter(result.rows),
-            plan=result.plan,
-            stats=result.stats,
-            errors=result.errors,
+            result.columns, [result.answer], result.plan, result.cached, result.stats, result.errors
         )
 
     def _execute_bulk(self, query: Query, fingerprint: str, tenant: str) -> QueryResult:
@@ -372,27 +360,86 @@ class FederationEngine:
 
     # ----------------------------------------------------------- streaming
     def _execute_stream(self, query: Query, fingerprint: str) -> StreamedResult:
+        """A raw query without ORDER BY, streamed: every selected
+        execution's runs as :class:`RawAnswer` chunks, in
+        :func:`run_chunks` order.  Execution ids (remembered facts) are
+        resolved first, so the order is known before a cursor opens.  A
+        failing execution degrades the result and reads no further; no
+        read starts once LIMIT is reached.  A stream drained to its end
+        or LIMIT is memoized while its texts stay under
+        ``stream_memoize_max_bytes``."""
         plan, stats, deps, errors, finish = self._begin_uncached(query, fingerprint)
-        #: one lazy row generator per selected execution (nothing read yet)
-        streams: list[Iterator[ResultRow]] = []
-        for member, executions, subqueries, cursor in self.member_work(
-            plan.members, stats
-        ):
-            # sub-queries concatenate in canonical metric order so each
-            # member stream is wholly sorted by the row key (app and exec
-            # are constant within a stream)
-            subqueries = sorted(subqueries, key=lambda sq: ordering_key(sq.metric))
-            streams.extend(
-                self._member_rows(member, execution, subqueries, query, cursor, stats, deps)
-                for execution in executions
-            )
-        return StreamedResult(
-            columns=query.output_columns,
-            source=self._stream_rows(query, streams, stats, errors, finish),
-            plan=plan,
-            stats=stats,
-            errors=errors,
-        )
+        #: one entry per selected execution (nothing read yet)
+        work = [
+            (member, execution, subqueries, cursor)
+            for member, executions, subqueries, cursor in self.member_work(plan.members, stats)
+            for execution in executions
+        ]
+        predicates = query.predicates_on("value")
+
+        def runs_of(member: MemberPlan, execution, subqueries, cursor: bool) -> Iterator:
+            # the execution's context, then each run's chunks and a None
+            # ending it; a failure forgets the member's facts, degrades
+            # the result and ends them all
+            def body(execution, ctx, foci):
+                for sub in subqueries:
+                    if foci:
+                        with self.read(execution, sub, foci, stats, cursor, ordered=True) as rows:
+                            # a cursor chunk by chunk, an array whole
+                            for chunk in rows.chunks() if isinstance(rows, Iterator) else [rows]:
+                                yield filter_values(chunk, predicates)
+                    yield None
+
+            try:
+                yield TaskContext(member.app, self._execution_id(execution))
+                yield from self.on_execution(member, execution, body)
+            except QueryError:
+                raise
+            except Exception as exc:
+                self.coherence.forget(member.app)
+                self._degrade(stats, errors, exc)
+
+        def chunks() -> Iterator[RawAnswer]:
+            readers: list[Iterator] = []
+            runs: list[tuple] = []
+            for member, execution, subqueries, cursor in work:
+                # the execution's runs in their answer order: metric, then
+                # plan order, which len(runs) numbers
+                subqueries = sorted(subqueries, key=lambda sq: ordering_key(sq.metric))
+                reader = runs_of(member, execution, subqueries, cursor)
+                ctx = next(reader, None)
+                if ctx is None:
+                    continue
+                readers.append(reader)
+                deps.add((ctx.app, ctx.exec_id))
+                runs += [
+                    (run_key(ctx, sub.metric, len(runs) + i), ctx, iter(reader.__next__, None))
+                    for i, sub in enumerate(subqueries)
+                ]
+            remaining = query.limit
+            acc: list[str] | None = []
+            acc_bytes = 0
+            try:
+                for values in run_chunks(runs, in_order=True) if remaining != 0 else ():
+                    if remaining is not None:
+                        values = [column[:remaining] for column in values]
+                        remaining -= len(values[0])
+                    answer = RawAnswer(values)
+                    if acc is not None:
+                        acc_bytes += sum(map(len, answer.texts))
+                        if acc_bytes > self.stream_memoize_max_bytes:
+                            acc = None
+                        else:
+                            acc.extend(answer.texts)
+                    yield answer
+                    if remaining == 0:
+                        break
+            finally:
+                for reader in readers:
+                    reader.close()
+            finish(len(work), acc)
+
+        return StreamedResult(query.output_columns, chunks(), plan, False, stats, errors)
 
     def _begin_uncached(self, query: Query, fingerprint: str):
         """The shared head of both result paths after a plan-cache miss —
@@ -458,7 +505,7 @@ class FederationEngine:
         self, execution, sub: SubQuery, foci: list[str], stats,
         cursor: bool, ordered: bool = False, columnar: bool = False,
     ):
-        """The one member read under bulk tasks, member streams and
+        """The one member read under bulk tasks, streamed runs and
         view maintenance: *sub* over *foci* on *execution*, as a context
         whose value iterates the records — ``getPRAgg`` buckets, or
         ``getPR`` results (through a chunked *cursor* when asked, else
@@ -485,60 +532,6 @@ class FederationEngine:
                 stats["chunkedCalls" if isinstance(rows, Iterator) else "bulkCalls"] += 1
                 stats["records"] += rows.rows_fetched
                 stats["payloadBytes"] += rows.bytes_fetched
-
-    def _member_rows(
-        self, member: MemberPlan, execution, subqueries, query: Query,
-        cursor: bool, stats, deps,
-    ) -> Iterator[ResultRow]:
-        """One execution's sorted row stream, as a lazy generator: what
-        :meth:`read` hands over, already sorted, is filtered by the value
-        predicates (so filtered rows never cross the merge) and
-        converted.  Nothing is read until the merge pulls the first row;
-        closing the generator closes the open read's cursor."""
-        value_preds = query.predicates_on("value")
-
-        def rows_of(execution, ctx, foci):
-            deps.add((member.app, ctx.exec_id))
-            for sub in subqueries if foci else ():
-                with self.read(execution, sub, foci, stats, cursor, ordered=True) as rows:
-                    for result in rows:
-                        if not value_preds or matches_value(result.value, value_preds):
-                            yield raw_row(member.app, ctx.exec_id, result)
-
-        return self.on_execution(member, execution, rows_of)
-
-    def _stream_rows(
-        self, query: Query, streams: list[Iterator[ResultRow]], stats,
-        errors: list[str], finish,
-    ):
-        """The consumer generator behind a raw-path StreamedResult.
-
-        Merges the member generators on the thread iterating it, enforces
-        LIMIT (sound under the heap invariant: every yielded row is a
-        global minimum, so the first N are the bulk path's first N), and
-        on clean exhaustion memoizes — only a stream drained to its end
-        or its LIMIT, and only while the accumulated rows stay under
-        ``stream_memoize_max_bytes``.  Drained, stopped or closed, every
-        member generator is closed on the way out.
-        """
-        acc: list[str] | None = []
-        acc_bytes = 0
-        try:
-            merged = merge_streams(streams, partial(self._degrade, stats, errors))
-            for row in islice(merged, query.limit):
-                yield row
-                if acc is not None:
-                    text = row.pack()
-                    acc_bytes += len(text)
-                    if acc_bytes > self.stream_memoize_max_bytes:
-                        acc = None
-                    else:
-                        acc.append(text)
-        finally:
-            for member_stream in streams:
-                member_stream.close()
-        # (every stream can only have failed once the merge ran dry)
-        finish(len(streams), acc)
 
     @staticmethod
     def _degrade(stats, errors: list[str], exc: BaseException) -> None:
@@ -660,7 +653,7 @@ class FederationEngine:
         self, members: Iterable[MemberPlan], stats
     ) -> Iterator[tuple[MemberPlan, list, list[SubQuery], bool]]:
         """The one enumeration of member work behind a plan, consumed by
-        the bulk task builder, the member streams and view maintenance.
+        the bulk task builder, the streamed runs and view maintenance.
 
         Yields ``(member, executions, subqueries, cursor)`` per member
         that really fans out: its selected executions, the sub-queries
@@ -711,7 +704,7 @@ class FederationEngine:
 
     def on_execution(self, member: MemberPlan, execution, body) -> Iterator:
         """The per-execution prologue every result path shares (bulk
-        task, member stream, view maintenance): yields what the
+        task, streamed runs, view maintenance): yields what the
         generator ``body(execution, ctx, foci)`` yields — *ctx* naming
         the execution (dependencies are keyed ``(app, exec_id)``) with
         its info when the plan needs it, *foci* its remembered foci

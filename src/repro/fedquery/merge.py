@@ -5,13 +5,15 @@ as they arrive, each under its execution's place in the plan, so no
 answer depends on which member finished first.  Aggregate queries fold
 getPRAgg buckets, or a raw read's ``focus`` / ``value`` columns, into
 combinable (count, total, min, max) accumulators.  Raw queries keep
-*runs*, not rows: a payload's :class:`~repro.core.semantic.ResultColumns`
-less what the value predicates drop.  :func:`row_sort_key` leads with
-``app`` and ``exec``, constant within a run, so the answer is the runs
-concatenated in that order, each sorted on its own columns (runs whose
-leading keys tie sorted together, ties in plan order); ORDER BY is one
-stable sort, LIMIT a slice, and the :class:`RawAnswer` renders each
-column once.  No :class:`ResultRow` is built unless a caller asks.
+*runs*, not rows: one execution's one sub-query, as
+:class:`~repro.core.semantic.ResultColumns` less what the value
+predicates drop.  :func:`row_sort_key` leads with ``app``, ``exec`` and
+``metric``, constant within a run, so the answer is the runs in
+:func:`run_key` order, each sorted on its own columns and runs whose
+keys tie sorted together: :func:`run_chunks`, shared by the bulk merger
+and the streamed producer.  ORDER BY is one stable sort, LIMIT a slice,
+and the :class:`RawAnswer` renders each column once.  No
+:class:`ResultRow` is built unless a caller asks.
 """
 
 from __future__ import annotations
@@ -21,11 +23,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby, repeat
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
-from repro.core.semantic import (
-    AggregateRecord, PerformanceResult, ResultColumns, column_keys, ordering_key,
-)
+from repro.core.semantic import AggregateRecord, ResultColumns, column_keys, ordering_key
 from repro.fedquery.ast import Query, QueryError
 from repro.fedquery.pushdown import matching_rows
 
@@ -152,23 +152,6 @@ def _parse_value(column: str, rendered: str) -> object:
     return rendered
 
 
-def raw_row(app: str, exec_id: str, result: PerformanceResult) -> ResultRow:
-    """Project one Performance Result onto the raw-mode output columns."""
-    return ResultRow(
-        RAW_COLUMNS,
-        (
-            app,
-            exec_id,
-            result.metric,
-            result.focus,
-            result.result_type,
-            result.start,
-            result.end,
-            result.value,
-        ),
-    )
-
-
 class RawAnswer:
     """A finished raw answer, one ``values`` list per :data:`RAW_COLUMNS`
     column: its wire tokens (:attr:`cells`), row texts (:attr:`texts`)
@@ -257,6 +240,54 @@ class TaskContext:
     info: dict[str, str] | None = None
 
 
+def filter_values(results: ResultColumns, predicates) -> ResultColumns:
+    """*results* less the rows the value *predicates* drop."""
+    kept = matching_rows(results.value, predicates)
+    return results if len(kept) == len(results) else results.take(kept)
+
+
+def run_key(ctx: TaskContext, metric: str, position) -> tuple:
+    """A run's place in a raw answer: :func:`row_sort_key`'s leading
+    cells, constant within the run, then its *position* in the plan."""
+    return (ordering_key(ctx.app), ordering_key(ctx.exec_id), ordering_key(metric), position)
+
+
+def run_chunks(runs: Iterable[tuple], in_order: bool = False) -> Iterator[list[list]]:
+    """The rows of *runs* — ``(run_key, ctx, chunks)``, *chunks* iterating
+    the run's columns — in answer order, a chunk at a time, one list per
+    :data:`RAW_COLUMNS` column.  Runs whose keys tie but for the position
+    (exec ids ``1``/``01``, metrics ``inf``/``infinity``) interleave: they
+    are read whole and sorted together (stably: ties keep plan order).  A
+    lone run is sorted alone, or passed on chunk by chunk when its rows
+    come *in_order*."""
+    for _, group in groupby(sorted(runs, key=itemgetter(0)), key=lambda run: run[0][:3]):
+        group = list(group)
+        lone = in_order and len(group) == 1
+        parts = ((ctx, part) for _, ctx, chunks in group for part in chunks)
+        for batch in ([part] for part in parts) if lone else [list(parts)]:
+            results = ResultColumns.concat([part for _, part in batch])
+            columns = [
+                [ctx.app for ctx, part in batch for _ in range(len(part))],
+                [ctx.exec_id for ctx, part in batch for _ in range(len(part))],
+                *results.columns(),
+            ]
+            if not lone:
+                keys = results.sort_keys(metric=True)
+                order = sorted(range(len(keys)), key=keys.__getitem__)
+                columns = [[column[i] for i in order] for column in columns]
+            yield columns
+
+
+def answer_rows(answer: "RawAnswer | list[ResultRow]") -> list[ResultRow]:
+    """An answer — a raw one's columns, or rows — as rows."""
+    return answer.rows if isinstance(answer, RawAnswer) else answer
+
+
+def answer_texts(answer: "RawAnswer | list[ResultRow]") -> list[str]:
+    """An answer's wire texts, one per row."""
+    return answer.texts if isinstance(answer, RawAnswer) else [row.pack() for row in answer]
+
+
 class StreamingMerger:
     """Folds per-execution payloads into the final answer."""
 
@@ -264,9 +295,9 @@ class StreamingMerger:
         self.query = query
         #: group key tuple -> metric -> Accumulator
         self._groups: dict[tuple[str, ...], dict[str, Accumulator]] = {}
-        #: raw queries: one run per payload — ((app key, exec key, plan
-        #: position, arrival), context, the kept rows' columns)
-        self._runs: list[tuple[tuple, TaskContext, ResultColumns]] = []
+        #: raw queries: one run per payload — (run_key, context, the
+        #: kept rows' columns as its one chunk)
+        self._runs: list[tuple[tuple, TaskContext, list[ResultColumns]]] = []
 
     # ------------------------------------------------------------ absorb
     def absorb(self, ctx: TaskContext, payloads, position: int = 0) -> None:
@@ -300,15 +331,14 @@ class StreamingMerger:
         query) or keep them as one run (raw query)."""
         if not isinstance(results, ResultColumns):
             results = ResultColumns.of(results)
-        kept = matching_rows(results.value, self.query.predicates_on("value"))
+        predicates = self.query.predicates_on("value")
         if not self.query.is_aggregate:
-            if len(kept) < len(results):
-                results = results.take(kept)
-            order = (ordering_key(ctx.app), ordering_key(ctx.exec_id), position, len(self._runs))
-            self._runs.append((order, ctx, results))
+            # an execution's payloads arrive in sub-query order
+            key = run_key(ctx, metric, (position, len(self._runs)))
+            self._runs.append((key, ctx, [filter_values(results, predicates)]))
             return
         focus, value = results.focus, results.value
-        for i in kept:
+        for i in matching_rows(value, predicates):
             key = self._group_key(ctx, focus=focus[i])
             if key is not None:
                 self._accumulator(key, metric).add(value[i])
@@ -368,16 +398,9 @@ class StreamingMerger:
         if self.query.is_aggregate:
             return order_rows(self._group_rows(), self.query)
         values: list[list] = [[] for _ in RAW_COLUMNS]
-        runs = sorted(self._runs, key=itemgetter(0))
-        for _, tied in groupby(runs, key=lambda run: run[0][:2]):
-            tied = [(ctx, part) for _, ctx, part in tied]
-            results = ResultColumns.concat([part for _, part in tied])
-            apps = [ctx.app for ctx, part in tied for _ in range(len(part))]
-            execs = [ctx.exec_id for ctx, part in tied for _ in range(len(part))]
-            keys = results.sort_keys(metric=True)
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            for out, column in zip(values, (apps, execs, *results.columns())):
-                out.extend([column[i] for i in order])
+        for chunk in run_chunks(self._runs):
+            for out, column in zip(values, chunk):
+                out.extend(column)
         if self.query.order_by is not None:
             keys = column_keys(values[RAW_COLUMNS.index(self.query.order_by)])
             order = sorted(range(len(keys)), key=keys.__getitem__, reverse=self.query.order_desc)
@@ -388,8 +411,7 @@ class StreamingMerger:
 
     def rows(self) -> list[ResultRow]:
         """:meth:`answer` as rows."""
-        answer = self.answer()
-        return answer.rows if isinstance(answer, RawAnswer) else answer
+        return answer_rows(self.answer())
 
     def _group_rows(self) -> list[ResultRow]:
         """One row per complete group, unordered."""
@@ -413,7 +435,7 @@ class StreamingMerger:
 
 def row_sort_key(row: ResultRow) -> tuple:
     """Whole-row canonical sort key (what :func:`order_rows` sorts by,
-    and what the streaming k-way merge heaps member rows on).  The
+    and the order :func:`run_chunks` produces column by column).  The
     per-cell order lives in the semantic layer, so server-side cursor
     sorting (repro.core) and this client-side merge agree by construction."""
     return tuple(map(ordering_key, row.values))

@@ -144,10 +144,11 @@ class FederatedQueryService(GridServiceBase):
         """Streamed query: deploy a ResultCursor over the engine's
         streamed execution and hand back its GSH.
 
-        The cursor's row source is the engine's incremental merge, so
-        member chunks are pulled only as the client drains — closing the
-        cursor early (or expiry) closes the member streams with it.  The
-        request's ``acceptEncodings`` header is read before planning.
+        The cursor's row source is the streamed answer's texts, joined
+        once per chunk, so member chunks are pulled only as the client
+        drains — closing the cursor early (or expiry) closes the member
+        reads with it.  The request's ``acceptEncodings`` header is read
+        before planning.
         """
         self.require_active()
         encoding = answer_encoding(self.wire_encodings)
@@ -158,7 +159,7 @@ class FederatedQueryService(GridServiceBase):
         gsh = deploy_cursor(
             self.container,
             self.gsh.path,
-            (row.pack() for row in streamed),
+            streamed.packed(),
             on_close=streamed.close,
             encoding=encoding,
         )

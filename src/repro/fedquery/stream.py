@@ -1,70 +1,27 @@
-"""Streamed federated execution: bounded-memory k-way member merge.
+"""Streamed federated execution: the bulk answer's runs, pulled in order.
 
 The bulk executor buffers every member task's whole payload before
-merging; one large member therefore sets the peak memory for the whole
-query.  The streaming path keeps memory bounded end to end:
-
-* each member execution's rows come from a **lazy generator** that
-  pages its member cursor only when the merge asks for the next row, on
-  the thread that drains the result — a fast store cannot run ahead of
-  a slow consumer, and no thread is started for it;
-* those generators yield rows **pre-sorted** by the canonical row order
-  (the server-side ``ordered`` cursor contract plus metric-sorted
-  sub-query concatenation), so a heap-based **k-way merge** across
-  members yields the exact sequence the bulk path's global sort
-  produces — byte identical, holding one row per member instead of the
-  full result;
-* the consumer-facing :class:`StreamedResult` finalizes bookkeeping on
-  exhaustion (memoization, error accounting) and closes every member
-  generator on early close.
+merging; the streaming path keeps memory bounded end to end.  A raw
+answer is a sequence of *runs* (one execution's one sub-query) in the
+order :func:`~repro.fedquery.merge.run_chunks` gives the bulk merger
+too: runs pulled in order, one member chunk at a time, on the thread
+that drains the result; ties collected and sorted; one member cursor
+open at a time, and none opened once LIMIT is reached.
+:class:`StreamedResult` hands the chunks on — as rows in process, as
+wire texts joined once per chunk through :meth:`StreamedResult.packed`
+— and closes the open member cursor on early close.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Callable, Iterator
+from itertools import chain
+from typing import Iterable, Iterator
 
-from repro.fedquery.ast import QueryError
-from repro.fedquery.merge import ResultRow, row_sort_key
+from repro.fedquery.merge import RawAnswer, ResultRow, answer_rows, answer_texts
 
 #: streamed results larger than this (packed bytes) are not memoized —
 #: accumulating them for the plan cache would defeat bounded memory
 DEFAULT_MEMOIZE_MAX_BYTES = 512 * 1024
-
-
-def merge_streams(
-    streams: list[Iterator[ResultRow]],
-    on_error: Callable[[BaseException], None],
-) -> Iterator[ResultRow]:
-    """Heap k-way merge of sorted member row iterators.
-
-    Yields rows in the canonical :func:`row_sort_key` order, ties broken
-    by stream position.  A stream that fails mid-way is dropped after
-    its already-merged rows (the fan-out degradation contract: surviving
-    members still answer), except :class:`QueryError`, which is a hard
-    protocol failure and propagates.
-    """
-
-    def advance(index: int) -> ResultRow | None:
-        try:
-            return next(streams[index], None)
-        except QueryError:
-            raise
-        except Exception as exc:
-            on_error(exc)
-            return None
-
-    heap: list[tuple[tuple, int, ResultRow]] = []
-    for index in range(len(streams)):
-        row = advance(index)
-        if row is not None:
-            heappush(heap, (row_sort_key(row), index, row))
-    while heap:
-        _, index, row = heappop(heap)
-        yield row
-        nxt = advance(index)
-        if nxt is not None:
-            heappush(heap, (row_sort_key(nxt), index, nxt))
 
 
 class StreamedResult:
@@ -72,51 +29,58 @@ class StreamedResult:
 
     Mirrors :class:`~repro.fedquery.executor.QueryResult`'s metadata
     (``columns``/``cached``/``plan``/``stats``/``errors``) but delivers
-    rows incrementally.  ``errors`` and ``stats`` keep filling in while
-    the stream drains; they are final once iteration completes
+    its answer incrementally, one *chunk* (a :class:`RawAnswer` or a row
+    list) at a time: iterating yields rows, :meth:`packed` the rows'
+    wire texts.  ``errors`` and ``stats`` keep filling in while the
+    stream drains; they are final once iteration completes
     (``complete`` is True).  Closing early — explicitly, via the context
     manager, or by dropping out of a ``for`` loop and calling
-    :meth:`close` — closes every member generator, and with it every
-    member cursor; a partially drained result is never memoized.
+    :meth:`close` — closes the producer, and with it every member
+    cursor; a partially drained result is never memoized.
     """
 
     def __init__(
         self,
         columns: tuple[str, ...],
-        source: Iterator[ResultRow],
-        plan=None,
-        cached: bool = False,
-        stats: dict | None = None,
-        errors: list[str] | None = None,
+        chunks: Iterable[RawAnswer | list[ResultRow]],
+        plan,
+        cached: bool,
+        stats: dict,
+        errors: list[str],
     ) -> None:
         self.columns = columns
         self.plan = plan
         self.cached = cached
-        self.stats = stats if stats is not None else {}
-        self.errors = errors if errors is not None else []
-        self._source = iter(source)
+        self.stats = stats
+        self.errors = errors
         self.complete = False
         self.closed = False
+        self._chunks = self._drained(chunks)
+        self._rows: Iterator[ResultRow] = chain.from_iterable(map(answer_rows, self._chunks))
+
+    def _drained(self, chunks: Iterable) -> Iterator:
+        yield from chunks
+        self.complete = self.closed = True
 
     def __iter__(self) -> "StreamedResult":
         return self
 
     def __next__(self) -> ResultRow:
-        try:
-            return next(self._source)
-        except StopIteration:
-            self.complete = True
-            self.close()
-            raise
+        return next(self._rows)
+
+    def packed(self) -> Iterator[str]:
+        """The answer as wire texts instead of rows, one per row: each
+        chunk's joined once, as ``QueryResult.packed()`` joins a whole
+        answer."""
+        return chain.from_iterable(map(answer_texts, self._chunks))
 
     def close(self) -> None:
         """Release member cursors; safe to call repeatedly."""
         if self.closed:
             return
         self.closed = True
-        closer = getattr(self._source, "close", None)
-        if closer is not None:
-            closer()  # GeneratorExit runs the member generators' finally blocks
+        self._rows = iter(())
+        self._chunks.close()  # GeneratorExit runs the producer's finally blocks
 
     def __enter__(self) -> "StreamedResult":
         return self

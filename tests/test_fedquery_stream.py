@@ -15,10 +15,10 @@ import threading
 
 import pytest
 
-from repro.core.client import ExecutionBinding
+from repro.core.client import ExecutionBinding, PPerfGridClient
 from repro.core.semantic import PerformanceResult
 from repro.experiments.common import build_synthetic_grid
-from repro.fedquery import QueryError
+from repro.fedquery import QueryError, naive_query
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 
 from tests.test_member_read import live_cursors
@@ -100,6 +100,47 @@ class TestStreamedEqualsBulk:
         assert len(streamed_rows) == 3
         engine.invalidate_cache()
         assert packs(streamed_rows) == packs(engine.execute(text).rows)
+
+
+class TestMetricNamesThatTie:
+    """Two metrics of one execution whose names tie under
+    ``ordering_key`` (``inf`` and ``infinity`` read as one number,
+    ``nan`` and ``NaN`` as NaN) are one run group: their rows interleave
+    by focus on every path, never one metric's rows first."""
+
+    @pytest.mark.parametrize(
+        "metrics", [("inf", "infinity"), ("nan", "NaN")], ids=["inf-infinity", "nan-NaN"]
+    )
+    def test_streamed_equals_bulk_equals_naive(self, metrics):
+        wrapper = InMemoryWrapper(
+            "A",
+            [
+                InMemoryExecution(
+                    "0",
+                    {},
+                    [
+                        PerformanceResult(metric, f"/R/{i % 3}", "t", float(i), float(i + 1), 1.0)
+                        for metric in metrics
+                        for i in range(6)
+                    ],
+                )
+            ],
+        )
+        grid = build_synthetic_grid({"A": wrapper})
+        engine = grid.deploy_federation()
+        engine.stream_threshold_rows = 0
+        engine.stream_chunk_rows = 4
+        text = f"SELECT {', '.join(metrics)}"
+        streamed = packs(engine.execute(text, stream=True))
+        engine.invalidate_cache()
+        bulk = packs(engine.execute(text).rows)
+        local = PPerfGridClient(grid.environment)
+        local.register_local_wrapper(grid.sites["A"].factory_url, wrapper)
+        naive = packs(naive_query(text, {"A": local.bind(grid.sites["A"].factory_url, "A")}))
+        assert streamed == bulk == naive and len(streamed) == 12
+        # /R/0 of both metrics before /R/1 of either
+        assert {row.split("|")[2] for row in streamed[:4]} == {f"metric={m}" for m in metrics}
+        grid.environment.close()
 
 
 class TestGlobalOperatorFallback:

@@ -243,16 +243,18 @@ class TestNoCursorSurvivesItsConsumer:
         grid, engine, *_ = federation
         engine.stream_threshold_rows = 0
         engine.stream_chunk_rows = 4
-        converted = []
+        filtered = []
 
-        def raw_row(app, exec_id, result):
-            converted.append(result)
-            if len(converted) % 10 == 0:
+        def filter_values(chunk, predicates):
+            # every third member chunk: each execution fails mid-read,
+            # after rows of its first chunks went out
+            filtered.append(chunk)
+            if len(filtered) % 3 == 0:
                 raise RuntimeError("consumer gave up mid-read")
-            return real_raw_row(app, exec_id, result)
+            return real_filter_values(chunk, predicates)
 
-        real_raw_row = executor_module.raw_row
-        monkeypatch.setattr(executor_module, "raw_row", raw_row)
+        real_filter_values = executor_module.filter_values
+        monkeypatch.setattr(executor_module, "filter_values", filter_values)
         with pytest.raises(QueryError, match=r"all 4 member task\(s\) failed"):
             list(engine.execute(raw(1), stream=True))
         assert live_cursors(grid) == 0
@@ -301,6 +303,32 @@ class TestNoCursorSurvivesItsConsumer:
         assert engine.view_stats()["maintenanceErrors"] == errors + 1
         assert live_cursors(grid) == 0
         assert len(view.rows) == TOTAL  # the epoch refresh rebuilt it whole
+
+
+# ------------------------------------------------------ one cursor at a time
+class TestOneMemberCursorAtATime:
+    def test_the_first_row_opens_one_member_cursor(self, federation):
+        grid, engine, wire, _ = federation
+        engine.stream_threshold_rows = 0
+        wire.take()
+        streamed = engine.execute(raw(1), stream=True)
+        next(streamed)
+        assert wire.take().get("getPRChunked") == 1
+        assert len(list(streamed)) == TOTAL - 1
+        assert wire.take().get("getPRChunked") == READS - 1
+        assert live_cursors(grid) == 0
+
+    def test_a_limit_the_first_run_satisfies_reads_nothing_more(self, federation):
+        grid, engine, wire, _ = federation
+        engine.stream_threshold_rows = 0
+        engine.stream_chunk_rows = 4
+        wire.take()
+        rows = list(engine.execute(f"{raw(1)} LIMIT 5", stream=True))
+        sent = wire.take()
+        assert sent.get("getPRChunked") == 1 and "getPR" not in sent
+        assert sent.get("next") == 2  # two chunks of 4 rows cover the 5
+        assert live_cursors(grid) == 0
+        assert packs(rows) == packs(engine.execute(f"{raw(2)} LIMIT 5").rows)
 
 
 # ------------------------------------------------ one failure-and-memoize tail

@@ -13,7 +13,8 @@ synthetic federation driven through the SOAP surface:
   whose ``cache_info().misses`` is the number of classifications made;
 * ``ResultRow`` and ``PerformanceResult`` objects are counted as they are
   built, and apart while the FederatedQuery service answers: a bulk raw
-  answer goes from the members' columns to the client's without one.
+  answer goes from the members' columns to the client's without one,
+  and so does a stream over colbatch member cursors.
 
 Beside the counts, two differentials keep the faster paths honest: the
 shape-remembering unpacker against ``ResultRow.unpack`` row for row, and
@@ -242,6 +243,12 @@ class TestStreamed:
         stats = passes.results[-1].stats
         assert stats["chunkedCalls" if cursors else "bulkCalls"] == MEMBERS * EXECUTIONS
         assert stats["payloadBytes"] == payload
+        # member chunks stay columns through the federation: the client's
+        # rows are the only ones built (an XML array's records are parsed)
+        expected = Counter(ResultRow=TOTAL)
+        if not cursors:
+            expected.update(PerformanceResult=TOTAL)
+        assert passes.built == expected
         assert [row.pack() for row in rows] == [
             row.pack() for row in grid.client.query("SELECT m WHERE value >= -5.5")
         ]

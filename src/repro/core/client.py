@@ -25,6 +25,7 @@ import threading
 from collections import Counter
 from concurrent.futures import wait
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from typing import Callable, Collection, Iterator
 
@@ -45,11 +46,7 @@ from repro.fedquery.views import ViewDelta
 from repro.fedquery.viewservice import VIEW_REGISTRY_PORTTYPE
 from repro.mapping.base import ApplicationWrapper
 from repro.ogsi.container import GridEnvironment
-from repro.ogsi.cursor import (
-    DEFAULT_CHUNK_ROWS,
-    DEFAULT_STREAM_THRESHOLD_ROWS,
-    RESULT_CURSOR_PORTTYPE,
-)
+from repro.ogsi.cursor import DEFAULT_CHUNK_ROWS, RESULT_CURSOR_PORTTYPE
 from repro.ogsi.dispatch import accept_encodings_headers
 from repro.ogsi.notification import NotificationSinkBase, PullNotificationSink
 from repro.ogsi.porttypes import FACTORY_PORTTYPE
@@ -217,17 +214,18 @@ class ChunkedResultIterator:
     def chunks(self) -> Iterator["ColumnRead"]:
         """A ``getPR`` cursor read a chunk at a time instead of row by
         row, each chunk as its :func:`read_columns`."""
-        return map(read_columns, self._fetched())
+        return map(partial(self._decoded, read_columns), self._fetched())
 
     def __iter__(self) -> "ChunkedResultIterator":
         return self
 
     def __next__(self) -> object:
         row = next(self._rows)
-        if self._decoder is None:
-            return row
+        return row if self._decoder is None else self._decoded(self._decoder, row)
+
+    def _decoded(self, decode: Callable, packed):
         try:
-            return self._decoder(row)
+            return decode(packed)
         except Exception:
             # a stream that cannot be decoded cannot be resumed: release
             # the server-side cursor now, as for a broken chunk sequence
@@ -430,7 +428,6 @@ class ExecutionBinding:
         end: float | None = None,
         result_type: str = UNDEFINED_TYPE,
         max_rows: int = DEFAULT_CHUNK_ROWS,
-        threshold_rows: int = DEFAULT_STREAM_THRESHOLD_ROWS,
         estimated_rows: int | None = None,
         ordered: bool = False,
     ) -> Iterator[PerformanceResult]:
@@ -439,9 +436,10 @@ class ExecutionBinding:
         :meth:`read`, choosing cursor or array from ``estimated_rows`` —
         or, when none is passed, from the execution's ``getStats`` row
         count for *metric* (the one probe the federation engine, which
-        already holds statistics, does not want).  Estimates at or above
-        ``threshold_rows`` and unknown sizes (bulk is the memory risk)
-        stream through a cursor; provably small results cost one ``getPR``.
+        already holds statistics, does not want).  A result estimated to
+        fit one chunk (at most *max_rows*) costs one ``getPR``; a larger
+        or unknown one (bulk is the memory risk) streams through a
+        cursor, *max_rows* a page.
         """
         if estimated_rows is None:
             try:
@@ -452,7 +450,7 @@ class ExecutionBinding:
         return iter(
             self.read(
                 metric, foci, start, end, result_type,
-                cursor=estimated_rows is None or estimated_rows >= threshold_rows,
+                cursor=estimated_rows is None or estimated_rows > max_rows,
                 max_rows=max_rows, ordered=ordered,
             )
         )

@@ -5,11 +5,12 @@ Applications, compiled into per-store sub-queries with push-down
 (``getExecsOp`` selection, focused ``getPR`` parameters, server-side
 ``getPRAgg`` aggregation with real SQL in the RDBMS wrappers), executed
 with a replica-aware parallel fan-out, merged streamingly, and memoized
-per canonical query fingerprint.  ``execute(stream=True)`` swaps the
-materialized merge for a bounded-memory incremental one: the bulk
-merge's runs, pulled in order one member chunk at a time through chunked
-ResultCursors — ties collected and sorted, one cursor open at a time —
-yield the bulk path's exact row order (:class:`StreamedResult`).
+per canonical query fingerprint.  A raw query reads each execution
+through one reader: bulk drains the readers on the fan-out pool, and
+``execute(stream=True)`` pulls the same readers' runs in order, one
+member chunk at a time through chunked ResultCursors — ties collected
+and sorted, one cursor open at a time — for the bulk path's exact row
+order in bounded memory (:class:`StreamedResult`).
 
 Entry points:
 

@@ -10,14 +10,14 @@
    whose width follows the Managers' replica topology.  Container
    dispatch serializes *per service* (not per container), so several
    tasks per replica container make real progress at once;
-   ``SLOTS_PER_REPLICA`` sizes the pool accordingly.  The merge itself
-   happens on the calling thread as futures complete, each task under
-   its place in the plan.  A raw read arrives as columns
-   (``ResultColumns``) and stays columns: the merger keeps one sorted
-   run per payload and the answer is a :class:`~repro.fedquery.merge.RawAnswer`
-   the service encodes straight from its columns.  Per-task failures
-   degrade the result (surviving members' rows are returned, the
-   failures are counted) instead of aborting the whole query.
+   ``SLOTS_PER_REPLICA`` sizes the pool accordingly.  Results are
+   folded on the calling thread as futures complete.  A raw task drains
+   one execution's :meth:`FederationEngine.raw_reader` (the reader a
+   stream pulls): sorted runs of columns, drained into a
+   :class:`~repro.fedquery.merge.RawAnswer` the service encodes straight
+   from its columns.  Per-task failures degrade the result (surviving
+   members' rows are returned, the failures are counted) instead of
+   aborting the whole query.
 3. **Plan cache** — whole query results are memoized on the query's
    canonical fingerprint (an LRU of packed rows, one text per row), so
    repeated dashboards cost one cache probe instead of a federation sweep.
@@ -32,22 +32,22 @@
 6. **Streaming execution** — ``execute(query, stream=True)`` returns a
    :class:`~repro.fedquery.stream.StreamedResult` instead of a
    materialized answer.  Raw queries without ORDER BY take the true
-   streaming path: the bulk merger's runs (:mod:`repro.fedquery.stream`)
-   — pulled in order, one member chunk at a time on the thread that
-   drains the result; ties collected and sorted; one cursor open at a
-   time — each arriving sorted (server-side ``ordered`` cursors, or a
-   client-side sort of a provably small member's ``getPR``) and staying
-   columns.  Aggregates and ORDER BY need every row before the first
-   output row, so they run the bulk pipeline and stream its answer.
-   Fully drained streams memoize like bulk results (up to
-   ``stream_memoize_max_bytes``); partial drains and degraded runs
-   never do.
+   streaming path: the readers bulk drains on the pool, pulled in run
+   order one member chunk at a time on the thread that drains the
+   result (:mod:`repro.fedquery.stream`).  A read planned to fit one
+   chunk (``stream_chunk_rows``) is one ``getPR``, sorted on arrival; a
+   larger or unsized one is an ``ordered`` cursor when streamed, a
+   ``getPR`` advertising the columnar encoding when bulk.  Aggregates
+   and ORDER BY need every row before the first output row, so they run
+   the bulk pipeline and stream its answer.  Fully drained streams
+   memoize like bulk results (up to ``stream_memoize_max_bytes``);
+   partial drains and degraded runs never do.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import FIRST_COMPLETED, Future, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -59,14 +59,14 @@ from repro.fedquery.ast import Query, QueryError
 from repro.fedquery.coherence import ANY, CoherenceTracker, Dep
 from repro.fedquery.merge import (
     RawAnswer, ResultRow, StreamingMerger, TaskContext, answer_rows, answer_texts,
-    filter_values, run_chunks, run_key,
+    execution_runs, filter_values, raw_answer, run_chunks,
 )
 from repro.fedquery.parser import parse_query
 from repro.fedquery.planner import MemberPlan, Plan, SubQuery, plan_query
 from repro.fedquery.pushdown import filter_foci
 from repro.fedquery.scheduler import DEFAULT_POOL_WORKERS, DEFAULT_TENANT, FanoutScheduler
 from repro.fedquery.stream import DEFAULT_MEMOIZE_MAX_BYTES, StreamedResult
-from repro.ogsi.cursor import DEFAULT_CHUNK_ROWS, DEFAULT_STREAM_THRESHOLD_ROWS
+from repro.ogsi.cursor import DEFAULT_CHUNK_ROWS
 from repro.ogsi.dispatch import current_client_id
 from repro.soap.faults import SoapFault
 from repro.xmlkit import parse as parse_xml
@@ -144,7 +144,6 @@ class FederationEngine:
         managers: dict[str, object] | None = None,
         plan_cache: PrCache | None = None,
         stream_chunk_rows: int = DEFAULT_CHUNK_ROWS,
-        stream_threshold_rows: int = DEFAULT_STREAM_THRESHOLD_ROWS,
         stream_memoize_max_bytes: int = DEFAULT_MEMOIZE_MAX_BYTES,
     ) -> None:
         self.client = client
@@ -157,10 +156,9 @@ class FederationEngine:
                 capacity=DEFAULT_PLAN_CACHE_ENTRIES,
             )
         )
-        #: streaming knobs: rows per chunk, bulk-vs-cursor estimated-row
-        #: threshold, memoization byte cap
+        #: rows per member chunk (a read planned larger is *large*), and
+        #: the byte cap on memoizing a stream
         self.stream_chunk_rows = stream_chunk_rows
-        self.stream_threshold_rows = stream_threshold_rows
         self.stream_memoize_max_bytes = stream_memoize_max_bytes
         self._bindings: dict[str, object] | None = None
         self._exec_ids: dict[str, str] = {}
@@ -287,10 +285,12 @@ class FederationEngine:
             # cached answer reaches the wire without being rendered again
             answer = list(map(ResultRow.unpacker(), cached))
             result = QueryResult(answer, query.output_columns, cached=True, plan=None)
-        elif stream and not query.is_aggregate and query.order_by is None:
-            return self._execute_stream(query, fingerprint)
+        elif query.is_aggregate:
+            result = self._execute_aggregate(query, fingerprint, tenant)
+        elif stream and query.order_by is None:
+            return self._execute_raw(query, fingerprint, tenant, stream=True)
         else:
-            result = self._execute_bulk(query, fingerprint, tenant)
+            result = self._execute_raw(query, fingerprint, tenant, stream=False)
         if not stream:
             return result
         # a cached answer, or a global reduction or sort, which needs every
@@ -300,7 +300,7 @@ class FederationEngine:
             result.columns, [result.answer], result.plan, result.cached, result.stats, result.errors
         )
 
-    def _execute_bulk(self, query: Query, fingerprint: str, tenant: str) -> QueryResult:
+    def _execute_aggregate(self, query: Query, fingerprint: str, tenant: str) -> QueryResult:
         plan, stats, deps, errors, finish = self._begin_uncached(query, fingerprint)
         merger = StreamingMerger(query)
         for member in (m for m in plan.members if m.is_tier0):
@@ -325,102 +325,59 @@ class FederationEngine:
                 )
                 merger.absorb_aggregates(ctx, metric, [record])
         tasks = self._collect_tasks(plan, stats)
-        if tasks:
-            pool = self._pool()
-            # each task's place in the plan: ties merge in plan order,
-            # never in completion order
-            positions = {
-                pool.submit(task, tenant=tenant): position
-                for position, task in enumerate(tasks)
-            }
-            pending = set(positions)
-            try:
-                # merge on this thread as completions stream in
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        self._merge_payloads(
-                            merger, future, positions[future], stats, errors, deps
-                        )
-            except BaseException:
-                # hard failure: queued member tasks must not run
-                for future in pending:
-                    future.cancel()
-                raise
-        result = QueryResult(
-            answer=merger.answer(),
-            columns=query.output_columns,
-            cached=False,
-            plan=plan,
-            stats=stats,
-            errors=errors,
-        )
+        for _, (ctx, payloads) in self._fan_out(tasks, tenant, stats, errors):
+            deps.add((ctx.app, ctx.exec_id))
+            merger.absorb(ctx, payloads)
+        result = QueryResult(merger.rows(), query.output_columns, False, plan, stats, errors)
         finish(len(tasks), result.packed())
         return result
 
-    # ----------------------------------------------------------- streaming
-    def _execute_stream(self, query: Query, fingerprint: str) -> StreamedResult:
-        """A raw query without ORDER BY, streamed: every selected
-        execution's runs as :class:`RawAnswer` chunks, in
-        :func:`run_chunks` order.  Execution ids (remembered facts) are
-        resolved first, so the order is known before a cursor opens.  A
-        failing execution degrades the result and reads no further; no
-        read starts once LIMIT is reached.  A stream drained to its end
-        or LIMIT is memoized while its texts stay under
-        ``stream_memoize_max_bytes``."""
+    def _execute_raw(
+        self, query: Query, fingerprint: str, tenant: str, stream: bool
+    ) -> QueryResult | StreamedResult:
+        """A raw query: one :meth:`raw_reader` per selected execution, its
+        runs in :func:`run_chunks` order.  Bulk drains the readers on the
+        fan-out pool and answers with :func:`raw_answer`.  A stream (no
+        ORDER BY) pulls them on the thread draining it: execution ids
+        (remembered facts) are resolved first, so the order is known
+        before a cursor opens; a failing execution degrades the result
+        and reads no further; no read starts once LIMIT is reached; and a
+        stream drained to its end or LIMIT is memoized while its texts
+        stay under ``stream_memoize_max_bytes``."""
         plan, stats, deps, errors, finish = self._begin_uncached(query, fingerprint)
-        #: one entry per selected execution (nothing read yet)
+        predicates = query.predicates_on("value")
+        #: one reader per selected execution (nothing read yet)
         work = [
-            (member, execution, subqueries, cursor)
-            for member, executions, subqueries, cursor in self.member_work(plan.members, stats)
+            (subqueries, self.raw_reader(
+                member, execution, subqueries, stats, predicates,
+                cursor=stream and large, columnar=large,
+            ))
+            for member, executions, subqueries, large in self.member_work(plan.members, stats)
             for execution in executions
         ]
-        predicates = query.predicates_on("value")
 
-        def runs_of(member: MemberPlan, execution, subqueries, cursor: bool) -> Iterator:
-            # the execution's context, then each run's chunks and a None
-            # ending it; a failure forgets the member's facts, degrades
-            # the result and ends them all
-            def body(execution, ctx, foci):
-                for sub in subqueries:
-                    if foci:
-                        with self.read(execution, sub, foci, stats, cursor, ordered=True) as rows:
-                            # a cursor chunk by chunk, an array whole
-                            for chunk in rows.chunks() if isinstance(rows, Iterator) else [rows]:
-                                yield filter_values(chunk, predicates)
-                    yield None
+        def runs(readers: Iterable[tuple[int, Iterator]]) -> list[tuple]:
+            out = [run for p, reader in readers for run in execution_runs(p, work[p][0], reader)]
+            deps.update((ctx.app, ctx.exec_id) for _, ctx, _ in out)
+            return out
 
-            try:
-                yield TaskContext(member.app, self._execution_id(execution))
-                yield from self.on_execution(member, execution, body)
-            except QueryError:
-                raise
-            except Exception as exc:
-                self.coherence.forget(member.app)
-                self._degrade(stats, errors, exc)
+        if not stream:
+            drained = self._fan_out([partial(list, r) for _, r in work], tenant, stats, errors)
+            answer = raw_answer(run_chunks(runs((p, iter(d)) for p, d in drained)), query)
+            finish(len(work), answer.texts)
+            return QueryResult(answer, query.output_columns, False, plan, stats, errors)
+
+        def pulled(reader: Iterator) -> Iterator:
+            with self._degrading(stats, errors):
+                yield from reader
 
         def chunks() -> Iterator[RawAnswer]:
-            readers: list[Iterator] = []
-            runs: list[tuple] = []
-            for member, execution, subqueries, cursor in work:
-                # the execution's runs in their answer order: metric, then
-                # plan order, which len(runs) numbers
-                subqueries = sorted(subqueries, key=lambda sq: ordering_key(sq.metric))
-                reader = runs_of(member, execution, subqueries, cursor)
-                ctx = next(reader, None)
-                if ctx is None:
-                    continue
-                readers.append(reader)
-                deps.add((ctx.app, ctx.exec_id))
-                runs += [
-                    (run_key(ctx, sub.metric, len(runs) + i), ctx, iter(reader.__next__, None))
-                    for i, sub in enumerate(subqueries)
-                ]
+            readers = [pulled(reader) for _, reader in work]
             remaining = query.limit
             acc: list[str] | None = []
             acc_bytes = 0
             try:
-                for values in run_chunks(runs, in_order=True) if remaining != 0 else ():
+                for values in run_chunks(runs(enumerate(readers))) if remaining != 0 else ():
                     if remaining is not None:
                         values = [column[:remaining] for column in values]
                         remaining -= len(values[0])
@@ -494,12 +451,6 @@ class FederationEngine:
 
         return plan, stats, deps, errors, finish
 
-    def wants_cursor(self, per_exec: int | None) -> bool:
-        """Should one execution's raw rows drain through a chunked cursor?
-        Estimated large — or unsized: bulk is the memory risk.  (A local
-        binding's reader answers with the wrapper's array regardless.)"""
-        return per_exec is None or per_exec >= self.stream_threshold_rows
-
     @contextmanager
     def read(
         self, execution, sub: SubQuery, foci: list[str], stats,
@@ -533,12 +484,39 @@ class FederationEngine:
                 stats["records"] += rows.rows_fetched
                 stats["payloadBytes"] += rows.bytes_fetched
 
+    def _fan_out(self, tasks: list, tenant: str, stats, errors: list[str]) -> Iterator[tuple]:
+        """Run *tasks* on the fan-out pool under *tenant*, yielding
+        ``(plan position, result)`` on this thread as each completes.  A
+        failed task degrades the result (:meth:`_degrading`); a
+        :class:`QueryError` — the whole query is wrong — propagates, and
+        the queued tasks never run."""
+        pool = self._pool()
+        positions = {pool.submit(task, tenant=tenant): p for p, task in enumerate(tasks)}
+        pending = set(positions)
+        try:
+            while pending:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    with self._degrading(stats, errors):
+                        yield positions[future], future.result()
+        except BaseException:
+            for future in pending:
+                future.cancel()
+            raise
+
     @staticmethod
-    def _degrade(stats, errors: list[str], exc: BaseException) -> None:
-        """One member task failed: counted and recorded, and the
-        surviving members' rows still come back."""
-        stats["errors"] += 1
-        errors.append(f"{type(exc).__name__}: {exc}")
+    @contextmanager
+    def _degrading(stats, errors: list[str]):
+        """A member task failing in the block is counted and recorded,
+        and the surviving members' rows still come back; a
+        :class:`QueryError` (planning or protocol) propagates."""
+        try:
+            yield
+        except QueryError:
+            raise
+        except Exception as exc:
+            stats["errors"] += 1
+            errors.append(f"{type(exc).__name__}: {exc}")
 
     # ----------------------------------------------------------- coherence
     def invalidate_cache(self) -> int:
@@ -653,16 +631,18 @@ class FederationEngine:
         self, members: Iterable[MemberPlan], stats
     ) -> Iterator[tuple[MemberPlan, list, list[SubQuery], bool]]:
         """The one enumeration of member work behind a plan, consumed by
-        the bulk task builder, the streamed runs and view maintenance.
+        the aggregate task builder, the raw readers and view maintenance.
 
-        Yields ``(member, executions, subqueries, cursor)`` per member
+        Yields ``(member, executions, subqueries, large)`` per member
         that really fans out: its selected executions, the sub-queries
-        surviving the metric filter, and whether their raw reads want a
-        cursor — the one place :meth:`wants_cursor` is asked, of the
-        plan's row estimate spread over those executions.  Tier-0
-        members (answered at plan time) and members with nothing selected
-        or nothing left to ask yield nothing.  ``stats`` takes the
-        ``calls``, ``executions`` and ``skipped_metrics`` counts.
+        surviving the metric filter in run order (``ordering_key`` of
+        the metric, then plan order), and whether a raw read is *large*:
+        planned at more rows than one chunk (``stream_chunk_rows``) —
+        the plan's row estimate spread over the executions and their
+        sub-queries — or unsized.  Tier-0 members (answered at plan
+        time) and members with nothing selected or nothing left to ask
+        yield nothing.  ``stats`` takes the ``calls``, ``executions`` and
+        ``skipped_metrics`` counts.
         """
         for member in members:
             if member.is_tier0:
@@ -687,13 +667,15 @@ class FederationEngine:
                 continue
             stats["executions"] += len(executions)
             per_exec = member.est_rows_per_execution(len(executions))
-            yield member, executions, subqueries, self.wants_cursor(per_exec)
+            large = per_exec is None or per_exec > self.stream_chunk_rows * len(subqueries)
+            subqueries.sort(key=lambda sq: ordering_key(sq.metric))
+            yield member, executions, subqueries, large
 
     def _collect_tasks(self, plan: Plan, stats) -> list:
-        # a bulk query reads every execution as one array; one the plan
-        # calls large — what a stream drains through a cursor — as one
-        # getPR that advertises the columnar encoding, so the member may
-        # answer with a single colbatch chunk in the same round trip
+        # an aggregate query reads every execution as arrays; a large raw
+        # read (a mixed query's) as one getPR that advertises the columnar
+        # encoding, so the member may answer with a single colbatch chunk
+        # in the same round trip
         return [
             partial(
                 self.execution_task, member, execution, subqueries, stats, columnar=large
@@ -741,14 +723,46 @@ class FederationEngine:
                     raise
                 execution = live[0]
 
+    def raw_reader(
+        self, member: MemberPlan, execution, subqueries, stats, predicates,
+        cursor: bool = False, columnar: bool = False,
+    ) -> Iterator:
+        """One execution's raw read, the same whoever pulls it — a stream
+        on the thread draining it, bulk on the fan-out pool, view
+        maintenance inline: yields the execution's :class:`TaskContext`
+        before reading anything, then each sub-query's run as its
+        :meth:`read` arrives — ``ordered``, less what the value
+        *predicates* drop, chunk by chunk from a *cursor* or as one
+        array (*columnar* when asked) — with a None ending it.  A failure
+        forgets the member's facts and propagates."""
+
+        def body(execution, ctx, foci):
+            for sub in subqueries:
+                if foci:
+                    with self.read(
+                        execution, sub, foci, stats, cursor, ordered=True, columnar=columnar
+                    ) as rows:
+                        for chunk in rows.chunks() if isinstance(rows, Iterator) else [rows]:
+                            yield filter_values(chunk, predicates)
+                yield None
+
+        try:
+            ctx = TaskContext(member.app, self._execution_id(execution))
+        except Exception:
+            self.coherence.forget(member.app)
+            raise
+        yield ctx
+        yield from self.on_execution(member, execution, body)
+
     def execution_task(
         self, member: MemberPlan, execution, subqueries, stats,
         cursor: bool = False, columnar: bool = False,
     ):
-        """The per-execution task body: :meth:`read` every sub-query and
-        return ``(ctx, [(sub, records)])`` for a merger to absorb.  Bulk queries
-        run it on the fan-out pool; view maintenance runs it inline, on
-        the thread delivering the update."""
+        """The per-execution aggregate task body: :meth:`read` every
+        sub-query and return ``(ctx, [(sub, records)])`` for a
+        :class:`StreamingMerger` to absorb.  Aggregate queries run it on
+        the fan-out pool; view maintenance runs it inline, on the thread
+        delivering the update."""
 
         def fetch(execution, ctx, foci):
             payloads = []
@@ -760,24 +774,3 @@ class FederationEngine:
 
         (fetched,) = self.on_execution(member, execution, fetch)
         return fetched
-
-    def _merge_payloads(
-        self, merger: StreamingMerger, future: Future, position: int, stats,
-        errors: list[str], deps: set[Dep],
-    ) -> None:
-        """Fold one completed member task, the plan's *position*-th, into
-        the merger.
-
-        A :class:`QueryError` is a hard failure (planning/protocol — the
-        whole query is wrong) and propagates; any other per-task
-        exception degrades the result (:meth:`_degrade`).
-        """
-        try:
-            ctx, payloads = future.result()
-        except QueryError:
-            raise
-        except Exception as exc:
-            self._degrade(stats, errors, exc)
-            return
-        deps.add((ctx.app, ctx.exec_id))
-        merger.absorb(ctx, payloads, position)

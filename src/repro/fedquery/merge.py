@@ -1,19 +1,18 @@
 """Merging per-execution partial results into one answer.
 
-Payloads arrive from the fan-out in completion order and are folded in
-as they arrive, each under its execution's place in the plan, so no
-answer depends on which member finished first.  Aggregate queries fold
-getPRAgg buckets, or a raw read's ``focus`` / ``value`` columns, into
-combinable (count, total, min, max) accumulators.  Raw queries keep
-*runs*, not rows: one execution's one sub-query, as
+Aggregate queries fold getPRAgg buckets, or a raw read's ``focus`` /
+``value`` columns, into combinable (count, total, min, max)
+accumulators (:class:`StreamingMerger`).  A raw answer is *runs*, not
+rows: one execution's one sub-query, as
 :class:`~repro.core.semantic.ResultColumns` less what the value
-predicates drop.  :func:`row_sort_key` leads with ``app``, ``exec`` and
-``metric``, constant within a run, so the answer is the runs in
-:func:`run_key` order, each sorted on its own columns and runs whose
-keys tie sorted together: :func:`run_chunks`, shared by the bulk merger
-and the streamed producer.  ORDER BY is one stable sort, LIMIT a slice,
-and the :class:`RawAnswer` renders each column once.  No
-:class:`ResultRow` is built unless a caller asks.
+predicates drop, already in ``pr_sort_key`` order off the execution's
+reader (:func:`execution_runs`).  :func:`row_sort_key` leads with
+``app``, ``exec`` and ``metric``, constant within a run, so the answer
+is the runs in key order, a lone run passed through and runs whose keys
+tie sorted together: :func:`run_chunks`, pulled a chunk at a time by a
+stream and drained by :func:`raw_answer`, where ORDER BY is one stable
+sort and LIMIT a slice.  The :class:`RawAnswer` renders each column
+once; no :class:`ResultRow` is built unless a caller asks.
 """
 
 from __future__ import annotations
@@ -246,23 +245,34 @@ def filter_values(results: ResultColumns, predicates) -> ResultColumns:
     return results if len(kept) == len(results) else results.take(kept)
 
 
-def run_key(ctx: TaskContext, metric: str, position) -> tuple:
-    """A run's place in a raw answer: :func:`row_sort_key`'s leading
-    cells, constant within the run, then its *position* in the plan."""
-    return (ordering_key(ctx.app), ordering_key(ctx.exec_id), ordering_key(metric), position)
+def execution_runs(position: int, subqueries, reader: Iterator) -> list[tuple]:
+    """One execution's runs for :func:`run_chunks`, off its *reader* —
+    which yields the execution's :class:`TaskContext`, then each of
+    *subqueries*' run a chunk at a time with a None ending it, pulled
+    live or drained beforehand.  A run's key is :func:`row_sort_key`'s
+    leading cells, constant within it, then its place in the plan
+    (*position* is the execution's).  A reader that ends before its
+    context has no runs."""
+    ctx = next(reader, None)
+    if ctx is None:
+        return []
+    head = (ordering_key(ctx.app), ordering_key(ctx.exec_id))
+    return [
+        ((*head, ordering_key(sub.metric), (position, i)), ctx, iter(reader.__next__, None))
+        for i, sub in enumerate(subqueries)
+    ]
 
 
-def run_chunks(runs: Iterable[tuple], in_order: bool = False) -> Iterator[list[list]]:
+def run_chunks(runs: Iterable[tuple]) -> Iterator[list[list]]:
     """The rows of *runs* — ``(run_key, ctx, chunks)``, *chunks* iterating
-    the run's columns — in answer order, a chunk at a time, one list per
-    :data:`RAW_COLUMNS` column.  Runs whose keys tie but for the position
+    the run's columns in ``pr_sort_key`` order — in answer order, a chunk
+    at a time, one list per :data:`RAW_COLUMNS` column.  A lone run is
+    passed on chunk by chunk.  Runs whose keys tie but for the position
     (exec ids ``1``/``01``, metrics ``inf``/``infinity``) interleave: they
-    are read whole and sorted together (stably: ties keep plan order).  A
-    lone run is sorted alone, or passed on chunk by chunk when its rows
-    come *in_order*."""
+    are read whole and sorted together (stably: ties keep plan order)."""
     for _, group in groupby(sorted(runs, key=itemgetter(0)), key=lambda run: run[0][:3]):
         group = list(group)
-        lone = in_order and len(group) == 1
+        lone = len(group) == 1
         parts = ((ctx, part) for _, ctx, chunks in group for part in chunks)
         for batch in ([part] for part in parts) if lone else [list(parts)]:
             results = ResultColumns.concat([part for _, part in batch])
@@ -278,6 +288,22 @@ def run_chunks(runs: Iterable[tuple], in_order: bool = False) -> Iterator[list[l
             yield columns
 
 
+def raw_answer(chunks: Iterable[list[list]], query: Query) -> RawAnswer:
+    """*chunks* (:func:`run_chunks`') drained into one answer, with the
+    query's ORDER BY (one stable sort) and LIMIT (a slice) applied."""
+    values: list[list] = [[] for _ in RAW_COLUMNS]
+    for chunk in chunks:
+        for out, column in zip(values, chunk):
+            out.extend(column)
+    if query.order_by is not None:
+        keys = column_keys(values[RAW_COLUMNS.index(query.order_by)])
+        order = sorted(range(len(keys)), key=keys.__getitem__, reverse=query.order_desc)
+        values = [[column[i] for i in order] for column in values]
+    if query.limit is not None:
+        values = [column[: query.limit] for column in values]
+    return RawAnswer(values)
+
+
 def answer_rows(answer: "RawAnswer | list[ResultRow]") -> list[ResultRow]:
     """An answer — a raw one's columns, or rows — as rows."""
     return answer.rows if isinstance(answer, RawAnswer) else answer
@@ -289,27 +315,22 @@ def answer_texts(answer: "RawAnswer | list[ResultRow]") -> list[str]:
 
 
 class StreamingMerger:
-    """Folds per-execution payloads into the final answer."""
+    """Folds per-execution aggregate payloads into the answer's groups."""
 
     def __init__(self, query: Query) -> None:
         self.query = query
         #: group key tuple -> metric -> Accumulator
         self._groups: dict[tuple[str, ...], dict[str, Accumulator]] = {}
-        #: raw queries: one run per payload — (run_key, context, the
-        #: kept rows' columns as its one chunk)
-        self._runs: list[tuple[tuple, TaskContext, list[ResultColumns]]] = []
 
     # ------------------------------------------------------------ absorb
-    def absorb(self, ctx: TaskContext, payloads, position: int = 0) -> None:
+    def absorb(self, ctx: TaskContext, payloads) -> None:
         """Fold one execution's task result: ``(sub-query, records)``
-        pairs, buckets or raw results by the sub-query's mode.
-        *position* is the execution's place in the plan, which breaks
-        ties between executions."""
+        pairs, buckets or raw results by the sub-query's mode."""
         for sub, records in payloads:
             if sub.mode == "aggregate":
                 self.absorb_aggregates(ctx, sub.metric, records)
             else:
-                self.absorb_results(ctx, sub.metric, records, position)
+                self.absorb_results(ctx, sub.metric, records)
 
     def absorb_aggregates(
         self, ctx: TaskContext, metric: str, records: list[AggregateRecord]
@@ -323,22 +344,13 @@ class StreamingMerger:
                 continue
             self._accumulator(key, metric).absorb(record)
 
-    def absorb_results(
-        self, ctx: TaskContext, metric: str, results, position: int = 0
-    ) -> None:
+    def absorb_results(self, ctx: TaskContext, metric: str, results) -> None:
         """Fold raw getPR results — columns, or result objects transposed
-        once — through the value predicates, then reduce them (aggregate
-        query) or keep them as one run (raw query)."""
+        once — through the value predicates into the groups."""
         if not isinstance(results, ResultColumns):
             results = ResultColumns.of(results)
-        predicates = self.query.predicates_on("value")
-        if not self.query.is_aggregate:
-            # an execution's payloads arrive in sub-query order
-            key = run_key(ctx, metric, (position, len(self._runs)))
-            self._runs.append((key, ctx, [filter_values(results, predicates)]))
-            return
         focus, value = results.focus, results.value
-        for i in matching_rows(value, predicates):
+        for i in matching_rows(value, self.query.predicates_on("value")):
             key = self._group_key(ctx, focus=focus[i])
             if key is not None:
                 self._accumulator(key, metric).add(value[i])
@@ -392,26 +404,10 @@ class StreamingMerger:
                 self._accumulator(key, metric).absorb(acc)
 
     # ------------------------------------------------------------- output
-    def answer(self) -> "RawAnswer | list[ResultRow]":
-        """The answer in its final order, ORDER BY and LIMIT applied: a
-        raw query's as columns, an aggregate query's as rows."""
-        if self.query.is_aggregate:
-            return order_rows(self._group_rows(), self.query)
-        values: list[list] = [[] for _ in RAW_COLUMNS]
-        for chunk in run_chunks(self._runs):
-            for out, column in zip(values, chunk):
-                out.extend(column)
-        if self.query.order_by is not None:
-            keys = column_keys(values[RAW_COLUMNS.index(self.query.order_by)])
-            order = sorted(range(len(keys)), key=keys.__getitem__, reverse=self.query.order_desc)
-            values = [[column[i] for i in order] for column in values]
-        if self.query.limit is not None:
-            values = [column[: self.query.limit] for column in values]
-        return RawAnswer(values)
-
     def rows(self) -> list[ResultRow]:
-        """:meth:`answer` as rows."""
-        return answer_rows(self.answer())
+        """One row per complete group, in the final order, ORDER BY and
+        LIMIT applied."""
+        return order_rows(self._group_rows(), self.query)
 
     def _group_rows(self) -> list[ResultRow]:
         """One row per complete group, unordered."""

@@ -1,12 +1,12 @@
 """Streamed federated execution: the bulk answer's runs, pulled in order.
 
-The bulk executor buffers every member task's whole payload before
-merging; the streaming path keeps memory bounded end to end.  A raw
-answer is a sequence of *runs* (one execution's one sub-query) in the
-order :func:`~repro.fedquery.merge.run_chunks` gives the bulk merger
-too: runs pulled in order, one member chunk at a time, on the thread
-that drains the result; ties collected and sorted; one member cursor
-open at a time, and none opened once LIMIT is reached.
+A raw answer is a sequence of *runs* (one execution's one sub-query) in
+:func:`~repro.fedquery.merge.run_chunks` order, read through one reader
+per execution (``FederationEngine.raw_reader``).  Bulk drains every
+reader on the fan-out pool before answering; a stream keeps memory
+bounded end to end by pulling the same readers on the thread that drains
+the result: one member chunk at a time, ties collected and sorted, one
+member cursor open at a time, and none opened once LIMIT is reached.
 :class:`StreamedResult` hands the chunks on — as rows in process, as
 wire texts joined once per chunk through :meth:`StreamedResult.packed`
 — and closes the open member cursor on early close.

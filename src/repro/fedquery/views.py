@@ -36,7 +36,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.fedquery.ast import Query, QueryError
-from repro.fedquery.merge import ResultRow, StreamingMerger, order_rows
+from repro.fedquery.merge import (
+    ResultRow, StreamingMerger, execution_runs, order_rows, raw_answer, run_chunks,
+)
 from repro.fedquery.parser import parse_query
 from repro.fedquery.planner import ViewShape, view_shape
 
@@ -238,13 +240,15 @@ class ViewMaintainer:
         Re-plans without tier 0 (a tier-0 member has no executions to
         partition by), drops the partitions the scope covers and those
         of every member the fresh plan proves out of the view, then
-        reads each in-scope execution through the engine's
-        per-execution task, run inline: this is the thread delivering
-        the update, and the notifier may hold a service gate a pool
-        thread would wait on.  A large (or unsized) raw partition
-        therefore drains through a chunked cursor by the engine's own
-        rule, never as an unbounded SOAP array.  An execution absent
-        from the fetch no longer matches the view's selector.
+        reads each in-scope execution inline — an aggregate view through
+        the engine's per-execution task, a raw one through its raw
+        reader, drained into the partition's own answer — because this
+        is the thread delivering the update, and the notifier may hold
+        a service gate a pool thread would wait on.  A large (or
+        unsized) read therefore drains through a chunked cursor by the
+        engine's own rule, never as an unbounded SOAP array.  An
+        execution absent from the fetch no longer matches the view's
+        selector.
         """
         query = view.query
         plan = self.engine._plan(query, allow_tier0=False)
@@ -261,23 +265,28 @@ class ViewMaintainer:
         }
         fetched = Counter()
         try:
-            for member, executions, subqueries, cursor in self.engine.member_work(
+            for member, executions, subqueries, large in self.engine.member_work(
                 [member for member in plan.members if app in (None, member.app)], fetched
             ):
                 for execution in executions:
                     key = (member.app, self.engine._execution_id(execution))
                     if not in_scope(key):
                         continue
-                    ctx, payloads = self.engine.execution_task(
-                        member, execution, subqueries, fetched, cursor
-                    )
-                    merger = StreamingMerger(query)
-                    merger.absorb(ctx, payloads)
-                    # a LIMIT partition keeps only its own top-N: a
-                    # sufficient candidate set under the total order
-                    view.partitions[key] = (
-                        merger.group_accumulators() if query.is_aggregate else merger.rows()
-                    )
+                    if query.is_aggregate:
+                        merger = StreamingMerger(query)
+                        merger.absorb(*self.engine.execution_task(
+                            member, execution, subqueries, fetched, cursor=large
+                        ))
+                        view.partitions[key] = merger.group_accumulators()
+                    else:
+                        reader = self.engine.raw_reader(
+                            member, execution, subqueries, fetched,
+                            query.predicates_on("value"), cursor=large,
+                        )
+                        # a LIMIT partition keeps only its own top-N: a
+                        # sufficient candidate set under the total order
+                        runs = execution_runs(0, subqueries, reader)
+                        view.partitions[key] = raw_answer(run_chunks(runs), query).rows
                     if exec_id is not None:
                         break
         finally:

@@ -36,12 +36,10 @@ CURSOR_NS = "http://pperfgrid.cs.pdx.edu/2004/cursor"
 #: default soft-state lifetime (seconds) between ``next`` renewals
 DEFAULT_CURSOR_TTL = 300.0
 
-#: default page size a chunked iterator requests per ``next`` call
+#: default page size a chunked iterator requests per ``next`` call; a
+#: member read (``stream_pr``'s, and the federation engine's) estimated
+#: to fit one page is one bulk getPR instead of a cursor
 DEFAULT_CHUNK_ROWS = 256
-
-#: estimated result rows at which a member read (``stream_pr``'s, and the
-#: federation engine's per execution) prefers a cursor over one bulk getPR
-DEFAULT_STREAM_THRESHOLD_ROWS = 512
 
 _NEXT_OPERATION = Operation(
     "next",

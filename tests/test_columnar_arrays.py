@@ -123,7 +123,7 @@ def engine_for(grid) -> FederationEngine:
     from repro.core.client import PPerfGridClient
 
     return FederationEngine(
-        PPerfGridClient(grid.environment, grid.uddi_gsh), stream_threshold_rows=0
+        PPerfGridClient(grid.environment, grid.uddi_gsh), stream_chunk_rows=1
     )
 
 
@@ -383,9 +383,10 @@ def test_a_small_bulk_read_and_a_large_streamed_read_do_not_advertise(federation
     carries no header, and a large streamed read sends no ``getPR`` —
     its cursors carry the header on the ``getPRChunked`` creating them."""
     grid, engine, wire = federation
-    assert len(engine.execute("SELECT m WHERE value >= 0.5").rows) > ROWS  # small: 300 < 512
+    engine.stream_chunk_rows = ROWS  # small: a read fits one chunk
+    assert len(engine.execute("SELECT m WHERE value >= 0.5").rows) > ROWS
     assert all(HEADER not in q for op, q, _ in sent(wire) if op == "getPR")
-    engine.stream_threshold_rows = 0
+    engine.stream_chunk_rows = 64
     streamed = engine.execute("SELECT m WHERE value >= 0.25", stream=True)
     assert len(list(streamed)) > ROWS
     log = sent(wire)

@@ -312,8 +312,7 @@ class TestTenantIsolationUnderFailure:
         )
         grid = build_synthetic_grid({"A": a, "B": b})
         engine = grid.deploy_federation()
-        engine.stream_threshold_rows = 0  # force the cursor path
-        engine.stream_chunk_rows = 5
+        engine.stream_chunk_rows = 5  # below a read's 20 rows: the cursor path
         return grid, engine
 
     def test_member_death_mid_stream_releases_slots(self, monkeypatch):

@@ -23,8 +23,11 @@ from repro.fedquery import (
     parse_query,
     plan_query,
 )
-from repro.fedquery.merge import StreamingMerger, TaskContext
-from repro.core.semantic import AggregateRecord, PerformanceResult, ordering_key
+from repro.fedquery.merge import (
+    StreamingMerger, TaskContext, execution_runs, raw_answer, run_chunks,
+)
+from repro.fedquery.planner import SubQuery
+from repro.core.semantic import AggregateRecord, PerformanceResult, ResultColumns, ordering_key
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 
 
@@ -416,7 +419,8 @@ class TestNanOrder:
             }
             grid = build_synthetic_grid(wrappers)
             engine = grid.deploy_federation()
-            engine.stream_threshold_rows = 0  # members sort server-side, the heap merges
+            # below every read's rows: members sort server-side, runs merge in order
+            engine.stream_chunk_rows = 1
             bulk = [row.pack() for row in grid.client.query("SELECT m")]
             engine.invalidate_cache()
             streamed = [row.pack() for row in grid.client.query_stream("SELECT m")]
@@ -473,18 +477,21 @@ class TestMergerSemantics:
         """Exec ids ``1`` and ``01`` tie in the canonical order and their
         rows are otherwise equal, yet render differently: whichever
         execution's task completes first, the rows come out in plan order
-        (the streamed merge's tie rule: stream index)."""
+        (each run keyed by its execution's place in the plan)."""
         query = parse_query("SELECT m")
-        results = [PerformanceResult("m", "/f", "t", 0.0, 1.0, 2.0)] * 2
+        results = ResultColumns.of([PerformanceResult("m", "/f", "t", 0.0, 1.0, 2.0)] * 2)
         plan = ["01", "1"]
         answers = set()
         for completion in (["1", "01"], ["01", "1"]):
-            merger = StreamingMerger(query)
-            for exec_id in completion:
-                merger.absorb_results(
-                    TaskContext("A", exec_id), "m", results, plan.index(exec_id)
+            runs = [
+                run
+                for exec_id in completion
+                for run in execution_runs(
+                    plan.index(exec_id), [SubQuery("m", "raw", 0.0, 1.0, "t")],
+                    iter([TaskContext("A", exec_id), results, None]),
                 )
-            answers.add(tuple(row.pack() for row in merger.rows()))
+            ]
+            answers.add(tuple(raw_answer(run_chunks(runs), query).texts))
         assert [packed.split("|")[1] for packed in answers.pop()] == [
             "exec=01", "exec=01", "exec=1", "exec=1",
         ]

@@ -28,6 +28,8 @@ from repro.fedquery import ResultRow, naive_query
 from repro.fedquery.merge import RAW_COLUMNS
 from repro.soap.chunks import ENCODING_COLBATCH, ENCODING_XML
 
+from tests.test_member_read import live_cursors as live_member_cursors
+
 #: randomized queries checked against the oracle (ISSUE floor: 200)
 N_QUERIES = 240
 
@@ -55,12 +57,13 @@ def oracle_env():
     engine = grid.deploy_federation()
     members = engine.members()
 
-    # independent engines (own plan caches) on which every raw read is
-    # large — a cursor when streamed, an advertising getPR when bulk —
-    # so the streamed arms can never answer from the main engine's
-    # cache; one per wire encoding, so the whole randomized corpus runs
-    # over both the negotiated (columnar) and the forced-XML path: the
-    # xml leg's tests pin PPG_ACCEPT_ENCODINGS=xml (see pin_leg)
+    # independent engines (own plan caches) on which every raw read
+    # planned over 7 rows is large — a cursor when streamed, an
+    # advertising getPR when bulk — so the streamed arms can never
+    # answer from the main engine's cache; one per wire encoding, so
+    # the whole randomized corpus runs over both the negotiated
+    # (columnar) and the forced-XML path: the xml leg's tests pin
+    # PPG_ACCEPT_ENCODINGS=xml (see pin_leg)
     from repro.core.client import PPerfGridClient
     from repro.fedquery.executor import FederationEngine
 
@@ -68,7 +71,6 @@ def oracle_env():
         return FederationEngine(
             PPerfGridClient(grid.environment, grid.uddi_gsh),
             managers={name: site.manager for name, site in grid.sites.items()},
-            stream_threshold_rows=0,
             stream_chunk_rows=7,
         )
 
@@ -298,11 +300,11 @@ def count_framed_answers(monkeypatch) -> list[int]:
 )
 def test_planned_matches_naive(oracle_env, seed, oracle_seed, encoding, monkeypatch):
     """Bulk ``execute`` on the engine of each wire encoding, whose
-    ``stream_threshold_rows=0`` makes every raw read large: on the
-    negotiated leg each raw ``getPR`` advertises the columnar encoding
-    and the member answers with one colbatch chunk whenever that is
-    shorter; on the xml leg nothing is advertised and every array is
-    XML.  Raw answers are byte-identical to the naive oracle on both."""
+    ``stream_chunk_rows=7`` makes every raw read planned over 7 rows
+    large: on the negotiated leg each such ``getPR`` advertises the
+    columnar encoding and the member answers with one colbatch chunk
+    whenever that is shorter; on the xml leg nothing is advertised and
+    every array is XML.  Raw answers are byte-identical to the naive oracle on both."""
     from repro.fedquery import parse_query
 
     rng = random.Random(7000 + seed + 1_000_000 * oracle_seed)
@@ -369,6 +371,47 @@ def test_client_query_matches_naive_over_the_wire(oracle_env, oracle_seed, encod
         assert set(answers) == {ENCODING_XML}, answers
     else:  # large answers went columnar, small ones stayed per-row XML
         assert answers[ENCODING_COLBATCH] and answers[ENCODING_XML], answers
+
+
+@pytest.mark.parametrize("encoding", ["negotiated", "xml"])
+def test_client_query_stream_matches_naive_over_the_wire(
+    oracle_env, oracle_seed, encoding, monkeypatch
+):
+    """The same raw half of the corpus through ``PPerfGridClient.query_stream``:
+    drained, the rows are byte-identical to the naive oracle; closed
+    after *k* rows (*k* drawn from the query's seed), they are the
+    oracle's first *k*.  However the stream ended, no member or
+    federation cursor outlives it."""
+    from repro.fedquery import parse_query
+
+    pin_leg(monkeypatch, encoding)
+    grid, engine = oracle_env.grid, oracle_env.engine
+    fed = grid.environment.container_for(grid.fed_gsh.split("/")[2])
+
+    def live_cursors() -> int:
+        return live_member_cursors(grid) + sum(
+            "/cursors/instances/" in path for path in fed.service_paths()
+        )
+
+    for seed in range(N_QUERIES):
+        rng = random.Random(7000 + seed + 1_000_000 * oracle_seed)
+        text = make_query(rng, oracle_env)
+        query = parse_query(text)
+        if query.is_aggregate:
+            continue
+        expected = [row.pack() for row in naive_query(text, oracle_env.members)]
+        # answered by the merge, never by a memoized earlier answer
+        engine.plan_cache.remove(query.fingerprint())
+        with grid.client.query_stream(text) as stream:
+            drained = [row.pack() for row in stream]
+        assert drained == expected, f"drained stream != naive for {text!r}"
+        assert live_cursors() == 0, text
+        k = rng.randint(0, len(expected))
+        engine.plan_cache.remove(query.fingerprint())
+        with grid.client.query_stream(text) as stream:
+            first = [row.pack() for _, row in zip(range(k), stream)]
+        assert first == expected[:k], f"first {k} streamed rows != naive for {text!r}"
+        assert live_cursors() == 0, text
 
 
 def test_negotiated_bulk_leg_received_columnar_answers(oracle_env):

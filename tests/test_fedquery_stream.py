@@ -54,8 +54,7 @@ def fedgrid():
     )
     grid = build_synthetic_grid({"A": a, "B": b})
     engine = grid.deploy_federation()
-    # force the cursor path: every remote execution streams, tiny chunks
-    engine.stream_threshold_rows = 0
+    # the cursor path: tiny chunks, below a read's rows
     engine.stream_chunk_rows = 5
     return grid, engine
 
@@ -65,7 +64,7 @@ def packs(rows) -> list[str]:
 
 
 class TestStreamedEqualsBulk:
-    @pytest.mark.parametrize("chunk_rows", [1, 2, 7, 64])
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 7, 9])
     def test_byte_identical_for_any_chunk_size(self, fedgrid, chunk_rows):
         _, engine = fedgrid
         engine.stream_chunk_rows = chunk_rows
@@ -128,7 +127,6 @@ class TestMetricNamesThatTie:
         )
         grid = build_synthetic_grid({"A": wrapper})
         engine = grid.deploy_federation()
-        engine.stream_threshold_rows = 0
         engine.stream_chunk_rows = 4
         text = f"SELECT {', '.join(metrics)}"
         streamed = packs(engine.execute(text, stream=True))

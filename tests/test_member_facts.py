@@ -103,7 +103,7 @@ class TestWarmQueriesSendOnlyDataCalls:
         no negotiate anywhere."""
         grid, _, wire = federation
         grid.client.query(raw(1))
-        grid.fed_engine.stream_threshold_rows = 0  # every member drains a cursor
+        grid.fed_engine.stream_chunk_rows = ROWS - 1  # every member drains a cursor
         wire.take()
         total = MEMBERS * EXECUTIONS * ROWS
         assert len(list(grid.client.query_stream(raw(2)))) == total
@@ -255,7 +255,7 @@ class TestRememberedHandlesAreSoftState:
     def test_stream_and_view_maintenance_re_resolve_too(self, federation):
         grid, _, _ = federation
         engine = grid.fed_engine
-        engine.stream_threshold_rows = 0
+        engine.stream_chunk_rows = ROWS - 1
         view = engine.views().create_view("SELECT count(m) GROUP BY app")
 
         def destroy_one_of_a():

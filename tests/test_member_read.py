@@ -11,15 +11,21 @@ tail.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.client import ArrayRead, ChunkedResultIterator, PPerfGridClient
+from repro.core.client import (
+    ArrayRead, ChunkedResultIterator, PPerfGridClient, default_accept_encodings,
+)
 from repro.core.semantic import PerformanceResult, pr_sort_key
 from repro.experiments.common import build_synthetic_grid
 from repro.fedquery import QueryError
 from repro.fedquery import executor as executor_module
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 from repro.ogsi.container import GridEnvironment
+from repro.ogsi.dispatch import ACCEPT_ENCODINGS_HEADER
+from repro.soap.chunks import ENCODING_COLBATCH
 from repro.soap.rpc import decode_request
 
 from tests import test_member_facts
@@ -30,6 +36,7 @@ ALL_FOCI = [f"/rank/{i}" for i in range(FOCI)]
 #: (execution, sub-query) reads behind one query over both metrics
 READS = MEMBERS * EXECUTIONS * len(METRICS)
 TOTAL = READS * ROWS
+HEADER = ACCEPT_ENCODINGS_HEADER.encode()
 
 
 class Wire(test_member_facts.Wire):
@@ -167,10 +174,10 @@ class TestBindingReader:
         execution.get_pr("m", ALL_FOCI)  # getTimeStartEnd is per call: keep it out of the counts
         bulk = packs(execution.get_pr("m", ALL_FOCI))
         wire.take()
-        assert packs(execution.stream_pr("m", ALL_FOCI, threshold_rows=ROWS + 1)) == bulk
+        assert packs(execution.stream_pr("m", ALL_FOCI, max_rows=ROWS)) == bulk
         sent = wire.take()
         assert sent["getStats"] == sent["getPR"] == 1 and "getPRChunked" not in sent
-        assert packs(execution.stream_pr("m", ALL_FOCI, threshold_rows=ROWS)) == bulk
+        assert packs(execution.stream_pr("m", ALL_FOCI, max_rows=ROWS - 1)) == bulk
         sent = wire.take()
         assert sent["getStats"] == sent["getPRChunked"] == 1 and "getPR" not in sent
         # an estimate in hand spares the probe
@@ -181,9 +188,49 @@ class TestBindingReader:
             raise RuntimeError("getStats unavailable")
 
         monkeypatch.setattr(execution, "get_stats", stats_down)
-        assert packs(execution.stream_pr("m", ALL_FOCI, threshold_rows=10**6)) == bulk
+        assert packs(execution.stream_pr("m", ALL_FOCI, max_rows=10**6)) == bulk
         sent = wire.take()
         assert sent["getPRChunked"] == 1 and "getPR" not in sent
+
+
+# ------------------------------------------------------- one reader, two pullers
+class TestCursorOrArrayFromTheChunk:
+    def test_a_read_that_fits_one_chunk_is_one_get_pr(self, federation):
+        """Each read returns ROWS rows.  A chunk that holds them all makes
+        every streamed read one ``getPR``; a chunk one row short makes it
+        a cursor, and makes bulk's ``getPR`` advertise the columnar
+        encoding (when the process offers it)."""
+        grid, engine, wire, _ = federation
+        engine.execute(raw(0))  # remember the members' facts
+        offered = ENCODING_COLBATCH in default_accept_encodings()
+        for k, (chunk_rows, large) in enumerate([(ROWS, False), (ROWS - 1, True)]):
+            engine.stream_chunk_rows = chunk_rows
+            wire.take()
+            assert len(list(engine.execute(raw(2 * k + 1), stream=True))) == TOTAL
+            sent = wire.take()
+            if large:
+                assert sent.get("getPRChunked") == READS and "getPR" not in sent
+            else:
+                assert sent.get("getPR") == READS and "getPRChunked" not in sent
+            assert len(engine.execute(raw(2 * k + 2)).rows) == TOTAL
+            requests = [q for _, q, _ in wire.log if decode_request(q).operation == "getPR"]
+            assert len(requests) == READS
+            assert [HEADER in q for q in requests] == [large and offered] * READS
+            assert live_cursors(grid) == 0
+
+    def test_bulk_reads_on_the_pool_a_stream_on_its_own_thread(self, federation):
+        """A bulk raw query submits one task per execution to the fan-out
+        pool; a streamed one pulls every read on the draining thread."""
+        _, engine, _, _ = federation
+
+        def submitted(stream: bool, k: int) -> int:
+            before = engine.scheduler_stats()["submitted"]
+            result = engine.execute(raw(k), stream=stream)
+            assert len(list(result) if stream else result.rows) == TOTAL
+            return engine.scheduler_stats()["submitted"] - before
+
+        assert submitted(stream=False, k=1) == MEMBERS * EXECUTIONS
+        assert submitted(stream=True, k=2) == 0
 
 
 # ------------------------------------------------------------- one accounting
@@ -192,10 +239,10 @@ class TestOneAccounting:
         grid, engine, _, wrappers = federation
         bulk = engine.execute(raw(1))
         assert len(bulk.rows) == TOTAL
-        engine.stream_threshold_rows = 0
+        engine.stream_chunk_rows = ROWS - 1
         cursors = engine.execute(raw(2), stream=True)
         assert len(list(cursors)) == TOTAL
-        engine.stream_threshold_rows = 10**6
+        engine.stream_chunk_rows = ROWS
         arrays = engine.execute(raw(3), stream=True)
         assert len(list(arrays)) == TOTAL
         for stats in (bulk.stats, cursors.stats, arrays.stats):
@@ -206,10 +253,10 @@ class TestOneAccounting:
         assert cursors.stats["chunkedCalls"] == READS
         assert live_cursors(grid) == 0
 
-    @pytest.mark.parametrize("threshold", [0, 10**6], ids=["member-cursors", "member-arrays"])
-    def test_a_view_refresh_moves_its_counters_by_the_same_amounts(self, federation, threshold):
+    @pytest.mark.parametrize("chunk_rows", [ROWS - 1, ROWS], ids=["member-cursors", "member-arrays"])
+    def test_a_view_refresh_moves_its_counters_by_the_same_amounts(self, federation, chunk_rows):
         grid, engine, wire, wrappers = federation
-        engine.stream_threshold_rows = threshold
+        engine.stream_chunk_rows = chunk_rows
         engine.views().create_view("SELECT m, n")
         before = engine.view_stats()
         assert before["deltaRowsFetched"] == TOTAL
@@ -220,12 +267,11 @@ class TestOneAccounting:
         assert after["deltaRowsFetched"] - before["deltaRowsFetched"] == TOTAL
         assert after["deltaBytesFetched"] - before["deltaBytesFetched"] == payload(wrappers)
         sent = wire.take()
-        assert sent["getPRChunked" if threshold == 0 else "getPR"] == READS
+        assert sent["getPRChunked" if chunk_rows < ROWS else "getPR"] == READS
         assert live_cursors(grid) == 0
 
     def test_a_large_view_partition_honours_the_engines_chunk_rows(self, federation):
         grid, engine, wire, _ = federation
-        engine.stream_threshold_rows = 0
         engine.stream_chunk_rows = 10
         execution = grid.bind("APP0").all_executions()[0]
         wire.take()
@@ -241,7 +287,6 @@ class TestOneAccounting:
 class TestNoCursorSurvivesItsConsumer:
     def test_a_stream_producer_that_raises_mid_read(self, federation, monkeypatch):
         grid, engine, *_ = federation
-        engine.stream_threshold_rows = 0
         engine.stream_chunk_rows = 4
         filtered = []
 
@@ -261,13 +306,26 @@ class TestNoCursorSurvivesItsConsumer:
 
     def test_a_consumer_that_walks_away(self, federation):
         grid, engine, *_ = federation
-        engine.stream_threshold_rows = 0
         engine.stream_chunk_rows = 4
         streamed = engine.execute(raw(1), stream=True)
         next(streamed)
         streamed.close()
         assert live_cursors(grid) == 0
         assert engine.execute(raw(1)).cached is False  # a partial drain memoizes nothing
+
+    @pytest.mark.parametrize("read", ["rows", "chunks"])
+    def test_a_chunk_that_cannot_be_decoded(self, federation, read):
+        """Read row by row or chunk by chunk, a stream that cannot be
+        decoded cannot be resumed: its cursor goes with the error."""
+        grid, _, _, wrappers = federation
+        results = wrappers["APP0"].executions_data[0].results
+        # a result type carrying the field separator tears the first record
+        results[0] = replace(results[0], result_type="synthetic|torn")
+        execution = grid.bind("APP0").all_executions()[0]
+        cursor = execution.get_pr_chunked("m", ALL_FOCI, max_rows=4)
+        with pytest.raises(ValueError):
+            next(cursor) if read == "rows" else next(cursor.chunks())
+        assert live_cursors(grid) == 0
 
     def test_a_bad_max_rows_opens_no_member_cursor(self, federation):
         grid, engine, wire, _ = federation
@@ -278,7 +336,6 @@ class TestNoCursorSurvivesItsConsumer:
         assert live_cursors(grid) == 0
         with pytest.raises(ValueError, match="max_rows"):
             execution.stream_pr("m", ALL_FOCI, max_rows=0, estimated_rows=10**6)
-        engine.stream_threshold_rows = 0
         engine.stream_chunk_rows = 0
         with pytest.raises(QueryError):
             list(engine.execute(raw(1), stream=True))
@@ -294,7 +351,6 @@ class TestNoCursorSurvivesItsConsumer:
 
     def test_view_maintenance_whose_drain_fails_mid_read(self, federation):
         grid, engine, wire, _ = federation
-        engine.stream_threshold_rows = 0
         engine.stream_chunk_rows = 10
         view = engine.views().create_view("SELECT m, n")
         errors = engine.view_stats()["maintenanceErrors"]
@@ -309,7 +365,7 @@ class TestNoCursorSurvivesItsConsumer:
 class TestOneMemberCursorAtATime:
     def test_the_first_row_opens_one_member_cursor(self, federation):
         grid, engine, wire, _ = federation
-        engine.stream_threshold_rows = 0
+        engine.stream_chunk_rows = ROWS - 1
         wire.take()
         streamed = engine.execute(raw(1), stream=True)
         next(streamed)
@@ -320,7 +376,6 @@ class TestOneMemberCursorAtATime:
 
     def test_a_limit_the_first_run_satisfies_reads_nothing_more(self, federation):
         grid, engine, wire, _ = federation
-        engine.stream_threshold_rows = 0
         engine.stream_chunk_rows = 4
         wire.take()
         rows = list(engine.execute(f"{raw(1)} LIMIT 5", stream=True))
@@ -350,12 +405,12 @@ class TestOneTail:
                 monkeypatch.setattr(service, "getPR", down)
                 monkeypatch.setattr(service, "getPRChunked", down)
 
-    @pytest.mark.parametrize("threshold", [0, 10**6])
+    @pytest.mark.parametrize("chunk_rows", [ROWS - 1, 10**6])
     def test_every_member_task_failing_is_a_query_error(
-        self, federation, monkeypatch, stream, threshold
+        self, federation, monkeypatch, stream, chunk_rows
     ):
         grid, engine, *_ = federation
-        engine.stream_threshold_rows = threshold
+        engine.stream_chunk_rows = chunk_rows
         self._break(grid, monkeypatch, ["APP0", "APP1"])
         with pytest.raises(QueryError, match=r"all 4 member task\(s\) failed: .*lost"):
             run(engine, raw(1), stream)

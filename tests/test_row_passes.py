@@ -165,7 +165,7 @@ def _bulk_raw_query(federation, monkeypatch, columnar: bool):
     grid, engine, passes, payload = federation
     monkeypatch.setenv("PPG_ACCEPT_ENCODINGS", "colbatch,xml")
     if columnar:
-        engine.stream_threshold_rows = 0
+        engine.stream_chunk_rows = ROWS - 1
     encodings: Counter = Counter()
     unframe = client_module.unframe_answer
 
@@ -230,9 +230,7 @@ class TestStreamed:
     @pytest.mark.parametrize("cursors", [True, False], ids=["member-cursors", "member-bulk"])
     def test_one_render_per_row_on_a_drained_stream(self, federation, cursors):
         grid, engine, passes, payload = federation
-        if cursors:
-            engine.stream_threshold_rows = 0
-        engine.stream_chunk_rows = 16
+        engine.stream_chunk_rows = 16 if cursors else ROWS
         rows = list(grid.client.query_stream("SELECT m WHERE value >= -4.5", max_rows=32))
         assert len(rows) == TOTAL
         assert passes.renders == TOTAL  # memoize cap, plan-cache admit, cursor feed
@@ -259,7 +257,7 @@ class TestViews:
     def test_raw_view_counts_the_bytes_it_received(self, federation, cursors):
         grid, engine, passes, payload = federation
         if cursors:
-            engine.stream_threshold_rows = 0
+            engine.stream_chunk_rows = ROWS - 1
         view_id = grid.client.create_view("SELECT m")
         assert grid.client.view_stats()["deltaBytesFetched"] == payload
         assert grid.client.view_stats()["deltaRowsFetched"] == TOTAL

@@ -244,8 +244,8 @@ class TestExecutionChunkedTransfer:
             raise AssertionError("small result must not open a cursor")
 
         monkeypatch.setattr(binding, "get_pr_chunked", no_cursor)
-        # getStats says ~1000 rows for m, well under the threshold
-        rows = list(binding.stream_pr("m", FOCI, threshold_rows=10**6))
+        # getStats says 1000 rows for m: one chunk of 1000 holds them
+        rows = list(binding.stream_pr("m", FOCI, max_rows=1000))
         assert len(rows) == 1000
 
     def test_stream_pr_uses_cursor_above_threshold(self, chunk_grid, monkeypatch):
@@ -256,7 +256,7 @@ class TestExecutionChunkedTransfer:
             raise AssertionError("above-threshold result must stream")
 
         monkeypatch.setattr(binding, "get_pr", no_bulk)
-        rows = list(binding.stream_pr("m", FOCI, threshold_rows=1))
+        rows = list(binding.stream_pr("m", FOCI, max_rows=999))
         assert [pr.pack() for pr in rows] == [pr.pack() for pr in bulk]
 
     def test_stream_pr_unknown_size_streams(self, chunk_grid, monkeypatch):
@@ -272,7 +272,7 @@ class TestExecutionChunkedTransfer:
 
         monkeypatch.setattr(binding, "get_stats", stats_down)
         monkeypatch.setattr(binding, "get_pr", no_bulk)
-        rows = list(binding.stream_pr("m", FOCI, threshold_rows=10**6))
+        rows = list(binding.stream_pr("m", FOCI, max_rows=10**6))
         assert len(rows) == 1000
 
 
@@ -303,7 +303,7 @@ class TestBoundedMemoryDrain:
     def test_chunked_peak_is_multiples_below_bulk(self, sized_bindings):
         def streamed(binding):
             return sum(
-                1 for _ in binding.stream_pr("m", FOCI, max_rows=256, threshold_rows=1)
+                1 for _ in binding.stream_pr("m", FOCI, max_rows=256)
             )
 
         def bulk(binding):

@@ -207,7 +207,7 @@ class TestNegotiationMatrix:
         monkeypatch.setenv("PPG_ACCEPT_ENCODINGS", ENCODING_XML)
         assert default_accept_encodings() == (ENCODING_XML,)
         grid, wire = member
-        grid.fed_engine.stream_threshold_rows = 0  # the member drains a cursor too
+        grid.fed_engine.stream_chunk_rows = CHUNK_ROWS  # the member drains a cursor too
         bulk = [row.pack() for row in grid.client.query("SELECT m WHERE value >= -1.5")]
         sent(wire)
         with grid.client.query_stream("SELECT m WHERE value >= -2.5", max_rows=CHUNK_ROWS) as it:
@@ -339,7 +339,6 @@ class TestMixedFederationStreaming:
         with both encodings actually exercised on the wire."""
         engine = FederationEngine(
             client_mod.PPerfGridClient(mixed_grid.environment, mixed_grid.uddi_gsh),
-            stream_threshold_rows=0,
             stream_chunk_rows=13,
         )
         text = "SELECT m FROM ALPHA, BETA"

@@ -9,6 +9,7 @@ NotificationSource so clients can subscribe to data-store updates.
 from __future__ import annotations
 
 import math
+import threading
 
 from repro.core.prcache import PrCache, default_pr_cache
 from repro.core.semantic import (
@@ -25,6 +26,7 @@ from repro.ogsi.notification import NotificationSourceMixin
 from repro.ogsi.porttypes import NOTIFICATION_SINK_PORTTYPE
 from repro.ogsi.service import GridServiceBase
 from repro.soap.chunks import ENCODING_XML, WIRE_ENCODINGS, frame_answer
+from repro.soap.colbatch import DecodedBatch, split_rows
 
 #: estimated memory (MB) charged to the host per cached entry, for the
 #: Service-Data-Provider-driven adaptive policy
@@ -52,6 +54,7 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
         #: data generation: bumped on every data_updated(), so clients
         #: can detect results computed against a superseded store state
         self.generation = 0
+        self._update_lock = threading.Lock()  # moving the generation, admitting an answer
         #: soft-state lifetime granted to getPRChunked cursors; renewed
         #: on every next(), swept by the container when it lapses
         self.cursor_ttl: float = DEFAULT_CURSOR_TTL
@@ -174,15 +177,19 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
 
         return self._memo(key, buckets)
 
-    def _memo(self, key: str, compute) -> list[str]:
-        """The PR cache's answer for *key*, else ``compute()``'s, cached."""
+    def _memo(self, key: str, compute):
+        """The PR cache's answer for *key*, else ``compute()``'s — cached
+        only if no ``data_updated()`` ran while it was computed."""
         cached = self.cache.get(key)
         if cached is not None:
-            return list(cached)
-        packed = compute()
-        self.cache.put(key, packed)
+            return cached if isinstance(cached, DecodedBatch) else list(cached)
+        generation = self.generation
+        answer = compute()
+        with self._update_lock:
+            if generation == self.generation:
+                self.cache.put(key, answer)
         self._charge_cache()
-        return packed
+        return answer
 
     def getPRChunked(
         self,
@@ -204,17 +211,16 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
 
         * ``ordered=False`` streams the wrapper's lazy ``iter_pr`` scan
           in store order — O(chunk) server memory, the profile for big
-          single-store drains;
+          single-store drains — and bypasses the PR cache;
         * ``ordered=True`` sorts the result by the canonical
-          ``pr_sort_key`` first (O(result) server memory, packed
-          incrementally) — what the federated streaming merge needs to
-          reproduce bulk ordering exactly.
+          ``pr_sort_key`` first — what the federated streaming merge
+          needs to reproduce bulk ordering exactly — and caches it (key
+          ``ordered: <key>``) as the packed rows' token columns, which a
+          warm cursor serves without reading, sorting or rendering.
 
-        Chunked transfers bypass the PR cache in both directions: the
-        large results this path exists for are precisely the entries a
-        byte-bounded cache would immediately evict.  A live cursor is a
-        point-in-time scan — a ``data_updated()`` mid-drain can surface
-        in later chunks; the ``generation`` SDE lets clients detect it.
+        A ``data_updated()`` mid-drain clears the cache, not a live
+        ordered cursor's answer; an unordered scan may surface it in
+        later chunks.  The ``generation`` SDE lets clients detect it.
         """
         self.require_active()
         encoding = answer_encoding(self.wire_encodings)
@@ -225,18 +231,20 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
             end = float(endTime)
         except ValueError as exc:
             raise ValueError(f"bad time bound: {exc}") from exc
-        if ordered:
+
+        def answer() -> DecodedBatch:
             results = self.wrapper.get_pr(metric, list(foci), start, end, resultType)
-            results.sort(key=pr_sort_key)
-            rows = (pr.pack() for pr in results)
+            return split_rows(pr.pack() for pr in sorted(results, key=pr_sort_key))
+
+        if ordered:
+            key = pr_cache_key(metric, list(foci), startTime, endTime, resultType)
+            chunks = [self._memo("ordered: " + key, answer)]
         else:
-            rows = (
-                pr.pack()
-                for pr in self.wrapper.iter_pr(metric, list(foci), start, end, resultType)
-            )
+            scan = self.wrapper.iter_pr(metric, list(foci), start, end, resultType)
+            chunks = ([pr.pack()] for pr in scan)  # one-row chunks: O(chunk) memory
         assert self.gsh is not None
         gsh = deploy_cursor(
-            self.container, self.gsh.path, rows, ttl=self.cursor_ttl, encoding=encoding
+            self.container, self.gsh.path, chunks, ttl=self.cursor_ttl, encoding=encoding
         )
         return gsh.url()
 
@@ -324,8 +332,9 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
         Applications (runids restart at 1 per store).
         """
         self.require_active()
-        self.generation += 1
-        self.cache.clear()
+        with self._update_lock:
+            self.generation += 1
+            self.cache.clear()
         self._charge_cache()
         source = self.gsh.url() if self.gsh is not None else ""
         return self.notify(

@@ -17,10 +17,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.simnet.lru import LruStore
+from repro.soap.colbatch import DecodedBatch
 
 
 class PrCache(LruStore):
-    """string key -> list of packed PR strings.
+    """string key -> list of packed PR strings (or, for an ordered read,
+    their token columns as a :class:`DecodedBatch`, stored as it is).
 
     Thread-safe (the store's lock): the pooled fan-out scheduler runs
     queries from many tenants concurrently against one engine.
@@ -32,8 +34,8 @@ class PrCache(LruStore):
         """The resident key -> value table, least recently used first."""
         return self.entries
 
-    def put(self, key: str, value: list[str]) -> None:
-        super().put(key, list(value))
+    def put(self, key: str, value: list[str] | DecodedBatch) -> None:
+        super().put(key, value if isinstance(value, DecodedBatch) else list(value))
 
     def stat_records(self) -> list[str]:
         """``name|value`` wire records, for SDE publication."""
@@ -80,14 +82,15 @@ _RECORD_OVERHEAD_BYTES = 56
 _ENTRY_OVERHEAD_BYTES = 96
 
 
-def entry_bytes(key: str, value: list[str]) -> int:
+def entry_bytes(key: str, value: list[str] | DecodedBatch) -> int:
     """Approximate resident size of one cache entry.
 
     Payload characters plus a flat per-record/per-entry overhead — not
     ``sys.getsizeof`` fidelity, but monotone in the real footprint,
-    which is all budget-driven eviction needs.
+    which is all budget-driven eviction needs.  Token columns cost what
+    their packed rows would.
     """
-    payload = sum(len(record) for record in value)
+    payload = value.text_length() if isinstance(value, DecodedBatch) else sum(map(len, value))
     return payload + len(key) + _RECORD_OVERHEAD_BYTES * len(value) + _ENTRY_OVERHEAD_BYTES
 
 

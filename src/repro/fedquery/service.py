@@ -144,11 +144,11 @@ class FederatedQueryService(GridServiceBase):
         """Streamed query: deploy a ResultCursor over the engine's
         streamed execution and hand back its GSH.
 
-        The cursor's row source is the streamed answer's texts, joined
-        once per chunk, so member chunks are pulled only as the client
-        drains — closing the cursor early (or expiry) closes the member
-        reads with it.  The request's ``acceptEncodings`` header is read
-        before planning.
+        The cursor's source is the streamed answer's chunks (a raw
+        chunk's token columns, framed without joining a row), so member
+        chunks are pulled only as the client drains — closing the cursor
+        early (or expiry) closes the member reads with it.  The request's
+        ``acceptEncodings`` header is read before planning.
         """
         self.require_active()
         encoding = answer_encoding(self.wire_encodings)
@@ -159,7 +159,7 @@ class FederatedQueryService(GridServiceBase):
         gsh = deploy_cursor(
             self.container,
             self.gsh.path,
-            streamed.packed(),
+            streamed.wire_chunks(),
             on_close=streamed.close,
             encoding=encoding,
         )

@@ -8,8 +8,9 @@ bounded end to end by pulling the same readers on the thread that drains
 the result: one member chunk at a time, ties collected and sorted, one
 member cursor open at a time, and none opened once LIMIT is reached.
 :class:`StreamedResult` hands the chunks on — as rows in process, as
-wire texts joined once per chunk through :meth:`StreamedResult.packed`
-— and closes the open member cursor on early close.
+wire chunks through :meth:`StreamedResult.wire_chunks` (a raw chunk's
+token columns, never joined into texts for a colbatch cursor) — and
+closes the open member cursor on early close.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from repro.fedquery.merge import RawAnswer, ResultRow, answer_rows, answer_texts
+from repro.soap.colbatch import DecodedBatch
 
 #: streamed results larger than this (packed bytes) are not memoized —
 #: accumulating them for the plan cache would defeat bounded memory
@@ -30,9 +32,9 @@ class StreamedResult:
     Mirrors :class:`~repro.fedquery.executor.QueryResult`'s metadata
     (``columns``/``cached``/``plan``/``stats``/``errors``) but delivers
     its answer incrementally, one *chunk* (a :class:`RawAnswer` or a row
-    list) at a time: iterating yields rows, :meth:`packed` the rows'
-    wire texts.  ``errors`` and ``stats`` keep filling in while the
-    stream drains; they are final once iteration completes
+    list) at a time: iterating yields rows, :meth:`wire_chunks` the
+    chunks a cursor frames.  ``errors`` and ``stats`` keep filling in
+    while the stream drains; they are final once iteration completes
     (``complete`` is True).  Closing early — explicitly, via the context
     manager, or by dropping out of a ``for`` loop and calling
     :meth:`close` — closes the producer, and with it every member
@@ -68,11 +70,15 @@ class StreamedResult:
     def __next__(self) -> ResultRow:
         return next(self._rows)
 
-    def packed(self) -> Iterator[str]:
-        """The answer as wire texts instead of rows, one per row: each
-        chunk's joined once, as ``QueryResult.packed()`` joins a whole
-        answer."""
-        return chain.from_iterable(map(answer_texts, self._chunks))
+    def wire_chunks(self) -> Iterator[DecodedBatch | list[str]]:
+        """The answer a chunk at a time instead of rows: a raw chunk as its
+        wire tokens (``RawAnswer.cells``, the columns ``query`` frames a
+        bulk answer from), any other as its rows' wire texts."""
+        for chunk in self._chunks:
+            if isinstance(chunk, RawAnswer):
+                yield DecodedBatch(len(chunk.values[0]), chunk.cells, {})
+            else:
+                yield answer_texts(chunk)
 
     def close(self) -> None:
         """Release member cursors; safe to call repeatedly."""

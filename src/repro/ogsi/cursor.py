@@ -23,11 +23,12 @@ and its fallback drains that ``xml``.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.ogsi.gsh import GridServiceHandle
 from repro.ogsi.service import GridServiceBase, ServiceState
 from repro.soap.chunks import ENCODING_XML, WIRE_ENCODINGS, encode_chunk
+from repro.soap.colbatch import DecodedBatch
 from repro.wsdl.porttype import Operation, Parameter, PortType
 
 #: PPerfGrid extension namespace for the cursor PortType
@@ -79,10 +80,12 @@ RESULT_CURSOR_PORTTYPE = PortType(
 
 
 class ResultCursorService(GridServiceBase):
-    """One live result stream, backed by any row iterable.
-
-    ``rows`` is consumed lazily — handing a generator here keeps the
-    producer's memory bounded by one chunk, which is the whole point.
+    """One live result stream, backed by any iterable of chunks — lists
+    of row texts, or :class:`~repro.soap.colbatch.DecodedBatch` token
+    columns a colbatch chunk is encoded from — re-sliced to each
+    ``next(maxRows)``.  ``chunks`` is consumed lazily, one chunk ahead —
+    handing a generator here keeps the producer's memory bounded by a
+    chunk, which is the whole point.
     ``on_close`` (optional) runs exactly once when the cursor is
     destroyed, however that happens (``close``, ``Destroy``, or the
     lifetime sweep); producers use it to release upstream resources
@@ -96,7 +99,7 @@ class ResultCursorService(GridServiceBase):
 
     def __init__(
         self,
-        rows: Iterable[str],
+        chunks: Iterable[Sequence[str] | DecodedBatch],
         ttl: float | None = DEFAULT_CURSOR_TTL,
         on_close: Callable[[], None] | None = None,
         encoding: str = ENCODING_XML,
@@ -104,8 +107,10 @@ class ResultCursorService(GridServiceBase):
         super().__init__()
         if encoding not in WIRE_ENCODINGS:
             raise ValueError(f"unknown wire encoding {encoding!r}")
-        self._iter: Iterator[str] = iter(rows)
-        self._pending: str | None = None
+        self._chunks: Iterator = filter(len, chunks)  # the non-empty ones
+        #: the chunk the next row comes from, and that row's index in it
+        self._chunk: Sequence[str] | DecodedBatch | None = None
+        self._offset = 0
         self._exhausted = False
         self._seq = 0
         self.ttl = ttl
@@ -123,39 +128,37 @@ class ResultCursorService(GridServiceBase):
         sdes.set("done", lambda: "1" if self._exhausted else "0")
         sdes.set("encoding", lambda: self._encoding)
 
+    def _pull(self) -> None:
+        """Make the source's next chunk current, or end the stream."""
+        self._chunk, self._offset = next(self._chunks, None), 0
+        self._exhausted = self._chunk is None
+
     # --------------------------------------------------------- operations
     def next(self, maxRows: int) -> list[str]:
         """The next chunk: header + up to *maxRows* rows (see chunks.py)."""
         self.require_active()
         if maxRows < 1:
             raise ValueError(f"maxRows must be >= 1, got {maxRows}")
-        batch: list[str] = []
-        if self._pending is not None:
-            batch.append(self._pending)
-            self._pending = None
-        while len(batch) < maxRows and not self._exhausted:
-            try:
-                batch.append(next(self._iter))
-            except StopIteration:
-                self._exhausted = True
-        if not self._exhausted:
-            # one-row lookahead so the final chunk carries done=1 itself,
-            # sparing the client an extra empty round trip
-            try:
-                self._pending = next(self._iter)
-            except StopIteration:
-                self._exhausted = True
+        if self._chunk is None and not self._exhausted:
+            self._pull()
+        pieces, count = [], 0
+        while self._chunk is not None and count < maxRows:
+            chunk, start = self._chunk, self._offset
+            stop = min(len(chunk), start + maxRows - count)
+            pieces.append(chunk[start:stop])
+            count, self._offset = count + stop - start, stop
+            if stop == len(chunk):
+                # one-chunk lookahead so the final chunk carries done=1
+                # itself, sparing the client an extra empty round trip
+                self._pull()
         if self.container is not None and self.ttl is not None:
             self.termination_time = self.container.clock.now() + self.ttl
         seq = self._seq
         self._seq += 1
-        self.rows_served += len(batch)
-        return encode_chunk(
-            seq,
-            batch,
-            done=self._exhausted and self._pending is None,
-            encoding=self._encoding,
-        )
+        self.rows_served += count
+        columnar = pieces and all(isinstance(piece, DecodedBatch) for piece in pieces)
+        rows = DecodedBatch.concat(pieces) if columnar else [row for p in pieces for row in p]
+        return encode_chunk(seq, rows, done=self._exhausted, encoding=self._encoding)
 
     def close(self) -> None:
         """Release the stream now (the polite end of the protocol).
@@ -169,8 +172,8 @@ class ResultCursorService(GridServiceBase):
 
     # ---------------------------------------------------------- lifecycle
     def on_destroyed(self) -> None:
-        self._iter = iter(())
-        self._pending = None
+        self._chunks = iter(())
+        self._chunk = None
         self._exhausted = True
         callback, self._on_close = self._on_close, None
         if callback is not None:
@@ -180,12 +183,12 @@ class ResultCursorService(GridServiceBase):
 def deploy_cursor(
     container,
     base_path: str,
-    rows: Iterable[str],
+    chunks: Iterable[Sequence[str] | DecodedBatch],
     ttl: float | None = DEFAULT_CURSOR_TTL,
     on_close: Callable[[], None] | None = None,
     encoding: str = ENCODING_XML,
 ) -> GridServiceHandle:
-    """Deploy a cursor instance under ``<base_path>/cursors`` and return
-    its GSH — the producer-side half of every *Chunked operation."""
-    cursor = ResultCursorService(rows, ttl=ttl, on_close=on_close, encoding=encoding)
+    """Deploy a cursor instance over *chunks* under ``<base_path>/cursors``
+    and return its GSH — the producer-side half of every *Chunked operation."""
+    cursor = ResultCursorService(chunks, ttl=ttl, on_close=on_close, encoding=encoding)
     return container.deploy_instance(f"{base_path}/cursors", cursor)

@@ -68,26 +68,25 @@ class ChunkEnvelope:
 
 
 def encode_chunk(
-    seq: int, rows: list[str], done: bool, encoding: str = ENCODING_XML,
-    columns: Sequence[Sequence[str]] | None = None,
+    seq: int, rows: Collection[str], done: bool, encoding: str = ENCODING_XML
 ) -> list[str]:
     """Frame *rows* as a chunk payload (header record + payload records).
 
     ``encoding="xml"`` emits the legacy four-field header and per-row
     payload byte-for-byte; ``"colbatch"`` emits the tagged five-field
-    header followed by the columnar batch records — encoded straight
-    from *columns*, the rows' ``|``-separated tokens, when the caller
-    holds them.
+    header followed by the columnar batch records
+    (:func:`~repro.soap.colbatch.encode_batch`: rows held as a
+    ``DecodedBatch`` are encoded from their columns).
     """
     if seq < 0:
         raise ChunkError(f"chunk seq must be >= 0, got {seq}")
     if encoding == ENCODING_XML:
         return [f"{CHUNK_HEADER}|{seq}|{len(rows)}|{1 if done else 0}", *rows]
     if encoding == ENCODING_COLBATCH:
-        from repro.soap.colbatch import encode_batch, encode_columns
+        from repro.soap.colbatch import encode_batch
 
         header = f"{CHUNK_HEADER}|{seq}|{len(rows)}|{1 if done else 0}|{encoding}"
-        return [header, *(encode_batch(rows) if columns is None else encode_columns(columns))]
+        return [header, *encode_batch(rows)]
     raise ChunkError(f"unknown chunk encoding {encoding!r}")
 
 
@@ -144,7 +143,10 @@ def frame_answer(
     *columns*, when given, are the rows' tokens the chunk is encoded from."""
     if encoding == ENCODING_XML:
         return rows
-    framed = encode_chunk(0, rows, True, encoding, columns)
+    from repro.soap.colbatch import DecodedBatch
+
+    batch = rows if columns is None else DecodedBatch(len(rows), columns, {})
+    framed = encode_chunk(0, batch, True, encoding)
     return framed if _wire_size(framed) < _wire_size(rows) else rows
 
 

@@ -53,8 +53,10 @@ from __future__ import annotations
 import base64
 import re
 import struct
+from bisect import bisect_left
 from functools import cached_property, lru_cache
-from typing import Sequence
+from itertools import accumulate, chain
+from typing import Iterable, Sequence
 
 from repro.soap.chunks import ChunkError
 
@@ -340,25 +342,28 @@ def encode_columns(
     return records
 
 
-def encode_batch(rows: Sequence[str]) -> list[str]:
-    """Encode *rows* as colbatch records (header first): the rows split on
-    ``|`` into :func:`encode_columns`, any row whose arity differs from
-    the first one's carried verbatim.
+def split_rows(rows: Iterable[str]) -> "DecodedBatch":
+    """*rows* split on ``|`` into token columns, the first row's arity
+    fixing them and any row of another arity kept verbatim."""
+    rows = list(rows)
+    fields = [row.split("|") for row in rows]
+    width = len(fields[0]) if fields else 0
+    exceptions = {i: rows[i] for i, parts in enumerate(fields) if len(parts) != width}
+    matrix = [parts for parts in fields if len(parts) == width] if exceptions else fields
+    return DecodedBatch(len(rows), list(zip(*matrix)), exceptions)
+
+
+def encode_batch(rows: "Sequence[str] | DecodedBatch") -> list[str]:
+    """Encode *rows* as colbatch records (header first): their
+    :func:`split_rows` columns through :func:`encode_columns`.  A
+    :class:`DecodedBatch` those would be its own columns again is encoded
+    from them, nothing joined or split: the bytes are the same.
 
     Decoding the result with :func:`decode_batch` reproduces *rows*
     byte-identically for any input strings.
     """
-    rows = list(rows)
-    split_rows = [row.split("|") for row in rows]
-    nfields = len(split_rows[0]) if split_rows else 0
-    matrix: list[list[str]] = []
-    exceptions: list[tuple[int, str]] = []
-    for i, parts in enumerate(split_rows):
-        if len(parts) == nfields:
-            matrix.append(parts)
-        else:
-            exceptions.append((i, rows[i]))
-    return encode_columns(list(zip(*matrix)), exceptions)
+    batch = rows if isinstance(rows, DecodedBatch) and rows.splits_back() else split_rows(rows)
+    return encode_columns(batch.columns, sorted(batch.exceptions.items()))
 
 
 # ------------------------------------------------------------- decoding
@@ -497,11 +502,13 @@ def _decode_exceptions(record: str, nexc: int, nrows: int) -> dict[int, str]:
 
 
 class DecodedBatch:
-    """The rows of one decoded batch, held as the ``columns`` of tokens
-    they arrived in (and the verbatim ``exceptions`` rows by index): a
-    row string is joined only when a row is read."""
+    """Rows held as the ``columns`` of tokens they split into (and the
+    verbatim ``exceptions`` rows by index) — a decoded batch, or a chunk
+    to encode: a row string is joined only when a row is read."""
 
-    def __init__(self, nrows: int, columns: list[list[str]], exceptions: dict[int, str]) -> None:
+    def __init__(
+        self, nrows: int, columns: Sequence[Sequence[str]], exceptions: dict[int, str]
+    ) -> None:
         self.columns, self.exceptions, self._nrows = columns, exceptions, nrows
 
     def __len__(self) -> int:
@@ -509,6 +516,35 @@ class DecodedBatch:
 
     def __iter__(self):
         return iter(self.rows)
+
+    def __getitem__(self, rows: slice) -> "DecodedBatch":
+        """A slice of the rows, still columns."""
+        start, stop, _ = rows.indices(self._nrows)
+        stop = max(start, stop)
+        marks = sorted(self.exceptions)
+        low, high = bisect_left(marks, start), bisect_left(marks, stop)
+        columns = [column[start - low : stop - high] for column in self.columns]
+        exceptions = {i - start: self.exceptions[i] for i in marks[low:high]}
+        return DecodedBatch(stop - start, columns, exceptions)
+
+    @classmethod
+    def concat(cls, parts: Sequence["DecodedBatch"]) -> "DecodedBatch":
+        """*parts*' rows in order, as one batch."""
+        if len({len(part.columns) for part in parts}) > 1:
+            return split_rows(chain.from_iterable(parts))
+        starts = list(accumulate(map(len, parts), initial=0))
+        exceptions = {at + i: row for at, part in zip(starts, parts)
+                      for i, row in part.exceptions.items()}
+        columns = [list(chain.from_iterable(cells)) for cells in zip(*(p.columns for p in parts))]
+        return cls(starts[-1], columns, exceptions)
+
+    def splits_back(self) -> bool:
+        """Whether :func:`split_rows` of the rows gives these columns: no
+        token holds a ``|``, and only the non-first rows of another arity
+        are exceptions."""
+        if 0 in self.exceptions or any("|" in "".join(column) for column in self.columns):
+            return False
+        return all(row.count("|") != len(self.columns) - 1 for row in self.exceptions.values())
 
     def text_length(self) -> int:
         """Total length of the row strings, counted off the columns."""

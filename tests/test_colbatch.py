@@ -33,10 +33,12 @@ from repro.soap.colbatch import (
     BATCH_MAGIC,
     COLBATCH_VERSION,
     DICT_MAX,
+    DecodedBatch,
     decode_batch,
     decode_columns,
     encode_batch,
     encode_columns,
+    split_rows,
 )
 from repro.soap.rpc import decode_response, encode_response
 
@@ -281,6 +283,40 @@ class TestSeededOracle:
         assert batch.text_length() == sum(map(len, rows))
         if not any("|" in token for column in columns for token in column):
             assert records == encode_batch(rows)
+
+    @pytest.mark.parametrize("case", range(N_CASES))
+    def test_column_slices_encode_as_their_rows(self, case, oracle_seed):
+        """A cursor's columnar chunk — slices of token-column batches,
+        exception rows kept verbatim, concatenated — encodes to exactly
+        ``encode_batch`` of its joined rows, whatever the tokens hold."""
+        rng = random.Random(0xC5 + oracle_seed * 1_000_003 + case)
+        width = rng.randrange(1, 7)
+        parts, rows = [], []
+        for _ in range(rng.randrange(1, 4)):
+            nrows = rng.randrange(0, 30)
+            columns = [[_random_token(rng) for _ in range(nrows)] for _ in range(width)]
+            for special in ("%", ";", "|", "", "a|b;c%7C"):
+                if nrows and rng.random() < 0.3:
+                    columns[rng.randrange(width)][rng.randrange(nrows)] = special
+            whole = ["|".join(cells) for cells in zip(*columns)]
+            if rng.random() < 0.5:  # the producer's own token columns
+                batch = DecodedBatch(nrows, columns, {})
+            else:  # split rows, some of another arity (the first one too)
+                for _ in range(rng.randrange(3)):
+                    if whole:
+                        whole[rng.randrange(min(nrows, 3))] = _random_token(rng)
+                batch = split_rows(whole)
+            start = rng.randrange(nrows + 1)
+            stop = rng.randrange(start, nrows + 1)
+            parts.append(batch[start:stop])
+            rows.extend(whole[start:stop])
+            assert list(parts[-1]) == whole[start:stop]
+        joined = DecodedBatch.concat(parts)
+        assert list(joined) == rows and len(joined) == len(rows)
+        assert encode_batch(joined) == encode_batch(rows)
+        for encoding in (ENCODING_COLBATCH, ENCODING_XML):
+            assert encode_chunk(2, joined, False, encoding) == encode_chunk(2, rows, False, encoding)
+        assert decode_batch(encode_batch(joined)) == rows
 
 
 def _pinned_corpus() -> list[list[str]]:

@@ -129,7 +129,7 @@ class TestSweepVsDispatch:
                 if i == 10:
                     entered.set()
                     assert resume.wait(timeout=10.0)
-                yield f"row-{i:03d}"
+                yield [f"row-{i:03d}"]  # one-row chunks: next() blocks mid-chunk
 
         gsh = deploy_cursor(container, "services/q", rows(), ttl=30.0)
         stub = env.stub_for_handle(gsh, ResultCursorService.porttype)
@@ -181,7 +181,7 @@ class TestSweepVsDispatch:
         container = env.create_container("c:1")
         total = 400
         gsh = deploy_cursor(
-            container, "services/q", (f"row-{i}" for i in range(total)), ttl=30.0
+            container, "services/q", ([f"row-{i}"] for i in range(total)), ttl=30.0
         )
         stub = env.stub_for_handle(gsh, ResultCursorService.porttype)
         stop = threading.Event()

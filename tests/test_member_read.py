@@ -11,6 +11,8 @@ tail.
 
 from __future__ import annotations
 
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -22,7 +24,7 @@ from repro.core.semantic import PerformanceResult, pr_sort_key
 from repro.experiments.common import build_synthetic_grid
 from repro.fedquery import QueryError
 from repro.fedquery import executor as executor_module
-from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
+from repro.mapping.memory import InMemoryExecution, InMemoryExecutionWrapper, InMemoryWrapper
 from repro.ogsi.container import GridEnvironment
 from repro.ogsi.dispatch import ACCEPT_ENCODINGS_HEADER
 from repro.soap.chunks import ENCODING_COLBATCH
@@ -441,3 +443,73 @@ class TestOneTail:
         monkeypatch.undo()
         assert run(engine, raw(1), stream)[0].cached is False
         assert run(engine, raw(1), stream)[0].cached is True
+
+
+# ------------------------------------------------------- the member's PR cache
+class TestPrCacheAdmission:
+    @pytest.mark.parametrize("read", ["getPR", "getPRAgg", "ordered getPRChunked"])
+    def test_an_answer_read_across_an_update_is_not_cached(self, federation, monkeypatch, read):
+        """A row lands, and ``data_updated()`` runs, while a member reads
+        an answer: that answer is served (it was read before the row), but
+        never cached — the next read sees the row."""
+        grid, _, _, wrappers = federation
+        data = wrappers["APP0"].executions_data[0]
+        service = grid.execution_service("APP0", data.exec_id)
+        get_pr = InMemoryExecutionWrapper.get_pr
+        raced = []
+
+        def racing(wrapper, *args):
+            answer = get_pr(wrapper, *args)
+            if wrapper.data is data and not raced:
+                raced.append(data.exec_id)
+                data.results.append(replace(data.results[0], start=0.25, end=0.5))
+                service.data_updated("a row landed mid-read")
+            return answer
+
+        monkeypatch.setattr(InMemoryExecutionWrapper, "get_pr", racing)
+        execution = grid.bind("APP0").all_executions()[0]
+
+        def rows() -> int:
+            if read == "getPR":
+                return len(execution.get_pr("m", ALL_FOCI))
+            if read == "getPRAgg":
+                return sum(bucket.count for bucket in execution.get_pr_agg("m", ALL_FOCI))
+            return len(list(execution.get_pr_chunked("m", ALL_FOCI, max_rows=7, ordered=True)))
+
+        assert rows() == ROWS and raced == [data.exec_id]
+        assert rows() == ROWS + 1
+        assert rows() == ROWS + 1 and service.cache.stats.hits >= 1  # the fresh answer is cached
+
+    def test_no_stale_answer_survives_concurrent_updates(self, federation):
+        """Readers race a writer that appends a row and announces it: a
+        read after each announcement sees every row so far — no reader
+        admitted what it read before the update (the generation's check
+        and the admission hold one lock)."""
+        grid, _, _, wrappers = federation
+        data = wrappers["APP0"].executions_data[0]
+        service = grid.execution_service("APP0", data.exec_id)
+        args = ("m", ALL_FOCI, "0.0", "1000000.0", "")
+        stop = threading.Event()
+
+        def reader() -> None:
+            while not stop.is_set():
+                service.getPR(*args)
+
+        readers = [threading.Thread(target=reader, daemon=True) for _ in range(4)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        seen = []
+        try:
+            for thread in readers:
+                thread.start()
+            for _ in range(100):
+                data.results.append(replace(data.results[0], start=0.25, end=0.5))
+                service.data_updated("a row landed")
+                seen.append(len(service.getPR(*args)))
+        finally:
+            stop.set()
+            sys.setswitchinterval(switch)
+            for thread in readers:
+                thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in readers)
+        assert seen == list(range(ROWS + 1, ROWS + 101))

@@ -43,6 +43,8 @@ from repro.xmlkit import Element, QName, parse, serialize
 
 MEMBERS, EXECUTIONS, ROWS, FOCI = 2, 2, 50, 5
 TOTAL = MEMBERS * EXECUTIONS * ROWS
+#: member executions a raw query over every execution reads
+READS = MEMBERS * EXECUTIONS
 
 
 def _wrappers() -> dict[str, InMemoryWrapper]:
@@ -233,9 +235,9 @@ class TestStreamed:
         engine.stream_chunk_rows = 16 if cursors else ROWS
         rows = list(grid.client.query_stream("SELECT m WHERE value >= -4.5", max_rows=32))
         assert len(rows) == TOTAL
-        assert passes.renders == TOTAL  # memoize cap, plan-cache admit, cursor feed
-        # a member cursor bypasses its PR cache and renders each result it
-        # serves, once; the federation renders none to count its bytes
+        assert passes.renders == TOTAL  # memoize cap and plan-cache admit; the cursor frames columns
+        # a cold member cursor renders each result it serves, once, into
+        # its PR cache; the federation renders none to count its bytes
         assert passes.pr_renders == (TOTAL if cursors else 0)
         assert 0 < passes.classifications <= _distinct_texts(rows)
         stats = passes.results[-1].stats
@@ -250,6 +252,35 @@ class TestStreamed:
         assert [row.pack() for row in rows] == [
             row.pack() for row in grid.client.query("SELECT m WHERE value >= -5.5")
         ]
+
+    def test_a_warm_drain_renders_nothing_at_the_members(self, federation):
+        """Member cursors over the same reads answer from the members' PR
+        caches: a second drain renders no result, and an update renders
+        exactly the updated execution's results again."""
+        grid, engine, passes, _ = federation
+        engine.stream_chunk_rows = 16
+        services = [
+            grid.execution_service(f"APP{m}", str(e))
+            for m in range(MEMBERS)
+            for e in range(EXECUTIONS)
+        ]
+
+        def drain(k: int) -> list[str]:
+            passes.reset()
+            text = f"SELECT m WHERE value >= -{k}.5"
+            return [row.pack() for row in grid.client.query_stream(text, max_rows=32)]
+
+        def hits() -> int:
+            return sum(service.cache.stats.hits for service in services)
+
+        cold = drain(6)
+        assert passes.pr_renders == TOTAL
+        before = hits()
+        assert drain(7) == cold
+        assert passes.pr_renders == 0 and hits() - before == READS
+        grid.execution_service("APP0", "0").data_updated("nothing new")
+        assert drain(8) == cold
+        assert passes.pr_renders == ROWS
 
 
 class TestViews:

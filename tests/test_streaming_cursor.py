@@ -2,7 +2,7 @@
 client-side chunked iteration, and the stats-driven bulk fallback.
 
 Covers the ISSUE acceptance points at the execution level: byte-identical
-results for every chunk size (one-row-lookahead done flags included),
+results for every chunk size (one-chunk-lookahead done flags included),
 soft-state TTL expiry via the container sweep, next()-after-close()
 faulting, and a tracemalloc proof that a chunked drain of a large store
 holds O(chunk) client/transfer memory while bulk getPR holds O(result).
@@ -23,7 +23,11 @@ from repro.ogsi.container import GridEnvironment
 from repro.ogsi.cursor import ResultCursorService, deploy_cursor
 from repro.simnet.clock import VirtualClock
 from repro.soap import SoapFault
-from repro.soap.chunks import CHUNK_HEADER, ChunkError, decode_chunk, encode_chunk
+from repro.soap import colbatch
+from repro.soap.chunks import (
+    CHUNK_HEADER, ENCODING_COLBATCH, ENCODING_XML, ChunkError, decode_chunk, encode_chunk,
+)
+from repro.soap.colbatch import split_rows
 
 
 class TestChunkEnvelope:
@@ -65,7 +69,7 @@ class TestResultCursorService:
 
     def test_drain_in_chunks(self, cursor_env):
         environment, container = cursor_env
-        gsh = deploy_cursor(container, "services/X", iter(self.rows(10)))
+        gsh = deploy_cursor(container, "services/X", [self.rows(10)])
         stub = environment.stub_for_handle(gsh.url(), ResultCursorService.porttype)
         first = decode_chunk(list(stub.next(4)))
         assert first.seq == 0 and first.rows == tuple(self.rows(10)[:4])
@@ -78,14 +82,14 @@ class TestResultCursorService:
 
     def test_exact_multiple_needs_no_empty_tail(self, cursor_env):
         environment, container = cursor_env
-        gsh = deploy_cursor(container, "services/X", iter(self.rows(8)))
+        gsh = deploy_cursor(container, "services/X", [self.rows(8)])
         stub = environment.stub_for_handle(gsh.url(), ResultCursorService.porttype)
         decode_chunk(list(stub.next(4)))
         assert decode_chunk(list(stub.next(4))).done is True
 
     def test_close_destroys_instance(self, cursor_env):
         environment, container = cursor_env
-        gsh = deploy_cursor(container, "services/X", iter(self.rows(4)))
+        gsh = deploy_cursor(container, "services/X", [self.rows(4)])
         stub = environment.stub_for_handle(gsh.url(), ResultCursorService.porttype)
         stub.close()
         with pytest.raises(SoapFault, match="no service at"):
@@ -94,7 +98,7 @@ class TestResultCursorService:
     def test_ttl_expiry_reclaims_cursor(self, cursor_env):
         environment, container = cursor_env
         clock = environment.clock
-        gsh = deploy_cursor(container, "services/X", iter(self.rows(6)), ttl=30.0)
+        gsh = deploy_cursor(container, "services/X", [self.rows(6)], ttl=30.0)
         stub = environment.stub_for_handle(gsh.url(), ResultCursorService.porttype)
         clock.advance(20.0)
         stub.next(2)  # renews the soft-state lifetime
@@ -119,17 +123,79 @@ class TestResultCursorService:
 
     def test_bad_max_rows_faults(self, cursor_env):
         environment, container = cursor_env
-        gsh = deploy_cursor(container, "services/X", iter(self.rows(2)))
+        gsh = deploy_cursor(container, "services/X", [self.rows(2)])
         stub = environment.stub_for_handle(gsh.url(), ResultCursorService.porttype)
         with pytest.raises(SoapFault):
             stub.next(0)
+
+
+class TestChunkSources:
+    """A cursor re-slices its source's chunks — row texts or token
+    columns, of any sizes — to each ``next(maxRows)``."""
+
+    @staticmethod
+    def source(rows, max_rows, columnar):
+        """*rows* in chunks of 0, 1, maxRows-1, maxRows and maxRows+1
+        rows, then the rest."""
+        chunks, at = [], 0
+        for size in (0, 1, max_rows - 1, max_rows, max_rows + 1, len(rows)):
+            part, at = rows[at : at + size], at + size
+            chunks.append(split_rows(part) if columnar else part)
+        return chunks
+
+    @pytest.mark.parametrize("max_rows", [1, 3, 4])
+    @pytest.mark.parametrize("columnar", [False, True], ids=["texts", "columns"])
+    @pytest.mark.parametrize("encoding", [ENCODING_XML, ENCODING_COLBATCH])
+    def test_uneven_chunks(self, cursor_env, max_rows, columnar, encoding):
+        environment, container = cursor_env
+        rows = [f"m|/rank/{i % 3}|t|{i}.000000000-{i + 1}.000000000|{i / 4!r}" for i in range(13)]
+        rows[5] = "m|/rank/a|b|torn|0.0-1.0|2.0"  # an exception row mid-source
+        gsh = deploy_cursor(
+            container, "services/X", self.source(rows, max_rows, columnar), encoding=encoding
+        )
+        stub = environment.stub_for_handle(gsh.url(), ResultCursorService.porttype)
+        envelopes = [decode_chunk(list(stub.next(max_rows)))]
+        while not envelopes[-1].done:
+            envelopes.append(decode_chunk(list(stub.next(max_rows))))
+        assert [row for envelope in envelopes for row in envelope.rows] == rows
+        assert len(envelopes) == -(-len(rows) // max_rows)
+        assert [len(envelope.rows) for envelope in envelopes[:-1]] == [max_rows] * (len(envelopes) - 1)
+        assert {envelope.encoding for envelope in envelopes} == {encoding}
+        sdes = container.service_at(gsh.path).service_data
+        assert [sdes.get(name).values for name in ("rowsServed", "chunksServed", "done")] == [
+            [str(len(rows))], [str(len(envelopes))], ["1"]
+        ]
+
+    @pytest.mark.parametrize("source", [[], [[]], [[], split_rows([])]], ids=["none", "empty", "both"])
+    def test_no_rows_is_one_done_chunk(self, cursor_env, source):
+        environment, container = cursor_env
+        gsh = deploy_cursor(container, "services/X", source, encoding=ENCODING_COLBATCH)
+        stub = environment.stub_for_handle(gsh.url(), ResultCursorService.porttype)
+        envelope = decode_chunk(list(stub.next(4)))
+        assert (envelope.seq, len(envelope.rows), envelope.done) == (0, 0, True)
+
+    def test_column_chunks_are_framed_from_their_columns(self, cursor_env, monkeypatch):
+        """No row of a columnar source is split again, and the bytes are
+        those of the same rows as texts."""
+        environment, container = cursor_env
+        rows = [f"a={i}|b=/x/{i % 5}|c={i * 0.5!r}" for i in range(40)]
+        payloads = {}
+        for columnar in (False, True):
+            gsh = deploy_cursor(
+                container, "services/X", self.source(rows, 16, columnar), encoding=ENCODING_COLBATCH
+            )
+            stub = environment.stub_for_handle(gsh.url(), ResultCursorService.porttype)
+            if columnar:
+                monkeypatch.setattr(colbatch, "split_rows", None)  # any split would raise
+            payloads[columnar] = [list(stub.next(16)) for _ in range(3)]
+        assert payloads[True] == payloads[False]
 
 
 class TestChunkedResultIterator:
     def test_yields_all_rows_and_autocloses(self, cursor_env):
         environment, container = cursor_env
         rows = [f"r{i}" for i in range(23)]
-        gsh = deploy_cursor(container, "services/X", iter(rows))
+        gsh = deploy_cursor(container, "services/X", [rows])
         it = ChunkedResultIterator(environment, gsh.url(), max_rows=5)
         assert list(it) == rows
         assert it.chunks_fetched == 5
@@ -138,7 +204,7 @@ class TestChunkedResultIterator:
 
     def test_early_close_releases_cursor(self, cursor_env):
         environment, container = cursor_env
-        gsh = deploy_cursor(container, "services/X", (f"r{i}" for i in range(100)))
+        gsh = deploy_cursor(container, "services/X", ([f"r{i}"] for i in range(100)))
         with ChunkedResultIterator(environment, gsh.url(), max_rows=10) as it:
             assert next(it) == "r0"
         assert container.has_service(gsh) is False
@@ -146,7 +212,7 @@ class TestChunkedResultIterator:
 
     def test_sequence_gap_detected(self, cursor_env):
         environment, container = cursor_env
-        gsh = deploy_cursor(container, "services/X", iter([f"r{i}" for i in range(9)]))
+        gsh = deploy_cursor(container, "services/X", [[f"r{i}" for i in range(9)]])
         it = ChunkedResultIterator(environment, gsh.url(), max_rows=3)
         next(it)
         # another consumer steals a chunk out from under this iterator
@@ -169,7 +235,7 @@ class TestChunkedResultIterator:
         decoder's own exception is what the caller sees."""
         environment, container = cursor_env
         gsh = deploy_cursor(
-            container, "services/X", iter([good, "not a record", *[good] * 50])
+            container, "services/X", [[good, "not a record", *[good] * 50]]
         )
         it = ChunkedResultIterator(
             environment, gsh.url(), max_rows=10, decoder=make_decoder()
@@ -183,7 +249,7 @@ class TestChunkedResultIterator:
     def test_decoder_applied(self, cursor_env):
         environment, container = cursor_env
         pr = PerformanceResult("m", "/f", "t", 0.0, 1.0, 4.5)
-        gsh = deploy_cursor(container, "services/X", iter([pr.pack()]))
+        gsh = deploy_cursor(container, "services/X", [[pr.pack()]])
         it = ChunkedResultIterator(
             environment, gsh.url(), decoder=PerformanceResult.unpack
         )

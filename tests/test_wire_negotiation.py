@@ -270,7 +270,7 @@ class TestNegotiationMatrix:
     @pytest.mark.usefixtures("capable")
     def test_mid_stream_encoding_switch_rejected_and_closed(self, cursor_env):
         environment, container = cursor_env
-        gsh = deploy_cursor(container, "services/X", iter(ROWS), encoding=ENCODING_COLBATCH)
+        gsh = deploy_cursor(container, "services/X", [ROWS], encoding=ENCODING_COLBATCH)
         iterator = ChunkedResultIterator(environment, gsh.url(), max_rows=16)
         next(iterator)
         assert iterator.encoding == ENCODING_COLBATCH
@@ -287,7 +287,7 @@ class TestDestroyOnGap:
         alive until the TTL sweep; it must be destroyed with the
         ChunkError now."""
         environment, container = cursor_env
-        gsh = deploy_cursor(container, "services/X", iter(ROWS))
+        gsh = deploy_cursor(container, "services/X", [ROWS])
         iterator = ChunkedResultIterator(environment, gsh.url(), max_rows=16)
         next(iterator)
         # another consumer steals a chunk out from under this iterator

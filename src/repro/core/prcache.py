@@ -81,17 +81,30 @@ class LruCache(PrCache):
 _RECORD_OVERHEAD_BYTES = 56
 _ENTRY_OVERHEAD_BYTES = 96
 
+#: what each object of a token-column entry costs beside its characters
+#: — a cell's str header and the column's pointer to it, a column's own
+#: list header — and the batch object with its attribute and exception
+#: dicts
+_TOKEN_OVERHEAD_BYTES = 64
+_BATCH_OVERHEAD_BYTES = 1024
+
 
 def entry_bytes(key: str, value: list[str] | DecodedBatch) -> int:
     """Approximate resident size of one cache entry.
 
     Payload characters plus a flat per-record/per-entry overhead — not
     ``sys.getsizeof`` fidelity, but monotone in the real footprint,
-    which is all budget-driven eviction needs.  Token columns cost what
-    their packed rows would.
+    which is all budget-driven eviction needs.  Token columns hold one
+    str object per cell, so each cell is charged its object as well:
+    at least the entry's resident size for ASCII tokens, and more where
+    a text column shares one object per distinct text.  An exception row
+    is charged its text, and its index and dict slot as a second object.
     """
-    payload = value.text_length() if isinstance(value, DecodedBatch) else sum(map(len, value))
-    return payload + len(key) + _RECORD_OVERHEAD_BYTES * len(value) + _ENTRY_OVERHEAD_BYTES
+    overhead = len(key) + _ENTRY_OVERHEAD_BYTES
+    if not isinstance(value, DecodedBatch):
+        return sum(map(len, value)) + overhead + _RECORD_OVERHEAD_BYTES * len(value)
+    objects = sum(map(len, value.columns)) + len(value.columns) + 2 * len(value.exceptions)
+    return value.text_length() + overhead + _BATCH_OVERHEAD_BYTES + _TOKEN_OVERHEAD_BYTES * objects
 
 
 class ByteBudgetLruCache(PrCache):

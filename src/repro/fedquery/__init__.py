@@ -10,7 +10,10 @@ through one reader: bulk drains the readers on the fan-out pool, and
 ``execute(stream=True)`` pulls the same readers' runs in order, one
 member chunk at a time through chunked ResultCursors — ties collected
 and sorted, one cursor open at a time — for the bulk path's exact row
-order in bounded memory (:class:`StreamedResult`).
+order in bounded memory.  Either way the answer is one
+:class:`QueryResult`: chunks of ``col=value`` wire tokens from the merge
+to the wire, iterated as rows through the client's own decoder, and
+stored as they are in the plan cache.
 
 Entry points:
 
@@ -44,7 +47,12 @@ from repro.fedquery.cost import (
     vacuous_over,
     value_fraction,
 )
-from repro.fedquery.executor import FederationEngine, QueryResult, choose_fanout
+from repro.fedquery.executor import (
+    DEFAULT_MEMOIZE_MAX_BYTES,
+    FederationEngine,
+    QueryResult,
+    choose_fanout,
+)
 from repro.fedquery.merge import (
     Accumulator,
     ResultRow,
@@ -75,7 +83,6 @@ from repro.fedquery.pushdown import (
 from repro.fedquery.service import FEDERATED_QUERY_PORTTYPE, FederatedQueryService
 from repro.fedquery.views import MaterializedView, ViewDelta, ViewMaintainer
 from repro.fedquery.viewservice import VIEW_REGISTRY_PORTTYPE, ViewRegistryService
-from repro.fedquery.stream import DEFAULT_MEMOIZE_MAX_BYTES, StreamedResult
 
 __all__ = [
     "AGG_FUNCS",
@@ -101,7 +108,6 @@ __all__ = [
     "RESERVED_FIELDS",
     "ResultRow",
     "SelectItem",
-    "StreamedResult",
     "StreamingMerger",
     "SubQuery",
     "TaskContext",

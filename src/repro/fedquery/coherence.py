@@ -34,6 +34,7 @@ from repro.core.prcache import PrCache
 from repro.core.semantic import StoreStats
 from repro.ogsi.gsh import GridServiceHandle
 from repro.ogsi.notification import NotificationSinkBase
+from repro.soap.colbatch import DecodedBatch
 
 #: the wildcard of the generation hierarchy
 ANY = "*"
@@ -110,10 +111,10 @@ class CoherenceTracker:
         fingerprint: str,
         deps: Iterable[Dep],
         snapshot: dict[Dep, int],
-        packed: list[str],
+        answer: DecodedBatch,
     ) -> bool:
-        """Cache a computed result unless a generation it depends on
-        moved since *snapshot* (counted as a stale discard)."""
+        """Cache a computed answer's token columns unless a generation it
+        depends on moved since *snapshot* (counted as a stale discard)."""
         deps = frozenset(deps)
         with self._lock:
             if any(
@@ -122,7 +123,7 @@ class CoherenceTracker:
             ):
                 self.counters["staleDiscards"] += 1
                 return False
-            self.plan_cache.put(fingerprint, packed)
+            self.plan_cache.put(fingerprint, answer)
             # plans over the same executions share one dependency set
             self._plan_deps[fingerprint] = self._dep_sets.setdefault(deps, deps)
             if len(self._plan_deps) > 2 * max(1, len(self.plan_cache)):

@@ -13,14 +13,14 @@
    ``SLOTS_PER_REPLICA`` sizes the pool accordingly.  Results are
    folded on the calling thread as futures complete.  A raw task drains
    one execution's :meth:`FederationEngine.raw_reader` (the reader a
-   stream pulls): sorted runs of columns, drained into a
-   :class:`~repro.fedquery.merge.RawAnswer` the service encodes straight
-   from its columns.  Per-task failures degrade the result (surviving
-   members' rows are returned, the failures are counted) instead of
-   aborting the whole query.
-3. **Plan cache** — whole query results are memoized on the query's
-   canonical fingerprint (an LRU of packed rows, one text per row), so
-   repeated dashboards cost one cache probe instead of a federation sweep.
+   stream pulls): sorted runs of columns, rendered into the answer's
+   ``col=value`` token columns (:func:`~repro.fedquery.merge.render`).
+   Per-task failures degrade the result (surviving members' rows are
+   returned, the failures are counted) instead of aborting the query.
+3. **Plan cache** — whole answers are memoized on the query's canonical
+   fingerprint as those token columns (a byte-budgeted LRU), so repeated
+   dashboards cost one cache probe, served as stored: nothing parsed,
+   rendered or joined.
 4. **Cache coherence** and 5. **cached member statistics** — which
    cached plan, ``getStats`` answer or remembered member fact (execution
    list, vocabulary, foci) may still be trusted after a ``data-update``
@@ -29,19 +29,18 @@
    afterwards.  Failed stats fetches degrade gracefully (the member
    keeps the global mode, is never skipped, and the degraded result is
    not memoized).
-6. **Streaming execution** — ``execute(query, stream=True)`` returns a
-   :class:`~repro.fedquery.stream.StreamedResult` instead of a
-   materialized answer.  Raw queries without ORDER BY take the true
-   streaming path: the readers bulk drains on the pool, pulled in run
-   order one member chunk at a time on the thread that drains the
-   result (:mod:`repro.fedquery.stream`).  A read planned to fit one
-   chunk (``stream_chunk_rows``) is one ``getPR``, sorted on arrival; a
-   larger or unsized one is an ``ordered`` cursor when streamed, a
-   ``getPR`` advertising the columnar encoding when bulk.  Aggregates
-   and ORDER BY need every row before the first output row, so they run
-   the bulk pipeline and stream its answer.  Fully drained streams
-   memoize like bulk results (up to ``stream_memoize_max_bytes``);
-   partial drains and degraded runs never do.
+6. **Streaming execution** — every ``execute`` returns one
+   :class:`QueryResult`, a bulk or cached answer as one chunk.  With
+   ``stream=True``, a raw query without ORDER BY is lazy chunks of the
+   readers bulk drains on the pool, pulled in run order one member
+   chunk at a time on the thread that drains the result: ties collected
+   and sorted, one member cursor open at a time, none once LIMIT is
+   reached.  A read planned to fit one chunk (``stream_chunk_rows``) is
+   one ``getPR``, sorted on arrival; a larger or unsized one is an
+   ``ordered`` cursor when streamed, a ``getPR`` advertising the
+   columnar encoding when bulk.  Fully drained streams memoize like bulk
+   results (up to ``stream_memoize_max_bytes``); partial drains and
+   degraded runs never do.
 """
 
 from __future__ import annotations
@@ -49,8 +48,8 @@ from __future__ import annotations
 import threading
 from concurrent.futures import FIRST_COMPLETED, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
+from itertools import chain
 from typing import Iterable, Iterator
 
 from repro.core.prcache import ByteBudgetLruCache, PrCache
@@ -58,16 +57,16 @@ from repro.core.semantic import AggregateRecord, ordering_key
 from repro.fedquery.ast import Query, QueryError
 from repro.fedquery.coherence import ANY, CoherenceTracker, Dep
 from repro.fedquery.merge import (
-    RawAnswer, ResultRow, StreamingMerger, TaskContext, answer_rows, answer_texts,
-    execution_runs, filter_values, raw_answer, run_chunks,
+    RAW_COLUMNS, ResultRow, StreamingMerger, TaskContext, execution_runs, filter_values,
+    raw_answer, render, run_chunks,
 )
 from repro.fedquery.parser import parse_query
 from repro.fedquery.planner import MemberPlan, Plan, SubQuery, plan_query
 from repro.fedquery.pushdown import filter_foci
 from repro.fedquery.scheduler import DEFAULT_POOL_WORKERS, DEFAULT_TENANT, FanoutScheduler
-from repro.fedquery.stream import DEFAULT_MEMOIZE_MAX_BYTES, StreamedResult
 from repro.ogsi.cursor import DEFAULT_CHUNK_ROWS
 from repro.ogsi.dispatch import current_client_id
+from repro.soap.colbatch import DecodedBatch
 from repro.soap.faults import SoapFault
 from repro.xmlkit import parse as parse_xml
 
@@ -84,6 +83,10 @@ SLOTS_PER_REPLICA = 4
 #: large row sets, so the default cache is bounded by bytes, not entries
 DEFAULT_PLAN_CACHE_BYTES = 4 * 1024 * 1024
 DEFAULT_PLAN_CACHE_ENTRIES = 256
+
+#: streamed results larger than this (packed bytes) are not memoized —
+#: accumulating them for the plan cache would defeat bounded memory
+DEFAULT_MEMOIZE_MAX_BYTES = 512 * 1024
 
 
 def choose_fanout(manager_stats: list[dict[str, object]]) -> int:
@@ -102,31 +105,62 @@ def _sde_values(xml: str) -> list[str]:
     return [el.text() for el in root.iter_all() if el.tag.local == "value"]
 
 
-@dataclass
 class QueryResult:
-    """One answered federated query.
-
-    ``answer`` is a fresh raw answer's columns (:class:`RawAnswer`) or
-    the rows themselves.  ``errors`` carries one message per failed
-    member task (degraded result); such results are never memoized in
-    the plan cache.
+    """One federated answer as chunks of ``col=value`` wire tokens
+    (:class:`~repro.soap.colbatch.DecodedBatch`): a bulk or cached answer
+    is one chunk, a stream a lazy producer.  Iterating yields rows through
+    :meth:`ResultRow.unpacker`, the client's own decoder; :attr:`rows`
+    drains the rest; :meth:`wire_chunks` hands the chunks on.  ``errors``
+    (one per failed member task: never memoized) and ``stats`` are final
+    once ``complete``.  Closing early closes the producer and every
+    member cursor; a partially drained stream is never memoized.
     """
 
-    answer: RawAnswer | list[ResultRow]
-    columns: tuple[str, ...]
-    cached: bool
-    plan: Plan | None
-    stats: dict[str, int] = field(default_factory=dict)
-    errors: list[str] = field(default_factory=list)
+    def __init__(
+        self, chunks: Iterable[DecodedBatch], columns: tuple[str, ...], plan: Plan | None = None,
+        cached: bool = False, stats: dict | None = None, errors: list[str] | None = None,
+    ) -> None:
+        self.columns = columns
+        self.plan = plan
+        self.cached = cached
+        self.stats = {} if stats is None else stats
+        self.errors = [] if errors is None else errors
+        self.complete = self.closed = False
+        self._chunks = self._drained(chunks)
+        self._rows = map(ResultRow.unpacker(), chain.from_iterable(self._chunks))
 
-    @property
+    def _drained(self, chunks: Iterable[DecodedBatch]) -> Iterator[DecodedBatch]:
+        yield from chunks
+        self.complete = self.closed = True
+
+    def __iter__(self) -> "QueryResult":
+        return self
+
+    def __next__(self) -> ResultRow:
+        return next(self._rows)
+
+    @cached_property
     def rows(self) -> list[ResultRow]:
-        """The answer as rows, built on first read from columns."""
-        return answer_rows(self.answer)
+        """The rest of the answer, drained into a list (once)."""
+        return list(self)
 
-    def packed(self) -> list[str]:
-        """One wire text per row."""
-        return answer_texts(self.answer)
+    def wire_chunks(self) -> Iterator[DecodedBatch]:
+        """The answer a chunk of wire tokens at a time, instead of rows."""
+        return self._chunks
+
+    def close(self) -> None:
+        """Release member cursors; safe to call repeatedly."""
+        if self.closed:
+            return
+        self.closed = True
+        self._rows = iter(())
+        self._chunks.close()  # GeneratorExit runs the producer's finally blocks
+
+    def __enter__(self) -> "QueryResult":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 class FederationEngine:
@@ -256,14 +290,14 @@ class FederationEngine:
         query: str | Query,
         stream: bool = False,
         tenant: str | None = None,
-    ) -> QueryResult | StreamedResult:
+    ) -> QueryResult:
         """Run a federated query.
 
-        ``stream=False`` (the default) answers with a fully materialized
-        :class:`QueryResult`.  ``stream=True`` answers with a
-        :class:`StreamedResult` iterator whose rows arrive incrementally
-        — in exactly the order (and bytes) the bulk path would produce —
-        holding O(members × chunk) memory instead of the whole result.
+        ``stream`` only chooses who pulls a raw query's readers: the
+        fan-out pool, into one chunk (the default), or the thread that
+        drains the :class:`QueryResult` — the same rows in the same
+        order, in O(members × chunk) memory.  Aggregates and ORDER BY
+        need every row before the first output row, so they run bulk.
 
         Every answer is exact.  A member whose cached stats and sketches
         prove its share of an aggregate is answered at tier 0 with no
@@ -281,24 +315,12 @@ class FederationEngine:
         # the one plan-cache probe of this query, whichever path runs it
         cached = self.plan_cache.get(fingerprint)
         if cached is not None:
-            # each row keeps the cached text it was parsed from, so a
-            # cached answer reaches the wire without being rendered again
-            answer = list(map(ResultRow.unpacker(), cached))
-            result = QueryResult(answer, query.output_columns, cached=True, plan=None)
-        elif query.is_aggregate:
-            result = self._execute_aggregate(query, fingerprint, tenant)
-        elif stream and query.order_by is None:
-            return self._execute_raw(query, fingerprint, tenant, stream=True)
-        else:
-            result = self._execute_raw(query, fingerprint, tenant, stream=False)
-        if not stream:
-            return result
-        # a cached answer, or a global reduction or sort, which needs every
-        # row before the first output row exists: the bulk pipeline ran
-        # (and memoized as usual) and its finished answer is streamed
-        return StreamedResult(
-            result.columns, [result.answer], result.plan, result.cached, result.stats, result.errors
-        )
+            # served as stored, through a slice: nothing is parsed or
+            # rendered, and rows joined for this caller stay off the entry
+            return QueryResult([cached[:]], query.output_columns, cached=True)
+        if query.is_aggregate:
+            return self._execute_aggregate(query, fingerprint, tenant)
+        return self._execute_raw(query, fingerprint, tenant, stream and query.order_by is None)
 
     def _execute_aggregate(self, query: Query, fingerprint: str, tenant: str) -> QueryResult:
         plan, stats, deps, errors, finish = self._begin_uncached(query, fingerprint)
@@ -328,13 +350,13 @@ class FederationEngine:
         for _, (ctx, payloads) in self._fan_out(tasks, tenant, stats, errors):
             deps.add((ctx.app, ctx.exec_id))
             merger.absorb(ctx, payloads)
-        result = QueryResult(merger.rows(), query.output_columns, False, plan, stats, errors)
-        finish(len(tasks), result.packed())
-        return result
+        answer = merger.answer()
+        finish(len(tasks), answer)
+        return QueryResult([answer], query.output_columns, plan, False, stats, errors)
 
     def _execute_raw(
         self, query: Query, fingerprint: str, tenant: str, stream: bool
-    ) -> QueryResult | StreamedResult:
+    ) -> QueryResult:
         """A raw query: one :meth:`raw_reader` per selected execution, its
         runs in :func:`run_chunks` order.  Bulk drains the readers on the
         fan-out pool and answers with :func:`raw_answer`.  A stream (no
@@ -342,8 +364,9 @@ class FederationEngine:
         (remembered facts) are resolved first, so the order is known
         before a cursor opens; a failing execution degrades the result
         and reads no further; no read starts once LIMIT is reached; and a
-        stream drained to its end or LIMIT is memoized while its texts
-        stay under ``stream_memoize_max_bytes``."""
+        stream drained to its end or LIMIT is memoized, its chunks joined
+        into one, while its row texts stay under
+        ``stream_memoize_max_bytes``."""
         plan, stats, deps, errors, finish = self._begin_uncached(query, fingerprint)
         predicates = query.predicates_on("value")
         #: one reader per selected execution (nothing read yet)
@@ -363,40 +386,39 @@ class FederationEngine:
 
         if not stream:
             drained = self._fan_out([partial(list, r) for _, r in work], tenant, stats, errors)
-            answer = raw_answer(run_chunks(runs((p, iter(d)) for p, d in drained)), query)
-            finish(len(work), answer.texts)
-            return QueryResult(answer, query.output_columns, False, plan, stats, errors)
+            readers = runs((p, iter(d)) for p, d in drained)
+            answer = render(RAW_COLUMNS, raw_answer(run_chunks(readers), query))
+            finish(len(work), answer)
+            return QueryResult([answer], query.output_columns, plan, False, stats, errors)
 
         def pulled(reader: Iterator) -> Iterator:
             with self._degrading(stats, errors):
                 yield from reader
 
-        def chunks() -> Iterator[RawAnswer]:
+        def chunks() -> Iterator[DecodedBatch]:
             readers = [pulled(reader) for _, reader in work]
             remaining = query.limit
-            acc: list[str] | None = []
+            acc: list[DecodedBatch] = []
             acc_bytes = 0
             try:
                 for values in run_chunks(runs(enumerate(readers))) if remaining != 0 else ():
                     if remaining is not None:
                         values = [column[:remaining] for column in values]
                         remaining -= len(values[0])
-                    answer = RawAnswer(values)
-                    if acc is not None:
-                        acc_bytes += sum(map(len, answer.texts))
-                        if acc_bytes > self.stream_memoize_max_bytes:
-                            acc = None
-                        else:
-                            acc.extend(answer.texts)
+                    answer = render(RAW_COLUMNS, values)
+                    acc_bytes += answer.text_length()
+                    if acc_bytes <= self.stream_memoize_max_bytes:
+                        acc.append(answer)
                     yield answer
                     if remaining == 0:
                         break
             finally:
                 for reader in readers:
                     reader.close()
-            finish(len(work), acc)
+            memoize = acc_bytes <= self.stream_memoize_max_bytes
+            finish(len(work), DecodedBatch.concat(acc) if memoize else None)
 
-        return StreamedResult(query.output_columns, chunks(), plan, False, stats, errors)
+        return QueryResult(chunks(), query.output_columns, plan, False, stats, errors)
 
     def _begin_uncached(self, query: Query, fingerprint: str):
         """The shared head of both result paths after a plan-cache miss —
@@ -435,19 +457,20 @@ class FederationEngine:
         deps = {(skipped.app, ANY) for skipped in plan.skipped}
         errors: list[str] = []
 
-        def finish(n: int, packed: list[str] | None) -> None:
+        def finish(n: int, answer: DecodedBatch | None) -> None:
             """End a query that ran *n* member tasks.  If every one of
             them failed there is no answer to degrade to.  And a degraded
             result (member task errors, or a plan built with missing
             member stats) is never offered to the plan cache — nor one
-            the caller gave up accumulating (*packed*, one text per row,
-            is None)."""
+            the caller gave up accumulating (*answer* is None).  The
+            cache keeps its own slice, so rows joined for this caller
+            never stay on the entry."""
             if errors and len(errors) == n:
                 raise QueryError(
                     f"all {n} member task(s) failed: {'; '.join(errors[:3])}"
                 )
-            if packed is not None and not errors and not plan.stats_degraded:
-                self.coherence.admit(fingerprint, deps, snapshot, packed)
+            if answer is not None and not errors and not plan.stats_degraded:
+                self.coherence.admit(fingerprint, deps, snapshot, answer[:])
 
         return plan, stats, deps, errors, finish
 

@@ -11,22 +11,23 @@ reader (:func:`execution_runs`).  :func:`row_sort_key` leads with
 is the runs in key order, a lone run passed through and runs whose keys
 tie sorted together: :func:`run_chunks`, pulled a chunk at a time by a
 stream and drained by :func:`raw_answer`, where ORDER BY is one stable
-sort and LIMIT a slice.  The :class:`RawAnswer` renders each column
-once; no :class:`ResultRow` is built unless a caller asks.
+sort and LIMIT a slice.  An answer leaves the merge as :func:`render`'s
+token columns, each column rendered once; no :class:`ResultRow` is built
+and no row text joined unless a caller asks.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import groupby, repeat
+from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from repro.core.semantic import AggregateRecord, ResultColumns, column_keys, ordering_key
 from repro.fedquery.ast import Query, QueryError
 from repro.fedquery.pushdown import matching_rows
+from repro.soap.colbatch import DecodedBatch
 
 #: raw-mode output columns, in order
 RAW_COLUMNS = ("app", "exec", "metric", "focus", "type", "start", "end", "value")
@@ -138,9 +139,11 @@ def _render_column(column: str, values: list) -> list[str]:
     return list(map(prefix.__add__, map(repr, values)))
 
 
-def _join_rows(cells: list[list[str]]) -> list[str]:
-    """The one place a columnar answer's row becomes text."""
-    return list(map("|".join, zip(*cells)))
+def render(columns: tuple[str, ...], values: list[list]) -> DecodedBatch:
+    """An answer as wire tokens: *values*, one list per output column,
+    each rendered once per column (:func:`_render`'s tokens).  A row's
+    text is joined only when :attr:`DecodedBatch.rows` is read."""
+    return DecodedBatch(len(values[0]), list(map(_render_column, columns, values)), {})
 
 
 def _parse_value(column: str, rendered: str) -> object:
@@ -149,33 +152,6 @@ def _parse_value(column: str, rendered: str) -> object:
     if column in _FLOAT_COLUMNS or "(" in column:
         return float(rendered)
     return rendered
-
-
-class RawAnswer:
-    """A finished raw answer, one ``values`` list per :data:`RAW_COLUMNS`
-    column: its wire tokens (:attr:`cells`), row texts (:attr:`texts`)
-    and :class:`ResultRow` objects (:attr:`rows`) are made when asked."""
-
-    def __init__(self, values: list[list]) -> None:
-        self.values = values
-
-    @cached_property
-    def cells(self) -> list[list[str]]:
-        return [_render_column(*column) for column in zip(RAW_COLUMNS, self.values)]
-
-    @cached_property
-    def texts(self) -> list[str]:
-        return _join_rows(self.cells)
-
-    @cached_property
-    def rows(self) -> list[ResultRow]:
-        # a row shares its text if the texts were joined, else renders
-        # its own when packed
-        texts = vars(self).get("texts") or repeat(None)
-        return [
-            ResultRow(RAW_COLUMNS, values, text)
-            for values, text in zip(zip(*self.values), texts)
-        ]
 
 
 class Accumulator:
@@ -288,9 +264,10 @@ def run_chunks(runs: Iterable[tuple]) -> Iterator[list[list]]:
             yield columns
 
 
-def raw_answer(chunks: Iterable[list[list]], query: Query) -> RawAnswer:
-    """*chunks* (:func:`run_chunks`') drained into one answer, with the
-    query's ORDER BY (one stable sort) and LIMIT (a slice) applied."""
+def raw_answer(chunks: Iterable[list[list]], query: Query) -> list[list]:
+    """*chunks* (:func:`run_chunks`') drained into one answer's columns,
+    with the query's ORDER BY (one stable sort) and LIMIT (a slice)
+    applied."""
     values: list[list] = [[] for _ in RAW_COLUMNS]
     for chunk in chunks:
         for out, column in zip(values, chunk):
@@ -301,17 +278,7 @@ def raw_answer(chunks: Iterable[list[list]], query: Query) -> RawAnswer:
         values = [[column[i] for i in order] for column in values]
     if query.limit is not None:
         values = [column[: query.limit] for column in values]
-    return RawAnswer(values)
-
-
-def answer_rows(answer: "RawAnswer | list[ResultRow]") -> list[ResultRow]:
-    """An answer — a raw one's columns, or rows — as rows."""
-    return answer.rows if isinstance(answer, RawAnswer) else answer
-
-
-def answer_texts(answer: "RawAnswer | list[ResultRow]") -> list[str]:
-    """An answer's wire texts, one per row."""
-    return answer.texts if isinstance(answer, RawAnswer) else [row.pack() for row in answer]
+    return values
 
 
 class StreamingMerger:
@@ -408,6 +375,12 @@ class StreamingMerger:
         """One row per complete group, in the final order, ORDER BY and
         LIMIT applied."""
         return order_rows(self._group_rows(), self.query)
+
+    def answer(self) -> DecodedBatch:
+        """:meth:`rows` rendered as the answer's columns."""
+        rows = self.rows()
+        columns = self.query.output_columns
+        return render(columns, [[row.values[i] for row in rows] for i in range(len(columns))])
 
     def _group_rows(self) -> list[ResultRow]:
         """One row per complete group, unordered."""

@@ -19,7 +19,7 @@ measured).  :class:`FanoutScheduler` is one engine-lifetime pool:
   admission point: container ingress neither queues nor sheds.
 
 Streamed queries take no thread from here: their member reads run on
-the thread that drains the result (:mod:`repro.fedquery.stream`).
+the thread that drains the result (``FederationEngine.execute``).
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from repro.core.semantic import PPERFGRID_NS
 from repro.fedquery.executor import FederationEngine
-from repro.fedquery.merge import RawAnswer
 from repro.ogsi.cursor import deploy_cursor
 from repro.ogsi.dispatch import answer_encoding
 from repro.ogsi.porttypes import GRID_SERVICE_PORTTYPE
@@ -134,19 +133,16 @@ class FederatedQueryService(GridServiceBase):
     # --------------------------------------------------------- operations
     def query(self, queryText: str) -> list[str]:
         self.require_active()
-        result = self.engine.execute(queryText)
-        # a fresh raw answer is framed from its columns, never from rows
-        answer = result.answer
-        columns = answer.cells if isinstance(answer, RawAnswer) else None
-        return frame_answer(result.packed(), answer_encoding(self.wire_encodings), columns)
+        (answer,) = self.engine.execute(queryText).wire_chunks()
+        return frame_answer(answer, answer_encoding(self.wire_encodings))
 
     def queryChunked(self, queryText: str) -> str:
         """Streamed query: deploy a ResultCursor over the engine's
         streamed execution and hand back its GSH.
 
-        The cursor's source is the streamed answer's chunks (a raw
-        chunk's token columns, framed without joining a row), so member
-        chunks are pulled only as the client drains — closing the cursor
+        The cursor's source is the streamed answer's chunks of token
+        columns, framed without joining a row, so member chunks are
+        pulled only as the client drains — closing the cursor
         early (or expiry) closes the member reads with it.  The request's
         ``acceptEncodings`` header is read before planning.
         """

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 from repro.fedquery.ast import Query, QueryError
 from repro.fedquery.merge import (
-    ResultRow, StreamingMerger, execution_runs, order_rows, raw_answer, run_chunks,
+    RAW_COLUMNS, ResultRow, StreamingMerger, execution_runs, order_rows, raw_answer,
+    run_chunks,
 )
 from repro.fedquery.parser import parse_query
 from repro.fedquery.planner import ViewShape, view_shape
@@ -286,7 +287,8 @@ class ViewMaintainer:
                         # a LIMIT partition keeps only its own top-N: a
                         # sufficient candidate set under the total order
                         runs = execution_runs(0, subqueries, reader)
-                        view.partitions[key] = raw_answer(run_chunks(runs), query).rows
+                        values = raw_answer(run_chunks(runs), query)
+                        view.partitions[key] = [ResultRow(RAW_COLUMNS, row) for row in zip(*values)]
                     if exec_id is not None:
                         break
         finally:

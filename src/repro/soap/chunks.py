@@ -130,24 +130,23 @@ def require_accepted(envelope: ChunkEnvelope, advertised: Sequence[str]) -> None
         )
 
 
-def _wire_size(items: list[str]) -> int:
-    # each array item's element costs ~35 bytes beside its text
-    return sum(map(len, items)) + 35 * len(items)
+def _wire_size(items) -> int:
+    # each array item's element costs ~35 bytes beside its text; a
+    # DecodedBatch counts its rows' length off its columns
+    length = items.text_length() if hasattr(items, "text_length") else sum(map(len, items))
+    return length + 35 * len(items)
 
 
-def frame_answer(
-    rows: list[str], encoding: str, columns: Sequence[Sequence[str]] | None = None
-) -> list[str]:
+def frame_answer(rows: Collection[str], encoding: str) -> list[str]:
     """*rows* as one ``done=1`` chunk in *encoding* when that is shorter
-    on the wire, else *rows* themselves: never larger than the XML.
-    *columns*, when given, are the rows' tokens the chunk is encoded from."""
-    if encoding == ENCODING_XML:
-        return rows
-    from repro.soap.colbatch import DecodedBatch
-
-    batch = rows if columns is None else DecodedBatch(len(rows), columns, {})
-    framed = encode_chunk(0, batch, True, encoding)
-    return framed if _wire_size(framed) < _wire_size(rows) else rows
+    on the wire, else the rows themselves: never larger than the XML.
+    A :class:`~repro.soap.colbatch.DecodedBatch` is measured and encoded
+    from its columns, its rows joined only when they are the answer."""
+    if encoding != ENCODING_XML:
+        framed = encode_chunk(0, rows, True, encoding)
+        if _wire_size(framed) < _wire_size(rows):
+            return framed
+    return rows if isinstance(rows, list) else list(rows)
 
 
 def unframe_answer(items: Sequence[str], advertised: Sequence[str]) -> tuple[Collection[str], str]:

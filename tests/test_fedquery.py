@@ -24,7 +24,7 @@ from repro.fedquery import (
     plan_query,
 )
 from repro.fedquery.merge import (
-    StreamingMerger, TaskContext, execution_runs, raw_answer, run_chunks,
+    RAW_COLUMNS, StreamingMerger, TaskContext, execution_runs, raw_answer, render, run_chunks,
 )
 from repro.fedquery.planner import SubQuery
 from repro.core.semantic import AggregateRecord, PerformanceResult, ResultColumns, ordering_key
@@ -491,7 +491,7 @@ class TestMergerSemantics:
                     iter([TaskContext("A", exec_id), results, None]),
                 )
             ]
-            answers.add(tuple(raw_answer(run_chunks(runs), query).texts))
+            answers.add(tuple(render(RAW_COLUMNS, raw_answer(run_chunks(runs), query)).rows))
         assert [packed.split("|")[1] for packed in answers.pop()] == [
             "exec=01", "exec=01", "exec=1", "exec=1",
         ]

@@ -103,6 +103,14 @@ def oracle_env():
                 end_max = max(end_max, float(row["end"]))
     samples = {m: sorted(v) for m, v in samples.items() if v}
     engine.invalidate_cache()
+    naive_answers: dict[str, list[ResultRow]] = {}
+
+    def naive(text: str) -> list[ResultRow]:
+        """``naive_query``'s answer, computed once per text (no test in
+        this module writes to a store, so it cannot change)."""
+        if text not in naive_answers:
+            naive_answers[text] = naive_query(text, members)
+        return naive_answers[text]
 
     yield SimpleNamespace(
         grid=grid,
@@ -110,6 +118,7 @@ def oracle_env():
         stream_engine=stream_engine,
         stream_engines=stream_engines,
         members=members,
+        naive=naive,
         apps=sorted(members),
         params=params,
         metrics=metrics,
@@ -316,7 +325,7 @@ def test_planned_matches_naive(oracle_env, seed, oracle_seed, encoding, monkeypa
     # the streamed arms of the corpus run on this engine too: they must
     # never answer from what this bulk run memoized
     engine.plan_cache.remove(parse_query(text).fingerprint())
-    expected = naive_query(text, oracle_env.members)
+    expected = oracle_env.naive(text)
     if parse_query(text).is_aggregate:
         assert rows_equal(planned.rows, expected), f"planned != naive for {text!r}"
     else:
@@ -333,12 +342,15 @@ def test_planned_matches_naive(oracle_env, seed, oracle_seed, encoding, monkeypa
 
 @pytest.mark.parametrize("encoding", ["negotiated", "xml"])
 def test_client_query_matches_naive_over_the_wire(oracle_env, oracle_seed, encoding, monkeypatch):
-    """The raw half of the corpus through ``PPerfGridClient.query``, every
-    hop a SOAP round trip: the federation frames each fresh answer from
-    its columns — one colbatch chunk when that is shorter, else per-row
-    XML — and the client's rows are byte-identical to the naive oracle,
-    ORDER BY, LIMIT and empty answers included.  On the xml leg nothing
-    is advertised and no answer is framed."""
+    """The whole corpus through ``PPerfGridClient.query``, every hop a
+    SOAP round trip: the federation frames each fresh answer from its
+    token columns — one colbatch chunk when that is shorter, else
+    per-row XML — and the client's rows equal the naive oracle's, raw
+    ones byte for byte (ORDER BY, LIMIT and empty answers included),
+    aggregates as ``test_planned_matches_naive`` compares them.  Each
+    query is then sent again and answered from the plan cache, through
+    ``query`` and through ``query_stream``: the same bytes as the miss.
+    On the xml leg nothing is advertised and no answer is framed."""
     from repro.fedquery import parse_query
 
     pin_leg(monkeypatch, encoding)
@@ -351,22 +363,37 @@ def test_client_query_matches_naive_over_the_wire(oracle_env, oracle_seed, encod
         return rows, answer_encoding
 
     monkeypatch.setattr(client_module, "unframe_answer", recording)
+    engine, client = oracle_env.engine, oracle_env.grid.client
+    results: list = []
+    execute = engine.execute
+
+    def recorded_execute(*args, **kwargs):
+        results.append(execute(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(engine, "execute", recorded_execute)
     answers: Counter = Counter()
     for seed in range(N_QUERIES):
         text = make_query(random.Random(7000 + seed + 1_000_000 * oracle_seed), oracle_env)
         query = parse_query(text)
-        if query.is_aggregate:
-            continue
         # answered by the merge, never by a memoized earlier answer
-        oracle_env.engine.plan_cache.remove(query.fingerprint())
-        received = [row.pack() for row in oracle_env.grid.client.query(text)]
+        engine.plan_cache.remove(query.fingerprint())
+        miss = client.query(text)
+        assert results[-1].cached is False, text
         answers[seen[-1]] += 1  # the client's answer is the last one read
-        expected = [row.pack() for row in naive_query(text, oracle_env.members)]
-        assert received == expected, (
-            f"client bytes != naive bytes for {text!r}\n"
-            f"client ({len(received)}): {received[:5]}\n"
-            f"naive  ({len(expected)}): {expected[:5]}"
-        )
+        received = [row.pack() for row in miss]
+        expected = oracle_env.naive(text)
+        if query.is_aggregate:
+            assert rows_equal(miss, expected), f"client != naive for {text!r}"
+        else:
+            assert received == [row.pack() for row in expected], (
+                f"client bytes != naive bytes for {text!r}\n"
+                f"client ({len(received)}): {received[:5]}\n"
+                f"naive  ({len(expected)}): {[row.pack() for row in expected[:5]]}"
+            )
+        for hit in (client.query(text), list(client.query_stream(text))):
+            assert results[-1].cached is True, text
+            assert [row.pack() for row in hit] == received, f"hit != miss for {text!r}"
     if encoding == "xml" or ENCODING_COLBATCH not in default_accept_encodings():
         assert set(answers) == {ENCODING_XML}, answers
     else:  # large answers went columnar, small ones stayed per-row XML
@@ -399,7 +426,7 @@ def test_client_query_stream_matches_naive_over_the_wire(
         query = parse_query(text)
         if query.is_aggregate:
             continue
-        expected = [row.pack() for row in naive_query(text, oracle_env.members)]
+        expected = [row.pack() for row in oracle_env.naive(text)]
         # answered by the merge, never by a memoized earlier answer
         engine.plan_cache.remove(query.fingerprint())
         with grid.client.query_stream(text) as stream:

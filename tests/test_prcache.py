@@ -1,5 +1,7 @@
 """Tests for the Performance-Result cache policies."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +14,13 @@ from repro.core.prcache import (
     UnboundedCache,
     entry_bytes,
 )
+from repro.core.semantic import PerformanceResult
+from repro.experiments.common import build_synthetic_grid
+from repro.fedquery.merge import RAW_COLUMNS
+from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 from repro.simnet.clock import VirtualClock
 from repro.simnet.lru import LruStore
+from repro.soap.colbatch import DecodedBatch, split_rows
 
 
 class TestNullCache:
@@ -309,6 +316,77 @@ class TestCacheStatsServiceData:
         assert int(after["entries"]) >= 1
         assert int(after["lookups"]) == int(after["hits"]) + int(after["misses"])
         assert 0.0 <= float(after["hitRate"]) <= 1.0
+
+
+def _resident(obj, seen: set[int] | None = None) -> int:
+    """Deep ``sys.getsizeof``: every object reachable through containers
+    and instance dicts, each counted once."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, dict):
+        children = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple)):
+        children = obj
+    else:
+        children = [vars(obj)] if hasattr(obj, "__dict__") else []
+    return sys.getsizeof(obj) + sum(_resident(child, seen) for child in children)
+
+
+def _covers(key: str, value: DecodedBatch) -> bool:
+    return entry_bytes(key, value) >= _resident(value) + sys.getsizeof(key)
+
+
+class TestTokenColumnResidency:
+    """A token-column entry holds one str object per cell: ``entry_bytes``
+    charges at least what the entry holds, for both kinds the caches
+    keep — a member's ordered read (the sorted rows split into five
+    columns) and the federation's answer (eight rendered columns)."""
+
+    def test_both_entry_kinds_charged_their_resident_size(self):
+        rows = 640
+        results = [
+            PerformanceResult(
+                "m", f"/rank/{i % 8}", "synthetic", float(i), float(i + 1), i * 0.37 + 0.001
+            )
+            for i in range(rows)
+        ]
+        grid = build_synthetic_grid(
+            {"A": InMemoryWrapper("A", [InMemoryExecution("0", {}, results)])}
+        )
+        engine = grid.deploy_federation()
+        engine.stream_chunk_rows = 64  # read through an ordered member cursor
+        try:
+            assert len(list(grid.client.query_stream("SELECT m"))) == rows
+            member = grid.execution_service("A", "0").cache._table
+            answers = engine.plan_cache._table
+            entries = {
+                "member": [(k, v) for k, v in member.items() if k.startswith("ordered: ")],
+                "federation": list(answers.items()),
+            }
+        finally:
+            engine.close()
+            grid.environment.close()
+        for kind, items in entries.items():
+            assert len(items) == 1, kind
+            ((key, value),) = items
+            assert isinstance(value, DecodedBatch) and len(value) == rows, kind
+            assert _covers(key, value), (kind, entry_bytes(key, value), _resident(value))
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            DecodedBatch(0, [[] for _ in RAW_COLUMNS], {}),
+            DecodedBatch(1, [[f"{column}=1.5"] for column in RAW_COLUMNS], {}),
+            split_rows([]),
+            split_rows(["m|/f|t|0.0-1.0|2.5"]),
+            split_rows(["m|/f|t|0.0-1.0|2.5", "an exception row", "m|/g|t|1.0-2.0|3.5"]),
+        ],
+        ids=["empty-answer", "one-row-answer", "empty-read", "one-row-read", "exception-row"],
+    )
+    def test_small_entries_charged_their_resident_size(self, value):
+        assert _covers("ordered: m|/f|0.0|1.0|t", value)
 
 
 class TestByteBudgetLruCache:

@@ -6,15 +6,17 @@ synthetic federation driven through the SOAP surface:
 
 * a result row becomes text only in ``repro.fedquery.merge._render``
   (one ``ResultRow``: ``pack()`` memoises it, ``unpack`` seeds the memo)
-  or ``repro.fedquery.merge._join_rows`` (a columnar answer's rows, each
-  joined once from its column tokens);
+  or ``DecodedBatch.rows`` (a token-column answer's rows, each joined
+  once from its tokens — at the federation, or by a client reading a
+  colbatch answer);
 * a ``PerformanceResult`` becomes text only in ``PerformanceResult.pack``;
 * a text cell enters ``float()`` only in ``repro.core.semantic._text_key``,
   whose ``cache_info().misses`` is the number of classifications made;
 * ``ResultRow`` and ``PerformanceResult`` objects are counted as they are
-  built, and apart while the FederatedQuery service answers: a bulk raw
-  answer goes from the members' columns to the client's without one,
-  and so does a stream over colbatch member cursors.
+  built, and apart — with the rows joined — while the FederatedQuery
+  service answers: a bulk raw answer goes from the members' columns to
+  the client's without one, and so does a stream over colbatch member
+  cursors and a plan-cache hit.
 
 Beside the counts, two differentials keep the faster paths honest: the
 shape-remembering unpacker against ``ResultRow.unpack`` row for row, and
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +41,7 @@ from repro.experiments.common import build_synthetic_grid
 from repro.fedquery import FederatedQueryService, ResultRow, merge
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 from repro.soap import encoding
+from repro.soap.colbatch import DecodedBatch
 from repro.soap.encoding import SoapEncodingError, decode_value, encode_value
 from repro.xmlkit import Element, QName, parse, serialize
 
@@ -76,13 +80,14 @@ class Passes:
     def __init__(self, monkeypatch, engine) -> None:
         self.renders = 0
         self.pr_renders = 0
-        #: row objects built, by class name — and of them, those built
-        #: while the FederatedQuery service answered a query
+        #: row objects built, by class name — and of them, and of the
+        #: rows joined ("joined"), those while the FederatedQuery service
+        #: answered a query
         self.built: Counter = Counter()
         self.served: Counter = Counter()
         self.results: list = []
         render, join, pr_pack, execute = (
-            merge._render, merge._join_rows, PerformanceResult.pack, engine.execute
+            merge._render, DecodedBatch.rows.func, PerformanceResult.pack, engine.execute
         )
         serve = FederatedQueryService.query
 
@@ -90,17 +95,22 @@ class Passes:
             self.renders += 1
             return render(columns, values)
 
-        def counted_join(cells):
-            texts = join(cells)
+        def counted_join(batch):
+            texts = join(batch)
             self.renders += len(texts)
             return texts
 
         def counted_serve(service, text):
-            before = Counter(self.built)
+            before, renders = Counter(self.built), self.renders
             try:
                 return serve(service, text)
             finally:
                 self.served.update(self.built - before)
+                self.served.update(joined=self.renders - renders)
+                self.served -= Counter()  # a zero count is no entry
+
+        joined = cached_property(counted_join)
+        joined.__set_name__(DecodedBatch, "rows")
 
         for cls in (ResultRow, PerformanceResult):
             def counted_init(obj, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
@@ -118,7 +128,7 @@ class Passes:
             return self.results[-1]
 
         monkeypatch.setattr(merge, "_render", counted_render)
-        monkeypatch.setattr(merge, "_join_rows", counted_join)
+        monkeypatch.setattr(DecodedBatch, "rows", joined)
         monkeypatch.setattr(PerformanceResult, "pack", counted_pr_pack)
         monkeypatch.setattr(FederatedQueryService, "query", counted_serve)
         monkeypatch.setattr(engine, "execute", recorded_execute)
@@ -184,7 +194,10 @@ def _bulk_raw_query(federation, monkeypatch, columnar: bool):
         Counter(colbatch=members + 1) if columnar else Counter(xml=members, colbatch=1)
     )
     assert len(rows) == TOTAL
-    assert passes.renders == TOTAL  # joined from the columns: plan-cache admit and wire share it
+    # the client's, reading the colbatch answer: the federation renders
+    # the answer's columns once, for the wire and the plan cache alike,
+    # and joins none of its rows (``served`` has no "joined")
+    assert passes.renders == TOTAL
     assert passes.pr_renders == 0
     assert 0 < passes.classifications <= _distinct_texts(rows)
     stats = passes.results[-1].stats
@@ -213,18 +226,28 @@ class TestBulk:
         passes.reset()
         second = grid.client.query(text)
         assert passes.results[-1].cached is True
-        assert (passes.renders, passes.pr_renders) == (0, 0)
+        # the stored columns are encoded as they are: the federation
+        # builds no ResultRow and joins no row; the client's decoder joins
+        # and parses each row once
+        assert passes.served == Counter()
+        assert (passes.renders, passes.pr_renders) == (TOTAL, 0)
+        assert passes.built == Counter(ResultRow=TOTAL)
         assert [row.pack() for row in second] == [row.pack() for row in first]
-        # a cached answer drained through a cursor is the same stored text
+        # a cached answer drained through a cursor is the same stored columns
+        passes.reset()
         streamed = list(grid.client.query_stream(text))
-        assert (passes.renders, passes.pr_renders) == (0, 0)
+        assert passes.results[-1].cached is True
+        assert (passes.renders, passes.pr_renders) == (TOTAL, 0)
+        assert passes.built == Counter(ResultRow=TOTAL)
         assert [row.pack() for row in streamed] == [row.pack() for row in first]
 
     def test_aggregate_rows_render_once(self, federation):
         grid, _, passes, _ = federation
         rows = grid.client.query("SELECT count(m), mean(m) WHERE value >= -3.5 GROUP BY focus")
         assert len(rows) == FOCI
-        assert passes.renders == FOCI
+        # the groups are rendered as columns, never as row texts: a short
+        # answer goes out as per-row XML, joined once at the federation
+        assert passes.renders == FOCI and passes.served["joined"] == FOCI
         assert passes.pr_renders == 0
 
 
@@ -235,7 +258,10 @@ class TestStreamed:
         engine.stream_chunk_rows = 16 if cursors else ROWS
         rows = list(grid.client.query_stream("SELECT m WHERE value >= -4.5", max_rows=32))
         assert len(rows) == TOTAL
-        assert passes.renders == TOTAL  # memoize cap and plan-cache admit; the cursor frames columns
+        # the client's, reading colbatch chunks: the memoize cap counts
+        # the columns and the plan cache stores them, the cursor frames
+        # them, and the federation joins no row
+        assert passes.renders == TOTAL
         # a cold member cursor renders each result it serves, once, into
         # its PR cache; the federation renders none to count its bytes
         assert passes.pr_renders == (TOTAL if cursors else 0)

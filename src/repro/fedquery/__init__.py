@@ -48,10 +48,7 @@ from repro.fedquery.cost import (
     value_fraction,
 )
 from repro.fedquery.executor import (
-    DEFAULT_MEMOIZE_MAX_BYTES,
-    FederationEngine,
-    QueryResult,
-    choose_fanout,
+    DEFAULT_MEMOIZE_MAX_BYTES, FederationEngine, QueryResult, choose_fanout,
 )
 from repro.fedquery.merge import (
     Accumulator,

@@ -26,8 +26,7 @@ from collections import Counter
 from concurrent.futures import wait
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
-from typing import Callable, Collection, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from repro.core.semantic import (
     APPLICATION_PORTTYPE,
@@ -38,7 +37,7 @@ from repro.core.semantic import (
     ResultColumns,
     StoreStats,
 )
-from repro.fedquery.merge import ResultRow, order_rows
+from repro.fedquery.merge import order_rows, read_rows
 from repro.fedquery.parser import parse_query
 from repro.fedquery.scheduler import shared_scheduler
 from repro.fedquery.service import FEDERATED_QUERY_PORTTYPE
@@ -111,11 +110,11 @@ class ChunkedResultIterator:
     Pages through a remote cursor with ``next(maxRows)`` calls, verifies
     chunk sequence numbers, and yields one decoded row at a time —
     client memory stays bounded by one chunk regardless of result size.
-    ``decoder`` maps each packed row string to the yielded object
-    (identity when omitted).  The cursor is closed automatically when
-    the stream is exhausted; close early (or use the context-manager
-    form) to release a partially drained cursor without waiting for its
-    server-side TTL.
+    ``decoder`` maps each chunk's packed rows (a colbatch chunk's still
+    its columns) to the objects yielded (the row strings when omitted).
+    The cursor is closed automatically when the stream is exhausted;
+    close early (or use the context-manager form) to release a partially
+    drained cursor without waiting for its server-side TTL.
 
     ``accept_encodings`` is what the request that created the cursor
     advertised (default: :func:`default_accept_encodings`, what
@@ -130,21 +129,20 @@ class ChunkedResultIterator:
         environment: GridEnvironment,
         cursor_handle: str,
         max_rows: int = DEFAULT_CHUNK_ROWS,
-        decoder: Callable[[str], object] | None = None,
+        decoder: Callable[[Collection[str]], Iterable] | None = None,
         accept_encodings: tuple[str, ...] | None = None,
     ) -> None:
         _check_max_rows(max_rows)
         self.environment = environment
         self.cursor_handle = cursor_handle
         self.max_rows = max_rows
-        self._decoder = decoder
         self._stub = environment.stub_for_handle(cursor_handle, RESULT_CURSOR_PORTTYPE)
         self._expected_seq = 0
         self._done = False
         self._closed = False
         #: the last chunk's rows as they arrived, and the rows not yet yielded
         self._chunk: Collection[str] = ()
-        self._rows: Iterator[str] = chain.from_iterable(self._fetched())
+        self._rows: Iterator = self._decoded(decoder or iter)
         self.chunks_fetched = 0
         self.rows_fetched = 0
         #: packed length of the rows fetched so far — what the engine's
@@ -161,7 +159,8 @@ class ChunkedResultIterator:
     @classmethod
     def open(
         cls, environment: GridEnvironment, stub, operation: str, *args: object,
-        max_rows: int = DEFAULT_CHUNK_ROWS, decoder: Callable[[str], object] | None = None,
+        max_rows: int = DEFAULT_CHUNK_ROWS,
+        decoder: Callable[[Collection[str]], Iterable] | None = None,
     ) -> "ChunkedResultIterator":
         """Send *operation*, which creates a cursor, advertising
         :func:`default_accept_encodings`, and iterate the cursor; a bad
@@ -214,23 +213,24 @@ class ChunkedResultIterator:
     def chunks(self) -> Iterator["ColumnRead"]:
         """A ``getPR`` cursor read a chunk at a time instead of row by
         row, each chunk as its :func:`read_columns`."""
-        return map(partial(self._decoded, read_columns), self._fetched())
+        return self._decoded(lambda chunk: (read_columns(chunk),))
 
     def __iter__(self) -> "ChunkedResultIterator":
         return self
 
     def __next__(self) -> object:
-        row = next(self._rows)
-        return row if self._decoder is None else self._decoded(self._decoder, row)
+        return next(self._rows)
 
-    def _decoded(self, decode: Callable, packed):
-        try:
-            return decode(packed)
-        except Exception:
-            # a stream that cannot be decoded cannot be resumed: release
-            # the server-side cursor now, as for a broken chunk sequence
-            self.close()
-            raise
+    def _decoded(self, decode: Callable[[Collection[str]], Iterable]) -> Iterator:
+        """What *decode* makes of each remaining chunk, in order."""
+        for chunk in self._fetched():
+            try:
+                yield from decode(chunk)
+            except Exception:
+                # a stream that cannot be decoded cannot be resumed: release
+                # the server-side cursor now, as for a broken chunk sequence
+                self.close()
+                raise
 
     def close(self) -> None:
         """Release the server-side cursor (idempotent, best-effort).
@@ -297,9 +297,13 @@ def _text_length(packed: Collection[str]) -> int:
 
 def read_columns(packed: Collection[str]) -> ColumnRead:
     """A ``getPR`` array or cursor chunk as columns: a colbatch answer's
-    as they came, per-row XML (or a batch with exception rows) parsed
-    one record at a time and transposed."""
-    if isinstance(packed, DecodedBatch) and not packed.exceptions and len(packed.columns) == 5:
+    as they came (spans and values the floats they decoded to, or parsed
+    from text), per-row XML (or a batch with exception rows) parsed one
+    record at a time and transposed."""
+    if isinstance(packed, DecodedBatch) and not packed.exceptions and packed.width == 5:
+        spans, values = packed.floats(3), packed.floats(4)
+        if spans is not None and len(spans) == 2 and values is not None and len(values) == 1:
+            return ColumnRead(*map(packed.column, range(3)), *spans, *values)
         return ColumnRead.unpack(packed.columns)
     return ColumnRead.of(map(PerformanceResult.unpack, packed))
 
@@ -417,7 +421,7 @@ class ExecutionBinding:
             return ChunkedResultIterator.open(
                 self.environment, self.stub, "getPRChunked",
                 metric, list(foci), repr(start), repr(end), result_type, bool(ordered),
-                max_rows=max_rows, decoder=PerformanceResult.unpack,
+                max_rows=max_rows, decoder=partial(map, PerformanceResult.unpack),
             )
 
     def stream_pr(
@@ -780,7 +784,7 @@ class ViewSubscription:
         self.epoch = int(header["epoch"])
         self.version = int(header["version"])
         self.query = parse_query(header["query"])
-        self.rows = list(map(ResultRow.unpacker(), records[6:]))
+        self.rows = list(read_rows(records[6:]))
 
     def _on_delivery(self, topic: str, message: str) -> None:
         self.apply(ViewDelta.decode(message))
@@ -793,7 +797,7 @@ class ViewSubscription:
             # a new epoch replaces local state unconditionally
             self.epoch = delta.epoch
             self.version = delta.to_version
-            self.rows = list(map(ResultRow.unpacker(), delta.added))
+            self.rows = list(read_rows(delta.added))
             self.deltas_applied += 1
             return
         if delta.epoch != self.epoch or delta.from_version != self.version:
@@ -812,9 +816,8 @@ class ViewSubscription:
         for packed in delta.added:
             counts[packed] += 1
         rows = []
-        unpack = ResultRow.unpacker()
-        for packed, count in counts.items():
-            rows.extend([unpack(packed)] * count)
+        for row, count in zip(read_rows(counts), counts.values()):
+            rows.extend([row] * count)
         # the canonical order is deterministic, so re-sorting (and
         # re-limiting) the multiset reproduces the server's rows byte for
         # byte — a LIMIT window that shifted included
@@ -928,7 +931,7 @@ class PPerfGridClient:
             accepted = default_accept_encodings()
             answer = fed.invoke("query", text, headers=accept_encodings_headers(accepted))
             packed, _ = unframe_answer(answer, accepted)
-        return list(map(ResultRow.unpacker(), packed))
+        return list(read_rows(packed))
 
     def query_stream(self, text: str, max_rows: int = DEFAULT_CHUNK_ROWS):
         """Run a federated query through a ResultCursor.
@@ -945,7 +948,7 @@ class PPerfGridClient:
         with self.environment.recorder.time("virtualization.fedquery.stream"):
             return ChunkedResultIterator.open(
                 self.environment, fed, "queryChunked", text,
-                max_rows=max_rows, decoder=ResultRow.unpacker(),
+                max_rows=max_rows, decoder=read_rows,
             )
 
     def explain(self, text: str) -> str:
@@ -993,7 +996,7 @@ class PPerfGridClient:
         """The view's current snapshot: (header dict, list of ResultRow)."""
         records = list(self._require_views().getView(view_id))
         header = _parse_pairs(records[:6])
-        return header, list(map(ResultRow.unpacker(), records[6:]))
+        return header, list(read_rows(records[6:]))
 
     def subscribe_view(
         self, view_id: str, authority: str = "ppg-client:7070"

@@ -13,8 +13,9 @@ for every Execution configured none.  Every policy is the one
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.simnet.lru import LruStore
 from repro.soap.colbatch import DecodedBatch
@@ -76,35 +77,39 @@ class LruCache(PrCache):
         self.capacity = capacity
 
 
-#: approximate per-record and per-entry bookkeeping overhead (bytes)
-#: charged on top of the packed string payload
-_RECORD_OVERHEAD_BYTES = 56
+#: approximate per-entry bookkeeping overhead (bytes) beside the strings
 _ENTRY_OVERHEAD_BYTES = 96
 
-#: what each object of a token-column entry costs beside its characters
-#: — a cell's str header and the column's pointer to it, a column's own
-#: list header — and the batch object with its attribute and exception
-#: dicts
+#: what each ASCII string of an entry costs beside its characters — its
+#: str header and the pointer to it (a column's own list header counts as
+#: one more) — and the batch object with its attribute and exception dicts
 _TOKEN_OVERHEAD_BYTES = 64
 _BATCH_OVERHEAD_BYTES = 1024
 
 
-def entry_bytes(key: str, value: list[str] | DecodedBatch) -> int:
-    """Approximate resident size of one cache entry.
+def _strings_bytes(strings: Sequence[str]) -> int:
+    """*strings* as str objects and pointers: characters and a flat
+    overhead each when ASCII, else each one's ``sys.getsizeof`` (a wider
+    header, characters up to four bytes) and a pointer with list slack."""
+    text = "".join(strings)
+    if text.isascii():
+        return len(text) + _TOKEN_OVERHEAD_BYTES * len(strings)
+    return sum(map(sys.getsizeof, strings)) + 16 * len(strings)
 
-    Payload characters plus a flat per-record/per-entry overhead — not
-    ``sys.getsizeof`` fidelity, but monotone in the real footprint,
-    which is all budget-driven eviction needs.  Token columns hold one
-    str object per cell, so each cell is charged its object as well:
-    at least the entry's resident size for ASCII tokens, and more where
-    a text column shares one object per distinct text.  An exception row
-    is charged its text, and its index and dict slot as a second object.
-    """
-    overhead = len(key) + _ENTRY_OVERHEAD_BYTES
+
+def entry_bytes(key: str, value: list[str] | DecodedBatch) -> int:
+    """Approximate resident size of one cache entry: the key's and the
+    stored strings' objects plus a flat per-entry overhead — monotone in
+    the real footprint and at least it, all budget-driven eviction needs.
+    A token-column entry's cells are charged as packed records are (more
+    where a text column shares one object per distinct text), an
+    exception row twice, for its index and dict slot as well."""
+    overhead = _strings_bytes((key,)) + _ENTRY_OVERHEAD_BYTES
     if not isinstance(value, DecodedBatch):
-        return sum(map(len, value)) + overhead + _RECORD_OVERHEAD_BYTES * len(value)
-    objects = sum(map(len, value.columns)) + len(value.columns) + 2 * len(value.exceptions)
-    return value.text_length() + overhead + _BATCH_OVERHEAD_BYTES + _TOKEN_OVERHEAD_BYTES * objects
+        return overhead + _strings_bytes(value)
+    cells = sum(map(_strings_bytes, value.columns)) + _TOKEN_OVERHEAD_BYTES * value.width
+    exceptions = 2 * _strings_bytes(list(value.exceptions.values()))
+    return overhead + _BATCH_OVERHEAD_BYTES + cells + exceptions
 
 
 class ByteBudgetLruCache(PrCache):

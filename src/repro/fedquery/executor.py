@@ -58,7 +58,7 @@ from repro.fedquery.ast import Query, QueryError
 from repro.fedquery.coherence import ANY, CoherenceTracker, Dep
 from repro.fedquery.merge import (
     RAW_COLUMNS, ResultRow, StreamingMerger, TaskContext, execution_runs, filter_values,
-    raw_answer, render, run_chunks,
+    raw_answer, read_rows, render, run_chunks,
 )
 from repro.fedquery.parser import parse_query
 from repro.fedquery.planner import MemberPlan, Plan, SubQuery, plan_query
@@ -108,12 +108,13 @@ def _sde_values(xml: str) -> list[str]:
 class QueryResult:
     """One federated answer as chunks of ``col=value`` wire tokens
     (:class:`~repro.soap.colbatch.DecodedBatch`): a bulk or cached answer
-    is one chunk, a stream a lazy producer.  Iterating yields rows through
-    :meth:`ResultRow.unpacker`, the client's own decoder; :attr:`rows`
-    drains the rest; :meth:`wire_chunks` hands the chunks on.  ``errors``
-    (one per failed member task: never memoized) and ``stats`` are final
-    once ``complete``.  Closing early closes the producer and every
-    member cursor; a partially drained stream is never memoized.
+    is one chunk, a stream a lazy producer.  Iterating yields rows read by
+    :func:`~repro.fedquery.merge.read_rows`, the client's own, a chunk at
+    a time; :attr:`rows` drains the rest; :meth:`wire_chunks` hands the
+    chunks on.  ``errors`` (one per failed member task: never memoized)
+    and ``stats`` are final once ``complete``.  Closing early closes the
+    producer and every member cursor; a partially drained stream is
+    never memoized.
     """
 
     def __init__(
@@ -127,7 +128,7 @@ class QueryResult:
         self.errors = [] if errors is None else errors
         self.complete = self.closed = False
         self._chunks = self._drained(chunks)
-        self._rows = map(ResultRow.unpacker(), chain.from_iterable(self._chunks))
+        self._rows = chain.from_iterable(map(read_rows, self._chunks))
 
     def _drained(self, chunks: Iterable[DecodedBatch]) -> Iterator[DecodedBatch]:
         yield from chunks

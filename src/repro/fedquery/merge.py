@@ -18,16 +18,16 @@ and no row text joined unless a caller asks.
 
 from __future__ import annotations
 
-import re
+from array import array
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from repro.core.semantic import AggregateRecord, ResultColumns, column_keys, ordering_key
 from repro.fedquery.ast import Query, QueryError
 from repro.fedquery.pushdown import matching_rows
-from repro.soap.colbatch import DecodedBatch
+from repro.soap.colbatch import DecodedBatch, split_rows
 
 #: raw-mode output columns, in order
 RAW_COLUMNS = ("app", "exec", "metric", "focus", "type", "start", "end", "value")
@@ -50,6 +50,11 @@ class ResultRow:
     #: the wire form, once rendered (or the text this row was parsed
     #: from): every consumer of one row's text shares one render
     _packed: str | None = field(default=None, compare=False, repr=False)
+
+    def __init__(self, columns: tuple[str, ...], values: tuple[object, ...],
+                 _packed: str | None = None) -> None:
+        # one update, where the generated frozen __init__ calls object.__setattr__ thrice
+        self.__dict__.update(columns=columns, values=values, _packed=_packed)
 
     def as_dict(self) -> dict[str, object]:
         return dict(zip(self.columns, self.values))
@@ -77,46 +82,39 @@ class ResultRow:
             if not sep:
                 raise ValueError(f"bad ResultRow field {part!r} in {text!r}")
             columns.append(column)
-            values.append(_parse_value(column, rendered))
+            values.append(_parser(column)(rendered))
         return ResultRow(tuple(columns), tuple(values), text)
 
-    @staticmethod
-    def unpacker() -> Callable[[str], "ResultRow"]:
-        """An :meth:`unpack` for a run of rows that remembers the last
-        row's shape: a row with the same column names is read by one
-        compiled pattern and reuses the column tuple and the numeric
-        columns' converters, instead of re-deriving each cell's type
-        from its column name.  Anything else — a new shape, a malformed
-        field — goes through :meth:`unpack` itself, which then raises
-        or sets the shape to remember.
-        """
-        columns: tuple[str, ...] = ()
-        match = re.compile("(?!)").fullmatch  # no shape yet: matches nothing
-        numeric: list[tuple[int, type]] = []  # (position, int | float)
 
-        def unpack(text: str) -> ResultRow:
-            nonlocal columns, match, numeric
-            found = match(text)
-            if found is None:
-                row = ResultRow.unpack(text)
-                columns = row.columns
-                # exactly what unpack accepts for these columns: as many
-                # '|'-separated fields, each opening with its "column="
-                match = re.compile(
-                    r"\|".join(f"{re.escape(column)}=([^|]*)" for column in columns)
-                ).fullmatch
-                numeric = [
-                    (position, type(value))
-                    for position, value in enumerate(row.values)
-                    if not isinstance(value, str)
-                ]
-                return row
-            values: list[object] = list(found.groups())
-            for position, convert in numeric:
-                values[position] = convert(values[position])
-            return ResultRow(columns, tuple(values), text)
-
-        return unpack
+def read_rows(answer: "DecodedBatch | Iterable[str]") -> Iterator[ResultRow]:
+    """An answer's rows — a token-column batch, or row texts split into
+    one — read a column at a time: a column is named by its first token,
+    a text read once per distinct token and a number once per cell
+    (:func:`_parser`); a row keeps its text.  When a row is of another
+    arity, or a token does not open with its column's ``name=``, holds a
+    ``|`` or does not parse, every row is read (and rejected) by
+    :meth:`ResultRow.unpack` instead."""
+    texts = answer.rows if isinstance(answer, DecodedBatch) else list(answer)
+    batch = answer if isinstance(answer, DecodedBatch) else split_rows(texts)
+    if batch.exceptions:
+        return map(ResultRow.unpack, texts)
+    names, cells = [], []
+    try:
+        for column in batch.columns:
+            name, sep, _ = (column[0] if column else "").partition("=")
+            parse = _parser(name)
+            tokens = list(dict.fromkeys(column)) if parse is str else column
+            # joined, each token holds one '|': the one opening it, before its name
+            joined, opener = "|" + "|".join(tokens), "|" + name + "="
+            if not (sep and joined.count("|") == len(tokens) == joined.count(opener)):
+                raise ValueError(name)
+            values = list(map(parse, joined.split(opener)[1:]))
+            names.append(name)
+            cells.append(map(dict(zip(tokens, values)).__getitem__, column)
+                         if parse is str else values)
+    except ValueError:
+        return map(ResultRow.unpack, texts)
+    return map(ResultRow, repeat(tuple(names)), zip(*cells), texts)
 
 
 def _render(columns: tuple[str, ...], values: tuple[object, ...]) -> str:
@@ -131,12 +129,20 @@ def _render(columns: tuple[str, ...], values: tuple[object, ...]) -> str:
 
 def _render_column(column: str, values: list) -> list[str]:
     """:func:`_render` for one whole output column: each cell's
-    ``column=value`` token, a text's once per distinct text."""
-    prefix = column + "="
+    ``column=value`` token, a text's once per distinct text, and a
+    float's once per distinct float where a strided sample shows a
+    quarter of them repeat (a raw answer's ``start``/``end``: the same
+    spans in every execution)."""
+    prefix, sample = column + "=", values[:: len(values) // 1024 + 1]
     if values and isinstance(values[0], str):
         tokens = {value: prefix + value for value in set(values)}
-        return list(map(tokens.__getitem__, values))
-    return list(map(prefix.__add__, map(repr, values)))
+    elif (len(set(sample)) * 4 <= len(sample) * 3 and set(map(type, values)) == {float}
+          and array("d", [-0.0]).tobytes() not in array("d", values).tobytes()):
+        # floats alone, none of them -0.0 (== 0.0): equal values render alike
+        tokens = {value: prefix + repr(value) for value in dict.fromkeys(values)}
+    else:
+        return list(map(prefix.__add__, map(repr, values)))
+    return list(map(tokens.__getitem__, values))
 
 
 def render(columns: tuple[str, ...], values: list[list]) -> DecodedBatch:
@@ -146,12 +152,14 @@ def render(columns: tuple[str, ...], values: list[list]) -> DecodedBatch:
     return DecodedBatch(len(values[0]), list(map(_render_column, columns, values)), {})
 
 
-def _parse_value(column: str, rendered: str) -> object:
+def _parser(column: str) -> Callable[[str], object]:
+    """How a cell of *column* is read: ``int`` for a count, ``float`` for
+    a measurement or another aggregate, ``str`` (as it is) otherwise."""
     if column.startswith("count("):
-        return int(rendered)
+        return int
     if column in _FLOAT_COLUMNS or "(" in column:
-        return float(rendered)
-    return rendered
+        return float
+    return str
 
 
 class Accumulator:

@@ -51,6 +51,7 @@ corrupted batch never crashes the decoder or silently drops rows.
 from __future__ import annotations
 
 import base64
+import math
 import re
 import struct
 from bisect import bisect_left
@@ -369,9 +370,9 @@ def encode_batch(rows: "Sequence[str] | DecodedBatch") -> list[str]:
 # ------------------------------------------------------------- decoding
 def _decode_fxp_series(
     scale_text: str, first_text: str, runs_text: str, present: int
-) -> list[str]:
-    """Expand one fixed-point series (first value + RLE deltas) back to
-    its rendered tokens; every count is validated against *present*."""
+) -> tuple[int, list[int]]:
+    """Expand one fixed-point series (first value + RLE deltas) to its
+    scale and integers; every count is validated against *present*."""
     try:
         scale = int(scale_text)
     except ValueError as exc:
@@ -379,7 +380,7 @@ def _decode_fxp_series(
     if not 0 <= scale <= _FXP_MAX_SCALE:
         raise ChunkError(f"fxp scale {scale} out of range")
     if present == 0:
-        return []
+        return scale, []
     try:
         current = int(first_text)
     except ValueError as exc:
@@ -406,13 +407,64 @@ def _decode_fxp_series(
         raise ChunkError(
             f"fxp column declares {need} delta(s) but carries {got}"
         )
-    if scale and min(numbers) >= 0:  # the common case, rendered in one format
-        template, unit = f"%d.%0{scale}d", 10**scale
-        return [template % divmod(number, unit) for number in numbers]
-    return [_fxp_render(number, scale) for number in numbers]
+    return scale, numbers
 
 
-def _decode_column(record: str, nrows: int) -> list[str]:
+class _Numbers:
+    """A null-free ``fxp``/``spn``/``f64`` column as the numbers it carries
+    — a ``(scale, numbers)`` series, a span's two, f64 floats at scale
+    None — rendered to its tokens only when they are read."""
+
+    def __init__(self, *series: tuple[int | None, Sequence]) -> None:
+        self.series = series
+
+    @cached_property
+    def tokens(self) -> list[str]:
+        rendered = []
+        for scale, numbers in self.series:
+            if scale is None:
+                rendered.append(list(map(repr, numbers)))
+            elif scale and min(numbers, default=0) >= 0:  # the common case, in one format
+                template, unit = f"%d.%0{scale}d", 10**scale
+                rendered.append([template % divmod(number, unit) for number in numbers])
+            else:
+                rendered.append([_fxp_render(number, scale) for number in numbers])
+        return rendered[0] if len(rendered) == 1 else list(map("-".join, zip(*rendered)))
+
+    def text_length(self) -> int:
+        """The tokens' total length, counted from the numbers: digits and
+        signs (``str`` of a float is its ``repr``), and at a scale a point
+        each and the zeros padding a value under one unit."""
+        length = (len(self.series) - 1) * len(self.series[0][1])
+        for scale, numbers in self.series:
+            length += len("".join(map(str, numbers)))
+            if scale:
+                unit = 10**scale
+                small = [len(str(abs(number))) for number in numbers if -unit < number < unit]
+                length += len(numbers) + (scale + 1) * len(small) - sum(small)
+        return length
+
+    def floats(self) -> list[list[float]] | None:
+        """Each series as floats, ``float()`` of its text bit for bit:
+        ``int / 10**scale`` rounds correctly as ``float(text)`` does, and a
+        NaN is ``float("nan")``.  None for a span with a negative start
+        (its token does not partition back into the two numbers)."""
+        if len(self.series) > 1 and min(self.series[0][1], default=0) < 0:
+            return None
+        floats = []
+        for scale, numbers in self.series:
+            if scale is None:
+                floats.append([number if number == number else math.nan for number in numbers])
+                continue
+            unit = 10**scale
+            try:
+                floats.append([number / unit for number in numbers])
+            except OverflowError:  # past the float range, where float() gives inf
+                floats.append([float(_fxp_render(number, scale)) for number in numbers])
+        return floats
+
+
+def _decode_column(record: str, nrows: int) -> "list[str] | _Numbers":
     parts = record.split("|")
     if len(parts) < 3:
         raise ChunkError(f"bad colbatch column record {record!r}")
@@ -447,13 +499,11 @@ def _decode_column(record: str, nrows: int) -> list[str]:
     elif encoding == "fxp":
         if len(parts) != 5:
             raise ChunkError(f"bad fxp column record {record!r}")
-        values = _decode_fxp_series(parts[2], parts[3], parts[4], present)
+        values = _Numbers(_decode_fxp_series(parts[2], parts[3], parts[4], present))
     elif encoding == "spn":
         if len(parts) != 8:
             raise ChunkError(f"bad spn column record {record!r}")
-        starts = _decode_fxp_series(parts[2], parts[3], parts[4], present)
-        ends = _decode_fxp_series(parts[5], parts[6], parts[7], present)
-        values = [f"{start}-{end}" for start, end in zip(starts, ends)]
+        values = _Numbers(*(_decode_fxp_series(*parts[i : i + 3], present) for i in (2, 5)))
     elif encoding == "f64":
         if len(parts) != 3:
             raise ChunkError(f"bad f64 column record {record!r}")
@@ -465,13 +515,13 @@ def _decode_column(record: str, nrows: int) -> list[str]:
             raise ChunkError(
                 f"f64 column carries {len(data)} byte(s), expected {8 * present}"
             )
-        values = [repr(value) for value in struct.unpack(f"<{present}d", data)]
+        values = _Numbers((None, struct.unpack(f"<{present}d", data)))
     else:
         raise ChunkError(f"unknown column encoding {encoding!r}")
 
     if null_flags is None:
         return values
-    filled = iter(values)
+    filled = iter(values.tokens if isinstance(values, _Numbers) else values)
     return ["" if is_null else next(filled) for is_null in null_flags]
 
 
@@ -504,12 +554,31 @@ def _decode_exceptions(record: str, nexc: int, nrows: int) -> dict[int, str]:
 class DecodedBatch:
     """Rows held as the ``columns`` of tokens they split into (and the
     verbatim ``exceptions`` rows by index) — a decoded batch, or a chunk
-    to encode: a row string is joined only when a row is read."""
+    to encode: a row string is joined only when a row is read, a decoded
+    numeric column's tokens only when :attr:`columns` is (:meth:`floats`)."""
 
     def __init__(
         self, nrows: int, columns: Sequence[Sequence[str]], exceptions: dict[int, str]
     ) -> None:
-        self.columns, self.exceptions, self._nrows = columns, exceptions, nrows
+        self._columns, self.exceptions, self._nrows = columns, exceptions, nrows
+
+    @property
+    def columns(self) -> list[Sequence[str]]:
+        return list(map(self.column, range(self.width)))
+
+    @property
+    def width(self) -> int:
+        return len(self._columns)
+
+    def column(self, index: int) -> Sequence[str]:
+        column = self._columns[index]
+        return column.tokens if isinstance(column, _Numbers) else column
+
+    def floats(self, index: int) -> list[list[float]] | None:
+        """A numeric column's floats, one list per number in a token (a
+        span's two), as ``float()`` reads each; None for a text column."""
+        column = self._columns[index]
+        return column.floats() if isinstance(column, _Numbers) else None
 
     def __len__(self) -> int:
         return self._nrows
@@ -530,7 +599,7 @@ class DecodedBatch:
     @classmethod
     def concat(cls, parts: Sequence["DecodedBatch"]) -> "DecodedBatch":
         """*parts*' rows in order, as one batch."""
-        if len({len(part.columns) for part in parts}) > 1:
+        if len({part.width for part in parts}) > 1:
             return split_rows(chain.from_iterable(parts))
         starts = list(accumulate(map(len, parts), initial=0))
         exceptions = {at + i: row for at, part in zip(starts, parts)
@@ -544,13 +613,15 @@ class DecodedBatch:
         are exceptions."""
         if 0 in self.exceptions or any("|" in "".join(column) for column in self.columns):
             return False
-        return all(row.count("|") != len(self.columns) - 1 for row in self.exceptions.values())
+        return all(row.count("|") != self.width - 1 for row in self.exceptions.values())
 
     def text_length(self) -> int:
-        """Total length of the row strings, counted off the columns."""
-        # one join per column, not one len() call per token
-        body = sum(len("".join(column)) for column in self.columns)
-        separators = (len(self.columns) - 1) * (self._nrows - len(self.exceptions))
+        """Total length of the row strings, counted off the columns (a
+        numeric one's off its numbers): one join per text column, not one
+        len() call per token."""
+        body = sum(c.text_length() if isinstance(c, _Numbers) else len("".join(c))
+                   for c in self._columns)
+        separators = (self.width - 1) * (self._nrows - len(self.exceptions))
         return body + separators + sum(map(len, self.exceptions.values()))
 
     @cached_property

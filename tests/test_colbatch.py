@@ -14,8 +14,10 @@ Two halves, matching the ISSUE's test satellites:
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from repro.soap.chunks import (
     decode_chunk,
     encode_chunk,
 )
+from repro.soap import colbatch
 from repro.soap.colbatch import (
     BATCH_MAGIC,
     COLBATCH_VERSION,
@@ -319,6 +322,105 @@ class TestSeededOracle:
         assert decode_batch(encode_batch(joined)) == rows
 
 
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def _fxp_token(value: int, scale: int) -> str:
+    """*value* / 10**scale as the canonical fixed-point literal."""
+    digits = str(abs(value)).rjust(scale + 1, "0")
+    sign = "-" if value < 0 else ""
+    return f"{sign}{digits[:-scale]}.{digits[-scale:]}" if scale else f"{sign}{digits}"
+
+
+#: f64 cells every typed case may draw: signed zeros, NaN, both
+#: infinities, the subnormal range and its edges, the largest doubles
+_F64_EDGES = [
+    0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -5e-324,
+    2.2250738585072014e-308, 2.225073858507201e-308, 1e-310, -3.5e-320,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1, -2.5,
+]
+
+
+def _typed_column(rng: random.Random, kind: str, nrows: int) -> list[str]:
+    """One column of tokens the encoder packs as *kind* (``fxp``, ``spn``
+    or ``f64``), or a text column."""
+    if kind == "fxp":
+        scale = rng.choice([0, 1, 3, 9, colbatch._FXP_MAX_SCALE])
+        unit = 10**scale
+        numbers = [
+            rng.choice([0, rng.randrange(-unit, unit), rng.randrange(-(10**12), 10**12) * unit,
+                        rng.randrange(-(10**20), 10**20)])
+            for _ in range(nrows)
+        ]
+        if scale == 0 and rng.random() < 0.5:  # past the float range: float() gives inf
+            numbers[rng.randrange(nrows)] = -(10**400) if rng.random() < 0.5 else 10**400
+        return [_fxp_token(number, scale) for number in numbers]
+    if kind == "spn":
+        scales = rng.choice([0, 3, 9]), rng.choice([0, 9, colbatch._FXP_MAX_SCALE])
+        return [
+            "-".join(_fxp_token(rng.choice([0, rng.randrange(10**15)]), scale) for scale in scales)
+            for _ in range(nrows)
+        ]
+    if kind == "f64":
+        # distinct doubles from random bits, so no dictionary is chosen
+        cells = [struct.unpack("<d", rng.randbytes(8))[0] for _ in range(nrows)]
+        for _ in range(rng.randrange(4)):
+            cells[rng.randrange(nrows)] = rng.choice(_F64_EDGES)
+        return [repr(cell) for cell in cells]
+    return [rng.choice(["a", "/f/1", "x=y", "é"]) for _ in range(nrows)]
+
+
+class TestTypedDecode:
+    """A null-free numeric column decodes to its numbers: each float is
+    ``float()`` of the token the text decode gives, bit for bit; the
+    length is counted from the numbers; the tokens rendered when asked
+    for, and the batch's slices and concatenations, are the text's."""
+
+    @pytest.mark.parametrize("case", range(60))
+    def test_numbers_equal_the_text_decode(self, case, oracle_seed):
+        rng = random.Random(0x7F0A7 + oracle_seed * 1_000_003 + case)
+        nrows = rng.randrange(1, 50)
+        kinds = [rng.choice(["fxp", "spn", "f64", "text"]) for _ in range(rng.randrange(1, 5))]
+        columns = [_typed_column(rng, kind, nrows) for kind in kinds]
+        records = encode_columns(columns)
+        batch, text = decode_columns(records), DecodedBatch(nrows, columns, {})
+        rows = ["|".join(cells) for cells in zip(*columns)]
+        for index, (record, column) in enumerate(zip(records[1:], columns)):
+            series = batch.floats(index)
+            if record.split("|", 1)[0] not in ("fxp", "spn", "f64"):
+                assert series is None
+                continue
+            halves = [token.partition("-")[::2] for token in column]
+            parts = halves if record.startswith("spn") else [(token,) for token in column]
+            assert series is not None and len(series) == len(parts[0])
+            for at, floats in enumerate(series):
+                assert list(map(_bits, floats)) == [_bits(float(part[at])) for part in parts]
+        assert batch.text_length() == len("\n".join(rows)) - (nrows - 1) == text.text_length()
+        # counting and reading the numbers rendered nothing
+        assert not any("tokens" in vars(cell) for cell in batch._columns
+                       if isinstance(cell, colbatch._Numbers))
+        assert batch.columns == columns and batch.rows == rows
+        start = rng.randrange(nrows + 1)
+        stop = rng.randrange(start, nrows + 1)
+        typed = decode_columns(records)
+        assert typed[start:stop].columns == text[start:stop].columns
+        assert typed[start:stop].text_length() == text[start:stop].text_length()
+        joined = DecodedBatch.concat([typed[start:stop], decode_columns(records), typed[:start]])
+        expected = DecodedBatch.concat([text[start:stop], text, text[:start]])
+        assert joined.columns == expected.columns and list(joined) == list(expected)
+
+    def test_a_nan_of_any_bits_is_the_canonical_nan(self):
+        """Every NaN renders as ``nan``, which parses back as one NaN: a
+        decoded f64 NaN is that one, whatever sign or payload it came with."""
+        nans = [struct.unpack("<d", struct.pack("<Q", bits))[0]
+                for bits in (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001)]
+        payload = base64.b64encode(struct.pack("<3d", *nans)).decode("ascii")
+        batch = decode_columns([f"{BATCH_MAGIC}|{COLBATCH_VERSION}|3|1|0", f"f64|-|{payload}"])
+        assert batch.columns == [["nan"] * 3] and batch.text_length() == 9
+        assert list(map(_bits, batch.floats(0)[0])) == [_bits(float("nan"))] * 3
+
+
 def _pinned_corpus() -> list[list[str]]:
     """Row sets covering every column encoding and both escape paths:
     the seeded random corpus, plus Performance Result and raw result-row
@@ -466,9 +568,15 @@ class TestAdversarialDecode:
             else:
                 records.insert(rng.randrange(len(records) + 1), "junk|record")
             try:
-                rows = decode_batch(records)
+                batch = decode_columns(records)
+                numbers = [batch.floats(index) for index in range(batch.width)]
+                length = batch.text_length()
+                rows = batch.rows
             except ChunkError:
                 continue
             header = records[0].split("|")
             assert header[0] == BATCH_MAGIC
             assert len(rows) == int(header[2])
+            assert length == sum(map(len, rows))
+            for series in filter(None, numbers):
+                assert all(len(floats) == len(rows) - len(batch.exceptions) for floats in series)

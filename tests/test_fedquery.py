@@ -24,7 +24,8 @@ from repro.fedquery import (
     plan_query,
 )
 from repro.fedquery.merge import (
-    RAW_COLUMNS, StreamingMerger, TaskContext, execution_runs, raw_answer, render, run_chunks,
+    RAW_COLUMNS, StreamingMerger, TaskContext, _render_column, execution_runs, raw_answer, render,
+    run_chunks,
 )
 from repro.fedquery.planner import SubQuery
 from repro.core.semantic import AggregateRecord, PerformanceResult, ResultColumns, ordering_key
@@ -314,6 +315,45 @@ class TestResultRow:
     def test_unpack_rejects_malformed(self):
         with pytest.raises(ValueError):
             ResultRow.unpack("noequalsign")
+
+
+class TestRenderColumn:
+    """A float column whose values repeat is rendered once per distinct
+    float — never letting two cells that compare equal but render apart
+    share a token."""
+
+    @staticmethod
+    def assert_rendered(values: list) -> list[str]:
+        tokens = _render_column("start", values)
+        assert tokens == [f"start={value!r}" for value in values]
+        return tokens
+
+    def test_repeated_spans_render_once(self):
+        values = [float(i) for _ in range(8) for i in range(640)]
+        tokens = self.assert_rendered(values)
+        assert len(set(map(id, tokens))) == 640  # one token object per distinct span
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.0, -0.0, 1.5] * 100, [-0.0, 2.5] * 100, [2.5, 0.0, -0.0] * 100],
+        ids=["zero-first", "negative-zero-only", "both-zeros"],
+    )
+    def test_signed_zeros_keep_their_signs(self, values):
+        self.assert_rendered(values)
+
+    def test_ints_and_floats_keep_their_forms(self):
+        self.assert_rendered([1, 1.0, 2, 2.0] * 100)
+        self.assert_rendered([1.0, 1, 2.0, 2] * 100)
+
+    def test_each_nan_renders_as_nan(self):
+        nan = float("nan")
+        values = [nan, 1.0] * 100 + [float("nan") for _ in range(50)] + [0.0] * 50
+        self.assert_rendered(values)
+
+    def test_distinct_floats_render_as_they_are(self):
+        rng = random.Random(7)
+        self.assert_rendered([rng.random() for _ in range(5120)])
+        self.assert_rendered([])
 
 
 class TestOrderRows:

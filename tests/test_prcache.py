@@ -388,6 +388,31 @@ class TestTokenColumnResidency:
     def test_small_entries_charged_their_resident_size(self, value):
         assert _covers("ordered: m|/f|0.0|1.0|t", value)
 
+    def test_a_packed_record_list_is_charged_its_resident_size(self):
+        """A ``getPR`` entry is the packed records as a list: each record's
+        str header and pointer, and the list's own header, are charged."""
+        cache = ByteBudgetLruCache(10**9)
+        key = "m | /rank/0;/rank/1 | synthetic | 0.0-640.0"
+        cache.put(key, [
+            PerformanceResult("m", f"/rank/{i % 8}", "synthetic", float(i), float(i + 1),
+                              i * 0.37 + 0.001).pack()
+            for i in range(640)
+        ])
+        value = cache._table[key]
+        assert entry_bytes(key, value) >= _resident(value) + sys.getsizeof(key)
+
+    @pytest.mark.parametrize("letter", ["é", "Ā", "😀"], ids=["latin-1", "ucs-2", "ucs-4"])
+    def test_non_ascii_tokens_charged_their_resident_size(self, letter):
+        """A non-ASCII str has a wider header (and up to four bytes a
+        character): such tokens, and a key holding one, are charged as
+        what they hold."""
+        columns = [[f"focus=/{letter}/{i}/{c}" for i in range(640)] for c in range(5)]
+        key = f"ordered: m|/{letter}/0|0.0|1.0|t"
+        records = [f"m|/{letter}/{i}|t|0.0-1.0|2.5" for i in range(640)]
+        assert _covers(key, DecodedBatch(640, columns, {}))
+        assert _covers(key, split_rows(records))
+        assert entry_bytes(key, records) >= _resident(records) + sys.getsizeof(key)
+
 
 class TestByteBudgetLruCache:
     def test_entry_bytes_is_monotone_in_payload(self):

@@ -16,12 +16,14 @@ synthetic federation driven through the SOAP surface:
   built, and apart — with the rows joined — while the FederatedQuery
   service answers: a bulk raw answer goes from the members' columns to
   the client's without one, and so does a stream over colbatch member
-  cursors and a plan-cache hit.
+  cursors and a plan-cache hit;
+* ``ResultRow.unpack`` calls are counted: the client's column reader
+  builds a colbatch answer's rows without one.
 
 Beside the counts, two differentials keep the faster paths honest: the
-shape-remembering unpacker against ``ResultRow.unpack`` row for row, and
-``encode_value`` against the encoder as it stood before arrays were
-classified once (kept verbatim below), byte for byte.
+column reader (``merge.read_rows``) against ``ResultRow.unpack`` row for
+row, and ``encode_value`` against the encoder as it stood before arrays
+were classified once (kept verbatim below), byte for byte.
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ from repro.core import semantic
 from repro.core.semantic import PerformanceResult
 from repro.experiments.common import build_synthetic_grid
 from repro.fedquery import FederatedQueryService, ResultRow, merge
+from repro.fedquery.merge import read_rows
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 from repro.soap import encoding
-from repro.soap.colbatch import DecodedBatch
+from repro.soap.colbatch import DecodedBatch, decode_columns, encode_batch, split_rows
 from repro.soap.encoding import SoapEncodingError, decode_value, encode_value
 from repro.xmlkit import Element, QName, parse, serialize
 
@@ -80,14 +83,16 @@ class Passes:
     def __init__(self, monkeypatch, engine) -> None:
         self.renders = 0
         self.pr_renders = 0
+        self.unpacks = 0
         #: row objects built, by class name — and of them, and of the
         #: rows joined ("joined"), those while the FederatedQuery service
         #: answered a query
         self.built: Counter = Counter()
         self.served: Counter = Counter()
         self.results: list = []
-        render, join, pr_pack, execute = (
-            merge._render, DecodedBatch.rows.func, PerformanceResult.pack, engine.execute
+        render, join, pr_pack, execute, unpack = (
+            merge._render, DecodedBatch.rows.func, PerformanceResult.pack, engine.execute,
+            ResultRow.unpack,
         )
         serve = FederatedQueryService.query
 
@@ -123,6 +128,10 @@ class Passes:
             self.pr_renders += 1
             return pr_pack(result)
 
+        def counted_unpack(text):
+            self.unpacks += 1
+            return unpack(text)
+
         def recorded_execute(*args, **kwargs):
             self.results.append(execute(*args, **kwargs))
             return self.results[-1]
@@ -132,9 +141,10 @@ class Passes:
         monkeypatch.setattr(PerformanceResult, "pack", counted_pr_pack)
         monkeypatch.setattr(FederatedQueryService, "query", counted_serve)
         monkeypatch.setattr(engine, "execute", recorded_execute)
+        monkeypatch.setattr(ResultRow, "unpack", staticmethod(counted_unpack))
 
     def reset(self) -> None:
-        self.renders = self.pr_renders = 0
+        self.renders = self.pr_renders = self.unpacks = 0
         self.built.clear()
         self.served.clear()
         semantic._text_key.cache_clear()
@@ -199,6 +209,8 @@ def _bulk_raw_query(federation, monkeypatch, columnar: bool):
     # and joins none of its rows (``served`` has no "joined")
     assert passes.renders == TOTAL
     assert passes.pr_renders == 0
+    # the client reads the colbatch answer's rows column by column
+    assert passes.unpacks == 0
     assert 0 < passes.classifications <= _distinct_texts(rows)
     stats = passes.results[-1].stats
     assert stats["payloadBytes"] == payload and stats["bulkCalls"] == members
@@ -231,14 +243,14 @@ class TestBulk:
         # and parses each row once
         assert passes.served == Counter()
         assert (passes.renders, passes.pr_renders) == (TOTAL, 0)
-        assert passes.built == Counter(ResultRow=TOTAL)
+        assert passes.built == Counter(ResultRow=TOTAL) and passes.unpacks == 0
         assert [row.pack() for row in second] == [row.pack() for row in first]
         # a cached answer drained through a cursor is the same stored columns
         passes.reset()
         streamed = list(grid.client.query_stream(text))
         assert passes.results[-1].cached is True
         assert (passes.renders, passes.pr_renders) == (TOTAL, 0)
-        assert passes.built == Counter(ResultRow=TOTAL)
+        assert passes.built == Counter(ResultRow=TOTAL) and passes.unpacks == 0
         assert [row.pack() for row in streamed] == [row.pack() for row in first]
 
     def test_aggregate_rows_render_once(self, federation):
@@ -260,8 +272,9 @@ class TestStreamed:
         assert len(rows) == TOTAL
         # the client's, reading colbatch chunks: the memoize cap counts
         # the columns and the plan cache stores them, the cursor frames
-        # them, and the federation joins no row
-        assert passes.renders == TOTAL
+        # them, and the federation joins no row; the client reads each
+        # chunk column by column
+        assert passes.renders == TOTAL and passes.unpacks == 0
         # a cold member cursor renders each result it serves, once, into
         # its PR cache; the federation renders none to count its bytes
         assert passes.pr_renders == (TOTAL if cursors else 0)
@@ -339,21 +352,35 @@ class TestViews:
         assert stats["deltaBytesFetched"] == sum(len(record.pack()) for record in buckets)
 
 
-# ------------------------------------------------- unpacker, row for row
+# --------------------------------------------- column reader, row for row
 
-def _outcome(unpack, text):
+def _outcome(read, texts):
+    """The rows *read* yields for *texts* up to its first ValueError, and
+    that error."""
+    rows, error = [], None
     try:
-        row = unpack(text)
+        # repr: a nan cell equals itself here, and 1 differs from 1.0
+        for row in read(texts):
+            rows.append((row.columns, repr(row.values), row.pack()))
     except ValueError as exc:
-        return ("ValueError", str(exc))
-    # repr: a nan cell equals itself here, and 1 differs from 1.0
-    return (row.columns, repr(row.values), row.pack())
+        error = str(exc)
+    return rows, error
+
+
+def _unpack_each(texts):
+    return map(ResultRow.unpack, texts)
 
 
 def _same_as_unpack(texts: list[str]) -> None:
-    unpack = ResultRow.unpacker()  # one unpacker over the whole run
+    """The column reader over *texts* — as row texts, as the token columns
+    they split into, and as those columns through the colbatch wire —
+    and over each text alone, equals ``ResultRow.unpack`` row by row."""
+    expected = _outcome(_unpack_each, texts)
+    assert _outcome(read_rows, texts) == expected
+    assert _outcome(read_rows, split_rows(texts)) == expected
+    assert _outcome(read_rows, decode_columns(encode_batch(texts))) == expected
     for text in texts:
-        assert _outcome(unpack, text) == _outcome(ResultRow.unpack, text), text
+        assert _outcome(read_rows, [text]) == _outcome(_unpack_each, [text]), text
 
 
 RAW = "app=A|exec=1|metric=m|focus=/rank/3|type=synthetic|start=1.0|end=2.0|value=0.25"
@@ -375,7 +402,7 @@ class TestUnpackerEqualsUnpack:
         [
             "novalue",
             "",
-            RAW.replace("focus=", "focus"),  # no '=' in a remembered position
+            RAW.replace("focus=", "focus"),  # no '=' in a column's later cell
             RAW.replace("focus=", "locus="),  # wrong name, still a valid row
             RAW.replace("value=0.25", "value=abc"),
             RAW.replace("start=1.0", "start="),
@@ -396,9 +423,10 @@ class TestUnpackerEqualsUnpack:
         rng = random.Random(0x0A55E5 + oracle_seed)
         columns = ["app", "exec", "focus", "start", "end", "value", "count(m)", "mean(m)", "a(b", ""]
         cells = ["", "A", "1", "1.5", "nan", "-inf", "x=y", "7", "1e3", " 2 ", "0x10", "é"]
-        texts: list[str] = []
-        while len(texts) < 4_000:
+        runs: list[list[str]] = []
+        while sum(map(len, runs)) < 4_000:
             shape = rng.sample(columns, rng.randint(1, 5))
+            run = []
             for _ in range(rng.randint(1, 6)):
                 fields = [f"{column}={rng.choice(cells)}" for column in shape]
                 roll = rng.random()
@@ -408,16 +436,55 @@ class TestUnpackerEqualsUnpack:
                     fields.append(f"{rng.choice(columns)}={rng.choice(cells)}")
                 elif roll < 0.2:
                     fields.pop()
-                texts.append("|".join(fields))
-        _same_as_unpack(texts)
+                run.append("|".join(fields))
+            runs.append(run)
+        for run in runs:  # one answer per run, and the whole corpus as one
+            expected = _outcome(_unpack_each, run)
+            assert _outcome(read_rows, run) == expected
+            assert _outcome(read_rows, decode_columns(encode_batch(run))) == expected
+        _same_as_unpack([text for run in runs for text in run])
 
     def test_parsed_rows_keep_the_text_they_came_from(self):
         parsed = ResultRow.unpack(RAW)
-        assert parsed.pack() is RAW and ResultRow.unpacker()(RAW).pack() is RAW
+        assert parsed.pack() is RAW and next(read_rows([RAW])).pack() is RAW
         # the kept text is no part of the row's identity
         built = ResultRow(parsed.columns, parsed.values)
         assert built == parsed and hash(built) == hash(parsed) and "_packed" not in repr(parsed)
         assert built.pack() == RAW
+
+
+class TestColumnReader:
+    """The answers the column reader must read as ``ResultRow.unpack``
+    reads each row, whether or not its columns hold."""
+
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            [],
+            [RAW, "an exception row", RAW.replace("=1.0", "=3.0"), "ragged|row"],
+            [RAW, "a=b|c"],  # an exception row that unpack rejects
+            [RAW.replace("/rank/3", "a=b=c"), RAW],  # a value holding '='
+            [RAW, RAW.replace("exec=1", "metric=1")],  # a later cell naming another column
+            [AGG, AGG.replace("=7", "=12"), AGG.replace("=16", "=32")],  # a count(...) int column
+            ["app=A|start=1.0", "app=A|start=-0.0", "app=B|start=1"],
+        ],
+        ids=["empty", "exception-rows", "bad-exception-row", "equals-in-value",
+             "later-cell-names-another-column", "count-int-column", "numbers"],
+    )
+    def test_equals_unpack(self, texts):
+        _same_as_unpack(texts)
+
+    def test_xml_row_texts_are_read_as_they_arrived(self, monkeypatch):
+        """An answer that came as per-row XML is the row texts: split into
+        columns, and each row keeps the text it arrived as — nothing
+        joined, nothing unpacked."""
+        texts = [RAW.replace("start=1.0", f"start={i}.5") for i in range(40)]
+        joins = []
+        monkeypatch.setattr(DecodedBatch, "rows", property(lambda batch: joins.append(batch)))
+        rows = list(read_rows(texts))
+        assert [row.pack() for row in rows] == texts and not joins
+        assert all(row.pack() is text for row, text in zip(rows, texts))
+        assert [row["start"] for row in rows] == [i + 0.5 for i in range(40)]
 
 
 # ------------------------------------------- encode_value, byte for byte

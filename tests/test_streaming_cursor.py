@@ -11,13 +11,14 @@ holds O(chunk) client/transfer memory while bulk getPR holds O(result).
 from __future__ import annotations
 
 import tracemalloc
+from functools import partial
 
 import pytest
 
 from repro.core.client import ChunkedResultIterator
 from repro.core.semantic import PerformanceResult, pr_sort_key
 from repro.experiments.common import build_synthetic_grid
-from repro.fedquery.merge import ResultRow
+from repro.fedquery.merge import read_rows
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 from repro.ogsi.container import GridEnvironment
 from repro.ogsi.cursor import ResultCursorService, deploy_cursor
@@ -222,23 +223,24 @@ class TestChunkedResultIterator:
                 pass
 
     @pytest.mark.parametrize(
-        "good, make_decoder",
+        "good, decoder",
         [
-            (PerformanceResult("m", "/f", "t", 0.0, 1.0, 4.5).pack(), lambda: PerformanceResult.unpack),
-            ("app=A|value=1.5", ResultRow.unpacker),
+            (PerformanceResult("m", "/f", "t", 0.0, 1.0, 4.5).pack(), partial(map, PerformanceResult.unpack)),
+            ("app=A|value=1.5", read_rows),
         ],
-        ids=["per-row", "shape-remembering"],
+        ids=["per-row", "by-column"],
     )
-    def test_rejected_row_releases_cursor(self, cursor_env, good, make_decoder):
+    def test_rejected_row_releases_cursor(self, cursor_env, good, decoder):
         """A stream that cannot be decoded cannot be resumed: the
         server-side cursor goes now, not at the TTL sweep, and the
-        decoder's own exception is what the caller sees."""
+        decoder's own exception is what the caller sees — raised at the
+        row that holds it, after the rows before it."""
         environment, container = cursor_env
         gsh = deploy_cursor(
             container, "services/X", [[good, "not a record", *[good] * 50]]
         )
         it = ChunkedResultIterator(
-            environment, gsh.url(), max_rows=10, decoder=make_decoder()
+            environment, gsh.url(), max_rows=10, decoder=decoder
         )
         next(it)
         with pytest.raises(ValueError, match="not a record"):
@@ -251,7 +253,7 @@ class TestChunkedResultIterator:
         pr = PerformanceResult("m", "/f", "t", 0.0, 1.0, 4.5)
         gsh = deploy_cursor(container, "services/X", [[pr.pack()]])
         it = ChunkedResultIterator(
-            environment, gsh.url(), decoder=PerformanceResult.unpack
+            environment, gsh.url(), decoder=partial(map, PerformanceResult.unpack)
         )
         assert list(it) == [pr]
 

@@ -50,14 +50,17 @@ from repro.ogsi.dispatch import accept_encodings_headers
 from repro.ogsi.notification import NotificationSinkBase, PullNotificationSink
 from repro.ogsi.porttypes import FACTORY_PORTTYPE
 from repro.soap.chunks import (
-    ENCODING_XML, WIRE_ENCODINGS, ChunkError, decode_chunk, require_accepted, unframe_answer,
+    ANSWER_ENCODINGS, ENCODING_XML, WIRE_ENCODINGS, ChunkError, decode_chunk, require_accepted,
+    unframe_answer,
 )
 from repro.soap.colbatch import DecodedBatch
 from repro.uddi.proxy import OrganizationProxy, ServiceProxy, UddiClient
 
-def default_accept_encodings() -> tuple[str, ...]:
+def default_accept_encodings(served: tuple[str, ...] = WIRE_ENCODINGS) -> tuple[str, ...]:
     """Wire encodings a request creating a cursor — or expecting a large
-    array answer — advertises: the only source of that list.
+    array answer — advertises: the only source of that list.  Built in,
+    it is what the responder can serve: a member's encodings, or a
+    federation's (*served* ``ANSWER_ENCODINGS``, ``colbatch+pfx`` first).
 
     ``PPG_ACCEPT_ENCODINGS`` (comma-separated) overrides the built-in
     list; setting it to ``xml`` pins every cursor drain and array answer
@@ -66,7 +69,7 @@ def default_accept_encodings() -> tuple[str, ...]:
     override = os.environ.get("PPG_ACCEPT_ENCODINGS")
     if override:
         return tuple(item.strip() for item in override.split(",") if item.strip())
-    return WIRE_ENCODINGS
+    return served
 
 
 def _check_max_rows(max_rows: int) -> None:
@@ -161,12 +164,14 @@ class ChunkedResultIterator:
         cls, environment: GridEnvironment, stub, operation: str, *args: object,
         max_rows: int = DEFAULT_CHUNK_ROWS,
         decoder: Callable[[Collection[str]], Iterable] | None = None,
+        served: tuple[str, ...] = WIRE_ENCODINGS,
     ) -> "ChunkedResultIterator":
         """Send *operation*, which creates a cursor, advertising
-        :func:`default_accept_encodings`, and iterate the cursor; a bad
-        *max_rows* raises first, so no cursor lingers until its TTL."""
+        :func:`default_accept_encodings` of what the responder *served*,
+        and iterate the cursor; a bad *max_rows* raises first, so no
+        cursor lingers until its TTL."""
         _check_max_rows(max_rows)
-        advertised = default_accept_encodings()
+        advertised = default_accept_encodings(served)
         handle = stub.invoke(operation, *args, headers=accept_encodings_headers(advertised))
         return cls(environment, handle, max_rows, decoder, advertised)
 
@@ -200,7 +205,10 @@ class ChunkedResultIterator:
         self._done = envelope.done
         self.chunks_fetched += 1
         self.rows_fetched += len(envelope.rows)
-        self.bytes_fetched += _text_length(envelope.rows)
+        self.bytes_fetched += self._length(envelope.rows)
+
+    def _length(self, rows: Collection[str]) -> int:
+        return _text_length(rows)
 
     def _fetched(self) -> Iterator[Collection[str]]:
         """Each remaining chunk's rows as they arrived (a colbatch chunk's
@@ -253,6 +261,15 @@ class ChunkedResultIterator:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class _AnswerStream(ChunkedResultIterator):
+    """A federated answer's cursor (:meth:`PPerfGridClient.query_stream`).
+    Its ``bytes_fetched`` stays 0: no figure is kept of the federation's
+    own answer, and counting its numeric columns would render them."""
+
+    def _length(self, rows: Collection[str]) -> int:
+        return 0
 
 
 class ArrayRead:
@@ -928,7 +945,7 @@ class PPerfGridClient:
         with self.environment.recorder.time("virtualization.fedquery"):
             # only the federation knows the answer's size: always
             # advertise (a small answer still comes back as XML)
-            accepted = default_accept_encodings()
+            accepted = default_accept_encodings(ANSWER_ENCODINGS)
             answer = fed.invoke("query", text, headers=accept_encodings_headers(accepted))
             packed, _ = unframe_answer(answer, accepted)
         return list(read_rows(packed))
@@ -946,9 +963,9 @@ class PPerfGridClient:
         """
         fed = self._require_federation()
         with self.environment.recorder.time("virtualization.fedquery.stream"):
-            return ChunkedResultIterator.open(
+            return _AnswerStream.open(
                 self.environment, fed, "queryChunked", text,
-                max_rows=max_rows, decoder=read_rows,
+                max_rows=max_rows, decoder=read_rows, served=ANSWER_ENCODINGS,
             )
 
     def explain(self, text: str) -> str:

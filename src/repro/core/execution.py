@@ -26,7 +26,7 @@ from repro.ogsi.notification import NotificationSourceMixin
 from repro.ogsi.porttypes import NOTIFICATION_SINK_PORTTYPE
 from repro.ogsi.service import GridServiceBase
 from repro.soap.chunks import ENCODING_XML, WIRE_ENCODINGS, frame_answer
-from repro.soap.colbatch import DecodedBatch, split_rows
+from repro.soap.colbatch import DecodedBatch, decode_columns, encode_batch
 
 #: estimated memory (MB) charged to the host per cached entry, for the
 #: Service-Data-Provider-driven adaptive policy
@@ -215,8 +215,10 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
         * ``ordered=True`` sorts the result by the canonical
           ``pr_sort_key`` first — what the federated streaming merge
           needs to reproduce bulk ordering exactly — and caches it (key
-          ``ordered: <key>``) as the packed rows' token columns, which a
-          warm cursor serves without reading, sorting or rendering.
+          ``ordered: <key>``) as the packed rows' columns, the numeric
+          ones as their numbers: a warm cursor reads, sorts and renders
+          nothing, and slices and encodes each chunk from the numbers
+          (or, over XML, joins the chunk's rows).
 
         A ``data_updated()`` mid-drain clears the cache, not a live
         ordered cursor's answer; an unordered scan may surface it in
@@ -234,7 +236,8 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
 
         def answer() -> DecodedBatch:
             results = self.wrapper.get_pr(metric, list(foci), start, end, resultType)
-            return split_rows(pr.pack() for pr in sorted(results, key=pr_sort_key))
+            # coded once, so the numeric columns are held as numbers
+            return decode_columns(encode_batch([pr.pack() for pr in sorted(results, key=pr_sort_key)]))
 
         if ordered:
             key = pr_cache_key(metric, list(foci), startTime, endTime, resultType)

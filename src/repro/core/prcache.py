@@ -22,8 +22,10 @@ from repro.soap.colbatch import DecodedBatch
 
 
 class PrCache(LruStore):
-    """string key -> list of packed PR strings (or, for an ordered read,
-    their token columns as a :class:`DecodedBatch`, stored as it is).
+    """string key -> list of packed PR strings, or a :class:`DecodedBatch`
+    stored as it is: an ordered read's columns (its spans and values as
+    numbers) in a member's cache, a federated answer's columns (numbers
+    behind their ``name=``) in the plan cache.
 
     Thread-safe (the store's lock): the pooled fan-out scheduler runs
     queries from many tenants concurrently against one engine.
@@ -102,12 +104,16 @@ def entry_bytes(key: str, value: list[str] | DecodedBatch) -> int:
     stored strings' objects plus a flat per-entry overhead — monotone in
     the real footprint and at least it, all budget-driven eviction needs.
     A token-column entry's cells are charged as packed records are (more
-    where a text column shares one object per distinct text), an
-    exception row twice, for its index and dict slot as well."""
+    where a text column shares one object per distinct text), a numeric
+    column's off its numbers, never rendered, and an exception row twice,
+    for its index and dict slot as well."""
     overhead = _strings_bytes((key,)) + _ENTRY_OVERHEAD_BYTES
     if not isinstance(value, DecodedBatch):
         return overhead + _strings_bytes(value)
-    cells = sum(map(_strings_bytes, value.columns)) + _TOKEN_OVERHEAD_BYTES * value.width
+    cells = _TOKEN_OVERHEAD_BYTES * value.width + sum(
+        _strings_bytes(value.column(i)) if held is None else held.resident_bytes()
+        for i, held in enumerate(map(value.numeric, range(value.width)))
+    )
     exceptions = 2 * _strings_bytes(list(value.exceptions.values()))
     return overhead + _BATCH_OVERHEAD_BYTES + cells + exceptions
 

@@ -12,13 +12,13 @@ is the runs in key order, a lone run passed through and runs whose keys
 tie sorted together: :func:`run_chunks`, pulled a chunk at a time by a
 stream and drained by :func:`raw_answer`, where ORDER BY is one stable
 sort and LIMIT a slice.  An answer leaves the merge as :func:`render`'s
-token columns, each column rendered once; no :class:`ResultRow` is built
-and no row text joined unless a caller asks.
+token columns, a numeric one kept as its numbers behind its ``name=``;
+no :class:`ResultRow` is built and no row text joined unless a caller
+asks.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
 from operator import itemgetter
@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator
 from repro.core.semantic import AggregateRecord, ResultColumns, column_keys, ordering_key
 from repro.fedquery.ast import Query, QueryError
 from repro.fedquery.pushdown import matching_rows
-from repro.soap.colbatch import DecodedBatch, split_rows
+from repro.soap.colbatch import DecodedBatch, number_column, split_rows
 
 #: raw-mode output columns, in order
 RAW_COLUMNS = ("app", "exec", "metric", "focus", "type", "start", "end", "value")
@@ -90,19 +90,36 @@ def read_rows(answer: "DecodedBatch | Iterable[str]") -> Iterator[ResultRow]:
     """An answer's rows — a token-column batch, or row texts split into
     one — read a column at a time: a column is named by its first token,
     a text read once per distinct token and a number once per cell
-    (:func:`_parser`); a row keeps its text.  When a row is of another
-    arity, or a token does not open with its column's ``name=``, holds a
-    ``|`` or does not parse, every row is read (and rejected) by
+    (:func:`_parser`) — a numeric column behind its ``name=`` not at all:
+    its numbers are the cells.  A row keeps its text, or, when its cells
+    render back to it (texts, and numbers whose text is their ``repr``),
+    renders it only if asked (:meth:`ResultRow.pack`).  When a row is of
+    another arity, or a token does not open with its column's ``name=``,
+    holds a ``|`` or does not parse, every row is read (and rejected) by
     :meth:`ResultRow.unpack` instead."""
-    texts = answer.rows if isinstance(answer, DecodedBatch) else list(answer)
-    batch = answer if isinstance(answer, DecodedBatch) else split_rows(texts)
+    texts = None if isinstance(answer, DecodedBatch) else list(answer)
+    batch = answer if texts is None else split_rows(texts)
     if batch.exceptions:
-        return map(ResultRow.unpack, texts)
-    names, cells = [], []
+        return map(ResultRow.unpack, batch.rows if texts is None else texts)
+    names, cells, exact = [], [], True
     try:
-        for column in batch.columns:
+        for index in range(batch.width):
+            held = batch.numeric(index)
+            prefix = held.prefix if held is not None and len(held.series) == 1 else ""
+            (scale, numbers), = held.series if prefix else ((0, ()),)
+            name, parse = prefix[:-1], _parser(prefix[:-1])
+            if (prefix.find("=") == len(name) and "|" not in name
+                    and (parse is float or parse is int and scale == 0)):
+                names.append(name)
+                cells.append(held.floats()[0] if parse is float else numbers)
+                # the text of a number (and of an integer scale-1 literal) is its repr
+                exact = exact and (scale is None or parse is int
+                                   or scale == 1 and max(map(abs, numbers), default=0) < 10**15)
+                continue
+            column = batch.column(index)
             name, sep, _ = (column[0] if column else "").partition("=")
             parse = _parser(name)
+            exact = exact and parse is str
             tokens = list(dict.fromkeys(column)) if parse is str else column
             # joined, each token holds one '|': the one opening it, before its name
             joined, opener = "|" + "|".join(tokens), "|" + name + "="
@@ -113,8 +130,10 @@ def read_rows(answer: "DecodedBatch | Iterable[str]") -> Iterator[ResultRow]:
             cells.append(map(dict(zip(tokens, values)).__getitem__, column)
                          if parse is str else values)
     except ValueError:
-        return map(ResultRow.unpack, texts)
-    return map(ResultRow, repeat(tuple(names)), zip(*cells), texts)
+        return map(ResultRow.unpack, batch.rows if texts is None else texts)
+    if exact and texts is None:
+        return map(ResultRow, repeat(tuple(names)), zip(*cells))
+    return map(ResultRow, repeat(tuple(names)), zip(*cells), batch.rows if texts is None else texts)
 
 
 def _render(columns: tuple[str, ...], values: tuple[object, ...]) -> str:
@@ -127,28 +146,27 @@ def _render(columns: tuple[str, ...], values: tuple[object, ...]) -> str:
     )
 
 
-def _render_column(column: str, values: list) -> list[str]:
-    """:func:`_render` for one whole output column: each cell's
-    ``column=value`` token, a text's once per distinct text, and a
-    float's once per distinct float where a strided sample shows a
-    quarter of them repeat (a raw answer's ``start``/``end``: the same
-    spans in every execution)."""
-    prefix, sample = column + "=", values[:: len(values) // 1024 + 1]
+def _render_column(column: str, values: list):
+    """:func:`_render` for one whole output column: floats alone, or ints
+    alone, kept as numbers behind ``column=``
+    (:func:`~repro.soap.colbatch.number_column`), rendered only when read;
+    else each cell's ``column=value`` token, a text's once per distinct
+    text."""
+    prefix = column + "="
+    numbers = number_column(prefix, values)
+    if numbers is not None:
+        return numbers
     if values and isinstance(values[0], str):
         tokens = {value: prefix + value for value in set(values)}
-    elif (len(set(sample)) * 4 <= len(sample) * 3 and set(map(type, values)) == {float}
-          and array("d", [-0.0]).tobytes() not in array("d", values).tobytes()):
-        # floats alone, none of them -0.0 (== 0.0): equal values render alike
-        tokens = {value: prefix + repr(value) for value in dict.fromkeys(values)}
-    else:
-        return list(map(prefix.__add__, map(repr, values)))
-    return list(map(tokens.__getitem__, values))
+        return list(map(tokens.__getitem__, values))
+    return list(map(prefix.__add__, map(repr, values)))
 
 
 def render(columns: tuple[str, ...], values: list[list]) -> DecodedBatch:
     """An answer as wire tokens: *values*, one list per output column,
-    each rendered once per column (:func:`_render`'s tokens).  A row's
-    text is joined only when :attr:`DecodedBatch.rows` is read."""
+    each rendered once per column (:func:`_render`'s tokens) or kept as
+    numbers.  A row's text is joined only when :attr:`DecodedBatch.rows`
+    is read."""
     return DecodedBatch(len(values[0]), list(map(_render_column, columns, values)), {})
 
 

@@ -15,7 +15,7 @@ from repro.ogsi.cursor import deploy_cursor
 from repro.ogsi.dispatch import answer_encoding
 from repro.ogsi.porttypes import GRID_SERVICE_PORTTYPE
 from repro.ogsi.service import GridServiceBase
-from repro.soap.chunks import WIRE_ENCODINGS, frame_answer
+from repro.soap.chunks import ANSWER_ENCODINGS, frame_answer
 from repro.wsdl.porttype import Operation, Parameter, PortType
 
 FEDERATED_QUERY_PORTTYPE = PortType(
@@ -123,7 +123,7 @@ class FederatedQueryService(GridServiceBase):
         self.engine = engine
         #: wire encodings queryChunked cursors and query answers may serve
         #: (chosen per request; ``("xml",)`` pins per-row transfers)
-        self.wire_encodings: tuple[str, ...] = WIRE_ENCODINGS
+        self.wire_encodings: tuple[str, ...] = ANSWER_ENCODINGS
 
     def on_deployed(self, container, gsh) -> None:
         super().on_deployed(container, gsh)

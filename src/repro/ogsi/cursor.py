@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.ogsi.gsh import GridServiceHandle
 from repro.ogsi.service import GridServiceBase, ServiceState
-from repro.soap.chunks import ENCODING_XML, WIRE_ENCODINGS, encode_chunk
+from repro.soap.chunks import ANSWER_ENCODINGS, ENCODING_XML, encode_chunk
 from repro.soap.colbatch import DecodedBatch
 from repro.wsdl.porttype import Operation, Parameter, PortType
 
@@ -105,7 +105,7 @@ class ResultCursorService(GridServiceBase):
         encoding: str = ENCODING_XML,
     ) -> None:
         super().__init__()
-        if encoding not in WIRE_ENCODINGS:
+        if encoding not in ANSWER_ENCODINGS:
             raise ValueError(f"unknown wire encoding {encoding!r}")
         self._chunks: Iterator = filter(len, chunks)  # the non-empty ones
         #: the chunk the next row comes from, and that row's index in it

@@ -24,7 +24,10 @@ records following the header:
   carry): ``count`` per-row strings, exactly the legacy wire bytes —
   a colbatch-unaware peer never sees anything new;
 * ``colbatch``: a :mod:`repro.soap.colbatch` columnar batch whose
-  decoded row count must equal ``count``.
+  decoded row count must equal ``count``;
+* ``colbatch+pfx``: the same, a column of ``name=`` tokens free to
+  travel as a ``pfx`` record (the name once) — a federated answer's;
+  a member's packed records have none, so a member serves ``colbatch``.
 
 One ``acceptEncodings`` request header chooses the encoding: of every
 chunk of the cursor a ``getPRChunked`` / ``queryChunked`` request
@@ -46,9 +49,16 @@ ENCODING_XML = "xml"
 #: columnar batch records (see :mod:`repro.soap.colbatch`)
 ENCODING_COLBATCH = "colbatch"
 
-#: every encoding this build can serve/decode, in server preference
-#: order — a responder picks the first one the request also accepts
+#: colbatch records plus the ``pfx`` column record (a shared ``name=``)
+ENCODING_COLPFX = "colbatch+pfx"
+
+#: what a member serves and a member read advertises, in server
+#: preference order — a responder picks the first one the request also
+#: accepts
 WIRE_ENCODINGS = (ENCODING_COLBATCH, ENCODING_XML)
+
+#: what a federated answer (``name=value`` tokens) may be served in
+ANSWER_ENCODINGS = (ENCODING_COLPFX, *WIRE_ENCODINGS)
 
 
 class ChunkError(ValueError):
@@ -73,8 +83,8 @@ def encode_chunk(
     """Frame *rows* as a chunk payload (header record + payload records).
 
     ``encoding="xml"`` emits the legacy four-field header and per-row
-    payload byte-for-byte; ``"colbatch"`` emits the tagged five-field
-    header followed by the columnar batch records
+    payload byte-for-byte; ``"colbatch"`` (``"colbatch+pfx"``) emits the
+    tagged five-field header followed by the columnar batch records
     (:func:`~repro.soap.colbatch.encode_batch`: rows held as a
     ``DecodedBatch`` are encoded from their columns).
     """
@@ -82,11 +92,11 @@ def encode_chunk(
         raise ChunkError(f"chunk seq must be >= 0, got {seq}")
     if encoding == ENCODING_XML:
         return [f"{CHUNK_HEADER}|{seq}|{len(rows)}|{1 if done else 0}", *rows]
-    if encoding == ENCODING_COLBATCH:
+    if encoding in (ENCODING_COLBATCH, ENCODING_COLPFX):
         from repro.soap.colbatch import encode_batch
 
         header = f"{CHUNK_HEADER}|{seq}|{len(rows)}|{1 if done else 0}|{encoding}"
-        return [header, *encode_batch(rows)]
+        return [header, *encode_batch(rows, encoding == ENCODING_COLPFX)]
     raise ChunkError(f"unknown chunk encoding {encoding!r}")
 
 
@@ -107,7 +117,7 @@ def decode_chunk(payload: list[str]) -> ChunkEnvelope:
     encoding = parts[4] if len(parts) == 5 else ENCODING_XML
     if encoding == ENCODING_XML:
         rows = tuple(payload[1:])
-    elif encoding == ENCODING_COLBATCH:
+    elif encoding in (ENCODING_COLBATCH, ENCODING_COLPFX):
         from repro.soap.colbatch import decode_columns
 
         rows = decode_columns(payload[1:])
@@ -144,7 +154,8 @@ def frame_answer(rows: Collection[str], encoding: str) -> list[str]:
     from its columns, its rows joined only when they are the answer."""
     if encoding != ENCODING_XML:
         framed = encode_chunk(0, rows, True, encoding)
-        if _wire_size(framed) < _wire_size(rows):
+        size = _wire_size(framed)  # under the rows' elements alone, their text is not counted
+        if size < 35 * len(rows) or size < _wire_size(rows):
             return framed
     return rows if isinstance(rows, list) else list(rows)
 

@@ -37,12 +37,18 @@ tokens (excluded from the payload), and ``enc`` is one of:
     floats in shortest-``repr`` form (``nan``/``inf`` included), packed
     as base64 IEEE doubles;
 ``raw``
-    escaped tokens, ``;``-joined — the always-available fallback.
+    escaped tokens, ``;``-joined — the always-available fallback;
+``pfx``
+    ``pfx|<name=>|<record>``: the ``name=`` every token opens with, once,
+    then the record of each token's rest (``value=<float>`` as ``f64``) —
+    only in a ``colbatch+pfx`` chunk, and only where it is the shorter.
 
 Every variable-content field is %-escaped (``%``, ``;``, ``|``) so the
 structural separators stay unambiguous; ``fxp``/``f64`` eligibility is
 validated token-by-token against exact re-rendering, so decoding is
-guaranteed to reproduce the original bytes.  :func:`decode_batch`
+guaranteed to reproduce the original bytes; a column held as numbers
+(:class:`_Numbers`) is encoded from them to the same record, or through
+its tokens where that is not cheaply provable.  :func:`decode_batch`
 validates every length, index, and count and raises
 :class:`~repro.soap.chunks.ChunkError` on any malformed input — a
 corrupted batch never crashes the decoder or silently drops rows.
@@ -54,9 +60,12 @@ import base64
 import math
 import re
 import struct
+import sys
+from array import array
 from bisect import bisect_left
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, groupby, repeat
+from operator import sub
 from typing import Iterable, Sequence
 
 from repro.soap.chunks import ChunkError
@@ -76,6 +85,8 @@ DICT_MAX = 4096
 
 #: decoder bound on ``fxp`` scale — wire values beyond it are corrupt
 _FXP_MAX_SCALE = 60
+
+_NEGATIVE_ZERO = array("d", [-0.0]).tobytes()
 
 _B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _B64_INDEX = {char: value for value, char in enumerate(_B64)}
@@ -207,48 +218,42 @@ def _fxp_pattern(scale: int) -> "re.Pattern[str]":
 
 def _fxp_series(tokens: list[str]) -> tuple[int, list[int]] | None:
     """Parse *tokens* as one fixed-point series (scale from the first
-    token); None when any token does not round-trip at that scale."""
+    token, each distinct token parsed once); None when any token does not
+    round-trip at that scale."""
     first = tokens[0]
     dot = first.find(".")
     scale = 0 if dot < 0 else len(first) - dot - 1
     if scale > _FXP_MAX_SCALE:
         return None
     match = _fxp_pattern(scale).fullmatch
-    values = []
-    for token in tokens:
+    values = {}
+    for token in dict.fromkeys(tokens):
         if match(token) is None:
             return None
-        value = int(token.replace(".", "", 1))
+        value = values[token] = int(token.replace(".", "", 1))
         if value == 0 and token[0] == "-":  # "-0.000" does not re-render
             return None
-        values.append(value)
-    return scale, values
+    return scale, list(map(values.__getitem__, tokens))
 
 
-def _rle_deltas(values: list[int]) -> str:
-    """Run-length-encode consecutive deltas: ``d`` or ``d*count``."""
-    runs: list[str] = []
-    run_delta: int | None = None
-    run_count = 0
-    for i in range(1, len(values)):
-        delta = values[i] - values[i - 1]
-        if delta == run_delta:
-            run_count += 1
-        else:
-            if run_delta is not None:
-                runs.append(str(run_delta) if run_count == 1 else f"{run_delta}*{run_count}")
-            run_delta, run_count = delta, 1
-    if run_delta is not None:
-        runs.append(str(run_delta) if run_count == 1 else f"{run_delta}*{run_count}")
+def _rle_deltas(values: Sequence[int], unit: int = 1) -> str:
+    """Run-length-encode consecutive deltas, in *unit*s of a value (whole
+    floats as tenths): ``d`` or ``d*count``."""
+    runs = []
+    for delta, run in groupby(map(sub, values[1:], values[:-1])):
+        count, delta = len(list(run)), int(delta) * unit
+        runs.append(str(delta) if count == 1 else f"{delta}*{count}")
     return ";".join(runs)
+
+
+def _series_fields(scale: int, values: Sequence[int], unit: int = 1) -> str:
+    """One fixed-point series' record fields: scale, first value, deltas."""
+    return f"{scale}|{int(values[0]) * unit}|{_rle_deltas(values, unit)}"
 
 
 def _try_fxp(tokens: list[str], nulls: str) -> str | None:
     series = _fxp_series(tokens)
-    if series is None:
-        return None
-    scale, values = series
-    return f"fxp|{nulls}|{scale}|{values[0]}|{_rle_deltas(values)}"
+    return None if series is None else f"fxp|{nulls}|{_series_fields(*series)}"
 
 
 def _try_spn(tokens: list[str], nulls: str) -> str | None:
@@ -268,12 +273,7 @@ def _try_spn(tokens: list[str], nulls: str) -> str | None:
     end_series = _fxp_series(ends)
     if end_series is None:
         return None
-    start_scale, start_values = start_series
-    end_scale, end_values = end_series
-    return (
-        f"spn|{nulls}|{start_scale}|{start_values[0]}|{_rle_deltas(start_values)}"
-        f"|{end_scale}|{end_values[0]}|{_rle_deltas(end_values)}"
-    )
+    return f"spn|{nulls}|{_series_fields(*start_series)}|{_series_fields(*end_series)}"
 
 
 def _try_f64(tokens: list[str], nulls: str) -> str | None:
@@ -286,12 +286,34 @@ def _try_f64(tokens: list[str], nulls: str) -> str | None:
         if repr(value) != token:
             return None
         floats.append(value)
+    return _f64_record(nulls, floats)
+
+
+def _f64_record(nulls: str, floats: Sequence[float]) -> str:
     packed = base64.b64encode(struct.pack(f"<{len(floats)}d", *floats))
     return f"f64|{nulls}|{packed.decode('ascii')}"
 
 
+def _dict_record(nulls: str, keys: Iterable, distinct: Iterable, texts: Sequence[str]) -> str:
+    """*keys* coded as indexes into the *distinct* ones, whose tokens are *texts*."""
+    width = _index_width(len(texts))
+    code = {key: _index_code(i, width) for i, key in enumerate(distinct)}
+    return f"dict|{nulls}|{_escape_join(texts)}|{''.join(map(code.__getitem__, keys))}"
+
+
+def _repr_scale(floats: Iterable[float]) -> int | None:
+    """The scale every float's ``repr`` shares as a fixed-point literal
+    (the floats are an ``fxp`` column), else None."""
+    reprs = map(repr, floats)
+    first = next(reprs)
+    if "." not in first:
+        return None
+    scale = len(first) - first.index(".") - 1
+    return scale if all(map(_fxp_pattern(scale).fullmatch, chain((first,), reprs))) else None
+
+
 # ------------------------------------------------------------- encoding
-def _encode_column(tokens: Sequence[str]) -> str:
+def _encode_tokens(tokens: Sequence[str]) -> str:
     if "" in tokens:
         nulls = _pack_bits([token == "" for token in tokens])
         values = [token for token in tokens if token]
@@ -314,33 +336,92 @@ def _encode_column(tokens: Sequence[str]) -> str:
     distinct = list(dict.fromkeys(values))
     size = len(distinct)
     if size <= DICT_MAX and size * 2 <= len(values):
-        width = _index_width(size)
-        code = {value: _index_code(i, width) for i, value in enumerate(distinct)}
-        packed = "".join(map(code.__getitem__, values))
-        return f"dict|{nulls}|{_escape_join(distinct)}|{packed}"
+        return _dict_record(nulls, values, distinct, distinct)
     f64 = _try_f64(values, nulls)
     if f64 is not None:
         return f64
     return f"raw|{nulls}|" + _escape_join(values)
 
 
+def _tokens(column: "Sequence[str] | _Numbers") -> Sequence[str]:
+    return column.tokens if isinstance(column, _Numbers) else column
+
+
+def _encode_column(column: "Sequence[str] | _Numbers", named: bool = False) -> str:
+    """A column's record: where *named* and shorter, its ``pfx`` record;
+    else a numeric column's, from its numbers where that is provable;
+    else its tokens'."""
+    record = _named_record(column) if named else None
+    if record is None and isinstance(column, _Numbers):
+        record = column.record()
+    return _encode_tokens(_tokens(column)) if record is None else record
+
+
+def _named_record(column: "Sequence[str] | _Numbers") -> str | None:
+    """*column* as a ``pfx`` record — the ``name=`` every token opens with
+    (a first token's text up to its first ``=``: a numeric column's
+    prefix, if it is one) once, then the record of each token's rest —
+    where that is shorter than its plain record, else None."""
+    prefix = column.prefix if isinstance(column, _Numbers) else ""
+    inner = _Numbers(*column.series) if prefix.find("=") == len(prefix) - 1 > 0 else None
+    if inner is None or not inner.comparable:  # the rests as text, each distinct token cut once
+        tokens = _tokens(column)
+        first = tokens[0] if len(tokens) else ""
+        prefix, distinct = first[: first.find("=") + 1], dict.fromkeys(tokens)
+        if not prefix or len(distinct) == 1 or not all(map(str.startswith, distinct, repeat(prefix))):
+            return None
+        rests = {token: token[len(prefix):] for token in distinct}
+        inner = list(map(rests.__getitem__, tokens))
+    rest = _encode_column(inner)
+    if rest.startswith("const|-|"):
+        return None  # one token: the plain const record is shorter
+    record, count, width = f"pfx|{_escape(prefix)}|{rest}", len(inner), len(_escape(prefix))
+    kind, nulls, payload = rest.split("|", 3)[:3]
+    if nulls == "-" and kind in ("dict", "raw"):  # the plain record: each token named
+        named = payload.count(";") + 1 if kind == "dict" else count
+        return record if len(record) < len(rest) + named * width else None
+    # no plain token opens with a digit: the plain record is a dict (two
+    # tokens or more, an index each) or a raw one, at least this long — a
+    # raw one where the numbers went f64 (too many distinct for a dict)
+    least = 5 + count * (width + 1)
+    if rest.startswith("f64|") and isinstance(inner, _Numbers):
+        least += inner.least_length()
+    else:
+        least = min(least, 9 + 2 * width + count)
+    if len(record) < least:
+        return record
+    return record if len(record) < len(_encode_tokens(_tokens(column))) else None
+
+
 def encode_columns(
-    columns: Sequence[Sequence[str]], exceptions: Sequence[tuple[int, str]] = ()
+    columns: "Sequence[Sequence[str] | _Numbers]", exceptions: Sequence[tuple[int, str]] = (),
+    named: bool = False,
 ) -> list[str]:
     """Encode equal-length token *columns* as colbatch records (header
     first), and *exceptions*, ``(row index, row)`` pairs, verbatim:
-    :func:`decode_batch` gives each row as its tokens ``|``-joined."""
+    :func:`decode_batch` gives each row as its tokens ``|``-joined.
+    *named* (the ``colbatch+pfx`` encoding) lets a column travel as a
+    ``pfx`` record."""
     nrows = len(columns[0]) + len(exceptions) if columns else 0
     if nrows == 0:
         return [f"{BATCH_MAGIC}|{COLBATCH_VERSION}|0|0|0"]
     records = [f"{BATCH_MAGIC}|{COLBATCH_VERSION}|{nrows}|{len(columns)}|{len(exceptions)}"]
-    records.extend(map(_encode_column, columns))
+    records.extend(map(_encode_column, columns, repeat(named)))
     if exceptions:
         records.append(
             f"{XROWS_MAGIC}|"
             + ";".join(f"{i}:{_escape(row)}" for i, row in exceptions)
         )
     return records
+
+
+def number_column(prefix: str, numbers: Sequence) -> "_Numbers | None":
+    """Floats alone, or ints alone, as a column of ``prefix + repr(n)``
+    tokens held as the numbers; None for any other cells."""
+    kinds = set(map(type, numbers))
+    if kinds == {float} or kinds == {int}:
+        return _Numbers((None if float in kinds else 0, numbers), prefix=prefix)
+    return None
 
 
 def split_rows(rows: Iterable[str]) -> "DecodedBatch":
@@ -354,17 +435,18 @@ def split_rows(rows: Iterable[str]) -> "DecodedBatch":
     return DecodedBatch(len(rows), list(zip(*matrix)), exceptions)
 
 
-def encode_batch(rows: "Sequence[str] | DecodedBatch") -> list[str]:
+def encode_batch(rows: "Sequence[str] | DecodedBatch", named: bool = False) -> list[str]:
     """Encode *rows* as colbatch records (header first): their
     :func:`split_rows` columns through :func:`encode_columns`.  A
     :class:`DecodedBatch` those would be its own columns again is encoded
-    from them, nothing joined or split: the bytes are the same.
+    from them — a numeric one from its numbers — nothing joined or split:
+    the bytes are the same.
 
     Decoding the result with :func:`decode_batch` reproduces *rows*
     byte-identically for any input strings.
     """
     batch = rows if isinstance(rows, DecodedBatch) and rows.splits_back() else split_rows(rows)
-    return encode_columns(batch.columns, sorted(batch.exceptions.items()))
+    return encode_columns(batch._columns, sorted(batch.exceptions.items()), named)
 
 
 # ------------------------------------------------------------- decoding
@@ -385,7 +467,7 @@ def _decode_fxp_series(
         current = int(first_text)
     except ValueError as exc:
         raise ChunkError(f"bad fxp first value {first_text!r}") from exc
-    numbers = [current]
+    deltas: list[int] = []
     need = present - 1
     got = 0
     for item in runs_text.split(";") if runs_text else []:
@@ -399,24 +481,42 @@ def _decode_fxp_series(
             raise ChunkError(
                 f"fxp column declares {need} delta(s), run {item!r} overflows"
             )
-        for _ in range(count):
-            current += delta
-            numbers.append(current)
+        deltas += [delta] * count
         got += count
     if got != need:
         raise ChunkError(
             f"fxp column declares {need} delta(s) but carries {got}"
         )
-    return scale, numbers
+    return scale, list(accumulate(deltas, initial=current))
 
 
 class _Numbers:
     """A null-free ``fxp``/``spn``/``f64`` column as the numbers it carries
     — a ``(scale, numbers)`` series, a span's two, f64 floats at scale
-    None — rendered to its tokens only when they are read."""
+    None — behind the ``prefix`` every token opens with (a ``pfx``
+    record's ``name=``), rendered to its tokens only when they are read,
+    and sliced, joined and encoded (:meth:`record`) as numbers."""
 
-    def __init__(self, *series: tuple[int | None, Sequence]) -> None:
-        self.series = series
+    def __init__(self, *series: tuple[int | None, Sequence], prefix: str = "") -> None:
+        self.series, self.prefix = series, prefix
+
+    def __len__(self) -> int:
+        return len(self.series[0][1])
+
+    def __getitem__(self, rows: slice) -> "_Numbers":
+        return _Numbers(*((scale, numbers[rows]) for scale, numbers in self.series),
+                        prefix=self.prefix)
+
+    @staticmethod
+    def concat(parts: Sequence) -> "_Numbers | list[str]":
+        """Column *parts* end to end: numbers when every part is numbers
+        of the first one's prefix and scales, else tokens."""
+        shapes = {(p.prefix, *(s for s, _ in p.series)) if isinstance(p, _Numbers) else None
+                  for p in parts}
+        if None in shapes or len(shapes) > 1:
+            return list(chain.from_iterable(map(_tokens, parts)))
+        return _Numbers(*((scale, list(chain.from_iterable(p.series[i][1] for p in parts)))
+                          for i, (scale, _) in enumerate(parts[0].series)), prefix=parts[0].prefix)
 
     @cached_property
     def tokens(self) -> list[str]:
@@ -429,19 +529,78 @@ class _Numbers:
                 rendered.append([template % divmod(number, unit) for number in numbers])
             else:
                 rendered.append([_fxp_render(number, scale) for number in numbers])
-        return rendered[0] if len(rendered) == 1 else list(map("-".join, zip(*rendered)))
+        tokens = rendered[0] if len(rendered) == 1 else list(map("-".join, zip(*rendered)))
+        return list(map(self.prefix.__add__, tokens)) if self.prefix else tokens
+
+    def resident_bytes(self) -> int:
+        """What the column holds: its prefix, and each sequence and number
+        object (one shared by two cells counted twice)."""
+        return sys.getsizeof(self.prefix) + sum(
+            sys.getsizeof(numbers) + (sys.getsizeof(0.0) * len(numbers) if scale is None
+                                      else sum(map(sys.getsizeof, numbers)))
+            for scale, numbers in self.series
+        )
+
+    @cached_property
+    def comparable(self) -> bool:
+        """Whether numbers are equal exactly where their tokens are: no
+        float is NaN (unequal to itself, one ``nan`` token) or -0.0 (equal
+        to 0.0; its bytes seen anywhere in the packed floats)."""
+        scale, numbers = self.series[0]
+        return scale is not None or not (any(map(math.isnan, numbers))
+                                         or _NEGATIVE_ZERO in array("d", numbers).tobytes())
+
+    def least_length(self) -> int:
+        """A floor on an f64 column's numbers' text, counted without
+        rendering: three characters a float, four from ten up (short of
+        infinity)."""
+        magnitudes = list(map(abs, self.series[0][1]))
+        return 3 * len(magnitudes) + sum(map((10.0).__le__, magnitudes)) - magnitudes.count(math.inf)
+
+    def record(self) -> str | None:
+        """The record :func:`_encode_tokens` makes of the tokens, made from
+        the numbers in its order — ``const``, ``fxp``, ``spn``, ``dict``,
+        ``f64`` — with no token parsed back.  None where that is not
+        cheaply provable: a prefix, no row, a NaN or -0.0, a span half
+        below zero (its text is no ``spn``), or an ``fxp`` column of floats
+        too large to scale exactly."""
+        if self.prefix or not len(self) or not self.comparable:
+            return None
+        (scale, numbers), *rest = self.series
+        if rest and min(chain(numbers, rest[0][1])) < 0:
+            return None
+        if all(part.count(part[0]) == len(part) for _, part in self.series):
+            return f"const|-|{self[:1].tokens[0]}"
+        if scale is None:
+            if all(map(float.is_integer, numbers)) and max(map(abs, numbers)) < 2.0**53:
+                return f"fxp|-|{_series_fields(1, numbers, 10)}"  # "<n>.0": whole tenths
+            if (shared := _repr_scale(numbers)) is None:
+                distinct = dict.fromkeys(numbers)
+                if len(distinct) <= DICT_MAX and len(distinct) * 2 <= len(numbers):
+                    return _dict_record("-", numbers, distinct, list(map(repr, distinct)))
+                return _f64_record("-", numbers)
+            # each repr is its float's nearest decimal at that scale: under
+            # 2**50 units, float * 10**scale rounds back to its digits
+            scaled = [number * 10.0**shared for number in numbers]
+            if shared > 22 or max(map(abs, scaled)) >= 2.0**50:
+                return None
+            scale, numbers = shared, list(map(round, scaled))
+        fields = "|".join(_series_fields(*series) for series in ((scale, numbers), *rest))
+        return f"{'spn' if rest else 'fxp'}|-|{fields}"
 
     def text_length(self) -> int:
         """The tokens' total length, counted from the numbers: digits and
         signs (``str`` of a float is its ``repr``), and at a scale a point
         each and the zeros padding a value under one unit."""
-        length = (len(self.series) - 1) * len(self.series[0][1])
+        length = (len(self.series) - 1 + len(self.prefix)) * len(self)
         for scale, numbers in self.series:
             length += len("".join(map(str, numbers)))
             if scale:
                 unit = 10**scale
-                small = [len(str(abs(number))) for number in numbers if -unit < number < unit]
-                length += len(numbers) + (scale + 1) * len(small) - sum(small)
+                length += len(numbers)
+                if min(map(abs, numbers), default=unit) < unit:
+                    small = [len(str(abs(number))) for number in numbers if -unit < number < unit]
+                    length += (scale + 1) * len(small) - sum(small)
         return length
 
     def floats(self) -> list[list[float]] | None:
@@ -469,6 +628,13 @@ def _decode_column(record: str, nrows: int) -> "list[str] | _Numbers":
     if len(parts) < 3:
         raise ChunkError(f"bad colbatch column record {record!r}")
     encoding, nulls_field = parts[0], parts[1]
+    if encoding == "pfx":
+        if len(parts) < 5 or parts[2] == "pfx":
+            raise ChunkError(f"bad pfx column record {record!r}")
+        prefix, rests = _unescape(nulls_field), _decode_column("|".join(parts[2:]), nrows)
+        if isinstance(rests, _Numbers):
+            return _Numbers(*rests.series, prefix=prefix)
+        return list(map(prefix.__add__, rests))
     if nulls_field == "-":
         null_flags = None
         present = nrows
@@ -580,6 +746,11 @@ class DecodedBatch:
         column = self._columns[index]
         return column.floats() if isinstance(column, _Numbers) else None
 
+    def numeric(self, index: int) -> "_Numbers | None":
+        """A column held as its numbers (``prefix``, ``series``), else None."""
+        column = self._columns[index]
+        return column if isinstance(column, _Numbers) else None
+
     def __len__(self) -> int:
         return self._nrows
 
@@ -587,31 +758,37 @@ class DecodedBatch:
         return iter(self.rows)
 
     def __getitem__(self, rows: slice) -> "DecodedBatch":
-        """A slice of the rows, still columns."""
-        start, stop, _ = rows.indices(self._nrows)
+        """A slice of the rows (step 1 only), still columns — a numeric
+        one still numbers."""
+        start, stop, step = rows.indices(self._nrows)
+        if step != 1:
+            raise ValueError(f"a DecodedBatch slices with step 1 only, not {step}")
         stop = max(start, stop)
         marks = sorted(self.exceptions)
         low, high = bisect_left(marks, start), bisect_left(marks, stop)
-        columns = [column[start - low : stop - high] for column in self.columns]
+        columns = [column[start - low : stop - high] for column in self._columns]
         exceptions = {i - start: self.exceptions[i] for i in marks[low:high]}
         return DecodedBatch(stop - start, columns, exceptions)
 
     @classmethod
     def concat(cls, parts: Sequence["DecodedBatch"]) -> "DecodedBatch":
-        """*parts*' rows in order, as one batch."""
+        """*parts*' rows in order, as one batch (a lone part itself)."""
+        if len(parts) == 1:
+            return parts[0]
         if len({part.width for part in parts}) > 1:
             return split_rows(chain.from_iterable(parts))
         starts = list(accumulate(map(len, parts), initial=0))
         exceptions = {at + i: row for at, part in zip(starts, parts)
                       for i, row in part.exceptions.items()}
-        columns = [list(chain.from_iterable(cells)) for cells in zip(*(p.columns for p in parts))]
+        columns = [_Numbers.concat(cells) for cells in zip(*(p._columns for p in parts))]
         return cls(starts[-1], columns, exceptions)
 
     def splits_back(self) -> bool:
         """Whether :func:`split_rows` of the rows gives these columns: no
         token holds a ``|``, and only the non-first rows of another arity
         are exceptions."""
-        if 0 in self.exceptions or any("|" in "".join(column) for column in self.columns):
+        texts = (c.prefix if isinstance(c, _Numbers) else "".join(c) for c in self._columns)
+        if 0 in self.exceptions or any("|" in text for text in texts):
             return False
         return all(row.count("|") != self.width - 1 for row in self.exceptions.values())
 

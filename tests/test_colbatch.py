@@ -421,6 +421,125 @@ class TestTypedDecode:
         assert list(map(_bits, batch.floats(0)[0])) == [_bits(float("nan"))] * 3
 
 
+def _numbers_column(rng: random.Random, kind: str, nrows: int) -> "colbatch._Numbers":
+    """A numeric column as a warm cursor or a federated answer holds it:
+    ``fxp`` integers at one scale (negatives too), ``spn`` pairs (a
+    negative start now and then: its text is no ``spn``), or floats —
+    runs of one value (``const``), a few values (``dict``), whole ones
+    (``fxp`` at scale 1), reprs sharing a scale, random bits, and the
+    edges: +-0.0, a NaN of any payload, +-inf, subnormals."""
+    if kind == "fxp":
+        scale = rng.choice([0, 1, 3, 9])
+        return colbatch._Numbers((scale, [rng.randrange(-(10**6), 10**6) for _ in range(nrows)]))
+    if kind == "spn":
+        low = -5 if rng.random() < 0.2 else 0
+        return colbatch._Numbers(*(
+            (scale, [rng.randrange(low, 10**5) for _ in range(nrows)])
+            for scale in (rng.choice([0, 9]), rng.choice([0, 2, 9]))
+        ))
+    nan = struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000000 | rng.getrandbits(40)))[0]
+    pools = {
+        "one": [rng.choice(_F64_EDGES + [nan, 3.5])],
+        "few": [rng.choice(_F64_EDGES + [nan]) for _ in range(3)],
+        "whole": [float(rng.randrange(-3, 3000)) for _ in range(40)],
+        "scale": [rng.randrange(-999, 999) / 10 for _ in range(40)],
+        "eighths": [rng.randrange(0, 800) / 8 for _ in range(400)],
+        "bits": [struct.unpack("<d", rng.randbytes(8))[0] for _ in range(nrows)],
+    }
+    pool = pools[rng.choice(list(pools))]
+    cells = [rng.choice(pool) for _ in range(nrows)]
+    for _ in range(rng.randrange(3) if rng.random() < 0.3 else 0):
+        cells[rng.randrange(nrows)] = rng.choice(_F64_EDGES + [nan])
+    return colbatch._Numbers((None, cells))
+
+
+class TestTypedEncode:
+    """A column held as numbers encodes, whole or sliced, to the bytes its
+    tokens do — ``encode_batch`` of the joined rows, on both encodings —
+    the typed encoder choosing what the text encoder chooses, in its
+    order, or falling back to the tokens where it cannot prove it."""
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_typed_slices_encode_as_their_rows(self, case, oracle_seed):
+        rng = random.Random(0x7E4C + oracle_seed * 1_000_003 + case)
+        nrows = rng.choice([1, 7, 40, 300])
+        kinds = [rng.choice(["fxp", "spn", "f64", "f64", "text"]) for _ in range(rng.randrange(1, 4))]
+        columns = [
+            _numbers_column(rng, kind, nrows) if kind != "text" else _typed_column(rng, kind, nrows)
+            for kind in kinds
+        ]
+        # the rows from copies: the batch's own columns render nothing
+        rows = ["|".join(cells) for cells in zip(*(colbatch._tokens(c[:]) for c in columns))]
+        typed = DecodedBatch(nrows, columns, {})
+        for size in {1, 7, 256, nrows}:
+            for start in range(0, nrows, size):
+                for named in (False, True):
+                    assert encode_batch(typed[start:start + size], named) == encode_batch(
+                        rows[start:start + size], named), (size, start, named)
+        assert not any("tokens" in vars(column) for column in typed._columns
+                       if isinstance(column, colbatch._Numbers))
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_named_columns_round_trip_behind_their_prefix(self, case, oracle_seed):
+        """Behind a ``name=`` every column — numbers of every kind, or
+        text — encodes as its tokens do on both encodings, and the
+        ``colbatch+pfx`` records decode to those tokens, their floats
+        ``float()`` of each token's rest bit for bit."""
+        rng = random.Random(0x9F1C + oracle_seed * 1_000_003 + case)
+        nrows = rng.choice([1, 2, 7, 40, 300])
+        columns = []
+        for index in range(rng.randrange(1, 4)):
+            kind = rng.choice(["fxp", "spn", "f64", "f64", "text"])
+            prefix = rng.choice(["value=", "count(m)=", "a;b%=", "x="])
+            if kind == "text":
+                columns.append([prefix + token for token in _typed_column(rng, kind, nrows)])
+            else:
+                columns.append(colbatch._Numbers(*_numbers_column(rng, kind, nrows).series,
+                                                 prefix=prefix))
+        rows = ["|".join(cells) for cells in zip(*map(colbatch._tokens, columns))]
+        batch = DecodedBatch(nrows, columns, {})
+        for named in (False, True):
+            records = encode_batch(batch, named)
+            assert records == encode_batch(rows, named)
+            decoded = decode_columns(records)
+            assert decoded.rows == rows and decoded.text_length() == sum(map(len, rows))
+            for index, record in enumerate(records[1:]):
+                assert record.startswith("pfx|") <= named
+                floats = decoded.floats(index)
+                if floats is None:
+                    continue
+                rests = [token.partition("=")[2] for token in decoded.column(index)]
+                halves = [rest.partition("-")[::2] if len(floats) == 2 else (rest,) for rest in rests]
+                for at, series in enumerate(floats):
+                    assert list(map(_bits, series)) == [_bits(float(h[at])) for h in halves]
+
+    def test_a_named_column_travels_as_numbers(self):
+        """A federated answer's float and count columns go out as ``f64``
+        and ``fxp`` behind their name, shorter than the plain ``raw`` or
+        ``dict`` record; a constant column stays ``const``."""
+        values = [i * 0.37 + 0.001 for i in range(256)]
+        columns = [
+            colbatch.number_column("value=", values),
+            colbatch.number_column("count(m)=", list(range(256))),
+            colbatch.number_column("start=", [float(i) for i in range(256)]),
+            colbatch.number_column("exec=", [7] * 256),
+        ]
+        named = encode_columns(columns, named=True)
+        plain = encode_columns(columns)
+        kinds = [record.split("|")[:3] for record in named[1:]]
+        assert kinds == [["pfx", "value=", "f64"], ["pfx", "count(m)=", "fxp"],
+                         ["pfx", "start=", "fxp"], ["const", "-", "exec=7"]]
+        assert [len(a) < len(b) for a, b in zip(named[1:], plain[1:])] == [True] * 3 + [False]
+        assert decode_columns(named).rows == decode_columns(plain).rows
+
+    def test_a_slice_step_other_than_one_is_refused(self):
+        batch = split_rows(["a|1", "b|2", "c|3", "d|4"])
+        for step in (2, -1):
+            with pytest.raises(ValueError, match="step 1 only"):
+                batch[::step]
+        assert list(batch[1:3]) == ["b|2", "c|3"] and list(batch[::1]) == list(batch)
+
+
 def _pinned_corpus() -> list[list[str]]:
     """Row sets covering every column encoding and both escape paths:
     the seeded random corpus, plus Performance Result and raw result-row
@@ -537,6 +656,42 @@ class TestAdversarialDecode:
         xml_rows_in_colbatch = [f"#chunk|1|2|0|{ENCODING_COLBATCH}", "a|b", "c|d"]
         with pytest.raises(ChunkError):
             decode_chunk(xml_rows_in_colbatch)
+
+    def test_seeded_mutation_fuzz_of_named_records(self, oracle_seed):
+        """The same mutations over ``colbatch+pfx`` records — ``pfx``
+        ahead of ``f64``, ``fxp`` and ``dict`` records, a named text
+        column — raise ChunkError or decode to the header's row count."""
+        rng = random.Random(0xF0F0 + oracle_seed)
+        base = encode_batch(
+            [f"focus=/f/{i % 7}|count(m)={i}|value={i * 0.37!r}|start={i * 0.5!r}"
+             for i in range(80)],
+            named=True,
+        )
+        assert [record[:4] for record in base[1:]] == ["pfx|"] * 4
+        for _ in range(2000):
+            records = list(base)
+            i = rng.randrange(len(records))
+            action = rng.randrange(4)
+            if action == 0 and len(records) > 1:
+                del records[i]
+            elif action == 1 and records[i]:
+                j = rng.randrange(len(records[i]))
+                records[i] = records[i][:j] + rng.choice("|;%-*=ABp0") + records[i][j + 1:]
+            elif action == 2:
+                records[i] = records[i].replace("|", "|pfx|x|", 1)
+            else:
+                records[i] = records[i][: rng.randrange(len(records[i]) + 1)]
+            try:
+                batch = decode_columns(records)
+                numbers = [batch.floats(index) for index in range(batch.width)]
+                length = batch.text_length()
+                rows = batch.rows
+            except ChunkError:
+                continue
+            assert len(rows) == int(records[0].split("|")[2])
+            assert length == sum(map(len, rows))
+            for series in filter(None, numbers):
+                assert all(len(floats) == len(rows) - len(batch.exceptions) for floats in series)
 
     def test_seeded_mutation_fuzz_never_crashes(self, oracle_seed):
         """Random single-point mutations: ChunkError or a full decode —

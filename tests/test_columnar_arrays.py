@@ -110,9 +110,9 @@ def count_encode_batch(monkeypatch) -> list[int]:
     calls = [0]
     real = colbatch.encode_batch
 
-    def counting(batch_rows):
+    def counting(batch_rows, *args):
         calls[0] += 1
-        return real(batch_rows)
+        return real(batch_rows, *args)
 
     monkeypatch.setattr(colbatch, "encode_batch", counting)
     return calls

@@ -30,6 +30,7 @@ from repro.fedquery.merge import (
 from repro.fedquery.planner import SubQuery
 from repro.core.semantic import AggregateRecord, PerformanceResult, ResultColumns, ordering_key
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
+from repro.soap.colbatch import DecodedBatch
 
 
 @pytest.fixture(scope="module")
@@ -318,20 +319,22 @@ class TestResultRow:
 
 
 class TestRenderColumn:
-    """A float column whose values repeat is rendered once per distinct
-    float — never letting two cells that compare equal but render apart
-    share a token."""
+    """An output column of floats alone (or ints alone) is kept as its
+    numbers, and its tokens, when read, are each cell's ``_render`` form —
+    signed zeros, NaNs and ints beside floats included."""
 
     @staticmethod
     def assert_rendered(values: list) -> list[str]:
-        tokens = _render_column("start", values)
+        column = _render_column("start", values)
+        tokens = DecodedBatch(len(values), [column], {}).column(0) if values else column
         assert tokens == [f"start={value!r}" for value in values]
-        return tokens
+        return column
 
     def test_repeated_spans_render_once(self):
         values = [float(i) for _ in range(8) for i in range(640)]
-        tokens = self.assert_rendered(values)
-        assert len(set(map(id, tokens))) == 640  # one token object per distinct span
+        column = self.assert_rendered(values)
+        # held as the floats, rendered on the first read and kept
+        assert column.series == ((None, values),) and column.tokens is column.tokens
 
     @pytest.mark.parametrize(
         "values",

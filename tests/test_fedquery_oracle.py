@@ -26,7 +26,7 @@ from repro.core.client import default_accept_encodings
 from repro.experiments.common import GridScale, build_grid
 from repro.fedquery import ResultRow, naive_query
 from repro.fedquery.merge import RAW_COLUMNS
-from repro.soap.chunks import ENCODING_COLBATCH, ENCODING_XML
+from repro.soap.chunks import ANSWER_ENCODINGS, ENCODING_COLBATCH, ENCODING_XML
 
 from tests.test_member_read import live_cursors as live_member_cursors
 
@@ -394,10 +394,12 @@ def test_client_query_matches_naive_over_the_wire(oracle_env, oracle_seed, encod
         for hit in (client.query(text), list(client.query_stream(text))):
             assert results[-1].cached is True, text
             assert [row.pack() for row in hit] == received, f"hit != miss for {text!r}"
-    if encoding == "xml" or ENCODING_COLBATCH not in default_accept_encodings():
+    advertised = default_accept_encodings(ANSWER_ENCODINGS)
+    if encoding == "xml" or ENCODING_COLBATCH not in advertised:
         assert set(answers) == {ENCODING_XML}, answers
-    else:  # large answers went columnar, small ones stayed per-row XML
-        assert answers[ENCODING_COLBATCH] and answers[ENCODING_XML], answers
+    else:  # large answers went columnar (in the first encoding advertised:
+        # colbatch+pfx by default), small ones stayed per-row XML
+        assert answers[advertised[0]] and answers[ENCODING_XML], answers
 
 
 @pytest.mark.parametrize("encoding", ["negotiated", "xml"])

@@ -20,7 +20,8 @@ from repro.fedquery.merge import RAW_COLUMNS
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 from repro.simnet.clock import VirtualClock
 from repro.simnet.lru import LruStore
-from repro.soap.colbatch import DecodedBatch, split_rows
+from repro.soap import colbatch
+from repro.soap.colbatch import DecodedBatch, decode_columns, encode_batch, split_rows
 
 
 class TestNullCache:
@@ -412,6 +413,64 @@ class TestTokenColumnResidency:
         assert _covers(key, DecodedBatch(640, columns, {}))
         assert _covers(key, split_rows(records))
         assert entry_bytes(key, records) >= _resident(records) + sys.getsizeof(key)
+
+
+class TestNumericColumnResidency:
+    """A column held as numbers — a warm member cursor's spans and values,
+    a federated answer's numeric columns behind their ``name=`` — is
+    charged off its numbers, at least what it holds, and neither the
+    charge nor a drain renders tokens or rows onto the shared entry."""
+
+    KEY = "ordered: m | /rank/0 | synthetic | 0.0-640.0"
+
+    @staticmethod
+    def numbers(batch: DecodedBatch) -> list:
+        return [column for column in batch._columns if isinstance(column, colbatch._Numbers)]
+
+    def test_numeric_columns_are_charged_off_their_numbers(self):
+        rows = [
+            PerformanceResult("m", f"/rank/{i % 8}", "synthetic", float(i), float(i + 1),
+                              i * 0.37 + 0.001).pack()
+            for i in range(640)
+        ]
+        read = decode_columns(encode_batch(rows))
+        answer = DecodedBatch(640, [
+            colbatch.number_column("value=", [i * 0.37 for i in range(640)]),
+            colbatch.number_column("count(m)=", [i * 10**12 for i in range(640)]),
+            [f"focus=/rank/{i % 8}" for i in range(640)],
+        ], {})
+        for batch in (read, answer):
+            assert len(self.numbers(batch)) == 2
+            assert _covers(self.KEY, batch), (entry_bytes(self.KEY, batch), _resident(batch))
+            assert not any("tokens" in vars(column) for column in self.numbers(batch))
+
+    def test_drains_leave_a_warm_ordered_entry_as_it_was(self, monkeypatch):
+        results = [
+            PerformanceResult("m", f"/rank/{i % 8}", "synthetic", float(i), float(i + 1),
+                              i * 0.37 + 0.001)
+            for i in range(640)
+        ]
+        grid = build_synthetic_grid(
+            {"A": InMemoryWrapper("A", [InMemoryExecution("0", {}, results)])}
+        )
+        try:
+            execution = grid.bind("A").all_executions()[0]
+            foci = execution.foci()
+            cold = [r.pack() for r in execution.get_pr_chunked("m", foci, ordered=True)]
+            table = grid.execution_service("A", "0").cache._table
+            ((key, entry),) = [(k, v) for k, v in table.items() if k.startswith("ordered: ")]
+            charged = entry_bytes(key, entry)
+            assert len(self.numbers(entry)) == 2  # the spans and the values
+            for accepted in ("xml", "colbatch,xml"):
+                monkeypatch.setenv("PPG_ACCEPT_ENCODINGS", accepted)
+                drain = execution.get_pr_chunked("m", foci, ordered=True, max_rows=100)
+                assert [r.pack() for r in drain] == cold
+                assert drain.encoding == accepted.split(",")[0]
+            assert table[key] is entry and "rows" not in vars(entry)
+            assert not any("tokens" in vars(column) for column in self.numbers(entry))
+            assert entry_bytes(key, entry) == charged
+        finally:
+            grid.environment.close()
 
 
 class TestByteBudgetLruCache:

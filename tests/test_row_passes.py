@@ -43,7 +43,7 @@ from repro.experiments.common import build_synthetic_grid
 from repro.fedquery import FederatedQueryService, ResultRow, merge
 from repro.fedquery.merge import read_rows
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
-from repro.soap import encoding
+from repro.soap import colbatch, encoding
 from repro.soap.colbatch import DecodedBatch, decode_columns, encode_batch, split_rows
 from repro.soap.encoding import SoapEncodingError, decode_value, encode_value
 from repro.xmlkit import Element, QName, parse, serialize
@@ -257,9 +257,11 @@ class TestBulk:
         grid, _, passes, _ = federation
         rows = grid.client.query("SELECT count(m), mean(m) WHERE value >= -3.5 GROUP BY focus")
         assert len(rows) == FOCI
-        # the groups are rendered as columns, never as row texts: a short
-        # answer goes out as per-row XML, joined once at the federation
-        assert passes.renders == FOCI and passes.served["joined"] == FOCI
+        # the groups are rendered as columns, never as row texts: the short
+        # answer goes out as one colbatch+pfx chunk (its count column one
+        # fxp record behind "count(m)=", shorter than per-row XML), so the
+        # client's read joins each row once and the federation none
+        assert passes.renders == FOCI and passes.served["joined"] == 0
         assert passes.pr_renders == 0
 
 
@@ -352,6 +354,85 @@ class TestViews:
         assert stats["deltaBytesFetched"] == sum(len(record.pack()) for record in buckets)
 
 
+# ------------------------------------------- numbers stay numbers, counted
+
+class _CountedFloat(float):
+    """``float`` as ``merge`` sees it: each call is a token parsed."""
+
+    calls = 0
+
+    def __new__(cls, text):
+        _CountedFloat.calls += 1
+        return float(text)
+
+
+def _count_parses(monkeypatch) -> dict[str, int]:
+    """Counters on the text encoder's number parsers, and ``float()`` in
+    the client's column reader."""
+    calls: Counter = Counter()
+    for name in ("_fxp_series", "_try_spn", "_try_f64"):
+        def counted(*args, _real=getattr(colbatch, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(colbatch, name, counted)
+    monkeypatch.setattr(merge, "float", _CountedFloat, raising=False)
+    _CountedFloat.calls = 0
+    return calls
+
+
+class TestNumbersStayNumbers:
+    def test_a_warm_member_drain_parses_no_token(self, federation, monkeypatch):
+        """A warm ordered member cursor slices its cached numbers and
+        encodes each chunk from them: the text encoder's parsers run for
+        the cold read's one coding of the entry, never for a drain."""
+        grid, _, _, _ = federation
+        monkeypatch.setenv("PPG_ACCEPT_ENCODINGS", "colbatch,xml")
+        execution = grid.bind("APP1").all_executions()[1]
+        foci = execution.foci()
+
+        def drain() -> list[str]:
+            return [r.pack() for r in execution.get_pr_chunked("m", foci, ordered=True, max_rows=16)]
+
+        calls = _count_parses(monkeypatch)
+        cold = drain()
+        assert len(cold) == ROWS and calls["_fxp_series"] > 0
+        calls.clear()
+        assert drain() == cold and drain() == cold
+        assert calls == Counter()
+
+    def test_the_client_parses_no_number_over_the_named_record(self, monkeypatch):
+        """Over ``colbatch+pfx`` an answer's start, end and value columns
+        (values too distinct for a dictionary, as on the e2e raw
+        workloads) arrive as ``fxp`` and ``f64`` numbers, which the client
+        reads as they are — a bulk answer and a drained stream alike; over
+        plain colbatch each of those cells is a token parsed back."""
+        rows = 300
+        grid = build_synthetic_grid({
+            f"APP{m}": InMemoryWrapper(f"APP{m}", [InMemoryExecution("0", {}, [
+                PerformanceResult("m", f"/rank/{i % FOCI}", "synthetic", float(i), float(i + 1),
+                                  i * 0.37 + m / 8)
+                for i in range(rows)
+            ])])
+            for m in range(MEMBERS)
+        })
+        engine = grid.deploy_federation()
+        engine.stream_chunk_rows = 64
+        try:
+            _count_parses(monkeypatch)
+            monkeypatch.setenv("PPG_ACCEPT_ENCODINGS", "colbatch+pfx,colbatch,xml")
+            bulk = grid.client.query("SELECT m WHERE value >= -11.5")
+            streamed = list(grid.client.query_stream("SELECT m WHERE value >= -12.5"))
+            assert bulk == streamed and len(bulk) == MEMBERS * rows
+            assert _CountedFloat.calls == 0
+            monkeypatch.setenv("PPG_ACCEPT_ENCODINGS", "colbatch,xml")
+            assert grid.client.query("SELECT m WHERE value >= -13.5") == bulk
+            assert _CountedFloat.calls == 3 * MEMBERS * rows
+        finally:
+            engine.close()
+            grid.environment.close()
+
+
 # --------------------------------------------- column reader, row for row
 
 def _outcome(read, texts):
@@ -379,6 +460,7 @@ def _same_as_unpack(texts: list[str]) -> None:
     assert _outcome(read_rows, texts) == expected
     assert _outcome(read_rows, split_rows(texts)) == expected
     assert _outcome(read_rows, decode_columns(encode_batch(texts))) == expected
+    assert _outcome(read_rows, decode_columns(encode_batch(texts, named=True))) == expected
     for text in texts:
         assert _outcome(read_rows, [text]) == _outcome(_unpack_each, [text]), text
 

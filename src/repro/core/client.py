@@ -37,7 +37,7 @@ from repro.core.semantic import (
     ResultColumns,
     StoreStats,
 )
-from repro.fedquery.merge import order_rows, read_rows
+from repro.fedquery.merge import answer_order, read_rows
 from repro.fedquery.parser import parse_query
 from repro.fedquery.scheduler import shared_scheduler
 from repro.fedquery.service import FEDERATED_QUERY_PORTTYPE
@@ -294,6 +294,10 @@ class ArrayRead:
     @property
     def rows_fetched(self) -> int:
         return len(self)
+
+    def chunks(self) -> list["ArrayRead"]:
+        """The read a chunk at a time, as a cursor's is: one chunk, itself."""
+        return [self]
 
     def close(self) -> None:
         """Nothing is held open: the array already crossed the wire."""
@@ -835,10 +839,12 @@ class ViewSubscription:
         rows = []
         for row, count in zip(read_rows(counts), counts.values()):
             rows.extend([row] * count)
-        # the canonical order is deterministic, so re-sorting (and
-        # re-limiting) the multiset reproduces the server's rows byte for
-        # byte — a LIMIT window that shifted included
-        self.rows = order_rows(rows, self.query)
+        # the answer order is deterministic, so re-sorting (and
+        # re-limiting) the multiset with the engine's own order reproduces
+        # the server's rows byte for byte — a LIMIT window that shifted
+        # included
+        values = list(zip(*(row.values for row in rows))) or [()] * len(self.query.output_columns)
+        self.rows = [rows[i] for i in answer_order(values, self.query)]
         self.version = delta.to_version
         self.deltas_applied += 1
 

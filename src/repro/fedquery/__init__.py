@@ -47,18 +47,9 @@ from repro.fedquery.cost import (
     vacuous_over,
     value_fraction,
 )
-from repro.fedquery.executor import (
-    DEFAULT_MEMOIZE_MAX_BYTES, FederationEngine, QueryResult, choose_fanout,
-)
-from repro.fedquery.merge import (
-    Accumulator,
-    ResultRow,
-    StreamingMerger,
-    TaskContext,
-    order_rows,
-    row_sort_key,
-)
-from repro.fedquery.naive import naive_query
+from repro.fedquery.executor import FederationEngine, QueryResult, choose_fanout
+from repro.fedquery.merge import Accumulator, ResultRow, StreamingMerger, TaskContext
+from repro.fedquery.naive import naive_query, order_rows
 from repro.fedquery.parser import parse_query
 from repro.fedquery.planner import (
     ExecSelector,
@@ -86,7 +77,6 @@ __all__ = [
     "AGG_RECORD_BYTES",
     "Accumulator",
     "CostModel",
-    "DEFAULT_MEMOIZE_MAX_BYTES",
     "ExecSelector",
     "FEDERATED_QUERY_PORTTYPE",
     "FederatedQueryService",
@@ -121,7 +111,6 @@ __all__ = [
     "order_rows",
     "parse_query",
     "plan_query",
-    "row_sort_key",
     "split_predicates",
     "view_shape",
     "unsatisfiable_over",

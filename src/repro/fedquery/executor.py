@@ -39,8 +39,8 @@
    one ``getPR``, sorted on arrival; a larger or unsized one is an
    ``ordered`` cursor when streamed, a ``getPR`` advertising the
    columnar encoding when bulk.  Fully drained streams memoize like bulk
-   results (up to ``stream_memoize_max_bytes``); partial drains and
-   degraded runs never do.
+   results (while the plan cache's byte budget would admit them); partial
+   drains and degraded runs never do.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from functools import cached_property, partial
 from itertools import chain
 from typing import Iterable, Iterator
 
-from repro.core.prcache import ByteBudgetLruCache, PrCache
+from repro.core.prcache import ByteBudgetLruCache, PrCache, entry_bytes
 from repro.core.semantic import AggregateRecord, ordering_key
 from repro.fedquery.ast import Query, QueryError
 from repro.fedquery.coherence import ANY, CoherenceTracker, Dep
@@ -83,10 +83,6 @@ SLOTS_PER_REPLICA = 4
 #: large row sets, so the default cache is bounded by bytes, not entries
 DEFAULT_PLAN_CACHE_BYTES = 4 * 1024 * 1024
 DEFAULT_PLAN_CACHE_ENTRIES = 256
-
-#: streamed results larger than this (packed bytes) are not memoized —
-#: accumulating them for the plan cache would defeat bounded memory
-DEFAULT_MEMOIZE_MAX_BYTES = 512 * 1024
 
 
 def choose_fanout(manager_stats: list[dict[str, object]]) -> int:
@@ -179,7 +175,6 @@ class FederationEngine:
         managers: dict[str, object] | None = None,
         plan_cache: PrCache | None = None,
         stream_chunk_rows: int = DEFAULT_CHUNK_ROWS,
-        stream_memoize_max_bytes: int = DEFAULT_MEMOIZE_MAX_BYTES,
     ) -> None:
         self.client = client
         self.managers = dict(managers or {})
@@ -191,10 +186,8 @@ class FederationEngine:
                 capacity=DEFAULT_PLAN_CACHE_ENTRIES,
             )
         )
-        #: rows per member chunk (a read planned larger is *large*), and
-        #: the byte cap on memoizing a stream
+        #: rows per member chunk (a read planned larger is *large*)
         self.stream_chunk_rows = stream_chunk_rows
-        self.stream_memoize_max_bytes = stream_memoize_max_bytes
         self._bindings: dict[str, object] | None = None
         self._exec_ids: dict[str, str] = {}
         #: how each executed (uncached) plan's effective mode broke down
@@ -366,8 +359,9 @@ class FederationEngine:
         before a cursor opens; a failing execution degrades the result
         and reads no further; no read starts once LIMIT is reached; and a
         stream drained to its end or LIMIT is memoized, its chunks joined
-        into one, while its row texts stay under
-        ``stream_memoize_max_bytes``."""
+        into one, while the plan cache's sizer charges them no more than
+        its byte budget (past it, the cache would refuse the entry, so no
+        chunk is held)."""
         plan, stats, deps, errors, finish = self._begin_uncached(query, fingerprint)
         predicates = query.predicates_on("value")
         #: one reader per selected execution (nothing read yet)
@@ -399,7 +393,8 @@ class FederationEngine:
         def chunks() -> Iterator[DecodedBatch]:
             readers = [pulled(reader) for _, reader in work]
             remaining = query.limit
-            acc: list[DecodedBatch] = []
+            budget = self.plan_cache.max_bytes
+            acc: list[DecodedBatch] | None = []
             acc_bytes = 0
             try:
                 for values in run_chunks(runs(enumerate(readers))) if remaining != 0 else ():
@@ -407,8 +402,11 @@ class FederationEngine:
                         values = [column[:remaining] for column in values]
                         remaining -= len(values[0])
                     answer = render(RAW_COLUMNS, values)
-                    acc_bytes += answer.text_length()
-                    if acc_bytes <= self.stream_memoize_max_bytes:
+                    if acc is not None and budget is not None:
+                        acc_bytes += entry_bytes(fingerprint, answer)
+                        if acc_bytes > budget:
+                            acc = None
+                    if acc is not None:
                         acc.append(answer)
                     yield answer
                     if remaining == 0:
@@ -416,8 +414,7 @@ class FederationEngine:
             finally:
                 for reader in readers:
                     reader.close()
-            memoize = acc_bytes <= self.stream_memoize_max_bytes
-            finish(len(work), DecodedBatch.concat(acc) if memoize else None)
+            finish(len(work), None if acc is None else DecodedBatch.concat(acc))
 
         return QueryResult(chunks(), query.output_columns, plan, False, stats, errors)
 
@@ -766,7 +763,7 @@ class FederationEngine:
                     with self.read(
                         execution, sub, foci, stats, cursor, ordered=True, columnar=columnar
                     ) as rows:
-                        for chunk in rows.chunks() if isinstance(rows, Iterator) else [rows]:
+                        for chunk in rows.chunks():
                             yield filter_values(chunk, predicates)
                 yield None
 
@@ -783,7 +780,8 @@ class FederationEngine:
         cursor: bool = False, columnar: bool = False,
     ):
         """The per-execution aggregate task body: :meth:`read` every
-        sub-query and return ``(ctx, [(sub, records)])`` for a
+        sub-query and return ``(ctx, [(sub, records)])`` — one pair per
+        chunk read, buckets or a raw read's columns — for a
         :class:`StreamingMerger` to absorb.  Aggregate queries run it on
         the fan-out pool; view maintenance runs it inline, on the thread
         delivering the update."""
@@ -792,8 +790,7 @@ class FederationEngine:
             payloads = []
             for sub in subqueries if foci else ():
                 with self.read(execution, sub, foci, stats, cursor, columnar=columnar) as rows:
-                    # an array is handed on as decoded, a cursor drained
-                    payloads.append((sub, list(rows) if isinstance(rows, Iterator) else rows))
+                    payloads.extend((sub, chunk) for chunk in rows.chunks())
             yield ctx, payloads
 
         (fetched,) = self.on_execution(member, execution, fetch)

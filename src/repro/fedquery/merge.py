@@ -1,20 +1,25 @@
 """Merging per-execution partial results into one answer.
 
-Aggregate queries fold getPRAgg buckets, or a raw read's ``focus`` /
-``value`` columns, into combinable (count, total, min, max)
-accumulators (:class:`StreamingMerger`).  A raw answer is *runs*, not
-rows: one execution's one sub-query, as
-:class:`~repro.core.semantic.ResultColumns` less what the value
-predicates drop, already in ``pr_sort_key`` order off the execution's
-reader (:func:`execution_runs`).  :func:`row_sort_key` leads with
-``app``, ``exec`` and ``metric``, constant within a run, so the answer
-is the runs in key order, a lone run passed through and runs whose keys
-tie sorted together: :func:`run_chunks`, pulled a chunk at a time by a
-stream and drained by :func:`raw_answer`, where ORDER BY is one stable
-sort and LIMIT a slice.  An answer leaves the merge as :func:`render`'s
+Every answer is columns, ordered one way (:func:`answer_order`): the
+canonical order — each column's :func:`~repro.core.semantic.column_keys`,
+a row compared cell by cell — then ORDER BY as the primary, stable key,
+then LIMIT.  Aggregate queries fold getPRAgg buckets, or a raw read's
+``focus`` / ``value`` columns (a cursor's a chunk at a time), into
+combinable (count, total, min, max) accumulators
+(:class:`StreamingMerger`), whose complete groups become the answer's
+columns.  A raw answer is *runs*, not rows: one execution's one
+sub-query, as :class:`~repro.core.semantic.ResultColumns` less what the
+value predicates drop, already in ``pr_sort_key`` order off the
+execution's reader (:func:`execution_runs`).  The canonical order leads
+with ``app``, ``exec`` and ``metric``, constant within a run, so the
+answer is the runs in key order, a lone run passed through and runs
+whose keys tie sorted together: :func:`run_chunks`, pulled a chunk at a
+time by a stream and drained by :func:`raw_answer`, which takes the
+canonical order as given.  An answer leaves the merge as :func:`render`'s
 token columns, a numeric one kept as its numbers behind its ``name=``;
 no :class:`ResultRow` is built and no row text joined unless a caller
-asks.
+asks (:func:`read_rows`).  The naive oracle keeps its own row-at-a-time
+order (``repro.fedquery.naive.order_rows``).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.semantic import AggregateRecord, ResultColumns, column_keys, ordering_key
 from repro.fedquery.ast import Query, QueryError
@@ -251,7 +256,7 @@ def execution_runs(position: int, subqueries, reader: Iterator) -> list[tuple]:
     """One execution's runs for :func:`run_chunks`, off its *reader* —
     which yields the execution's :class:`TaskContext`, then each of
     *subqueries*' run a chunk at a time with a None ending it, pulled
-    live or drained beforehand.  A run's key is :func:`row_sort_key`'s
+    live or drained beforehand.  A run's key is the canonical order's
     leading cells, constant within it, then its place in the plan
     (*position* is the execution's).  A reader that ends before its
     context has no runs."""
@@ -290,21 +295,36 @@ def run_chunks(runs: Iterable[tuple]) -> Iterator[list[list]]:
             yield columns
 
 
-def raw_answer(chunks: Iterable[list[list]], query: Query) -> list[list]:
-    """*chunks* (:func:`run_chunks`') drained into one answer's columns,
-    with the query's ORDER BY (one stable sort) and LIMIT (a slice)
-    applied."""
+def answer_order(
+    values: list[Sequence], query: Query, canonical: bool = False
+) -> Sequence[int] | None:
+    """The positions of an answer's rows — *values*, one sequence per
+    output column — in answer order, or None when that is the order they
+    hold: the canonical order (each column's :func:`column_keys`, the row
+    compared cell by cell; taken as given when the rows arrive
+    *canonical*), then ORDER BY as the primary, stable key, then LIMIT."""
+    order = None
+    if not canonical:
+        keys = list(zip(*map(column_keys, values)))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+    if query.order_by is not None:
+        keys = column_keys(values[query.output_columns.index(query.order_by)])
+        order = sorted(order or range(len(keys)), key=keys.__getitem__, reverse=query.order_desc)
+    if query.limit is not None:
+        order = (range(len(values[0])) if order is None else order)[: query.limit]
+    return order
+
+
+def raw_answer(chunks: Iterable[list[list]], query: Query, canonical: bool = True) -> list[list]:
+    """*chunks* — :func:`run_chunks`', in canonical order unless not
+    *canonical* — drained into one answer's columns, in
+    :func:`answer_order`."""
     values: list[list] = [[] for _ in RAW_COLUMNS]
     for chunk in chunks:
         for out, column in zip(values, chunk):
             out.extend(column)
-    if query.order_by is not None:
-        keys = column_keys(values[RAW_COLUMNS.index(query.order_by)])
-        order = sorted(range(len(keys)), key=keys.__getitem__, reverse=query.order_desc)
-        values = [[column[i] for i in order] for column in values]
-    if query.limit is not None:
-        values = [column[: query.limit] for column in values]
-    return values
+    order = answer_order(values, query, canonical)
+    return values if order is None else [[column[i] for i in order] for column in values]
 
 
 class StreamingMerger:
@@ -337,11 +357,9 @@ class StreamingMerger:
                 continue
             self._accumulator(key, metric).absorb(record)
 
-    def absorb_results(self, ctx: TaskContext, metric: str, results) -> None:
-        """Fold raw getPR results — columns, or result objects transposed
-        once — through the value predicates into the groups."""
-        if not isinstance(results, ResultColumns):
-            results = ResultColumns.of(results)
+    def absorb_results(self, ctx: TaskContext, metric: str, results: ResultColumns) -> None:
+        """Fold raw getPR columns through the value predicates into the
+        groups."""
         focus, value = results.focus, results.value
         for i in matching_rows(value, self.query.predicates_on("value")):
             key = self._group_key(ctx, focus=focus[i])
@@ -397,59 +415,18 @@ class StreamingMerger:
                 self._accumulator(key, metric).absorb(acc)
 
     # ------------------------------------------------------------- output
-    def rows(self) -> list[ResultRow]:
-        """One row per complete group, in the final order, ORDER BY and
-        LIMIT applied."""
-        return order_rows(self._group_rows(), self.query)
-
     def answer(self) -> DecodedBatch:
-        """:meth:`rows` rendered as the answer's columns."""
-        rows = self.rows()
-        columns = self.query.output_columns
-        return render(columns, [[row.values[i] for row in rows] for i in range(len(columns))])
-
-    def _group_rows(self) -> list[ResultRow]:
-        """One row per complete group, unordered."""
-        columns = self.query.output_columns
-        out: list[ResultRow] = []
+        """One row per complete group, as the answer's columns in answer
+        order (:func:`answer_order`)."""
+        items = self.query.aggregates
+        rows = []
         for key, metrics in self._groups.items():
-            values: list[object] = list(key)
-            complete = True
-            for item in self.query.aggregates:
-                acc = metrics.get(item.metric)
-                if acc is None or acc.count == 0:
-                    # a group never emits partial rows: it must have at
-                    # least one matching result for every selected metric
-                    complete = False
-                    break
-                values.append(acc.result(item.func))
-            if complete:
-                out.append(ResultRow(columns, tuple(values)))
-        return out
-
-
-def row_sort_key(row: ResultRow) -> tuple:
-    """Whole-row canonical sort key (what :func:`order_rows` sorts by,
-    and the order :func:`run_chunks` produces column by column).  The
-    per-cell order lives in the semantic layer, so server-side cursor
-    sorting (repro.core) and this client-side merge agree by construction."""
-    return tuple(map(ordering_key, row.values))
-
-
-def order_rows(rows: list[ResultRow], query: Query) -> list[ResultRow]:
-    """Deterministic ordering + LIMIT of a row list (the aggregate
-    answer, view partitions, the naive oracle, a client's view replica).
-
-    Rows are first sorted by every column (numeric-aware) so output is
-    reproducible without an ORDER BY; an explicit ORDER BY then applies
-    as the primary, stable key.
-    """
-    ordered = sorted(rows, key=row_sort_key)
-    if query.order_by is not None:
-        column = query.order_by
-        ordered.sort(
-            key=lambda r: ordering_key(r[column]), reverse=query.order_desc
-        )
-    if query.limit is not None:
-        ordered = ordered[: query.limit]
-    return ordered
+            accs = [metrics.get(item.metric) for item in items]
+            # a group never emits partial rows: it must have at least one
+            # matching result for every selected metric
+            if all(acc is not None and acc.count for acc in accs):
+                rows.append((*key, *(acc.result(item.func) for acc, item in zip(accs, items))))
+        columns = self.query.output_columns
+        values = list(map(list, zip(*rows))) or [[] for _ in columns]
+        order = answer_order(values, self.query)
+        return render(columns, [[column[i] for i in order] for column in values])

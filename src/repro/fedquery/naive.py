@@ -14,9 +14,9 @@ obviously correct — any cleverness belongs in the planner, not here.
 
 from __future__ import annotations
 
-from repro.core.semantic import UNDEFINED_TYPE
+from repro.core.semantic import UNDEFINED_TYPE, ordering_key
 from repro.fedquery.ast import Query, QueryError
-from repro.fedquery.merge import RAW_COLUMNS, ResultRow, order_rows
+from repro.fedquery.merge import RAW_COLUMNS, ResultRow
 from repro.fedquery.parser import parse_query
 from repro.fedquery.pushdown import (
     app_matches,
@@ -126,6 +126,32 @@ def naive_query(query: str | Query, members: dict[str, object]) -> list[ResultRo
         if complete:
             rows.append(ResultRow(columns, tuple(values)))
     return order_rows(rows, query)
+
+
+def row_sort_key(row: ResultRow) -> tuple:
+    """Whole-row canonical sort key: each cell's
+    :func:`~repro.core.semantic.ordering_key`, compared row by row — the
+    order the engine's :func:`~repro.fedquery.merge.answer_order` gives
+    column by column, implemented here on its own."""
+    return tuple(map(ordering_key, row.values))
+
+
+def order_rows(rows: list[ResultRow], query: Query) -> list[ResultRow]:
+    """Deterministic ordering + LIMIT of a row list, the oracle's.
+
+    Rows are first sorted by every column (numeric-aware) so output is
+    reproducible without an ORDER BY; an explicit ORDER BY then applies
+    as the primary, stable key.
+    """
+    ordered = sorted(rows, key=row_sort_key)
+    if query.order_by is not None:
+        column = query.order_by
+        ordered.sort(
+            key=lambda r: ordering_key(r[column]), reverse=query.order_desc
+        )
+    if query.limit is not None:
+        ordered = ordered[: query.limit]
+    return ordered
 
 
 def _execution_id(execution) -> str:

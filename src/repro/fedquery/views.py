@@ -11,8 +11,8 @@ reads, each holding that execution's own merger snapshot:
   invertible, so a refetch replaces a partition rather than subtracting
   from a global state, and the output re-merges all snapshots.  ``mean``
   folds as the (total, count) pair.
-* **raw-splice** views keep its projected rows; the output is the
-  canonical ordering of their concatenation.
+* **raw-splice** views keep its answer's columns; the output is the
+  answer order of their concatenation.
 * **topk-bounded** (ORDER BY/LIMIT) views keep only its own top-N
   candidate set: under the total row order the global top-N is always a
   subset of the union of per-partition top-Ns.
@@ -37,11 +37,11 @@ from dataclasses import dataclass
 
 from repro.fedquery.ast import Query, QueryError
 from repro.fedquery.merge import (
-    RAW_COLUMNS, ResultRow, StreamingMerger, execution_runs, order_rows, raw_answer,
-    run_chunks,
+    RAW_COLUMNS, StreamingMerger, execution_runs, raw_answer, render, run_chunks,
 )
 from repro.fedquery.parser import parse_query
 from repro.fedquery.planner import ViewShape, view_shape
+from repro.soap.colbatch import DecodedBatch
 
 #: every counter ``ViewMaintainer.stats()`` reports (plus "views")
 VIEW_STAT_NAMES = (
@@ -113,16 +113,17 @@ class MaterializedView:
         self.shape = shape
         self.epoch = 1
         self.version = 1
-        self.rows: list[ResultRow] = []
+        #: the rendered answer, set by the view's first refetch
+        self.rows: DecodedBatch | None = None
         #: (app, exec_id) -> that execution's merger snapshot: its group
-        #: accumulators (aggregate views) or its rows (raw views)
-        self.partitions: dict[tuple[str, str], dict | list[ResultRow]] = {}
+        #: accumulators (aggregate views) or its answer's columns (raw views)
+        self.partitions: dict[tuple[str, str], dict | list[list]] = {}
         #: member apps the view depends on (contributing *or* skipped on
         #: a stats proof — a skip must be re-evaluated after an update)
         self.deps: set[str] = set()
 
     def packed_rows(self) -> list[str]:
-        return [row.pack() for row in self.rows]
+        return self.rows.rows
 
     def describe(self) -> str:
         return (
@@ -216,27 +217,27 @@ class ViewMaintainer:
                     continue
                 if app is not None:
                     try:
-                        rows = self._refetch(view, app, exec_id)
+                        answer = self._refetch(view, app, exec_id)
                     except Exception:
                         self.counters["maintenanceErrors"] += 1
                     else:
                         scope = "scopedRecomputes" if exec_id is None else "deltasApplied"
                         self.counters[scope] += 1
-                        self._publish(view, rows)
+                        self._publish(view, answer)
                         continue
                 try:
-                    rows = self._refetch(view)
+                    answer = self._refetch(view)
                 except Exception:
                     self.counters["maintenanceErrors"] += 1
                     continue
                 self.counters["epochRefreshes"] += 1
-                self._publish(view, rows, new_epoch=True)
+                self._publish(view, answer, new_epoch=True)
 
     # ----------------------------------------------------------- internals
     def _refetch(
         self, view: MaterializedView, app: str | None = None, exec_id: str | None = None
-    ) -> list[ResultRow]:
-        """Refetch the partitions in scope and re-fold the view's rows.
+    ) -> DecodedBatch:
+        """Refetch the partitions in scope and re-fold the view's answer.
 
         Re-plans without tier 0 (a tier-0 member has no executions to
         partition by), drops the partitions the scope covers and those
@@ -287,32 +288,31 @@ class ViewMaintainer:
                         # a LIMIT partition keeps only its own top-N: a
                         # sufficient candidate set under the total order
                         runs = execution_runs(0, subqueries, reader)
-                        values = raw_answer(run_chunks(runs), query)
-                        view.partitions[key] = [ResultRow(RAW_COLUMNS, row) for row in zip(*values)]
+                        view.partitions[key] = raw_answer(run_chunks(runs), query)
                     if exec_id is not None:
                         break
         finally:
             self.counters["deltaRowsFetched"] += fetched["records"]
             self.counters["deltaBytesFetched"] += fetched["payloadBytes"]
         if not query.is_aggregate:
-            return order_rows([row for rows in view.partitions.values() for row in rows], query)
+            return render(RAW_COLUMNS, raw_answer(view.partitions.values(), query, canonical=False))
         merger = StreamingMerger(query)
         for groups in view.partitions.values():
             merger.absorb_groups(groups)
         # the complete-group rule applies to the *merged* groups, so a
         # group partially present across partitions behaves exactly as
         # in a from-scratch execution
-        return merger.rows()
+        return merger.answer()
 
     def _publish(
-        self, view: MaterializedView, rows: list[ResultRow], new_epoch: bool = False
+        self, view: MaterializedView, answer: DecodedBatch, new_epoch: bool = False
     ) -> None:
-        """Adopt *rows* and emit a versioned change: a ``refresh`` under a
+        """Adopt *answer* and emit a versioned change: a ``refresh`` under a
         new epoch, else the multiset ``delta`` if anything changed (a
         subscriber re-sorts and re-limits, so a LIMIT window that shifts
         is an ordinary delta too)."""
         old_packed = view.packed_rows()
-        view.rows = rows
+        view.rows = answer
         new_packed = view.packed_rows()
         if new_epoch:
             view.epoch += 1

@@ -24,8 +24,8 @@ from repro.fedquery import (
     plan_query,
 )
 from repro.fedquery.merge import (
-    RAW_COLUMNS, StreamingMerger, TaskContext, _render_column, execution_runs, raw_answer, render,
-    run_chunks,
+    RAW_COLUMNS, StreamingMerger, TaskContext, _render_column, answer_order, execution_runs,
+    raw_answer, read_rows, render, run_chunks,
 )
 from repro.fedquery.planner import SubQuery
 from repro.core.semantic import AggregateRecord, PerformanceResult, ResultColumns, ordering_key
@@ -359,6 +359,17 @@ class TestRenderColumn:
         self.assert_rendered([])
 
 
+def column_order(rows, query):
+    """*rows* in the engine's answer order, read column by column."""
+    values = list(zip(*(row.values for row in rows)))
+    return [rows[i] for i in answer_order(values, query)]
+
+
+#: the oracle's row order and the engine's column order: every ordering
+#: case below runs through both
+ORDERS = (order_rows, column_order)
+
+
 class TestOrderRows:
     def rows(self):
         cols = ("numprocs", "count(x)")
@@ -370,24 +381,39 @@ class TestOrderRows:
 
     def test_default_order_is_numeric(self):
         q = parse_query("SELECT count(x) GROUP BY numprocs")
-        ordered = order_rows(self.rows(), q)
-        assert [r["numprocs"] for r in ordered] == ["2", "8", "16"]
+        for order in ORDERS:
+            assert [r["numprocs"] for r in order(self.rows(), q)] == ["2", "8", "16"], order
 
     def test_explicit_order_by_desc(self):
         q = parse_query("SELECT count(x) GROUP BY numprocs ORDER BY count(x) DESC")
-        ordered = order_rows(self.rows(), q)
-        assert [r["count(x)"] for r in ordered] == [9, 3, 1]
+        for order in ORDERS:
+            assert [r["count(x)"] for r in order(self.rows(), q)] == [9, 3, 1], order
+        # ties keep the canonical order, also when descending, before LIMIT
+        cols = ("numprocs", "count(x)")
+        rows = [ResultRow(cols, cells) for cells in (("16", 3), ("2", 9), ("8", 3), ("4", 1))]
+        q = parse_query("SELECT count(x) GROUP BY numprocs ORDER BY count(x) DESC LIMIT 3")
+        for order in ORDERS:
+            assert [r["numprocs"] for r in order(rows, q)] == ["2", "8", "16"], order
 
     def test_limit_applies_after_order(self):
         q = parse_query("SELECT count(x) GROUP BY numprocs ORDER BY numprocs LIMIT 2")
-        ordered = order_rows(self.rows(), q)
-        assert [r["numprocs"] for r in ordered] == ["2", "8"]
+        for order in ORDERS:
+            assert [r["numprocs"] for r in order(self.rows(), q)] == ["2", "8"], order
 
     def test_mixed_types_sort_stably(self):
         cols = ("k", "count(x)")
         rows = [ResultRow(cols, ("banana", 1)), ResultRow(cols, ("10", 1))]
         q = parse_query("SELECT count(x) GROUP BY k ORDER BY k")
-        assert [r["k"] for r in order_rows(rows, q)] == ["10", "banana"]
+        for order in ORDERS:
+            assert [r["k"] for r in order(rows, q)] == ["10", "banana"], order
+        # exec ids 1 and 01 tie: the next cell decides, else arrival order
+        cols = ("app", "exec", "value")
+        rows = [ResultRow(cols, ("A", "1", 2.0)), ResultRow(cols, ("A", "01", 1.0))]
+        twins = [ResultRow(cols, ("A", "1", 1.0)), ResultRow(cols, ("A", "01", 1.0))]
+        for order in ORDERS:
+            assert [r["exec"] for r in order(rows, parse_query("SELECT m"))] == ["01", "1"]
+            for arrival in (twins, twins[::-1]):
+                assert order(arrival, parse_query("SELECT m")) == arrival, order
 
 
 class TestNanOrder:
@@ -397,20 +423,24 @@ class TestNanOrder:
 
     NAN = float("nan")
 
-    @staticmethod
-    def _packed(rows, query):
-        return [row.pack() for row in order_rows(rows, query)]
-
     def test_float_cells_order_the_same_from_every_permutation(self):
         query = parse_query("SELECT m")
         rows = [
             ResultRow(("app", "value"), ("A", value))
-            for value in (3.0, self.NAN, 1.0, float("inf"), 2.0, self.NAN)
+            for value in (3.0, self.NAN, 1.0, float("inf"), 2.0, self.NAN, float("-inf"))
         ]
-        outputs = {tuple(self._packed(list(p), query)) for p in itertools.permutations(rows)}
-        assert outputs == {
-            tuple(f"app=A|value={v}" for v in ("1.0", "2.0", "3.0", "inf", "nan", "nan"))
-        }
+        for order in ORDERS:
+            outputs = {
+                tuple(row.pack() for row in order(list(p), query))
+                for p in itertools.permutations(rows)
+            }
+            expected = ("-inf", "1.0", "2.0", "3.0", "inf", "nan", "nan")
+            assert outputs == {tuple(f"app=A|value={v}" for v in expected)}, order
+        # -0.0 and 0.0 tie: each keeps its sign and its place of arrival
+        zeros = [ResultRow(("app", "value"), ("A", v)) for v in (0.0, -0.0, -1.0)]
+        for order in ORDERS:
+            for arrival in (zeros, zeros[1::-1] + zeros[2:]):
+                assert order(arrival, query) == [arrival[2], *arrival[:2]], order
 
     def test_text_cells_order_the_same_from_every_permutation(self):
         query = parse_query("SELECT count(x) GROUP BY k")
@@ -418,12 +448,16 @@ class TestNanOrder:
             ResultRow(("k", "count(x)"), (key, 1))
             for key in ("5", "nan", "7", "10", "NaN", "inf", "banana", "")
         ]
-        outputs = {tuple(self._packed(list(p), query)) for p in itertools.permutations(rows, 8)}
-        assert len(outputs) == 2  # "nan" and "NaN" tie: a stable sort keeps their arrival order
-        for output in outputs:
-            keys = [packed.split("|")[0][2:] for packed in output]
-            assert keys[:4] == ["5", "7", "10", "inf"] and keys[6:] == ["", "banana"]
-            assert sorted(keys[4:6]) == ["NaN", "nan"]
+        for order in ORDERS:
+            outputs = {
+                tuple(row.pack() for row in order(list(p), query))
+                for p in itertools.permutations(rows, 8)
+            }
+            assert len(outputs) == 2, order  # "nan" and "NaN" tie: arrival order decides
+            for output in outputs:
+                keys = [packed.split("|")[0][2:] for packed in output]
+                assert keys[:4] == ["5", "7", "10", "inf"] and keys[6:] == ["", "banana"]
+                assert sorted(keys[4:6]) == ["NaN", "nan"]
 
     def test_nan_free_cells_order_as_they_always_did(self, oracle_seed):
         def parent_key(value):  # ordering_key before the NaN rule and the memo
@@ -487,10 +521,12 @@ class TestMergerSemantics:
         q = parse_query("SELECT count(a), count(b) GROUP BY app")
         merger = StreamingMerger(q)
         ctx = TaskContext(app="HPL")
-        merger.absorb_results(ctx, "a", [PerformanceResult("a", "/f", "t", 0, 1, 1.0)])
-        assert merger.rows() == []  # no metric b yet -> incomplete group
-        merger.absorb_results(ctx, "b", [PerformanceResult("b", "/f", "t", 0, 1, 2.0)])
-        rows = merger.rows()
+        results = ResultColumns.of([PerformanceResult("a", "/f", "t", 0, 1, 1.0)])
+        merger.absorb_results(ctx, "a", results)
+        assert list(read_rows(merger.answer())) == []  # no metric b yet -> incomplete group
+        results = ResultColumns.of([PerformanceResult("b", "/f", "t", 0, 1, 2.0)])
+        merger.absorb_results(ctx, "b", results)
+        rows = list(read_rows(merger.answer()))
         assert len(rows) == 1 and rows[0]["count(a)"] == 1
 
     def test_missing_group_attribute_drops_record(self):
@@ -499,9 +535,9 @@ class TestMergerSemantics:
         merger.absorb_results(
             TaskContext(app="HPL", info={}),
             "a",
-            [PerformanceResult("a", "/f", "t", 0, 1, 1.0)],
+            ResultColumns.of([PerformanceResult("a", "/f", "t", 0, 1, 1.0)]),
         )
-        assert merger.rows() == []
+        assert list(read_rows(merger.answer())) == []
 
     def test_value_predicate_filters_raw_results(self):
         q = parse_query("SELECT count(a) WHERE value > 5 GROUP BY app")
@@ -509,12 +545,12 @@ class TestMergerSemantics:
         merger.absorb_results(
             TaskContext(app="HPL"),
             "a",
-            [
+            ResultColumns.of([
                 PerformanceResult("a", "/f", "t", 0, 1, 4.0),
                 PerformanceResult("a", "/f", "t", 0, 1, 6.0),
-            ],
+            ]),
         )
-        assert merger.rows()[0]["count(a)"] == 1
+        assert next(read_rows(merger.answer()))["count(a)"] == 1
 
     def test_bulk_ties_follow_plan_order_not_completion_order(self):
         """Exec ids ``1`` and ``01`` tie in the canonical order and their

@@ -23,9 +23,11 @@ import pytest
 
 from repro.core import client as client_module
 from repro.core.client import default_accept_encodings
-from repro.experiments.common import GridScale, build_grid
+from repro.core.semantic import PerformanceResult
+from repro.experiments.common import GridScale, build_grid, build_synthetic_grid
 from repro.fedquery import ResultRow, naive_query
 from repro.fedquery.merge import RAW_COLUMNS
+from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 from repro.soap.chunks import ANSWER_ENCODINGS, ENCODING_COLBATCH, ENCODING_XML
 
 from tests.test_member_read import live_cursors as live_member_cursors
@@ -441,6 +443,73 @@ def test_client_query_stream_matches_naive_over_the_wire(
             first = [row.pack() for _, row in zip(range(k), stream)]
         assert first == expected[:k], f"first {k} streamed rows != naive for {text!r}"
         assert live_cursors() == 0, text
+
+
+#: seeded store updates the view oracle applies, one data_updated each
+VIEW_UPDATES = 12
+
+#: one aggregate view and one raw ORDER BY ... DESC LIMIT view
+VIEW_TEXTS = (
+    "SELECT count(m), mean(m), max(m) GROUP BY app, numprocs",
+    "SELECT m ORDER BY value DESC LIMIT 7",
+)
+
+
+@pytest.mark.parametrize("encoding", ["negotiated", "xml"])
+def test_client_views_match_naive_over_the_wire(oracle_seed, encoding, monkeypatch):
+    """``create_view``, then, after each update of a seeded sequence, the
+    ``get_view`` snapshot and a ``subscribe_view`` replica — every call a
+    SOAP round trip through the client — equal the naive oracle's rows
+    byte for byte.  Values are small integers, so the raw view's value
+    ties are many and the canonical order decides them; partitions larger
+    than 4 rows page through member cursors.  Each update reaches the
+    replica as one in-order delta: it never falls back to a refresh."""
+    pin_leg(monkeypatch, encoding)
+    rng = random.Random(0x71E + oracle_seed)
+
+    def result(start: int) -> PerformanceResult:
+        value = float(rng.randint(0, 5))
+        return PerformanceResult("m", f"/rank/{start % 3}", "t", float(start), start + 1.0, value)
+
+    wrappers = {
+        app: InMemoryWrapper(app, [
+            InMemoryExecution(str(e), {"numprocs": str(2 ** e)},
+                              [result(i) for i in range(rng.randint(3, 9))])
+            for e in range(3)
+        ])
+        for app in ("A", "B")
+    }
+    grid = build_synthetic_grid(wrappers)
+    engine = grid.deploy_federation()
+    engine.stream_chunk_rows = 4
+    client = grid.client
+    view_ids = [client.create_view(text) for text in VIEW_TEXTS]
+    replicas = [client.subscribe_view(view_id) for view_id in view_ids]
+    try:
+        for step in range(VIEW_UPDATES + 1):
+            if step:
+                app = rng.choice(sorted(wrappers))
+                execution = rng.choice(wrappers[app].executions_data)
+                results, roll = execution.results, rng.random()
+                if results and roll < 0.3:
+                    results.pop(rng.randrange(len(results)))
+                elif results and roll < 0.6:
+                    index = rng.randrange(len(results))
+                    results[index] = result(int(results[index].start))
+                else:
+                    results.append(result(rng.randint(0, 9)))
+                grid.execution_service(app, execution.exec_id).data_updated(f"step {step}")
+            for text, view_id, replica in zip(VIEW_TEXTS, view_ids, replicas):
+                expected = [row.pack() for row in naive_query(text, engine.members())]
+                _, rows = client.get_view(view_id)
+                assert [row.pack() for row in rows] == expected, (step, text)
+                assert [row.pack() for row in replica.rows] == expected, (step, text)
+                assert replica.stale_refreshes == 0, (step, text)
+        assert client.view_stats()["deltasApplied"] == 2 * VIEW_UPDATES
+    finally:
+        for replica in replicas:
+            replica.close()
+        grid.cleanup()
 
 
 def test_negotiated_bulk_leg_received_columnar_answers(oracle_env):

@@ -16,9 +16,10 @@ import threading
 import pytest
 
 from repro.core.client import ExecutionBinding, PPerfGridClient
+from repro.core.prcache import ByteBudgetLruCache
 from repro.core.semantic import PerformanceResult
 from repro.experiments.common import build_synthetic_grid
-from repro.fedquery import QueryError, naive_query
+from repro.fedquery import FederationEngine, QueryError, naive_query
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 
 from tests.test_member_read import live_cursors
@@ -199,11 +200,16 @@ class TestStreamMemoization:
         assert engine.execute(RAW_QUERY).cached is False
 
     def test_memoize_byte_budget_respected(self, fedgrid):
-        _, engine = fedgrid
-        engine.stream_memoize_max_bytes = 16  # a row is bigger than this
+        grid, _ = fedgrid
+        # one 5-row chunk fits this plan cache's byte budget, the answer does not
+        engine = FederationEngine(
+            PPerfGridClient(grid.environment, grid.uddi_gsh),
+            plan_cache=ByteBudgetLruCache(max_bytes=8192), stream_chunk_rows=5,
+        )
         rows = list(engine.execute(RAW_QUERY, stream=True))
         assert len(rows) == 30  # drain still completes...
         assert engine.execute(RAW_QUERY).cached is False  # ...uncached
+        engine.close()
 
 
 class TestStreamDegradation:

@@ -30,6 +30,7 @@ from repro.fedquery import (
     parse_query,
     view_shape,
 )
+from repro.fedquery.merge import read_rows
 from repro.fedquery.views import VIEW_STAT_NAMES
 from repro.fedquery.viewservice import VIEW_REGISTRY_PORTTYPE
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
@@ -564,19 +565,19 @@ class TestScopedRefetch:
             assert subscriber.stale_refreshes == 0
 
         assert_replica_tracks()
-        top = max(row["value"] for row in view.rows)
+        top = max(row["value"] for row in read_rows(view.rows))
         # an appended row enters the window; the smallest one leaves
         wrappers["APP0"].executions_data[0].results.append(_result("m", "/rank/0", top + 50))
         assert grid.execution_service("APP0", "0").data_updated("enter") == 1
         assert_replica_tracks()
-        assert view.rows[0]["value"] == top + 50
+        assert next(read_rows(view.rows))["value"] == top + 50
         # a row modified below the window leaves it; the next one enters
         results = wrappers["APP1"].executions_data[1].results
         index = max(range(len(results)), key=lambda i: results[i].value)
         results[index] = _result("m", results[index].focus, 0.0)
         assert grid.execution_service("APP1", "1").data_updated("leave") == 1
         assert_replica_tracks()
-        assert top not in [row["value"] for row in view.rows]
+        assert top not in [row["value"] for row in read_rows(view.rows)]
         assert subscriber.deltas_applied == 2
         assert kinds == ["delta", "delta"]
         subscriber.close()

@@ -15,6 +15,7 @@ import pytest
 from repro.core.client import ExecutionBinding, PPerfGridClient
 from repro.core.semantic import PerformanceResult
 from repro.experiments.common import build_synthetic_grid
+from repro.fedquery.merge import read_rows
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 from repro.ogsi.container import GridEnvironment
 from repro.ogsi.cursor import DEFAULT_CHUNK_ROWS
@@ -272,7 +273,7 @@ class TestRememberedHandlesAreSoftState:
         destroy_one_of_a()
         engine.views().on_update(None, None)
         assert engine.coherence_stats()["staleHandles"] == 2
-        assert [row["count(m)"] for row in view.rows] == [20.0, 20.0]
+        assert [row["count(m)"] for row in read_rows(view.rows)] == [20.0, 20.0]
         assert engine.view_stats()["maintenanceErrors"] == 0
 
     def test_other_failures_degrade_and_forget_the_member(self, federation, monkeypatch):

@@ -9,18 +9,27 @@ the attack surface for no benefit to the reproduction.
 
 The reader is one loop over an explicit element stack, so nesting depth is
 bounded by memory, not by the interpreter's recursion limit.  It consumes
-one compiled-regex match per start tag (name plus every attribute), one
+one compiled-regex match per new start tag (name plus every attribute), one
 ``str.find`` per text run and a direct string compare per close tag; only
 a tag the regex refuses is walked piece by piece, to word its error.
-Prefixed names are resolved once per *namespace frame*: an element that
-declares no namespace shares its parent's frame, and a frame memoises
-``raw name -> QName`` for tags and for attributes, so the 5,000 ``<item>``
-rows of a bulk answer cost one resolution and share one ``QName``.  Frames
-and memos live for one :func:`parse` call.
+Prefixed names are resolved once per *namespace frame* and :func:`parse`
+call: an element that declares no namespace shares its parent's frame.
+
+Start tags are remembered across calls.  Frames are interned — one id per
+distinct set of in-scope bindings, from a counter, never reused — and the
+memo maps ``(parent frame id, text from "<" to the first ">")`` to what the
+tag parsed to.  A hit copies two dicts and skips the regex, the attribute
+loop and name resolution, so the envelope and ``<item>`` tags every message
+repeats cost one lookup each.  Only a tag that parsed without error and
+ends at its first ``>`` is stored, at most ``_MEMO_ENTRIES`` tags of at
+most ``_MEMO_TAG_CHARS`` characters (about 1 MB); a full memo starts over.
+Plain dict operations keep it safe to share between threads (threads
+storing at the same moment may each pass the bound by one entry).
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from repro.xmlkit.model import Document, Element, QName
@@ -49,6 +58,29 @@ _NAME_AT = re.compile(_NAME).match
 _SKIP_WS = re.compile(rf"{_WS}*").match
 _XML_DECL = re.compile(rf"<\?xml{_WS}").match
 _CHAR_REF = re.compile(r"#(?:([0-9]+)|[xX]([0-9A-Fa-f]+))").fullmatch
+
+_MEMO_ENTRIES = 4096
+_MEMO_TAG_CHARS = 512
+# start-tag text keyed on its parent frame's id -> (tag, attrs, nsdecls, empty, closer, frame)
+_TAGS: dict[tuple[int, str], tuple] = {}
+# in-scope bindings -> their frame, (id, prefix -> uri)
+_FRAMES: dict[frozenset, tuple[int, dict[str, str]]] = {}
+_FRAME_IDS = itertools.count(1)
+_ROOT_FRAME = (0, {"xml": "http://www.w3.org/XML/1998/namespace"})
+
+
+def clear_memo() -> None:
+    """Forget every remembered start tag and interned frame; no id is handed out twice."""
+    _TAGS.clear()
+    _FRAMES.clear()
+
+
+def _frame(ns: dict[str, str]) -> tuple[int, dict[str, str]]:
+    """The interned frame of the bindings *ns* (an id drawn for bindings
+    already interned is dropped, never reused)."""
+    if len(_FRAMES) >= _MEMO_ENTRIES:
+        _FRAMES.clear()
+    return _FRAMES.setdefault(frozenset(ns.items()), (next(_FRAME_IDS), ns))
 
 
 def _is_name_start(ch: str) -> bool:
@@ -144,17 +176,80 @@ def _comment_end(text: str, pos: int) -> int:
     return end + 3
 
 
-def _resolve(raw: str, ns: dict[str, str], pos: int, *, is_attr: bool) -> QName:
+def _resolve(raw: str, frame: tuple, names: dict, pos: int, *, is_attr: bool) -> QName:
+    """*raw* in *frame*, memoised in *names* for one :func:`parse` call."""
+    qname = names.get((frame[0], is_attr, raw))
+    if qname is not None:
+        return qname
+    ns = frame[1]
     prefix, sep, local = raw.partition(":")
     if not sep:
         # Unprefixed attributes are in no namespace.
-        return QName("" if is_attr else ns.get("", ""), raw)
-    if ":" in local:
+        qname = QName("" if is_attr else ns.get("", ""), raw)
+    elif ":" in local:
         raise XmlParseError(f"invalid name {raw!r}", pos)
-    uri = ns.get(prefix)
-    if uri is None:
+    elif (uri := ns.get(prefix)) is None:
         raise XmlParseError(f"undeclared namespace prefix {prefix!r}", pos)
-    return QName(uri, local)
+    else:
+        qname = QName(uri, local)
+    names[(frame[0], is_attr, raw)] = qname
+    return qname
+
+
+def _start_tag(text: str, pos: int, frame: tuple, names: dict, check_names: bool) -> tuple:
+    """Read the start tag at *pos* in *frame*: its memo entry and the offset after it."""
+    match = _START_TAG(text, pos)
+    if match is not None:
+        raw, blob, empty = match.groups()
+        if check_names and not _is_name_start(raw[0]):
+            raise XmlParseError("expected a name", pos + 1)
+        tag_end = match.end()
+        at_close = tag_end - 1 - len(empty)
+        attrs_end = pos + 1 + len(raw) + len(blob)
+    else:
+        # Read what is well-formed, then say what is not: a duplicate or a
+        # bad reference among the good attributes is reported first.
+        raw = _name_at(text, pos + 1)
+        attrs_end = pos + 1 + len(raw)
+        while (attr := _ATTR(text, attrs_end)) is not None:
+            attrs_end = attr.end()
+        blob = text[pos + 1 + len(raw) : attrs_end]
+    raw_attrs: dict[str, str] = {}
+    nsdecls: dict[str, str] = {}
+    if blob:
+        at = attrs_end - len(blob)
+        while at < attrs_end:
+            attr = _ATTR(text, at)
+            name, value, single_quoted = attr.groups()
+            at = attr.end()
+            if check_names and not _is_name_start(name[0]):
+                raise XmlParseError("expected a name", attr.start(1))
+            if value is None:
+                value = single_quoted
+            if "&" in value:
+                value = _unescape(text, at - 1 - len(value), at - 1)
+            if name == "xmlns":
+                nsdecls[""] = value
+            elif name.startswith("xmlns:"):
+                nsdecls[name[6:]] = value
+            elif name in raw_attrs:
+                raise XmlParseError(f"duplicate attribute {name!r}", at)
+            else:
+                raw_attrs[name] = value
+    if match is None:
+        raise _attribute_error(text, attrs_end)
+
+    if nsdecls:
+        frame = _frame({**frame[1], **nsdecls})
+    tag = _resolve(raw, frame, names, at_close, is_attr=False)
+    attrs: dict[QName, str] = {}
+    for name, value in raw_attrs.items():
+        key = _resolve(name, frame, names, at_close, is_attr=True)
+        held = len(attrs)
+        attrs[key] = value
+        if len(attrs) == held:  # one QName hash, not the two of `in` then store
+            raise XmlParseError(f"duplicate attribute {key}", at_close)
+    return (tag, attrs, nsdecls, empty, f"</{raw}>", frame), tag_end
 
 
 def _parse_element(text: str, pos: int) -> tuple[Element, int]:
@@ -164,10 +259,8 @@ def _parse_element(text: str, pos: int) -> tuple[Element, int]:
     startswith = text.startswith
     new_element = Element.__new__
     check_names = not text.isascii()
-    # The namespace frame: in-scope prefix -> uri, and its raw -> QName memos.
-    ns: dict[str, str] = {"xml": "http://www.w3.org/XML/1998/namespace"}
-    tag_memo: dict[str, QName] = {}
-    attr_memo: dict[str, QName] = {}
+    frame = _ROOT_FRAME  # (id, in-scope prefix -> uri)
+    names: dict[tuple, QName] = {}  # (frame id, is_attr, raw name) -> QName
     top: list[Element | str] = []
     children = top  # of the open element
     closer = ""  # "</raw-name>" of the open element
@@ -176,71 +269,28 @@ def _parse_element(text: str, pos: int) -> tuple[Element, int]:
 
     while True:
         # ------------------------------------------------------------ the start tag at pos
-        match = _START_TAG(text, pos)
-        if match is not None:
-            raw, blob, empty = match.groups()
-            if check_names and not _is_name_start(raw[0]):
-                raise XmlParseError("expected a name", pos + 1)
-            tag_end = match.end()
-            at_close = tag_end - 1 - len(empty)
-            attrs_end = pos + 1 + len(raw) + len(blob)
+        gt = find(">", pos)
+        key = (frame[0], text[pos : gt + 1]) if 0 < gt - pos < _MEMO_TAG_CHARS else None
+        entry = _TAGS.get(key)  # type: ignore[arg-type]
+        if entry is not None:
+            tag_end = gt + 1
         else:
-            # Read what is well-formed, then say what is not: a duplicate or a
-            # bad reference among the good attributes is reported first.
-            raw = _name_at(text, pos + 1)
-            attrs_end = pos + 1 + len(raw)
-            while (attr := _ATTR(text, attrs_end)) is not None:
-                attrs_end = attr.end()
-            blob = text[pos + 1 + len(raw) : attrs_end]
-        raw_attrs: dict[str, str] = {}
-        nsdecls: dict[str, str] = {}
-        if blob:
-            at = attrs_end - len(blob)
-            while at < attrs_end:
-                attr = _ATTR(text, at)
-                name, value, single_quoted = attr.groups()
-                at = attr.end()
-                if check_names and not _is_name_start(name[0]):
-                    raise XmlParseError("expected a name", attr.start(1))
-                if value is None:
-                    value = single_quoted
-                if "&" in value:
-                    value = _unescape(text, at - 1 - len(value), at - 1)
-                if name == "xmlns":
-                    nsdecls[""] = value
-                elif name.startswith("xmlns:"):
-                    nsdecls[name[6:]] = value
-                elif name in raw_attrs:
-                    raise XmlParseError(f"duplicate attribute {name!r}", at)
-                else:
-                    raw_attrs[name] = value
-        if match is None:
-            raise _attribute_error(text, attrs_end)
-
+            entry, tag_end = _start_tag(text, pos, frame, names, check_names)
+            if key is not None and tag_end == gt + 1:  # no ">" inside a value
+                if len(_TAGS) >= _MEMO_ENTRIES:
+                    _TAGS.clear()
+                _TAGS[key] = entry
+        tag, attrs, nsdecls, empty, tag_closer, child = entry
         outer = None
-        if nsdecls:
-            outer = (ns, tag_memo, attr_memo)
-            ns = {**ns, **nsdecls}
-            tag_memo = {}
-            attr_memo = {}
-        tag = tag_memo.get(raw)
-        if tag is None:
-            tag = tag_memo[raw] = _resolve(raw, ns, at_close, is_attr=False)
-        attrs: dict[QName, str] = {}
-        for name, value in raw_attrs.items():
-            key = attr_memo.get(name)
-            if key is None:
-                key = attr_memo[name] = _resolve(name, ns, at_close, is_attr=True)
-            held = len(attrs)
-            attrs[key] = value
-            if len(attrs) == held:  # one QName hash, not the two of `in` then store
-                raise XmlParseError(f"duplicate attribute {key}", at_close)
-        # Element() would copy the three containers it is handed.
+        if child is not frame:
+            outer, frame = frame, child
+        # Element() would copy the three containers it is handed; the memo's
+        # two dicts are copied as they are, without hashing a QName again.
         element = new_element(Element)
         element.tag = tag
-        element.attrs = attrs
+        element.attrs = attrs.copy()
         element.children = []
-        element.nsdecls = nsdecls
+        element.nsdecls = nsdecls.copy()
         if pending:
             children.append("".join(pending))
             pending.clear()
@@ -249,9 +299,9 @@ def _parse_element(text: str, pos: int) -> tuple[Element, int]:
         if not empty:
             stack.append((children, closer, outer))
             children = element.children
-            closer = f"</{raw}>"
+            closer = tag_closer
         elif outer is not None:
-            ns, tag_memo, attr_memo = outer
+            frame = outer
 
         # ------------------------------------- content, up to the next start tag or the end
         while stack:
@@ -275,7 +325,7 @@ def _parse_element(text: str, pos: int) -> tuple[Element, int]:
                     pending.clear()
                 children, closer, outer = stack.pop()
                 if outer is not None:
-                    ns, tag_memo, attr_memo = outer
+                    frame = outer
             elif kind == "?":
                 raise XmlParseError("processing instructions are not supported", pos)
             elif kind != "!":

@@ -621,3 +621,28 @@ class TestScopedRefetch:
         expected = naive_query(view.text, engine.members())
         assert view.packed_rows() == [row.pack() for row in expected]
         grid.cleanup()
+
+    def test_a_refetched_partition_keeps_its_plan_position(self):
+        """Executions ``1`` and ``01`` tie on every ordering key (the
+        execution column compares as a number), so the plan's execution
+        order alone decides which of their equal rows comes first.  A
+        refetch of ``1`` must not move its partition behind ``01``."""
+        row = [_result("m", "/A", 2.0)]
+        wrappers = {
+            "A": InMemoryWrapper(
+                "A", [InMemoryExecution("1", {}, list(row)), InMemoryExecution("01", {}, list(row))]
+            )
+        }
+        grid = build_synthetic_grid(wrappers)
+        engine = grid.deploy_federation()
+        text = "SELECT m"
+        view_id = grid.client.create_view(text)
+        subscriber = grid.client.subscribe_view(view_id)
+        assert grid.execution_service("A", "1").data_updated("touched") == 1
+        expected = [row.pack() for row in naive_query(text, engine.members())]
+        assert [row.pack() for row in grid.client.query(text)] == expected
+        _, rows = grid.client.get_view(view_id)
+        assert [row.pack() for row in rows] == expected
+        assert [row.pack() for row in subscriber.rows] == expected
+        subscriber.close()
+        grid.cleanup()

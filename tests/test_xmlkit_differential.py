@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import random
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,8 @@ from repro.soap.chunks import ENCODING_COLBATCH, ENCODING_XML, encode_chunk
 from repro.soap.rpc import encode_fault, encode_request, encode_response
 from repro.wsdl.document import generate_wsdl
 from repro.xmlkit import Document, Element, QName, XmlParseError, parse, serialize
+from repro.xmlkit import parser as xml_parser
+from repro.xmlkit.parser import clear_memo
 from repro.xmlkit.writer import serialize_bytes
 from tests import reference_xmlkit as reference
 
@@ -159,6 +163,17 @@ def mutate(rng: random.Random, text: str) -> str:
         else:  # overwrite one character
             text = text[:i] + rng.choice(TOKENS) + text[i + 1 :]
     return text
+
+
+def byte_mutations(rng: random.Random, seeds: list[bytes], cases: int) -> list[bytes]:
+    out = []
+    for _ in range(cases):
+        data = bytearray(rng.choice(seeds))
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(len(data))
+            data[i : i + rng.randint(0, 2)] = bytes(rng.randrange(256) for _ in range(rng.randint(0, 3)))
+        out.append(bytes(data))
+    return out
 
 
 class TestParserAgainstReference:
@@ -284,13 +299,9 @@ class TestBytesInput:
     def test_nothing_but_xml_parse_error_escapes(self, oracle_seed):
         rng = random.Random(0xB17E5 + oracle_seed)
         seeds = [seed.encode("utf-8") for seed in fuzz_seeds()]
-        for _ in range(3000):
-            data = bytearray(rng.choice(seeds))
-            for _ in range(rng.randint(1, 4)):
-                i = rng.randrange(len(data))
-                data[i : i + rng.randint(0, 2)] = bytes(rng.randrange(256) for _ in range(rng.randint(0, 3)))
+        for data in byte_mutations(rng, seeds, 3000):
             try:
-                doc = parse(bytes(data))
+                doc = parse(data)
             except XmlParseError:
                 continue
             # what was accepted can go back on the wire under the label it carries
@@ -443,3 +454,132 @@ class TestCapturedMessages:
         assert serialize(doc, indent=2) == wsdl
         assert tree(doc.root) == tree(reference.parse(wsdl).root)
         assert reference.serialize(doc, indent=2) == wsdl
+
+
+class TestStartTagMemo:
+    """The start-tag memo outlives a :func:`parse` call and is shared by
+    every thread: a tag met cold (memo emptied) and warm (memoised by an
+    earlier message) must parse to the same tree, or fail with the same
+    error at the same offset, as the reference."""
+
+    def test_seeds_and_captured_messages_cold_and_warm(self, traffic):
+        messages = fuzz_seeds() + [message.decode("utf-8") for message in traffic]
+        for text in messages:
+            expected = outcome(reference.parse, text)
+            clear_memo()
+            assert outcome(parse, text) == expected, ("cold", text)
+            assert outcome(parse, text) == expected, ("warm", text)
+        for message in traffic:  # the whole session again, every tag memoised
+            assert serialize_bytes(parse(message)) == childless(message)
+
+    def test_mutation_fuzz_cold_then_warm_twice(self, oracle_seed):
+        rng = random.Random(0x3E30 + oracle_seed)
+        seeds = fuzz_seeds()
+        cases = [mutate(rng, rng.choice(seeds)) for _ in range(FUZZ_CASES)]
+        expected = [outcome(reference_parse, text) for text in cases]
+        for case, (text, want) in enumerate(zip(cases, expected)):
+            clear_memo()
+            assert outcome(parse, text) == want, ("cold", case, text)
+        for memo in ("warming", "warm"):
+            for case, (text, want) in enumerate(zip(cases, expected)):
+                assert outcome(parse, text) == want, (memo, case, text)
+
+    def test_nothing_but_xml_parse_error_escapes_cold_or_warm(self, oracle_seed):
+        rng = random.Random(0x3E31 + oracle_seed)
+        cases = byte_mutations(rng, [seed.encode("utf-8") for seed in fuzz_seeds()], 1500)
+        for memo in ("cold", "warm"):
+            for data in cases:
+                if memo == "cold":
+                    clear_memo()
+                try:
+                    serialize_bytes(parse(data))
+                except XmlParseError:
+                    pass
+
+    def test_the_key_holds_the_parent_frame(self):
+        declared = "<r xmlns:p='urn:p'><a p:x=\"1\"></a></r>"
+        undeclared = "<r><a p:x=\"1\"></a></r>"
+        clear_memo()
+        cold = outcome(parse, undeclared)
+        assert cold[0] == "rejected" and "undeclared namespace prefix 'p'" in cold[1]
+        assert parse(declared).root.children[0].attrs == {QName("urn:p", "x"): "1"}
+        assert outcome(parse, undeclared) == cold
+        # another binding of p is another frame; the same bindings are one frame
+        rebound = parse("<r xmlns:p='urn:q'><a p:x=\"1\"></a></r>")
+        assert rebound.root.children[0].attrs == {QName("urn:q", "x"): "1"}
+        clear_memo()
+        parse(declared)
+        parse("<s xmlns:p='urn:p'><a p:x=\"1\"></a></s>")
+        assert sorted(text for _, text in xml_parser._TAGS) == [
+            '<a p:x="1">', "<r xmlns:p='urn:p'>", "<s xmlns:p='urn:p'>"
+        ]
+
+    def test_a_hit_hands_out_dicts_of_its_own(self):
+        text = "<r xmlns:p='urn:p'><a p:x='1'/></r>"
+        expected = tree(reference.parse(text).root)
+        clear_memo()
+        for _ in range(2):  # a miss, then a hit
+            doc = parse(text)
+            for el in (doc.root, doc.root.children[0]):
+                el.attrs.clear()
+                el.nsdecls["q"] = "urn:q"
+            assert tree(parse(text).root) == expected
+
+    def test_a_value_holding_gt(self):
+        text = (
+            "<r><a x='1' y='2'/><a x='1' y='>'/><a x='1' y='>'/>"
+            "<a x='1>' y='2'/><a x='1' y='2'/></r>"
+        )
+        clear_memo()
+        for _ in range(2):
+            doc = parse(text)
+            assert tree(doc.root) == tree(reference.parse(text).root)
+        values = [child.attrs[QName("", "y")] for child in doc.root.children]
+        assert values == ["2", ">", ">", "2", "2"]
+        assert all(text.count("'") % 2 == 0 for _, text in xml_parser._TAGS)
+
+    def test_the_memo_stays_within_its_bounds(self):
+        clear_memo()
+        entries, chars = xml_parser._MEMO_ENTRIES, xml_parser._MEMO_TAG_CHARS
+        parse("<r>" + "".join(f"<a i='{i}'/>" for i in range(entries + 100)) + "</r>")
+        parse("<r>" + "".join(f"<a xmlns:p='urn:{i}'/>" for i in range(entries + 100)) + "</r>")
+        value = "v" * 10_000
+        for _ in range(2):
+            element = parse(f"<r><a x='{value}'/></r>").root.children[0]
+            assert element.attrs == {QName("", "x"): value}
+        assert 0 < len(xml_parser._TAGS) <= entries
+        assert 0 < len(xml_parser._FRAMES) <= entries
+        assert max(len(text) for _, text in xml_parser._TAGS) <= chars
+        assert not any(value in text for _, text in xml_parser._TAGS)
+
+    def test_threads_parse_as_one_thread_does(self, traffic):
+        # the last document holds more distinct tags than the memo: it is
+        # emptied while the other threads read and fill it
+        tags = "".join(f"<a i='{i}'/>" for i in range(xml_parser._MEMO_ENTRIES + 100))
+        overflow = f"<r>{tags}</r>"
+        messages = [message.decode("utf-8") for message in traffic] + fuzz_seeds() + [overflow]
+        clear_memo()
+        expected = [tree(parse(text).root) for text in messages]
+        clear_memo()
+        results: list = [None] * 4
+
+        def rotated(items: list, k: int) -> list:
+            cut = k * len(items) // 4
+            return (items[cut:] + items[:cut]) * 3
+
+        def work(k: int) -> None:
+            results[k] = [tree(parse(text).root) for text in rotated(messages, k)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k in range(4):
+            assert results[k] == rotated(expected, k)

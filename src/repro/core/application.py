@@ -71,10 +71,11 @@ class ApplicationService(GridServiceBase):
     def getStats(self) -> list[str]:
         """Extension: application-wide store statistics (packed records).
 
-        Computed on demand (not at deploy time — some Mapping Layers pay
-        a file parse per execution); the first call also publishes the
-        ``storeStats`` SDE, computed per read from then on, so
-        FindServiceData clients see the same numbers.
+        Computed on demand, not at deploy time: a Mapping Layer scans
+        its rows once per call (a file parse per execution for text
+        stores; SMG98 answers from SQL aggregates).  The first call also
+        publishes the ``storeStats`` SDE, computed per read from then
+        on, so FindServiceData clients see the same numbers.
         """
         self.require_active()
         if "storeStats" not in self.service_data:

@@ -254,8 +254,9 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
     def getStats(self) -> list[str]:
         """Store statistics for the cost-based planner (packed records).
 
-        Delegates to the Mapping Layer, whose wrappers answer with cheap
-        native queries (SQL aggregates, header scans) where possible.
+        Delegates to the Mapping Layer, whose wrappers answer from one
+        scan of their own rows (SMG98 from SQL aggregates, with no
+        sketch).
         The first call also publishes them as the ``storeStats`` SDE,
         computed per read from then on: an XPath read of an instance
         nobody asked for statistics never pays a store scan.

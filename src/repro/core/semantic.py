@@ -589,6 +589,42 @@ class StoreStats:
     sketches: tuple[MetricSketch, ...] = ()
     distincts: tuple[DistinctSketch, ...] = ()
 
+    @classmethod
+    def scanned(
+        cls,
+        executions: int,
+        start: float,
+        end: float,
+        foci,
+        types,
+        values: dict[str, list[float]],
+        distincts: tuple[DistinctSketch, ...] = (),
+    ) -> "StoreStats":
+        """Stats from a store's complete per-metric value scan.
+
+        *values* maps each metric, in the store's own metric order, to
+        every value ``get_pr`` returns for it over all foci and the full
+        window.  Each metric's sketch is built from those values and its
+        ``MetricStats`` row (rows, min, max) is read off that sketch, so
+        the row and the sketch cannot disagree.
+        """
+        sketches = sketches_from_values(values)
+        by_metric = {sketch.metric: sketch for sketch in sketches}
+        in_store_order = [by_metric[metric] for metric in values]
+        return cls(
+            executions=executions,
+            start=start,
+            end=end,
+            foci=tuple(foci),
+            types=tuple(types),
+            metrics=tuple(
+                MetricStats(sketch.metric, sketch.count, sketch.minimum, sketch.maximum)
+                for sketch in in_store_order
+            ),
+            sketches=sketches,
+            distincts=distincts,
+        )
+
     def metric(self, name: str) -> MetricStats | None:
         for stats in self.metrics:
             if stats.metric == name:
@@ -676,7 +712,11 @@ class StoreStats:
         )
 
     @classmethod
-    def merge(cls, parts: list["StoreStats"]) -> "StoreStats":
+    def merge(
+        cls,
+        parts: list["StoreStats"],
+        distincts: tuple[DistinctSketch, ...] | None = None,
+    ) -> "StoreStats":
         """Combine per-execution stats into application-level stats.
 
         Counts add; time/value ranges and foci/types union; the merge is
@@ -684,10 +724,11 @@ class StoreStats:
         sketch only when *every* part reporting rows for it carries one
         — a partial sketch would silently undercount, and tier-0 treats
         a present sketch as the metric's complete row set.  Distinct
-        sketches merge per key by bitwise OR.
+        sketches merge per key by bitwise OR, unless the store passes
+        its own application-wide *distincts*.
         """
         if not parts:
-            return cls(0, 0.0, 0.0, (), (), ())
+            return cls(0, 0.0, 0.0, (), (), (), distincts=distincts or ())
         foci: list[str] = []
         types: list[str] = []
         by_metric: dict[str, MetricStats] = {}
@@ -722,17 +763,17 @@ class StoreStats:
             part_sketches = [part.sketch(name) for part in live]
             if live and all(sketch is not None for sketch in part_sketches):
                 sketches.append(MetricSketch.merge(part_sketches))
-        distinct_keys: list[str] = []
-        for part in parts:
-            for sketch in part.distincts:
-                if sketch.key not in distinct_keys:
-                    distinct_keys.append(sketch.key)
-        distincts: list[DistinctSketch] = []
-        for key in distinct_keys:
-            distincts.append(
+        if distincts is None:
+            distinct_keys: list[str] = []
+            for part in parts:
+                for sketch in part.distincts:
+                    if sketch.key not in distinct_keys:
+                        distinct_keys.append(sketch.key)
+            distincts = tuple(
                 DistinctSketch.merge(
                     [part.distinct(key) for part in parts if part.distinct(key)]
                 )
+                for key in distinct_keys
             )
         spanned = [part for part in parts if part.executions]
         return cls(

@@ -18,11 +18,9 @@ from repro.core.semantic import (
     UNDEFINED_TYPE,
     AggregateRecord,
     DistinctSketch,
-    MetricStats,
     PerformanceResult,
     StoreStats,
     distincts_from_values,
-    sketches_from_values,
 )
 from repro.simnet.metrics import Recorder
 
@@ -67,8 +65,10 @@ class ApplicationWrapper(ABC):
         """Application-level store statistics for the cost-based planner.
 
         Generic fallback: merge per-execution stats.  Store-specific
-        wrappers override this with one cheap query (SQL ``COUNT``/
-        ``MIN``/``MAX``, header scans, ...).  Overrides must honour the
+        wrappers override this with one scan of the store's own rows,
+        built through :meth:`StoreStats.scanned`; SMG98, whose values
+        are derived, answers from SQL aggregates and publishes no
+        sketch.  Overrides must honour the
         :class:`repro.core.semantic.StoreStats` soundness contract:
         ``rows == 0`` exact, value ranges conservative supersets, foci
         and types complete — or set ``complete=False``.
@@ -251,43 +251,30 @@ class ExecutionWrapper(ABC):
         """Store statistics for this execution (cost-based planner input).
 
         Generic fallback: exact by construction — it runs :meth:`get_pr`
-        per metric over all foci and the full time window and counts what
-        comes back, so the :class:`repro.core.semantic.StoreStats`
-        soundness contract holds trivially.  Because that is a complete
-        scan, the same values legitimately feed per-metric
-        :class:`~repro.core.semantic.MetricSketch` histograms (the
-        tier-0 exactness contract).  Store wrappers override this with
-        cheap native queries when a full scan would be expensive.
+        per metric over all foci and the full time window, and
+        :meth:`StoreStats.scanned` counts what comes back, so the
+        :class:`repro.core.semantic.StoreStats` soundness contract holds
+        trivially and the same complete scan feeds the tier-0 sketches.
+        Store wrappers override this with one scan of their own rows
+        (one ``SELECT``, one file parse), or, for SMG98's derived
+        values, with SQL aggregates and no sketch.
         """
         foci = self.get_foci()
         start, end = self.get_time_start_end()
-        metrics = []
-        scanned: dict[str, list[float]] = {}
-        for metric in self.get_metrics():
-            values = [
-                result.value
-                for result in self.get_pr(metric, foci, 0.0, 1e30, UNDEFINED_TYPE)
-            ]
-            scanned[metric] = values
-            metrics.append(
-                MetricStats(
-                    metric=metric,
-                    rows=len(values),
-                    minimum=min(values) if values else 0.0,
-                    maximum=max(values) if values else 0.0,
-                )
-            )
-        return StoreStats(
-            executions=1,
-            start=start,
-            end=end,
-            foci=tuple(foci),
-            types=tuple(self.get_types()),
-            metrics=tuple(metrics),
-            sketches=sketches_from_values(scanned),
-            distincts=distincts_from_values(
-                {key: [value] for key, value in self.get_info()}
-            ),
+        return StoreStats.scanned(
+            1,
+            start,
+            end,
+            foci,
+            self.get_types(),
+            {
+                metric: [
+                    result.value
+                    for result in self.get_pr(metric, foci, 0.0, 1e30, UNDEFINED_TYPE)
+                ]
+                for metric in self.get_metrics()
+            },
+            distincts_from_values({key: [value] for key, value in self.get_info()}),
         )
 
 

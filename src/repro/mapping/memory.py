@@ -15,11 +15,9 @@ from typing import Iterator
 
 from repro.core.semantic import (
     UNDEFINED_TYPE,
-    MetricStats,
     PerformanceResult,
     StoreStats,
     distincts_from_values,
-    sketches_from_values,
 )
 from repro.mapping.base import (
     ApplicationWrapper,
@@ -125,18 +123,14 @@ def _memory_stats(execution: InMemoryExecution) -> StoreStats:
     keys = {"exec": [execution.exec_id]}
     for attr, attr_value in execution.attrs.items():
         keys[attr] = [attr_value]
-    return StoreStats(
-        executions=1,
-        start=start,
-        end=end,
-        foci=tuple(sorted(foci)),
-        types=tuple(sorted(types)),
-        metrics=tuple(
-            MetricStats(metric, len(vals), min(vals), max(vals))
-            for metric, vals in sorted(values.items())
-        ),
-        sketches=sketches_from_values(values),
-        distincts=distincts_from_values(keys),
+    return StoreStats.scanned(
+        1,
+        start,
+        end,
+        sorted(foci),
+        sorted(types),
+        dict(sorted(values.items())),
+        distincts_from_values(keys),
     )
 
 

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from repro.core.semantic import (
     UNDEFINED_TYPE,
-    MetricStats,
     PerformanceResult,
     StoreStats,
     distincts_from_values,
-    sketches_from_values,
 )
 from repro.mapping.base import ApplicationWrapper, ExecutionWrapper, MappingError
 from repro.mapping.rdbms import _SQL_OPS, _sql_value
@@ -102,23 +100,23 @@ class PerfDmfWrapper(ApplicationWrapper):
         return PerfDmfExecutionWrapper(self.conn, int(exec_id), float(row[0]))
 
     def get_stats(self) -> StoreStats:
-        """SQL aggregates over the profile tables (already pre-reduced)."""
-        from dataclasses import replace
-
-        return replace(
-            _perfdmf_stats(self.conn, app_id=self.app_id, trial_id=None),
-            distincts=self.attribute_distincts(),
+        """One scan of the profile tables (already pre-reduced)."""
+        return _perfdmf_stats(
+            self.conn, app_id=self.app_id, trial_id=None, distincts=self.attribute_distincts()
         )
 
 
-def _perfdmf_stats(conn: Connection, app_id: int | None, trial_id: int | None) -> StoreStats:
-    """Shared PerfDMF stats query, app-wide or scoped to one trial.
+def _perfdmf_stats(
+    conn: Connection, app_id: int | None, trial_id: int | None, distincts: tuple
+) -> StoreStats:
+    """Shared PerfDMF stats scan, app-wide or scoped to one trial.
 
-    Profiles carry at most one row per (trial, focus, metric), so counts
-    and ranges are exact column aggregates.  Time coverage spans the
-    trial totals; sub-range ``get_pr`` windows return nothing for this
-    store, which only makes the window fraction an overestimate — safe,
-    since the planner never skips on the window.
+    Profiles carry at most one row per (trial, focus, metric), so one
+    column scan per metric is the complete ``get_pr`` row set: counts,
+    ranges and the tier-0 sketches all come from it.  Time coverage
+    spans the trial totals; sub-range ``get_pr`` windows return nothing
+    for this store, which only makes the window fraction an
+    overestimate — safe, since the planner never skips on the window.
     """
     if trial_id is not None:
         execs_where = "WHERE t.trial_id = ?"
@@ -141,52 +139,30 @@ def _perfdmf_stats(conn: Connection, app_id: int | None, trial_id: int | None) -
             "JOIN trial t ON ie.trial_id = t.trial_id "
             "JOIN experiment e ON t.exp_id = e.exp_id "
         )
-    metrics = []
     scanned: dict[str, list[float]] = {}
     for metric, column in sorted(PerfDmfWrapper._METRIC_COLUMNS.items()):
-        metric_name = "TIME" if metric == "time_spent" else "CALLS"
-        stats_row = conn.execute(
-            f"SELECT COUNT(*), MIN(ie.{column}), MAX(ie.{column}) "
-            f"FROM interval_event ie {ie_join}"
-            "JOIN metric m ON ie.metric_id = m.metric_id "
-            f"WHERE {ie_where} AND m.name = ?",
-            params + [metric_name],
-        ).fetchone()
-        assert stats_row is not None
-        # profiles hold one row per (trial, focus, metric), so this scan
-        # is the complete get_pr row set the tier-0 sketches require
         scanned[metric] = [
             float(value_row[0])
             for value_row in conn.execute(
                 f"SELECT ie.{column} FROM interval_event ie {ie_join}"
                 "JOIN metric m ON ie.metric_id = m.metric_id "
                 f"WHERE {ie_where} AND m.name = ?",
-                params + [metric_name],
+                params + ["TIME" if metric == "time_spent" else "CALLS"],
             ).fetchall()
         ]
-        metrics.append(
-            MetricStats(
-                metric=metric,
-                rows=int(stats_row[0]),
-                minimum=float(stats_row[1]) if stats_row[1] is not None else 0.0,
-                maximum=float(stats_row[2]) if stats_row[2] is not None else 0.0,
-            )
-        )
     foci_cursor = conn.execute(
         f"SELECT DISTINCT ie.event_group, ie.event_name FROM interval_event ie {ie_join}"
         f"WHERE {ie_where} ORDER BY ie.event_group, ie.event_name",
         params,
     )
-    distinct_keys = {} if trial_id is None else {"exec": [str(trial_id)]}
-    return StoreStats(
-        executions=execs,
-        start=0.0,
-        end=end,
-        foci=tuple(f"/Code/{grp}/{name}" for grp, name in foci_cursor.fetchall()),
-        types=(PerfDmfWrapper.result_type,),
-        metrics=tuple(metrics),
-        sketches=sketches_from_values(scanned),
-        distincts=distincts_from_values(distinct_keys),
+    return StoreStats.scanned(
+        execs,
+        0.0,
+        end,
+        [f"/Code/{grp}/{name}" for grp, name in foci_cursor.fetchall()],
+        (PerfDmfWrapper.result_type,),
+        scanned,
+        distincts,
     )
 
 
@@ -265,5 +241,10 @@ class PerfDmfExecutionWrapper(ExecutionWrapper):
         return results
 
     def get_stats(self) -> StoreStats:
-        """Per-trial stats via the shared SQL aggregates."""
-        return _perfdmf_stats(self.conn, app_id=None, trial_id=self.trial_id)
+        """Per-trial stats via the shared scan."""
+        return _perfdmf_stats(
+            self.conn,
+            app_id=None,
+            trial_id=self.trial_id,
+            distincts=distincts_from_values({"exec": [str(self.trial_id)]}),
+        )

@@ -16,7 +16,6 @@ from repro.core.semantic import (
     PerformanceResult,
     StoreStats,
     distincts_from_values,
-    sketches_from_values,
 )
 from repro.mapping.base import (
     ApplicationWrapper,
@@ -166,47 +165,33 @@ class HplRdbmsWrapper(ApplicationWrapper):
         return HplRdbmsExecutionWrapper(self.conn, int(exec_id), float(row[0]))
 
     def get_stats(self) -> StoreStats:
-        """One SQL aggregate per metric: exact counts and value ranges.
+        """One ``SELECT`` of the metric columns: the complete row sets.
 
         ``get_pr`` renders one ``/Run`` result per run per metric, so the
-        per-metric row count is the execution count and the value range
-        is the column MIN/MAX — exact, hence trivially conservative.
-        The metric columns are also the complete row sets, so one column
-        scan per metric builds tier-0 sketches honouring the exactness
-        contract.
+        metric columns are exactly what it returns: row counts, value
+        ranges and the tier-0 sketches all come off this one scan.
         """
-        count = int(self.conn.execute("SELECT COUNT(*) FROM hpl_runs").scalar() or 0)
-        metrics = []
-        scanned: dict[str, list[float]] = {}
-        for metric in self.METRICS:
-            row = self.conn.execute(
-                f"SELECT MIN({metric}), MAX({metric}) FROM hpl_runs"
-            ).fetchone()
-            scanned[metric] = [
-                float(value_row[0])
-                for value_row in self.conn.execute(
-                    f"SELECT {metric} FROM hpl_runs"
-                ).fetchall()
-            ]
-            metrics.append(
-                MetricStats(
-                    metric=metric,
-                    rows=count,
-                    minimum=float(row[0]) if count and row and row[0] is not None else 0.0,
-                    maximum=float(row[1]) if count and row and row[1] is not None else 0.0,
-                )
-            )
-        end = self.conn.execute("SELECT MAX(runtimesec) FROM hpl_runs").scalar()
-        return StoreStats(
-            executions=count,
-            start=0.0,
-            end=float(end) if end is not None else 0.0,
-            foci=tuple(self.FOCI),
-            types=(self.result_type,),
-            metrics=tuple(metrics),
-            sketches=sketches_from_values(scanned),
-            distincts=self.attribute_distincts(),
-        )
+        return _hpl_stats(self.conn, "", [], self.attribute_distincts())
+
+
+def _hpl_stats(conn: Connection, where: str, params: list, distincts: tuple) -> StoreStats:
+    """Shared HPL stats scan over the runs *where* selects."""
+    rows = conn.execute(
+        f"SELECT {', '.join(HplRdbmsWrapper.METRICS)} FROM hpl_runs{where}", params
+    ).fetchall()
+    columns = {
+        metric: [float(row[index]) for row in rows]
+        for index, metric in enumerate(HplRdbmsWrapper.METRICS)
+    }
+    return StoreStats.scanned(
+        len(rows),
+        0.0,
+        max(columns["runtimesec"], default=0.0),
+        HplRdbmsWrapper.FOCI,
+        (HplRdbmsWrapper.result_type,),
+        columns,
+        distincts,
+    )
 
 
 class HplRdbmsExecutionWrapper(ExecutionWrapper):
@@ -323,31 +308,11 @@ class HplRdbmsExecutionWrapper(ExecutionWrapper):
 
     def get_stats(self) -> StoreStats:
         """One row read: each metric is a single scalar for this run."""
-        row = self.conn.execute(
-            "SELECT gflops, runtimesec, resid FROM hpl_runs WHERE runid = ?",
+        return _hpl_stats(
+            self.conn,
+            " WHERE runid = ?",
             [self.runid],
-        ).fetchone()
-        values = dict(zip(HplRdbmsWrapper.METRICS, row)) if row is not None else {}
-        metrics = tuple(
-            MetricStats(
-                metric=metric,
-                rows=1 if metric in values else 0,
-                minimum=float(values.get(metric, 0.0)),
-                maximum=float(values.get(metric, 0.0)),
-            )
-            for metric in HplRdbmsWrapper.METRICS
-        )
-        return StoreStats(
-            executions=1,
-            start=0.0,
-            end=float(values.get("runtimesec", 0.0)),
-            foci=tuple(HplRdbmsWrapper.FOCI),
-            types=(HplRdbmsWrapper.result_type,),
-            metrics=metrics,
-            sketches=sketches_from_values(
-                {metric: [float(value)] for metric, value in values.items()}
-            ),
-            distincts=distincts_from_values({"exec": [str(self.runid)]}),
+            distincts_from_values({"exec": [str(self.runid)]}),
         )
 
 
@@ -429,15 +394,10 @@ class Smg98RdbmsWrapper(ApplicationWrapper):
         stats exist to avoid.  The tier-0 planner therefore falls back
         to push-down for SMG98 members — the designed mixed-tier case.
         """
-        from dataclasses import replace
-
-        return replace(
-            _smg98_stats(self.conn, execid=None),
-            distincts=self.attribute_distincts(),
-        )
+        return _smg98_stats(self.conn, execid=None, distincts=self.attribute_distincts())
 
 
-def _smg98_stats(conn: Connection, execid: int | None) -> StoreStats:
+def _smg98_stats(conn: Connection, execid: int | None, distincts: tuple = ()) -> StoreStats:
     """Shared SMG98 stats query, optionally scoped to one execution."""
     where = "" if execid is None else " WHERE execid = ?"
     params: list[object] = [] if execid is None else [execid]
@@ -498,6 +458,7 @@ def _smg98_stats(conn: Connection, execid: int | None) -> StoreStats:
         foci=tuple(foci),
         types=(Smg98RdbmsWrapper.result_type,),
         metrics=metrics,
+        distincts=distincts,
     )
 
 
@@ -837,68 +798,45 @@ class PrestaRdbmsWrapper(ApplicationWrapper):
         return PrestaRdbmsExecutionWrapper(self.conn, int(exec_id), float(row[0]), float(row[1]))
 
     def get_stats(self) -> StoreStats:
-        """Exact counts/ranges straight off ``rma_results``."""
-        from dataclasses import replace
-
-        return replace(
-            _presta_rdbms_stats(self.conn, execid=None),
-            distincts=self.attribute_distincts(),
-        )
+        """Exact counts/ranges straight off one ``rma_results`` scan."""
+        return _presta_rdbms_stats(self.conn, execid=None, distincts=self.attribute_distincts())
 
 
-def _presta_rdbms_stats(conn: Connection, execid: int | None) -> StoreStats:
-    """Shared PRESTA stats query, optionally scoped to one execution.
+def _presta_rdbms_stats(conn: Connection, execid: int | None, distincts: tuple) -> StoreStats:
+    """Shared PRESTA stats scan, optionally scoped to one execution.
 
     ``get_pr`` renders one result per ``rma_results`` row per metric, so
-    row counts and value ranges are exact column aggregates — and one
-    column scan per metric yields the complete row set the tier-0
-    sketches require.  Stats foci are the *query* foci (``/Op/<op>``,
-    what ``get_foci`` returns), not the per-msgsize result foci.
+    one ``SELECT`` of the metric columns is the complete row set: row
+    counts, value ranges and the tier-0 sketches all come from it.
+    Stats foci are the *query* foci (``/Op/<op>``, what ``get_foci``
+    returns), not the per-msgsize result foci.
     """
     where = "" if execid is None else " WHERE execid = ?"
     params: list[object] = [] if execid is None else [execid]
     if execid is None:
-        execs = int(conn.execute("SELECT COUNT(*) FROM rma_execs").scalar() or 0)
-        span = conn.execute("SELECT MIN(start_time), MAX(end_time) FROM rma_execs").fetchone()
+        execs, start, end = conn.execute(
+            "SELECT COUNT(*), MIN(start_time), MAX(end_time) FROM rma_execs"
+        ).fetchone()
     else:
         execs = 1
-        span = conn.execute(
+        start, end = conn.execute(
             "SELECT start_time, end_time FROM rma_execs WHERE execid = ?", [execid]
-        ).fetchone()
-    start = float(span[0]) if span is not None and span[0] is not None else 0.0
-    end = float(span[1]) if span is not None and span[1] is not None else 0.0
-    rows = int(conn.execute(f"SELECT COUNT(*) FROM rma_results{where}", params).scalar() or 0)
-    metrics = []
-    scanned: dict[str, list[float]] = {}
-    for metric in PrestaRdbmsWrapper.METRICS:
-        bounds = conn.execute(
-            f"SELECT MIN({metric}), MAX({metric}) FROM rma_results{where}", params
-        ).fetchone()
-        scanned[metric] = [
-            float(value_row[0])
-            for value_row in conn.execute(
-                f"SELECT {metric} FROM rma_results{where}", params
-            ).fetchall()
-        ]
-        metrics.append(
-            MetricStats(
-                metric=metric,
-                rows=rows,
-                minimum=float(bounds[0]) if bounds and bounds[0] is not None else 0.0,
-                maximum=float(bounds[1]) if bounds and bounds[1] is not None else 0.0,
-            )
-        )
+        ).fetchone() or (None, None)
+    rows = conn.execute(
+        f"SELECT {', '.join(PrestaRdbmsWrapper.METRICS)} FROM rma_results{where}", params
+    ).fetchall()
     ops = conn.execute(f"SELECT DISTINCT op FROM rma_results{where} ORDER BY op", params)
-    distinct_keys = {} if execid is None else {"exec": [str(execid)]}
-    return StoreStats(
-        executions=execs,
-        start=start,
-        end=end,
-        foci=tuple(f"/Op/{row[0]}" for row in ops.fetchall()),
-        types=(PrestaRdbmsWrapper.result_type,),
-        metrics=tuple(metrics),
-        sketches=sketches_from_values(scanned),
-        distincts=distincts_from_values(distinct_keys),
+    return StoreStats.scanned(
+        int(execs),
+        float(start) if start is not None else 0.0,
+        float(end) if end is not None else 0.0,
+        [f"/Op/{row[0]}" for row in ops.fetchall()],
+        (PrestaRdbmsWrapper.result_type,),
+        {
+            metric: [float(row[index]) for row in rows]
+            for index, metric in enumerate(PrestaRdbmsWrapper.METRICS)
+        },
+        distincts,
     )
 
 
@@ -1017,5 +955,9 @@ class PrestaRdbmsExecutionWrapper(ExecutionWrapper):
         return _bucket_records(buckets)
 
     def get_stats(self) -> StoreStats:
-        """Per-execution stats via the shared SQL aggregates."""
-        return _presta_rdbms_stats(self.conn, execid=self.execid)
+        """Per-execution stats via the shared scan."""
+        return _presta_rdbms_stats(
+            self.conn,
+            execid=self.execid,
+            distincts=distincts_from_values({"exec": [str(self.execid)]}),
+        )

@@ -11,11 +11,9 @@ from typing import Iterator
 
 from repro.core.semantic import (
     UNDEFINED_TYPE,
-    MetricStats,
     PerformanceResult,
     StoreStats,
     distincts_from_values,
-    sketches_from_values,
 )
 from repro.datastores.textfiles import TextFileStore, TextStoreError
 from repro.mapping.base import (
@@ -96,12 +94,10 @@ class PrestaTextWrapper(ApplicationWrapper):
 
     def get_stats(self) -> StoreStats:
         """One parse per file (the cheapest this Data Layer offers)."""
-        from dataclasses import replace
-
-        merged = StoreStats.merge(
-            [_presta_text_stats(self.store, execid) for execid in self.store.execution_ids()]
+        return StoreStats.merge(
+            [_presta_text_stats(self.store, execid) for execid in self.store.execution_ids()],
+            self.attribute_distincts(),
         )
-        return replace(merged, distincts=self.attribute_distincts())
 
 
 def _presta_text_stats(store: TextFileStore, execid: int) -> StoreStats:
@@ -115,30 +111,18 @@ def _presta_text_stats(store: TextFileStore, execid: int) -> StoreStats:
     foci.
     """
     execution = store.load(execid)
-    latencies = [float(row[3]) for row in execution.measurements]
-    bandwidths = [float(row[4]) for row in execution.measurements]
-    rows = len(execution.measurements)
-    metrics = tuple(
-        MetricStats(
-            metric=metric,
-            rows=rows,
-            minimum=min(values) if values else 0.0,
-            maximum=max(values) if values else 0.0,
-        )
-        for metric, values in (("bandwidth_mbps", bandwidths), ("latency_us", latencies))
-    )
     ops = sorted({row[0] for row in execution.measurements})
-    return StoreStats(
-        executions=1,
-        start=execution.start_time,
-        end=execution.end_time,
-        foci=tuple(f"/Op/{op}" for op in ops),
-        types=(PrestaTextWrapper.result_type,),
-        metrics=metrics,
-        sketches=sketches_from_values(
-            {"bandwidth_mbps": bandwidths, "latency_us": latencies}
-        ),
-        distincts=distincts_from_values({"exec": [str(execid)]}),
+    return StoreStats.scanned(
+        1,
+        execution.start_time,
+        execution.end_time,
+        [f"/Op/{op}" for op in ops],
+        (PrestaTextWrapper.result_type,),
+        {
+            "bandwidth_mbps": [float(row[4]) for row in execution.measurements],
+            "latency_us": [float(row[3]) for row in execution.measurements],
+        },
+        distincts_from_values({"exec": [str(execid)]}),
     )
 
 

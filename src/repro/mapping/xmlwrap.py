@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from repro.core.semantic import (
     UNDEFINED_TYPE,
-    MetricStats,
     PerformanceResult,
     StoreStats,
-    sketches_from_values,
 )
 from repro.datastores.xmlstore import XmlStore
 from repro.mapping.base import (
@@ -90,41 +88,22 @@ class HplXmlWrapper(ApplicationWrapper):
         and ranges are exact attribute min/max — the same pass collects
         the complete value lists the tier-0 sketches require.
         """
-        from dataclasses import replace
-
-        return replace(
-            _hpl_xml_stats(list(self.store.runs())),
-            distincts=self.attribute_distincts(),
-        )
+        return _hpl_xml_stats(list(self.store.runs()), self.attribute_distincts())
 
 
-def _hpl_xml_stats(runs: list) -> StoreStats:
-    metrics = []
-    scanned: dict[str, list[float]] = {}
-    for metric in sorted(HplXmlWrapper.METRICS):
-        values = []
-        for run in runs:
-            raw = run.get(metric)
-            if raw is not None:
-                values.append(float(raw))
-        scanned[metric] = values
-        metrics.append(
-            MetricStats(
-                metric=metric,
-                rows=len(values),
-                minimum=min(values) if values else 0.0,
-                maximum=max(values) if values else 0.0,
-            )
-        )
+def _hpl_xml_stats(runs: list, distincts: tuple = ()) -> StoreStats:
     runtimes = [float(run.get("runtimesec") or 0.0) for run in runs]
-    return StoreStats(
-        executions=len(runs),
-        start=0.0,
-        end=max(runtimes) if runtimes else 0.0,
-        foci=("/Run",),
-        types=(HplXmlWrapper.result_type,),
-        metrics=tuple(metrics),
-        sketches=sketches_from_values(scanned),
+    return StoreStats.scanned(
+        len(runs),
+        0.0,
+        max(runtimes, default=0.0),
+        ("/Run",),
+        (HplXmlWrapper.result_type,),
+        {
+            metric: [float(run.get(metric)) for run in runs if run.get(metric) is not None]
+            for metric in sorted(HplXmlWrapper.METRICS)
+        },
+        distincts,
     )
 
 

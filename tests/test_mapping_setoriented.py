@@ -5,7 +5,7 @@
   the fold order is part of the contract, it fixes every float sum;
 * cost guard: statements per call are *counted* through a ``Database``
   proxy, never timed, and so are the rows the ``/Code`` aggregate's
-  first join receives;
+  first join receives; a ``getStats`` reads each store once;
 * minidb: ``?`` is a token bound by value — no parameter leaks through
   the statement memo, none passes through SQL text;
 * the SOAP surface answers infinite ``getPRAgg`` bounds alike on every
@@ -23,7 +23,14 @@ import pytest
 from repro.core.semantic import UNDEFINED_TYPE, AggregateRecord, PerformanceResult
 from repro.datastores.generators.smg98 import generate_smg98
 from repro.experiments.common import build_synthetic_grid
-from repro.mapping import MappingError, PrestaRdbmsWrapper, Smg98RdbmsWrapper
+from repro.datastores.perfdmf import profile_from_trace
+from repro.mapping import (
+    HplRdbmsWrapper,
+    MappingError,
+    PerfDmfWrapper,
+    PrestaRdbmsWrapper,
+    Smg98RdbmsWrapper,
+)
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 from repro.minidb import Database, ProgrammingError, connect
 from repro.minidb import executor
@@ -321,6 +328,41 @@ class TestStatementsPerCall:
         after = execution.get_pr_aggregate("time_spent", foci, 0.0, 0.0, UNDEFINED_TYPE)
         assert after[0].count > before[0].count
         assert before[0].maximum < execution.runtime <= after[0].maximum
+
+
+class TestStatsStatementsPerCall:
+    """``getStats`` reads each store once: the scan that builds the
+    tier-0 sketches also yields the row counts and ranges, so no SQL
+    ``COUNT``/``MIN``/``MAX`` repeats it.  SMG98 publishes no sketch and
+    answers from its aggregates alone.  The application-level counts
+    include the attribute enumeration behind the distinct sketches."""
+
+    @pytest.fixture()
+    def stores(self, hpl_dataset, presta_dataset, smg98_dataset):
+        return {
+            "HPL": (HplRdbmsWrapper, hpl_dataset.to_database()),
+            "PRESTA": (PrestaRdbmsWrapper, presta_dataset.to_database()),
+            "PerfDMF": (PerfDmfWrapper, profile_from_trace(smg98_dataset).to_database()),
+            "SMG98": (Smg98RdbmsWrapper, smg98_dataset.to_database()),
+        }
+
+    @pytest.mark.parametrize(
+        "store, at_most",  # (application, execution)
+        [("HPL", (9, 1)), ("PRESTA", (9, 3)), ("PerfDMF", (9, 4)), ("SMG98", (12, 4))],
+    )
+    def test_statements_per_get_stats(self, stores, store, at_most):
+        wrapper_class, database = stores[store]
+        db = CountingDatabase(database)
+        app = wrapper_class(db)
+        execution = app.execution(app.get_all_exec_ids()[0])
+        counts = []
+        for wrapper in (app, execution):
+            del db.statements[:]
+            wrapper.get_stats()
+            counts.append(len(db.statements))
+        assert all(1 <= n <= most for n, most in zip(counts, at_most)), counts
+        if store == "SMG98":  # pinned: its aggregates are the whole read
+            assert tuple(counts) == at_most
 
 
 # ------------------------------------------------------------------ minidb

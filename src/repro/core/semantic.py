@@ -282,15 +282,14 @@ class MetricStats:
 
 
 # Two mergeable sketch kinds ride the ``getStats`` wire path as extra
-# StoreStats records.  A wrapper may emit a MetricSketch only when it was
-# built from a *complete scan* of the metric's rows over all foci and the
-# full time window (the row set ``getPR`` with no constraints returns):
-# that exactness contract lets tier 0 answer whole sub-queries from the
-# sketch alone (repro.fedquery.sketch).  A DistinctSketch's merge is a
-# bitwise OR, so duplicates across members collapse.
-
-#: histogram resolution: fixed so aligned merges stay exact bucket-wise
-HIST_BUCKETS = 32
+# StoreStats records.  A MetricSketch is one metric's exact whole-store
+# summary, the global ``getPRAgg`` bucket the store would answer.  A
+# wrapper may emit one only when it was built from a *complete scan* of
+# the metric's rows over all foci and the full time window (the row set
+# ``getPR`` with no constraints returns): that exactness contract lets
+# tier 0 answer whole sub-queries from the summary alone
+# (repro.fedquery.sketch).  A DistinctSketch only estimates; its merge
+# is a bitwise OR, so duplicates across members collapse.
 
 #: linear-counting bitmap width (bits) for distinct-count sketches
 DISTINCT_BITS = 256
@@ -298,17 +297,11 @@ DISTINCT_BITS = 256
 
 @dataclass(frozen=True)
 class MetricSketch:
-    """Mergeable value-distribution sketch for one metric.
+    """One metric's exact whole-store summary.
 
     ``count``/``total``/``minimum``/``maximum`` are exact over the
-    metric's full row set (the builder contract).  ``counts``/``totals``
-    attribute that mass to ``len(counts)`` equal-width buckets over
-    ``[minimum, maximum]``; after a rebinning merge the attribution is
-    approximate but every unit of mass in bucket *i* belongs to a row
-    whose value lies within the bucket range widened by ``fuzz`` (and
-    clipped to the exact global range).  ``exact_buckets`` is True while
-    per-bucket counts and totals are still exact (fresh sketches, and
-    merges of identically-binned exact sketches).
+    metric's full row set (the builder contract): the four fields of the
+    global ``getPRAgg`` bucket the store would answer for it.
     """
 
     metric: str
@@ -316,175 +309,48 @@ class MetricSketch:
     total: float
     minimum: float
     maximum: float
-    counts: tuple[float, ...]
-    totals: tuple[float, ...]
-    fuzz: float = 0.0
-    exact_buckets: bool = True
 
-    # ------------------------------------------------------------ geometry
-    def bucket_width(self) -> float:
-        if not self.counts or self.maximum <= self.minimum:
-            return 0.0
-        return (self.maximum - self.minimum) / len(self.counts)
-
-    def bucket_bounds(self, index: int) -> tuple[float, float]:
-        width = self.bucket_width()
-        if width == 0.0:
-            return (self.minimum, self.maximum)
-        low = self.minimum + index * width
-        if index == len(self.counts) - 1:
-            return (low, self.maximum)  # absorb float drift at the top edge
-        return (low, low + width)
-
-    def buckets(self) -> list[tuple[float, float, float, float]]:
-        """(mass, total, low, high) per bucket; degenerate sketches fold
-        into one bucket spanning the whole exact range."""
-        if not self.counts:
-            if self.count <= 0:
-                return []
-            return [(float(self.count), self.total, self.minimum, self.maximum)]
-        out = []
-        for index, (mass, tot) in enumerate(zip(self.counts, self.totals)):
-            low, high = self.bucket_bounds(index)
-            out.append((mass, tot, low, high))
-        return out
-
-    # ------------------------------------------------------------ builders
     @classmethod
-    def from_values(
-        cls, metric: str, values: list[float], buckets: int = HIST_BUCKETS
-    ) -> "MetricSketch":
-        """Exact sketch from a complete scan of the metric's values."""
+    def from_values(cls, metric: str, values: list[float]) -> "MetricSketch":
+        """The summary of a complete scan of the metric's values."""
         if not values:
-            return cls(metric, 0, 0.0, 0.0, 0.0, (), ())
-        minimum = min(values)
-        maximum = max(values)
-        total = math.fsum(values)
-        if maximum <= minimum:
-            return cls(
-                metric, len(values), total, minimum, maximum,
-                (float(len(values)),), (total,),
-            )
-        width = (maximum - minimum) / buckets
-        counts = [0.0] * buckets
-        totals = [0.0] * buckets
-        for value in values:
-            index = min(buckets - 1, int((value - minimum) / width))
-            counts[index] += 1.0
-            totals[index] += value
-        return cls(
-            metric, len(values), total, minimum, maximum,
-            tuple(counts), tuple(totals),
-        )
+            return cls(metric, 0, 0.0, 0.0, 0.0)
+        return cls(metric, len(values), math.fsum(values), min(values), max(values))
 
     @classmethod
     def merge(cls, parts: list["MetricSketch"]) -> "MetricSketch":
-        """Combine sketches of disjoint row sets into one.
-
-        Identically-binned parts add bucket-wise and stay as exact as
-        their inputs; differently-binned parts rebin proportionally into
-        ``HIST_BUCKETS`` buckets over the union range, widening ``fuzz``
-        by each part's source bucket width so bucket classification in
-        :func:`repro.fedquery.sketch.estimate_window` stays sound: every
-        target bucket that receives mass from a source bucket ``[l, h]``
-        overlaps it, so ``[l, h]`` lies within the target bucket widened
-        by one source bucket width.
-        """
+        """The summary of disjoint row sets' union: counts and totals
+        add, extrema take the min and max — exact, like its parts."""
         name = parts[0].metric if parts else ""
         live = [part for part in parts if part.count > 0]
         if not live:
-            return cls(name, 0, 0.0, 0.0, 0.0, (), ())
-        if len(live) == 1:
-            return live[0]
-        count = sum(part.count for part in live)
-        total = math.fsum(part.total for part in live)
-        minimum = min(part.minimum for part in live)
-        maximum = max(part.maximum for part in live)
-        first = live[0]
-        if all(
-            part.minimum == first.minimum
-            and part.maximum == first.maximum
-            and len(part.counts) == len(first.counts)
-            for part in live
-        ):
-            counts = [0.0] * len(first.counts)
-            totals = [0.0] * len(first.counts)
-            for part in live:
-                for index, (mass, tot) in enumerate(zip(part.counts, part.totals)):
-                    counts[index] += mass
-                    totals[index] += tot
-            return cls(
-                name, count, total, minimum, maximum,
-                tuple(counts), tuple(totals),
-                fuzz=max(part.fuzz for part in live),
-                exact_buckets=all(part.exact_buckets for part in live),
-            )
-        if maximum <= minimum:
-            return cls(
-                name, count, total, minimum, maximum,
-                (float(count),), (total,),
-                fuzz=max(part.fuzz for part in live),
-            )
-        width = (maximum - minimum) / HIST_BUCKETS
-        counts = [0.0] * HIST_BUCKETS
-        totals = [0.0] * HIST_BUCKETS
-        fuzz = 0.0
-        for part in live:
-            fuzz = max(fuzz, part.fuzz + part.bucket_width())
-            for mass, tot, low, high in part.buckets():
-                if mass <= 0.0 and tot == 0.0:
-                    continue
-                if high <= low:  # point mass lands in one target bucket
-                    index = min(HIST_BUCKETS - 1, int((low - minimum) / width))
-                    counts[index] += mass
-                    totals[index] += tot
-                    continue
-                start = max(0, min(HIST_BUCKETS - 1, int((low - minimum) / width)))
-                stop = max(0, min(HIST_BUCKETS - 1, int((high - minimum) / width)))
-                for index in range(start, stop + 1):
-                    b_low = minimum + index * width
-                    overlap = min(high, b_low + width) - max(low, b_low)
-                    if overlap <= 0.0:
-                        continue
-                    share = overlap / (high - low)
-                    counts[index] += mass * share
-                    totals[index] += tot * share
+            return cls(name, 0, 0.0, 0.0, 0.0)
         return cls(
-            name, count, total, minimum, maximum,
-            tuple(counts), tuple(totals),
-            fuzz=fuzz, exact_buckets=False,
+            name,
+            sum(part.count for part in live),
+            math.fsum(part.total for part in live),
+            min(part.minimum for part in live),
+            max(part.maximum for part in live),
         )
 
-    # ---------------------------------------------------------------- wire
+    def record(self) -> AggregateRecord:
+        """The summary as the store's global ``getPRAgg`` bucket."""
+        return AggregateRecord("", self.count, self.total, self.minimum, self.maximum)
+
     def pack(self) -> str:
-        """Wire form: ``sketch|metric|count|total|min|max|fuzz|exact|counts|totals``
-        (bucket lists comma-separated — ``|`` delimits fields)."""
+        """Wire form: ``sketch|metric|count|total|min|max``."""
         return (
             f"sketch|{self.metric}|{self.count}|{self.total!r}|"
-            f"{self.minimum!r}|{self.maximum!r}|{self.fuzz!r}|"
-            f"{1 if self.exact_buckets else 0}|"
-            + ",".join(repr(value) for value in self.counts)
-            + "|"
-            + ",".join(repr(value) for value in self.totals)
+            f"{self.minimum!r}|{self.maximum!r}"
         )
 
     @staticmethod
     def unpack(rest: str) -> "MetricSketch":
         parts = rest.split("|")
-        if len(parts) != 9:
+        if len(parts) != 5:
             raise ValueError(f"bad MetricSketch record {rest!r}")
-        metric, count, total, minimum, maximum, fuzz, exact, counts, totals = parts
-        return MetricSketch(
-            metric=metric,
-            count=int(count),
-            total=float(total),
-            minimum=float(minimum),
-            maximum=float(maximum),
-            counts=tuple(float(v) for v in counts.split(",") if v),
-            totals=tuple(float(v) for v in totals.split(",") if v),
-            fuzz=float(fuzz),
-            exact_buckets=exact.strip() not in ("0", ""),
-        )
+        metric, count, total, minimum, maximum = parts
+        return MetricSketch(metric, int(count), float(total), float(minimum), float(maximum))
 
 
 @dataclass(frozen=True)
@@ -552,6 +418,16 @@ def distincts_from_values(values: dict[str, list[str]]) -> tuple[DistinctSketch,
         DistinctSketch.from_values(key, key_values)
         for key, key_values in sorted(values.items())
     )
+
+
+def or_distincts(groups: Iterable[Iterable[DistinctSketch]]) -> tuple[DistinctSketch, ...]:
+    """The per-key OR of several sets of distinct sketches, keys in the
+    order they are first seen."""
+    by_key: dict[str, list[DistinctSketch]] = {}
+    for group in groups:
+        for sketch in group:
+            by_key.setdefault(sketch.key, []).append(sketch)
+    return tuple(DistinctSketch.merge(parts) for parts in by_key.values())
 
 
 @dataclass(frozen=True)
@@ -764,17 +640,7 @@ class StoreStats:
             if live and all(sketch is not None for sketch in part_sketches):
                 sketches.append(MetricSketch.merge(part_sketches))
         if distincts is None:
-            distinct_keys: list[str] = []
-            for part in parts:
-                for sketch in part.distincts:
-                    if sketch.key not in distinct_keys:
-                        distinct_keys.append(sketch.key)
-            distincts = tuple(
-                DistinctSketch.merge(
-                    [part.distinct(key) for part in parts if part.distinct(key)]
-                )
-                for key in distinct_keys
-            )
+            distincts = or_distincts(part.distincts for part in parts)
         spanned = [part for part in parts if part.executions]
         return cls(
             executions=sum(part.executions for part in parts),
@@ -893,7 +759,7 @@ APPLICATION_PORTTYPE = PortType(
                 "executions — execution count, per-metric row counts and "
                 "value ranges, focus cardinality, and time-window coverage "
                 "— as packed StoreStats records, plus optional mergeable "
-                "sketches (per-metric value histograms, per-key distinct "
+                "sketches (per-metric exact summaries, per-key distinct "
                 "counts).  Used by the federated query cost model to "
                 "choose raw/aggregate/skip per member and by the tier-0 "
                 "planner to answer aggregates with zero round-trips."

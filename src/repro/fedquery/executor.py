@@ -53,7 +53,7 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from repro.core.prcache import ByteBudgetLruCache, PrCache, entry_bytes
-from repro.core.semantic import AggregateRecord, ordering_key
+from repro.core.semantic import ordering_key
 from repro.fedquery.ast import Query, QueryError
 from repro.fedquery.coherence import ANY, CoherenceTracker, Dep
 from repro.fedquery.merge import (
@@ -325,20 +325,11 @@ class FederationEngine:
             # comparison at admission guarantee an update racing this
             # query can never leave a stale tier-0 answer in the cache
             deps.add((member.app, ANY))
-            # the estimates are provably exact (zero-width count/sum,
-            # proven extrema), so they fold into the merge as synthetic
-            # getPRAgg buckets
+            # each metric's partial is the member's global getPRAgg
+            # bucket, exact in every field a selected aggregate reads, so
+            # it folds like a fetched one (an empty one folds nothing)
             ctx = TaskContext(app=member.app)
-            for metric, est in member.tier0:
-                if est.count_hi <= 0.0:
-                    continue
-                record = AggregateRecord(
-                    "",
-                    int(round(est.count_lo)),
-                    est.sum_lo,
-                    est.min_exact if est.min_exact is not None else est.value_lo,
-                    est.max_exact if est.max_exact is not None else est.value_hi,
-                )
+            for metric, record in member.tier0:
                 merger.absorb_aggregates(ctx, metric, [record])
         tasks = self._collect_tasks(plan, stats)
         for _, (ctx, payloads) in self._fan_out(tasks, tenant, stats, errors):

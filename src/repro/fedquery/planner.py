@@ -110,8 +110,9 @@ class MemberPlan:
     #: answer tier: "tier0-stats" (exact from metadata), "pushdown"
     #: (getPRAgg), or "raw" (getPR rows reduced client-side)
     tier: str = "pushdown"
-    #: tier-0 payload: ((metric, WindowEstimate), ...) — the member's
-    #: answer, computed at plan time from cached stats, zero round-trips
+    #: tier-0 payload: ((metric, AggregateRecord), ...) — each metric's
+    #: global getPRAgg bucket, read at plan time off the member's cached
+    #: exact summaries, zero round-trips
     tier0: tuple = ()
 
     @property
@@ -422,9 +423,8 @@ def plan_query(
     With *tier0*, members whose cached stats/sketches prove the exact
     answer to an eligible aggregate query are planned at tier 0: no
     selector, no subqueries, zero round-trips — the executor folds the
-    plan-time :class:`~repro.fedquery.sketch.WindowEstimate` partials
-    straight into the merge.  A member whose stats only bound an
-    aggregate fans out like any other.
+    plan-time ``getPRAgg`` buckets straight into the merge.  A member whose summaries leave an
+    aggregate unknown fans out like any other.
     """
     split = split_predicates(query)
     window = derive_window(split.time)

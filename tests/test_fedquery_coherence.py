@@ -321,6 +321,36 @@ class TestRefreshMembers:
         assert engine.execute("SELECT count(resid) FROM HPL GROUP BY app").rows
 
 
+class TestDeltaRefreshDistincts:
+    """A delta refresh re-merges per-execution stats, which carry no
+    group-key distinct sketch but ``exec``; the member's own distincts
+    must survive it, or a ``data_updated`` silently costs the planner
+    its output-group estimate."""
+
+    QUERY = "SELECT count(gflops) FROM HPL GROUP BY numprocs"
+
+    def test_update_keeps_the_members_distincts(self, grid, monkeypatch):
+        engine = grid.fed_engine
+        hpl = engine.members()["HPL"]
+        assert "estimated output groups" in engine.explain(self.QUERY)
+        hpl_exec_service(grid).data_updated("ingest")
+        member_fetches = []
+        fetch = type(hpl).get_stats
+        monkeypatch.setattr(
+            type(hpl), "get_stats", lambda self: member_fetches.append(self) or fetch(self)
+        )
+        deltas = engine.coherence_stats()["statsDeltas"]
+        text = engine.explain(self.QUERY)
+        assert engine.coherence_stats()["statsDeltas"] == deltas + 1
+        assert member_fetches == []  # the delta branch, not a whole-member refetch
+        assert "estimated output groups" in text
+        merged = engine.coherence.member_stats({"HPL": hpl}, engine._execution_id)["HPL"]
+        fresh = fetch(hpl)
+        assert [s.key for s in merged.distincts] == [s.key for s in fresh.distincts]
+        assert merged.distincts == fresh.distincts
+        assert len(fresh.distincts) > 1
+
+
 class TestStatsFetchRace:
     """Cached member statistics are admitted like cached plans: an
     update delivered while the ``getStats`` that produced them was in

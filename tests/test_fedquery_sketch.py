@@ -1,12 +1,12 @@
-"""Mergeable-sketch math: soundness of bounds under merge and rebin.
+"""Metric summaries: exactness of what tier 0 reads off them.
 
-The tier-0 answer path trusts two invariants unconditionally — the true
-filtered aggregate lies within :class:`WindowEstimate` bounds, and
-``StoreStats.merge`` only keeps a sketch when every contributing part
-carried one.  This file pins both, plus the degenerate shapes the issue
-calls out: an empty member, an all-null (never-recorded) metric, a
-single-row ``min == max`` sketch, and bounds clamping when a predicate
-lands exactly on a window boundary.
+The tier-0 answer path trusts two invariants unconditionally — what
+:func:`estimate_window` proves from a summary's four scalars is the
+brute-force answer, and ``StoreStats.merge`` only keeps a summary when
+every contributing part carried one.  This file pins both, plus the
+degenerate shapes: an empty member, an all-null (never-recorded) metric,
+a single-row ``min == max`` summary, and predicates whose literal lands
+exactly on the summary's range edges.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import random
 import pytest
 
 from repro.core.semantic import (
+    AggregateRecord,
     DistinctSketch,
     MetricSketch,
     MetricStats,
@@ -24,36 +25,61 @@ from repro.core.semantic import (
     sketches_from_values,
 )
 from repro.fedquery.ast import Predicate
-from repro.fedquery.sketch import EMPTY_ESTIMATE, estimate_window
+from repro.fedquery.cost import unsatisfiable_over, vacuous_over
+from repro.fedquery.sketch import ALL_FUNCS, EMPTY_ESTIMATE, estimate_window
 from repro.fedquery.pushdown import matches_value
+
+OPS = ("<", "<=", ">", ">=", "=", "!=")
 
 
 def pred(op: str, bound: float) -> Predicate:
     return Predicate(field="value", op=op, value=repr(bound))
 
 
-def check_sound(sketch: MetricSketch, values: list[float], preds) -> None:
-    """The exact filtered aggregates must sit inside the sketch bounds."""
+def check_exact(sketch: MetricSketch, values: list[float], preds) -> None:
+    """What the summary proves about *preds* is the brute-force answer,
+    and everything its range decides is proven."""
     est = estimate_window(sketch, preds)
+    record = est.record
     selected = [v for v in values if matches_value(v, preds)]
-    assert est.count_lo - 1e-9 <= len(selected) <= est.count_hi + 1e-9
-    total = math.fsum(selected)
-    assert est.sum_lo - 1e-9 <= total <= est.sum_hi + 1e-9
-    if selected:
-        assert est.value_lo - 1e-9 <= min(selected)
-        assert max(selected) <= est.value_hi + 1e-9
-        if est.min_exact is not None:
-            assert est.min_exact == min(selected)
-        if est.max_exact is not None:
-            assert est.max_exact == max(selected)
+    if record.count == 0:
+        # "empty": no row matches
+        assert not selected
+        assert est.answers == ALL_FUNCS
+    elif est.answers == ALL_FUNCS:
+        # "all rows": the summary is the filtered answer
+        assert selected == values
+        assert (record.count, record.minimum, record.maximum) == (
+            len(selected), min(selected), max(selected),
+        )
+        # totals sum in merge order: exact up to one rounding per part
+        assert record.total == pytest.approx(math.fsum(selected), rel=1e-12, abs=1e-9)
     else:
-        assert est.count_lo == 0.0
+        # undecided (any number of rows may match): only a matching
+        # global extremum is proven, and it is the filtered one
+        assert est.answers <= {"min", "max"}
+        assert ("min" in est.answers) == matches_value(min(values), preds)
+        assert ("max" in est.answers) == matches_value(max(values), preds)
+        if "min" in est.answers:
+            assert selected and record.minimum == min(selected)
+        if "max" in est.answers:
+            assert selected and record.maximum == max(selected)
+    if values:
+        low, high = min(values), max(values)
+        if all(vacuous_over(p, low, high) for p in preds):
+            assert est.answers == ALL_FUNCS and record.count == len(values)
+        if any(unsatisfiable_over(p, low, high) for p in preds):
+            assert record.count == 0
+
+
+def summary(values: list[float]) -> AggregateRecord:
+    return AggregateRecord("", len(values), math.fsum(values), min(values), max(values))
 
 
 class TestDegenerateShapes:
     def test_empty_member_sketch(self):
         sketch = MetricSketch.from_values("m", [])
-        assert sketch.count == 0 and sketch.buckets() == []
+        assert sketch.count == 0
         assert estimate_window(sketch, (pred(">", 0.0),)) is EMPTY_ESTIMATE
         # merging an empty part in changes nothing
         live = MetricSketch.from_values("m", [1.0, 2.0, 3.0])
@@ -70,34 +96,34 @@ class TestDegenerateShapes:
     def test_single_row_min_equals_max(self):
         sketch = MetricSketch.from_values("m", [42.0])
         assert sketch.minimum == sketch.maximum == 42.0
-        assert sketch.bucket_width() == 0.0
         # the point either fully matches or fully misses — always exact
         hit = estimate_window(sketch, (pred(">=", 42.0),))
-        assert hit.exact and hit.count_lo == 1.0 and hit.sum_lo == 42.0
-        assert hit.min_exact == hit.max_exact == 42.0
+        assert hit.answers == ALL_FUNCS and hit.record == summary([42.0])
         miss = estimate_window(sketch, (pred(">", 42.0),))
-        assert miss.empty
+        assert miss is EMPTY_ESTIMATE
 
     def test_constant_valued_rows(self):
         values = [5.0] * 7
         sketch = MetricSketch.from_values("m", values)
-        check_sound(sketch, values, (pred("=", 5.0),))
+        for op in OPS:
+            check_exact(sketch, values, (pred(op, 5.0),))
         est = estimate_window(sketch, (pred("=", 5.0),))
-        assert est.exact and est.count_lo == 7.0
+        assert est.answers == ALL_FUNCS and est.record.count == 7
+        assert estimate_window(sketch, (pred("!=", 5.0),)) is EMPTY_ESTIMATE
 
     def test_point_mass_merges_with_spread(self):
-        """A degenerate (min==max) part rebins into a wide one soundly."""
+        """A degenerate (min==max) part merges exactly into a wide one."""
         point = [100.0] * 3
         spread = [float(v) for v in range(0, 300, 7)]
         merged = MetricSketch.merge(
             [MetricSketch.from_values("m", point), MetricSketch.from_values("m", spread)]
         )
         for preds in [(pred(">", 99.0), pred("<", 101.0)), (pred(">=", 150.0),)]:
-            check_sound(merged, point + spread, preds)
+            check_exact(merged, point + spread, preds)
 
 
 class TestBoundaryClamping:
-    """Predicates landing exactly on window edges must clamp, not leak."""
+    """Predicates landing exactly on the summary's range edges."""
 
     VALUES = [float(v) for v in range(10, 110)]  # min 10, max 109
 
@@ -105,39 +131,40 @@ class TestBoundaryClamping:
         sketch = MetricSketch.from_values("m", self.VALUES)
         # '>= min' is vacuous: exact full answer
         est = estimate_window(sketch, (pred(">=", 10.0),))
-        assert est.exact and est.count_lo == float(len(self.VALUES))
+        assert est.answers == ALL_FUNCS and est.record == summary(self.VALUES)
 
     def test_fraction_clamped_at_upper_edge(self):
         sketch = MetricSketch.from_values("m", self.VALUES)
         est = estimate_window(sketch, (pred("<=", 109.0),))
-        assert est.exact and est.count_hi == float(len(self.VALUES))
+        assert est.answers == ALL_FUNCS and est.record == summary(self.VALUES)
 
     def test_strict_bound_at_edge_is_unsatisfiable(self):
         sketch = MetricSketch.from_values("m", self.VALUES)
-        assert estimate_window(sketch, (pred("<", 10.0),)).empty
-        assert estimate_window(sketch, (pred(">", 109.0),)).empty
+        assert estimate_window(sketch, (pred("<", 10.0),)) is EMPTY_ESTIMATE
+        assert estimate_window(sketch, (pred(">", 109.0),)) is EMPTY_ESTIMATE
 
-    def test_estimate_stays_inside_bounds_on_bucket_edges(self):
+    def test_literals_on_and_beside_the_range_edges(self):
         sketch = MetricSketch.from_values("m", self.VALUES)
-        width = sketch.bucket_width()
-        for k in range(len(sketch.counts) + 1):
-            boundary = sketch.minimum + k * width
-            for op in ("<", "<=", ">", ">="):
-                est = estimate_window(sketch, (pred(op, boundary),))
-                assert est.count_lo <= est.count_hi
-                assert est.sum_lo <= est.sum_hi
-                check_sound(sketch, self.VALUES, (pred(op, boundary),))
+        for edge in (10.0, 109.0):
+            for literal in (edge - 0.5, edge, edge + 0.5):
+                for op in OPS:
+                    check_exact(sketch, self.VALUES, (pred(op, literal),))
+        # only some rows match: the matching extremum alone is proven
+        est = estimate_window(sketch, (pred(">", 10.0),))
+        assert est.answers == {"max"} and est.record.maximum == 109.0
+        est = estimate_window(sketch, (pred("!=", 50.0),))
+        assert est.answers == {"min", "max"}
 
     def test_window_outside_range_clamps_to_zero_or_all(self):
         sketch = MetricSketch.from_values("m", self.VALUES)
-        assert estimate_window(sketch, (pred(">", 1000.0),)).empty
+        assert estimate_window(sketch, (pred(">", 1000.0),)) is EMPTY_ESTIMATE
         est = estimate_window(sketch, (pred(">", -1000.0),))
-        assert est.exact and est.count_lo == float(len(self.VALUES))
+        assert est.answers == ALL_FUNCS and est.record.count == len(self.VALUES)
 
 
 class TestMergeSoundnessOracle:
-    """Randomized mini-oracle: arbitrary partitions and ranges, the
-    merged sketch's bounds always contain the exact filtered answers."""
+    """Randomized mini-oracle: arbitrary partitions, merges and
+    predicates; what the merged summary proves is always exact."""
 
     def test_random_partitions_stay_sound(self, oracle_seed):
         rng = random.Random(4400 + oracle_seed)
@@ -154,15 +181,21 @@ class TestMergeSoundnessOracle:
             )
             values = [v for part in parts for v in part]
             assert merged.count == len(values)
+            edges = [min(values), max(values)] if values else []
             for _ in range(6):
-                op = rng.choice(["<", "<=", ">", ">=", "=", "!="])
-                if values and rng.random() < 0.4:
-                    bound = rng.choice(values)  # hit edges/exact rows often
-                else:
-                    bound = rng.uniform(-600.0, 600.0)
-                check_sound(merged, values, (pred(op, bound),))
+                preds = []
+                for _ in range(rng.randint(1, 2)):
+                    roll = rng.random()
+                    if edges and roll < 0.3:
+                        bound = rng.choice(edges)  # literals on the range edges
+                    elif values and roll < 0.6:
+                        bound = rng.choice(values)  # and on exact rows
+                    else:
+                        bound = rng.uniform(-600.0, 600.0)
+                    preds.append(pred(rng.choice(OPS), bound))
+                check_exact(merged, values, tuple(preds))
 
-    def test_repeated_merges_accumulate_fuzz_not_unsoundness(self, oracle_seed):
+    def test_repeated_merges_stay_exact(self, oracle_seed):
         rng = random.Random(8800 + oracle_seed)
         values = [rng.uniform(0, 10) for _ in range(20)]
         sketch = MetricSketch.from_values("m", values)
@@ -171,9 +204,12 @@ class TestMergeSoundnessOracle:
             extra = [rng.uniform(round_index * 7.0, round_index * 7.0 + 30.0) for _ in range(15)]
             sketch = MetricSketch.merge([sketch, MetricSketch.from_values("m", extra)])
             values.extend(extra)
-            assert sketch.fuzz >= 0.0
-            check_sound(sketch, values, (pred(">", 12.5),))
-            check_sound(sketch, values, (pred("<=", 20.0), pred(">", 5.0)))
+            assert (sketch.count, sketch.minimum, sketch.maximum) == (
+                len(values), min(values), max(values),
+            )
+            check_exact(sketch, values, (pred(">", 12.5),))
+            check_exact(sketch, values, (pred("<=", 20.0), pred(">", 5.0)))
+            check_exact(sketch, values, (pred(">=", min(values)), pred("<=", max(values))))
 
 
 class TestStoreStatsMerge:
@@ -220,7 +256,10 @@ class TestStoreStatsMerge:
         a = self._stats({"m": [1.0, 5.0, 9.0]})
         b = self._stats({"m": [100.0, 104.0]})
         merged = StoreStats.merge([a, b])
-        check_sound(merged.sketch("m"), [1.0, 5.0, 9.0, 100.0, 104.0], (pred(">", 4.0),))
+        values = [1.0, 5.0, 9.0, 100.0, 104.0]
+        assert merged.sketch("m").record() == summary(values)
+        for op in OPS:
+            check_exact(merged.sketch("m"), values, (pred(op, 4.0),))
 
     def test_distinct_sketches_or_together(self):
         a = StoreStats(
@@ -245,14 +284,14 @@ class TestWireRoundTrips:
         assert kind == "sketch"
         assert MetricSketch.unpack(rest) == sketch
 
-    def test_rebinned_sketch_roundtrip_preserves_fuzz(self):
+    def test_merged_sketch_roundtrip(self):
         merged = MetricSketch.merge(
             [
                 MetricSketch.from_values("m", [0.0, 10.0, 20.0]),
                 MetricSketch.from_values("m", [100.0, 230.0]),
             ]
         )
-        assert merged.fuzz > 0.0 and merged.exact_buckets is False
+        assert merged.pack() == "sketch|m|5|360.0|0.0|230.0"
         _, _, rest = merged.pack().partition("|")
         assert MetricSketch.unpack(rest) == merged
 
@@ -274,5 +313,8 @@ class TestWireRoundTrips:
     def test_bad_sketch_record_raises(self):
         with pytest.raises(ValueError, match="bad MetricSketch"):
             MetricSketch.unpack("m|1|2")
+        with pytest.raises(ValueError, match="bad MetricSketch"):
+            # the nine-field record with buckets is not read
+            MetricSketch.unpack("m|2|3.0|1.0|2.0|0.0|1|1.0,1.0|1.0,2.0")
         with pytest.raises(ValueError, match="bad StoreStats record"):
             StoreStats.unpack_records(["sketch|m|not-enough-fields"])

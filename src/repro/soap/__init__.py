@@ -13,7 +13,6 @@ from repro.soap.encoding import (
     SoapEncodingError,
     XsdType,
     decode_value,
-    encode_value,
     python_type_for,
     xsd_type_for,
 )
@@ -21,7 +20,6 @@ from repro.soap.envelope import (
     SOAP_ENV_NS,
     SoapEnvelope,
     SoapMessageError,
-    build_envelope,
     parse_envelope,
 )
 from repro.soap.chunks import (
@@ -67,7 +65,6 @@ __all__ = [
     "SoapFault",
     "SoapMessageError",
     "XsdType",
-    "build_envelope",
     "decode_chunk",
     "decode_request",
     "decode_response",
@@ -75,7 +72,6 @@ __all__ = [
     "encode_chunk",
     "encode_request",
     "encode_response",
-    "encode_value",
     "fault_from_exception",
     "parse_envelope",
     "python_type_for",

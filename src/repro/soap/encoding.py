@@ -22,8 +22,9 @@ mirroring Apache Axis's default RPC/encoded style.
 from __future__ import annotations
 
 from enum import Enum
+from typing import Iterator
 
-from repro.xmlkit import Element, QName
+from repro.xmlkit import Element, QName, escape_text
 
 XSD_NS = "http://www.w3.org/2001/XMLSchema"
 XSI_NS = "http://www.w3.org/2001/XMLSchema-instance"
@@ -31,7 +32,6 @@ ENC_NS = "http://schemas.xmlsoap.org/soap/encoding/"
 
 _XSI_TYPE = QName(XSI_NS, "type")
 _XSI_NIL = QName(XSI_NS, "nil")
-_ARRAY_TYPE_ATTR = QName(ENC_NS, "arrayType")
 
 
 class SoapEncodingError(ValueError):
@@ -97,50 +97,62 @@ def python_type_for(wire: str) -> type | None:
     return _PYTHON_TYPES[wire]
 
 
-def encode_value(name: str, value: object) -> Element:
-    """Encode a Python value as an element named *name* with ``xsi:type``."""
-    return _encode(QName("", name), value, _wire_name_for(value))
+def _text(value: object, wire: str) -> str:
+    """A scalar's element text, escaped as the writer escapes text."""
+    if wire == _BOOLEAN:
+        return "true" if value else "false"
+    if wire == _DOUBLE:
+        return repr(float(value))  # type: ignore[arg-type]
+    return escape_text(str(value))  # string, int, long
 
 
-_ITEM = QName("", "item")
-_new_element = Element.__new__
-
-
-def _encode(tag: QName, value: object, wire: str) -> Element:
-    """:func:`encode_value` once the value's wire type is known."""
-    # Element() would copy the three containers it is handed.
-    el = _new_element(Element)
-    el.tag = tag
-    el.attrs = {_XSI_TYPE: wire}
-    el.children = children = []
-    el.nsdecls = {}
+def write_value(
+    out: list[str], name: str, value: object, wire: str, xsi: str | None, enc: str | None,
+    fresh: Iterator[int],
+) -> None:
+    """Append *value* (wire type *wire*) as ``<name>``.  *xsi* and *enc* are the
+    XSI and SOAP-ENC prefixes in scope, ``None`` where none is; as the xmlkit
+    writer does, a missing one is declared here as the next ``ns<N>`` from
+    *fresh*, before the attributes, and this element's children inherit it."""
+    decls = ""
+    if xsi is None:
+        xsi = f"ns{next(fresh)}"
+        decls = f' xmlns:{xsi}="{XSI_NS}"'
     if value is None:
-        el.attrs[_XSI_NIL] = "true"
-    elif wire == _BOOLEAN:
-        children.append("true" if value else "false")
-    elif wire == _DOUBLE:
-        children.append(repr(float(value)))  # type: ignore[arg-type]
+        out.append(f'<{name}{decls} {xsi}:type="{_ANY}" {xsi}:nil="true"/>')
     elif wire == _ARRAY:
         items = list(value)  # type: ignore[call-overload]
         # classified once: the kinds that name the arrayType are the
-        # kinds the items are encoded with
+        # kinds the items are written with
         kinds = [_wire_name_for(item) for item in items]
         distinct = set(kinds) - {_ANY}  # None items do not vote
         item_type = distinct.pop() if len(distinct) == 1 else _ANY
-        el.attrs[_ARRAY_TYPE_ATTR] = f"{item_type}[{len(items)}]"
-        children.extend([_encode(_ITEM, item, kind) for item, kind in zip(items, kinds)])
+        if enc is None:
+            enc = f"ns{next(fresh)}"
+            decls += f' xmlns:{enc}="{ENC_NS}"'
+        head = f'<{name}{decls} {xsi}:type="{_ARRAY}" {enc}:arrayType="{item_type}[{len(items)}]"'
+        out.append(head + (">" if items else "/>"))  # no children: it closes itself
+        for item, kind in zip(items, kinds):
+            if item is None or kind == _ARRAY or kind == _STRUCT:
+                write_value(out, "item", item, kind, xsi, enc, fresh)
+            else:
+                out.append(f'<item {xsi}:type="{kind}">{_text(item, kind)}</item>')
+        if items:
+            out.append(f"</{name}>")
     elif wire == _STRUCT:
+        out.append(f'<{name}{decls} {xsi}:type="{_STRUCT}"' + (">" if value else "/>"))
         for key, item in value.items():  # type: ignore[attr-defined]
             if not isinstance(key, str) or not key:
                 raise SoapEncodingError("struct keys must be non-empty strings")
-            children.append(encode_value(key, item))
-    else:  # string, int, long
-        children.append(str(value))
-    return el
+            write_value(out, key, item, _wire_name_for(item), xsi, enc, fresh)
+        if value:
+            out.append(f"</{name}>")
+    else:
+        out.append(f'<{name}{decls} {xsi}:type="{wire}">{_text(value, wire)}</{name}>')
 
 
 def decode_value(el: Element) -> object:
-    """Decode an element produced by :func:`encode_value`."""
+    """Decode a parsed element that :func:`write_value` wrote."""
     nil = el.attrs.get(_XSI_NIL)
     if nil in ("true", "1"):
         return None

@@ -1,10 +1,10 @@
-"""SOAP envelope construction and parsing."""
+"""SOAP envelope parsing (:mod:`repro.soap.rpc` writes envelopes as text)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.xmlkit import Document, Element, QName, parse, serialize
+from repro.xmlkit import Element, QName, parse
 
 SOAP_ENV_NS = "http://schemas.xmlsoap.org/soap/envelope/"
 
@@ -19,7 +19,7 @@ class SoapMessageError(ValueError):
 
 @dataclass
 class SoapEnvelope:
-    """A parsed or under-construction SOAP message.
+    """A parsed SOAP message.
 
     ``headers``: header entry elements (e.g. GSI signatures, routing info).
     ``body_entries``: body entry elements (RPC call or response or fault).
@@ -28,29 +28,10 @@ class SoapEnvelope:
     headers: list[Element] = field(default_factory=list)
     body_entries: list[Element] = field(default_factory=list)
 
-    def to_element(self) -> Element:
-        env = Element(_ENVELOPE)
-        env.declare("soapenv", SOAP_ENV_NS)
-        if self.headers:
-            header = env.subelement(_HEADER)
-            header.children.extend(self.headers)
-        body = env.subelement(_BODY)
-        body.children.extend(self.body_entries)
-        return env
-
-    def to_bytes(self) -> bytes:
-        doc = Document(self.to_element())
-        return serialize(doc).encode("utf-8")
-
     def first_body_entry(self) -> Element:
         if not self.body_entries:
             raise SoapMessageError("SOAP body is empty")
         return self.body_entries[0]
-
-
-def build_envelope(body_entry: Element, headers: list[Element] | None = None) -> SoapEnvelope:
-    """Build an envelope around one body entry."""
-    return SoapEnvelope(headers=list(headers or []), body_entries=[body_entry])
 
 
 def parse_envelope(data: bytes | str) -> SoapEnvelope:

@@ -22,15 +22,6 @@ class SoapFault(Exception):
         self.fault_message = message
         self.detail = detail
 
-    def to_element(self) -> Element:
-        el = Element(_FAULT)
-        el.subelement("faultcode", f"soapenv:{self.code}")
-        el.subelement("faultstring", self.fault_message)
-        if self.detail:
-            detail = el.subelement("detail")
-            detail.subelement("exception", self.detail)
-        return el
-
     @staticmethod
     def is_fault(el: Element) -> bool:
         return el.tag == _FAULT

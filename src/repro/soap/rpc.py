@@ -3,17 +3,24 @@
 A request body entry is ``<{service-ns}opName>`` containing one encoded
 element per parameter, in order.  A response body entry is
 ``<{service-ns}opNameResponse>`` containing a single ``<return>`` element
-(or nothing for void), or a SOAP fault.
+(or nothing for void), or a SOAP fault.  Envelopes are written as text:
+the bytes the xmlkit writer makes of the same message as an element tree.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from repro.soap.encoding import decode_value, encode_value
-from repro.soap.envelope import SoapMessageError, build_envelope, parse_envelope
+from repro.soap.encoding import ENC_NS, XSI_NS, _wire_name_for, decode_value, write_value
+from repro.soap.envelope import SOAP_ENV_NS, SoapMessageError, parse_envelope
 from repro.soap.faults import SoapFault
-from repro.xmlkit import Element, QName
+from repro.xmlkit import Element, escape_attr, escape_text
+from repro.xmlkit.writer import serialize_children
+
+_HEAD = f'<?xml version="1.0" encoding="utf-8"?><soapenv:Envelope xmlns:soapenv="{SOAP_ENV_NS}">'
+_TAIL = "</soapenv:Body></soapenv:Envelope>"
+_SCOPE = {"soapenv": SOAP_ENV_NS}  # what the Envelope declares for the headers
 
 
 @dataclass
@@ -47,11 +54,7 @@ def encode_request(
     names = param_names or [f"arg{i}" for i in range(len(params))]
     if len(names) != len(params):
         raise ValueError(f"{operation}: {len(params)} params but {len(names)} names")
-    entry = Element(QName(namespace, operation))
-    entry.declare("tns", namespace)
-    for name, value in zip(names, params):
-        entry.children.append(encode_value(name, value))
-    return build_envelope(entry, headers=headers).to_bytes()
+    return _envelope(namespace, operation, names, params, headers)
 
 
 def decode_request(data: bytes) -> RpcRequest:
@@ -78,16 +81,39 @@ def encode_response(
     headers: list[Element] | None = None,
 ) -> bytes:
     """Encode a successful result into envelope bytes."""
-    entry = Element(QName(namespace, operation + "Response"))
-    entry.declare("tns", namespace)
-    if not is_void:
-        entry.children.append(encode_value("return", value))
-    return build_envelope(entry, headers=headers).to_bytes()
+    names, values = ((), ()) if is_void else (("return",), (value,))
+    return _envelope(namespace, operation + "Response", names, values, headers)
 
 
 def encode_fault(fault: SoapFault) -> bytes:
     """Encode a fault into envelope bytes."""
-    return build_envelope(fault.to_element()).to_bytes()
+    detail = fault.detail and f"<detail><exception>{escape_text(fault.detail)}</exception></detail>"
+    return (
+        f"{_HEAD}<soapenv:Body><soapenv:Fault>"
+        f"<faultcode>{escape_text(f'soapenv:{fault.code}')}</faultcode>"
+        f"<faultstring>{escape_text(fault.fault_message)}</faultstring>{detail}"
+        f"</soapenv:Fault>{_TAIL}"
+    ).encode("utf-8")
+
+
+def _envelope(namespace, local, names, values, headers) -> bytes:
+    """The envelope whose body entry ``{namespace}local`` declares ``tns``
+    and holds *values* as elements named *names*."""
+    fresh = itertools.count(1)  # one ns<N> counter for the whole document, headers first
+    header = ""
+    if headers:
+        header = f"<soapenv:Header>{serialize_children(headers, _SCOPE, fresh)}</soapenv:Header>"
+    tag = f"tns:{local}" if namespace else local
+    entry = f'{_HEAD}{header}<soapenv:Body><{tag} xmlns:tns="{escape_attr(namespace)}"'
+    if not names:
+        return f"{entry}/>{_TAIL}".encode("utf-8")
+    out = [entry + ">"]
+    # tns, declared on the entry, is the attribute prefix of its own namespace
+    xsi, enc = ("tns" if namespace == XSI_NS else None), ("tns" if namespace == ENC_NS else None)
+    for name, value in zip(names, values):
+        write_value(out, name, value, _wire_name_for(value), xsi, enc, fresh)
+    out.append(f"</{tag}>{_TAIL}")
+    return "".join(out).encode("utf-8")
 
 
 def decode_response(data: bytes) -> RpcResponse:

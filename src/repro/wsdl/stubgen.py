@@ -23,6 +23,13 @@ class StubError(TypeError):
     """Raised for argument-count/type errors caught client-side."""
 
 
+#: the Python types a scalar parameter's wire type admits
+_EXPECTED: dict[str, type | tuple[type, ...]] = {
+    "xsd:string": str, "xsd:int": int, "xsd:long": int,
+    "xsd:double": (int, float), "xsd:boolean": bool,
+}
+
+
 def _check_arg(op: Operation, index: int, value: object) -> None:
     param = op.parameters[index]
     base = param.wire_type[:-2] if param.wire_type.endswith("[]") else param.wire_type
@@ -35,14 +42,7 @@ def _check_arg(op: Operation, index: int, value: object) -> None:
                 f"{op.name}: parameter {param.name!r} expects an array, got {type(value).__name__}"
             )
         return
-    expectations: dict[str, type | tuple[type, ...]] = {
-        "xsd:string": str,
-        "xsd:int": int,
-        "xsd:long": int,
-        "xsd:double": (int, float),
-        "xsd:boolean": bool,
-    }
-    expected = expectations.get(base)
+    expected = _EXPECTED.get(base)
     if expected is None:
         return  # anyType / struct: accept anything encodable
     if isinstance(value, bool) and expected is not bool:
@@ -132,7 +132,8 @@ class ClientStub:
             return self.invoke(name, *args)
 
         call.__name__ = name
-        return call
+        # kept as an attribute: the next lookup finds it before __getattr__
+        return self.__dict__.setdefault(name, call)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ClientStub {self._porttype.name} @ {self._endpoint}>"

@@ -83,6 +83,18 @@ def serialize(node: Element | Document, *, indent: int | None = None) -> str:
     return "".join(parts)
 
 
+def serialize_children(
+    children: list[Element], nsdecls: dict[str, str], fresh: Iterator[int]
+) -> str:
+    """Serialize *children* inside a root element declaring *nsdecls*, drawing
+    generated prefixes from *fresh*, a counter the caller's own text shares."""
+    frame = _frame(nsdecls, _ROOT_FRAME[0])
+    parts: list[str] = []
+    for child in children:
+        _write_element(child, frame, fresh, parts, None, 1)
+    return "".join(parts)
+
+
 def serialize_bytes(node: Element | Document) -> bytes:
     """Serialize compactly and encode to UTF-8 (the on-wire form)."""
     return serialize(node).encode("utf-8")

@@ -2,7 +2,7 @@
 boundaries, service-data staleness, wrapper corner inputs."""
 
 from repro.core.semantic import UNDEFINED_TYPE
-from repro.soap import decode_value, encode_value
+from repro.soap import decode_response, encode_response, parse_envelope
 from repro.xmlkit import Element, QName, parse, serialize
 
 
@@ -49,29 +49,34 @@ class TestWriterPrefixScoping:
         assert parse(serialize(root)).root.structurally_equal(root)
 
 
+def roundtrip(value: object) -> object:
+    """*value* written into a response envelope, parsed and decoded."""
+    return decode_response(encode_response("urn:t", "op", value)).value
+
+
 class TestSoapBoundaries:
     def test_empty_string_array(self):
-        assert decode_value(encode_value("v", [])) == []
+        assert roundtrip([]) == []
 
     def test_array_of_nils(self):
-        assert decode_value(encode_value("v", [None, None])) == [None, None]
+        assert roundtrip([None, None]) == [None, None]
 
     def test_unicode_payload(self):
         text = "مرحبا — ειρήνη — 平和 — ✓"
-        assert decode_value(encode_value("v", text)) == text
+        assert roundtrip(text) == text
 
     def test_extreme_floats(self):
         for value in (1e-308, 1.7976931348623157e308, -0.0, 5e-324):
-            assert decode_value(encode_value("v", value)) == value
+            assert roundtrip(value) == value
 
     def test_int_boundaries_pick_long(self):
-        el = encode_value("v", 2**31)
-        assert el.attrs[QName("http://www.w3.org/2001/XMLSchema-instance", "type")] == "xsd:long"
-        el = encode_value("v", 2**31 - 1)
-        assert el.attrs[QName("http://www.w3.org/2001/XMLSchema-instance", "type")] == "xsd:int"
+        for value, wire in ((2**31, "xsd:long"), (2**31 - 1, "xsd:int")):
+            entry = parse_envelope(encode_response("urn:t", "op", value)).first_body_entry()
+            el = entry.find("return")
+            assert el.attrs[QName("http://www.w3.org/2001/XMLSchema-instance", "type")] == wire
 
     def test_struct_with_empty_dict(self):
-        assert decode_value(encode_value("v", {})) == {}
+        assert roundtrip({}) == {}
 
 
 class TestServiceDataFreshness:

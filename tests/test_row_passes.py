@@ -22,8 +22,9 @@ synthetic federation driven through the SOAP surface:
 
 Beside the counts, two differentials keep the faster paths honest: the
 column reader (``merge.read_rows``) against ``ResultRow.unpack`` row for
-row, and ``encode_value`` against the encoder as it stood before arrays
-were classified once (kept verbatim below), byte for byte.
+row, and the response envelope writer against ``encode_value`` as it
+stood before arrays were classified once (kept verbatim below), byte for
+byte.
 """
 
 from __future__ import annotations
@@ -45,8 +46,10 @@ from repro.fedquery.merge import read_rows
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 from repro.soap import colbatch, encoding
 from repro.soap.colbatch import DecodedBatch, decode_columns, encode_batch, split_rows
-from repro.soap.encoding import SoapEncodingError, decode_value, encode_value
-from repro.xmlkit import Element, QName, parse, serialize
+from repro.soap.encoding import SoapEncodingError, decode_value
+from repro.soap.rpc import decode_response, encode_response
+from repro.xmlkit import Element, QName
+from tests import reference_soap
 
 MEMBERS, EXECUTIONS, ROWS, FOCI = 2, 2, 50, 5
 TOTAL = MEMBERS * EXECUTIONS * ROWS
@@ -569,9 +572,10 @@ class TestColumnReader:
         assert [row["start"] for row in rows] == [i + 0.5 for i in range(40)]
 
 
-# ------------------------------------------- encode_value, byte for byte
+# ------------------------------------- the envelope writer, byte for byte
 
-_XSI_TYPE, _XSI_NIL, _ARRAY_TYPE = encoding._XSI_TYPE, encoding._XSI_NIL, encoding._ARRAY_TYPE_ATTR
+_XSI_TYPE, _XSI_NIL, _ARRAY_TYPE = encoding._XSI_TYPE, encoding._XSI_NIL, reference_soap._ARRAY_TYPE_ATTR
+_NS = "urn:ppg"
 
 
 def _reference_encode(name: str, value: object) -> Element:
@@ -602,6 +606,14 @@ def _reference_encode(name: str, value: object) -> Element:
     else:
         el.children.append(str(value))
     return el
+
+
+def _reference_response(value: object) -> bytes:
+    """The response envelope around ``_reference_encode("return", value)``,
+    built and written as an element tree."""
+    entry = Element(QName(_NS, "opResponse"), nsdecls={"tns": _NS})
+    entry.append(_reference_encode("return", value))
+    return reference_soap.build_envelope(entry).to_bytes()
 
 
 class _Tagged(str):
@@ -635,11 +647,11 @@ class TestEncodeAgainstReference:
     @given(_values)
     @settings(max_examples=400, deadline=None)
     def test_same_bytes(self, value):
-        encoded = encode_value("v", value)
-        assert serialize(encoded) == serialize(_reference_encode("v", value))
+        encoded = encode_response(_NS, "op", value)
+        assert encoded == _reference_response(value)
         # what goes out comes back the same through the one-text-child read
-        assert repr(decode_value(parse(serialize(encoded)).root)) == repr(
-            decode_value(_reference_encode("v", value))
+        assert repr(decode_response(encoded).value) == repr(
+            decode_value(_reference_encode("return", value))
         )
 
     @pytest.mark.parametrize(
@@ -661,18 +673,20 @@ class TestEncodeAgainstReference:
         ],
     )
     def test_named_shapes(self, value):
-        assert serialize(encode_value("v", value)) == serialize(_reference_encode("v", value))
+        assert encode_response(_NS, "op", value) == _reference_response(value)
 
     def test_items_share_nothing_mutable(self):
-        first, second = encode_value("v", ["a", "b"]).children
-        first.attrs[QName("", "k")] = "1"
-        first.children.append("x")
-        first.nsdecls["p"] = "urn:p"
-        assert serialize(second) == '<item xmlns:ns1="http://www.w3.org/2001/XMLSchema-instance" ns1:type="xsd:string">b</item>'
+        """The writer keeps nothing in the values it writes: one list, three
+        times an item, is written alike each time and left as it was."""
+        shared = ["a", None]
+        value = [shared, {"k": shared}, shared]
+        encoded = encode_response(_NS, "op", value)
+        assert encoded == _reference_response(value) and shared == ["a", None]
+        assert encoded.count(b'<item ns1:type="xsd:string">a</item>') == 3
 
     def test_struct_key_still_checked(self):
         with pytest.raises(SoapEncodingError):
-            encode_value("v", [{"": 1}])
+            encode_response(_NS, "op", [{"": 1}])
 
     def test_decode_reads_every_text_shape(self):
         def item(*children):

@@ -9,13 +9,11 @@ from repro.soap import (
     SoapFault,
     SoapMessageError,
     XsdType,
-    build_envelope,
     decode_request,
     decode_response,
     decode_value,
     encode_request,
     encode_response,
-    encode_value,
     parse_envelope,
     python_type_for,
     xsd_type_for,
@@ -56,6 +54,11 @@ class TestTypeInference:
             python_type_for("xsd:nonsense")
 
 
+def roundtrip(value: object) -> object:
+    """*value* written into a response envelope, parsed and decoded."""
+    return decode_response(encode_response("urn:t", "op", value)).value
+
+
 class TestValueRoundtrip:
     @pytest.mark.parametrize(
         "value",
@@ -79,32 +82,32 @@ class TestValueRoundtrip:
         ],
     )
     def test_roundtrip(self, value):
-        decoded = decode_value(encode_value("v", value))
+        decoded = roundtrip(value)
         if isinstance(value, tuple):
             value = list(value)
         assert decoded == value
 
     def test_bool_not_decoded_as_int(self):
-        assert decode_value(encode_value("v", True)) is True
+        assert roundtrip(True) is True
 
     def test_missing_xsi_type_raises(self):
         with pytest.raises(SoapEncodingError):
             decode_value(Element("v", children=["1"]))
 
     def test_bad_literals_raise(self):
-        el = encode_value("v", 1)
+        el = parse_envelope(encode_response("urn:t", "op", 1)).first_body_entry().find("return")
         el.children = ["not-an-int"]
         with pytest.raises(SoapEncodingError):
             decode_value(el)
 
     def test_struct_key_must_be_string(self):
         with pytest.raises(SoapEncodingError):
-            encode_value("v", {1: "x"})
+            encode_response("urn:t", "op", {1: "x"})
 
     @given(st.lists(st.text(max_size=30), max_size=20))
     @settings(max_examples=100, deadline=None)
     def test_string_array_roundtrip_property(self, values):
-        assert decode_value(encode_value("v", values)) == values
+        assert roundtrip(values) == values
 
     @given(
         st.recursive(
@@ -126,14 +129,13 @@ class TestValueRoundtrip:
     )
     @settings(max_examples=100, deadline=None)
     def test_any_value_roundtrip_property(self, value):
-        assert decode_value(encode_value("v", value)) == value
+        assert roundtrip(value) == value
 
 
 class TestEnvelope:
     def test_roundtrip_with_headers(self):
         header = Element("token", children=["abc"])
-        env = build_envelope(Element("body-entry"), headers=[header])
-        parsed = parse_envelope(env.to_bytes())
+        parsed = parse_envelope(encode_request("urn:t", "body-entry", [], headers=[header]))
         assert len(parsed.headers) == 1
         assert parsed.headers[0].text() == "abc"
         assert parsed.first_body_entry().tag.local == "body-entry"
@@ -195,7 +197,7 @@ class TestRpc:
 class TestFaults:
     def test_fault_element_roundtrip(self):
         fault = SoapFault("Server", "boom", "RuntimeError")
-        parsed = SoapFault.from_element(fault.to_element())
+        parsed = SoapFault.from_element(parse_envelope(encode_fault(fault)).first_body_entry())
         assert parsed.code == "Server"
         assert parsed.fault_message == "boom"
         assert parsed.detail == "RuntimeError"
@@ -214,5 +216,6 @@ class TestFaults:
         assert fault_from_exception(original) is original
 
     def test_is_fault(self):
-        assert SoapFault.is_fault(SoapFault("Client", "x").to_element())
+        fault = parse_envelope(encode_fault(SoapFault("Client", "x"))).first_body_entry()
+        assert SoapFault.is_fault(fault)
         assert not SoapFault.is_fault(Element("x"))

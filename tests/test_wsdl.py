@@ -1,5 +1,8 @@
 """Tests for PortTypes, WSDL documents, and dynamic client stubs."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.ogsi.porttypes import GRID_SERVICE_PORTTYPE
@@ -134,6 +137,38 @@ class TestClientStub:
 
     def test_invoke_by_name(self, stub):
         assert stub.invoke("echo", "x") == "echo:x"
+
+    def test_one_callable_per_operation(self, stub):
+        call = stub.echo
+        assert stub.echo is call and call.__name__ == "echo"
+        assert call("y") == "echo:y"
+        assert stub.add is not call and stub.add(1, 2) == 3
+
+    def test_threads_share_one_callable(self, stub):
+        """Threads racing for an operation's first lookup all get one
+        callable, and their calls through it answer their own arguments."""
+        seen: list = []
+        answers: list = []
+
+        def work(k: int) -> None:
+            for i in range(100):
+                call = stub.echo
+                seen.append(call)
+                answers.append(call(f"{k}.{i}") == f"echo:{k}.{i}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len({id(call) for call in seen}) == 1 and seen[0] is stub.echo
+        assert len(answers) == 400 and all(answers)
 
     def test_unknown_operation_raises(self, stub):
         with pytest.raises(AttributeError):

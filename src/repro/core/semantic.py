@@ -12,7 +12,6 @@ The thesis's wire conventions are preserved exactly:
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -281,18 +280,13 @@ class MetricStats:
         return f"metric|{self.metric}|{self.rows}|{self.minimum!r}|{self.maximum!r}"
 
 
-# Two mergeable sketch kinds ride the ``getStats`` wire path as extra
-# StoreStats records.  A MetricSketch is one metric's exact whole-store
-# summary, the global ``getPRAgg`` bucket the store would answer.  A
-# wrapper may emit one only when it was built from a *complete scan* of
-# the metric's rows over all foci and the full time window (the row set
-# ``getPR`` with no constraints returns): that exactness contract lets
-# tier 0 answer whole sub-queries from the summary alone
-# (repro.fedquery.sketch).  A DistinctSketch only estimates; its merge
-# is a bitwise OR, so duplicates across members collapse.
-
-#: linear-counting bitmap width (bits) for distinct-count sketches
-DISTINCT_BITS = 256
+# A MetricSketch rides the ``getStats`` wire path as an extra StoreStats
+# record: one metric's exact whole-store summary, the global ``getPRAgg``
+# bucket the store would answer.  A wrapper may emit one only when it was
+# built from a *complete scan* of the metric's rows over all foci and the
+# full time window (the row set ``getPR`` with no constraints returns):
+# that exactness contract lets tier 0 answer whole sub-queries from the
+# summary alone (repro.fedquery.sketch).
 
 
 @dataclass(frozen=True)
@@ -353,81 +347,12 @@ class MetricSketch:
         return MetricSketch(metric, int(count), float(total), float(minimum), float(maximum))
 
 
-@dataclass(frozen=True)
-class DistinctSketch:
-    """Linear-counting distinct-value sketch for one group key.
-
-    ``bitmap`` holds ``bits`` hash buckets; merge is bitwise OR, so the
-    federation-wide estimate counts each distinct value once no matter
-    how many members publish it.  Estimates only — never a proof.
-    """
-
-    key: str
-    bits: int = DISTINCT_BITS
-    bitmap: int = 0
-
-    @classmethod
-    def from_values(cls, key: str, values: list[str], bits: int = DISTINCT_BITS) -> "DistinctSketch":
-        bitmap = 0
-        for value in values:
-            bitmap |= 1 << (zlib.crc32(str(value).encode("utf-8")) % bits)
-        return cls(key=key, bits=bits, bitmap=bitmap)
-
-    @classmethod
-    def merge(cls, parts: list["DistinctSketch"]) -> "DistinctSketch":
-        if not parts:
-            return cls(key="")
-        bits = max(part.bits for part in parts)
-        bitmap = 0
-        for part in parts:
-            if part.bits == bits:
-                bitmap |= part.bitmap
-        return cls(key=parts[0].key, bits=bits, bitmap=bitmap)
-
-    def estimate(self) -> float:
-        """Linear-counting estimate of the distinct-value count."""
-        zeros = self.bits - bin(self.bitmap).count("1")
-        if zeros <= 0:
-            return float(self.bits)
-        return self.bits * math.log(self.bits / zeros)
-
-    def pack(self) -> str:
-        """Wire form: ``distinct|key|bits|bitmap-hex``."""
-        return f"distinct|{self.key}|{self.bits}|{self.bitmap:x}"
-
-    @staticmethod
-    def unpack(rest: str) -> "DistinctSketch":
-        parts = rest.split("|")
-        if len(parts) != 3:
-            raise ValueError(f"bad DistinctSketch record {rest!r}")
-        key, bits, bitmap = parts
-        return DistinctSketch(key=key, bits=int(bits), bitmap=int(bitmap, 16))
-
-
 def sketches_from_values(values: dict[str, list[float]]) -> tuple[MetricSketch, ...]:
     """One exact sketch per metric from complete per-metric value scans."""
     return tuple(
         MetricSketch.from_values(metric, metric_values)
         for metric, metric_values in sorted(values.items())
     )
-
-
-def distincts_from_values(values: dict[str, list[str]]) -> tuple[DistinctSketch, ...]:
-    """One distinct-count sketch per group key."""
-    return tuple(
-        DistinctSketch.from_values(key, key_values)
-        for key, key_values in sorted(values.items())
-    )
-
-
-def or_distincts(groups: Iterable[Iterable[DistinctSketch]]) -> tuple[DistinctSketch, ...]:
-    """The per-key OR of several sets of distinct sketches, keys in the
-    order they are first seen."""
-    by_key: dict[str, list[DistinctSketch]] = {}
-    for group in groups:
-        for sketch in group:
-            by_key.setdefault(sketch.key, []).append(sketch)
-    return tuple(DistinctSketch.merge(parts) for parts in by_key.values())
 
 
 @dataclass(frozen=True)
@@ -445,14 +370,13 @@ class StoreStats:
     * ``complete=False`` marks stats that do not honour the contract;
       the planner then uses them for cost estimates only, never proofs.
 
-    ``sketches``/``distincts`` carry optional mergeable sketches
-    (:class:`MetricSketch` / :class:`DistinctSketch`) riding the same wire
-    records.  A metric sketch is a *stronger* promise than its
-    ``MetricStats`` row: a store may only publish one built from a
-    complete scan of the metric's rows (all foci, full window), because
-    the tier-0 planner answers aggregates from it without touching the
-    store.  Stores that cannot scan cheaply simply omit sketches and the
-    planner falls back to push-down for them.
+    ``sketches`` carry optional mergeable :class:`MetricSketch`
+    summaries riding the same wire records.  A sketch is a *stronger*
+    promise than its ``MetricStats`` row: a store may only publish one
+    built from a complete scan of the metric's rows (all foci, full
+    window), because the tier-0 planner answers aggregates from it
+    without touching the store.  Stores that cannot scan cheaply simply
+    omit sketches and the planner falls back to push-down for them.
     """
 
     executions: int
@@ -463,7 +387,6 @@ class StoreStats:
     metrics: tuple[MetricStats, ...]
     complete: bool = True
     sketches: tuple[MetricSketch, ...] = ()
-    distincts: tuple[DistinctSketch, ...] = ()
 
     @classmethod
     def scanned(
@@ -474,7 +397,6 @@ class StoreStats:
         foci,
         types,
         values: dict[str, list[float]],
-        distincts: tuple[DistinctSketch, ...] = (),
     ) -> "StoreStats":
         """Stats from a store's complete per-metric value scan.
 
@@ -498,7 +420,6 @@ class StoreStats:
                 for sketch in in_store_order
             ),
             sketches=sketches,
-            distincts=distincts,
         )
 
     def metric(self, name: str) -> MetricStats | None:
@@ -513,12 +434,6 @@ class StoreStats:
                 return sketch
         return None
 
-    def distinct(self, key: str):
-        for sketch in self.distincts:
-            if sketch.key == key:
-                return sketch
-        return None
-
     def pack_records(self) -> list[str]:
         """Wire form: one ``kind|...`` record per line of the stats."""
         records = [
@@ -530,7 +445,6 @@ class StoreStats:
         ]
         records.extend(stats.pack() for stats in self.metrics)
         records.extend(sketch.pack() for sketch in self.sketches)
-        records.extend(sketch.pack() for sketch in self.distincts)
         return records
 
     @staticmethod
@@ -542,7 +456,6 @@ class StoreStats:
         metrics: list[MetricStats] = []
         complete = True
         sketches: list[MetricSketch] = []
-        distincts: list[DistinctSketch] = []
         for record in records:
             kind, _, rest = record.partition("|")
             try:
@@ -569,8 +482,6 @@ class StoreStats:
                     )
                 elif kind == "sketch":
                     sketches.append(MetricSketch.unpack(rest))
-                elif kind == "distinct":
-                    distincts.append(DistinctSketch.unpack(rest))
                 else:
                     raise ValueError(f"unknown stats record kind {kind!r}")
             except ValueError as exc:
@@ -584,27 +495,20 @@ class StoreStats:
             metrics=tuple(metrics),
             complete=complete,
             sketches=tuple(sketches),
-            distincts=tuple(distincts),
         )
 
     @classmethod
-    def merge(
-        cls,
-        parts: list["StoreStats"],
-        distincts: tuple[DistinctSketch, ...] | None = None,
-    ) -> "StoreStats":
+    def merge(cls, parts: list["StoreStats"]) -> "StoreStats":
         """Combine per-execution stats into application-level stats.
 
         Counts add; time/value ranges and foci/types union; the merge is
         ``complete`` only if every part is.  A metric keeps a merged
         sketch only when *every* part reporting rows for it carries one
         — a partial sketch would silently undercount, and tier-0 treats
-        a present sketch as the metric's complete row set.  Distinct
-        sketches merge per key by bitwise OR, unless the store passes
-        its own application-wide *distincts*.
+        a present sketch as the metric's complete row set.
         """
         if not parts:
-            return cls(0, 0.0, 0.0, (), (), (), distincts=distincts or ())
+            return cls(0, 0.0, 0.0, (), (), ())
         foci: list[str] = []
         types: list[str] = []
         by_metric: dict[str, MetricStats] = {}
@@ -639,8 +543,6 @@ class StoreStats:
             part_sketches = [part.sketch(name) for part in live]
             if live and all(sketch is not None for sketch in part_sketches):
                 sketches.append(MetricSketch.merge(part_sketches))
-        if distincts is None:
-            distincts = or_distincts(part.distincts for part in parts)
         spanned = [part for part in parts if part.executions]
         return cls(
             executions=sum(part.executions for part in parts),
@@ -651,7 +553,6 @@ class StoreStats:
             metrics=tuple(by_metric.values()),
             complete=all(part.complete for part in parts),
             sketches=tuple(sketches),
-            distincts=tuple(distincts),
         )
 
 
@@ -758,9 +659,8 @@ APPLICATION_PORTTYPE = PortType(
                 "Extension: returns store statistics for the application's "
                 "executions — execution count, per-metric row counts and "
                 "value ranges, focus cardinality, and time-window coverage "
-                "— as packed StoreStats records, plus optional mergeable "
-                "sketches (per-metric exact summaries, per-key distinct "
-                "counts).  Used by the federated query cost model to "
+                "— as packed StoreStats records, plus per-metric exact "
+                "summaries.  Used by the federated query cost model to "
                 "choose raw/aggregate/skip per member and by the tier-0 "
                 "planner to answer aggregates with zero round-trips."
             ),

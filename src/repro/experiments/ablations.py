@@ -10,6 +10,7 @@ A3 — cache policy: unbounded vs LRU(k) vs adaptive under uniform and
 
 from __future__ import annotations
 
+import gc
 import random
 import time
 from dataclasses import dataclass
@@ -64,6 +65,8 @@ def run_serialization_ablation(
     wire_bytes: list[int] = []
     for n in payload_sizes:
         payload = [f"{sample_pr}-{i}" for i in range(n)]
+        # Pay any collection the process owes now, not inside the timed loop.
+        gc.collect()
         t0 = time.perf_counter()
         encoded = b""
         for _ in range(trials):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.core.prcache import PrCache
-from repro.core.semantic import StoreStats, or_distincts
+from repro.core.semantic import StoreStats
 from repro.ogsi.gsh import GridServiceHandle
 from repro.ogsi.notification import NotificationSinkBase
 from repro.soap.colbatch import DecodedBatch
@@ -294,23 +294,18 @@ class CoherenceTracker:
             # Delta refresh: refetch only the executions the updates
             # touched — and any the member's (remembered) list names
             # that the per-execution baseline does not know yet — and
-            # re-merge.  Only the member's own stats carry its group-key
-            # distincts, so they are kept, with any new execution's
-            # ORed in.  Any trouble falls back to the whole-member
+            # re-merge.  Any trouble falls back to the whole-member
             # fetch, so correctness never depends on the fast path.
             try:
                 known = cached.per_exec or {}
                 per_exec = {}
-                distincts = [cached.merged.distincts]
                 for execution in self.fact(app, ANY, "executions", binding.all_executions):
                     exec_id = exec_id_of(execution)
                     if exec_id in dirty or exec_id not in known:
                         per_exec[exec_id] = execution.get_stats()
-                        if exec_id not in known:
-                            distincts.append(per_exec[exec_id].distincts)
                     else:
                         per_exec[exec_id] = known[exec_id]
-                stats = StoreStats.merge(list(per_exec.values()), or_distincts(distincts))
+                stats = StoreStats.merge(list(per_exec.values()))
             except Exception:
                 self.drop_stats(app)
                 per_exec = None

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.core.semantic import UNDEFINED_TYPE, DistinctSketch, StoreStats
+from repro.core.semantic import UNDEFINED_TYPE, StoreStats
 from repro.fedquery.ast import Query
 from repro.fedquery.cost import CostModel, MemberCost
 from repro.fedquery.pushdown import (
@@ -176,8 +176,6 @@ class Plan:
     #: the query *shape* admits tier-0 answers (individual members may
     #: still fall back when their stats do not prove the answer exactly)
     tier0_capable: bool = False
-    #: estimated output group count from merged distinct sketches
-    est_groups: int | None = None
 
     @property
     def fingerprint(self) -> str:
@@ -264,10 +262,6 @@ class Plan:
         for pruned in self.pruned:
             lines.append(f"pruned {pruned.app}: {pruned.reason}")
         lines.append(f"estimated round-trips: {self.estimated_round_trips}")
-        if self.est_groups is not None:
-            lines.append(
-                f"estimated output groups: {self.est_groups} (distinct sketches)"
-            )
         lines.append(f"effective mode: {self.effective_mode}")
         lines.append(f"estimated transfer: {self.estimated_bytes} bytes")
         return "\n".join(lines)
@@ -359,46 +353,6 @@ def _member_subqueries(
             )
         )
     return tuple(subqueries)
-
-
-def _estimate_groups(
-    query: Query, stats: dict[str, StoreStats | None], member_apps: list[str]
-) -> int | None:
-    """Output-cardinality estimate from merged distinct sketches.
-
-    Per group key, member sketches OR together (so a value shared by
-    many members counts once) and the per-key estimates multiply —
-    ``None`` when any key has no sketch anywhere.  Estimates only: this
-    feeds ``explainPlan``, never a correctness decision.
-    """
-    if not query.group_by:
-        return None
-    estimate = 1.0
-    for key in query.group_by:
-        if key == "app":
-            estimate *= max(1, len(member_apps))
-            continue
-        if key == "focus":
-            foci = {
-                focus
-                for app in member_apps
-                if (member_stats := stats.get(app)) is not None
-                for focus in member_stats.foci
-            }
-            if not foci:
-                return None
-            estimate *= len(foci)
-            continue
-        sketches = [
-            sketch
-            for app in member_apps
-            if (member_stats := stats.get(app)) is not None
-            and (sketch := member_stats.distinct(key)) is not None
-        ]
-        if not sketches:
-            return None
-        estimate *= max(1.0, DistinctSketch.merge(sketches).estimate())
-    return max(1, round(estimate))
 
 
 def plan_query(
@@ -508,7 +462,4 @@ def plan_query(
         pruned=tuple(pruned),
         skipped=tuple(skipped),
         tier0_capable=tier0_capable,
-        est_groups=_estimate_groups(
-            query, stats, [member.app for member in members]
-        ),
     )

@@ -1,9 +1,8 @@
 """Tier-0 answers: what a member's metric summaries prove about a query.
 
-The summary types themselves (:class:`~repro.core.semantic.MetricSketch`,
-:class:`~repro.core.semantic.DistinctSketch`) belong to the store's own
-statistics and live beside :class:`~repro.core.semantic.StoreStats`.
-This module only reads them.
+The summary type itself (:class:`~repro.core.semantic.MetricSketch`)
+belongs to the store's own statistics and lives beside
+:class:`~repro.core.semantic.StoreStats`.  This module only reads it.
 
 A metric summary is exact — count, total, minimum and maximum of the
 metric's full row set — so :func:`estimate_window` decides a metric from

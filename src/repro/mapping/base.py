@@ -11,16 +11,13 @@ obtained per execution id via :meth:`ApplicationWrapper.execution`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import replace
 from typing import Iterable, Iterator
 
 from repro.core.semantic import (
     UNDEFINED_TYPE,
     AggregateRecord,
-    DistinctSketch,
     PerformanceResult,
     StoreStats,
-    distincts_from_values,
 )
 from repro.simnet.metrics import Recorder
 
@@ -62,7 +59,8 @@ class ApplicationWrapper(ABC):
         return len(self.get_all_exec_ids())
 
     def get_stats(self) -> StoreStats:
-        """Application-level store statistics for the cost-based planner.
+        """Application-level store statistics for the cost-based planner:
+        per-metric row counts and ranges plus exact per-metric summaries.
 
         Generic fallback: merge per-execution stats.  Store-specific
         wrappers override this with one scan of the store's own rows,
@@ -73,33 +71,9 @@ class ApplicationWrapper(ABC):
         ``rows == 0`` exact, value ranges conservative supersets, foci
         and types complete — or set ``complete=False``.
         """
-        exec_ids = self.get_all_exec_ids()
-        merged = StoreStats.merge(
-            [self.execution(exec_id).get_stats() for exec_id in exec_ids]
+        return StoreStats.merge(
+            [self.execution(exec_id).get_stats() for exec_id in self.get_all_exec_ids()]
         )
-        if merged.distinct("exec") is None:
-            merged = replace(
-                merged,
-                distincts=merged.distincts
-                + (DistinctSketch.from_values("exec", exec_ids),),
-            )
-        return merged
-
-    def attribute_distincts(self) -> tuple:
-        """Distinct-count sketches for this store's group keys.
-
-        One sketch per published query attribute plus the execution ids
-        — exact inputs here (the stores enumerate their values), but the
-        sketches stay estimates after federation-wide merges, which is
-        all the planner uses them for (group-cardinality estimates in
-        ``explainPlan``, never proofs).  Store-specific ``get_stats``
-        overrides attach these; the generic fallback gets per-execution
-        distincts through :meth:`StoreStats.merge` instead.
-        """
-        sketches = [DistinctSketch.from_values("exec", self.get_all_exec_ids())]
-        for attr, values in sorted(self.get_exec_query_params().items()):
-            sketches.append(DistinctSketch.from_values(attr, values))
-        return tuple(sketches)
 
     @staticmethod
     def check_operator(operator: str) -> None:
@@ -274,7 +248,6 @@ class ExecutionWrapper(ABC):
                 ]
                 for metric in self.get_metrics()
             },
-            distincts_from_values({key: [value] for key, value in self.get_info()}),
         )
 
 

@@ -17,7 +17,6 @@ from repro.core.semantic import (
     UNDEFINED_TYPE,
     PerformanceResult,
     StoreStats,
-    distincts_from_values,
 )
 from repro.mapping.base import (
     ApplicationWrapper,
@@ -120,9 +119,6 @@ def _memory_stats(execution: InMemoryExecution) -> StoreStats:
         if result.result_type not in types:
             types.append(result.result_type)
     start, end = execution.time_span()
-    keys = {"exec": [execution.exec_id]}
-    for attr, attr_value in execution.attrs.items():
-        keys[attr] = [attr_value]
     return StoreStats.scanned(
         1,
         start,
@@ -130,7 +126,6 @@ def _memory_stats(execution: InMemoryExecution) -> StoreStats:
         sorted(foci),
         sorted(types),
         dict(sorted(values.items())),
-        distincts_from_values(keys),
     )
 
 

@@ -15,7 +15,6 @@ from repro.core.semantic import (
     UNDEFINED_TYPE,
     PerformanceResult,
     StoreStats,
-    distincts_from_values,
 )
 from repro.mapping.base import ApplicationWrapper, ExecutionWrapper, MappingError
 from repro.mapping.rdbms import _SQL_OPS, _sql_value
@@ -101,14 +100,10 @@ class PerfDmfWrapper(ApplicationWrapper):
 
     def get_stats(self) -> StoreStats:
         """One scan of the profile tables (already pre-reduced)."""
-        return _perfdmf_stats(
-            self.conn, app_id=self.app_id, trial_id=None, distincts=self.attribute_distincts()
-        )
+        return _perfdmf_stats(self.conn, app_id=self.app_id, trial_id=None)
 
 
-def _perfdmf_stats(
-    conn: Connection, app_id: int | None, trial_id: int | None, distincts: tuple
-) -> StoreStats:
+def _perfdmf_stats(conn: Connection, app_id: int | None, trial_id: int | None) -> StoreStats:
     """Shared PerfDMF stats scan, app-wide or scoped to one trial.
 
     Profiles carry at most one row per (trial, focus, metric), so one
@@ -162,7 +157,6 @@ def _perfdmf_stats(
         [f"/Code/{grp}/{name}" for grp, name in foci_cursor.fetchall()],
         (PerfDmfWrapper.result_type,),
         scanned,
-        distincts,
     )
 
 
@@ -242,9 +236,4 @@ class PerfDmfExecutionWrapper(ExecutionWrapper):
 
     def get_stats(self) -> StoreStats:
         """Per-trial stats via the shared scan."""
-        return _perfdmf_stats(
-            self.conn,
-            app_id=None,
-            trial_id=self.trial_id,
-            distincts=distincts_from_values({"exec": [str(self.trial_id)]}),
-        )
+        return _perfdmf_stats(self.conn, app_id=None, trial_id=self.trial_id)

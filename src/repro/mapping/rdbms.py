@@ -15,7 +15,6 @@ from repro.core.semantic import (
     MetricStats,
     PerformanceResult,
     StoreStats,
-    distincts_from_values,
 )
 from repro.mapping.base import (
     ApplicationWrapper,
@@ -171,10 +170,10 @@ class HplRdbmsWrapper(ApplicationWrapper):
         metric columns are exactly what it returns: row counts, value
         ranges and the tier-0 sketches all come off this one scan.
         """
-        return _hpl_stats(self.conn, "", [], self.attribute_distincts())
+        return _hpl_stats(self.conn, "", [])
 
 
-def _hpl_stats(conn: Connection, where: str, params: list, distincts: tuple) -> StoreStats:
+def _hpl_stats(conn: Connection, where: str, params: list) -> StoreStats:
     """Shared HPL stats scan over the runs *where* selects."""
     rows = conn.execute(
         f"SELECT {', '.join(HplRdbmsWrapper.METRICS)} FROM hpl_runs{where}", params
@@ -190,7 +189,6 @@ def _hpl_stats(conn: Connection, where: str, params: list, distincts: tuple) -> 
         HplRdbmsWrapper.FOCI,
         (HplRdbmsWrapper.result_type,),
         columns,
-        distincts,
     )
 
 
@@ -308,12 +306,7 @@ class HplRdbmsExecutionWrapper(ExecutionWrapper):
 
     def get_stats(self) -> StoreStats:
         """One row read: each metric is a single scalar for this run."""
-        return _hpl_stats(
-            self.conn,
-            " WHERE runid = ?",
-            [self.runid],
-            distincts_from_values({"exec": [str(self.runid)]}),
-        )
+        return _hpl_stats(self.conn, " WHERE runid = ?", [self.runid])
 
 
 # ----------------------------------------------------------------- SMG98
@@ -394,10 +387,10 @@ class Smg98RdbmsWrapper(ApplicationWrapper):
         stats exist to avoid.  The tier-0 planner therefore falls back
         to push-down for SMG98 members — the designed mixed-tier case.
         """
-        return _smg98_stats(self.conn, execid=None, distincts=self.attribute_distincts())
+        return _smg98_stats(self.conn, execid=None)
 
 
-def _smg98_stats(conn: Connection, execid: int | None, distincts: tuple = ()) -> StoreStats:
+def _smg98_stats(conn: Connection, execid: int | None) -> StoreStats:
     """Shared SMG98 stats query, optionally scoped to one execution."""
     where = "" if execid is None else " WHERE execid = ?"
     params: list[object] = [] if execid is None else [execid]
@@ -458,7 +451,6 @@ def _smg98_stats(conn: Connection, execid: int | None, distincts: tuple = ()) ->
         foci=tuple(foci),
         types=(Smg98RdbmsWrapper.result_type,),
         metrics=metrics,
-        distincts=distincts,
     )
 
 
@@ -799,10 +791,10 @@ class PrestaRdbmsWrapper(ApplicationWrapper):
 
     def get_stats(self) -> StoreStats:
         """Exact counts/ranges straight off one ``rma_results`` scan."""
-        return _presta_rdbms_stats(self.conn, execid=None, distincts=self.attribute_distincts())
+        return _presta_rdbms_stats(self.conn, execid=None)
 
 
-def _presta_rdbms_stats(conn: Connection, execid: int | None, distincts: tuple) -> StoreStats:
+def _presta_rdbms_stats(conn: Connection, execid: int | None) -> StoreStats:
     """Shared PRESTA stats scan, optionally scoped to one execution.
 
     ``get_pr`` renders one result per ``rma_results`` row per metric, so
@@ -836,7 +828,6 @@ def _presta_rdbms_stats(conn: Connection, execid: int | None, distincts: tuple) 
             metric: [float(row[index]) for row in rows]
             for index, metric in enumerate(PrestaRdbmsWrapper.METRICS)
         },
-        distincts,
     )
 
 
@@ -956,8 +947,4 @@ class PrestaRdbmsExecutionWrapper(ExecutionWrapper):
 
     def get_stats(self) -> StoreStats:
         """Per-execution stats via the shared scan."""
-        return _presta_rdbms_stats(
-            self.conn,
-            execid=self.execid,
-            distincts=distincts_from_values({"exec": [str(self.execid)]}),
-        )
+        return _presta_rdbms_stats(self.conn, execid=self.execid)

@@ -13,7 +13,6 @@ from repro.core.semantic import (
     UNDEFINED_TYPE,
     PerformanceResult,
     StoreStats,
-    distincts_from_values,
 )
 from repro.datastores.textfiles import TextFileStore, TextStoreError
 from repro.mapping.base import (
@@ -95,8 +94,7 @@ class PrestaTextWrapper(ApplicationWrapper):
     def get_stats(self) -> StoreStats:
         """One parse per file (the cheapest this Data Layer offers)."""
         return StoreStats.merge(
-            [_presta_text_stats(self.store, execid) for execid in self.store.execution_ids()],
-            self.attribute_distincts(),
+            [_presta_text_stats(self.store, execid) for execid in self.store.execution_ids()]
         )
 
 
@@ -122,7 +120,6 @@ def _presta_text_stats(store: TextFileStore, execid: int) -> StoreStats:
             "bandwidth_mbps": [float(row[4]) for row in execution.measurements],
             "latency_us": [float(row[3]) for row in execution.measurements],
         },
-        distincts_from_values({"exec": [str(execid)]}),
     )
 
 

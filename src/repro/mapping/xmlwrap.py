@@ -88,10 +88,10 @@ class HplXmlWrapper(ApplicationWrapper):
         and ranges are exact attribute min/max — the same pass collects
         the complete value lists the tier-0 sketches require.
         """
-        return _hpl_xml_stats(list(self.store.runs()), self.attribute_distincts())
+        return _hpl_xml_stats(list(self.store.runs()))
 
 
-def _hpl_xml_stats(runs: list, distincts: tuple = ()) -> StoreStats:
+def _hpl_xml_stats(runs: list) -> StoreStats:
     runtimes = [float(run.get("runtimesec") or 0.0) for run in runs]
     return StoreStats.scanned(
         len(runs),
@@ -103,7 +103,6 @@ def _hpl_xml_stats(runs: list, distincts: tuple = ()) -> StoreStats:
             metric: [float(run.get(metric)) for run in runs if run.get(metric) is not None]
             for metric in sorted(HplXmlWrapper.METRICS)
         },
-        distincts,
     )
 
 

@@ -321,34 +321,53 @@ class TestRefreshMembers:
         assert engine.execute("SELECT count(resid) FROM HPL GROUP BY app").rows
 
 
-class TestDeltaRefreshDistincts:
-    """A delta refresh re-merges per-execution stats, which carry no
-    group-key distinct sketch but ``exec``; the member's own distincts
-    must survive it, or a ``data_updated`` silently costs the planner
-    its output-group estimate."""
+class TestDeltaRefresh:
+    """A delta refresh refetches only the updated execution's stats and
+    re-merges them with the remembered ones; the result is the merge of
+    every execution's fresh stats, record for record.  The first update
+    after a whole-member fetch refetches every execution (there is no
+    per-execution baseline yet); the second refetches one.  HPL's second
+    update really changes a value, so a stale part would show."""
 
-    QUERY = "SELECT count(gflops) FROM HPL GROUP BY numprocs"
+    QUERIES = {
+        "HPL": "SELECT count(gflops) FROM HPL GROUP BY numprocs",
+        "SMG98": "SELECT count(time_spent) FROM SMG98 GROUP BY app",
+        "PRESTA-RMA": "SELECT count(latency_us) FROM PRESTA-RMA GROUP BY network",
+    }
 
-    def test_update_keeps_the_members_distincts(self, grid, monkeypatch):
+    @pytest.mark.parametrize("app", sorted(QUERIES))
+    def test_update_remerges_per_execution_stats(self, grid, monkeypatch, app):
         engine = grid.fed_engine
-        hpl = engine.members()["HPL"]
-        assert "estimated output groups" in engine.explain(self.QUERY)
-        hpl_exec_service(grid).data_updated("ingest")
-        member_fetches = []
-        fetch = type(hpl).get_stats
+        member = engine.members()[app]
+        executions = member.all_executions()
+        first, last = (engine._execution_id(e) for e in (executions[0], executions[-1]))
+        engine.explain(self.QUERIES[app])
+        grid.execution_service(app, first).data_updated("ingest")
+        engine.explain(self.QUERIES[app])  # the per-execution baseline
+        if app == "HPL":
+            grid.hpl_site.wrapper.conn.execute(
+                "UPDATE hpl_runs SET gflops = ? WHERE runid = ?", [99999.0, int(last)]
+            )
+        grid.execution_service(app, last).data_updated("ingest")
+        member_fetches, exec_fetches = [], []
+        fetch, exec_fetch = type(member).get_stats, type(executions[0]).get_stats
         monkeypatch.setattr(
-            type(hpl), "get_stats", lambda self: member_fetches.append(self) or fetch(self)
+            type(member), "get_stats", lambda self: member_fetches.append(self) or fetch(self)
+        )
+        monkeypatch.setattr(
+            type(executions[0]), "get_stats",
+            lambda self: exec_fetches.append(self) or exec_fetch(self),
         )
         deltas = engine.coherence_stats()["statsDeltas"]
-        text = engine.explain(self.QUERY)
+        engine.explain(self.QUERIES[app])
         assert engine.coherence_stats()["statsDeltas"] == deltas + 1
         assert member_fetches == []  # the delta branch, not a whole-member refetch
-        assert "estimated output groups" in text
-        merged = engine.coherence.member_stats({"HPL": hpl}, engine._execution_id)["HPL"]
-        fresh = fetch(hpl)
-        assert [s.key for s in merged.distincts] == [s.key for s in fresh.distincts]
-        assert merged.distincts == fresh.distincts
-        assert len(fresh.distincts) > 1
+        assert len(exec_fetches) == 1
+        merged = engine.coherence.member_stats({app: member}, engine._execution_id)[app]
+        fresh = StoreStats.merge([exec_fetch(execution) for execution in executions])
+        assert merged.pack_records() == fresh.pack_records()
+        if app == "HPL":
+            assert merged.metric("gflops").maximum == 99999.0
 
 
 class TestStatsFetchRace:

@@ -18,7 +18,6 @@ import pytest
 
 from repro.core.semantic import (
     AggregateRecord,
-    DistinctSketch,
     MetricSketch,
     MetricStats,
     StoreStats,
@@ -261,20 +260,6 @@ class TestStoreStatsMerge:
         for op in OPS:
             check_exact(merged.sketch("m"), values, (pred(op, 4.0),))
 
-    def test_distinct_sketches_or_together(self):
-        a = StoreStats(
-            1, 0.0, 1.0, (), (), (),
-            distincts=(DistinctSketch.from_values("numprocs", ["4", "8"]),),
-        )
-        b = StoreStats(
-            1, 0.0, 1.0, (), (), (),
-            distincts=(DistinctSketch.from_values("numprocs", ["8", "16"]),),
-        )
-        merged = StoreStats.merge([a, b])
-        combined = DistinctSketch.from_values("numprocs", ["4", "8", "16"])
-        assert merged.distinct("numprocs").bitmap == combined.bitmap
-        assert merged.distinct("numprocs").estimate() >= 2.0
-
 
 class TestWireRoundTrips:
     def test_metric_sketch_roundtrip(self):
@@ -295,17 +280,11 @@ class TestWireRoundTrips:
         _, _, rest = merged.pack().partition("|")
         assert MetricSketch.unpack(rest) == merged
 
-    def test_distinct_sketch_roundtrip(self):
-        sketch = DistinctSketch.from_values("machine", ["a", "b", "c"])
-        _, _, rest = sketch.pack().partition("|")
-        assert DistinctSketch.unpack(rest) == sketch
-
     def test_store_stats_records_carry_sketches(self):
         stats = StoreStats(
             executions=2, start=0.0, end=9.0, foci=("/R",), types=("synthetic",),
             metrics=(MetricStats("m", 3, 1.0, 9.0),),
             sketches=(MetricSketch.from_values("m", [1.0, 4.0, 9.0]),),
-            distincts=(DistinctSketch.from_values("numprocs", ["4"]),),
         )
         restored = StoreStats.unpack_records(stats.pack_records())
         assert restored == stats
@@ -318,3 +297,6 @@ class TestWireRoundTrips:
             MetricSketch.unpack("m|2|3.0|1.0|2.0|0.0|1|1.0,1.0|1.0,2.0")
         with pytest.raises(ValueError, match="bad StoreStats record"):
             StoreStats.unpack_records(["sketch|m|not-enough-fields"])
+        with pytest.raises(ValueError, match="unknown stats record kind 'distinct'"):
+            # the distinct-count sketch record is no longer part of the wire form
+            StoreStats.unpack_records(["distinct|numprocs|256|ff"])

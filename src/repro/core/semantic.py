@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from repro.ogsi.porttypes import (
@@ -47,8 +46,10 @@ class PerformanceResult:
     def pack(self) -> str:
         """Wire form: ``metric|focus|type|start-end|value``.
 
-        Times are rendered fixed-point (they are non-negative offsets), so
-        the span contains exactly one ``-`` and round-trips unambiguously.
+        Times are rendered fixed-point (they are offsets), so the span
+        round-trips unambiguously: it is cut at the first ``-`` after its
+        first character (:func:`_span`), a start of ``-0.0`` keeping its
+        sign.
         """
         return (
             f"{self.metric}|{self.focus}|{self.result_type}|"
@@ -61,9 +62,7 @@ class PerformanceResult:
         if len(parts) != 5:
             raise ValueError(f"bad PerformanceResult record {text!r}")
         metric, focus, result_type, span, value = parts
-        start_text, sep, end_text = span.partition("-")
-        if not sep:
-            raise ValueError(f"bad time span in {text!r}")
+        start_text, end_text = _span(span)
         try:
             return PerformanceResult(
                 metric=metric,
@@ -77,15 +76,18 @@ class PerformanceResult:
             raise ValueError(f"bad PerformanceResult record {text!r}: {exc}") from exc
 
 
+def _span(span: str) -> tuple[str, str]:
+    """A ``start-end`` span's two texts, cut at the ``-`` after its first
+    character."""
+    cut = span.find("-", 1)
+    if cut < 0:
+        raise ValueError(f"bad time span {span!r}")
+    return span[:cut], span[cut + 1:]
+
+
 def pr_cache_key(metric: str, foci: list[str], start: str, end: str, result_type: str) -> str:
     """The thesis's cache-key format (§5.3.2.3)."""
     return f"{metric} | {';'.join(foci)} | {result_type} | {start}-{end}"
-
-
-#: every NaN cell's key: after every number (``+inf`` included), before
-#: every text, all NaNs tied — a key holding ``nan`` itself would compare
-#: false both ways and make the sorted order depend on the input order
-_NAN_KEY = (1, 0.0, "")
 
 
 def ordering_key(value: object) -> tuple[int, float, str]:
@@ -96,11 +98,17 @@ def ordering_key(value: object) -> tuple[int, float, str]:
     whole rows by it, and streaming cursors sort server-side by it so a
     streamed answer's member runs arrive in the bulk ordering byte for
     byte.  Numbers order by value, then NaN, then non-numeric text by
-    code point.
+    code point.  The last element is the cell's text — ``repr`` of a
+    float, ``str`` of an int, a text as it is — so a float and its
+    rendered token key alike, and it decides only what the number ties:
+    ``01`` before ``1`` before ``1.0``, ``-0.0`` before ``0.0``, ``NaN``
+    before ``nan``.  Two cells tie only when they render alike, so an
+    answer is a function of its rows, never of the order they arrived in.
     """
-    if isinstance(value, (int, float)):
-        number = float(value)
-        return (0, number, "") if number == number else _NAN_KEY
+    if isinstance(value, float):
+        return (0, value, repr(value)) if value == value else (1, 0.0, "nan")
+    if isinstance(value, int):
+        return (0, float(value), str(value))
     return _text_key(str(value))
 
 
@@ -114,7 +122,7 @@ def _text_key(text: str) -> tuple[int, float, str]:
         number = float(text)
     except ValueError:
         return (2, 0.0, text)
-    return (0, number, "") if number == number else _NAN_KEY
+    return (0, number, text) if number == number else (1, 0.0, text)
 
 
 def pr_sort_key(result: "PerformanceResult") -> tuple:
@@ -131,21 +139,36 @@ def pr_sort_key(result: "PerformanceResult") -> tuple:
 
 
 def column_keys(column: Sequence) -> Sequence:
-    """Sort keys for the cells of one single-typed column that order and
-    tie exactly as their :func:`ordering_key` does, but compare as one
-    number each: a float column without NaN is its own key, any other
-    column keys each cell on the dense rank of the distinct cells' keys
-    (each distinct cell classified once)."""
-    if column and isinstance(column[0], float) and not any(map(math.isnan, column)):
+    """Sort keys for the cells of one single-typed column that order
+    exactly as their :func:`ordering_key` does.  A float column is its
+    own key unless it holds a NaN or a -0.0 (:func:`_orders_by_value`);
+    a text column keys each cell on the rank of its distinct texts (each
+    classified once); any other column is its cells' keys."""
+    if column and isinstance(column[0], str):
+        ranks = {cell: rank for rank, cell in enumerate(sorted(set(column), key=ordering_key))}
+        return list(map(ranks.__getitem__, column))
+    if column and isinstance(column[0], float) and _orders_by_value(column):
         return column
-    ranks: dict[object, int] = {}
-    rank, previous = -1, None
-    for cell in sorted(set(column), key=ordering_key):
-        key = ordering_key(cell)
-        if key != previous:
-            rank, previous = rank + 1, key
-        ranks[cell] = rank
-    return list(map(ranks.__getitem__, column))
+    return list(map(ordering_key, column))
+
+
+def _orders_by_value(column: Sequence[float]) -> bool:
+    """Whether a float column orders by value as by :func:`ordering_key`:
+    it holds no NaN, which compares false both ways (a sum that is a
+    number proves none; ``inf`` beside ``-inf`` takes the safe answer),
+    and no -0.0, which equals 0.0 (each zero found by ``index``, then its
+    sign read) — both scans at C speed."""
+    total = sum(column)
+    if total != total:
+        return False
+    i = -1
+    try:
+        while True:
+            i = column.index(0.0, i + 1)
+            if math.copysign(1.0, column[i]) < 0:
+                return False
+    except ValueError:
+        return True
 
 
 class ResultColumns:
@@ -170,20 +193,9 @@ class ResultColumns:
         type, ``start-end`` span, value), each read as
         :meth:`PerformanceResult.unpack` reads it (``ValueError`` alike)."""
         metric, focus, result_type, spans, values = fields
-        halves = [span.partition("-") for span in spans]
-        for span, (_, sep, _) in zip(spans, halves):
-            if not sep:
-                raise ValueError(f"bad time span {span!r}")
-        starts, _, ends = zip(*halves) if halves else ((), (), ())
+        starts, ends = zip(*map(_span, spans)) if spans else ((), ())
         return cls(list(metric), list(focus), list(result_type),
                    list(map(float, starts)), list(map(float, ends)), list(map(float, values)))
-
-    @classmethod
-    def concat(cls, parts: Sequence["ResultColumns"]) -> "ResultColumns":
-        if len(parts) == 1:
-            return parts[0]
-        columns = zip(*(part.columns() for part in parts))
-        return cls(*(list(chain.from_iterable(cells)) for cells in columns))
 
     def columns(self) -> tuple[list, ...]:
         return (self.metric, self.focus, self.result_type, self.start, self.end, self.value)
@@ -198,14 +210,9 @@ class ResultColumns:
         """The rows at positions *rows*, in that order."""
         return ResultColumns(*([column[i] for i in rows] for column in self.columns()))
 
-    def sort_keys(self, metric: bool = False) -> list[tuple]:
-        """Each row's place in :func:`pr_sort_key` order (led by the
-        metric when *metric*) as a tuple of :func:`column_keys`."""
-        return list(zip(*map(column_keys, self.columns()[0 if metric else 1:])))
-
     def sort(self) -> None:
         """Reorder the rows, stably, into :func:`pr_sort_key` order."""
-        keys = self.sort_keys()
+        keys = list(zip(*map(column_keys, self.columns()[1:])))
         order = sorted(range(len(keys)), key=keys.__getitem__)
         (self.metric, self.focus, self.result_type,
          self.start, self.end, self.value) = self.take(order).columns()

@@ -8,9 +8,8 @@ with a replica-aware parallel fan-out, merged streamingly, and memoized
 per canonical query fingerprint.  A raw query reads each execution
 through one reader: bulk drains the readers on the fan-out pool, and
 ``execute(stream=True)`` pulls the same readers' runs in order, one
-member chunk at a time through chunked ResultCursors — ties collected
-and sorted, one cursor open at a time — for the bulk path's exact row
-order in bounded memory.  Either way the answer is one
+member chunk at a time through chunked ResultCursors — one cursor open
+at a time — for the bulk path's exact row order in bounded memory.  Either way the answer is one
 :class:`QueryResult`: chunks of ``col=value`` wire tokens from the merge
 to the wire, iterated as rows through the client's own decoder, and
 stored as they are in the plan cache.

@@ -33,14 +33,14 @@
    :class:`QueryResult`, a bulk or cached answer as one chunk.  With
    ``stream=True``, a raw query without ORDER BY is lazy chunks of the
    readers bulk drains on the pool, pulled in run order one member
-   chunk at a time on the thread that drains the result: ties collected
-   and sorted, one member cursor open at a time, none once LIMIT is
-   reached.  A read planned to fit one chunk (``stream_chunk_rows``) is
-   one ``getPR``, sorted on arrival; a larger or unsized one is an
-   ``ordered`` cursor when streamed, a ``getPR`` advertising the
-   columnar encoding when bulk.  Fully drained streams memoize like bulk
-   results (while the plan cache's byte budget would admit them); partial
-   drains and degraded runs never do.
+   chunk at a time on the thread that drains the result: one member
+   cursor open at a time, none once LIMIT is reached.  A read planned
+   to fit one chunk (``stream_chunk_rows``) is one ``getPR``, sorted on
+   arrival; a larger or unsized one is an ``ordered`` cursor when
+   streamed, a ``getPR`` advertising the columnar encoding when bulk.
+   Fully drained streams memoize like bulk results (while the plan
+   cache's byte budget would admit them); partial drains and degraded
+   runs never do.
 """
 
 from __future__ import annotations
@@ -366,7 +366,7 @@ class FederationEngine:
         ]
 
         def runs(readers: Iterable[tuple[int, Iterator]]) -> list[tuple]:
-            out = [run for p, reader in readers for run in execution_runs(p, work[p][0], reader)]
+            out = [run for p, reader in readers for run in execution_runs(work[p][0], reader)]
             deps.update((ctx.app, ctx.exec_id) for _, ctx, _ in out)
             return out
 
@@ -648,7 +648,7 @@ class FederationEngine:
         Yields ``(member, executions, subqueries, large)`` per member
         that really fans out: its selected executions, the sub-queries
         surviving the metric filter in run order (``ordering_key`` of
-        the metric, then plan order), and whether a raw read is *large*:
+        the metric), and whether a raw read is *large*:
         planned at more rows than one chunk (``stream_chunk_rows``) —
         the plan's row estimate spread over the executions and their
         sub-queries — or unsized.  Tier-0 members (answered at plan

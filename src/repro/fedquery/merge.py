@@ -11,21 +11,21 @@ columns.  A raw answer is *runs*, not rows: one execution's one
 sub-query, as :class:`~repro.core.semantic.ResultColumns` less what the
 value predicates drop, already in ``pr_sort_key`` order off the
 execution's reader (:func:`execution_runs`).  The canonical order leads
-with ``app``, ``exec`` and ``metric``, constant within a run, so the
-answer is the runs in key order, a lone run passed through and runs
-whose keys tie sorted together: :func:`run_chunks`, pulled a chunk at a
-time by a stream and drained by :func:`raw_answer`, which takes the
-canonical order as given.  An answer leaves the merge as :func:`render`'s
-token columns, a numeric one kept as its numbers behind its ``name=``;
-no :class:`ResultRow` is built and no row text joined unless a caller
-asks (:func:`read_rows`).  The naive oracle keeps its own row-at-a-time
-order (``repro.fedquery.naive.order_rows``).
+with ``app``, ``exec`` and ``metric``, constant within a run and unique
+to it, so the answer is the runs in key order, each passed through:
+:func:`run_chunks`, pulled a chunk at a time by a stream and drained by
+:func:`raw_answer`, which takes the canonical order as given.  An
+answer leaves the merge as :func:`render`'s token columns, a numeric one
+kept as its numbers behind its ``name=``; no :class:`ResultRow` is built
+and no row text joined unless a caller asks (:func:`read_rows`).  The
+naive oracle keeps its own row-at-a-time order
+(``repro.fedquery.naive.order_rows``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -252,47 +252,34 @@ def filter_values(results: ResultColumns, predicates) -> ResultColumns:
     return results if len(kept) == len(results) else results.take(kept)
 
 
-def execution_runs(position: int, subqueries, reader: Iterator) -> list[tuple]:
+def execution_runs(subqueries, reader: Iterator) -> list[tuple]:
     """One execution's runs for :func:`run_chunks`, off its *reader* —
     which yields the execution's :class:`TaskContext`, then each of
     *subqueries*' run a chunk at a time with a None ending it, pulled
     live or drained beforehand.  A run's key is the canonical order's
-    leading cells, constant within it, then its place in the plan
-    (*position* is the execution's).  A reader that ends before its
-    context has no runs."""
+    leading cells, constant within it: ``app``, ``exec`` and ``metric``,
+    unique to the run, since a member lists an execution id once and a
+    query selects a metric once.  A reader that ends before its context
+    has no runs."""
     ctx = next(reader, None)
     if ctx is None:
         return []
     head = (ordering_key(ctx.app), ordering_key(ctx.exec_id))
     return [
-        ((*head, ordering_key(sub.metric), (position, i)), ctx, iter(reader.__next__, None))
-        for i, sub in enumerate(subqueries)
+        ((*head, ordering_key(sub.metric)), ctx, iter(reader.__next__, None))
+        for sub in subqueries
     ]
 
 
 def run_chunks(runs: Iterable[tuple]) -> Iterator[list[list]]:
     """The rows of *runs* — ``(run_key, ctx, chunks)``, *chunks* iterating
     the run's columns in ``pr_sort_key`` order — in answer order, a chunk
-    at a time, one list per :data:`RAW_COLUMNS` column.  A lone run is
-    passed on chunk by chunk.  Runs whose keys tie but for the position
-    (exec ids ``1``/``01``, metrics ``inf``/``infinity``) interleave: they
-    are read whole and sorted together (stably: ties keep plan order)."""
-    for _, group in groupby(sorted(runs, key=itemgetter(0)), key=lambda run: run[0][:3]):
-        group = list(group)
-        lone = len(group) == 1
-        parts = ((ctx, part) for _, ctx, chunks in group for part in chunks)
-        for batch in ([part] for part in parts) if lone else [list(parts)]:
-            results = ResultColumns.concat([part for _, part in batch])
-            columns = [
-                [ctx.app for ctx, part in batch for _ in range(len(part))],
-                [ctx.exec_id for ctx, part in batch for _ in range(len(part))],
-                *results.columns(),
-            ]
-            if not lone:
-                keys = results.sort_keys(metric=True)
-                order = sorted(range(len(keys)), key=keys.__getitem__)
-                columns = [[column[i] for i in order] for column in columns]
-            yield columns
+    at a time, one list per :data:`RAW_COLUMNS` column: the runs in key
+    order, each passed on chunk by chunk."""
+    for _, ctx, chunks in sorted(runs, key=itemgetter(0)):
+        for part in chunks:
+            rows = len(part)
+            yield [[ctx.app] * rows, [ctx.exec_id] * rows, *part.columns()]
 
 
 def answer_order(

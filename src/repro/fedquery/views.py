@@ -266,15 +266,12 @@ class ViewMaintainer:
             if key[0] in planned and not in_scope(key)
         }
         fetched = Counter()
-        member_rank = {member.app: rank for rank, member in enumerate(plan.members)}
-        execution_rank: dict[tuple[str, str], int] = {}
         try:
             for member, executions, subqueries, large in self.engine.member_work(
                 [member for member in plan.members if app in (None, member.app)], fetched
             ):
-                for rank, execution in enumerate(executions):
+                for execution in executions:
                     key = (member.app, self.engine._execution_id(execution))
-                    execution_rank[key] = rank
                     if not in_scope(key):
                         continue
                     if query.is_aggregate:
@@ -290,18 +287,11 @@ class ViewMaintainer:
                         )
                         # a LIMIT partition keeps only its own top-N: a
                         # sufficient candidate set under the total order
-                        runs = execution_runs(0, subqueries, reader)
+                        runs = execution_runs(subqueries, reader)
                         view.partitions[key] = raw_answer(run_chunks(runs), query)
         finally:
             self.counters["deltaRowsFetched"] += fetched["records"]
             self.counters["deltaBytesFetched"] += fetched["payloadBytes"]
-        # rows that tie on every ordering key follow partition order: keep
-        # it the plan's, member then execution (a member not refetched
-        # keeps its own), as a from-scratch execution reads them
-        view.partitions = dict(sorted(
-            view.partitions.items(),
-            key=lambda item: (member_rank[item[0][0]], execution_rank.get(item[0], 0)),
-        ))
         if not query.is_aggregate:
             return render(RAW_COLUMNS, raw_answer(view.partitions.values(), query, canonical=False))
         merger = StreamingMerger(query)

@@ -17,7 +17,7 @@ from repro.ogsi import GridEnvironment, GridServiceHandle
 from repro.soap import SoapFault
 from repro.soap.rpc import decode_response, encode_request
 
-from tests.test_member_read import live_cursors
+from tests.leaks import live_cursors
 
 
 @pytest.fixture()

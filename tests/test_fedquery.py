@@ -28,7 +28,9 @@ from repro.fedquery.merge import (
     raw_answer, read_rows, render, run_chunks,
 )
 from repro.fedquery.planner import SubQuery
-from repro.core.semantic import AggregateRecord, PerformanceResult, ResultColumns, ordering_key
+from repro.core.semantic import (
+    AggregateRecord, PerformanceResult, ResultColumns, column_keys, ordering_key,
+)
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 from repro.soap.colbatch import DecodedBatch
 
@@ -406,20 +408,24 @@ class TestOrderRows:
         q = parse_query("SELECT count(x) GROUP BY k ORDER BY k")
         for order in ORDERS:
             assert [r["k"] for r in order(rows, q)] == ["10", "banana"], order
-        # exec ids 1 and 01 tie: the next cell decides, else arrival order
+        # exec ids 01, 1 and 1.0 read as one number: their text orders
+        # them, before any later cell, whatever order they arrive in
         cols = ("app", "exec", "value")
-        rows = [ResultRow(cols, ("A", "1", 2.0)), ResultRow(cols, ("A", "01", 1.0))]
-        twins = [ResultRow(cols, ("A", "1", 1.0)), ResultRow(cols, ("A", "01", 1.0))]
+        rows = [ResultRow(cols, cells) for cells in (("A", "1.0", 0.5), ("A", "1", 2.0),
+                                                     ("A", "01", 3.0), ("A", "1", 1.0))]
         for order in ORDERS:
-            assert [r["exec"] for r in order(rows, parse_query("SELECT m"))] == ["01", "1"]
-            for arrival in (twins, twins[::-1]):
-                assert order(arrival, parse_query("SELECT m")) == arrival, order
+            for arrival in itertools.permutations(rows):
+                ordered = order(list(arrival), parse_query("SELECT m"))
+                assert [(r["exec"], r["value"]) for r in ordered] == [
+                    ("01", 3.0), ("1", 1.0), ("1", 2.0), ("1.0", 0.5),
+                ], order
 
 
 class TestNanOrder:
     """One NaN must not make the canonical order depend on arrival order:
     NaN (a float, or a text ``float()`` reads as one) orders after every
-    number, ``+inf`` included, and before every other text; NaNs tie."""
+    number, ``+inf`` included, and before every other text; NaNs order
+    by their text, so only NaNs that render alike tie."""
 
     NAN = float("nan")
 
@@ -436,11 +442,14 @@ class TestNanOrder:
             }
             expected = ("-inf", "1.0", "2.0", "3.0", "inf", "nan", "nan")
             assert outputs == {tuple(f"app=A|value={v}" for v in expected)}, order
-        # -0.0 and 0.0 tie: each keeps its sign and its place of arrival
-        zeros = [ResultRow(("app", "value"), ("A", v)) for v in (0.0, -0.0, -1.0)]
+        # -0.0 before 0.0, whichever arrives first (a ResultRow compares
+        # -0.0 equal to 0.0, so the rows' texts are compared)
+        zeros = [ResultRow(("app", "value"), ("A", v)) for v in (0.0, -0.0, -1.0, 0.0)]
         for order in ORDERS:
-            for arrival in (zeros, zeros[1::-1] + zeros[2:]):
-                assert order(arrival, query) == [arrival[2], *arrival[:2]], order
+            for arrival in itertools.permutations(zeros):
+                assert [row.pack() for row in order(list(arrival), query)] == [
+                    f"app=A|value={v}" for v in ("-1.0", "-0.0", "0.0", "0.0")
+                ], order
 
     def test_text_cells_order_the_same_from_every_permutation(self):
         query = parse_query("SELECT count(x) GROUP BY k")
@@ -453,27 +462,63 @@ class TestNanOrder:
                 tuple(row.pack() for row in order(list(p), query))
                 for p in itertools.permutations(rows, 8)
             }
-            assert len(outputs) == 2, order  # "nan" and "NaN" tie: arrival order decides
-            for output in outputs:
-                keys = [packed.split("|")[0][2:] for packed in output]
-                assert keys[:4] == ["5", "7", "10", "inf"] and keys[6:] == ["", "banana"]
-                assert sorted(keys[4:6]) == ["NaN", "nan"]
+            (output,) = outputs  # "NaN" and "nan" are both NaN: their text orders them
+            keys = [packed.split("|")[0][2:] for packed in output]
+            assert keys == ["5", "7", "10", "inf", "NaN", "nan", "", "banana"], order
 
-    def test_nan_free_cells_order_as_they_always_did(self, oracle_seed):
-        def parent_key(value):  # ordering_key before the NaN rule and the memo
+    def test_the_key_refines_the_one_with_ties(self, oracle_seed):
+        """Wherever the key with ties (numbers by value alone, NaNs all
+        alike) ordered two cells strictly, the total key orders them the
+        same way, so no answer without ties moves; and the total key
+        ties two cells only when they render alike."""
+        def tied_key(value):
             if isinstance(value, (int, float)):
-                return (0, float(value), "")
+                number = float(value)
+                return (0, number, "") if number == number else (1, 0.0, "")
             try:
-                return (0, float(str(value)), "")
+                number = float(str(value))
             except ValueError:
-                return (1, 0.0, str(value))
+                return (2, 0.0, str(value))
+            return (0, number, "") if number == number else (1, 0.0, "")
 
+        def rendered(value):
+            return repr(value) if isinstance(value, float) else str(value)
+
+        pool = [0, -1, 7, True, 2.5, -0.0, 0.0, 1e300, float("inf"), float("-inf"), self.NAN,
+                "5", "05", "5.0", "1e3", "inf", "-Infinity", "-inf", " 2 ", "NaN", "nan",
+                "", "banana", "Z", "é", "/rank/3", "7", "0.0"]
+        for a, b in itertools.product(pool, repeat=2):
+            if tied_key(a) < tied_key(b):
+                assert ordering_key(a) < ordering_key(b), (a, b)
+            if ordering_key(a) == ordering_key(b):
+                assert rendered(a) == rendered(b), (a, b)
         rng = random.Random(0x0A2 + oracle_seed)
-        pool = [0, -1, 7, True, 2.5, -0.0, 1e300, float("inf"), float("-inf"),
-                "5", "05", "5.0", "1e3", "inf", "-Infinity", " 2 ", "", "banana", "Z", "é", "/rank/3"]
         for _ in range(200):
             cells = [rng.choice(pool) for _ in range(rng.randint(2, 12))]
-            assert sorted(cells, key=ordering_key) == sorted(cells, key=parent_key)
+            keys = [tied_key(cell) for cell in sorted(cells, key=ordering_key)]
+            assert keys == sorted(keys)
+
+    def test_column_keys_order_as_ordering_key(self, oracle_seed):
+        """A column's keys order its cells as their ``ordering_key`` does,
+        whether the column is its own key or not: signed zeros, NaN and
+        infinities (whose sum is NaN) included."""
+        rng = random.Random(0x0A3 + oracle_seed)
+        pools = (
+            [0.0, -0.0, 1.5, -2.0, 3.25],
+            [0.0, 1.5, 2.0, float("inf"), float("-inf")],
+            [0.0, -0.0, self.NAN, float("inf"), 7.0],
+            [0, 3, -1, 12],
+            ["16", "016", "8", "nan", "NaN", "x", "1.0", "1"],
+        )
+        for _ in range(100):
+            pool = rng.choice(pools)
+            column = [rng.choice(pool) for _ in range(rng.randint(1, 9))]
+            keys = column_keys(column)
+            by_keys = sorted(range(len(column)), key=keys.__getitem__)
+            by_cells = sorted(range(len(column)), key=lambda i: ordering_key(column[i]))
+            assert [ordering_key(column[i]) for i in by_keys] == [
+                ordering_key(column[i]) for i in by_cells
+            ], column
 
     def test_federation_with_a_nan_answers_alike_on_every_path(self, oracle_seed):
         rng = random.Random(0x0A1 + oracle_seed)
@@ -552,21 +597,20 @@ class TestMergerSemantics:
         )
         assert next(read_rows(merger.answer()))["count(a)"] == 1
 
-    def test_bulk_ties_follow_plan_order_not_completion_order(self):
-        """Exec ids ``1`` and ``01`` tie in the canonical order and their
-        rows are otherwise equal, yet render differently: whichever
-        execution's task completes first, the rows come out in plan order
-        (each run keyed by its execution's place in the plan)."""
+    def test_bulk_answer_is_alike_in_every_completion_order(self):
+        """Exec ids ``1`` and ``01`` read as one number and their rows
+        are otherwise equal, yet render differently: their text orders
+        their runs, so whichever execution's task completes first, the
+        rows come out alike."""
         query = parse_query("SELECT m")
         results = ResultColumns.of([PerformanceResult("m", "/f", "t", 0.0, 1.0, 2.0)] * 2)
-        plan = ["01", "1"]
         answers = set()
         for completion in (["1", "01"], ["01", "1"]):
             runs = [
                 run
                 for exec_id in completion
                 for run in execution_runs(
-                    plan.index(exec_id), [SubQuery("m", "raw", 0.0, 1.0, "t")],
+                    [SubQuery("m", "raw", 0.0, 1.0, "t")],
                     iter([TaskContext("A", exec_id), results, None]),
                 )
             ]
@@ -587,7 +631,8 @@ class TestMergerSemantics:
         engine.invalidate_cache()
         streamed = [row.pack() for row in grid.client.query_stream("SELECT m")]
         assert bulk == streamed and len(bulk) == 6
-        assert [packed.split("|")[1] for packed in bulk[:3]] == ["exec=1", "exec=01", "exec=1.0"]
+        # listed 1, 01, 1.0: their text orders them, not the listing
+        assert [packed.split("|")[1] for packed in bulk[::2]] == ["exec=01", "exec=1", "exec=1.0"]
         grid.environment.close()
 
 

@@ -30,7 +30,7 @@ from repro.fedquery.merge import RAW_COLUMNS
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 from repro.soap.chunks import ANSWER_ENCODINGS, ENCODING_COLBATCH, ENCODING_XML
 
-from tests.test_member_read import live_cursors as live_member_cursors
+from tests.leaks import live_cursors
 
 #: randomized queries checked against the oracle (ISSUE floor: 200)
 N_QUERIES = 240
@@ -417,13 +417,6 @@ def test_client_query_stream_matches_naive_over_the_wire(
 
     pin_leg(monkeypatch, encoding)
     grid, engine = oracle_env.grid, oracle_env.engine
-    fed = grid.environment.container_for(grid.fed_gsh.split("/")[2])
-
-    def live_cursors() -> int:
-        return live_member_cursors(grid) + sum(
-            "/cursors/instances/" in path for path in fed.service_paths()
-        )
-
     for seed in range(N_QUERIES):
         rng = random.Random(7000 + seed + 1_000_000 * oracle_seed)
         text = make_query(rng, oracle_env)
@@ -436,13 +429,13 @@ def test_client_query_stream_matches_naive_over_the_wire(
         with grid.client.query_stream(text) as stream:
             drained = [row.pack() for row in stream]
         assert drained == expected, f"drained stream != naive for {text!r}"
-        assert live_cursors() == 0, text
+        assert live_cursors(grid) == 0, text
         k = rng.randint(0, len(expected))
         engine.plan_cache.remove(query.fingerprint())
         with grid.client.query_stream(text) as stream:
             first = [row.pack() for _, row in zip(range(k), stream)]
         assert first == expected[:k], f"first {k} streamed rows != naive for {text!r}"
-        assert live_cursors() == 0, text
+        assert live_cursors(grid) == 0, text
 
 
 #: seeded store updates the view oracle applies, one data_updated each

@@ -22,7 +22,7 @@ from repro.experiments.common import build_synthetic_grid
 from repro.fedquery import FederationEngine, QueryError, naive_query
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 
-from tests.test_member_read import live_cursors
+from tests.leaks import live_cursors
 
 RAW_QUERY = "SELECT m"
 
@@ -103,10 +103,11 @@ class TestStreamedEqualsBulk:
 
 
 class TestMetricNamesThatTie:
-    """Two metrics of one execution whose names tie under
-    ``ordering_key`` (``inf`` and ``infinity`` read as one number,
-    ``nan`` and ``NaN`` as NaN) are one run group: their rows interleave
-    by focus on every path, never one metric's rows first."""
+    """Two metrics of one execution whose names read as one number
+    (``inf`` and ``infinity``) or as NaN (``nan`` and ``NaN``) are two
+    runs that ``ordering_key`` orders by their text: on every path, one
+    metric's rows all come before the other's, a stream passing each
+    run on a chunk at a time."""
 
     @pytest.mark.parametrize(
         "metrics", [("inf", "infinity"), ("nan", "NaN")], ids=["inf-infinity", "nan-NaN"]
@@ -137,8 +138,10 @@ class TestMetricNamesThatTie:
         local.register_local_wrapper(grid.sites["A"].factory_url, wrapper)
         naive = packs(naive_query(text, {"A": local.bind(grid.sites["A"].factory_url, "A")}))
         assert streamed == bulk == naive and len(streamed) == 12
-        # /R/0 of both metrics before /R/1 of either
-        assert {row.split("|")[2] for row in streamed[:4]} == {f"metric={m}" for m in metrics}
+        first, second = sorted(metrics)  # "NaN" < "nan", "inf" < "infinity"
+        assert [row.split("|")[2] for row in streamed] == [f"metric={first}"] * 6 + [
+            f"metric={second}"
+        ] * 6
         grid.environment.close()
 
 

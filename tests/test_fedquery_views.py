@@ -623,10 +623,10 @@ class TestScopedRefetch:
         grid.cleanup()
 
     def test_a_refetched_partition_keeps_its_plan_position(self):
-        """Executions ``1`` and ``01`` tie on every ordering key (the
-        execution column compares as a number), so the plan's execution
-        order alone decides which of their equal rows comes first.  A
-        refetch of ``1`` must not move its partition behind ``01``."""
+        """Executions ``1`` and ``01`` read as one number and hold equal
+        rows, so only their text orders those rows.  A refetch of ``1``,
+        which moves its partition behind ``01``'s, must not move its
+        rows."""
         row = [_result("m", "/A", 2.0)]
         wrappers = {
             "A": InMemoryWrapper(
@@ -644,5 +644,34 @@ class TestScopedRefetch:
         _, rows = grid.client.get_view(view_id)
         assert [row.pack() for row in rows] == expected
         assert [row.pack() for row in subscriber.rows] == expected
+        subscriber.close()
+        grid.cleanup()
+
+    def test_a_replica_orders_rows_that_differ_only_in_exec_id_as_the_server(self):
+        """Member ``A`` lists execution ``01`` (empty), then ``1`` (one
+        row).  The row appended to ``01`` then differs from ``1``'s only
+        in an exec id that reads as the same number: the server's view,
+        a fresh query and the subscribed replica, which re-sorts the
+        delta into its rows, answer ``exec=01`` first alike."""
+        row = _result("m", "/A", 2.0)
+        wrappers = {
+            "A": InMemoryWrapper(
+                "A", [InMemoryExecution("01", {}, []), InMemoryExecution("1", {}, [row])]
+            )
+        }
+        grid = build_synthetic_grid(wrappers)
+        engine = grid.deploy_federation()
+        text = "SELECT m"
+        view_id = grid.client.create_view(text)
+        subscriber = grid.client.subscribe_view(view_id)
+        wrappers["A"].executions_data[0].results.append(row)
+        assert grid.execution_service("A", "01").data_updated("ingest") == 1
+        expected = [row.pack() for row in naive_query(text, engine.members())]
+        assert [packed.split("|")[1] for packed in expected] == ["exec=01", "exec=1"]
+        assert [row.pack() for row in grid.client.query(text)] == expected
+        _, rows = grid.client.get_view(view_id)
+        assert [row.pack() for row in rows] == expected
+        assert [row.pack() for row in subscriber.rows] == expected
+        assert (subscriber.deltas_applied, subscriber.stale_refreshes) == (1, 0)
         subscriber.close()
         grid.cleanup()

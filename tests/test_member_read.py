@@ -31,6 +31,7 @@ from repro.soap.chunks import ENCODING_COLBATCH
 from repro.soap.rpc import decode_request
 
 from tests import test_member_facts
+from tests.leaks import live_cursors
 
 MEMBERS, EXECUTIONS, ROWS, FOCI = 2, 2, 30, 3
 METRICS = ("m", "n")
@@ -104,15 +105,6 @@ def payload(wrappers) -> int:
         for wrapper in wrappers.values()
         for execution in wrapper.executions_data
         for result in execution.results
-    )
-
-
-def live_cursors(grid) -> int:
-    return sum(
-        "/cursors/" in path
-        for site in grid.sites.values()
-        for container in (site.container, *site.replica_containers)
-        for path in container.service_paths()
     )
 
 

@@ -45,6 +45,7 @@ from repro.soap.rpc import decode_request
 from repro.wsdl.porttype import Operation, Parameter, PortType
 
 from tests import test_member_facts
+from tests.leaks import live_cursors
 
 ROWS = [
     f"time_spent|/Code/MPI/MPI_{op}|vampir|{i * 0.5:.9f}-{i * 0.5 + 1:.9f}|{i * 0.125!r}"
@@ -124,14 +125,6 @@ def sent(wire) -> list[tuple[str, bytes, bytes]]:
     log = [(decode_request(q).operation, q, r) for _, q, r in wire.log]
     del wire.log[:]
     return log
-
-
-def live_cursors(grid) -> int:
-    return sum(
-        "/cursors/instances/" in path
-        for container in grid.environment.containers()
-        for path in container.service_paths()
-    )
 
 
 def drain_member(grid, wire):

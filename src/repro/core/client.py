@@ -50,8 +50,8 @@ from repro.ogsi.dispatch import accept_encodings_headers
 from repro.ogsi.notification import NotificationSinkBase, PullNotificationSink
 from repro.ogsi.porttypes import FACTORY_PORTTYPE
 from repro.soap.chunks import (
-    ANSWER_ENCODINGS, ENCODING_XML, WIRE_ENCODINGS, ChunkError, decode_chunk, require_accepted,
-    unframe_answer,
+    ANSWER_ENCODINGS, CHUNK_HEADER, ENCODING_XML, WIRE_ENCODINGS, ChunkError, decode_chunk,
+    require_accepted, unframe_answer,
 )
 from repro.soap.colbatch import DecodedBatch
 from repro.uddi.proxy import OrganizationProxy, ServiceProxy, UddiClient
@@ -148,8 +148,8 @@ class ChunkedResultIterator:
         self._rows: Iterator = self._decoded(decoder or iter)
         self.chunks_fetched = 0
         self.rows_fetched = 0
-        #: packed length of the rows fetched so far — what the engine's
-        #: ``payloadBytes`` counts, taken while the strings are in hand
+        #: summed length of the payload records received, chunk headers
+        #: aside — what the engine's ``payloadBytes`` counts
         self.bytes_fetched = 0
         self.accept_encodings = (
             tuple(accept_encodings)
@@ -205,10 +205,7 @@ class ChunkedResultIterator:
         self._done = envelope.done
         self.chunks_fetched += 1
         self.rows_fetched += len(envelope.rows)
-        self.bytes_fetched += self._length(envelope.rows)
-
-    def _length(self, rows: Collection[str]) -> int:
-        return _text_length(rows)
+        self.bytes_fetched += _payload_length(payload)
 
     def _fetched(self) -> Iterator[Collection[str]]:
         """Each remaining chunk's rows as they arrived (a colbatch chunk's
@@ -263,15 +260,6 @@ class ChunkedResultIterator:
         self.close()
 
 
-class _AnswerStream(ChunkedResultIterator):
-    """A federated answer's cursor (:meth:`PPerfGridClient.query_stream`).
-    Its ``bytes_fetched`` stays 0: no figure is kept of the federation's
-    own answer, and counting its numeric columns would render them."""
-
-    def _length(self, rows: Collection[str]) -> int:
-        return 0
-
-
 class ArrayRead:
     """What a member read that opened no cursor returns, carrying the
     accounting surface of :class:`ChunkedResultIterator` so a consumer
@@ -279,17 +267,9 @@ class ArrayRead:
     (:class:`BucketRead`), the columns of a raw ``getPR``
     (:class:`ColumnRead`)."""
 
-    #: set by a reader that saw the records as strings
-    wire_bytes: int | None = None
+    #: summed length of the payload records received (the local bypass: 0)
+    bytes_fetched: int = 0
     encoding: str = ENCODING_XML  # the content encoding the answer arrived in
-
-    @property
-    def bytes_fetched(self) -> int:
-        """Packed length of the records — rendered to be counted, on
-        first ask, when nothing crossed a wire (the local bypass)."""
-        if self.wire_bytes is None:
-            self.wire_bytes = sum(len(record.pack()) for record in self)
-        return self.wire_bytes
 
     @property
     def rows_fetched(self) -> int:
@@ -311,9 +291,10 @@ class ColumnRead(ResultColumns, ArrayRead):
     """A raw ``getPR`` answer, column by column."""
 
 
-def _text_length(packed: Collection[str]) -> int:
-    """Total length of *packed*'s record strings (off a batch's columns)."""
-    return packed.text_length() if isinstance(packed, DecodedBatch) else sum(map(len, packed))
+def _payload_length(items: list[str]) -> int:
+    """Summed length of a received SOAP array's payload records: a chunk header aside."""
+    framed = items and items[0].startswith(CHUNK_HEADER + "|")
+    return sum(map(len, items)) - (len(items[0]) if framed else 0)
 
 
 def read_columns(packed: Collection[str]) -> ColumnRead:
@@ -381,8 +362,8 @@ class ExecutionBinding:
         paging *max_rows* at a time — aggregates never page through a
         cursor.  Either is an iterable of records, in ``pr_sort_key``
         order when *ordered*, with ``rows_fetched``, ``close()`` and
-        ``bytes_fetched`` — the packed length of the records as they
-        arrived, counted here because nothing later holds the strings.
+        ``bytes_fetched`` — the summed length of the payload records
+        received, whatever their encoding (a chunk header aside).
         A raw array is a :class:`ColumnRead`: its columns are what the
         federation merges, its iteration the per-record fallback.
 
@@ -404,7 +385,7 @@ class ExecutionBinding:
                 )
             packed, encoding = unframe_answer(answer, advertised)
             records = read_columns(packed)
-            records.wire_bytes = _text_length(packed)
+            records.bytes_fetched = _payload_length(answer)
             records.encoding = encoding
             if ordered:
                 records.sort()
@@ -418,7 +399,7 @@ class ExecutionBinding:
                 group_by,
             )
         buckets = BucketRead(map(AggregateRecord.unpack, packed))
-        buckets.wire_bytes = sum(map(len, packed))
+        buckets.bytes_fetched = sum(map(len, packed))
         return buckets
 
     def get_pr_chunked(
@@ -969,7 +950,7 @@ class PPerfGridClient:
         """
         fed = self._require_federation()
         with self.environment.recorder.time("virtualization.fedquery.stream"):
-            return _AnswerStream.open(
+            return ChunkedResultIterator.open(
                 self.environment, fed, "queryChunked", text,
                 max_rows=max_rows, decoder=read_rows, served=ANSWER_ENCODINGS,
             )

@@ -15,9 +15,9 @@ from repro.core.prcache import PrCache, default_pr_cache
 from repro.core.semantic import (
     EXECUTION_PORTTYPE,
     PerformanceResult,
+    ResultColumns,
     pr_agg_cache_key,
     pr_cache_key,
-    pr_sort_key,
 )
 from repro.mapping.base import ExecutionWrapper
 from repro.ogsi.cursor import DEFAULT_CURSOR_TTL, deploy_cursor
@@ -236,8 +236,11 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
 
         def answer() -> DecodedBatch:
             results = self.wrapper.get_pr(metric, list(foci), start, end, resultType)
-            # coded once, so the numeric columns are held as numbers
-            return decode_columns(encode_batch([pr.pack() for pr in sorted(results, key=pr_sort_key)]))
+            packed = [pr.pack() for pr in results]
+            # sorted as read back (pack() rounds the times), then coded
+            # once, so the numeric columns are held as numbers
+            sent = ResultColumns.unpack([*zip(*(row.split("|") for row in packed))] or [()] * 5)
+            return decode_columns(encode_batch([packed[i] for i in sent.order()]))
 
         if ordered:
             key = pr_cache_key(metric, list(foci), startTime, endTime, resultType)

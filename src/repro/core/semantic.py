@@ -210,12 +210,15 @@ class ResultColumns:
         """The rows at positions *rows*, in that order."""
         return ResultColumns(*([column[i] for i in rows] for column in self.columns()))
 
+    def order(self) -> list[int]:
+        """The row positions in :func:`pr_sort_key` order (stable)."""
+        keys = list(zip(*map(column_keys, self.columns()[1:])))
+        return sorted(range(len(keys)), key=keys.__getitem__)
+
     def sort(self) -> None:
         """Reorder the rows, stably, into :func:`pr_sort_key` order."""
-        keys = list(zip(*map(column_keys, self.columns()[1:])))
-        order = sorted(range(len(keys)), key=keys.__getitem__)
         (self.metric, self.focus, self.result_type,
-         self.start, self.end, self.value) = self.take(order).columns()
+         self.start, self.end, self.value) = self.take(self.order()).columns()
 
 
 @dataclass(frozen=True)

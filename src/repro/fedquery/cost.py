@@ -41,9 +41,9 @@ from repro.fedquery.pushdown import (
     matches_value,
 )
 
-#: estimated wire bytes per transferred record (packed forms average
-#: ``metric|focus|type|span|value`` ≈ 72 and ``group|count|total|min|max``
-#: ≈ 44 characters on the reference stores)
+#: estimated packed (per-row XML) bytes per transferred record, what an XML
+#: read's ``payloadBytes`` counts: ``metric|focus|type|span|value`` averages
+#: ≈ 72 and ``group|count|total|min|max`` ≈ 44 characters on the reference stores
 RAW_RECORD_BYTES = 72
 AGG_RECORD_BYTES = 44
 

@@ -475,8 +475,7 @@ class FederationEngine:
         as one array that may arrive as a *columnar* chunk; in
         ``pr_sort_key`` order when *ordered*).  On the way out, whether
         the consumer drained it, stopped or raised, the cursor is closed
-        and the read counted into *stats*: the bytes are the binding's
-        count, off the strings it received, never a second rendering.
+        and the read counted into *stats*, its bytes the payload received.
         """
         aggregate = None
         if sub.mode == "aggregate":

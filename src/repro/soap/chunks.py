@@ -141,17 +141,15 @@ def require_accepted(envelope: ChunkEnvelope, advertised: Sequence[str]) -> None
 
 
 def _wire_size(items) -> int:
-    # each array item's element costs ~35 bytes beside its text; a
-    # DecodedBatch counts its rows' length off its columns
-    length = items.text_length() if hasattr(items, "text_length") else sum(map(len, items))
-    return length + 35 * len(items)
+    # each array item's element costs ~35 bytes beside its text
+    return sum(map(len, items)) + 35 * len(items)
 
 
 def frame_answer(rows: Collection[str], encoding: str) -> list[str]:
     """*rows* as one ``done=1`` chunk in *encoding* when that is shorter
     on the wire, else the rows themselves: never larger than the XML.
-    A :class:`~repro.soap.colbatch.DecodedBatch` is measured and encoded
-    from its columns, its rows joined only when they are the answer."""
+    A :class:`~repro.soap.colbatch.DecodedBatch` is encoded from its columns,
+    its rows joined only to be measured when the frame does not win outright."""
     if encoding != ENCODING_XML:
         framed = encode_chunk(0, rows, True, encoding)
         size = _wire_size(framed)  # under the rows' elements alone, their text is not counted

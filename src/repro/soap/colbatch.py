@@ -588,21 +588,6 @@ class _Numbers:
         fields = "|".join(_series_fields(*series) for series in ((scale, numbers), *rest))
         return f"{'spn' if rest else 'fxp'}|-|{fields}"
 
-    def text_length(self) -> int:
-        """The tokens' total length, counted from the numbers: digits and
-        signs (``str`` of a float is its ``repr``), and at a scale a point
-        each and the zeros padding a value under one unit."""
-        length = (len(self.series) - 1 + len(self.prefix)) * len(self)
-        for scale, numbers in self.series:
-            length += len("".join(map(str, numbers)))
-            if scale:
-                unit = 10**scale
-                length += len(numbers)
-                if min(map(abs, numbers), default=unit) < unit:
-                    small = [len(str(abs(number))) for number in numbers if -unit < number < unit]
-                    length += (scale + 1) * len(small) - sum(small)
-        return length
-
     def floats(self) -> list[list[float]] | None:
         """Each series as floats, ``float()`` of its text bit for bit:
         ``int / 10**scale`` rounds correctly as ``float(text)`` does, and a
@@ -791,15 +776,6 @@ class DecodedBatch:
         if 0 in self.exceptions or any("|" in text for text in texts):
             return False
         return all(row.count("|") != self.width - 1 for row in self.exceptions.values())
-
-    def text_length(self) -> int:
-        """Total length of the row strings, counted off the columns (a
-        numeric one's off its numbers): one join per text column, not one
-        len() call per token."""
-        body = sum(c.text_length() if isinstance(c, _Numbers) else len("".join(c))
-                   for c in self._columns)
-        separators = (self.width - 1) * (self._nrows - len(self.exceptions))
-        return body + separators + sum(map(len, self.exceptions.values()))
 
     @cached_property
     def rows(self) -> list[str]:

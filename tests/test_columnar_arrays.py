@@ -131,6 +131,8 @@ def engine_for(grid) -> FederationEngine:
 @pytest.fixture(scope="module")
 def three_stores():
     grid = build_grid(GridScale.tiny())
+    # recorded from here on: every stub the tests build sends through it
+    grid.environment.transport = test_member_facts.Wire(grid.environment.transport)
     yield grid
     grid.cleanup()
 
@@ -138,14 +140,18 @@ def three_stores():
 @pytest.mark.parametrize("app", ["HPL", "SMG98", "PRESTA-RMA"])
 def test_framed_rows_equal_xml_rows_on_every_store(three_stores, app):
     binding = three_stores.bind(app)
+    wire = three_stores.environment.transport
     encodings = set()
     for execution in binding.all_executions():
         foci = execution.foci()
         for metric in execution.metrics():
+            wire.take()
             xml = execution.read(metric, foci)
+            assert xml.bytes_fetched == wire.received() == sum(map(len, packs(xml)))
+            wire.take()
             framed = execution.read(metric, foci, columnar=True)
+            assert framed.bytes_fetched == wire.received()
             assert packs(framed) == packs(xml) and xml.encoding == ENCODING_XML
-            assert framed.bytes_fetched == xml.bytes_fetched
             encodings.add(framed.encoding)
     # HPL answers one row per execution: never worth a chunk
     assert (ENCODING_COLBATCH in encodings) == (app != "HPL")
@@ -359,12 +365,16 @@ def test_counters_do_not_depend_on_the_encoding(federation, monkeypatch):
     grid, _, wire = federation
     text = "SELECT m WHERE value >= 0.5"
     results = {}
+    packed = sum(len(result.pack()) for wrapper in wrappers().values()
+                 for execution in wrapper.executions_data for result in execution.results)
     for leg, accepted in (("xml", XML_ONLY), ("negotiated", WIRE_ENCODINGS)):
         monkeypatch.setenv("PPG_ACCEPT_ENCODINGS", ",".join(accepted))
         engine = engine_for(grid)
         engine.execute(text.replace("0.5", "0.25"))  # remember the members' facts
         sent(wire)
         results[leg] = engine.execute(text)
+        # each leg counts the payload records its member reads received
+        assert results[leg].stats["payloadBytes"] == wire.received()
         log = sent(wire)
         get_pr = [(q, r) for op, q, r in log if op == "getPR"]
         advertised = [HEADER in q for q, _ in get_pr]
@@ -373,8 +383,10 @@ def test_counters_do_not_depend_on_the_encoding(federation, monkeypatch):
         engine.close()
     xml, negotiated = results["xml"], results["negotiated"]
     assert packs(negotiated.rows) == packs(xml.rows)
-    for key in ("calls", "records", "payloadBytes", "bulkCalls", "chunkedCalls", "errors"):
+    for key in ("calls", "records", "bulkCalls", "chunkedCalls", "errors"):
         assert negotiated.stats[key] == xml.stats[key], key
+    # per-row XML arrays carry the packed records; a columnar chunk less
+    assert xml.stats["payloadBytes"] == packed > negotiated.stats["payloadBytes"]
     assert xml.stats["bulkCalls"] == MEMBERS * EXECUTIONS
 
 

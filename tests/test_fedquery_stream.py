@@ -145,6 +145,30 @@ class TestMetricNamesThatTie:
         grid.environment.close()
 
 
+class TestTimesThatPackAlike:
+    def test_a_stream_orders_rows_as_their_packed_times(self):
+        """Starts under 1e-9 apart pack to one text (times travel to 9
+        decimals): a member's sorted cursor orders those rows by what it
+        sends, as bulk and the naive loop do, not by the store's floats."""
+        rows = [
+            PerformanceResult("m", "/R", "t", start, 1.0, value)
+            for start, value in ((1e-10, 3.0), (0.0, 2.0), (3e-10, 1.0))
+        ]
+        wrapper = InMemoryWrapper("A", [InMemoryExecution("0", {}, rows)])
+        grid = build_synthetic_grid({"A": wrapper})
+        engine = grid.deploy_federation()
+        engine.stream_chunk_rows = 1
+        streamed = packs(engine.execute(RAW_QUERY, stream=True))
+        engine.invalidate_cache()
+        bulk = packs(engine.execute(RAW_QUERY).rows)
+        naive = packs(naive_query(RAW_QUERY, engine.members()))
+        assert streamed == bulk == naive
+        values = [row.rsplit("|", 1)[1] for row in streamed]
+        assert values == ["value=1.0", "value=2.0", "value=3.0"]
+        engine.close()
+        grid.environment.close()
+
+
 class TestGlobalOperatorFallback:
     def test_aggregate_streams_bulk_rows(self, fedgrid):
         _, engine = fedgrid

@@ -20,7 +20,7 @@ from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
 from repro.ogsi.container import GridEnvironment
 from repro.ogsi.cursor import DEFAULT_CHUNK_ROWS
 from repro.simnet.transport import RecordingTransport
-from repro.soap.rpc import decode_request
+from repro.soap.rpc import decode_request, decode_response
 
 MEMBERS, EXECUTIONS, ROWS = 2, 2, 10
 #: a warm raw query: the client's call plus one data call per execution
@@ -29,6 +29,8 @@ WARM = {"query": 1, "getPR": MEMBERS * EXECUTIONS}
 DISCOVERY = {"getFoci": 4, "getAllExecs": 2, "getExecs": 2, "getExecQueryParams": 2}
 #: the federation's authority (deploy_federation's default)
 FED = "fed.pdx.edu:9090"
+#: the operations whose answers are read payloads
+READS = ("getPR", "getPRAgg", "next")
 
 
 class Wire(RecordingTransport):
@@ -47,6 +49,20 @@ class Wire(RecordingTransport):
         if not authority:
             del self.log[:]
         return dict(ops)
+
+    def received(self, federation: bool = False) -> int:
+        """Summed length of the payload records that the logged answers to
+        reads carried — ``getPR``, ``getPRAgg`` and a cursor's ``next``, of
+        the members or of the *federation*: each SOAP array's items, less
+        a chunk's header record."""
+        total = 0
+        for url, request, response in self.log:
+            if (FED in url) == federation and decode_request(request).operation in READS:
+                items = decode_response(response).value
+                total += sum(map(len, items))
+                if items and items[0].startswith("#chunk|"):
+                    total -= len(items[0])
+        return total
 
 
 def result(index: int, value: float, metric: str = "m", focus: str | None = None):

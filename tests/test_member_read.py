@@ -27,7 +27,7 @@ from repro.fedquery import executor as executor_module
 from repro.mapping.memory import InMemoryExecution, InMemoryExecutionWrapper, InMemoryWrapper
 from repro.ogsi.container import GridEnvironment
 from repro.ogsi.dispatch import ACCEPT_ENCODINGS_HEADER
-from repro.soap.chunks import ENCODING_COLBATCH
+from repro.soap.chunks import ENCODING_COLBATCH, ENCODING_XML
 from repro.soap.rpc import decode_request
 
 from tests import test_member_facts
@@ -99,7 +99,8 @@ def raw(k: int) -> str:
 
 
 def payload(wrappers) -> int:
-    """payloadBytes of a query reading every row, from the members' own data."""
+    """The packed length of every row, from the members' own data: the
+    payloadBytes of a query that reads them all as per-row XML."""
     return sum(
         len(result.pack())
         for wrapper in wrappers.values()
@@ -116,27 +117,37 @@ def packs(records) -> list[str]:
 class TestBindingReader:
     @pytest.mark.parametrize("ordered", [False, True])
     def test_array_and_cursor_are_the_same_records(self, federation, ordered):
-        grid, *_ = federation
+        grid, _, wire, _ = federation
         execution = grid.bind("APP0").all_executions()[0]
+        wire.take()
         array = execution.read("m", ALL_FOCI, ordered=ordered)
+        array_received = wire.received()
+        wire.take()
         cursor = execution.read("m", ALL_FOCI, cursor=True, max_rows=7, ordered=ordered)
         assert isinstance(array, ArrayRead) and isinstance(cursor, ChunkedResultIterator)
         drained = list(cursor)
         assert packs(drained) == packs(array) and len(array) == ROWS
         if ordered:
             assert packs(array) == packs(sorted(array, key=pr_sort_key))
+        # each read counts the payload records it received; an XML one's
+        # are the packed records
         expected_bytes = sum(map(len, packs(array)))
-        assert array.bytes_fetched == cursor.bytes_fetched == expected_bytes
+        assert array.bytes_fetched == array_received == expected_bytes
+        assert cursor.bytes_fetched == wire.received() > 0
+        if cursor.encoding == ENCODING_XML:
+            assert cursor.bytes_fetched == expected_bytes
         assert array.rows_fetched == cursor.rows_fetched == ROWS
         array.close()  # a no-op with the cursor's name
         assert live_cursors(grid) == 0  # exhaustion closed the cursor
 
     def test_get_pr_is_the_array_the_reader_decoded(self, federation):
-        grid, *_ = federation
+        grid, _, wire, _ = federation
         execution = grid.bind("APP1").all_executions()[1]
         assert packs(execution.get_pr("n", ALL_FOCI)) == packs(execution.read("n", ALL_FOCI))
+        wire.take()
         buckets = execution.get_pr_agg("n", ALL_FOCI, group_by="focus")
-        assert buckets.bytes_fetched == sum(map(len, packs(buckets))) and len(buckets) == FOCI
+        assert buckets.bytes_fetched == wire.received() == sum(map(len, packs(buckets)))
+        assert len(buckets) == FOCI
 
     def test_an_aggregate_never_pages_through_a_cursor(self, federation):
         grid, _, wire, _ = federation
@@ -159,7 +170,7 @@ class TestBindingReader:
         rows = local.read("m", ALL_FOCI, cursor=True, max_rows=4, ordered=True)
         assert isinstance(rows, ArrayRead) and not wire.take()
         assert packs(rows) == packs(remote.read("m", ALL_FOCI, ordered=True))
-        assert rows.bytes_fetched == sum(map(len, packs(rows)))
+        assert rows.bytes_fetched == 0  # nothing crossed a wire
         assert packs(local.stream_pr("m", ALL_FOCI, ordered=True)) == packs(rows)
 
     def test_stream_pr_sizes_the_read_with_get_stats(self, federation, monkeypatch):
@@ -230,19 +241,30 @@ class TestCursorOrArrayFromTheChunk:
 # ------------------------------------------------------------- one accounting
 class TestOneAccounting:
     def test_bulk_and_streamed_count_the_same_reads(self, federation):
-        grid, engine, _, wrappers = federation
-        bulk = engine.execute(raw(1))
-        assert len(bulk.rows) == TOTAL
+        grid, engine, wire, wrappers = federation
+
+        def run(k: int, stream: bool):
+            wire.take()
+            result = engine.execute(raw(k), stream=stream)
+            assert len(list(result) if stream else result.rows) == TOTAL
+            return result, wire.received()
+
+        bulk, bulk_received = run(1, stream=False)
         engine.stream_chunk_rows = ROWS - 1
-        cursors = engine.execute(raw(2), stream=True)
-        assert len(list(cursors)) == TOTAL
+        cursors, cursors_received = run(2, stream=True)
         engine.stream_chunk_rows = ROWS
-        arrays = engine.execute(raw(3), stream=True)
-        assert len(list(arrays)) == TOTAL
-        for stats in (bulk.stats, cursors.stats, arrays.stats):
+        arrays, arrays_received = run(3, stream=True)
+        for stats, received in (
+            (bulk.stats, bulk_received), (cursors.stats, cursors_received),
+            (arrays.stats, arrays_received),
+        ):
             assert stats["records"] == TOTAL
-            assert stats["payloadBytes"] == payload(wrappers)
+            assert stats["payloadBytes"] == received
             assert stats["chunkedCalls"] + stats["bulkCalls"] == READS
+        # the arrays are per-row XML, as are the cursors' chunks on the xml leg
+        assert bulk.stats["payloadBytes"] == arrays.stats["payloadBytes"] == payload(wrappers)
+        if ENCODING_COLBATCH not in default_accept_encodings():
+            assert cursors.stats["payloadBytes"] == payload(wrappers)
         assert bulk.stats["bulkCalls"] == arrays.stats["bulkCalls"] == READS
         assert cursors.stats["chunkedCalls"] == READS
         assert live_cursors(grid) == 0
@@ -251,15 +273,20 @@ class TestOneAccounting:
     def test_a_view_refresh_moves_its_counters_by_the_same_amounts(self, federation, chunk_rows):
         grid, engine, wire, wrappers = federation
         engine.stream_chunk_rows = chunk_rows
+        wire.take()
         engine.views().create_view("SELECT m, n")
         before = engine.view_stats()
         assert before["deltaRowsFetched"] == TOTAL
-        assert before["deltaBytesFetched"] == payload(wrappers)
+        assert before["deltaBytesFetched"] == wire.received()
         wire.take()
         engine.views().on_update(None, None)
         after = engine.view_stats()
         assert after["deltaRowsFetched"] - before["deltaRowsFetched"] == TOTAL
-        assert after["deltaBytesFetched"] - before["deltaBytesFetched"] == payload(wrappers)
+        assert after["deltaBytesFetched"] - before["deltaBytesFetched"] == wire.received()
+        # member arrays are per-row XML, as are member cursors on the xml leg
+        if chunk_rows == ROWS or ENCODING_COLBATCH not in default_accept_encodings():
+            assert before["deltaBytesFetched"] == payload(wrappers)
+            assert after["deltaBytesFetched"] - before["deltaBytesFetched"] == payload(wrappers)
         sent = wire.take()
         assert sent["getPRChunked" if chunk_rows < ROWS else "getPR"] == READS
         assert live_cursors(grid) == 0

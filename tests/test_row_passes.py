@@ -44,12 +44,13 @@ from repro.experiments.common import build_synthetic_grid
 from repro.fedquery import FederatedQueryService, ResultRow, merge
 from repro.fedquery.merge import read_rows
 from repro.mapping.memory import InMemoryExecution, InMemoryWrapper
+from repro.ogsi.container import GridEnvironment
 from repro.soap import colbatch, encoding
 from repro.soap.colbatch import DecodedBatch, decode_columns, encode_batch, split_rows
 from repro.soap.encoding import SoapEncodingError, decode_value
 from repro.soap.rpc import decode_response, encode_response
 from repro.xmlkit import Element, QName
-from tests import reference_soap
+from tests import reference_soap, test_member_facts
 
 MEMBERS, EXECUTIONS, ROWS, FOCI = 2, 2, 50, 5
 TOTAL = MEMBERS * EXECUTIONS * ROWS
@@ -160,9 +161,13 @@ class Passes:
 @pytest.fixture()
 def federation(monkeypatch):
     wrappers = _wrappers()
-    grid = build_synthetic_grid(wrappers)
+    environment = GridEnvironment()
+    # the recording transport: grid.environment.transport.received()
+    environment.transport = test_member_facts.Wire(environment.transport)
+    grid = build_synthetic_grid(wrappers, environment)
     engine = grid.deploy_federation()
-    #: today's definition of payloadBytes, from the members' own data
+    #: the packed length of every row, from the members' own data: the
+    #: payloadBytes of a query that reads them all as per-row XML
     payload = sum(
         len(result.pack())
         for wrapper in wrappers.values()
@@ -200,6 +205,8 @@ def _bulk_raw_query(federation, monkeypatch, columnar: bool):
         return rows, encoding
 
     monkeypatch.setattr(client_module, "unframe_answer", counted_unframe)
+    wire = grid.environment.transport
+    wire.take()
     rows = grid.client.query("SELECT m WHERE value >= -1.5")
     # every member answer, and the client's own, arrived as the leg says
     members = MEMBERS * EXECUTIONS
@@ -216,7 +223,9 @@ def _bulk_raw_query(federation, monkeypatch, columnar: bool):
     assert passes.unpacks == 0
     assert 0 < passes.classifications <= _distinct_texts(rows)
     stats = passes.results[-1].stats
-    assert stats["payloadBytes"] == payload and stats["bulkCalls"] == members
+    assert stats["payloadBytes"] == wire.received() and stats["bulkCalls"] == members
+    if not columnar:  # per-row XML arrays: the packed records
+        assert stats["payloadBytes"] == payload
     return passes
 
 
@@ -260,11 +269,12 @@ class TestBulk:
         grid, _, passes, _ = federation
         rows = grid.client.query("SELECT count(m), mean(m) WHERE value >= -3.5 GROUP BY focus")
         assert len(rows) == FOCI
-        # the groups are rendered as columns, never as row texts: the short
-        # answer goes out as one colbatch+pfx chunk (its count column one
-        # fxp record behind "count(m)=", shorter than per-row XML), so the
-        # client's read joins each row once and the federation none
-        assert passes.renders == FOCI and passes.served["joined"] == 0
+        # the groups are rendered as columns, and once per hop as row
+        # texts: the short answer goes out as one colbatch+pfx chunk (its
+        # count column one fxp record behind "count(m)="), which beats
+        # per-row XML only once the rows are measured, so the federation
+        # joins each row once to measure it and the client's read once
+        assert passes.renders == 2 * FOCI and passes.served["joined"] == FOCI
         assert passes.pr_renders == 0
 
 
@@ -273,8 +283,13 @@ class TestStreamed:
     def test_one_render_per_row_on_a_drained_stream(self, federation, cursors):
         grid, engine, passes, payload = federation
         engine.stream_chunk_rows = 16 if cursors else ROWS
-        rows = list(grid.client.query_stream("SELECT m WHERE value >= -4.5", max_rows=32))
+        wire = grid.environment.transport
+        wire.take()
+        stream = grid.client.query_stream("SELECT m WHERE value >= -4.5", max_rows=32)
+        rows = list(stream)
         assert len(rows) == TOTAL
+        # the client counts the answer's payload records as received
+        assert stream.bytes_fetched == wire.received(federation=True) > 0
         # the client's, reading colbatch chunks: the memoize cap counts
         # the columns and the plan cache stores them, the cursor frames
         # them, and the federation joins no row; the client reads each
@@ -286,7 +301,9 @@ class TestStreamed:
         assert 0 < passes.classifications <= _distinct_texts(rows)
         stats = passes.results[-1].stats
         assert stats["chunkedCalls" if cursors else "bulkCalls"] == MEMBERS * EXECUTIONS
-        assert stats["payloadBytes"] == payload
+        assert stats["payloadBytes"] == wire.received()
+        if not cursors:  # per-row XML arrays: the packed records
+            assert stats["payloadBytes"] == payload
         # member chunks stay columns through the federation: the client's
         # rows are the only ones built (an XML array's records are parsed)
         expected = Counter(ResultRow=TOTAL)
@@ -333,8 +350,12 @@ class TestViews:
         grid, engine, passes, payload = federation
         if cursors:
             engine.stream_chunk_rows = ROWS - 1
+        wire = grid.environment.transport
+        wire.take()
         view_id = grid.client.create_view("SELECT m")
-        assert grid.client.view_stats()["deltaBytesFetched"] == payload
+        assert grid.client.view_stats()["deltaBytesFetched"] == wire.received()
+        if not cursors:  # per-row XML arrays: the packed records
+            assert grid.client.view_stats()["deltaBytesFetched"] == payload
         assert grid.client.view_stats()["deltaRowsFetched"] == TOTAL
         assert passes.pr_renders == (TOTAL if cursors else 0)
         passes.reset()
@@ -345,7 +366,10 @@ class TestViews:
 
     def test_aggregate_view_counts_the_buckets_it_received(self, federation):
         grid, engine, _, _ = federation
+        wire = grid.environment.transport
+        wire.take()
         grid.client.create_view("SELECT count(m), sum(m) GROUP BY focus")
+        received = wire.received()
         buckets = [
             record
             for binding in engine.members().values()
@@ -354,7 +378,7 @@ class TestViews:
         ]
         stats = grid.client.view_stats()
         assert stats["deltaRowsFetched"] == len(buckets) == MEMBERS * EXECUTIONS * FOCI
-        assert stats["deltaBytesFetched"] == sum(len(record.pack()) for record in buckets)
+        assert stats["deltaBytesFetched"] == received == sum(len(r.pack()) for r in buckets)
 
 
 # ------------------------------------------- numbers stay numbers, counted

@@ -109,19 +109,26 @@ def reduce_results(
     max_value: float | None,
     group_by: str,
 ) -> list[AggregateRecord]:
-    """Fold *results*, in order, into value-filtered aggregate buckets.
+    """Fold *results*, in order, into value-filtered aggregate buckets:
+    one bucket in all (``group_by == ""``) or one per result focus."""
+    by_focus = group_by == "focus"
+    return fold_values(
+        ((result.focus if by_focus else "", result.value) for result in results),
+        min_value, max_value,
+    )
 
-    One bucket in all (``group_by == ""``) or one per result focus;
-    records come back sorted by group, non-empty groups only.
-    """
+
+def fold_values(
+    keyed: Iterable[tuple[str, float]], min_value: float | None, max_value: float | None
+) -> list[AggregateRecord]:
+    """Fold ``(group, value)`` pairs, in order, into value-filtered
+    buckets; records come back sorted by group, non-empty groups only."""
     buckets: dict[str, list[float]] = {}
-    for result in results:
-        value = result.value
+    for key, value in keyed:
         if min_value is not None and value < min_value:
             continue
         if max_value is not None and value > max_value:
             continue
-        key = result.focus if group_by == "focus" else ""
         acc = buckets.get(key)
         if acc is None:
             buckets[key] = [1.0, value, value, value]

@@ -20,6 +20,7 @@ from repro.mapping.base import (
     ApplicationWrapper,
     ExecutionWrapper,
     MappingError,
+    fold_values,
     reduce_results,
 )
 from repro.minidb import Connection, Database, connect
@@ -611,22 +612,33 @@ class Smg98ExecutionWrapper(ExecutionWrapper):
                     [self.execid, lo, hi, *bound_params],
                 ).fetchall()}
         derived = iter(self._focus_results(
-            metric, [entry for entry in plan if entry[1] != pushed], lo, hi
+            metric, [entry for entry in plan if entry[1] not in (pushed, "process")], lo, hi
         ))
+        _, process = self._family_rows(
+            metric, [entry for entry in plan if entry[1] == "process"], lo, hi
+        )
+        by_focus = group_by == "focus"
         buckets: dict[str, _Bucket] = {}
         for focus, family, key in plan:
             if family == pushed:
-                group = focus if group_by == "focus" else ""
+                group = focus if by_focus else ""
                 for count, total, mn, mx in partials.get(key, ()):
                     if count:
                         buckets.setdefault(group, _Bucket()).absorb(
                             int(count), float(total), float(mn), float(mx)
                         )
+                continue
+            if family == "process":  # its rows fold straight into buckets
+                records = fold_values((
+                    (f"{focus}/Code/{grp}/{name}" if by_focus else "", float(value))
+                    for grp, name, value in process.get(key, ())
+                ), min_value, max_value)
             else:
-                for record in reduce_results(next(derived), min_value, max_value, group_by):
-                    buckets.setdefault(record.group, _Bucket()).absorb(
-                        record.count, record.total, record.minimum, record.maximum
-                    )
+                records = reduce_results(next(derived), min_value, max_value, group_by)
+            for record in records:
+                buckets.setdefault(record.group, _Bucket()).absorb(
+                    record.count, record.total, record.minimum, record.maximum
+                )
         return _bucket_records(buckets)
 
     def get_stats(self) -> StoreStats:
@@ -653,6 +665,25 @@ class Smg98ExecutionWrapper(ExecutionWrapper):
             [self.execid, *wanted, lo, hi, *bound_params],
         ).fetchall()
 
+    def _family_rows(
+        self, metric: str, plan: list[tuple[str, str, tuple]], lo: float, hi: float
+    ) -> tuple[dict[tuple, list[tuple]], dict[tuple, list[tuple]]]:
+        """The ``/Code`` and ``/Process`` families' rows, keyed by focus:
+        one statement per family, each focus's rows in store order."""
+        if metric not in _INTERVAL_SHAPES:  # message metrics find no interval rows
+            return {}, {}
+        select, source, tail, per_function = _INTERVAL_SHAPES[metric]
+        code = _grouped(self._interval_rows(
+            f"f.grp, f.name, {select}", source, "f.name",
+            {key[1] for _, family, key in plan if family == "code"}, lo, hi, tail=tail,
+        ), 2)
+        process = _grouped(self._interval_rows(
+            f"p.rank, f.grp, f.name, {per_function}", _BY_FUNCTION_AND_RANK, "p.rank",
+            {key[0] for _, family, key in plan if family == "process"}, lo, hi,
+            tail="GROUP BY p.rank, f.grp, f.name ORDER BY f.grp, f.name",
+        ), 1)
+        return code, process
+
     def _focus_results(
         self, metric: str, plan: list[tuple[str, str, tuple]], lo: float, hi: float
     ) -> list[list[PerformanceResult]]:
@@ -663,19 +694,7 @@ class Smg98ExecutionWrapper(ExecutionWrapper):
         once — and each focus then picks its own rows, so a focus gets
         the rows, in the store order, that a statement of its own would.
         """
-        code: dict[tuple, list[tuple]] = {}
-        process: dict[tuple, list[tuple]] = {}
-        if metric in _INTERVAL_SHAPES:  # message metrics find no interval rows
-            select, source, tail, per_function = _INTERVAL_SHAPES[metric]
-            code = _grouped(self._interval_rows(
-                f"f.grp, f.name, {select}", source, "f.name",
-                {key[1] for _, family, key in plan if family == "code"}, lo, hi, tail=tail,
-            ), 2)
-            process = _grouped(self._interval_rows(
-                f"p.rank, f.grp, f.name, {per_function}", _BY_FUNCTION_AND_RANK, "p.rank",
-                {key[0] for _, family, key in plan if family == "process"}, lo, hi,
-                tail="GROUP BY p.rank, f.grp, f.name ORDER BY f.grp, f.name",
-            ), 1)
+        code, process = self._family_rows(metric, plan, lo, hi)
         messages: list[PerformanceResult] | None = None
         results: list[list[PerformanceResult]] = []
         for focus, family, key in plan:

@@ -12,8 +12,9 @@ statement; ``run`` acts on the plan and ``explain`` prints it:
   driving-table columns and cannot raise (column-vs-literal comparison,
   literal IN list, IS [NOT] NULL) filters driving rows before the first
   join; the other conjuncts filter joined rows, in written order;
-* aggregation groups in a dict keyed by GROUP BY values and evaluates
-  each distinct aggregate argument once per row.
+* aggregation partitions the rows by GROUP BY key in scan order, then
+  folds each group a column at a time, each distinct argument evaluated
+  once per row.
 
 Scan, filters and joins stream; projection, aggregation, ORDER BY and
 DISTINCT materialize every row before LIMIT and OFFSET slice the result.
@@ -21,7 +22,9 @@ DISTINCT materialize every row before LIMIT and OFFSET slice the result.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.minidb.errors import ProgrammingError
@@ -42,6 +45,7 @@ from repro.minidb.expr import (
     Negate,
     NotOp,
     RowLayout,
+    children,
     column_refs,
     contains_aggregate,
 )
@@ -425,7 +429,7 @@ class SelectExecutor:
                     agg_slots[key] = len(agg_calls)
                     agg_calls.append(expr)
                 return
-            for child in _children(expr):
+            for child in children(expr):
                 collect(child)
 
         for _, expr in items:
@@ -447,40 +451,48 @@ class SelectExecutor:
                     f"output column {name!r} is not aggregated (no GROUP BY present)"
                 )
 
-        group_fns = [BoundExpr(e, layout).fn for e in group_exprs]
-        # One value slot per distinct argument, COUNT(*)'s holding 1: the
-        # first aggregate to use an argument evaluates it, so a row raises
-        # the error a per-aggregate loop would; later ones read the slot.
-        arg_slots: dict[str, int] = {"*": 0}
-        steps: list[tuple[Callable | None, int]] = []
+        group_of = _reader(group_exprs, layout)
+        # Each distinct argument is bound once, in first use; COUNT(*) has none.
+        arg_fns: dict[str, Callable] = {}
         for call in agg_calls:
             if not call.star and not call.args:
                 raise ProgrammingError(f"{call.name}() needs an argument")
-            key = "*" if call.star else repr(call.args[0])
-            fresh = key not in arg_slots
-            slot = arg_slots.setdefault(key, len(arg_slots))
-            steps.append((BoundExpr(call.args[0], layout).fn if fresh else None, slot))
-        values = [1] * len(arg_slots)
+            if not call.star and repr(call.args[0]) not in arg_fns:
+                arg_fns[repr(call.args[0])] = BoundExpr(call.args[0], layout).fn
+        call_fns = [None if call.star else arg_fns[repr(call.args[0])] for call in agg_calls]
 
-        groups: dict[tuple, list[_AggState]] = {}
-        group_values: dict[tuple, tuple] = {}
-        for row in rows:
-            key_values = tuple([fn(row) for fn in group_fns])
-            key = tuple([sort_key(v) for v in key_values])
-            states = groups.get(key)
-            if states is None:
-                states = [_AggState(call.name) for call in agg_calls]
-                groups[key] = states
-                group_values[key] = key_values
-            for state, (fn, slot) in zip(states, steps):
-                if fn is not None:
-                    values[slot] = fn(row)
-                state.update(values[slot])
-
-        if not groups and not group_exprs:
-            # Aggregates over an empty input produce one row.
-            groups[()] = [_AggState(call.name) for call in agg_calls]
-            group_values[()] = ()
+        seen: list[tuple] = []
+        try:
+            for row in rows:
+                seen.append(row)
+            # Storage coerces every value to its column's type, so keys that
+            # are plain columns can partition by value: only two wide
+            # integers that are equal as floats merge under sort_key.
+            by_value = all(isinstance(expr, ColumnRef) for expr in group_exprs)
+            groups = _partition(seen, group_of, by_value)
+            if by_value and len({tuple(map(sort_key, key)) for key in groups}) < len(groups):
+                groups = _partition(seen, group_of, False)
+            if not groups and not group_exprs:
+                groups[()] = ((), [])  # aggregates over no rows make one row
+            group_rows = [
+                values + _fold(agg_calls, call_fns, part) for values, part in groups.values()
+            ]
+        except Exception:
+            # A fold reads a group a column at a time; replaying the rows in
+            # scan order, one row at a time, raises the error a row-at-a-time
+            # loop meets first (a SUM's running total or a MIN/MAX sort key
+            # overflows on integers beyond float range).
+            totals: dict[tuple, SqlValue] = {}
+            for row in seen:
+                key = tuple(map(sort_key, group_of(row)))
+                for slot, (call, fn) in enumerate(zip(agg_calls, call_fns)):
+                    value = None if fn is None else fn(row)
+                    _require_numbers(call.name, [value])
+                    if value is not None and call.name in ("SUM", "AVG"):
+                        totals[key, slot] = totals.get((key, slot), 0) + value
+                    elif call.name in ("MIN", "MAX"):
+                        sort_key(value)
+            raise
 
         # Build the group-row layout: g0..gN-1 then a0..aM-1.
         slots = [("__grp", f"g{i}") for i in range(len(group_exprs))]
@@ -496,10 +508,8 @@ class SelectExecutor:
             return _rebuild(expr, rewrite)
 
         columns = [name for name, _ in items]
-        bound_items = [BoundExpr(rewrite(expr), group_layout) for _, expr in items]
-        bound_having = (
-            BoundExpr(rewrite(stmt.having), group_layout) if stmt.having is not None else None
-        )
+        project = _reader([rewrite(expr) for _, expr in items], group_layout)
+        having = _bind(None if stmt.having is None else rewrite(stmt.having), group_layout)
         alias_to_expr = {name.lower(): expr for name, expr in items}
 
         def order_expr(expr: Expr) -> Expr:
@@ -515,24 +525,85 @@ class SelectExecutor:
                     return rewrite(aliased)
             return rewrite(expr)
 
-        order_keys = [
-            (BoundExpr(order_expr(o.expr), group_layout), o.descending) for o in stmt.order_by
-        ]
+        order_of = _reader([order_expr(o.expr) for o in stmt.order_by], group_layout)
+        descending = [o.descending for o in stmt.order_by]
 
         out: list[tuple[tuple, tuple]] = []
-        for key, states in groups.items():
-            group_row = group_values[key] + tuple(s.result() for s in states)
-            if bound_having is not None and not bound_having.eval(group_row):
+        for group_row in group_rows:
+            if having is not None and not having(group_row):
                 continue
-            projected = tuple(b.eval(group_row) for b in bound_items)
+            projected = project(group_row)
             sort_parts = tuple(
-                _Reversed(sort_key(b.eval(group_row))) if desc else sort_key(b.eval(group_row))
-                for b, desc in order_keys
+                _Reversed(sort_key(value)) if desc else sort_key(value)
+                for value, desc in zip(order_of(group_row), descending)
             )
             out.append((sort_parts, projected))
-        if order_keys:
+        if descending:
             out.sort(key=lambda pair: pair[0])
         return columns, [projected for _, projected in out]
+
+
+def _reader(exprs: list[Expr], layout: RowLayout) -> Callable[[tuple], tuple]:
+    """A row's values of *exprs*, as a tuple: one itemgetter when each is
+    a plain column."""
+    if len(exprs) > 1 and all(isinstance(expr, ColumnRef) for expr in exprs):
+        return operator.itemgetter(*[layout.resolve(expr) for expr in exprs])
+    fns = [BoundExpr(expr, layout).fn for expr in exprs]
+    return lambda row: tuple([fn(row) for fn in fns])
+
+
+def _partition(
+    rows: list[tuple], group_of: Callable[[tuple], tuple], by_value: bool
+) -> dict[tuple, tuple[tuple, list[tuple]]]:
+    """Each group's key values and rows, in scan order. Groups merge by
+    sort_key (1 and 1.0 share a group, True and 1 do not) and keep
+    first-appearance order."""
+    groups: dict[tuple, tuple[tuple, list[tuple]]] = {}
+    for row in rows:
+        values = group_of(row)
+        key = values if by_value else tuple(map(sort_key, values))
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = (values, [])
+        group[1].append(row)
+    return groups
+
+
+def _require_numbers(name: str, values: list[SqlValue]) -> None:
+    """Raise as SUM or AVG does at the first non-numeric, non-NULL value."""
+    if name in ("SUM", "AVG") and not _NUMBERS.issuperset(map(type, values)):
+        for value in values:
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, (int, float))
+            ):
+                raise ProgrammingError(f"{name} requires numeric input, got {value!r}")
+
+
+_NUMBERS = frozenset({int, float, type(None)})
+
+
+def _fold(calls: list[FuncCall], fns: list[Callable | None], part: list[tuple]) -> tuple:
+    """Every aggregate over one group's rows. SUM and AVG fold left from 0
+    in scan order; MIN and MAX keep the first of equal values."""
+    columns: dict[Callable, list[SqlValue]] = {}
+    out: list[SqlValue] = []
+    for call, fn in zip(calls, fns):
+        if fn is None:  # COUNT(*)
+            out.append(len(part))
+            continue
+        values = columns.get(fn)
+        if values is None:
+            values = columns[fn] = [v for v in map(fn, part) if v is not None]
+        name = call.name
+        if name == "COUNT":
+            out.append(len(values))
+        elif name in ("SUM", "AVG"):
+            _require_numbers(name, values)
+            total = reduce(operator.add, values, 0)
+            out.append(None if not values else total if name == "SUM" else total / len(values))
+        else:
+            out.append((min if name == "MIN" else max)(values, key=sort_key, default=None))
+    return tuple(out)
 
 
 def _join_rows(left_rows: Iterator[tuple], join: _Join) -> Iterator[tuple]:
@@ -577,65 +648,6 @@ class _Reversed:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _Reversed) and other.value == self.value
-
-
-class _AggState:
-    """Incremental state for one aggregate over one group."""
-
-    __slots__ = ("name", "count", "total", "best", "best_key")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.total: float | int = 0
-        self.best: SqlValue = None  # MIN's minimum, MAX's maximum
-        self.best_key: tuple | None = None  # sort_key(self.best), kept with it
-
-    def update(self, value: SqlValue) -> None:
-        if value is None:
-            return
-        self.count += 1
-        if self.name in ("SUM", "AVG"):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ProgrammingError(f"{self.name} requires numeric input, got {value!r}")
-            self.total += value
-        elif self.name == "MIN":
-            key = sort_key(value)
-            if self.best_key is None or key < self.best_key:
-                self.best, self.best_key = value, key
-        elif self.name == "MAX":
-            key = sort_key(value)
-            if self.best_key is None or key > self.best_key:
-                self.best, self.best_key = value, key
-
-    def result(self) -> SqlValue:
-        if self.name == "COUNT":
-            return self.count
-        if self.count == 0:
-            return None
-        if self.name == "SUM":
-            return self.total
-        if self.name == "AVG":
-            return self.total / self.count
-        return self.best
-
-
-def _children(expr: Expr) -> list[Expr]:
-    if isinstance(expr, (BinaryOp, Comparison, BoolOp)):
-        return [expr.left, expr.right]
-    if isinstance(expr, (NotOp, Negate)):
-        return [expr.operand]
-    if isinstance(expr, IsNull):
-        return [expr.operand]
-    if isinstance(expr, InList):
-        return [expr.operand, *expr.items]
-    if isinstance(expr, Between):
-        return [expr.operand, expr.low, expr.high]
-    if isinstance(expr, Like):
-        return [expr.operand, expr.pattern]
-    if isinstance(expr, FuncCall):
-        return list(expr.args)
-    return []
 
 
 def _rebuild(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:

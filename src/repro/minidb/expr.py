@@ -111,58 +111,35 @@ AGGREGATE_FUNCS = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 SCALAR_FUNCS = frozenset({"LOWER", "UPPER", "LENGTH", "ABS", "ROUND", "COALESCE"})
 
 
+def children(expr: Expr) -> list[Expr]:
+    """The operands of *expr*, in evaluation order."""
+    if isinstance(expr, (BinaryOp, Comparison, BoolOp)):
+        return [expr.left, expr.right]
+    if isinstance(expr, (NotOp, Negate, IsNull)):
+        return [expr.operand]
+    if isinstance(expr, InList):
+        return [expr.operand, *expr.items]
+    if isinstance(expr, Between):
+        return [expr.operand, expr.low, expr.high]
+    if isinstance(expr, Like):
+        return [expr.operand, expr.pattern]
+    if isinstance(expr, FuncCall):
+        return list(expr.args)
+    return []
+
+
 def contains_aggregate(expr: Expr) -> bool:
     """True if any node in *expr* is an aggregate function call."""
-    if isinstance(expr, FuncCall):
-        if expr.name in AGGREGATE_FUNCS:
-            return True
-        return any(contains_aggregate(a) for a in expr.args)
-    if isinstance(expr, (BinaryOp, Comparison, BoolOp)):
-        return contains_aggregate(expr.left) or contains_aggregate(expr.right)
-    if isinstance(expr, (NotOp, Negate)):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, IsNull):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, InList):
-        return contains_aggregate(expr.operand) or any(contains_aggregate(i) for i in expr.items)
-    if isinstance(expr, Between):
-        return any(contains_aggregate(e) for e in (expr.operand, expr.low, expr.high))
-    if isinstance(expr, Like):
-        return contains_aggregate(expr.operand) or contains_aggregate(expr.pattern)
-    return False
+    if isinstance(expr, FuncCall) and expr.name in AGGREGATE_FUNCS:
+        return True
+    return any(contains_aggregate(child) for child in children(expr))
 
 
 def column_refs(expr: Expr) -> list[ColumnRef]:
     """All column references in *expr*, in evaluation order."""
-    out: list[ColumnRef] = []
-
-    def walk(node: Expr) -> None:
-        if isinstance(node, ColumnRef):
-            out.append(node)
-        elif isinstance(node, (BinaryOp, Comparison, BoolOp)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (NotOp, Negate)):
-            walk(node.operand)
-        elif isinstance(node, IsNull):
-            walk(node.operand)
-        elif isinstance(node, InList):
-            walk(node.operand)
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, Between):
-            walk(node.operand)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, Like):
-            walk(node.operand)
-            walk(node.pattern)
-        elif isinstance(node, FuncCall):
-            for arg in node.args:
-                walk(arg)
-
-    walk(expr)
-    return out
+    if isinstance(expr, ColumnRef):
+        return [expr]
+    return [ref for child in children(expr) for ref in column_refs(child)]
 
 
 # ------------------------------------------------------------------ layout
@@ -329,6 +306,17 @@ def _compile(expr: Expr, layout: RowLayout):
                 return an % bn
             raise ProgrammingError(f"unknown operator {op!r}")  # pragma: no cover
 
+        if op == "-" and isinstance(expr.left, ColumnRef) and isinstance(expr.right, ColumnRef):
+            # A duration (end - start): two floats subtract directly.
+            a, b = layout.resolve(expr.left), layout.resolve(expr.right)
+
+            def eval_column_difference(row: tuple) -> SqlValue:
+                x, y = row[a], row[b]
+                if type(x) is float and type(y) is float:
+                    return x - y
+                return eval_binary(row)
+
+            return eval_column_difference
         return eval_binary
 
     if isinstance(expr, Comparison):

@@ -14,6 +14,10 @@ from repro.experiments import (
     run_scalability_experiment,
     run_serialization_ablation,
 )
+from repro.experiments.caching import _measure_arm
+from repro.experiments.common import build_grid
+from repro.experiments.overhead import measure_source
+from repro.minidb.executor import SelectExecutor
 from repro.simnet.network import NetworkModel
 
 
@@ -145,6 +149,57 @@ class TestCachingExperiment:
 
     def test_render(self, result):
         assert "Table 5" in result.to_table()
+
+
+class TestPaperTablesRunNoAggregate:
+    """Counts, not timings: the getPR loops Tables 4 and 5 and Figure 12
+    time run minidb statements, and not one of them reaches the aggregate
+    stage, so a change confined to that stage cannot move those tables."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"statements": 0, "aggregates": 0}
+        run, aggregate = SelectExecutor.run, SelectExecutor._aggregate
+
+        def counted_run(executor):
+            counts["statements"] += 1
+            return run(executor)
+
+        def counted_aggregate(executor, *args):
+            counts["aggregates"] += 1
+            return aggregate(executor, *args)
+
+        monkeypatch.setattr(SelectExecutor, "run", counted_run)
+        monkeypatch.setattr(SelectExecutor, "_aggregate", counted_aggregate)
+        return counts
+
+    def _read(self, counts, loop) -> tuple[int, int]:
+        counts.update(statements=0, aggregates=0)
+        loop()
+        return counts["statements"], counts["aggregates"]
+
+    @pytest.mark.parametrize("caching", [False, True])
+    def test_table4_and_table5_loops(self, counts, caching):
+        grid = build_grid(GridScale.tiny(), caching=caching)
+        try:
+            for source, queries in (("HPL", 100), ("PRESTA-RMA", 100), ("SMG98", 30)):
+                loops = [lambda: _measure_arm(grid, source, queries, warmup=0)]
+                if not caching:  # Table 4 runs with caching off
+                    loops.append(lambda: measure_source(grid, source, queries))
+                for loop in loops:
+                    statements, aggregates = self._read(counts, loop)
+                    # PRESTA-RMA is the text-file store: no SQL at all
+                    assert (statements > 0) == (source != "PRESTA-RMA"), source
+                    assert aggregates == 0, source
+        finally:
+            grid.cleanup()
+
+    def test_figure12_loop(self, counts):
+        statements, aggregates = self._read(counts, lambda: run_scalability_experiment(
+            counts=(2, 4), repeats=2, rounds=2, clock=TickClock()
+        ))
+        assert statements > 0
+        assert aggregates == 0
 
 
 class TestPortTypeTables:

@@ -141,9 +141,11 @@ class TestWorkerLifecycle:
         sched = FanoutScheduler(max_workers=1)
         release, blocker = blocked_worker(sched)
         queued = sched.submit(lambda: None)
+        # cancel() runs done callbacks: the blocker ends before shutdown joins it
+        queued.add_done_callback(lambda _: release.set())
         sched.shutdown()
         assert queued.cancelled()
-        release.set()
+        assert release.is_set()
         sched.shutdown()  # idempotent
         with pytest.raises(RuntimeError):
             sched.submit(lambda: None)

@@ -326,3 +326,226 @@ class TestJoinDifferential:
             assert outcomes[0] == outcomes[1], sql
 
         check()
+
+
+# ------------------------------- aggregates where value and sort_key disagree
+
+_NAN_A, _NAN_B = float("nan"), float("nan")  # two objects, equal to nothing
+_WIDE = 2**53  # 2**53 and 2**53 + 1 are one float
+_HUGE = 10**400  # no float holds it
+_AGG_COLUMNS = ("i", "r", "b", "s")
+_AGG_TYPES = ("INTEGER", "REAL", "BOOLEAN", "TEXT")
+
+_agg_rows = st.lists(st.tuples(
+    st.sampled_from([None, 0, 1, 2, _WIDE, _WIDE + 1]),
+    st.sampled_from([None, 0.0, -0.0, 1.0, 2.5, float(_WIDE), _NAN_A, _NAN_B]),
+    st.sampled_from([None, True, False]),
+    st.sampled_from([None, "", "1", "a"]),
+), max_size=14)
+
+
+def _coalesce(*values):
+    return next((v for v in values if v is not None), None)
+
+
+def _divide(a, b):
+    if a is None or b is None:
+        return None
+    if b == 0:
+        raise ProgrammingError("division by zero")
+    return a / b
+
+
+#: expression -> its value on one row (a dict keyed by column); group keys
+#: and aggregate arguments draw from the same table
+_AGG_EXPRS = {
+    "i": lambda r: r["i"],
+    "r": lambda r: r["r"],
+    "b": lambda r: r["b"],
+    "s": lambda r: r["s"],
+    "COALESCE(b, i)": lambda r: _coalesce(r["b"], r["i"]),  # True beside 1
+    "COALESCE(i, r)": lambda r: _coalesce(r["i"], r["r"]),  # 1 beside 1.0
+    "COALESCE(s, i)": lambda r: _coalesce(r["s"], r["i"]),  # text beside numbers
+    "r / i": lambda r: _divide(r["r"], r["i"]),  # raises where i = 0
+}
+_AGG_FUNCS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
+#: HAVING -> (the aggregates it reads, its truth on one group's values)
+_HAVING = {
+    "": ((), None),
+    "COUNT(*) > 1": (("COUNT(*)",), lambda g: g["COUNT(*)"] > 1),
+    "MIN(r) IS NOT NULL": (("MIN(r)",), lambda g: g["MIN(r)"] is not None),
+    "SUM(i) > 2": (("SUM(i)",), lambda g: g["SUM(i)"] is not None and g["SUM(i)"] > 2),
+}
+#: ORDER BY -> (the aggregate it reads, descending)
+_ORDER = {"": None, "COUNT(*) DESC": ("COUNT(*)", True),
+          "MAX(COALESCE(s, i))": ("MAX(COALESCE(s, i))", False), "SUM(r)": ("SUM(r)", False)}
+
+
+def _sort_key(value) -> tuple:
+    """The engine's total order: NULL, then booleans, numbers, text."""
+    if value is None:
+        return (0, 0)
+    if isinstance(value, bool):
+        return (1, int(value))
+    if isinstance(value, (int, float)):
+        return (2, float(value))
+    return (3, value)
+
+
+def _aggregate_reference(rows: list[dict], keys: list[str], calls: list[str],
+                         having: str, order: str) -> list[tuple]:
+    """Group by sort_key, then fold one row at a time: SUM from 0 in scan
+    order, a strict comparison keeping the first of equal MIN / MAX values,
+    and each row raising before the next is read."""
+    states: dict[tuple, tuple[tuple, dict]] = {}
+    for row in rows:
+        values = tuple(_AGG_EXPRS[key](row) for key in keys)
+        group = states.setdefault(tuple(map(_sort_key, values)), (values, {}))[1]
+        for call in calls:
+            name, arg = call.split("(", 1)
+            value = 1 if arg == "*)" else _AGG_EXPRS[arg[:-1]](row)
+            state = group.setdefault(call, [0, 0, None])
+            if value is None:
+                continue
+            state[0] += 1
+            if name in ("SUM", "AVG"):
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ProgrammingError(f"{name} requires numeric input, got {value!r}")
+                state[1] += value
+            elif name in ("MIN", "MAX"):
+                key = _sort_key(value)  # raises on an integer beyond float range
+                if state[2] is None or (
+                    key < _sort_key(state[2]) if name == "MIN" else key > _sort_key(state[2])
+                ):
+                    state[2] = value
+    if not states and not keys:
+        states[()] = ((), {})
+    out = []
+    for values, group in states.values():
+        folded = {}
+        for call in calls:
+            count, total, best = group.get(call, (0, 0, None))
+            name = call.split("(", 1)[0]
+            folded[call] = count if name == "COUNT" else None if not count else (
+                total if name == "SUM" else total / count if name == "AVG" else best
+            )
+        if having and not _HAVING[having][1](folded):
+            continue
+        out.append((values + tuple(folded[c] for c in calls), folded))
+    if order:
+        call, descending = _ORDER[order]
+        out.sort(key=lambda pair: -pair[1][call] if descending else _sort_key(pair[1][call]))
+    return [row for row, _ in out]
+
+
+def _check_aggregate(rows, keys: list[str], selected: list[str], having: str, order: str):
+    db = Database("aggregates")
+    db.execute(
+        "CREATE TABLE t (id INTEGER PRIMARY KEY, "
+        + ", ".join(f"{c} {t}" for c, t in zip(_AGG_COLUMNS, _AGG_TYPES)) + ")"
+    )
+    if rows:
+        db.load_rows("t", ["id", *_AGG_COLUMNS], [(n + 1, *row) for n, row in enumerate(rows)])
+    sql = f"SELECT {', '.join([*keys, *selected])} FROM t"
+    if keys:
+        sql += f" GROUP BY {', '.join(keys)}"
+    if having:
+        sql += f" HAVING {having}"
+    if order:
+        sql += f" ORDER BY {order}"
+    # the engine folds every distinct call: the select list, then HAVING, then ORDER BY
+    calls = list(dict.fromkeys(
+        [*selected, *_HAVING[having][0], *([_ORDER[order][0]] if order else [])]
+    ))
+    dict_rows = [dict(zip(_AGG_COLUMNS, row)) for row in rows]
+    outcomes = []
+    for run in (
+        lambda: db.query(sql).rows,
+        lambda: [row[:len(keys) + len(selected)] for row in
+                 _aggregate_reference(dict_rows, keys, calls, having, order)],
+    ):
+        try:
+            outcomes.append(repr(run()))
+        except (ProgrammingError, OverflowError) as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    assert outcomes[0] == outcomes[1], sql
+
+
+_ROW = dict.fromkeys(_AGG_COLUMNS)
+
+
+def _rows(*changes: dict) -> list[tuple]:
+    return [tuple({**_ROW, **change}[c] for c in _AGG_COLUMNS) for change in changes]
+
+
+class TestAggregateDifferential:
+    """Grouped aggregates where grouping by raw value and by sort_key
+    disagree, against a row-at-a-time Python fold: the same rows, repr for
+    repr, or the same first error."""
+
+    @pytest.mark.parametrize("rows, keys, selected", [
+        # True and 1 are two groups; 1 and 1.0 are one, keyed by the first
+        (_rows({"b": True}, {"i": 1}, {"b": True}), ["COALESCE(b, i)"], ["COUNT(*)"]),
+        (_rows({"i": 1}, {"r": 1.0}, {"i": 1}), ["COALESCE(i, r)"], ["COUNT(*)", "SUM(r)"]),
+        (_rows({"r": 1.0}, {"i": 1}), ["COALESCE(i, r)"], ["COUNT(*)"]),
+        # 2**53 and 2**53 + 1 are one float: one group, by a plain column too
+        (_rows({"i": _WIDE + 1}, {"i": _WIDE}, {"i": 2}), ["i"], ["COUNT(*)", "SUM(i)"]),
+        (_rows({"i": _WIDE}, {"r": float(_WIDE)}), ["COALESCE(i, r)"], ["COUNT(*)"]),
+        # two NaN objects are two groups; one object met twice is one
+        (_rows({"r": _NAN_A}, {"r": _NAN_B}, {"r": _NAN_A}), ["r"], ["COUNT(*)"]),
+        # 0.0 and -0.0 are one group keyed by whichever arrives first
+        (_rows({"r": 0.0}, {"r": -0.0}), ["r"], ["COUNT(*)", "SUM(r)", "MIN(r)", "MAX(r)"]),
+        (_rows({"r": -0.0}, {"r": 0.0}), ["r"], ["COUNT(*)", "SUM(r)", "MIN(r)", "MAX(r)"]),
+        (_rows({"s": "a"}, {}, {"s": "a"}, {}), ["s", "b"], ["COUNT(*)", "COUNT(s)"]),
+        # SUM folds left from 0 in scan order: 2**53 + 1.0 + 1.0 stays 2**53,
+        # and a lone -0.0 sums to 0.0
+        (_rows({"r": float(_WIDE)}, {"r": 1.0}, {"r": 1.0}), [], ["SUM(r)", "AVG(r)"]),
+        (_rows({"r": -0.0}), [], ["SUM(r)", "AVG(r)"]),
+        # MIN / MAX across kinds: numbers before text, first of equal values
+        (_rows({"s": "1"}, {"i": 1}, {"i": 2}, {"s": ""}), [], ["MIN(COALESCE(s, i))",
+                                                          "MAX(COALESCE(s, i))"]),
+        (_rows({"i": _WIDE + 1}, {"i": _WIDE}), [], ["MIN(i)", "MAX(i)"]),
+        # SUM over a bool or text raises at the first such row, in call order
+        (_rows({"i": 1}, {"b": False}), [], ["SUM(COALESCE(b, i))"]),
+        (_rows({"s": "a", "i": 0}), [], ["MIN(r / i)", "SUM(s)"]),
+        (_rows({"s": "a", "i": 0}), [], ["SUM(s)", "MIN(r / i)"]),
+        (_rows({"i": 1}, {"s": "a", "i": 0}), [], ["AVG(s)", "MAX(r / i)"]),
+        (_rows({"r": 1.0, "i": 0}, {"s": "a"}), ["s"], ["SUM(s)", "MIN(r / i)"]),
+        # the first error in row order, not in group order
+        (_rows({"i": 1}, {"s": "a", "r": 1.0, "i": 0}, {"b": True}), ["s"],
+         ["SUM(COALESCE(b, i))", "MIN(r / i)"]),
+        (_rows({"r": 1.0, "i": 1}, {"r": 1.0, "i": 0}), ["r / i"], ["AVG(s)"]),
+        # an integer beyond float range overflows a running SUM, a MIN/MAX
+        # sort key or a group key at its row, before a later row's error
+        (_rows({"r": 1.0}, {"i": _HUGE}, {"s": "a"}), [], ["SUM(COALESCE(i, r))", "SUM(s)"]),
+        (_rows({"s": "a"}, {"r": 1.0}, {"i": _HUGE}), [], ["SUM(COALESCE(i, r))", "SUM(s)"]),
+        (_rows({"i": _HUGE}, {"s": "a"}), [], ["MAX(i)", "AVG(s)"]),
+        (_rows({"i": _HUGE}, {"s": "a"}), ["i"], ["SUM(s)"]),
+        ([], [], ["COUNT(*)", "SUM(i)", "MIN(s)"]),
+    ])
+    def test_named_cases(self, rows, keys, selected):
+        _check_aggregate(rows, keys, selected, "", "")
+
+    @pytest.mark.parametrize("having", sorted(_HAVING)[1:])
+    @pytest.mark.parametrize("order", sorted(_ORDER)[1:])
+    def test_having_and_order_by_aggregates(self, having, order):
+        rows = _rows({"i": 1, "r": 2.5, "s": "a"}, {"i": 2, "r": 1.0}, {"i": 1, "s": "1"},
+                     {"b": True, "r": -0.0}, {"i": 2, "r": _NAN_A}, {"i": 1, "r": 0.0})
+        _check_aggregate(rows, ["COALESCE(b, i)"], ["COUNT(s)"], having, order)
+
+    def test_groups_and_folds_match_a_row_at_a_time_loop(self, oracle_seed):
+        @seed(0xA66 + oracle_seed)
+        @settings(max_examples=300, deadline=None, database=None)
+        @given(
+            _agg_rows,
+            st.lists(st.sampled_from(sorted(_AGG_EXPRS)), max_size=2, unique=True),
+            st.lists(st.one_of(st.just("COUNT(*)"), st.builds(
+                "{}({})".format, st.sampled_from(_AGG_FUNCS), st.sampled_from(sorted(_AGG_EXPRS))
+            )), min_size=1, max_size=4, unique=True),
+            st.sampled_from(sorted(_HAVING)),
+            st.sampled_from(sorted(_ORDER)),
+        )
+        def check(rows, keys, selected, having, order):
+            _check_aggregate(rows, keys, selected, having, order)
+
+        check()

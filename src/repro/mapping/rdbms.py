@@ -7,7 +7,7 @@ into PPerfGrid types.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.core.semantic import (
     UNDEFINED_TYPE,
@@ -470,6 +470,12 @@ _INTERVAL_SHAPES = {
 }
 
 
+def _process_values(focus: str, rows: list[tuple]) -> Iterator[tuple[str, float]]:
+    """A ``/Process`` focus's ``(result focus, value)`` pairs, one per
+    ``(grp, name, value)`` row of its family, in store order."""
+    return ((f"{focus}/Code/{grp}/{name}", float(value)) for grp, name, value in rows)
+
+
 def _smg98_focus(focus: str) -> tuple[str, str, tuple]:
     """``(focus, family, key)``: the focus, the family whose one statement
     answers it, and the leading columns that pick its rows out of that
@@ -629,10 +635,12 @@ class Smg98ExecutionWrapper(ExecutionWrapper):
                         )
                 continue
             if family == "process":  # its rows fold straight into buckets
-                records = fold_values((
-                    (f"{focus}/Code/{grp}/{name}" if by_focus else "", float(value))
-                    for grp, name, value in process.get(key, ())
-                ), min_value, max_value)
+                rows = process.get(key, ())
+                records = fold_values(
+                    _process_values(focus, rows) if by_focus
+                    else (("", float(value)) for *_, value in rows),
+                    min_value, max_value,
+                )
             else:
                 records = reduce_results(next(derived), min_value, max_value, group_by)
             for record in records:
@@ -704,10 +712,8 @@ class Smg98ExecutionWrapper(ExecutionWrapper):
                 results.append(messages)
             elif family == "process":
                 results.append([
-                    PerformanceResult(
-                        metric, f"{focus}/Code/{grp}/{name}", "vampir", lo, hi, float(value)
-                    )
-                    for grp, name, value in process.get(key, ())
+                    PerformanceResult(metric, result_focus, "vampir", lo, hi, value)
+                    for result_focus, value in _process_values(focus, process.get(key, ()))
                 ])
             elif metric == "time_spent":
                 results.append([

@@ -25,7 +25,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.minidb.errors import ProgrammingError
 from repro.minidb.expr import (
@@ -373,22 +373,17 @@ class SelectExecutor:
         if not order:
             return columns, [tuple(b.eval(row) for b in bound) for row in rows]
         order_bound = [self._bind_order(o, items, layout) for o in order]
+        descending = [o.descending for o in order]
         decorated: list[tuple[tuple, tuple]] = []
         for row in rows:
             projected = tuple(b.eval(row) for b in bound)
-            key_parts = []
-            for ob, positional in order_bound:
-                value = projected[ob] if positional else ob.eval(row)  # type: ignore[index]
-                key_parts.append(sort_key(value))
-            decorated.append((tuple(key_parts), projected))
-        decorated.sort(key=lambda pair: self._order_cmp_key(pair[0]))
+            values = (
+                projected[ob] if positional else ob.eval(row)  # type: ignore[index]
+                for ob, positional in order_bound
+            )
+            decorated.append((_order_key(values, descending), projected))
+        decorated.sort(key=lambda pair: pair[0])
         return columns, [projected for _, projected in decorated]
-
-    def _order_cmp_key(self, key_parts: tuple) -> tuple:
-        out = []
-        for part, item in zip(key_parts, self.stmt.order_by):
-            out.append(_Reversed(part) if item.descending else part)
-        return tuple(out)
 
     def _bind_order(
         self, item: OrderItem, items: list[tuple[str, Expr]], layout: RowLayout
@@ -452,46 +447,39 @@ class SelectExecutor:
                 )
 
         group_of = _reader(group_exprs, layout)
-        # Each distinct argument is bound once, in first use; COUNT(*) has none.
-        arg_fns: dict[str, Callable] = {}
+        # A step per call with an argument, in call order; the first to use an
+        # argument evaluates it into its column. COUNT(*) is any column's length.
+        arg_slots: dict[str, int] = {}
+        calls: list[tuple[str, int | None]] = []
+        steps: list[tuple[Callable | None, int, str]] = []
         for call in agg_calls:
-            if not call.star and not call.args:
-                raise ProgrammingError(f"{call.name}() needs an argument")
-            if not call.star and repr(call.args[0]) not in arg_fns:
-                arg_fns[repr(call.args[0])] = BoundExpr(call.args[0], layout).fn
-        call_fns = [None if call.star else arg_fns[repr(call.args[0])] for call in agg_calls]
+            slot = None
+            if not call.star:
+                if not call.args:
+                    raise ProgrammingError(f"{call.name}() needs an argument")
+                key = repr(call.args[0])
+                fn = None if key in arg_slots else BoundExpr(call.args[0], layout).fn
+                slot = arg_slots.setdefault(key, len(arg_slots))
+                steps.append((fn, slot, call.name))
+            calls.append((call.name, slot))
+        steps = steps or [(lambda row: 1, 0, "COUNT")]
 
+        # Typed storage gives a plain column one kind of value: plain column keys
+        # partition by value, unless two integers are equal as floats (sort_key).
+        by_value = all(isinstance(expr, ColumnRef) for expr in group_exprs)
         seen: list[tuple] = []
         try:
-            for row in rows:
-                seen.append(row)
-            # Storage coerces every value to its column's type, so keys that
-            # are plain columns can partition by value: only two wide
-            # integers that are equal as floats merge under sort_key.
-            by_value = all(isinstance(expr, ColumnRef) for expr in group_exprs)
-            groups = _partition(seen, group_of, by_value)
+            seen.extend(rows)
+            groups = _scan(seen, group_of, steps, by_value)
             if by_value and len({tuple(map(sort_key, key)) for key in groups}) < len(groups):
-                groups = _partition(seen, group_of, False)
+                groups = _scan(seen, group_of, steps, False)
             if not groups and not group_exprs:
-                groups[()] = ((), [])  # aggregates over no rows make one row
-            group_rows = [
-                values + _fold(agg_calls, call_fns, part) for values, part in groups.values()
-            ]
+                groups[()] = ((), [[] for _ in steps])  # aggregates over no rows make one row
+            group_rows = [values + _fold(calls, columns) for values, columns in groups.values()]
         except Exception:
-            # A fold reads a group a column at a time; replaying the rows in
-            # scan order, one row at a time, raises the error a row-at-a-time
-            # loop meets first (a SUM's running total or a MIN/MAX sort key
-            # overflows on integers beyond float range).
-            totals: dict[tuple, SqlValue] = {}
-            for row in seen:
-                key = tuple(map(sort_key, group_of(row)))
-                for slot, (call, fn) in enumerate(zip(agg_calls, call_fns)):
-                    value = None if fn is None else fn(row)
-                    _require_numbers(call.name, [value])
-                    if value is not None and call.name in ("SUM", "AVG"):
-                        totals[key, slot] = totals.get((key, slot), 0) + value
-                    elif call.name in ("MIN", "MAX"):
-                        sort_key(value)
+            # An integer beyond float range overflows a running SUM or a
+            # MIN/MAX sort key at its row: scan again computing those there.
+            _scan(seen, group_of, steps, False, exact=True)
             raise
 
         # Build the group-row layout: g0..gN-1 then a0..aM-1.
@@ -533,11 +521,7 @@ class SelectExecutor:
             if having is not None and not having(group_row):
                 continue
             projected = project(group_row)
-            sort_parts = tuple(
-                _Reversed(sort_key(value)) if desc else sort_key(value)
-                for value, desc in zip(order_of(group_row), descending)
-            )
-            out.append((sort_parts, projected))
+            out.append((_order_key(order_of(group_row), descending), projected))
         if descending:
             out.sort(key=lambda pair: pair[0])
         return columns, [projected for _, projected in out]
@@ -552,53 +536,62 @@ def _reader(exprs: list[Expr], layout: RowLayout) -> Callable[[tuple], tuple]:
     return lambda row: tuple([fn(row) for fn in fns])
 
 
-def _partition(
-    rows: list[tuple], group_of: Callable[[tuple], tuple], by_value: bool
-) -> dict[tuple, tuple[tuple, list[tuple]]]:
-    """Each group's key values and rows, in scan order. Groups merge by
-    sort_key (1 and 1.0 share a group, True and 1 do not) and keep
-    first-appearance order."""
-    groups: dict[tuple, tuple[tuple, list[tuple]]] = {}
+_SUMS = frozenset({"SUM", "AVG"})
+_NUMBERS = frozenset({int, float, type(None)})
+
+
+def _scan(
+    rows: list[tuple], group_of: Callable, steps: list[tuple], by_value: bool, exact: bool = False
+) -> dict[tuple, tuple[tuple, list[list[SqlValue]]]]:
+    """Each group's key values and argument columns, in scan order.
+
+    Groups merge by sort_key (1 and 1.0 share a group, True and 1 do not)
+    or *by_value*, and keep first-appearance order. A step with a function
+    evaluates its argument into the group's column; SUM and AVG reject a
+    non-number, at the row and call where a row-at-a-time loop does. With
+    *exact*, each running SUM and MIN/MAX sort key is computed at its row
+    too, where an integer beyond float range overflows.
+    """
+    width = 1 + max(slot for _, slot, _ in steps)
+    if not exact:  # the other steps re-read a value and cannot raise
+        steps = [step for step in steps if step[0] is not None or step[2] in _SUMS]
+    groups: dict[tuple, tuple[tuple, list[list[SqlValue]]]] = {}
+    totals: dict[tuple, SqlValue] = {}
     for row in rows:
         values = group_of(row)
         key = values if by_value else tuple(map(sort_key, values))
         group = groups.get(key)
         if group is None:
-            group = groups[key] = (values, [])
-        group[1].append(row)
+            group = groups[key] = (values, [[] for _ in range(width)])
+        columns = group[1]
+        for fn, slot, name in steps:
+            column = columns[slot]
+            if fn is not None:
+                column.append(fn(row))
+            value = column[-1]
+            if name in _SUMS:
+                if type(value) not in _NUMBERS:
+                    raise ProgrammingError(f"{name} requires numeric input, got {value!r}")
+                if exact and value is not None:
+                    totals[key, name, slot] = totals.get((key, name, slot), 0) + value
+            elif exact and value is not None and name != "COUNT":
+                sort_key(value)
     return groups
 
 
-def _require_numbers(name: str, values: list[SqlValue]) -> None:
-    """Raise as SUM or AVG does at the first non-numeric, non-NULL value."""
-    if name in ("SUM", "AVG") and not _NUMBERS.issuperset(map(type, values)):
-        for value in values:
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, (int, float))
-            ):
-                raise ProgrammingError(f"{name} requires numeric input, got {value!r}")
-
-
-_NUMBERS = frozenset({int, float, type(None)})
-
-
-def _fold(calls: list[FuncCall], fns: list[Callable | None], part: list[tuple]) -> tuple:
-    """Every aggregate over one group's rows. SUM and AVG fold left from 0
-    in scan order; MIN and MAX keep the first of equal values."""
-    columns: dict[Callable, list[SqlValue]] = {}
+def _fold(calls: list[tuple[str, int | None]], columns: list[list[SqlValue]]) -> tuple:
+    """Every aggregate over one group's argument columns. SUM and AVG fold
+    left from 0 in scan order; MIN and MAX keep the first of equal values."""
+    present = [[v for v in column if v is not None] for column in columns]
     out: list[SqlValue] = []
-    for call, fn in zip(calls, fns):
-        if fn is None:  # COUNT(*)
-            out.append(len(part))
+    for name, slot in calls:
+        if slot is None:  # COUNT(*)
+            out.append(len(columns[0]))
             continue
-        values = columns.get(fn)
-        if values is None:
-            values = columns[fn] = [v for v in map(fn, part) if v is not None]
-        name = call.name
+        values = present[slot]
         if name == "COUNT":
             out.append(len(values))
-        elif name in ("SUM", "AVG"):
-            _require_numbers(name, values)
+        elif name in _SUMS:
             total = reduce(operator.add, values, 0)
             out.append(None if not values else total if name == "SUM" else total / len(values))
         else:
@@ -633,6 +626,14 @@ def _join_rows(left_rows: Iterator[tuple], join: _Join) -> Iterator[tuple]:
                 yield lrow + null_pad
 
     return joined()
+
+
+def _order_key(values: Iterable[SqlValue], descending: list[bool]) -> tuple:
+    """A row's ORDER BY key: each value's sort_key, inverted where DESC."""
+    return tuple(
+        _Reversed(sort_key(value)) if desc else sort_key(value)
+        for value, desc in zip(values, descending)
+    )
 
 
 class _Reversed:

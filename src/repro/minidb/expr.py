@@ -298,8 +298,7 @@ def _compile(expr: Expr, layout: RowLayout):
             if op == "/":
                 if bn == 0:
                     raise ProgrammingError("division by zero")
-                result = an / bn
-                return result
+                return an / bn
             if op == "%":
                 if bn == 0:
                     raise ProgrammingError("modulo by zero")

@@ -150,6 +150,23 @@ class TestWorkerLifecycle:
         with pytest.raises(RuntimeError):
             sched.submit(lambda: None)
 
+    def test_shutdown_bounds_its_wait_for_a_stuck_worker(self, monkeypatch):
+        sched = FanoutScheduler(max_workers=1)
+        release, blocker = blocked_worker(sched)
+        timeouts = []
+        # the worker stays blocked through shutdown(); each join records its bound
+        monkeypatch.setattr(
+            threading.Thread, "join", lambda _, timeout=None: timeouts.append(timeout)
+        )
+        try:
+            sched.shutdown()
+            assert not blocker.done()
+        finally:
+            monkeypatch.undo()
+            release.set()
+        assert timeouts and None not in timeouts
+        blocker.result(timeout=5.0)
+
 
 class TestSharedScheduler:
     def test_singleton_and_recreation_after_shutdown(self):

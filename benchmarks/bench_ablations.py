@@ -1,17 +1,13 @@
-"""Ablation benches (DESIGN.md A1-A3).
+"""Ablation benches (DESIGN.md A1 and A4).
 
 A1 quantifies where the Table 4 overhead comes from (SOAP encode/parse
-vs payload size).  A2 stresses the Manager's distribution policies on
-heterogeneous hosts, where the thesis's interleaving stops being optimal.
-A3 compares cache-replacement policies under skewed and uniform query
-streams.
+vs payload size).  A4 finds the response size at which a shared wire
+erases Figure 12's two-host speedup.
 """
 
 from conftest import write_result
 
 from repro.experiments.ablations import (
-    run_cache_policy_ablation,
-    run_distribution_ablation,
     run_network_contention_ablation,
     run_serialization_ablation,
 )
@@ -32,29 +28,6 @@ def test_a1_serialization_cost(benchmark):
         assert soap > direct * 10
 
 
-def test_a2_distribution_policies(benchmark):
-    def run_both():
-        homogeneous = run_distribution_ablation(host_factors=(1.0, 1.0))
-        heterogeneous = run_distribution_ablation(
-            host_factors=(1.0, 3.0), scenario="heterogeneous (3x slower host B)"
-        )
-        return homogeneous, heterogeneous
-
-    homogeneous, heterogeneous = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    write_result(
-        "ablation_a2_distribution.txt",
-        homogeneous.to_table() + "\n\n" + heterogeneous.to_table(),
-    )
-    # Homogeneous: interleaving (the thesis policy) is optimal.
-    assert homogeneous.makespans["interleaved"] <= min(
-        v for k, v in homogeneous.makespans.items() if k != "interleaved"
-    ) * 1.001
-    # Heterogeneous: even counts on unequal hosts leave the slow host the
-    # bottleneck — interleaved is 1.5x worse than the theoretical best of
-    # weighting by speed, visible as a large makespan jump vs homogeneous.
-    assert heterogeneous.makespans["interleaved"] > homogeneous.makespans["interleaved"]
-
-
 def test_a4_network_contention(benchmark):
     result = benchmark.pedantic(run_network_contention_ablation, rounds=1, iterations=1)
     write_result("ablation_a4_network_contention.txt", result.to_table())
@@ -66,17 +39,3 @@ def test_a4_network_contention(benchmark):
     # Speedup decays monotonically (within rounding) with payload size.
     for earlier, later in zip(result.speedups, result.speedups[1:]):
         assert later <= earlier + 1e-6
-
-
-def test_a3_cache_policies(benchmark):
-    def run_both():
-        skewed = run_cache_policy_ablation(skewed=True)
-        uniform = run_cache_policy_ablation(skewed=False)
-        return skewed, uniform
-
-    skewed, uniform = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    write_result(
-        "ablation_a3_cache_policy.txt", skewed.to_table() + "\n\n" + uniform.to_table()
-    )
-    assert skewed.hit_rates["unbounded"] >= skewed.hit_rates["lru(32)"]
-    assert skewed.hit_rates["lru(32)"] > uniform.hit_rates["lru(32)"]

@@ -1,9 +1,8 @@
 #!/usr/bin/env python
-"""Performance-Result caching (Table 5) and cache policies.
+"""Performance-Result caching (Table 5).
 
 Runs the same getPR query repeatedly against an Execution instance with
-caching off and on, shows the hit accounting, then demonstrates the
-future-work adaptive policy shrinking under memory pressure.
+caching off and on, then shows the hit accounting.
 
 Run: ``python examples/caching_demo.py``
 """
@@ -11,7 +10,7 @@ Run: ``python examples/caching_demo.py``
 import time
 
 from repro.core import PPerfGridClient, PPerfGridSite, SiteConfig
-from repro.core.prcache import AdaptiveCache, NullCache, UnboundedCache
+from repro.core.prcache import NullCache, UnboundedCache
 from repro.datastores import generate_smg98
 from repro.mapping import Smg98RdbmsWrapper
 from repro.ogsi import GridEnvironment
@@ -60,22 +59,6 @@ def main() -> None:
                 f"\nCache stats for {path}: {s.hits} hits / {s.lookups} lookups "
                 f"(hit rate {s.hit_rate:.0%})"
             )
-
-    # ---- adaptive policy under memory pressure (future-work §7) ---------
-    print("\nAdaptive cache under shrinking free memory:")
-    free = {"fraction": 1.0}
-    cache = AdaptiveCache(
-        stats_provider=lambda: {"memory_free_fraction": free["fraction"]},
-        max_capacity=64,
-        min_capacity=4,
-    )
-    for i in range(64):
-        cache.put(f"query-{i}", [f"result-{i}"])
-    print(f"  free=100%: capacity={cache.effective_capacity()}, entries={len(cache)}")
-    free["fraction"] = 0.1
-    cache.put("one-more", ["x"])  # triggers re-evaluation + eviction
-    print(f"  free=10%:  capacity={cache.effective_capacity()}, entries={len(cache)}")
-    print(f"  evictions so far: {cache.stats.evictions}")
 
 
 if __name__ == "__main__":

@@ -29,23 +29,10 @@ from repro.core.semantic import (
     pr_cache_key,
 )
 from repro.simnet.lru import CacheStats
-from repro.core.prcache import (
-    AdaptiveCache,
-    LruCache,
-    NullCache,
-    PrCache,
-    UnboundedCache,
-)
+from repro.core.prcache import NullCache, PrCache, UnboundedCache
 from repro.core.application import ApplicationService
 from repro.core.execution import ExecutionService
-from repro.core.manager import (
-    DistributionPolicy,
-    InterleavedPolicy,
-    LeastLoadedPolicy,
-    BlockPolicy,
-    ManagerService,
-    RandomPolicy,
-)
+from repro.core.manager import ManagerService
 from repro.core.client import (
     ApplicationBinding,
     ApplicationQuery,
@@ -70,16 +57,13 @@ from repro.core.visualize import render_metric_chart
 
 __all__ = [
     "APPLICATION_PORTTYPE",
-    "AdaptiveCache",
     "AggregateRecord",
     "ApplicationBinding",
     "ApplicationQuery",
     "ApplicationQueryPanel",
     "ApplicationService",
     "AsyncQueryCollector",
-    "BlockPolicy",
     "CacheStats",
-    "DistributionPolicy",
     "EXECUTION_PORTTYPE",
     "ExecutionBinding",
     "ExecutionComparison",
@@ -92,9 +76,6 @@ __all__ = [
     "collect_metric",
     "compare_executions",
     "scaling_study",
-    "InterleavedPolicy",
-    "LeastLoadedPolicy",
-    "LruCache",
     "MANAGER_PORTTYPE",
     "ManagerService",
     "NullCache",
@@ -103,7 +84,6 @@ __all__ = [
     "PPerfGridSite",
     "PerformanceResult",
     "PrCache",
-    "RandomPolicy",
     "SiteConfig",
     "UNDEFINED_TYPE",
     "UnboundedCache",

@@ -28,10 +28,6 @@ from repro.ogsi.service import GridServiceBase
 from repro.soap.chunks import ENCODING_XML, WIRE_ENCODINGS, frame_answer
 from repro.soap.colbatch import DecodedBatch, decode_columns, encode_batch
 
-#: estimated memory (MB) charged to the host per cached entry, for the
-#: Service-Data-Provider-driven adaptive policy
-_CACHE_ENTRY_MB = 0.01
-
 
 class ExecutionService(GridServiceBase, NotificationSourceMixin):
     """One Execution semantic object exposed as a Grid service."""
@@ -49,8 +45,6 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
         self.wrapper = wrapper
         self.exec_id = exec_id
         self.cache = cache if cache is not None else default_pr_cache()
-        #: resident cache entries the simulated host is charged for
-        self._charged_entries = 0
         #: data generation: bumped on every data_updated(), so clients
         #: can detect results computed against a superseded store state
         self.generation = 0
@@ -188,7 +182,6 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
         with self._update_lock:
             if generation == self.generation:
                 self.cache.put(key, answer)
-        self._charge_cache()
         return answer
 
     def getPRChunked(
@@ -303,24 +296,9 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
         stub.DeliverNotification(f"pr-result/{query_id}", "\n".join(packed))
         return query_id
 
-    def _charge_cache(self) -> None:
-        """Charge the simulated host for the *change* in resident cache
-        entries (after every ``put`` and ``clear``): an entry the policy
-        refused or evicted costs nothing, a cleared cache gives its
-        memory back."""
-        if self.container is None or self.container.host is None:
-            return
-        delta = (len(self.cache) - self._charged_entries) * _CACHE_ENTRY_MB
-        self._charged_entries = len(self.cache)
-        if delta > 0:
-            self.container.host.allocate_memory(delta)
-        else:
-            self.container.host.release_memory(-delta)
-
     # -------------------------------------------------------- lifecycle
     def on_destroyed(self) -> None:
         self.cache.clear()
-        self._charge_cache()
 
     # --------------------------------------------------- update support
     def data_updated(self, description: str = "") -> int:
@@ -342,7 +320,6 @@ class ExecutionService(GridServiceBase, NotificationSourceMixin):
         with self._update_lock:
             self.generation += 1
             self.cache.clear()
-        self._charge_cache()
         source = self.gsh.url() if self.gsh is not None else ""
         return self.notify(
             "data-update", f"{self.exec_id}|{self.generation}|{source}|{description}"

@@ -8,105 +8,16 @@ themselves).  It does two things:
    create, so the Manager keeps a hash table from unique execution ID to
    the GSH of an already-created instance.
 2. **Replica distribution** — when a data source is replicated on
-   several hosts, uncached instance creations are spread across the
-   replica Execution Factories by a pluggable policy.  The thesis's
-   policy interleaves ("ID 1 on Host A, ID 2 on host B, ...").
+   several hosts, uncached instance creations interleave across the
+   replica Execution Factories ("ID 1 on Host A, ID 2 on host B, ...").
 """
 
 from __future__ import annotations
-
-import random
-from abc import ABC, abstractmethod
 
 from repro.core.semantic import MANAGER_PORTTYPE
 from repro.ogsi.gsh import GridServiceHandle
 from repro.ogsi.porttypes import FACTORY_PORTTYPE
 from repro.ogsi.service import GridServiceBase
-
-
-class DistributionPolicy(ABC):
-    """Chooses which replica factory creates the next Execution instance."""
-
-    name = "abstract"
-
-    @abstractmethod
-    def choose(self, replicas: list["_Replica"], key: str, ordinal: int) -> int:
-        """Index into *replicas* for the *ordinal*-th creation of a batch."""
-
-    def reset(self) -> None:  # pragma: no cover - stateless by default
-        """Clear any per-manager state (called when replicas change)."""
-
-
-class InterleavedPolicy(DistributionPolicy):
-    """The thesis's policy: strict round-robin across replicas."""
-
-    name = "interleaved"
-
-    def __init__(self) -> None:
-        self._next = 0
-
-    def choose(self, replicas: list["_Replica"], key: str, ordinal: int) -> int:
-        index = self._next % len(replicas)
-        self._next += 1
-        return index
-
-    def reset(self) -> None:
-        self._next = 0
-
-
-class BlockPolicy(DistributionPolicy):
-    """All creations of one batch go to a single replica (rotating per batch).
-
-    The degenerate comparison point for the distribution ablation — it
-    recreates the "one host" behaviour even with replicas configured.
-    """
-
-    name = "block"
-
-    def __init__(self) -> None:
-        self._batch = -1
-        self._last_ordinal = -1
-
-    def choose(self, replicas: list["_Replica"], key: str, ordinal: int) -> int:
-        if ordinal <= self._last_ordinal:
-            self._batch += 1
-        self._last_ordinal = ordinal
-        return self._batch % len(replicas)
-
-    def reset(self) -> None:
-        self._batch = -1
-        self._last_ordinal = -1
-
-
-class RandomPolicy(DistributionPolicy):
-    """Uniform random choice (seeded for reproducibility)."""
-
-    name = "random"
-
-    def __init__(self, seed: int = 0) -> None:
-        self._rng = random.Random(seed)
-        self._seed = seed
-
-    def choose(self, replicas: list["_Replica"], key: str, ordinal: int) -> int:
-        return self._rng.randrange(len(replicas))
-
-    def reset(self) -> None:
-        self._rng = random.Random(self._seed)
-
-
-class LeastLoadedPolicy(DistributionPolicy):
-    """Pick the replica that has received the fewest instances so far.
-
-    With a count tie the lowest index wins, so homogeneous batches behave
-    like interleaving; with heterogeneous hosts callers can pre-weight by
-    seeding counts (see the ablation bench).
-    """
-
-    name = "least-loaded"
-
-    def choose(self, replicas: list["_Replica"], key: str, ordinal: int) -> int:
-        loads = [(replica.assigned, i) for i, replica in enumerate(replicas)]
-        return min(loads)[1]
 
 
 class _Replica:
@@ -123,17 +34,14 @@ class ManagerService(GridServiceBase):
 
     porttype = MANAGER_PORTTYPE
 
-    def __init__(
-        self,
-        factory_handles: list[str],
-        policy: DistributionPolicy | None = None,
-    ) -> None:
+    def __init__(self, factory_handles: list[str]) -> None:
         super().__init__()
         if not factory_handles:
             raise ValueError("a Manager needs at least one Execution Factory")
         self.replicas = [_Replica(h) for h in factory_handles]
-        self.policy = policy or InterleavedPolicy()
-        self.policy.reset()
+        #: round-robin position: the replica the next creation goes to,
+        #: kept across getExecs calls and restarted by add_replica
+        self._next = 0
         #: unique execution ID -> Execution instance GSH (the §5.3.1.4 table)
         self._instance_cache: dict[str, str] = {}
         self.creations = 0
@@ -145,7 +53,6 @@ class ManagerService(GridServiceBase):
         if self.container is None:
             raise RuntimeError("Manager is not deployed")
         out: list[str] = []
-        ordinal = 0
         for key in keys:
             cached = self._instance_cache.get(key)
             if cached is not None:
@@ -158,9 +65,8 @@ class ManagerService(GridServiceBase):
                     out.append(cached)
                     continue
                 del self._instance_cache[key]
-            index = self.policy.choose(self.replicas, key, ordinal)
-            ordinal += 1
-            replica = self.replicas[index]
+            replica = self.replicas[self._next % len(self.replicas)]
+            self._next += 1
             stub = self.container.environment.stub_for_handle(
                 replica.gsh, FACTORY_PORTTYPE
             )
@@ -177,7 +83,7 @@ class ManagerService(GridServiceBase):
         if any(r.factory_handle == factory_handle for r in self.replicas):
             raise ValueError(f"replica {factory_handle!r} already registered")
         self.replicas.append(_Replica(factory_handle))
-        self.policy.reset()
+        self._next = 0
 
     def cached_count(self) -> int:
         return len(self._instance_cache)
@@ -196,7 +102,6 @@ class ManagerService(GridServiceBase):
             authority = replica.gsh.authority
             per_host[authority] = per_host.get(authority, 0) + replica.assigned
         return {
-            "policy": self.policy.name,
             "replicas": len(self.replicas),
             "creations": self.creations,
             "cache_hits": self.cache_hits,
@@ -207,7 +112,7 @@ class ManagerService(GridServiceBase):
         }
 
     def assignment_counts(self) -> dict[str, int]:
-        """factory handle -> instances created there (for tests/ablation)."""
+        """factory handle -> instances created there."""
         return {r.factory_handle: r.assigned for r in self.replicas}
 
     def evict(self, key: str) -> None:

@@ -2,20 +2,18 @@
 
 The cache "stores the results of Performance Result queries in a hash
 table indexed by a string value representing the parameters involved in
-the query".  The thesis's prototype uses an unbounded table; its
-future-work section proposes a replacement policy that "adjusts
-dynamically depending on the host's available system resources" — both
-are here, plus a plain LRU for the ablation bench and a byte-budgeted
-one for the federation's plan cache and, as :func:`default_pr_cache`,
-for every Execution configured none.  Every policy is the one
-:class:`~repro.simnet.lru.LruStore` constructed with a different bound.
+the query".  Table 5 turns it off (:class:`NullCache`) and on
+(:class:`UnboundedCache`, the thesis's prototype).  An Execution
+configured none gets :func:`default_pr_cache`, a byte- and
+entry-bounded LRU; the federation's plan cache is the same class.  All
+three are the one :class:`~repro.simnet.lru.LruStore` with different
+bounds.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.simnet.lru import LruStore
 from repro.soap.colbatch import DecodedBatch
@@ -31,11 +29,6 @@ class PrCache(LruStore):
     queries from many tenants concurrently against one engine.
     Subclasses only choose the store's bounds.
     """
-
-    @property
-    def _table(self):
-        """The resident key -> value table, least recently used first."""
-        return self.entries
 
     def put(self, key: str, value: list[str] | DecodedBatch) -> None:
         super().put(key, value if isinstance(value, DecodedBatch) else list(value))
@@ -67,16 +60,6 @@ class NullCache(PrCache):
 
 class UnboundedCache(PrCache):
     """The thesis's prototype policy: keep everything."""
-
-
-class LruCache(PrCache):
-    """Bounded LRU."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        super().__init__(max_entries=capacity)
-        self.capacity = capacity
 
 
 #: approximate per-entry bookkeeping overhead (bytes) beside the strings
@@ -136,12 +119,6 @@ class ByteBudgetLruCache(PrCache):
         if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         super().__init__(max_entries=capacity, max_bytes=max_bytes, sizer=entry_bytes)
-        self.capacity = capacity
-
-    @property
-    def approx_bytes(self) -> int:
-        """Current approximate resident bytes across all entries."""
-        return self.bytes
 
 
 #: the PR cache of an Execution that was configured none: the entries cap
@@ -153,33 +130,3 @@ DEFAULT_PR_CACHE_ENTRIES = 128
 def default_pr_cache() -> ByteBudgetLruCache:
     """The default policy of ``SiteConfig`` and ``ExecutionService``."""
     return ByteBudgetLruCache(DEFAULT_PR_CACHE_BYTES, DEFAULT_PR_CACHE_ENTRIES)
-
-
-@dataclass(eq=False)
-class AdaptiveCache(PrCache):
-    """Capacity follows host free memory (future-work §7).
-
-    ``stats_provider`` returns a resource snapshot with a
-    ``memory_free_fraction`` entry (the Service Data Provider payload of
-    :meth:`repro.simnet.host.SimHost.resource_stats`).  The effective
-    capacity is ``max(min_capacity, int(max_capacity * free_fraction))``,
-    re-evaluated on every insert; shrinking evicts in LRU order.
-    """
-
-    stats_provider: Callable[[], dict[str, float]] = lambda: {"memory_free_fraction": 1.0}
-    max_capacity: int = 1024
-    min_capacity: int = 8
-
-    def __post_init__(self) -> None:
-        if self.min_capacity < 1 or self.max_capacity < self.min_capacity:
-            raise ValueError(
-                f"need 1 <= min_capacity <= max_capacity, got "
-                f"{self.min_capacity}, {self.max_capacity}"
-            )
-        super().__init__(max_entries=self.effective_capacity)
-
-    def effective_capacity(self) -> int:
-        snapshot = self.stats_provider()
-        free = float(snapshot.get("memory_free_fraction", 1.0))
-        free = min(1.0, max(0.0, free))
-        return max(self.min_capacity, int(self.max_capacity * free))

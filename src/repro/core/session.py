@@ -15,7 +15,7 @@ from typing import Callable
 
 from repro.core.application import ApplicationService
 from repro.core.execution import ExecutionService
-from repro.core.manager import DistributionPolicy, ManagerService
+from repro.core.manager import ManagerService
 from repro.core.prcache import PrCache, default_pr_cache
 from repro.mapping.base import ApplicationWrapper, TimedExecutionWrapper
 from repro.ogsi.container import GridEnvironment, ServiceContainer
@@ -50,7 +50,6 @@ class PPerfGridSite:
         config: SiteConfig,
         wrapper: ApplicationWrapper,
         host: SimHost | None = None,
-        policy: DistributionPolicy | None = None,
     ) -> None:
         self.environment = environment
         self.config = config
@@ -69,7 +68,7 @@ class PPerfGridSite:
             f"{base}/ExecutionFactory", self.execution_factory
         )
 
-        self.manager = ManagerService([self.execution_factory_gsh.url()], policy=policy)
+        self.manager = ManagerService([self.execution_factory_gsh.url()])
         self.manager_gsh = self.container.deploy(f"{base}/Manager", self.manager)
 
         self.application_factory = FactoryService(

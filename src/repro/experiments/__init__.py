@@ -7,8 +7,8 @@ Driver                    Paper artifact
 ``overhead``              Table 4 (Grid services overhead)
 ``scalability``           Figure 12 (replica-host speedup)
 ``caching``               Table 5 (Performance-Result caching)
-``ablations``             serialization / distribution / cache
-                          policy studies (extensions)
+``ablations``             serialization / shared-network
+                          studies (extensions)
 ========================  =======================================
 """
 
@@ -22,21 +22,15 @@ from repro.experiments.porttypes import (
     render_table3,
 )
 from repro.experiments.ablations import (
-    CachePolicyResult,
-    DistributionResult,
     NetworkContentionResult,
     SerializationResult,
-    run_cache_policy_ablation,
-    run_distribution_ablation,
     run_network_contention_ablation,
     run_serialization_ablation,
 )
 
 __all__ = [
-    "CachePolicyResult",
     "CachingResult",
     "CachingRow",
-    "DistributionResult",
     "GridScale",
     "NetworkContentionResult",
     "OverheadResult",
@@ -48,9 +42,7 @@ __all__ = [
     "render_table1",
     "render_table2",
     "render_table3",
-    "run_cache_policy_ablation",
     "run_caching_experiment",
-    "run_distribution_ablation",
     "run_network_contention_ablation",
     "run_overhead_experiment",
     "run_scalability_experiment",

@@ -2,28 +2,17 @@
 
 A1 — serialization: how much of the Grid-services overhead is the SOAP
      encode/serialize/parse/decode round trip, as payload grows?
-A2 — distribution policy: interleaved vs block vs random vs least-loaded
-     Manager policies on homogeneous and heterogeneous replica hosts.
-A3 — cache policy: unbounded vs LRU(k) vs adaptive under uniform and
-     skewed query streams.
+A4 — shared-medium network: at what response size does Figure 12's
+     two-host speedup collapse because every response crosses one wire?
 """
 
 from __future__ import annotations
 
 import gc
-import random
 import time
 from dataclasses import dataclass
 
 from repro.analysis.tables import format_table
-from repro.core.manager import (
-    BlockPolicy,
-    DistributionPolicy,
-    InterleavedPolicy,
-    LeastLoadedPolicy,
-    RandomPolicy,
-)
-from repro.core.prcache import AdaptiveCache, LruCache, PrCache, UnboundedCache
 from repro.simnet.host import SimHost
 from repro.simnet.network import NetworkModel, SharedMediumNetwork
 from repro.soap.rpc import decode_response, encode_response
@@ -85,72 +74,6 @@ def run_serialization_ablation(
         soap_us=soap_us,
         direct_us=direct_us,
         wire_bytes=wire_bytes,
-    )
-
-
-# ------------------------------------------- A2: Manager distribution policy
-
-
-@dataclass
-class DistributionResult:
-    """Per policy: makespan of a query fan-out on replica hosts."""
-
-    scenario: str
-    host_factors: list[float]
-    makespans: dict[str, float]
-
-    def to_table(self) -> str:
-        best = min(self.makespans.values())
-        headers = ["Policy", "Makespan (s)", "vs best"]
-        rows = [
-            [name, span, f"{span / best:,.2f}x"]
-            for name, span in sorted(self.makespans.items(), key=lambda kv: kv[1])
-        ]
-        return format_table(
-            headers, rows, title=f"Ablation A2: distribution policy ({self.scenario})"
-        )
-
-
-class _FakeReplica:
-    """Stands in for Manager replicas when replaying policies offline."""
-
-    def __init__(self) -> None:
-        self.assigned = 0
-
-
-def run_distribution_ablation(
-    host_factors: tuple[float, ...] = (1.0, 1.0),
-    num_executions: int = 32,
-    queries_per_execution: int = 100,
-    query_cost_s: float = 0.001,
-    scenario: str = "homogeneous 2 hosts",
-    seed: int = 3,
-) -> DistributionResult:
-    """Replay each policy's instance placement onto host timelines.
-
-    Each execution instance receives ``queries_per_execution`` queries of
-    ``query_cost_s`` seconds, all charged to the host its instance landed
-    on.  Heterogeneous hosts (``host_factors`` != 1) show where the
-    thesis's interleaving stops being optimal and least-loaded wins.
-    """
-    policies: list[DistributionPolicy] = [
-        InterleavedPolicy(),
-        BlockPolicy(),
-        RandomPolicy(seed=seed),
-        LeastLoadedPolicy(),
-    ]
-    makespans: dict[str, float] = {}
-    for policy in policies:
-        policy.reset()
-        hosts = [SimHost(f"h{i}", cpu_factor=f) for i, f in enumerate(host_factors)]
-        replicas = [_FakeReplica() for _ in host_factors]
-        for ordinal in range(num_executions):
-            index = policy.choose(replicas, str(ordinal + 1), ordinal)  # type: ignore[arg-type]
-            replicas[index].assigned += 1
-            hosts[index].charge(query_cost_s * queries_per_execution)
-        makespans[policy.name] = max(h.timeline.busy_until for h in hosts)
-    return DistributionResult(
-        scenario=scenario, host_factors=list(host_factors), makespans=makespans
     )
 
 
@@ -231,66 +154,4 @@ def run_network_contention_ablation(
         speedups=speedups,
         bus_utilization=utilizations,
         service_cost_s=service_cost_s,
-    )
-
-
-# ------------------------------------------------------ A3: cache policies
-
-
-@dataclass
-class CachePolicyResult:
-    """Per policy: hit rate and final size under one query stream."""
-
-    stream: str
-    lookups: int
-    hit_rates: dict[str, float]
-    sizes: dict[str, int]
-
-    def to_table(self) -> str:
-        headers = ["Policy", "Hit rate", "Entries kept"]
-        rows = [
-            [name, f"{self.hit_rates[name]:.1%}", self.sizes[name]]
-            for name in sorted(self.hit_rates, key=lambda n: -self.hit_rates[n])
-        ]
-        return format_table(
-            headers, rows, title=f"Ablation A3: cache policy ({self.stream}, {self.lookups} lookups)"
-        )
-
-
-def run_cache_policy_ablation(
-    num_keys: int = 200,
-    num_lookups: int = 5000,
-    lru_capacity: int = 32,
-    skewed: bool = True,
-    memory_free_fraction: float = 0.25,
-    seed: int = 17,
-) -> CachePolicyResult:
-    """Drive each cache with the same stream and compare hit rates.
-
-    ``skewed=True`` draws keys Zipf-style (a few hot queries — the
-    realistic analysis workload); otherwise uniform.  The adaptive cache
-    sees a host at ``memory_free_fraction`` free memory.
-    """
-    rng = random.Random(seed)
-    weights = [1.0 / (i + 1) for i in range(num_keys)] if skewed else [1.0] * num_keys
-    keys = [f"metric | /focus/{i} | UNDEFINED | 0.0-1.0" for i in range(num_keys)]
-    stream = rng.choices(keys, weights=weights, k=num_lookups)
-    caches: dict[str, PrCache] = {
-        "unbounded": UnboundedCache(),
-        f"lru({lru_capacity})": LruCache(lru_capacity),
-        "adaptive": AdaptiveCache(
-            stats_provider=lambda: {"memory_free_fraction": memory_free_fraction},
-            max_capacity=lru_capacity * 4,
-            min_capacity=4,
-        ),
-    }
-    for name, cache in caches.items():
-        for key in stream:
-            if cache.get(key) is None:
-                cache.put(key, [f"value-for-{key}"])
-    return CachePolicyResult(
-        stream="zipf-skewed" if skewed else "uniform",
-        lookups=num_lookups,
-        hit_rates={name: cache.stats.hit_rate for name, cache in caches.items()},
-        sizes={name: len(cache) for name, cache in caches.items()},
     )

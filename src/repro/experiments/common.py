@@ -24,7 +24,6 @@ from repro.fedquery.viewservice import ViewRegistryService
 from repro.mapping.rdbms import HplRdbmsWrapper, Smg98RdbmsWrapper
 from repro.mapping.textfile import PrestaTextWrapper
 from repro.ogsi.container import GridEnvironment
-from repro.simnet.host import SimHost
 from repro.uddi.proxy import UddiClient
 from repro.uddi.registry_server import UddiRegistryServer
 
@@ -212,13 +211,11 @@ def build_grid(
     *,
     caching: bool = True,
     timed_mapping: bool = True,
-    with_hosts: bool = False,
 ) -> TestGrid:
     """Build the standard three-source grid.
 
     ``caching=False`` gives every Execution instance a NullCache (the
-    Table 4 / Table 5 "caching off" arm).  ``with_hosts=True`` attaches
-    SimHosts to the site containers (needed by the scalability replay).
+    Table 4 / Table 5 "caching off" arm).
     """
     scale = scale or GridScale.paper()
     environment = GridEnvironment()
@@ -239,13 +236,9 @@ def build_grid(
             cache_factory=cache_factory,
         )
 
-    def host(name: str) -> SimHost | None:
-        return SimHost(name) if with_hosts else None
-
     hpl_db = generate_hpl(seed=scale.seed, num_executions=scale.hpl_executions).to_database()
     hpl_site = PPerfGridSite(
-        environment, config("hpl.pdx.edu:8080", "HPL"), HplRdbmsWrapper(hpl_db),
-        host=host("hpl-host"),
+        environment, config("hpl.pdx.edu:8080", "HPL"), HplRdbmsWrapper(hpl_db)
     )
     hpl_site.publish(uddi, org_key, "HPL runs in PostgreSQL-style RDBMS")
 
@@ -256,8 +249,7 @@ def build_grid(
         messages_per_execution=scale.smg98_messages,
     ).to_database()
     smg98_site = PPerfGridSite(
-        environment, config("smg98.pdx.edu:8080", "SMG98"), Smg98RdbmsWrapper(smg_db),
-        host=host("smg98-host"),
+        environment, config("smg98.pdx.edu:8080", "SMG98"), Smg98RdbmsWrapper(smg_db)
     )
     smg98_site.publish(uddi, org_key, "SMG98 Vampir trace, 5-table RDBMS")
 
@@ -268,7 +260,6 @@ def build_grid(
         environment,
         config("presta.pdx.edu:8080", "PRESTA-RMA"),
         PrestaTextWrapper(TextFileStore(tempdir.name)),
-        host=host("presta-host"),
     )
     presta_site.publish(uddi, org_key, "PRESTA RMA flat ASCII text files")
 

@@ -1,7 +1,7 @@
 """One-command reproduction report.
 
 ``python -m repro.experiments.report [--quick] [--out FILE]`` regenerates
-every thesis artifact (Tables 1-5, Figure 12) plus the three ablations
+every thesis artifact (Tables 1-5, Figure 12) plus ablations A1 and A4
 and writes a single text report.  ``--quick`` shrinks datasets and query
 counts for a fast smoke run (~15 s); the default matches the paper's
 parameters (~2 min).
@@ -14,8 +14,6 @@ import sys
 import time
 
 from repro.experiments.ablations import (
-    run_cache_policy_ablation,
-    run_distribution_ablation,
     run_network_contention_ablation,
     run_serialization_ablation,
 )
@@ -72,16 +70,8 @@ def generate_report(quick: bool = False) -> str:
         payload_sizes=(1, 100, 1000) if quick else (1, 10, 100, 1000, 5000),
         trials=5 if quick else 20,
     )
-    sections += [serialization.to_table(), ""]
-    homogeneous = run_distribution_ablation(host_factors=(1.0, 1.0))
-    heterogeneous = run_distribution_ablation(
-        host_factors=(1.0, 3.0), scenario="heterogeneous (3x slower host B)"
-    )
-    sections += [homogeneous.to_table(), "", heterogeneous.to_table(), ""]
     sections += [
-        run_cache_policy_ablation(skewed=True).to_table(),
-        "",
-        run_cache_policy_ablation(skewed=False).to_table(),
+        serialization.to_table(),
         "",
         run_network_contention_ablation().to_table(),
         "",

@@ -109,7 +109,7 @@ def simulate_scalability_des(
 
     ``query_costs[i]`` is the list of per-query service costs for
     execution *i*; executions are interleaved across *replicas* hosts
-    (the Manager policy).  Each query occupies its host for its cost,
+    (the Manager's rule).  Each query occupies its host for its cost,
     then its response occupies the network (one shared link when
     ``shared_network``, otherwise a per-host link).  All queries of an
     execution are issued by a dedicated client thread, so they serialize

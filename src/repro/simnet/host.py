@@ -5,11 +5,6 @@ submitted to a host executes serially, so the completion time of a batch
 is the sum of its pieces, while two hosts proceed in parallel.  The
 Figure 12 scalability experiment replays measured per-query costs onto
 host timelines and reads off the makespan.
-
-Hosts also expose coarse resource statistics (load, memory pressure) via
-:meth:`SimHost.resource_stats`; the adaptive cache-replacement policy
-from the thesis's future-work section consumes these through a Service
-Data Provider service.
 """
 
 from __future__ import annotations
@@ -27,8 +22,6 @@ class HostTimeline:
     """
 
     busy_until: float = 0.0
-    total_busy: float = 0.0
-    tasks: int = 0
 
     def schedule(self, duration: float, ready_at: float = 0.0) -> tuple[float, float]:
         if duration < 0:
@@ -36,66 +29,26 @@ class HostTimeline:
         start = max(self.busy_until, ready_at)
         end = start + duration
         self.busy_until = end
-        self.total_busy += duration
-        self.tasks += 1
         return start, end
 
     def reset(self) -> None:
         self.busy_until = 0.0
-        self.total_busy = 0.0
-        self.tasks = 0
-
-    def utilization(self, horizon: float) -> float:
-        """Fraction of [0, horizon] this host spent busy."""
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.total_busy / horizon)
 
 
 @dataclass
 class SimHost:
-    """A named host with a CPU speed factor and simple resource stats.
+    """A named host whose charged work runs serially on one timeline.
 
-    ``cpu_factor`` scales charged durations: a task measured at *d*
-    seconds on the reference machine takes ``d * cpu_factor`` here.  The
-    thesis's two service hosts are identical (factor 1.0); the
-    distribution-policy ablation uses heterogeneous factors.
+    The thesis's two service hosts are identical, so a task measured at
+    *d* seconds on the reference machine takes *d* seconds here.
     """
 
     name: str
-    cpu_factor: float = 1.0
-    memory_mb: int = 128
     timeline: HostTimeline = field(default_factory=HostTimeline)
-    #: memory consumed by caches etc., maintained by services on this host
-    memory_used_mb: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.cpu_factor <= 0:
-            raise ValueError(f"cpu_factor must be positive, got {self.cpu_factor}")
-        if self.memory_mb <= 0:
-            raise ValueError(f"memory_mb must be positive, got {self.memory_mb}")
 
     def charge(self, duration: float, ready_at: float = 0.0) -> tuple[float, float]:
         """Schedule *duration* (reference seconds) of CPU work."""
-        return self.timeline.schedule(duration * self.cpu_factor, ready_at)
-
-    def allocate_memory(self, mb: float) -> None:
-        self.memory_used_mb = min(self.memory_mb, self.memory_used_mb + mb)
-
-    def release_memory(self, mb: float) -> None:
-        self.memory_used_mb = max(0.0, self.memory_used_mb - mb)
-
-    def resource_stats(self, horizon: float | None = None) -> dict[str, float]:
-        """CPU / memory usage snapshot (the Service Data Provider payload)."""
-        horizon = horizon if horizon is not None else self.timeline.busy_until
-        return {
-            "cpu_load": self.timeline.utilization(horizon),
-            "memory_used_mb": self.memory_used_mb,
-            "memory_total_mb": float(self.memory_mb),
-            "memory_free_fraction": 1.0 - self.memory_used_mb / self.memory_mb,
-            "tasks_completed": float(self.timeline.tasks),
-        }
+        return self.timeline.schedule(duration, ready_at)
 
     def reset(self) -> None:
         self.timeline.reset()
-        self.memory_used_mb = 0.0

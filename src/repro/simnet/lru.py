@@ -3,12 +3,12 @@
 The thesis has a single caching mechanism — "a hash table indexed by a
 string value representing the parameters involved in the query"
 (§5.3.2.3).  :class:`LruStore` is that table with the three bounds the
-extensions grew around it made optional: an entry bound (a number, or a
-callable re-read on every insert), an approximate byte bound, and an
-age bound read off an injected :class:`~repro.simnet.clock.Clock`.
-The Performance-Result cache policies (:mod:`repro.core.prcache`), the
-federation's plan cache and the container's
-:class:`~repro.ogsi.container.StubPool` are all constructors over it.
+extensions grew around it made optional: an entry bound, an
+approximate byte bound, and an age bound read off an injected
+:class:`~repro.simnet.clock.Clock`.  The Performance-Result caches
+(:mod:`repro.core.prcache`), the federation's plan cache and the
+container's :class:`~repro.ogsi.container.StubPool` are all
+constructors over it.
 
 It lives beside ``Clock`` because both ``repro.ogsi`` and ``repro.core``
 use it and ``repro.ogsi`` must not import ``repro.core``.
@@ -57,18 +57,16 @@ class LruStore:
     With no bound set the store is a plain hash table: ``put`` does no
     size accounting and evicts nothing.
 
-    ``max_entries`` may be a callable (the adaptive policy's capacity
-    follows host memory); it is re-read on every insert.  ``max_bytes``
-    needs ``sizer(key, value)``; an entry bigger than the whole budget
-    is not admitted at all — counted as an eviction — so one oversized
-    value can never pin the budget's worth of memory.  ``max_age``
+    ``max_bytes`` needs ``sizer(key, value)``; an entry bigger than the
+    whole budget is not admitted at all — counted as an eviction — so one
+    oversized value can never pin the budget's worth of memory.  ``max_age``
     needs ``clock``; an entry older than that is dropped by the lookup
     that finds it, which counts an expiration and a miss.
     """
 
     def __init__(
         self,
-        max_entries: int | Callable[[], int] | None = None,
+        max_entries: int | None = None,
         max_bytes: int | None = None,
         sizer: Callable[[Hashable, object], int] | None = None,
         max_age: float | None = None,
@@ -121,9 +119,8 @@ class LruStore:
             self.entries.move_to_end(key)
             if self.max_age is not None:
                 self._deadlines[key] = self._clock.now() + self.max_age
-            limit = self.max_entries() if callable(self.max_entries) else self.max_entries
             while self.entries and (
-                (limit is not None and len(self.entries) > limit)
+                (self.max_entries is not None and len(self.entries) > self.max_entries)
                 or (self.max_bytes is not None and self.bytes > self.max_bytes)
             ):
                 self._discard(next(iter(self.entries)))

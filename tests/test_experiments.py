@@ -7,9 +7,7 @@ from repro.experiments import (
     render_table1,
     render_table2,
     render_table3,
-    run_cache_policy_ablation,
     run_caching_experiment,
-    run_distribution_ablation,
     run_overhead_experiment,
     run_scalability_experiment,
     run_serialization_ablation,
@@ -226,34 +224,6 @@ class TestAblations:
         assert result.soap_us[1] > result.soap_us[0]
         assert result.wire_bytes[1] > result.wire_bytes[0]
         assert "A1" in result.to_table()
-
-    def test_distribution_homogeneous(self):
-        result = run_distribution_ablation(host_factors=(1.0, 1.0))
-        spans = result.makespans
-        assert spans["block"] == pytest.approx(2 * spans["interleaved"])
-        assert spans["least-loaded"] == pytest.approx(spans["interleaved"])
-        assert "A2" in result.to_table()
-
-    def test_distribution_heterogeneous_least_loaded_wins(self):
-        result = run_distribution_ablation(
-            host_factors=(1.0, 3.0), scenario="heterogeneous"
-        )
-        # Interleaving ignores speed differences; least-loaded happens to
-        # also ignore them here (balanced counts), but block is worst or
-        # equal, and all makespans are positive.
-        assert all(v > 0 for v in result.makespans.values())
-        assert result.makespans["interleaved"] <= result.makespans["block"] * 1.01
-
-    def test_cache_policy_skew_favors_small_caches(self):
-        result = run_cache_policy_ablation(num_lookups=2000, skewed=True)
-        assert result.hit_rates["unbounded"] >= result.hit_rates["lru(32)"]
-        assert 0 < result.hit_rates["lru(32)"] < 1
-        assert "A3" in result.to_table()
-
-    def test_cache_policy_uniform_hurts_lru(self):
-        skewed = run_cache_policy_ablation(num_lookups=2000, skewed=True)
-        uniform = run_cache_policy_ablation(num_lookups=2000, skewed=False)
-        assert skewed.hit_rates["lru(32)"] > uniform.hit_rates["lru(32)"]
 
     def test_network_contention_crossover(self):
         from repro.experiments import run_network_contention_ablation

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.prcache import LruCache
+from repro.core.prcache import ByteBudgetLruCache
 from repro.core.semantic import PerformanceResult, StoreStats
 from repro.experiments.common import GridScale, build_grid, build_synthetic_grid
 from repro.fedquery import FEDERATED_QUERY_PORTTYPE, QueryError, naive_query
@@ -414,7 +414,7 @@ class TestStatsFetchRace:
         "scope", [("A", "1"), ("A", None), (None, None)], ids=["exec", "member", "all"]
     )
     def test_stats_superseded_mid_fetch_are_not_cached(self, scope):
-        tracker = CoherenceTracker(LruCache(8))
+        tracker = CoherenceTracker(ByteBudgetLruCache(max_bytes=10**9, capacity=8))
 
         class Member:
             fetches = 0
@@ -452,7 +452,7 @@ class TestTrackerScopes:
         ids=["exec", "member", "all"],
     )
     def test_scope_selects_plans_and_stale_snapshots(self, scope, dropped):
-        cache = LruCache(8)
+        cache = ByteBudgetLruCache(max_bytes=10**9, capacity=8)
         tracker = CoherenceTracker(cache)
         before = tracker.snapshot()
         for fingerprint, deps in self.DEPS.items():

@@ -3,13 +3,7 @@
 import pytest
 
 from repro.core import PPerfGridClient, PPerfGridSite, SiteConfig
-from repro.core.manager import (
-    BlockPolicy,
-    InterleavedPolicy,
-    LeastLoadedPolicy,
-    ManagerService,
-    RandomPolicy,
-)
+from repro.core.manager import ManagerService
 from repro.datastores import generate_hpl
 from repro.mapping import HplRdbmsWrapper
 from repro.ogsi import GridEnvironment, GridServiceHandle
@@ -86,63 +80,24 @@ class TestDistribution:
         app.all_executions()
         assert site.manager.creations == created + 1
 
+    def test_round_robin_continues_across_calls(self):
+        env = GridEnvironment()
+        wrapper = HplRdbmsWrapper(generate_hpl(num_executions=6).to_database())
+        site = PPerfGridSite(env, SiteConfig("hostA:1", "HPL"), wrapper)
+        site.add_replica("hostB:1")
+        site.add_replica("hostC:1")
+        hosts = []
+        for keys in (["1", "2"], ["3", "4", "5"], ["6"]):
+            for gsh in site.manager.getExecs(keys):
+                hosts.append(GridServiceHandle.parse(gsh).authority)
+        assert hosts == ["hostA:1", "hostB:1", "hostC:1"] * 2
 
-class _Replica:
-    def __init__(self, assigned=0):
-        self.assigned = assigned
-
-
-class TestPolicies:
-    def test_interleaved_round_robin(self):
-        policy = InterleavedPolicy()
-        replicas = [_Replica(), _Replica(), _Replica()]
-        choices = [policy.choose(replicas, str(i), i) for i in range(6)]
-        assert choices == [0, 1, 2, 0, 1, 2]
-
-    def test_interleaved_reset(self):
-        policy = InterleavedPolicy()
-        replicas = [_Replica(), _Replica()]
-        policy.choose(replicas, "a", 0)
-        policy.reset()
-        assert policy.choose(replicas, "b", 0) == 0
-
-    def test_block_keeps_batch_together(self):
-        policy = BlockPolicy()
-        replicas = [_Replica(), _Replica()]
-        batch1 = [policy.choose(replicas, str(i), i) for i in range(4)]
-        assert len(set(batch1)) == 1
-        # A new batch (ordinal resets) rotates to the other replica.
-        batch2 = [policy.choose(replicas, str(i), i) for i in range(4)]
-        assert len(set(batch2)) == 1
-        assert set(batch1) != set(batch2)
-
-    def test_random_seeded_deterministic(self):
-        replicas = [_Replica(), _Replica(), _Replica()]
-        a = RandomPolicy(seed=1)
-        b = RandomPolicy(seed=1)
-        assert [a.choose(replicas, str(i), i) for i in range(10)] == [
-            b.choose(replicas, str(i), i) for i in range(10)
-        ]
-
-    def test_random_reset_restarts_sequence(self):
-        replicas = [_Replica(), _Replica(), _Replica()]
-        policy = RandomPolicy(seed=1)
-        first = [policy.choose(replicas, str(i), i) for i in range(5)]
-        policy.reset()
-        assert [policy.choose(replicas, str(i), i) for i in range(5)] == first
-
-    def test_least_loaded_balances(self):
-        policy = LeastLoadedPolicy()
-        replicas = [_Replica(), _Replica()]
-        for i in range(4):
-            index = policy.choose(replicas, str(i), i)
-            replicas[index].assigned += 1
-        assert [r.assigned for r in replicas] == [2, 2]
-
-    def test_least_loaded_prefers_idle_replica(self):
-        policy = LeastLoadedPolicy()
-        replicas = [_Replica(assigned=10), _Replica(assigned=0)]
-        assert policy.choose(replicas, "k", 0) == 1
+    def test_add_replica_restarts_the_rotation(self, replicated_site):
+        env, site, client = replicated_site
+        site.manager.getExecs(["1"])  # hostA; hostB would be next
+        site.add_replica("hostC:1")
+        gshs = site.manager.getExecs(["2", "3"])
+        assert [GridServiceHandle.parse(g).authority for g in gshs] == ["hostA:1", "hostB:1"]
 
 
 class TestStatsSnapshot:
@@ -152,7 +107,6 @@ class TestStatsSnapshot:
         app.all_executions()
         app.all_executions()
         stats = site.manager.stats()
-        assert stats["policy"] == "interleaved"
         assert stats["replicas"] == 2
         assert stats["creations"] == 8
         assert stats["cache_hits"] >= 8

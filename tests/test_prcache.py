@@ -7,9 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.prcache import (
-    AdaptiveCache,
     ByteBudgetLruCache,
-    LruCache,
     NullCache,
     UnboundedCache,
     entry_bytes,
@@ -69,9 +67,15 @@ class TestUnboundedCache:
         assert cache.get("k") is None
 
 
+def _entry_bounded(capacity: int) -> ByteBudgetLruCache:
+    """An LRU that only its entry bound can fill, as ``default_pr_cache``,
+    the plan cache and ``StubPool`` are filled by theirs."""
+    return ByteBudgetLruCache(max_bytes=10**9, capacity=capacity)
+
+
 class TestLruCache:
     def test_capacity_enforced(self):
-        cache = LruCache(2)
+        cache = _entry_bounded(2)
         for key in ("a", "b", "c"):
             cache.put(key, [key])
         assert len(cache) == 2
@@ -80,7 +84,7 @@ class TestLruCache:
         assert cache.stats.evictions == 1
 
     def test_get_refreshes_recency(self):
-        cache = LruCache(2)
+        cache = _entry_bounded(2)
         cache.put("a", ["a"])
         cache.put("b", ["b"])
         cache.get("a")
@@ -89,7 +93,7 @@ class TestLruCache:
         assert cache.get("b") is None
 
     def test_put_refreshes_recency(self):
-        cache = LruCache(2)
+        cache = _entry_bounded(2)
         cache.put("a", ["a"])
         cache.put("b", ["b"])
         cache.put("a", ["a2"])
@@ -97,14 +101,10 @@ class TestLruCache:
         assert cache.get("a") == ["a2"]
         assert cache.get("b") is None
 
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            LruCache(0)
-
     @given(st.lists(st.sampled_from("abcdefgh"), max_size=200), st.integers(1, 5))
     @settings(max_examples=100, deadline=None)
     def test_size_never_exceeds_capacity(self, keys, capacity):
-        cache = LruCache(capacity)
+        cache = _entry_bounded(capacity)
         for key in keys:
             if cache.get(key) is None:
                 cache.put(key, [key])
@@ -112,17 +112,18 @@ class TestLruCache:
 
 
 class TestOneStoreUnderEveryPolicy:
-    """Every bounded policy is the same LruStore with a different bound,
+    """Every bounded cache is the same LruStore with a different bound,
     so eviction order and the counters cannot differ between them."""
 
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: LruCache(2),
-            lambda: ByteBudgetLruCache(max_bytes=10**9, capacity=2),
-            lambda: AdaptiveCache(max_capacity=2, min_capacity=2),
+            lambda: _entry_bounded(2),
+            # room for two of the test's (equal-sized) entries: the byte
+            # bound evicts before the entry bound of three is reached
+            lambda: ByteBudgetLruCache(max_bytes=2 * entry_bytes("a", ["a"]), capacity=3),
         ],
-        ids=["entries", "bytes+entries", "callable-entries"],
+        ids=["entries", "bytes+entries"],
     )
     def test_evicts_least_recently_used_and_counts(self, make):
         cache = make()
@@ -139,7 +140,7 @@ class TestOneStoreUnderEveryPolicy:
         )
         records = dict(r.split("|") for r in cache.stat_records())
         assert records["lookups"] == "2" and records["entries"] == "1"
-        assert ("maxBytes" in records) is isinstance(cache, ByteBudgetLruCache)
+        assert "maxBytes" in records
 
     def test_age_bound_follows_the_injected_clock(self):
         clock = VirtualClock()
@@ -197,9 +198,9 @@ class TestOneStoreUnderEveryPolicy:
             assert not any(thread.is_alive() for thread in threads)
         finally:
             sys.setswitchinterval(interval)
-        assert len(cache) <= 16 and cache.approx_bytes <= cache.max_bytes
-        assert cache.approx_bytes == sum(
-            entry_bytes(k, v) for k, v in cache._table.items()
+        assert len(cache) <= 16 and cache.bytes <= cache.max_bytes
+        assert cache.bytes == sum(
+            entry_bytes(k, v) for k, v in cache.entries.items()
         )
 
     def test_a_bound_needs_its_collaborator(self):
@@ -207,75 +208,6 @@ class TestOneStoreUnderEveryPolicy:
             LruStore(max_bytes=100)
         with pytest.raises(ValueError):
             LruStore(max_age=1.0)
-
-
-class TestAdaptiveCache:
-    def test_full_memory_behaves_like_max_capacity(self):
-        cache = AdaptiveCache(
-            stats_provider=lambda: {"memory_free_fraction": 1.0},
-            max_capacity=10,
-            min_capacity=2,
-        )
-        for i in range(20):
-            cache.put(str(i), [])
-        assert len(cache) == 10
-
-    def test_shrinks_under_pressure(self):
-        free = {"value": 1.0}
-        cache = AdaptiveCache(
-            stats_provider=lambda: {"memory_free_fraction": free["value"]},
-            max_capacity=100,
-            min_capacity=5,
-        )
-        for i in range(50):
-            cache.put(str(i), [])
-        assert len(cache) == 50
-        free["value"] = 0.0
-        cache.put("trigger", [])
-        assert len(cache) == 5  # clamped to min_capacity
-
-    def test_evicts_lru_order(self):
-        free = {"value": 1.0}
-        cache = AdaptiveCache(
-            stats_provider=lambda: {"memory_free_fraction": free["value"]},
-            max_capacity=10,
-            min_capacity=2,
-        )
-        for key in ("a", "b", "c"):
-            cache.put(key, [key])
-        cache.get("a")
-        free["value"] = 0.0
-        cache.put("d", [])
-        # capacity 2: keeps the two most recent (a was touched, then d added)
-        assert cache.get("d") is not None
-        assert cache.get("b") is None
-
-    def test_clamps_bad_fractions(self):
-        cache = AdaptiveCache(
-            stats_provider=lambda: {"memory_free_fraction": 99.0},
-            max_capacity=10,
-            min_capacity=2,
-        )
-        assert cache.effective_capacity() == 10
-        cache.stats_provider = lambda: {"memory_free_fraction": -1.0}
-        assert cache.effective_capacity() == 2
-
-    def test_invalid_capacities(self):
-        with pytest.raises(ValueError):
-            AdaptiveCache(max_capacity=1, min_capacity=5)
-        with pytest.raises(ValueError):
-            AdaptiveCache(max_capacity=5, min_capacity=0)
-
-    def test_identity_not_config_decides_equality(self):
-        # two caches with one configuration but different entries are
-        # different caches, and like every PrCache each one hashes
-        filled = AdaptiveCache()
-        filled.put("k", ["x"])
-        empty = AdaptiveCache()
-        assert empty != filled
-        assert filled == filled
-        assert len({empty, filled}) == 2
-        assert {filled: "a"}[filled] == "a"
 
 
 class TestStats:
@@ -360,8 +292,8 @@ class TestTokenColumnResidency:
         engine.stream_chunk_rows = 64  # read through an ordered member cursor
         try:
             assert len(list(grid.client.query_stream("SELECT m"))) == rows
-            member = grid.execution_service("A", "0").cache._table
-            answers = engine.plan_cache._table
+            member = grid.execution_service("A", "0").cache.entries
+            answers = engine.plan_cache.entries
             entries = {
                 "member": [(k, v) for k, v in member.items() if k.startswith("ordered: ")],
                 "federation": list(answers.items()),
@@ -399,7 +331,7 @@ class TestTokenColumnResidency:
                               i * 0.37 + 0.001).pack()
             for i in range(640)
         ])
-        value = cache._table[key]
+        value = cache.entries[key]
         assert entry_bytes(key, value) >= _resident(value) + sys.getsizeof(key)
 
     @pytest.mark.parametrize("letter", ["é", "Ā", "😀"], ids=["latin-1", "ucs-2", "ucs-4"])
@@ -457,7 +389,7 @@ class TestNumericColumnResidency:
             execution = grid.bind("A").all_executions()[0]
             foci = execution.foci()
             cold = [r.pack() for r in execution.get_pr_chunked("m", foci, ordered=True)]
-            table = grid.execution_service("A", "0").cache._table
+            table = grid.execution_service("A", "0").cache.entries
             ((key, entry),) = [(k, v) for k, v in table.items() if k.startswith("ordered: ")]
             charged = entry_bytes(key, entry)
             assert len(self.numbers(entry)) == 2  # the spans and the values
@@ -485,7 +417,7 @@ class TestByteBudgetLruCache:
         cache = ByteBudgetLruCache(max_bytes=10_000)
         cache.put("k", ["aa", "bb"])
         assert cache.get("k") == ["aa", "bb"]
-        assert cache.approx_bytes == entry_bytes("k", ["aa", "bb"])
+        assert cache.bytes == entry_bytes("k", ["aa", "bb"])
 
     def test_byte_budget_evicts_lru_first(self):
         record = "x" * 100
@@ -498,7 +430,7 @@ class TestByteBudgetLruCache:
         assert cache.contains("k0") and not cache.contains("k1")
         assert cache.contains("k2") and cache.contains("k3")
         assert cache.stats.evictions == 1
-        assert cache.approx_bytes <= cache.max_bytes
+        assert cache.bytes <= cache.max_bytes
 
     def test_oversized_entry_rejected_not_admitted(self):
         cache = ByteBudgetLruCache(max_bytes=500)
@@ -514,13 +446,13 @@ class TestByteBudgetLruCache:
         cache.put("k", ["old"])
         cache.put("k", ["z" * 10_000])  # too big to admit
         assert cache.get("k") is None  # the old value must not survive
-        assert cache.approx_bytes == 0
+        assert cache.bytes == 0
 
     def test_overwrite_replaces_size(self):
         cache = ByteBudgetLruCache(max_bytes=10_000)
         cache.put("k", ["a" * 200])
         cache.put("k", ["b"])
-        assert cache.approx_bytes == entry_bytes("k", ["b"])
+        assert cache.bytes == entry_bytes("k", ["b"])
         assert len(cache) == 1
 
     def test_entry_capacity_still_applies(self):
@@ -535,7 +467,7 @@ class TestByteBudgetLruCache:
         cache = ByteBudgetLruCache(max_bytes=10_000)
         cache.put("k", ["abc"])
         assert cache.remove("k") is True
-        assert cache.approx_bytes == 0
+        assert cache.bytes == 0
         assert cache.stats.invalidations == 1
         assert cache.remove("k") is False
 
@@ -544,7 +476,7 @@ class TestByteBudgetLruCache:
         for i in range(5):
             cache.put(f"k{i}", ["v" * i])
         cache.clear()
-        assert len(cache) == 0 and cache.approx_bytes == 0
+        assert len(cache) == 0 and cache.bytes == 0
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -560,7 +492,7 @@ class TestByteBudgetLruCache:
         cache = ByteBudgetLruCache(max_bytes=1_000)
         for key, value in ops:
             cache.put(key, value)
-            assert cache.approx_bytes <= cache.max_bytes
-            assert cache.approx_bytes == sum(
-                entry_bytes(k, cache._table[k]) for k in cache._table
+            assert cache.bytes <= cache.max_bytes
+            assert cache.bytes == sum(
+                entry_bytes(k, cache.entries[k]) for k in cache.entries
             )

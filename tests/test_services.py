@@ -195,63 +195,59 @@ class TestExecutionCaching:
             grid.environment.close()
 
 
-class TestSimulatedHostMemory:
-    """The host is charged ``_CACHE_ENTRY_MB`` per *resident* PR-cache
-    entry — not per call to ``put`` — and gets it back on a clear."""
+class TestResidentCache:
+    """An Execution's PR cache holds at most its entry bound of distinct
+    answers (none when caching is off), and a data update or a Destroy
+    empties it."""
 
     @staticmethod
     def _execution(grid):
-        """(binding, service, host) of one HPL execution on a SimHost."""
+        """(binding, service) of one HPL execution."""
         execution = grid.bind("HPL").all_executions()[0]
-        service = grid.execution_service("HPL", execution.info()["runid"])
-        return execution, service, service.container.host
+        return execution, grid.execution_service("HPL", execution.info()["runid"])
 
     @staticmethod
     def _distinct_queries(execution, count: int) -> None:
         for k in range(count):
             execution.get_pr("gflops", ["/Run"], 0.0, 1e9 + k)
 
-    def test_an_uncached_query_costs_the_host_nothing(self):
+    def test_a_null_cache_holds_nothing(self):
         from repro.experiments.common import GridScale, build_grid
 
-        grid = build_grid(GridScale.tiny(), caching=False, with_hosts=True)
+        grid = build_grid(GridScale.tiny(), caching=False)
         try:
-            execution, service, host = self._execution(grid)
+            execution, service = self._execution(grid)
             self._distinct_queries(execution, 300)
             assert len(service.cache) == 0
-            assert host.memory_used_mb == pytest.approx(0.0, abs=1e-9)
         finally:
             grid.cleanup()
 
-    def test_an_evicted_entry_gives_its_charge_back(self):
-        from repro.core.prcache import LruCache
+    def test_a_capacity_bound_keeps_the_last_eight(self):
+        from repro.core.prcache import ByteBudgetLruCache
         from repro.experiments.common import GridScale, build_grid
 
-        grid = build_grid(GridScale.tiny(), with_hosts=True)
+        grid = build_grid(GridScale.tiny())
         try:
-            execution, service, host = self._execution(grid)
-            service.cache = LruCache(capacity=8)
+            execution, service = self._execution(grid)
+            service.cache = ByteBudgetLruCache(max_bytes=10**9, capacity=8)
             self._distinct_queries(execution, 50)
             assert len(service.cache) == 8 and service.cache.stats.evictions == 42
-            assert host.memory_used_mb == pytest.approx(0.01 * 8)
         finally:
             grid.cleanup()
 
-    def test_data_updated_and_destroy_release_what_was_charged(self):
+    def test_data_updated_and_destroy_empty_the_cache(self):
         from repro.experiments.common import GridScale, build_grid
 
-        grid = build_grid(GridScale.tiny(), with_hosts=True)
+        grid = build_grid(GridScale.tiny())
         try:
-            execution, service, host = self._execution(grid)
+            execution, service = self._execution(grid)
             self._distinct_queries(execution, 300)
-            assert host.memory_used_mb == pytest.approx(0.01 * len(service.cache))
             assert len(service.cache) == 300
             service.data_updated("ingest")
             assert len(service.cache) == 0
-            assert host.memory_used_mb == pytest.approx(0.0, abs=1e-9)
             self._distinct_queries(execution, 5)
-            assert host.memory_used_mb == pytest.approx(0.05)
+            assert len(service.cache) == 5
             service.Destroy()
-            assert host.memory_used_mb == pytest.approx(0.0, abs=1e-9)
+            assert len(service.cache) == 0
         finally:
             grid.cleanup()

@@ -105,7 +105,6 @@ class TestHostTimeline:
         assert timeline.schedule(2.0) == (0.0, 2.0)
         assert timeline.schedule(3.0) == (2.0, 5.0)
         assert timeline.busy_until == 5.0
-        assert timeline.total_busy == 5.0
 
     def test_ready_at_respected(self):
         timeline = HostTimeline()
@@ -117,12 +116,6 @@ class TestHostTimeline:
         with pytest.raises(ValueError):
             HostTimeline().schedule(-1.0)
 
-    def test_utilization(self):
-        timeline = HostTimeline()
-        timeline.schedule(2.0, ready_at=2.0)  # idle for the first 2 s
-        assert timeline.utilization(4.0) == pytest.approx(0.5)
-        assert timeline.utilization(0.0) == 0.0
-
     @given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=30))
     @settings(max_examples=100, deadline=None)
     def test_makespan_equals_sum_when_all_ready(self, durations):
@@ -133,40 +126,11 @@ class TestHostTimeline:
 
 
 class TestSimHost:
-    def test_cpu_factor_scales_charge(self):
-        slow = SimHost("s", cpu_factor=2.0)
-        assert slow.charge(1.0) == (0.0, 2.0)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            SimHost("h", cpu_factor=0)
-        with pytest.raises(ValueError):
-            SimHost("h", memory_mb=0)
-
-    def test_memory_accounting_clamped(self):
-        host = SimHost("h", memory_mb=100)
-        host.allocate_memory(60)
-        host.allocate_memory(60)
-        assert host.memory_used_mb == 100
-        host.release_memory(150)
-        assert host.memory_used_mb == 0
-
-    def test_resource_stats(self):
-        host = SimHost("h", memory_mb=128)
-        host.charge(1.0)
-        host.allocate_memory(32)
-        stats = host.resource_stats()
-        assert stats["cpu_load"] == 1.0
-        assert stats["memory_free_fraction"] == pytest.approx(0.75)
-        assert stats["tasks_completed"] == 1.0
-
     def test_reset(self):
         host = SimHost("h")
         host.charge(1.0)
-        host.allocate_memory(10)
         host.reset()
         assert host.timeline.busy_until == 0.0
-        assert host.memory_used_mb == 0.0
 
 
 class TestNetworkModel:
